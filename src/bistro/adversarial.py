@@ -54,8 +54,7 @@ class ExpWeightsRelaxation:
         ids = context_ids(contexts)
         if costs.shape[0] != ids.size:
             raise ValueError("history lengths disagree")
-        A = self.policy_class.actions_on(ids)  # (|F|, t)
-        return costs[np.arange(ids.size)[None, :], A].sum(axis=1)
+        return self.policy_class.values(ids, costs.T)
 
     def value(self, costs, contexts) -> float:
         t = len(costs)

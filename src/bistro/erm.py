@@ -11,7 +11,6 @@ for the regularized objective.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,34 +20,23 @@ from .policies import CapacityError, PolicyClass, context_ids
 MLC_LIMIT = 10**6
 
 
-def _policy_linear_values(actions: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """sum_t Y[a_{f,t}, t] for every policy row of ``actions``; shape (|F|,)."""
-    n = Y.shape[1]
-    if actions.shape[1] != n:
-        raise ValueError("context sequence length does not match cost matrix")
-    return Y[actions, np.arange(n)].sum(axis=1)
-
-
 class ErmOracle:
     """Base oracle: counts value queries, delegates the value computation.
 
-    Oracles are stateless across calls apart from the counter, which is
-    incremented atomically so concurrent value queries stay safe.
+    Oracles are stateless across calls apart from the counter.
     """
 
     delta: float = 0.0
 
     def __init__(self):
         self._calls = 0
-        self._lock = threading.Lock()
 
     @property
     def calls(self) -> int:
         return self._calls
 
     def __call__(self, contexts, Y) -> float:
-        with self._lock:
-            self._calls += 1
+        self._calls += 1
         return self._value(contexts, np.asarray(Y, dtype=float))
 
     def _value(self, contexts, Y: np.ndarray) -> float:
@@ -65,16 +53,14 @@ class ExactErmOracle(ErmOracle):
         self.policy_class = policy_class
 
     def _value(self, contexts, Y: np.ndarray) -> float:
-        A = self.policy_class.actions_on(contexts)
-        return float(_policy_linear_values(A, Y).min())
+        return float(self.policy_class.values(contexts, Y).min())
 
 
 def exact_erm_value(policy_class: PolicyClass, contexts, Y) -> float:
     """Exact ERM value without counter bookkeeping."""
     if policy_class.size == 0:
         raise ValueError("ERM over an empty policy class")
-    A = policy_class.actions_on(contexts)
-    return float(_policy_linear_values(A, np.asarray(Y, dtype=float)).min())
+    return float(policy_class.values(contexts, Y).min())
 
 
 class ApproximateErmOracle(ErmOracle):
@@ -155,12 +141,18 @@ class PairwiseDisagreement:
         differ = labels[:, None] != labels[None, :]
         return float((W * differ).sum())
 
-    def per_policy(self, actions: np.ndarray, contexts) -> np.ndarray:
-        """Constraint value of every policy at once; actions is (|F|, n)."""
-        ids = context_ids(contexts)
-        W = self._pair_weights(ids)
+    def per_policy(self, policy_class: PolicyClass, contexts) -> np.ndarray:
+        """Constraint value of every policy at once, shape (|F|,).
+
+        Rounds that share a context share every policy's action, so the sum
+        over round pairs folds into one over the distinct contexts u with
+        counts c, weighted by W_u * outer(c, c): O(|F|*|u|^2), not O(|F|*n^2).
+        """
+        u, c = np.unique(context_ids(contexts), return_counts=True)
+        actions = policy_class.actions_on(u)
+        W = self._pair_weights(u) * np.outer(c, c)
         differ = actions[:, :, None] != actions[:, None, :]
-        return (differ * W).sum(axis=(1, 2)).astype(float)
+        return (differ * W).sum(axis=(1, 2))
 
 
 class CoveragePenalty:
@@ -191,15 +183,15 @@ class CoveragePenalty:
             total += np.maximum(self.k - counts, 0).sum()
         return float(total)
 
-    def per_policy(self, actions: np.ndarray, contexts=None, d: int | None = None) -> np.ndarray:
-        n = actions.shape[1]
-        self._check_partition(n)
-        if d is None:
-            d = int(actions.max()) + 1 if actions.size else 1
+    def per_policy(self, policy_class: PolicyClass, contexts) -> np.ndarray:
+        """Constraint value of every policy at once, shape (|F|,); the blocks
+        index rounds, so this prices the (|F|, n) actions on the sequence."""
+        actions = policy_class.actions_on(contexts)
+        self._check_partition(actions.shape[1])
         out = np.zeros(actions.shape[0])
         for block in self.partition:
             sub = actions[:, block]
-            for j in range(d):
+            for j in range(policy_class.d):
                 counts = (sub == j).sum(axis=1)
                 out += np.maximum(self.k - counts, 0)
         return out.astype(float)
@@ -214,12 +206,10 @@ def coverage_cost(M: np.ndarray, partition, k: int) -> float:
 
 
 def policy_constraint_values(constraint, policy_class: PolicyClass, contexts) -> np.ndarray:
-    actions = policy_class.actions_on(contexts)
-    if isinstance(constraint, PairwiseDisagreement):
-        return constraint.per_policy(actions, contexts)
-    if isinstance(constraint, CoveragePenalty):
-        return constraint.per_policy(actions, d=policy_class.d)
+    if isinstance(constraint, (PairwiseDisagreement, CoveragePenalty)):
+        return constraint.per_policy(policy_class, contexts)
     # Generic callable contract: evaluate policy by policy on its matrix.
+    actions = policy_class.actions_on(contexts)
     n = actions.shape[1]
     out = np.empty(policy_class.size)
     for i in range(policy_class.size):
@@ -254,8 +244,7 @@ def regularized_erm_value(policy_class: PolicyClass, contexts, query: Regularize
     """Exact minimum of the penalized objective over the unconstrained class."""
     if policy_class.size == 0:
         raise ValueError("ERM over an empty policy class")
-    A = policy_class.actions_on(contexts)
-    vals = _policy_linear_values(A, np.asarray(query.Y, dtype=float))
+    vals = policy_class.values(contexts, query.Y)
     if query.lambda_scaled > 0:
         vals = vals + query.lambda_scaled * policy_constraint_values(
             query.constraint, policy_class, contexts
@@ -281,8 +270,7 @@ class RegularizedErmOracle(ErmOracle):
         self.lambda_scaled = float(lambda_scaled)
 
     def _value(self, contexts, Y: np.ndarray) -> float:
-        A = self.policy_class.actions_on(contexts)
-        vals = _policy_linear_values(A, Y)
+        vals = self.policy_class.values(contexts, Y)
         if self.lambda_scaled > 0:
             vals = vals + self.lambda_scaled * policy_constraint_values(
                 self.constraint, self.policy_class, contexts

@@ -2,8 +2,9 @@
 
 Contexts are indices into a finite universe (optionally carrying feature
 vectors), policies map contexts to one of ``d`` actions, and a policy class
-is stored as an action table so that downstream oracles can evaluate every
-policy on a realized context sequence with one gather.
+is stored as an action table. Every policy's linear cost on a realized
+context sequence comes from ``PolicyClass.values``, which folds the cost
+matrix by context and prices all policies with one matrix-vector product.
 
 Actions are 0-based everywhere in code; file formats and display use
 1-based action indices, converted only at I/O boundaries.
@@ -110,6 +111,7 @@ class PolicyClass:
         table.flags.writeable = False  # shared freely across threads
         self.table = table
         self.d = int(d)
+        self._onehot = None
 
     @property
     def size(self) -> int:
@@ -129,12 +131,48 @@ class PolicyClass:
     def policies(self) -> list[TablePolicy]:
         return [self.policy(i) for i in range(self.size)]
 
-    def actions_on(self, contexts) -> np.ndarray:
-        """Actions of every policy on a context sequence, shape (|F|, n)."""
+    def _checked_ids(self, contexts) -> np.ndarray:
         ids = context_ids(contexts)
         if ids.size and (ids.min() < 0 or ids.max() >= self.universe_size):
             raise ValueError("context id outside the class's universe")
-        return self.table[:, ids]
+        return ids
+
+    def actions_on(self, contexts) -> np.ndarray:
+        """Actions of every policy on a context sequence, shape (|F|, n)."""
+        return self.table[:, self._checked_ids(contexts)]
+
+    @property
+    def onehot(self) -> np.ndarray:
+        """Read-only (|F|, d*|X|) 0/1 matrix; row f marks the cells j*|X| + x
+        with j = f(x). Built on first use and cached (d*|F|*|X| floats)."""
+        if self._onehot is None:
+            size, universe = self.table.shape
+            onehot = np.zeros((size, self.d * universe))
+            onehot[np.arange(size)[:, None], self.table * universe + np.arange(universe)] = 1.0
+            onehot.flags.writeable = False
+            self._onehot = onehot
+        return self._onehot
+
+    def values(self, contexts, Y) -> np.ndarray:
+        """sum_t Y[f(x_t), t] for every policy f, shape (|F|,).
+
+        A table policy's cost depends only on the per-context column sums
+        Z[j, x] = sum_{t: x_t = x} Y[j, t], so Y is folded by context with
+        one bincount and priced with one product against ``onehot``:
+        O(d*n + d*|F|*|X|) per call instead of O(|F|*n).
+        """
+        ids = self._checked_ids(contexts)
+        Y = np.asarray(Y, dtype=float)
+        if Y.shape != (self.d, ids.size):
+            raise ValueError(
+                f"cost matrix must be (d, n) = ({self.d}, {ids.size}); got {Y.shape}")
+        universe = self.universe_size
+        keys = (np.arange(self.d)[:, None] * universe + ids).ravel()
+        z = np.bincount(keys, weights=Y.ravel(), minlength=self.d * universe)
+        if not np.isfinite(z).all():
+            # 0 * inf in the product would turn every policy's value into nan
+            raise ValueError("cost matrix folds to non-finite context sums")
+        return self.onehot @ z
 
     def subset(self, indices) -> "PolicyClass":
         return PolicyClass(self.table[np.asarray(indices, dtype=np.int64)], self.d)

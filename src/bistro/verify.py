@@ -1,10 +1,11 @@
 """Deliberately naive oracles used only to cross-check the production code.
 
 Nothing here shares computation paths with the implementations under test:
-ERM is a double loop over policy objects, the Rademacher average enumerates
-every sign assignment, and the minimax solver searches a simplex lattice by
-level counting (or random sampling). Capacity limits are hard errors, never
-silent truncation.
+ERM is a double loop over policy objects, per-policy linear values are
+gathered round by round instead of folded by context, the Rademacher average
+enumerates every sign assignment, and the minimax solver searches a simplex
+lattice by level counting (or random sampling). Capacity limits are hard
+errors, never silent truncation.
 """
 
 from __future__ import annotations
@@ -17,6 +18,17 @@ BRUTEFORCE_CLASS_LIMIT = 10**4
 BRUTEFORCE_HORIZON_LIMIT = 64
 RADEMACHER_BITS_LIMIT = 24
 LATTICE_LIMIT = 10**8
+
+
+def sequence_values(policy_class: PolicyClass, contexts, Y) -> np.ndarray:
+    """sum_t Y[f(x_t), t] for every policy, gathered over the |F| x n action
+    matrix: the sequence form that ``PolicyClass.values`` folds by context."""
+    actions = policy_class.actions_on(contexts)
+    Y = np.asarray(Y, dtype=float)
+    n = Y.shape[1]
+    if actions.shape[1] != n:
+        raise ValueError("context sequence length does not match cost matrix")
+    return Y[actions, np.arange(n)].sum(axis=1)
 
 
 def bruteforce_erm(policy_class: PolicyClass, contexts, Y) -> float:

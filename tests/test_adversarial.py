@@ -13,6 +13,7 @@ from bistro.adversarial import (
 from bistro.environments import Environment, FixedTableCosts
 from bistro.policies import PolicyClass
 from bistro.runner import run_episode
+from bistro.verify import sequence_values
 
 
 def constants_class():
@@ -35,6 +36,28 @@ class TestExpWeightsValue:
             ctxs = rng.integers(0, X, n)
             L = rel._losses(costs, ctxs)
             assert rel.value(costs, ctxs) >= -float(L.min()) - 1e-12
+
+    def test_folded_losses_match_sequence_losses(self):
+        rng = np.random.default_rng(43)
+        for _ in range(50):
+            d = int(rng.integers(2, 4))
+            X = int(rng.integers(1, 6))
+            pc = PolicyClass(rng.integers(0, d, (int(rng.integers(1, 20)), X)), d)
+            t = int(rng.integers(0, 30))
+            costs = rng.random((t, d))
+            ctxs = rng.integers(0, X, t)
+            rel = ExpWeightsRelaxation(pc, 30)
+            np.testing.assert_allclose(rel._losses(costs, ctxs),
+                                       sequence_values(pc, ctxs, costs.T), rtol=0, atol=1e-12)
+
+    def test_losses_reject_bad_history(self):
+        rel = ExpWeightsRelaxation(constants_class(), horizon=4)
+        with pytest.raises(ValueError):
+            rel.value(np.zeros((2, 2)), [0, 2])  # context outside the universe
+        with pytest.raises(ValueError):
+            rel.value(np.zeros((2, 3)), [0, 1])  # cost vectors of the wrong length
+        with pytest.raises(ValueError):
+            rel.value(np.array([[np.inf, 0.0]]), [0])
 
     def test_initial_value_at_default_rate(self):
         n = 8

@@ -16,6 +16,7 @@ from bistro.erm import (
     load_constraint,
     mlc_bruteforce,
     pairwise_disagreement_cost,
+    policy_constraint_values,
     regularized_erm_value,
 )
 from bistro.policies import CapacityError, Context, PolicyClass, TablePolicy, policy_to_matrix
@@ -59,6 +60,17 @@ class TestExactErm:
             assert exact_erm_value(pc, ctxs, Y) == bruteforce_erm(
                 pc, [Context(int(c)) for c in ctxs], Y
             )
+
+    def test_oracles_reject_non_finite_costs(self):
+        pc = two_constant_policies()
+        Y = Y_EXAMPLE.copy()
+        Y[0, 1] = np.nan
+        with pytest.raises(ValueError):
+            ExactErmOracle(pc)([0, 1], Y)
+        with pytest.raises(ValueError):
+            exact_erm_value(pc, [0, 1], -np.inf * np.ones((2, 2)))
+        with pytest.raises(ValueError):
+            RegularizedErmOracle(pc, PairwiseDisagreement("uniform"), 0.5)([0, 1], Y)
 
     def test_oracle_counter(self):
         oracle = ExactErmOracle(two_constant_policies())
@@ -156,6 +168,84 @@ class TestConstraints:
         assert isinstance(c2, CoveragePenalty)
         with pytest.raises(ValueError):
             load_constraint({"type": "nope"})
+
+
+def sequence_penalties(constraint, pc, ctxs):
+    """Round-pair form: the constraint on each policy's one-hot matrix."""
+    return np.array([constraint(policy_to_matrix(p, ctxs), ctxs) for p in pc.policies])
+
+
+def symmetric_weights(rng, universe):
+    A = rng.uniform(0, 1, (universe, universe))
+    return A + A.T
+
+
+class TestFoldedPairwise:
+    def test_matches_sequence_form(self):
+        rng = np.random.default_rng(27)
+        uniform = PairwiseDisagreement("uniform")
+        for trial in range(60):
+            d = int(rng.integers(2, 4))
+            universe = int(rng.integers(1, 6))
+            pc = PolicyClass(rng.integers(0, d, (int(rng.integers(1, 10)), universe)), d)
+            ctxs = rng.integers(0, universe, trial % 3 if trial < 6 else int(rng.integers(3, 14)))
+            assert np.array_equal(policy_constraint_values(uniform, pc, ctxs),
+                                  sequence_penalties(uniform, pc, ctxs))
+            W = symmetric_weights(rng, universe)
+            for constraint in (PairwiseDisagreement(W),
+                               PairwiseDisagreement(lambda s, r: W[s, r])):
+                np.testing.assert_allclose(policy_constraint_values(constraint, pc, ctxs),
+                                           sequence_penalties(constraint, pc, ctxs),
+                                           rtol=0, atol=1e-12)
+
+    def test_coverage_matches_sequence_form(self):
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            d = int(rng.integers(2, 4))
+            pc = PolicyClass(rng.integers(0, d, (int(rng.integers(1, 10)), 4)), d)
+            n = int(rng.integers(2, 10))
+            ctxs = rng.integers(0, 4, n)
+            coverage = CoveragePenalty([range(n // 2), range(n // 2, n)], 1)
+            assert np.array_equal(policy_constraint_values(coverage, pc, ctxs),
+                                  sequence_penalties(coverage, pc, ctxs))
+
+    def test_callable_weights_priced_per_distinct_context_pair(self):
+        pairs = []
+
+        def weight(s, r):
+            pairs.append((s, r))
+            return 1.0
+
+        pc = PolicyClass.all_labelings(2, 3)
+        policy_constraint_values(PairwiseDisagreement(weight), pc, [2, 0, 2, 2, 0])
+        assert sorted(pairs) == [(0, 0), (0, 2), (2, 0), (2, 2)]
+
+    def test_out_of_universe_ids_rejected(self):
+        pc = PolicyClass.all_labelings(2, 2)
+        with pytest.raises(ValueError):
+            policy_constraint_values(PairwiseDisagreement("uniform"), pc, [0, 2])
+
+    def test_regularized_value_matches_metric_labeling(self):
+        # Nodes are the contexts: folded node costs, and per unordered pair
+        # twice the ordered-pair weight times the product of the counts.
+        rng = np.random.default_rng(28)
+        for _ in range(30):
+            d = int(rng.integers(2, 4))
+            universe = int(rng.integers(1, 5))
+            n = int(rng.integers(1, 16))
+            pc = PolicyClass.all_labelings(d, universe)
+            ctxs = rng.integers(0, universe, n)
+            Y = rng.uniform(-1, 1, (d, n))
+            lam = float(rng.uniform(0, 0.8))
+            W = symmetric_weights(rng, universe)
+            reg = regularized_erm_value(
+                pc, ctxs, RegularizedErmQuery(Y=Y, lambda_scaled=lam,
+                                              constraint=PairwiseDisagreement(W)))
+            node = np.array([Y[:, ctxs == x].sum(axis=1) for x in range(universe)])
+            counts = np.bincount(ctxs, minlength=universe)
+            edges = 2.0 * lam * W * np.outer(counts, counts)
+            np.fill_diagonal(edges, 0.0)
+            assert mlc_bruteforce(node, edges, 1.0 - np.eye(d)) == pytest.approx(reg, abs=1e-10)
 
 
 class TestFilterClass:

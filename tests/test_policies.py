@@ -15,6 +15,12 @@ from bistro.policies import (
     policy_to_matrix,
     uniform_distribution,
 )
+from bistro.verify import bruteforce_erm, sequence_values
+
+
+def dyadic(rng, shape):
+    """Entries k / 2^20 in [-2, 2]: float sums of them are exact in any order."""
+    return rng.integers(-2 << 20, (2 << 20) + 1, size=shape) / (1 << 20)
 
 
 class TestPolicyToMatrix:
@@ -185,3 +191,48 @@ class TestPolicyClass:
         pc = PolicyClass.all_labelings(2, 2)
         with pytest.raises(ValueError):
             pc.actions_on([0, 5])
+
+
+class TestValues:
+    def test_matches_sequence_form_and_bruteforce_exactly(self):
+        rng = np.random.default_rng(31)
+        for trial in range(200):
+            d = int(rng.integers(1, 5))
+            universe = int(rng.integers(1, 7))
+            pc = PolicyClass(rng.integers(0, d, (int(rng.integers(1, 12)), universe)), d)
+            n = trial % 2 if trial < 20 else int(rng.integers(2, 40))
+            # ids from a prefix of the universe, so some contexts never occur
+            ctxs = rng.integers(0, int(rng.integers(1, universe + 1)), n)
+            Y = dyadic(rng, (d, n))
+            values = pc.values(ctxs, Y)
+            assert values.shape == (pc.size,)
+            assert np.array_equal(values, sequence_values(pc, ctxs, Y))
+            assert values.min() == bruteforce_erm(pc, ctxs, Y)
+
+    def test_onehot_cached_and_read_only(self):
+        pc = PolicyClass(np.array([[0, 1], [1, 1]]), 2)
+        onehot = pc.onehot
+        # cell j*|X| + x marks action j at context x
+        np.testing.assert_array_equal(onehot, [[1, 0, 0, 1], [0, 0, 1, 1]])
+        assert pc.onehot is onehot
+        assert not onehot.flags.writeable
+
+    def test_rejects_out_of_universe_ids(self):
+        pc = PolicyClass.all_labelings(2, 3)
+        for ctxs in ([0, 3], [-1, 0]):
+            with pytest.raises(ValueError):
+                pc.values(ctxs, np.zeros((2, 2)))
+
+    def test_rejects_wrong_cost_shape(self):
+        pc = PolicyClass.all_labelings(2, 3)
+        for shape in ((2, 3), (3, 2), (1, 2), (4,)):
+            with pytest.raises(ValueError):
+                pc.values([0, 1], np.zeros(shape))
+
+    def test_rejects_non_finite_costs(self):
+        pc = PolicyClass.all_labelings(2, 3)
+        for bad in (np.inf, -np.inf, np.nan):
+            Y = np.zeros((2, 2))
+            Y[1, 0] = bad
+            with pytest.raises(ValueError):
+                pc.values([0, 1], Y)
