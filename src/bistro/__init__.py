@@ -13,8 +13,6 @@ inequalities that justify the regret bounds.
 from .adversarial import (
     ExpWeightsRelaxation,
     ReductionStrategy,
-    expweights_strategy,
-    expweights_value,
     reduction_bound,
     reduction_gamma,
 )
@@ -28,14 +26,11 @@ from .erm import (
     PairwiseDisagreement,
     RegularizedErmOracle,
     RegularizedErmQuery,
-    approximate_erm,
     box_relaxed_erm_value,
-    coverage_cost,
     exact_erm_value,
     filter_class,
     load_constraint,
     mlc_bruteforce,
-    pairwise_disagreement_cost,
     regularized_erm_value,
 )
 from .policies import (
@@ -66,7 +61,6 @@ from .admissibility import (
     check_reduction_admissibility,
 )
 from .runner import (
-    InfoTuple,
     Transcript,
     expected_regret,
     load_config,
@@ -76,16 +70,11 @@ from .runner import (
 )
 from .strategies import (
     BistroConfig,
-    BistroState,
     BistroStrategy,
     EpsilonGreedyStrategy,
     FollowTheLeaderStrategy,
-    PlayoutDraw,
     UniformStrategy,
-    assemble_query_matrix,
 )
 from .waterfill import minimax_value, waterfill, waterfill_oracle
-
-__all__ = [name for name in dir() if not name.startswith("_")]
 
 __version__ = "0.1.0"

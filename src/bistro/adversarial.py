@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .policies import PolicyClass, context_ids, ips_estimate, mix_with_uniform
+from .strategies import Strategy
 
 SCALED_COST_TOL = 1e-12
 
@@ -76,14 +77,6 @@ class ExpWeightsRelaxation:
         return self.value(np.empty((0, self.policy_class.d)), [])
 
 
-def expweights_value(rel: ExpWeightsRelaxation, costs, contexts) -> float:
-    return rel.value(costs, contexts)
-
-
-def expweights_strategy(rel: ExpWeightsRelaxation, costs, contexts, x: int) -> np.ndarray:
-    return rel.strategy(costs, contexts, x)
-
-
 def reduction_gamma(initial_value: float, n: int, d: int) -> float:
     """Rate minimizing (1/gamma) * Rel_full(empty) + n d gamma, clamped to 1/d."""
     if n < 1 or d < 1:
@@ -97,15 +90,12 @@ def reduction_bound(initial_value: float, n: int, d: int) -> float:
     return float(2.0 * np.sqrt(d * n * max(initial_value, 0.0)))
 
 
-class ReductionStrategy:
+class ReductionStrategy(Strategy):
     """Bandit play driven by a full-information relaxation on scaled estimates.
 
     Every vector handed to the full-information side is gamma * c~_t, which
     stays inside [0,1]^d because mixing keeps q_t(y) >= gamma.
     """
-
-    transductive = False
-    needs_full_costs = False
 
     def __init__(self, relaxation, gamma: float, horizon: int):
         d = relaxation.policy_class.d
@@ -117,8 +107,6 @@ class ReductionStrategy:
         self._scaled = None
         self._contexts = None
         self._t = 0
-
-    oracle_calls = 0
 
     @property
     def policy_class(self):

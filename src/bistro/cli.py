@@ -11,7 +11,13 @@ import numpy as np
 
 from .admissibility import check_bistro_admissibility, check_reduction_admissibility
 from .erm import ExactErmOracle
-from .rademacher import categorical_sampler, rademacher_estimate, regret_bound, tune_gamma
+from .rademacher import (
+    DEFAULT_TUNING_SAMPLES,
+    categorical_sampler,
+    rademacher_estimate,
+    regret_bound,
+    tune_gamma,
+)
 from .runner import build_environment, build_policy_class, load_config, run_suite
 
 
@@ -53,11 +59,15 @@ def _cmd_admissibility(args) -> int:
     config = load_config(args.config)
     if args.algorithm:
         config["algorithm"] = args.algorithm
+    try:
+        gamma = float(config["gamma"])
+    except (KeyError, TypeError, ValueError):
+        print(f"bistro admissibility: config key 'gamma' needs a number; "
+              f"got {config.get('gamma')!r}", file=sys.stderr)
+        return 2
     pc = build_policy_class(config)
     env = build_environment(config, pc)
     n, d = int(config["n"]), int(config["d"])
-    gamma = config.get("gamma", "auto")
-    gamma = 0.25 if gamma == "auto" else float(gamma)
     algo = config.get("algorithm", "bistro")
     if algo == "adversarial_reduction":
         report = check_reduction_admissibility(
@@ -109,7 +119,7 @@ def main(argv=None) -> int:
 
     p_rad = sub.add_parser("rademacher", help="Monte-Carlo class complexity and tuned rate")
     p_rad.add_argument("--config", required=True)
-    p_rad.add_argument("--samples", type=int, default=200)
+    p_rad.add_argument("--samples", type=int, default=DEFAULT_TUNING_SAMPLES)
     p_rad.add_argument("--seed", type=int, default=0)
     p_rad.set_defaults(fn=_cmd_rademacher)
 

@@ -26,8 +26,6 @@ class ErmOracle:
     Oracles are stateless across calls apart from the counter.
     """
 
-    delta: float = 0.0
-
     def __init__(self):
         self._calls = 0
 
@@ -53,7 +51,7 @@ class ExactErmOracle(ErmOracle):
         self.policy_class = policy_class
 
     def _value(self, contexts, Y: np.ndarray) -> float:
-        return float(self.policy_class.values(contexts, Y).min())
+        return exact_erm_value(self.policy_class, contexts, Y)
 
 
 def exact_erm_value(policy_class: PolicyClass, contexts, Y) -> float:
@@ -83,10 +81,6 @@ class ApproximateErmOracle(ErmOracle):
 
     def _value(self, contexts, Y: np.ndarray) -> float:
         return self.inner(contexts, Y) + self.delta * self._rng.uniform(-1.0, 1.0)
-
-
-def approximate_erm(oracle: ErmOracle, delta: float, seed) -> ApproximateErmOracle:
-    return ApproximateErmOracle(oracle, delta, seed)
 
 
 def _labels_of_matrix(M: np.ndarray) -> np.ndarray:
@@ -197,14 +191,6 @@ class CoveragePenalty:
         return out.astype(float)
 
 
-def pairwise_disagreement_cost(M: np.ndarray, contexts, weights="uniform") -> float:
-    return PairwiseDisagreement(weights)(M, contexts)
-
-
-def coverage_cost(M: np.ndarray, partition, k: int) -> float:
-    return CoveragePenalty(partition, k)(M)
-
-
 def policy_constraint_values(constraint, policy_class: PolicyClass, contexts) -> np.ndarray:
     if isinstance(constraint, (PairwiseDisagreement, CoveragePenalty)):
         return constraint.per_policy(policy_class, contexts)
@@ -270,12 +256,8 @@ class RegularizedErmOracle(ErmOracle):
         self.lambda_scaled = float(lambda_scaled)
 
     def _value(self, contexts, Y: np.ndarray) -> float:
-        vals = self.policy_class.values(contexts, Y)
-        if self.lambda_scaled > 0:
-            vals = vals + self.lambda_scaled * policy_constraint_values(
-                self.constraint, self.policy_class, contexts
-            )
-        return float(vals.min())
+        query = RegularizedErmQuery(Y, self.lambda_scaled, self.constraint)
+        return regularized_erm_value(self.policy_class, contexts, query)
 
 
 def box_relaxed_erm_value(contexts, Y) -> float:

@@ -49,19 +49,9 @@ def rademacher_samples(
     for r in range(samples):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
         contexts = context_sampler(rng, n)
-        signs = rng.integers(0, 2, size=(oracle_d(oracle), n)) * 2 - 1
+        signs = rng.integers(0, 2, size=(oracle.policy_class.d, n)) * 2 - 1
         values[r] = -oracle(contexts, -signs.astype(float))
     return values
-
-
-def oracle_d(oracle: ErmOracle) -> int:
-    pc = getattr(oracle, "policy_class", None)
-    if pc is None:
-        inner = getattr(oracle, "inner", None)
-        if inner is not None:
-            return oracle_d(inner)
-        raise ValueError("oracle does not expose its action count")
-    return pc.d
 
 
 def rademacher_estimate(

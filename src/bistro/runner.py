@@ -19,17 +19,23 @@ import numpy as np
 from .adversarial import ExpWeightsRelaxation, ReductionStrategy, reduction_bound, reduction_gamma
 from .environments import AdaptiveCosts, Environment, FixedTableCosts, IidBernoulliCosts
 from .erm import (
+    ApproximateErmOracle,
     BoxRelaxedOracle,
     ExactErmOracle,
     RegularizedErmOracle,
-    policy_constraint_values,
-    approximate_erm,
     exact_erm_value,
     filter_class,
     load_constraint,
+    policy_constraint_values,
 )
 from .policies import PolicyClass, check_cost_vector
-from .rademacher import categorical_sampler, rademacher_estimate, regret_bound, tune_gamma
+from .rademacher import (
+    DEFAULT_TUNING_SAMPLES,
+    categorical_sampler,
+    rademacher_estimate,
+    regret_bound,
+    tune_gamma,
+)
 from .strategies import (
     BistroConfig,
     BistroStrategy,
@@ -48,16 +54,6 @@ ALGORITHMS = (
     "egreedy",
     "ftl",
 )
-
-
-@dataclass(frozen=True)
-class InfoTuple:
-    """What the learner is allowed to remember about one round."""
-
-    context: int
-    distribution: np.ndarray
-    action: int
-    observed_cost: float
 
 
 @dataclass
@@ -93,13 +89,6 @@ class Transcript:
     @property
     def realized_total(self) -> float:
         return float(self.observed_costs.sum())
-
-    def info(self) -> list[InfoTuple]:
-        return [
-            InfoTuple(int(self.contexts[t]), self.distributions[t], int(self.actions[t]),
-                      float(self.observed_costs[t]))
-            for t in range(self.n)
-        ]
 
     def validate(self) -> None:
         n = self.n
@@ -316,14 +305,15 @@ def resolve_strategy_params(config: dict, policy_class: PolicyClass, env: Enviro
     out = {"algorithm": algo, "gamma": None, "rad_estimate": None,
            "rad_stderr": None, "bound": None}
 
-    if algo in ("bistro", "bistro_regularized"):
+    if algo.startswith("bistro"):
         est = rademacher_estimate(
             ExactErmOracle(policy_class),
             categorical_sampler(env.probs),
             n,
-            samples=int(config.get("tune_samples", 200)),
+            samples=int(config.get("tune_samples", DEFAULT_TUNING_SAMPLES)),
             seed=config.get("tune_seed", 0),
         )
+    if algo in ("bistro", "bistro_regularized"):
         out["rad_estimate"], out["rad_stderr"] = est.mean, est.std_error
         gamma = tune_gamma(est.mean, n, d) if gamma_cfg == "auto" else float(gamma_cfg)
         out["gamma"] = gamma
@@ -342,13 +332,6 @@ def resolve_strategy_params(config: dict, policy_class: PolicyClass, env: Enviro
         out["gamma"] = tune_gamma(rad, n, d) if gamma_cfg == "auto" else float(gamma_cfg)
         out["bound"] = regret_bound(rad, n, d)
         # superset vs original class widths, reported side by side (no ratio asserted)
-        est = rademacher_estimate(
-            ExactErmOracle(policy_class),
-            categorical_sampler(env.probs),
-            n,
-            samples=int(config.get("tune_samples", 200)),
-            seed=config.get("tune_seed", 0),
-        )
         out["class_rad_estimate"], out["class_rad_stderr"] = est.mean, est.std_error
     elif algo == "adversarial_reduction":
         rel0 = ExpWeightsRelaxation(policy_class, n, eta=config.get("eta")).initial_value()
@@ -381,7 +364,7 @@ def make_strategy(config: dict, policy_class: PolicyClass, gamma: float | None) 
         else:
             oracle = BoxRelaxedOracle()
         if "delta" in config:
-            oracle = approximate_erm(oracle, float(config["delta"]), seed=0)
+            oracle = ApproximateErmOracle(oracle, float(config["delta"]), seed=0)
         return BistroStrategy(policy_class, oracle, cfg)
     if algo == "adversarial_reduction":
         rel = ExpWeightsRelaxation(policy_class, n, eta=config.get("eta"))

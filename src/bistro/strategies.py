@@ -11,27 +11,15 @@ live at the bottom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .erm import ErmOracle
-from .policies import SparseCostVector, ips_estimate, mix_with_uniform, uniform_distribution
+from .policies import ips_estimate, mix_with_uniform, uniform_distribution
 from .waterfill import waterfill
 
 MODES = ("iid_pool", "transductive")
-
-
-@dataclass(frozen=True)
-class PlayoutDraw:
-    """A hypothetical future: contexts and sign vectors for rounds t+1..n."""
-
-    future_contexts: np.ndarray
-    future_signs: np.ndarray  # shape (d, n - t)
-
-    def __post_init__(self):
-        if self.future_signs.ndim != 2 or self.future_signs.shape[1] != len(self.future_contexts):
-            raise ValueError("future signs must be (d, n - t) to match the drawn contexts")
 
 
 @dataclass(frozen=True)
@@ -41,7 +29,6 @@ class BistroConfig:
     sign_scale: float = 2.0
     playouts_per_round: int = 1
     mode: str = "iid_pool"
-    partial_mixing: bool = False
 
     def __post_init__(self):
         if self.horizon < 0:
@@ -52,76 +39,6 @@ class BistroConfig:
             raise ValueError("at least one playout per round")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-
-
-@dataclass
-class BistroState:
-    """History entering the per-round objective: past contexts and estimates."""
-
-    d: int
-    horizon: int
-    contexts: list[int] = field(default_factory=list)
-    estimates: list[SparseCostVector] = field(default_factory=list)
-    _scaled: np.ndarray = None
-
-    def __post_init__(self):
-        self._scaled = np.zeros((self.d, self.horizon))
-
-    @property
-    def t(self) -> int:
-        """Current 1-based round index (history length + 1)."""
-        return len(self.estimates) + 1
-
-    def scaled_past(self) -> np.ndarray:
-        """Columns gamma * c~_s for s < t, shape (d, t-1)."""
-        return self._scaled[:, : len(self.estimates)]
-
-    def append(self, x: int, estimate: SparseCostVector, gamma: float) -> None:
-        k = len(self.estimates)
-        if k >= self.horizon:
-            raise ValueError("episode already complete")
-        self.contexts.append(int(x))
-        self.estimates.append(estimate)
-        self._scaled[:, k] = gamma * estimate.dense()
-
-
-def assemble_query_matrix(
-    state: BistroState, x_t: int, draw: PlayoutDraw, j: int, config: BistroConfig
-) -> np.ndarray:
-    """Cost matrix for one action-pricing query.
-
-    Column s < t is gamma * c~_s, column t is e_j, and column s > t is
-    sign_scale * eps_s (the gamma scaling applied to the stored
-    sign_scale/gamma future columns cancels).
-    """
-    d, n = state.d, config.horizon
-    k = len(state.estimates)
-    if draw.future_signs.shape != (d, n - k - 1):
-        raise ValueError("playout draw length inconsistent with the round index")
-    if not 0 <= j < d:
-        raise ValueError("action index out of range")
-    Y = np.empty((d, n))
-    Y[:, :k] = state.scaled_past()
-    Y[:, k] = 0.0
-    Y[j, k] = 1.0
-    Y[:, k + 1 :] = config.sign_scale * draw.future_signs
-    return Y
-
-
-def _partial_mix(q_star: np.ndarray, gamma: float) -> np.ndarray:
-    """Experimental: raise only coordinates below gamma, renormalizing the rest."""
-    q = q_star.copy()
-    for _ in range(q.size):
-        low = q < gamma
-        if not low.any():
-            break
-        q[low] = gamma
-        free = ~low
-        target = 1.0 - gamma * low.sum()
-        total = q[free].sum()
-        if total > 0:
-            q[free] *= target / total
-    return q
 
 
 class Strategy:
@@ -145,7 +62,13 @@ class Strategy:
 
 
 class BistroStrategy(Strategy):
-    """Random-playout relaxation strategy; d oracle calls per playout per round."""
+    """Random-playout relaxation strategy; d oracle calls per playout per round.
+
+    One (d, n) query matrix serves the whole episode: ``update`` writes column
+    t once as gamma * c~_t, each playout overwrites the future columns with
+    sign_scale * eps, and each of the d pricing queries sets column t to e_j
+    and hands the matrix to the oracle in place.
+    """
 
     def __init__(self, policy_class, oracle: ErmOracle, config: BistroConfig):
         d = policy_class.d
@@ -154,10 +77,10 @@ class BistroStrategy(Strategy):
         self.policy_class = policy_class
         self.oracle = oracle
         self.config = config
-        self.state: BistroState | None = None
+        self._t = 0
         self._ctx = None
+        self._Y = None
         self._pool = None
-        self._futures = None
         self._ctx_rng = None
         self._sign_rng = None
 
@@ -172,7 +95,6 @@ class BistroStrategy(Strategy):
     def begin_episode(self, n: int, seed_seq, pool=None, known_futures=None) -> None:
         if n != self.config.horizon:
             raise ValueError("episode length does not match the configured horizon")
-        d = self.policy_class.d
         if not isinstance(seed_seq, np.random.SeedSequence):
             seed_seq = np.random.SeedSequence(seed_seq)
         ctx_ss, sign_ss, noise_ss = seed_seq.spawn(3)
@@ -183,48 +105,43 @@ class BistroStrategy(Strategy):
         if self.transductive:
             if known_futures is None or len(known_futures) != n:
                 raise ValueError("transductive mode requires the full context sequence")
-            self._futures = np.asarray(known_futures, dtype=np.int64)
+            # choose overwrites entry t with x_t; later entries keep the known futures
+            self._ctx = np.array(known_futures, dtype=np.int64)
         else:
             if pool is None or len(pool) == 0:
                 raise ValueError("iid_pool mode requires a nonempty unlabeled pool")
             self._pool = np.asarray(pool, dtype=np.int64)
-        self.state = BistroState(d=d, horizon=n)
-        self._ctx = np.zeros(n, dtype=np.int64)
-
-    def _draw_playout(self, t_index: int) -> PlayoutDraw:
-        d, n = self.policy_class.d, self.config.horizon
-        k = n - t_index - 1
-        if self.transductive:
-            future = self._futures[t_index + 1 :]
-        else:
-            future = self._ctx_rng.choice(self._pool, size=k)
-        signs = self._sign_rng.integers(0, 2, size=(d, k)) * 2 - 1
-        return PlayoutDraw(future_contexts=future, future_signs=signs.astype(float))
+            self._ctx = np.zeros(n, dtype=np.int64)
+        self._Y = np.zeros((self.policy_class.d, n))
+        self._t = 0
 
     def choose(self, x: int) -> np.ndarray:
         cfg = self.config
-        d = self.policy_class.d
-        t_index = len(self.state.estimates)
-        self._ctx[t_index] = x
+        d, t = self.policy_class.d, self._t
+        k = cfg.horizon - t - 1
+        ctx, Y = self._ctx, self._Y
+        ctx[t] = x
         psi = np.empty(d)
         q_sum = np.zeros(d)
         for _ in range(cfg.playouts_per_round):
-            draw = self._draw_playout(t_index)
-            self._ctx[t_index + 1 :] = draw.future_contexts
+            if not self.transductive:
+                ctx[t + 1 :] = self._ctx_rng.choice(self._pool, size=k)
+            Y[:, t + 1 :] = cfg.sign_scale * (self._sign_rng.integers(0, 2, size=(d, k)) * 2 - 1)
             for j in range(d):
-                Y = assemble_query_matrix(self.state, x, draw, j, cfg)
-                psi[j] = self.oracle(self._ctx, Y)
+                Y[:, t] = 0.0
+                Y[j, t] = 1.0
+                psi[j] = self.oracle(ctx, Y)
             q_sum += waterfill(psi)
-        q_star = q_sum / cfg.playouts_per_round
-        if cfg.partial_mixing:
-            return _partial_mix(q_star, cfg.gamma)
-        return mix_with_uniform(q_star, cfg.gamma)
+        return mix_with_uniform(q_sum / cfg.playouts_per_round, cfg.gamma)
 
     def update(self, x: int, q: np.ndarray, action: int, observed_cost: float) -> None:
         est = ips_estimate(observed_cost, action, q)
         if est.value > 1.0 / self.config.gamma + 1e-9:
             raise RuntimeError("estimate exceeds 1/gamma; mixing invariant violated")
-        self.state.append(x, est, self.config.gamma)
+        if self._t >= self.config.horizon:
+            raise ValueError("episode already complete")
+        self._Y[:, self._t] = self.config.gamma * est.dense()
+        self._t += 1
 
 
 class UniformStrategy(Strategy):

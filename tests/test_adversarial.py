@@ -5,8 +5,6 @@ from bistro.admissibility import expweights_initial_margin, expweights_recursive
 from bistro.adversarial import (
     ExpWeightsRelaxation,
     ReductionStrategy,
-    expweights_strategy,
-    expweights_value,
     reduction_bound,
     reduction_gamma,
 )
@@ -23,7 +21,7 @@ def constants_class():
 class TestExpWeightsValue:
     def test_terminal_zero_costs(self):
         rel = ExpWeightsRelaxation(constants_class(), horizon=2, eta=1.0)
-        assert expweights_value(rel, np.zeros((2, 2)), [0, 1]) == pytest.approx(np.log(2))
+        assert rel.value(np.zeros((2, 2)), [0, 1]) == pytest.approx(np.log(2))
 
     def test_dominates_negated_best(self):
         rng = np.random.default_rng(41)
@@ -73,7 +71,7 @@ class TestExpWeightsValue:
 class TestExpWeightsStrategy:
     def test_uniform_at_start(self):
         rel = ExpWeightsRelaxation(PolicyClass.all_labelings(2, 2), horizon=4)
-        q = expweights_strategy(rel, np.zeros((0, 2)), [], 0)
+        q = rel.strategy(np.zeros((0, 2)), [], 0)
         np.testing.assert_allclose(q, [0.5, 0.5], atol=1e-15)
 
     def test_two_policy_softmax(self):

@@ -68,3 +68,18 @@ def test_admissibility_reduction(capsys):
 def test_selftest(capsys):
     assert main(["selftest"]) == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+def test_admissibility_requires_numeric_gamma(tmp_path, capsys):
+    with open(cfg("admissibility_small.json")) as f:
+        base = json.load(f)
+    for gamma in ("auto", None):
+        doc = {k: v for k, v in base.items() if k != "gamma"}
+        if gamma is not None:
+            doc["gamma"] = gamma
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        code = main(["admissibility", "--config", str(path), "--initial-checks", "5"])
+        err = capsys.readouterr().err
+        assert code != 0
+        assert "gamma" in err and "number" in err

@@ -2,20 +2,18 @@ import numpy as np
 import pytest
 
 from bistro.erm import (
+    ApproximateErmOracle,
     BoxRelaxedOracle,
     CoveragePenalty,
     ExactErmOracle,
     PairwiseDisagreement,
     RegularizedErmOracle,
     RegularizedErmQuery,
-    approximate_erm,
     box_relaxed_erm_value,
-    coverage_cost,
     exact_erm_value,
     filter_class,
     load_constraint,
     mlc_bruteforce,
-    pairwise_disagreement_cost,
     policy_constraint_values,
     regularized_erm_value,
 )
@@ -82,18 +80,18 @@ class TestExactErm:
 
 class TestApproximateOracle:
     def test_delta_zero_is_identity(self):
-        oracle = approximate_erm(ExactErmOracle(two_constant_policies()), 0.0, seed=5)
+        oracle = ApproximateErmOracle(ExactErmOracle(two_constant_policies()), 0.0, seed=5)
         for _ in range(5):
             assert oracle([0, 1], Y_EXAMPLE) == 0.7
 
     def test_interval_containment(self):
-        oracle = approximate_erm(ExactErmOracle(two_constant_policies()), 0.1, seed=5)
+        oracle = ApproximateErmOracle(ExactErmOracle(two_constant_policies()), 0.1, seed=5)
         values = [oracle([0, 1], Y_EXAMPLE) for _ in range(200)]
         assert all(0.6 <= v <= 0.8 for v in values)
         assert len(set(values)) > 1
 
     def test_seeded_reproducibility(self):
-        mk = lambda: approximate_erm(ExactErmOracle(two_constant_policies()), 0.05, seed=9)
+        mk = lambda: ApproximateErmOracle(ExactErmOracle(two_constant_policies()), 0.05, seed=9)
         a, b = mk(), mk()
         assert [a([0, 1], Y_EXAMPLE) for _ in range(20)] == [
             b([0, 1], Y_EXAMPLE) for _ in range(20)
@@ -101,21 +99,21 @@ class TestApproximateOracle:
 
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):
-            approximate_erm(ExactErmOracle(two_constant_policies()), -0.1, seed=0)
+            ApproximateErmOracle(ExactErmOracle(two_constant_policies()), -0.1, seed=0)
 
 
 class TestConstraints:
     def test_pairwise_two_rounds(self):
         M = policy_to_matrix(TablePolicy([0, 1], 2), [0, 1])
-        assert pairwise_disagreement_cost(M, [0, 1], "uniform") == 2.0
+        assert PairwiseDisagreement("uniform")(M, [0, 1]) == 2.0
 
     def test_pairwise_constant_labeling(self):
         M = policy_to_matrix(TablePolicy([0, 0, 0], 2), [0, 1, 2])
-        assert pairwise_disagreement_cost(M, [0, 1, 2], "uniform") == 0.0
+        assert PairwiseDisagreement("uniform")(M, [0, 1, 2]) == 0.0
 
     def test_pairwise_three_rounds(self):
         M = policy_to_matrix(TablePolicy([0, 0, 1], 2), [0, 1, 2])
-        assert pairwise_disagreement_cost(M, [0, 1, 2], "uniform") == 4.0
+        assert PairwiseDisagreement("uniform")(M, [0, 1, 2]) == 4.0
 
     def test_pairwise_negative_weight_rejected(self):
         with pytest.raises(ValueError):
@@ -129,37 +127,37 @@ class TestConstraints:
         W = np.array([[0.0, 2.0], [2.0, 0.0]])
         M = policy_to_matrix(TablePolicy([0, 1], 2), [0, 1, 0])
         # ordered pairs over rounds: (1,2),(2,1),(2,3),(3,2) disagree, each w=2
-        assert pairwise_disagreement_cost(M, [0, 1, 0], W) == 8.0
+        assert PairwiseDisagreement(W)(M, [0, 1, 0]) == 8.0
 
     def test_coverage_one_block_constant(self):
         M = policy_to_matrix(TablePolicy([0, 0], 2), [0, 1])
-        assert coverage_cost(M, [[0, 1]], 1) == 1.0
+        assert CoveragePenalty([[0, 1]], 1)(M) == 1.0
 
     def test_coverage_k_zero(self):
         rng = np.random.default_rng(22)
         for _ in range(20):
             labels = rng.integers(0, 2, 4)
             M = policy_to_matrix(TablePolicy(labels, 2), range(4))
-            assert coverage_cost(M, [[0, 1], [2, 3]], 0) == 0.0
+            assert CoveragePenalty([[0, 1], [2, 3]], 0)(M) == 0.0
 
     def test_coverage_balanced_labeling(self):
         M = policy_to_matrix(TablePolicy([0, 1], 2), [0, 1])
-        assert coverage_cost(M, [[0, 1]], 1) == 0.0
+        assert CoveragePenalty([[0, 1]], 1)(M) == 0.0
 
     def test_coverage_partition_validation(self):
         M = policy_to_matrix(TablePolicy([0, 1], 2), [0, 1])
         with pytest.raises(ValueError):
-            coverage_cost(M, [[0]], 1)  # incomplete
+            CoveragePenalty([[0]], 1)(M)  # incomplete
         with pytest.raises(ValueError):
-            coverage_cost(M, [[0, 1], [1]], 1)  # overlapping
+            CoveragePenalty([[0, 1], [1]], 1)(M)  # overlapping
 
     def test_nonnegative_on_random_labelings(self):
         rng = np.random.default_rng(23)
         for _ in range(30):
             labels = rng.integers(0, 3, 5)
             M = policy_to_matrix(TablePolicy(labels, 3), range(5))
-            assert pairwise_disagreement_cost(M, range(5), "uniform") >= 0.0
-            assert coverage_cost(M, [[0, 1, 2], [3, 4]], 2) >= 0.0
+            assert PairwiseDisagreement("uniform")(M, range(5)) >= 0.0
+            assert CoveragePenalty([[0, 1, 2], [3, 4]], 2)(M) >= 0.0
 
     def test_load_constraint(self):
         c1 = load_constraint({"type": "pairwise", "weights": "uniform"})

@@ -4,15 +4,9 @@ import pytest
 from bistro.environments import Environment, FixedTableCosts
 from bistro.erm import BoxRelaxedOracle, ErmOracle, ExactErmOracle, RegularizedErmOracle
 from bistro.erm import PairwiseDisagreement, exact_erm_value
-from bistro.policies import PolicyClass, SparseCostVector
+from bistro.policies import PolicyClass, SparseCostVector, ips_estimate
 from bistro.runner import run_episode
-from bistro.strategies import (
-    BistroConfig,
-    BistroState,
-    BistroStrategy,
-    PlayoutDraw,
-    assemble_query_matrix,
-)
+from bistro.strategies import BistroConfig, BistroStrategy
 from bistro.waterfill import minimax_value, waterfill
 
 
@@ -36,33 +30,41 @@ def make_strategy(pc, gamma=0.25, n=4, oracle=None, **cfg_kwargs):
     return BistroStrategy(pc, oracle or ExactErmOracle(pc), cfg)
 
 
+def recorded_queries(n, rounds, seed=0):
+    """Queries of a d=2 strategy over ``rounds``, where a round (x, action,
+    cost) plays context x and then, if action is not None, updates with q =
+    [0.25, 0.75]; cost 1 at probability 0.25 gives estimate 4, scaled to 1."""
+    pc = PolicyClass.all_labelings(2, 2)
+    recorder = RecordingOracle(ExactErmOracle(pc))
+    strat = make_strategy(pc, gamma=0.25, n=n, oracle=recorder)
+    strat.begin_episode(n, np.random.SeedSequence(seed), pool=np.array([0, 1]))
+    for x, action, cost in rounds:
+        strat.choose(x)
+        if action is not None:
+            strat.update(x, np.array([0.25, 0.75]), action, cost)
+    return recorder.queries
+
+
 class TestAssembleQueryMatrix:
+    """Layout of the query matrix the strategy builds in place, as the oracle sees it."""
+
     def test_first_round_with_future(self):
-        state = BistroState(d=2, horizon=2)
-        draw = PlayoutDraw(np.array([0]), np.array([[1.0], [-1.0]]))
-        Y = assemble_query_matrix(state, 0, draw, 0, BistroConfig(horizon=2, gamma=0.25))
-        np.testing.assert_array_equal(Y, [[1.0, 2.0], [0.0, -2.0]])
+        queries = recorded_queries(2, [(0, None, None)], seed=0)
+        # the strategy's seed spawns (contexts, signs, oracle noise) streams
+        sign_ss = np.random.SeedSequence(0).spawn(3)[1]
+        signs = np.random.default_rng(sign_ss).integers(0, 2, size=(2, 1)) * 2 - 1
+        assert len(queries) == 2
+        for j, (_, Y, _) in enumerate(queries):
+            expected = np.hstack([np.eye(2)[:, [j]], 2.0 * signs])
+            np.testing.assert_array_equal(Y, expected)
 
     def test_last_round_no_future(self):
-        state = BistroState(d=2, horizon=2)
-        state.append(0, SparseCostVector(2, 0, 4.0), gamma=0.25)
-        draw = PlayoutDraw(np.array([], dtype=int), np.empty((2, 0)))
-        Y = assemble_query_matrix(state, 1, draw, 1, BistroConfig(horizon=2, gamma=0.25))
-        np.testing.assert_array_equal(Y, [[1.0, 0.0], [0.0, 1.0]])
+        queries = recorded_queries(2, [(0, 0, 1.0), (1, None, None)])
+        np.testing.assert_array_equal(queries[3][1], [[1.0, 0.0], [0.0, 1.0]])
 
     def test_past_column_is_gamma_scaled(self):
-        # cost 1 observed at probability 0.25 -> estimate 4, scaled back to 1
-        state = BistroState(d=2, horizon=3)
-        state.append(0, SparseCostVector(2, 0, 4.0), gamma=0.25)
-        draw = PlayoutDraw(np.array([1]), np.array([[1.0], [1.0]]))
-        Y = assemble_query_matrix(state, 1, draw, 0, BistroConfig(horizon=3, gamma=0.25))
-        np.testing.assert_array_equal(Y[:, 0], [1.0, 0.0])
-
-    def test_inconsistent_draw_length(self):
-        state = BistroState(d=2, horizon=3)
-        draw = PlayoutDraw(np.array([0]), np.array([[1.0], [1.0]]))
-        with pytest.raises(ValueError):
-            assemble_query_matrix(state, 0, draw, 0, BistroConfig(horizon=3, gamma=0.25))
+        queries = recorded_queries(3, [(0, 0, 1.0), (1, None, None)])
+        np.testing.assert_array_equal(queries[2][1][:, 0], [1.0, 0.0])
 
 
 class TestBistroRound:
@@ -153,21 +155,46 @@ class TestBistroRound:
 
 class TestQueryMatrixInvariants:
     def test_past_and_future_column_ranges(self):
+        for playouts in (1, 3):
+            for mode in ("iid_pool", "transductive"):
+                self.check_query_columns(playouts, mode)
+
+    @staticmethod
+    def check_query_columns(playouts, mode):
         rng = np.random.default_rng(36)
-        pc = PolicyClass(rng.integers(0, 2, (5, 4)), 2)
-        n = 10
+        d, n, gamma, sign_scale = 2, 10, 0.2, 2.0
+        pc = PolicyClass(rng.integers(0, d, (5, 4)), d)
         recorder = RecordingOracle(ExactErmOracle(pc))
-        strat = make_strategy(pc, gamma=0.2, n=n, oracle=recorder)
-        env = Environment(np.ones(4) / 4, FixedTableCosts(rng.uniform(0, 1, (n, 2))))
-        run_episode(strat, env, n, seed=7)
-        assert len(recorder.queries) == 2 * n
-        for call, (_, Y, _) in enumerate(recorder.queries):
-            t = call // 2  # d calls per round, one playout
+        strat = make_strategy(pc, gamma=gamma, n=n, oracle=recorder,
+                              playouts_per_round=playouts, mode=mode)
+        env = Environment(np.ones(4) / 4, FixedTableCosts(rng.uniform(0, 1, (n, d))))
+        tr = run_episode(strat, env, n, seed=7)
+        assert len(recorder.queries) == d * playouts * n
+        scaled = np.stack([
+            gamma * ips_estimate(tr.observed_costs[s], tr.actions[s], tr.distributions[s]).dense()
+            for s in range(n)
+        ], axis=1)
+        for call, (ctx, Y, _) in enumerate(recorder.queries):
+            t, j = call // (d * playouts), call % d
             past, current, future = Y[:, :t], Y[:, t], Y[:, t + 1 :]
+            assert Y.shape == (d, n)
+            assert np.array_equal(past, scaled[:, :t])
             assert past.min(initial=0.0) >= 0.0 and past.max(initial=0.0) <= 1.0
-            assert set(np.unique(current)) <= {0.0, 1.0} and current.sum() == 1.0
-            if future.size:
-                assert set(np.unique(future)) <= {-2.0, 2.0}
+            assert np.array_equal(current, np.eye(d)[j])
+            assert np.isin(future, [-sign_scale, sign_scale]).all()
+            assert np.array_equal(ctx[: t + 1], tr.contexts[: t + 1])
+            if mode == "transductive":
+                assert np.array_equal(ctx, tr.contexts)
+            if j > 0:
+                # the d queries of one playout share the contexts and the future
+                ctx0, Y0, _ = recorder.queries[call - j]
+                assert np.array_equal(future, Y0[:, t + 1 :])
+                assert np.array_equal(ctx, ctx0)
+        # every playout draws a fresh future (9 rounds of it in round 0)
+        firsts = recorder.queries[: d * playouts : d]
+        for (ctx_a, Y_a, _), (ctx_b, Y_b, _) in zip(firsts, firsts[1:]):
+            assert not np.array_equal(Y_a[:, 1:], Y_b[:, 1:])
+            assert mode == "transductive" or not np.array_equal(ctx_a[1:], ctx_b[1:])
 
     def test_box_values_below_exact_values_per_round(self):
         rng = np.random.default_rng(37)
@@ -192,27 +219,21 @@ class TestQueryMatrixInvariants:
             n = int(rng.integers(1, 5))
             pc = PolicyClass(rng.integers(0, d, (int(rng.integers(1, 7)), 3)), d)
             t = int(rng.integers(0, n))
-            state = BistroState(d=d, horizon=n)
             gamma = 0.25
+            past_ctx, past = [], np.zeros((d, t))
             for s in range(t):
-                state.append(
-                    int(rng.integers(0, 3)),
-                    SparseCostVector(d, int(rng.integers(0, d)), float(rng.uniform(0, 4))),
-                    gamma,
-                )
-            draw = PlayoutDraw(
-                rng.integers(0, 3, n - t - 1),
-                (rng.integers(0, 2, (d, n - t - 1)) * 2 - 1).astype(float),
-            )
-            ctx = np.concatenate([state.contexts, [1], draw.future_contexts]).astype(int)
-            cfg = BistroConfig(horizon=n, gamma=gamma)
-            psi = np.array([
-                exact_erm_value(pc, ctx, assemble_query_matrix(state, 1, draw, j, cfg))
-                for j in range(d)
-            ])
-            Y0 = assemble_query_matrix(state, 1, draw, 0, cfg)
-            Y0[:, t] = 0.0
-            psi0 = exact_erm_value(pc, ctx, Y0)
+                past_ctx.append(int(rng.integers(0, 3)))
+                est = SparseCostVector(d, int(rng.integers(0, d)), float(rng.uniform(0, 4)))
+                past[:, s] = gamma * est.dense()
+            future_ctx = rng.integers(0, 3, n - t - 1)
+            future = 2.0 * (rng.integers(0, 2, (d, n - t - 1)) * 2 - 1)
+            ctx = np.concatenate([past_ctx, [1], future_ctx]).astype(int)
+
+            def query(column):
+                return np.concatenate([past, np.asarray(column)[:, None], future], axis=1)
+
+            psi = np.array([exact_erm_value(pc, ctx, query(np.eye(d)[j])) for j in range(d)])
+            psi0 = exact_erm_value(pc, ctx, query(np.zeros(d)))
 
             grid = np.linspace(0.0, 1.0, 2001)
             qs = np.stack([grid, 1.0 - grid], axis=1)
@@ -253,20 +274,3 @@ class TestRegularizedVariant:
         tr_a = run_episode(reg, env, n, seed=2)
         tr_b = run_episode(plain_small, env, n, seed=2)
         np.testing.assert_allclose(tr_a.distributions, tr_b.distributions, atol=1e-12)
-
-
-class TestPartialMixing:
-    def test_experimental_flag(self):
-        pc = PolicyClass(np.array([[0]]), 2)
-        strat = make_strategy(pc, gamma=0.1, n=1, partial_mixing=True)
-        strat.begin_episode(1, np.random.SeedSequence(0), pool=np.zeros(2, dtype=int))
-        q = strat.choose(0)
-        # the concentrated coordinate is only scaled down to renormalize
-        np.testing.assert_allclose(q, [0.9, 0.1], atol=1e-12)
-        assert q.min() >= 0.1 - 1e-12
-
-    def test_no_change_when_all_coordinates_large(self):
-        pc = PolicyClass(np.array([[0], [1]]), 2)
-        strat = make_strategy(pc, gamma=0.1, n=1, partial_mixing=True)
-        strat.begin_episode(1, np.random.SeedSequence(0), pool=np.zeros(2, dtype=int))
-        np.testing.assert_allclose(strat.choose(0), [0.5, 0.5], atol=1e-12)
