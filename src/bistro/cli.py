@@ -135,8 +135,8 @@ def main(argv=None) -> int:
     p_self.set_defaults(fn=_cmd_selftest)
 
     args = parser.parse_args(argv)
-    np.seterr(all="raise", under="ignore")
-    return args.fn(args)
+    with np.errstate(all="raise", under="ignore"):
+        return args.fn(args)
 
 
 if __name__ == "__main__":

@@ -9,9 +9,12 @@ chosen independently of the current action.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .policies import check_cost_vector
+from .rademacher import categorical_sampler
 
 DEFAULT_POOL_FACTOR = 10
 
@@ -136,5 +139,11 @@ class Environment:
     def d(self) -> int:
         return self.cost_process.d
 
+    @cached_property
+    def _sample(self):
+        # built on first use: set-up that never samples pays nothing for it
+        return categorical_sampler(self.probs)
+
     def sample_contexts(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.choice(self.universe_size, size=size, p=self.probs)
+        """Same draws as ``rng.choice(self.universe_size, size=size, p=self.probs)``."""
+        return self._sample(rng, size)

@@ -23,7 +23,10 @@ MLC_LIMIT = 10**6
 class ErmOracle:
     """Base oracle: counts value queries, delegates the value computation.
 
-    Oracles are stateless across calls apart from the counter.
+    One query is contexts (n,) with Y (d, n) and returns a float. A stack of
+    S queries is contexts (S, n) with Y (S, d, n); it returns an (S,) array
+    and counts as S calls, the paper's count of ERM calls. Oracles are
+    stateless across calls apart from the counter (and a noise stream).
     """
 
     def __init__(self):
@@ -33,12 +36,24 @@ class ErmOracle:
     def calls(self) -> int:
         return self._calls
 
-    def __call__(self, contexts, Y) -> float:
+    def __call__(self, contexts, Y):
+        Y = np.asarray(Y, dtype=float)
+        if Y.ndim == 3:
+            if len(contexts) != Y.shape[0]:
+                raise ValueError(
+                    f"a stack of {Y.shape[0]} cost matrices needs as many context rows; "
+                    f"got {len(contexts)}")
+            self._calls += Y.shape[0]
+            return self._values(contexts, Y)
         self._calls += 1
-        return self._value(contexts, np.asarray(Y, dtype=float))
+        return self._value(contexts, Y)
 
     def _value(self, contexts, Y: np.ndarray) -> float:
         raise NotImplementedError
+
+    def _values(self, contexts, Y: np.ndarray) -> np.ndarray:
+        """A stack priced query by query, exactly as S sequential calls."""
+        return np.array([self._value(c, y) for c, y in zip(contexts, Y)], dtype=float)
 
 
 class ExactErmOracle(ErmOracle):
@@ -52,6 +67,9 @@ class ExactErmOracle(ErmOracle):
 
     def _value(self, contexts, Y: np.ndarray) -> float:
         return exact_erm_value(self.policy_class, contexts, Y)
+
+    def _values(self, contexts, Y: np.ndarray) -> np.ndarray:
+        return self.policy_class.values_many(contexts, Y).min(axis=1)
 
 
 def exact_erm_value(policy_class: PolicyClass, contexts, Y) -> float:

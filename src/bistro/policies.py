@@ -174,6 +174,34 @@ class PolicyClass:
             raise ValueError("cost matrix folds to non-finite context sums")
         return self.onehot @ z
 
+    def values_many(self, contexts, Y) -> np.ndarray:
+        """``values`` of a stack of S queries, shape (S, |F|): contexts (S, n)
+        and Y (S, d, n).
+
+        One bincount folds every query, its keys offset by s*d*|X|, and one
+        product prices the (S, d*|X|) sums, so the one-hot is streamed once
+        per stack instead of once per query. ``values`` keeps its own body
+        for single queries, the per-round path: a one-query stack costs
+        about 10% more (extra offsets, a matrix-matrix product in place of
+        a matrix-vector one).
+        """
+        if not (isinstance(contexts, np.ndarray) and np.issubdtype(contexts.dtype, np.integer)):
+            contexts = np.array([context_ids(c) for c in contexts], dtype=np.int64)
+        ids = self._checked_ids(contexts)
+        Y = np.asarray(Y, dtype=float)
+        if ids.ndim != 2 or Y.shape != (ids.shape[0], self.d, ids.shape[1]):
+            raise ValueError(
+                f"a stack of queries needs contexts (S, n) and Y (S, d, n) with d={self.d}; "
+                f"got {ids.shape} and {Y.shape}")
+        stack, universe = ids.shape[0], self.universe_size
+        cells = self.d * universe
+        keys = (np.arange(stack)[:, None, None] * cells
+                + np.arange(self.d)[:, None] * universe + ids[:, None, :]).ravel()
+        z = np.bincount(keys, weights=Y.ravel(), minlength=stack * cells)
+        if not np.isfinite(z).all():
+            raise ValueError("cost matrix folds to non-finite context sums")
+        return z.reshape(stack, cells) @ self.onehot.T
+
     def subset(self, indices) -> "PolicyClass":
         return PolicyClass(self.table[np.asarray(indices, dtype=np.int64)], self.d)
 

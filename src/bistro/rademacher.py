@@ -3,8 +3,9 @@
 For a policy class projected onto contexts x_1..x_n, the complexity is
 E_eps sup_f sum_t <M_f[:, t], eps_t> with i.i.d. sign vectors eps_t. The
 supremum equals the negated ERM value on the negated sign matrix, so one
-oracle call prices each sample. Fresh contexts are drawn per sample, which
-folds the expectation over the context distribution into the same loop.
+logical oracle call prices each sample; the samples reach the oracle in
+stacks. Fresh contexts are drawn per sample, which folds the expectation
+over the context distribution into the same loop.
 """
 
 from __future__ import annotations
@@ -19,6 +20,11 @@ from .erm import ErmOracle
 log = logging.getLogger(__name__)
 
 DEFAULT_TUNING_SAMPLES = 200
+
+# Target size of one stack of tuning queries: its (S, n) contexts, its
+# (S, d, n) costs and fold keys, and the (S, |F|) product. Larger stacks
+# gain little and raise peak memory.
+STACK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -37,20 +43,31 @@ class RademacherEstimate:
 def rademacher_samples(
     oracle: ErmOracle, context_sampler, n: int, samples: int, seed
 ) -> np.ndarray:
-    """Per-sample supremum values; one oracle call each.
+    """Per-sample supremum values; one logical oracle call each.
 
     The RNG stream of sample r derives from (seed, r) alone, so results are
     identical no matter how samples are scheduled, and two classes estimated
-    with the same seed see the same contexts and signs.
+    with the same seed see the same contexts and signs. The samples go to
+    the oracle in stacks of about STACK_BYTES of query and product arrays;
+    each value is a sum of +-1 entries, exact in any summation order, so the
+    stacking cannot change a value.
     """
     if samples < 1:
         raise ValueError("at least one sample required")
+    d = oracle.policy_class.d
+    per_sample = 8 * ((2 * d + 1) * n + oracle.policy_class.size)
+    stack = max(1, min(samples, STACK_BYTES // per_sample))
+    contexts = np.empty((stack, n), dtype=np.int64)
+    Y = np.empty((stack, d, n))  # the negated sign matrices
     values = np.empty(samples)
-    for r in range(samples):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
-        contexts = context_sampler(rng, n)
-        signs = rng.integers(0, 2, size=(oracle.policy_class.d, n)) * 2 - 1
-        values[r] = -oracle(contexts, -signs.astype(float))
+    for lo in range(0, samples, stack):
+        size = min(stack, samples - lo)
+        for s in range(size):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=seed, spawn_key=(lo + s,)))
+            contexts[s] = context_sampler(rng, n)
+            Y[s] = 1 - 2 * rng.integers(0, 2, size=(d, n))
+        values[lo:lo + size] = -oracle(contexts[:size], Y[:size])
     return values
 
 
@@ -64,12 +81,27 @@ def rademacher_estimate(
 
 
 def categorical_sampler(probs):
-    """Sampler drawing context ids i.i.d. from a categorical distribution."""
+    """Sampler drawing context ids i.i.d. from a categorical distribution.
+
+    Draws exactly what ``rng.choice(probs.size, size=n, p=probs)`` draws --
+    n uniforms looked up in the normalised CDF -- with the CDF computed once
+    here instead of on every call. ``probs`` is checked by ``choice``'s rules.
+    """
     probs = np.asarray(probs, dtype=float)
-    ids = np.arange(probs.size)
+    if probs.ndim != 1 or probs.size == 0:
+        raise ValueError("context probabilities must be a nonempty vector")
+    total = probs.sum()
+    if np.isnan(total):
+        raise ValueError("context probabilities contain NaN")
+    if (probs < 0).any():
+        raise ValueError("context probabilities must be nonnegative")
+    if abs(total - 1.0) > np.sqrt(np.finfo(np.float64).eps):
+        raise ValueError("context probabilities do not sum to 1")
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
 
     def sample(rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.choice(ids, size=n, p=probs)
+        return cdf.searchsorted(rng.random(n), side="right")
 
     return sample
 

@@ -1,6 +1,8 @@
 import json
 import os
 
+import numpy as np
+
 from bistro.cli import main
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -83,3 +85,10 @@ def test_admissibility_requires_numeric_gamma(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code != 0
         assert "gamma" in err and "number" in err
+
+
+def test_numeric_error_policy_stays_inside_main(capsys):
+    before = np.geterr()
+    assert main(["rademacher", "--config", cfg("admissibility_small.json"),
+                 "--samples", "5"]) == 0
+    assert np.geterr() == before

@@ -78,6 +78,65 @@ class TestExactErm:
             assert oracle.calls == k
 
 
+class TestStackedQueries:
+    """A stack of S queries, contexts (S, n) and Y (S, d, n), answers exactly
+    as S sequential calls and counts as S calls."""
+
+    def queries(self, seed, stack=6, n=5):
+        rng = np.random.default_rng(seed)
+        pc = PolicyClass(rng.integers(0, 3, (9, 4)), 3)
+        return pc, rng.integers(0, 4, (stack, n)), rng.uniform(-2, 2, (stack, 3, n))
+
+    def assert_stack_equals_sequence(self, make, ctxs, Y):
+        stacked, sequential = make(), make()
+        values = stacked(ctxs, Y)
+        assert values.shape == (len(Y),)
+        assert stacked.calls == len(Y)
+        expected = [sequential(c, y) for c, y in zip(ctxs, Y)]
+        assert values.tolist() == expected
+        assert stacked.calls == sequential.calls
+
+    def test_exact(self):
+        pc, ctxs, Y = self.queries(51)
+        dyadic = np.round(Y * (1 << 20)) / (1 << 20)
+        self.assert_stack_equals_sequence(lambda: ExactErmOracle(pc), ctxs, dyadic)
+        values = ExactErmOracle(pc)(ctxs, Y)
+        np.testing.assert_allclose(
+            values, [exact_erm_value(pc, c, y) for c, y in zip(ctxs, Y)], rtol=0, atol=1e-12)
+
+    def test_approximate_draws_noise_in_order(self):
+        pc, ctxs, Y = self.queries(52)
+        self.assert_stack_equals_sequence(
+            lambda: ApproximateErmOracle(ExactErmOracle(pc), 0.1, seed=3), ctxs, Y)
+
+    def test_box_relaxed(self):
+        _, ctxs, Y = self.queries(53)
+        self.assert_stack_equals_sequence(BoxRelaxedOracle, ctxs, Y)
+
+    def test_regularized(self):
+        pc, ctxs, Y = self.queries(54)
+        for constraint in (PairwiseDisagreement("uniform"), CoveragePenalty([[0, 1], [2, 3, 4]], 1)):
+            self.assert_stack_equals_sequence(
+                lambda: RegularizedErmOracle(pc, constraint, 0.3), ctxs, Y)
+
+    def test_counter_adds_stack_size(self):
+        pc, ctxs, Y = self.queries(55, stack=7)
+        oracle = ExactErmOracle(pc)
+        oracle(ctxs[0], Y[0])
+        oracle(ctxs[:3], Y[:3])
+        oracle(ctxs, Y)
+        assert oracle.calls == 1 + 3 + 7
+
+    def test_rejects_mismatched_stack(self):
+        pc, ctxs, Y = self.queries(56)
+        for oracle in (ExactErmOracle(pc), BoxRelaxedOracle()):
+            with pytest.raises(ValueError):
+                oracle(ctxs[:-1], Y)
+        Y[2, 0, 1] = np.nan
+        with pytest.raises(ValueError):
+            ExactErmOracle(pc)(ctxs, Y)
+
+
 class TestApproximateOracle:
     def test_delta_zero_is_identity(self):
         oracle = ApproximateErmOracle(ExactErmOracle(two_constant_policies()), 0.0, seed=5)

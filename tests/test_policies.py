@@ -236,3 +236,70 @@ class TestValues:
             Y[1, 0] = bad
             with pytest.raises(ValueError):
                 pc.values([0, 1], Y)
+
+
+class TestValuesMany:
+    def stack(self, rng, pc, stack, n, costs):
+        # ids from a prefix of the universe, so some contexts never occur
+        top = int(rng.integers(1, pc.universe_size + 1))
+        ctxs = rng.integers(0, top, (stack, n))
+        return ctxs, costs(rng, (stack, pc.d, n))
+
+    def test_equals_per_query_values(self):
+        rng = np.random.default_rng(41)
+        integer = lambda rng, shape: rng.integers(-3, 4, shape).astype(float)  # noqa: E731
+        for costs in (integer, dyadic):
+            for trial in range(60):
+                d = int(rng.integers(1, 5))
+                universe = int(rng.integers(1, 7))
+                pc = PolicyClass(rng.integers(0, d, (int(rng.integers(1, 12)), universe)), d)
+                for stack in (1, 2, 7):
+                    for n in (0, 1, 5):
+                        ctxs, Y = self.stack(rng, pc, stack, n, costs)
+                        many = pc.values_many(ctxs, Y)
+                        assert many.shape == (stack, pc.size)
+                        for s in range(stack):
+                            assert np.array_equal(many[s], pc.values(ctxs[s], Y[s]))
+
+    def test_random_costs_within_rounding(self):
+        rng = np.random.default_rng(42)
+        pc = PolicyClass(rng.integers(0, 3, (40, 6)), 3)
+        for stack in (1, 2, 7):
+            ctxs, Y = self.stack(rng, pc, stack, 30, lambda rng, shape: rng.normal(size=shape))
+            many = pc.values_many(ctxs, Y)
+            for s in range(stack):
+                np.testing.assert_allclose(many[s], pc.values(ctxs[s], Y[s]), rtol=0, atol=1e-12)
+
+    def test_list_contexts(self):
+        pc = PolicyClass(np.array([[0, 1, 1], [1, 0, 0]]), 2)
+        ctxs = [[0, 2], [Context(1), Context(1)]]
+        Y = np.arange(8.0).reshape(2, 2, 2)
+        many = pc.values_many(ctxs, Y)
+        np.testing.assert_array_equal(many, [pc.values(c, y) for c, y in zip(ctxs, Y)])
+
+    def test_rejects_bad_shapes(self):
+        pc = PolicyClass.all_labelings(2, 3)
+        ctxs = np.zeros((2, 4), dtype=np.int64)
+        for shape in ((2, 2, 3), (3, 2, 4), (2, 3, 4), (2, 4), (2, 2, 4, 1)):
+            with pytest.raises(ValueError):
+                pc.values_many(ctxs, np.zeros(shape))
+        for bad_ctxs in (np.zeros(4, dtype=np.int64), [[0, 1], [0]]):
+            with pytest.raises(ValueError):
+                pc.values_many(bad_ctxs, np.zeros((2, 2, 2)))
+
+    def test_rejects_out_of_universe_ids_in_any_query(self):
+        pc = PolicyClass.all_labelings(2, 3)
+        for s in range(3):
+            for bad in (3, -1):
+                ctxs = np.zeros((3, 2), dtype=np.int64)
+                ctxs[s, 1] = bad
+                with pytest.raises(ValueError):
+                    pc.values_many(ctxs, np.zeros((3, 2, 2)))
+
+    def test_rejects_non_finite_costs(self):
+        pc = PolicyClass.all_labelings(2, 3)
+        for bad in (np.inf, -np.inf, np.nan):
+            Y = np.zeros((3, 2, 2))
+            Y[2, 1, 0] = bad
+            with pytest.raises(ValueError):
+                pc.values_many(np.zeros((3, 2), dtype=np.int64), Y)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from bistro import rademacher
+from bistro.environments import Environment, FixedTableCosts
 from bistro.erm import ExactErmOracle
 from bistro.policies import PolicyClass
 from bistro.rademacher import (
@@ -70,11 +72,51 @@ class TestEstimator:
         rademacher_estimate(oracle, fixed_sampler(np.zeros(1, dtype=int)), 1, samples=37, seed=0)
         assert oracle.calls == 37
 
+    def test_stack_size_changes_no_value(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        probs = rng.uniform(0.1, 1.0, 5)
+        probs /= probs.sum()
+        for d, universe, n in ((1, 1, 6), (2, 5, 7), (4, 5, 3)):
+            pc = PolicyClass(rng.integers(0, d, (11, universe)), d)
+            sampler = categorical_sampler(probs[:universe] / probs[:universe].sum())
+            runs = []
+            for stack_samples in (1, 3, 50):
+                # one sample costs 8*((2d+1)*n + |F|) bytes of stack
+                per_sample = 8 * ((2 * d + 1) * n + pc.size)
+                monkeypatch.setattr(rademacher, "STACK_BYTES", per_sample * stack_samples)
+                oracle = ExactErmOracle(pc)
+                runs.append(rademacher_samples(oracle, sampler, n, 23, seed=9))
+                assert oracle.calls == 23
+            for values in runs[1:]:
+                assert np.array_equal(values, runs[0])
+
     def test_estimate_validation(self):
         with pytest.raises(ValueError):
             RademacherEstimate(mean=0.0, std_error=-1.0, samples=10)
         with pytest.raises(ValueError):
             RademacherEstimate(mean=0.0, std_error=0.0, samples=0)
+
+
+class TestCategoricalSampler:
+    def test_draws_equal_generator_choice(self):
+        probs = np.array([0.05, 0.5, 0.0, 0.2, 0.25])
+        sampler = categorical_sampler(probs)
+        env = Environment(probs, FixedTableCosts(np.zeros((1, 2))))
+        for seed in range(5):
+            for n in (0, 1, 17, 400):
+                expected = np.random.default_rng(seed).choice(np.arange(5), size=n, p=probs)
+                drawn = sampler(np.random.default_rng(seed), n)
+                assert drawn.dtype == expected.dtype
+                assert np.array_equal(drawn, expected)
+                assert np.array_equal(env.sample_contexts(np.random.default_rng(seed), n),
+                                      expected)
+
+    def test_rejects_what_choice_rejects(self):
+        for probs in ([[0.5, 0.5]], [0.5, np.nan], [1.5, -0.5], [0.5, 0.5 + 1e-6], []):
+            with pytest.raises(ValueError):
+                np.random.default_rng(0).choice(len(probs), size=3, p=probs)
+            with pytest.raises(ValueError):
+                categorical_sampler(probs)
 
 
 class TestTuning:

@@ -4,9 +4,10 @@ import pytest
 from bistro.environments import Environment, FixedTableCosts
 from bistro.erm import BoxRelaxedOracle, ErmOracle, ExactErmOracle, RegularizedErmOracle
 from bistro.erm import PairwiseDisagreement, exact_erm_value
-from bistro.policies import PolicyClass, SparseCostVector, ips_estimate
+from bistro.policies import PolicyClass, SparseCostVector, ips_estimate, policy_to_matrix
 from bistro.runner import run_episode
 from bistro.strategies import BistroConfig, BistroStrategy
+from bistro.verify import sequence_values
 from bistro.waterfill import minimax_value, waterfill
 
 
@@ -274,3 +275,43 @@ class TestRegularizedVariant:
         tr_a = run_episode(reg, env, n, seed=2)
         tr_b = run_episode(plain_small, env, n, seed=2)
         np.testing.assert_allclose(tr_a.distributions, tr_b.distributions, atol=1e-12)
+
+    def test_queries_reprice_in_round_pair_form(self):
+        # Every query of a recorded episode, re-priced from forms that share
+        # no fold code with the oracle: the gathered linear sum plus the
+        # penalty summed over round pairs of each policy's one-hot matrix.
+        # lambda is small enough that penalised policies win some queries.
+        rng = np.random.default_rng(41)
+        universe, n, gamma, lam = 4, 16, 0.25, 0.0025
+        pc = PolicyClass.all_labelings(2, universe)
+        W = rng.uniform(0, 1, (universe, universe))
+        env = Environment(np.ones(universe) / universe,
+                          FixedTableCosts(rng.uniform(0, 1, (n, 2))))
+        for weights in ("uniform", W + W.T):
+            constraint = PairwiseDisagreement(weights)
+            recorder = RecordingOracle(RegularizedErmOracle(pc, constraint, lam / gamma))
+            run_episode(make_strategy(pc, gamma=gamma, n=n, oracle=recorder), env, n, seed=4)
+            assert len(recorder.queries) == 2 * n
+            penalised_wins = 0
+            for ctx, Y, value in recorder.queries:
+                penalty = np.array([PairwiseDisagreement(weights)(policy_to_matrix(f, ctx), ctx)
+                                    for f in pc.policies])
+                totals = sequence_values(pc, ctx, Y) + lam / gamma * penalty
+                assert abs(value - totals.min()) <= 1e-12
+                penalised_wins += penalty[totals.argmin()] > 0
+            assert penalised_wins > 0
+
+
+class TestRecordingOracleStack:
+    def test_stack_records_and_answers_as_sequential_calls(self):
+        rng = np.random.default_rng(42)
+        pc = PolicyClass(rng.integers(0, 2, (6, 3)), 2)
+        ctxs, Y = rng.integers(0, 3, (5, 4)), rng.uniform(-1, 1, (5, 2, 4))
+        stacked, sequential = RecordingOracle(ExactErmOracle(pc)), RecordingOracle(ExactErmOracle(pc))
+        values = stacked(ctxs, Y)
+        expected = [sequential(c, y) for c, y in zip(ctxs, Y)]
+        assert values.tolist() == expected
+        assert stacked.calls == sequential.calls == 5
+        assert stacked.inner.calls == 5
+        for (c_a, Y_a, v_a), (c_b, Y_b, v_b) in zip(stacked.queries, sequential.queries):
+            assert np.array_equal(c_a, c_b) and np.array_equal(Y_a, Y_b) and v_a == v_b
