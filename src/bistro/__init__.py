@@ -39,12 +39,9 @@ from .policies import (
     LinearArgmaxPolicy,
     Policy,
     PolicyClass,
-    SparseCostVector,
     TablePolicy,
     ips_estimate,
     mix_with_uniform,
-    policy_cost,
-    policy_to_matrix,
     uniform_distribution,
 )
 from .rademacher import (

@@ -85,57 +85,35 @@ def _sign_patterns(cells: int) -> np.ndarray:
     return ((codes[:, None] >> np.arange(cells)) & 1) * 2.0 - 1.0
 
 
-def _fixed_policy_values(table: np.ndarray, fixed_ctx: np.ndarray,
-                         fixed_cols: np.ndarray) -> np.ndarray:
-    """sum_s fixed_cols[s, a_{f,s}] per policy; fixed_cols is (k, d)."""
-    if fixed_ctx.size == 0:
-        return np.zeros(table.shape[0])
-    A = table[:, fixed_ctx]  # (F, k)
-    return fixed_cols[np.arange(fixed_ctx.size)[None, :], A].sum(axis=1)
-
-
-def _playout_sups(table: np.ndarray, fixed_vals: np.ndarray, future_ctx: np.ndarray,
-                  future_signs: np.ndarray, scale: float) -> np.ndarray:
-    """Per-draw sup_f of -(fixed + scale * sign part); shapes (R, m) / (R, d, m)."""
-    R, m = future_ctx.shape
-    totals = np.repeat(fixed_vals[:, None], R, axis=1)  # (F, R)
-    if m:
-        A = table[:, future_ctx]  # (F, R, m)
-        rows = np.arange(R)[None, :]
-        for i in range(m):
-            totals = totals + scale * future_signs[:, :, i][rows, A[:, :, i]]
-    return -totals.min(axis=0)
-
-
 def _exact_mixed_q(policy_class: PolicyClass, probs: np.ndarray, gamma: float,
                    sign_scale: float, n: int, realized_ctx: np.ndarray,
                    scaled_past: np.ndarray, x: int) -> np.ndarray:
-    """Expected mixed distribution at context x, playouts enumerated exactly."""
-    table = policy_class.table
+    """Expected mixed distribution at context x, playouts enumerated exactly.
+
+    Per future context sequence, the strategy's d queries for every sign
+    pattern go to ``values_many`` as one stack of 2^(d*m) * d queries.
+    """
     d = policy_class.d
     k = realized_ctx.size
     m = n - k - 1
-    fixed = _fixed_policy_values(table, realized_ctx, scaled_past)
-    a_now = table[:, x]
-    onehots = np.array([(a_now == j).astype(float) for j in range(d)])  # (d, F)
-    eps = _sign_patterns(d * m).reshape(-1, d, m) if m else np.zeros((1, d, 0))
-    sign_w = 1.0 / eps.shape[0]
+    patterns = 2 ** (d * m)
+    eps = _sign_patterns(d * m).reshape(patterns, d, m)
+    Y = np.zeros((patterns, d, d, n))  # (pattern, priced action j, d, n)
+    Y[:, :, :, :k] = scaled_past.T
+    Y[:, np.arange(d), np.arange(d), k] = 1.0
+    Y[:, :, :, k + 1:] = sign_scale * eps[:, None]
+    Y = Y.reshape(patterns * d, d, n)
 
     q_star = np.zeros(d)
     for combo in itertools.product(range(probs.size), repeat=m):
         ctx_w = float(np.prod(probs[list(combo)])) if m else 1.0
         if ctx_w == 0.0:
             continue
-        A_fut = table[:, np.asarray(combo, dtype=np.int64)] if m else None
-        fut = np.zeros((table.shape[0], eps.shape[0]))
-        for i in range(m):
-            fut += eps[:, :, i].T[A_fut[:, i]]
-        base = fixed[:, None] + sign_scale * fut  # (F, P)
-        psi = np.empty((eps.shape[0], d))
-        for j in range(d):
-            psi[:, j] = (base + onehots[j][:, None]).min(axis=0)
-        for p in range(eps.shape[0]):
-            q_star += ctx_w * sign_w * waterfill(psi[p])
+        ctx = np.concatenate([realized_ctx, [x], combo]).astype(np.int64)
+        psi = policy_class.values_many(np.broadcast_to(ctx, (Y.shape[0], n)), Y)
+        psi = psi.min(axis=1).reshape(patterns, d)
+        for p in range(patterns):
+            q_star += ctx_w / patterns * waterfill(psi[p])
     return mix_with_uniform(q_star, gamma)
 
 
@@ -156,7 +134,6 @@ def check_bistro_admissibility(
     probs = np.asarray(probs, dtype=float)
     _check_capacity(policy_class, probs, n)
     d = policy_class.d
-    table = policy_class.table
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
     path_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
     universe = probs.size
@@ -169,13 +146,14 @@ def check_bistro_admissibility(
         k = t - 1
         ctx_fixed = np.asarray(realized, dtype=np.int64)
         est_cols = np.asarray(estimates, dtype=float).reshape(k, d)
+        fixed = policy_class.values(ctx_fixed, est_cols.T)
 
         # Relaxation of the shorter history: futures cover rounds t..n.
         m_rhs = n - k
         fut_ctx = rng.choice(universe, size=(samples, m_rhs), p=probs)
         fut_signs = rng.integers(0, 2, size=(samples, d, m_rhs)) * 2.0 - 1.0
-        fixed_vals = _fixed_policy_values(table, ctx_fixed, est_cols)
-        sups = _playout_sups(table, fixed_vals, fut_ctx, fut_signs, 2.0 / gamma)
+        # per draw, sup_f of -(fixed history + the scaled signs of the playout)
+        sups = -(fixed + policy_class.values_many(fut_ctx, 2.0 / gamma * fut_signs)).min(axis=1)
         rhs = float(sups.mean()) + m_rhs * d * gamma
         se_rhs = float(sups.std(ddof=1) / np.sqrt(samples))
 
@@ -192,19 +170,13 @@ def check_bistro_admissibility(
             m_lhs = n - t
             fut_ctx_x = rng.choice(universe, size=(samples, m_lhs), p=probs)
             fut_signs_x = rng.integers(0, 2, size=(samples, d, m_lhs)) * 2.0 - 1.0
-            ctx_now = np.append(ctx_fixed, x)
-            sup_by_action = []
-            for j in range(d):
-                per_action = np.empty((vertices.shape[0], samples))
-                for vi, c in enumerate(vertices):
-                    est = np.zeros(d)
-                    est[j] = c[j] / q[j]
-                    cols = np.vstack([est_cols, est[None, :]])
-                    vals = _fixed_policy_values(table, ctx_now, cols)
-                    per_action[vi] = _playout_sups(
-                        table, vals, fut_ctx_x, fut_signs_x, 2.0 / gamma
-                    )
-                sup_by_action.append(per_action)
+            future = policy_class.values_many(fut_ctx_x, 2.0 / gamma * fut_signs_x)
+            plays = policy_class.table[:, x]
+            sup_by_action = [
+                np.array([-(fixed + (plays == j) * (c[j] / q[j]) + future).min(axis=1)
+                          for c in vertices])
+                for j in range(d)
+            ]
             best = -np.inf
             best_draws = None
             for vi, c in enumerate(vertices):
@@ -231,9 +203,7 @@ def check_bistro_admissibility(
         estimates.append(est)
 
     initial = _check_initial(
-        lambda cols, ctx: -float(
-            _fixed_policy_values(table, ctx, cols).min()
-        ),
+        lambda cols, ctx: -policy_class.values_many(ctx, cols.transpose(0, 2, 1)).min(axis=1),
         policy_class, probs, n, gamma, rng, initial_checks,
     )
     return AdmissibilityReport(
@@ -241,36 +211,43 @@ def check_bistro_admissibility(
     )
 
 
-def _check_initial(endpoint_value, policy_class: PolicyClass, probs: np.ndarray,
+def _check_initial(endpoint_values, policy_class: PolicyClass, probs: np.ndarray,
                    n: int, gamma: float, rng: np.random.Generator,
                    count: int) -> InitialCondition:
     """E over action draws of the endpoint relaxation must dominate the
-    negated benchmark; action sequences are enumerated exactly."""
+    negated benchmark; action sequences are enumerated exactly.
+
+    Every check is drawn first; then the endpoints of all checks and action
+    sequences go to ``endpoint_values`` as one stack, costs (S, n, d) and
+    contexts (S, n).
+    """
     d = policy_class.d
-    table = policy_class.table
-    universe = probs.size
-    min_margin = np.inf
-    failures = 0
-    action_seqs = list(itertools.product(range(d), repeat=n))
+    xs = np.empty((count, n), dtype=np.int64)
+    costs = np.empty((count, n, d))
+    qs = np.empty((count, n, d))
     for i in range(count):
-        xs = rng.choice(universe, size=n, p=probs)
+        xs[i] = rng.choice(probs.size, size=n, p=probs)
         if i % 2 == 0:
-            costs = rng.integers(0, 2, size=(n, d)).astype(float)
+            costs[i] = rng.integers(0, 2, size=(n, d))
         else:
-            costs = rng.random((n, d))
-        qs = np.array([mix_with_uniform(rng.dirichlet(np.ones(d)), gamma) for _ in range(n)])
-        bench = -float(_fixed_policy_values(table, xs, costs).min())
-        expectation = 0.0
-        for actions in action_seqs:
-            prob = float(np.prod(qs[np.arange(n), actions]))
-            cols = np.zeros((n, d))
-            cols[np.arange(n), actions] = costs[np.arange(n), actions] / qs[np.arange(n), actions]
-            expectation += prob * endpoint_value(cols, xs)
-        margin = expectation - bench
-        min_margin = min(min_margin, margin)
-        if margin < -INITIAL_TOL:
-            failures += 1
-    return InitialCondition(checks=count, min_margin=float(min_margin), failures=failures)
+            costs[i] = rng.random((n, d))
+        qs[i] = [mix_with_uniform(rng.dirichlet(np.ones(d)), gamma) for _ in range(n)]
+    bench = -policy_class.values_many(xs, costs.transpose(0, 2, 1)).min(axis=1)
+
+    actions = np.array(list(itertools.product(range(d), repeat=n)))  # (d^n, n)
+    seqs, rounds = np.arange(d**n)[:, None], np.arange(n)
+    picked_q = qs[:, rounds, actions]  # (count, d^n, n)
+    cols = np.zeros((count, d**n, n, d))
+    cols[:, seqs, rounds, actions] = costs[:, rounds, actions] / picked_q
+    values = endpoint_values(cols.reshape(-1, n, d), np.repeat(xs, d**n, axis=0))
+    values = values.reshape(count, d**n)
+    seq_probs = picked_q.prod(axis=2)
+    expectation = np.zeros(count)
+    for a in range(d**n):  # one running sum per check, in action-sequence order
+        expectation += seq_probs[:, a] * values[:, a]
+    margins = expectation - bench
+    return InitialCondition(checks=count, min_margin=float(margins.min(initial=np.inf)),
+                            failures=int((margins < -INITIAL_TOL).sum()))
 
 
 def check_reduction_admissibility(
@@ -336,7 +313,7 @@ def check_reduction_admissibility(
         scaled.append(row)
 
     initial = _check_initial(
-        lambda cols, ctx: rel.value(gamma * cols, ctx) / gamma,
+        lambda cols, ctx: np.array([rel.value(gamma * c, x) for c, x in zip(cols, ctx)]) / gamma,
         policy_class, probs, n, gamma, rng, initial_checks,
     )
     return AdmissibilityReport(

@@ -128,7 +128,7 @@ class ReductionStrategy(Strategy):
 
     def update(self, x: int, q: np.ndarray, action: int, observed_cost: float) -> None:
         est = ips_estimate(observed_cost, action, q)
-        scaled = self.gamma * est.dense()
+        scaled = self.gamma * est
         if scaled.min() < -SCALED_COST_TOL or scaled.max() > 1.0 + SCALED_COST_TOL:
             raise RuntimeError("scaled estimate left [0,1]^d; mixing invariant violated")
         self._scaled[self._t] = scaled

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .policies import check_cost_vector
+from .policies import check_cost_vector, in_unit_interval
 from .rademacher import categorical_sampler
 
 DEFAULT_POOL_FACTOR = 10
@@ -36,7 +36,7 @@ class FixedTableCosts(CostProcess):
         values = np.asarray(values, dtype=float)
         if values.ndim != 2:
             raise ValueError("cost table must be (n, d)")
-        if (values < 0).any() or (values > 1).any():
+        if not in_unit_interval(values):
             raise ValueError("cost entries must lie in [0, 1]")
         self.values = values
         self.d = values.shape[1]
@@ -56,7 +56,7 @@ class IidBernoulliCosts(CostProcess):
         means = np.asarray(means, dtype=float)
         if means.ndim != 2:
             raise ValueError("means must be (|X|, d)")
-        if (means < 0).any() or (means > 1).any():
+        if not in_unit_interval(means):
             raise ValueError("means must lie in [0, 1]")
         self.means = means
         self.d = means.shape[1]

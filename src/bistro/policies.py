@@ -268,24 +268,6 @@ class PolicyClass:
         raise ValueError(f"unknown policy family {family!r}")
 
 
-def policy_to_matrix(policy: Policy, contexts) -> np.ndarray:
-    """One-hot (d, n) matrix whose column t marks the action at context t."""
-    ctxs = list(contexts)
-    M = np.zeros((policy.d, len(ctxs)), dtype=float)
-    for t, c in enumerate(ctxs):
-        M[policy.action(c), t] = 1.0
-    return M
-
-
-def policy_cost(M: np.ndarray, Y: np.ndarray) -> float:
-    """Total cost sum_t <M_t, Y_t> of a policy matrix against a cost matrix."""
-    M = np.asarray(M, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if M.shape != Y.shape:
-        raise ValueError(f"shape mismatch: {M.shape} vs {Y.shape}")
-    return float((M * Y).sum())
-
-
 def uniform_distribution(d: int) -> np.ndarray:
     return np.full(d, 1.0 / d)
 
@@ -301,11 +283,16 @@ def check_distribution(q: np.ndarray, tol: float = SIMPLEX_TOL) -> np.ndarray:
     return q
 
 
+def in_unit_interval(v: np.ndarray) -> bool:
+    """Whether every entry lies in [0, 1]; NaN entries fail."""
+    return v.size == 0 or bool(0 <= v.min() and v.max() <= 1)
+
+
 def check_cost_vector(c: np.ndarray) -> np.ndarray:
     c = np.asarray(c, dtype=float)
     if c.ndim != 1:
         raise ValueError("cost vector must be one-dimensional")
-    if (c < 0).any() or (c > 1).any():
+    if not in_unit_interval(c):
         raise ValueError("cost entries must lie in [0, 1]")
     return c
 
@@ -323,25 +310,7 @@ def mix_with_uniform(q_star: np.ndarray, gamma: float) -> np.ndarray:
     return (1.0 - gamma * d) * q_star + gamma
 
 
-@dataclass(frozen=True)
-class SparseCostVector:
-    """A cost vector with at most one nonzero coordinate, stored sparsely.
-
-    One such vector persists per round, so memory stays O(n) rather than
-    O(n*d) over an episode.
-    """
-
-    d: int
-    index: int
-    value: float
-
-    def dense(self) -> np.ndarray:
-        out = np.zeros(self.d)
-        out[self.index] = self.value
-        return out
-
-
-def ips_estimate(c_observed: float, chosen: int, q: np.ndarray) -> SparseCostVector:
+def ips_estimate(c_observed: float, chosen: int, q: np.ndarray) -> np.ndarray:
     """Inverse-propensity reconstruction of a cost vector from one coordinate.
 
     Coordinate ``chosen`` is c_observed / q[chosen]; all others are exactly 0.
@@ -352,4 +321,6 @@ def ips_estimate(c_observed: float, chosen: int, q: np.ndarray) -> SparseCostVec
         raise ValueError("chosen action out of range")
     if q[chosen] <= 0.0:
         raise ValueError("chosen action has zero probability; cannot reweight")
-    return SparseCostVector(d=d, index=int(chosen), value=float(c_observed) / float(q[chosen]))
+    est = np.zeros(d)
+    est[chosen] = float(c_observed) / float(q[chosen])
+    return est

@@ -26,7 +26,6 @@ from .erm import (
     exact_erm_value,
     filter_class,
     load_constraint,
-    policy_constraint_values,
 )
 from .policies import PolicyClass, check_cost_vector
 from .rademacher import (
@@ -261,38 +260,12 @@ def box_rademacher(n: int, d: int) -> float:
     return float(n * (1.0 - 0.5**d))
 
 
-def regularized_bound_term(policy_class: PolicyClass, probs, n: int, gamma: float,
-                           lam: float, K: float, constraint) -> float:
-    """E_{x,eps} sup_f { -(1/gamma) sum_t eps_t[f(x_t)] - lam*C(f; x) } + n*d*gamma + lam*K.
-
-    Exact enumeration over sign patterns and context sequences; capacity
-    limited to desk scale.
-    """
-    d = policy_class.d
-    probs = np.asarray(probs, dtype=float)
-    X = probs.size
-    if 2 ** (n * d) > 4096 or X**n > 4096:
-        raise ValueError("regularized bound enumeration limited to 2^(nd), |X|^n <= 4096")
-    codes = np.arange(2 ** (n * d))
-    bits = (codes[:, None] >> np.arange(n * d)) & 1
-    eps = (2.0 * bits - 1.0).reshape(-1, d, n)  # (P, d, n)
-
-    xcodes = np.arange(X**n, dtype=np.int64)
-    xseqs = (xcodes[:, None] // X ** np.arange(n, dtype=np.int64)) % X  # (S, n)
-    weights = probs[xseqs].prod(axis=1)
-
-    total = 0.0
-    cols = np.arange(n)
-    for xseq, w in zip(xseqs, weights):
-        if w == 0.0:
-            continue
-        A = policy_class.actions_on(xseq)  # (|F|, n)
-        picked = eps[:, A, cols]           # (P, |F|, n)
-        vals = -picked.sum(axis=2) / gamma
-        if lam > 0:
-            vals = vals - lam * policy_constraint_values(constraint, policy_class, xseq)
-        total += w * vals.max(axis=1).mean()
-    return float(total + n * d * gamma + lam * K)
+def _regularized_oracle(config: dict, policy_class: PolicyClass,
+                        lambda_scaled: float) -> RegularizedErmOracle:
+    constraint = build_constraint(config)
+    if constraint is None:
+        raise ValueError("bistro_regularized requires a constraint")
+    return RegularizedErmOracle(policy_class, constraint, lambda_scaled)
 
 
 def resolve_strategy_params(config: dict, policy_class: PolicyClass, env: Environment) -> dict:
@@ -303,16 +276,13 @@ def resolve_strategy_params(config: dict, policy_class: PolicyClass, env: Enviro
     n, d = int(config["n"]), int(config["d"])
     gamma_cfg = config.get("gamma", "auto")
     out = {"algorithm": algo, "gamma": None, "rad_estimate": None,
-           "rad_stderr": None, "bound": None}
+           "rad_stderr": None, "bound": None, "bound_stderr": None}
 
     if algo.startswith("bistro"):
-        est = rademacher_estimate(
-            ExactErmOracle(policy_class),
-            categorical_sampler(env.probs),
-            n,
-            samples=int(config.get("tune_samples", DEFAULT_TUNING_SAMPLES)),
-            seed=config.get("tune_seed", 0),
-        )
+        samples = int(config.get("tune_samples", DEFAULT_TUNING_SAMPLES))
+        seed = config.get("tune_seed", 0)
+        sampler = categorical_sampler(env.probs)
+        est = rademacher_estimate(ExactErmOracle(policy_class), sampler, n, samples, seed)
     if algo in ("bistro", "bistro_regularized"):
         out["rad_estimate"], out["rad_stderr"] = est.mean, est.std_error
         gamma = tune_gamma(est.mean, n, d) if gamma_cfg == "auto" else float(gamma_cfg)
@@ -320,12 +290,13 @@ def resolve_strategy_params(config: dict, policy_class: PolicyClass, env: Enviro
         if algo == "bistro":
             out["bound"] = regret_bound(est.mean, n, d)
         else:
-            out["bound"] = regularized_bound_term(
-                policy_class, env.probs, n, gamma,
-                lam=float(config.get("lambda", 0.0)),
-                K=float(config.get("K", 0.0)),
-                constraint=build_constraint(config),
-            )
+            # E sup_f {-(1/gamma) sum_t eps_t[f(x_t)] - lam*C(f)} is the Rademacher
+            # average of the class penalized by lam*gamma*C, over gamma.
+            lam, K = float(config.get("lambda", 0.0)), float(config.get("K", 0.0))
+            penalized = rademacher_estimate(
+                _regularized_oracle(config, policy_class, lam * gamma), sampler, n, samples, seed)
+            out["bound"] = penalized.mean / gamma + n * d * gamma + lam * K
+            out["bound_stderr"] = penalized.std_error / gamma
     elif algo == "bistro_relaxed":
         rad = box_rademacher(n, d)
         out["rad_estimate"], out["rad_stderr"] = rad, 0.0
@@ -356,11 +327,8 @@ def make_strategy(config: dict, policy_class: PolicyClass, gamma: float | None) 
         if algo == "bistro":
             oracle = ExactErmOracle(policy_class)
         elif algo == "bistro_regularized":
-            constraint = build_constraint(config)
-            if constraint is None:
-                raise ValueError("bistro_regularized requires a constraint")
-            lam = float(config.get("lambda", 0.0))
-            oracle = RegularizedErmOracle(policy_class, constraint, lam / gamma)
+            oracle = _regularized_oracle(config, policy_class,
+                                         float(config.get("lambda", 0.0)) / gamma)
         else:
             oracle = BoxRelaxedOracle()
         if "delta" in config:
@@ -404,57 +372,63 @@ def write_episode_csv(path: str, transcript: Transcript) -> None:
 
 
 def run_suite(config: dict, seeds, out_dir: str | None = None) -> dict:
-    """Run every seed, aggregate regret, and compare against the bound."""
-    policy_class = build_policy_class(config)
-    env = build_environment(config, policy_class)
-    n = int(config["n"])
-    params = resolve_strategy_params(config, policy_class, env)
-    constraint = build_constraint(config)
-    K = config.get("K")
+    """Run every seed, aggregate regret, and compare against the bound.
 
-    seeds = list(seeds)
-    regrets = np.zeros(len(seeds))
-    realized = np.zeros(len(seeds))
-    calls = 0
-    transcripts = []
-    for i, seed in enumerate(seeds):
-        strategy = make_strategy(config, policy_class, params["gamma"])
-        try:
-            tr = run_episode(strategy, env, n, seed)
-            regrets[i] = expected_regret(tr, policy_class, constraint, K)
-            realized[i] = realized_regret(tr, policy_class, constraint, K)
-        except Exception as exc:
-            raise RuntimeError(f"episode failed for seed {seed}: {exc}") from exc
-        calls += strategy.oracle_calls
-        transcripts.append(tr)
+    Runs under the same numeric policy as the CLI: floating-point errors
+    other than underflow raise, whatever the caller's ``np.errstate``.
+    """
+    with np.errstate(all="raise", under="ignore"):
+        policy_class = build_policy_class(config)
+        env = build_environment(config, policy_class)
+        n = int(config["n"])
+        params = resolve_strategy_params(config, policy_class, env)
+        constraint = build_constraint(config)
+        K = config.get("K")
 
-    mean = float(regrets.mean()) if seeds else 0.0
-    std = float(regrets.std(ddof=1)) if len(seeds) > 1 else 0.0
-    bound = params["bound"]
-    summary = {
-        "algorithm": params["algorithm"],
-        "n": n,
-        "d": int(config["d"]),
-        "seeds": [int(s) for s in seeds],
-        "mean_regret": mean,
-        "std_regret": std,
-        "mean_realized_regret": float(realized.mean()) if seeds else 0.0,
-        "bound": bound,
-        "gamma_used": params["gamma"],
-        "rad_estimate": params["rad_estimate"],
-        "rad_stderr": params["rad_stderr"],
-        "oracle_calls_total": int(calls),
-        "violations": int(bound is not None and mean > bound),
-        "per_seed_regret": [float(r) for r in regrets],
-    }
-    for key in ("class_rad_estimate", "class_rad_stderr"):
-        if key in params:
-            summary[key] = params[key]
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        for seed, tr in zip(seeds, transcripts):
-            write_episode_csv(os.path.join(out_dir, f"episode_{seed}.csv"), tr)
-        with open(os.path.join(out_dir, "summary.json"), "w") as f:
-            json.dump(summary, f, indent=2, sort_keys=True)
-            f.write("\n")
-    return summary
+        seeds = list(seeds)
+        regrets = np.zeros(len(seeds))
+        realized = np.zeros(len(seeds))
+        calls = 0
+        transcripts = []
+        for i, seed in enumerate(seeds):
+            strategy = make_strategy(config, policy_class, params["gamma"])
+            try:
+                tr = run_episode(strategy, env, n, seed)
+                regrets[i] = expected_regret(tr, policy_class, constraint, K)
+                realized[i] = realized_regret(tr, policy_class, constraint, K)
+            except Exception as exc:
+                raise RuntimeError(f"episode failed for seed {seed}: {exc}") from exc
+            calls += strategy.oracle_calls
+            transcripts.append(tr)
+
+        mean = float(regrets.mean()) if seeds else 0.0
+        std = float(regrets.std(ddof=1)) if len(seeds) > 1 else 0.0
+        bound = params["bound"]
+        summary = {
+            "algorithm": params["algorithm"],
+            "n": n,
+            "d": int(config["d"]),
+            "seeds": [int(s) for s in seeds],
+            "mean_regret": mean,
+            "std_regret": std,
+            "mean_realized_regret": float(realized.mean()) if seeds else 0.0,
+            "bound": bound,
+            "bound_stderr": params["bound_stderr"],
+            "gamma_used": params["gamma"],
+            "rad_estimate": params["rad_estimate"],
+            "rad_stderr": params["rad_stderr"],
+            "oracle_calls_total": int(calls),
+            "violations": int(bound is not None and mean > bound),
+            "per_seed_regret": [float(r) for r in regrets],
+        }
+        for key in ("class_rad_estimate", "class_rad_stderr"):
+            if key in params:
+                summary[key] = params[key]
+        if out_dir is not None:
+            os.makedirs(out_dir, exist_ok=True)
+            for seed, tr in zip(seeds, transcripts):
+                write_episode_csv(os.path.join(out_dir, f"episode_{seed}.csv"), tr)
+            with open(os.path.join(out_dir, "summary.json"), "w") as f:
+                json.dump(summary, f, indent=2, sort_keys=True)
+                f.write("\n")
+        return summary

@@ -136,11 +136,11 @@ class BistroStrategy(Strategy):
 
     def update(self, x: int, q: np.ndarray, action: int, observed_cost: float) -> None:
         est = ips_estimate(observed_cost, action, q)
-        if est.value > 1.0 / self.config.gamma + 1e-9:
+        if est[action] > 1.0 / self.config.gamma + 1e-9:
             raise RuntimeError("estimate exceeds 1/gamma; mixing invariant violated")
         if self._t >= self.config.horizon:
             raise ValueError("episode already complete")
-        self._Y[:, self._t] = self.config.gamma * est.dense()
+        self._Y[:, self._t] = self.config.gamma * est
         self._t += 1
 
 
@@ -181,7 +181,7 @@ class EpsilonGreedyStrategy(Strategy):
     def update(self, x, q, action, observed_cost):
         est = ips_estimate(observed_cost, action, q)
         hit = self.policy_class.table[:, x] == action
-        self._losses[hit] += est.value
+        self._losses[hit] += est[action]
 
 
 class FollowTheLeaderStrategy(Strategy):

@@ -3,8 +3,8 @@
 Nothing here shares computation paths with the implementations under test:
 ERM is a double loop over policy objects, per-policy linear values are
 gathered round by round instead of folded by context, the Rademacher average
-enumerates every sign assignment, and the minimax solver searches a simplex
-lattice by level counting (or random sampling). Capacity limits are hard
+and the regularized bound enumerate every sign assignment, and the minimax
+solver searches a simplex lattice by level counting (or random sampling). Capacity limits are hard
 errors, never silent truncation.
 """
 
@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .policies import CapacityError, Context, PolicyClass
+from .erm import policy_constraint_values
+from .policies import CapacityError, Context, Policy, PolicyClass
 
 BRUTEFORCE_CLASS_LIMIT = 10**4
 BRUTEFORCE_HORIZON_LIMIT = 64
 RADEMACHER_BITS_LIMIT = 24
+REGULARIZED_BOUND_LIMIT = 4096
 LATTICE_LIMIT = 10**8
 
 
@@ -29,6 +31,15 @@ def sequence_values(policy_class: PolicyClass, contexts, Y) -> np.ndarray:
     if actions.shape[1] != n:
         raise ValueError("context sequence length does not match cost matrix")
     return Y[actions, np.arange(n)].sum(axis=1)
+
+
+def policy_to_matrix(policy: Policy, contexts) -> np.ndarray:
+    """One-hot (d, n) matrix whose column t marks the action at context t."""
+    ctxs = list(contexts)
+    M = np.zeros((policy.d, len(ctxs)), dtype=float)
+    for t, c in enumerate(ctxs):
+        M[policy.action(c), t] = 1.0
+    return M
 
 
 def bruteforce_erm(policy_class: PolicyClass, contexts, Y) -> float:
@@ -67,6 +78,41 @@ def exact_rademacher(policy_class: PolicyClass, contexts) -> float:
         eps = (((code >> np.arange(bits)) & 1) * 2.0 - 1.0).reshape(d, n)
         total += eps[actions, cols].sum(axis=1).max()
     return float(total / count)
+
+
+def exact_regularized_bound(policy_class: PolicyClass, probs, n: int, gamma: float,
+                            lam: float, K: float, constraint) -> float:
+    """E_{x,eps} sup_f { -(1/gamma) sum_t eps_t[f(x_t)] - lam*C(f; x) } + n*d*gamma + lam*K.
+
+    Exact enumeration over sign patterns and context sequences: the
+    reference for the Monte-Carlo bound of ``bistro_regularized``.
+    """
+    d = policy_class.d
+    probs = np.asarray(probs, dtype=float)
+    X = probs.size
+    if 2 ** (n * d) > REGULARIZED_BOUND_LIMIT or X**n > REGULARIZED_BOUND_LIMIT:
+        raise CapacityError(
+            f"regularized bound enumeration limited to 2^(nd), |X|^n <= {REGULARIZED_BOUND_LIMIT}")
+    codes = np.arange(2 ** (n * d))
+    bits = (codes[:, None] >> np.arange(n * d)) & 1
+    eps = (2.0 * bits - 1.0).reshape(-1, d, n)  # (P, d, n)
+
+    xcodes = np.arange(X**n, dtype=np.int64)
+    xseqs = (xcodes[:, None] // X ** np.arange(n, dtype=np.int64)) % X  # (S, n)
+    weights = probs[xseqs].prod(axis=1)
+
+    total = 0.0
+    cols = np.arange(n)
+    for xseq, w in zip(xseqs, weights):
+        if w == 0.0:
+            continue
+        A = policy_class.actions_on(xseq)  # (|F|, n)
+        picked = eps[:, A, cols]           # (P, |F|, n)
+        vals = -picked.sum(axis=2) / gamma
+        if lam > 0:
+            vals = vals - lam * policy_constraint_values(constraint, policy_class, xseq)
+        total += w * vals.max(axis=1).mean()
+    return float(total + n * d * gamma + lam * K)
 
 
 def _lattice_optimum(psi: np.ndarray, resolution: int) -> tuple[np.ndarray, float]:

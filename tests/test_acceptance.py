@@ -270,7 +270,7 @@ def test_criterion_7_regularized_variant():
     report(
         7, ok,
         f"lambda=0 transcripts bit-identical over 5 seeds; lambda={reg_cfg['lambda']} "
-        f"mean regret {summary['mean_regret']:.3f} <= enumerated bound {summary['bound']:.3f}",
+        f"mean regret {summary['mean_regret']:.3f} <= estimated bound {summary['bound']:.3f}",
         elapsed, 300,
     )
 

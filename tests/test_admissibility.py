@@ -1,11 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from bistro.admissibility import (
+    _exact_mixed_q,
     check_bistro_admissibility,
     check_reduction_admissibility,
 )
-from bistro.policies import CapacityError, PolicyClass
+from bistro.policies import CapacityError, PolicyClass, mix_with_uniform
+from bistro.verify import sequence_values
+from bistro.waterfill import waterfill
 
 
 class TestBistroChecker:
@@ -35,6 +40,28 @@ class TestBistroChecker:
                 PolicyClass.all_labelings(2, 4), [0.25] * 4, n=2, gamma=0.25
             )
 
+    def test_exact_mixed_q_matches_sequence_form(self):
+        # every playout of the strategy's query [past | e_j | scale*eps], priced
+        # one query at a time by the sequence-form reference
+        rng = np.random.default_rng(12)
+        gamma, scale = 0.2, 0.5
+        for d, universe, n, k in [(2, 2, 3, 1), (3, 3, 2, 0), (2, 3, 3, 0), (3, 2, 3, 2)]:
+            pc = PolicyClass(rng.integers(0, d, (5, universe)), d)
+            probs = rng.dirichlet(np.ones(universe))
+            realized, past = rng.integers(0, universe, k), rng.uniform(0, 1, (k, d))
+            x, m = int(rng.integers(0, universe)), n - k - 1
+            expected = np.zeros(d)
+            for combo in itertools.product(range(universe), repeat=m):
+                ctx = np.concatenate([realized, [x], combo]).astype(np.int64)
+                for signs in itertools.product((-1.0, 1.0), repeat=d * m):
+                    future = scale * np.reshape(signs, (d, m))
+                    psi = np.array([
+                        sequence_values(pc, ctx, np.hstack([past.T, np.eye(d)[:, [j]], future]))
+                        .min() for j in range(d)])
+                    expected += np.prod(probs[list(combo)]) / 2 ** (d * m) * waterfill(psi)
+            got = _exact_mixed_q(pc, probs, gamma, scale, n, realized, past, x)
+            np.testing.assert_allclose(got, mix_with_uniform(expected, gamma), rtol=0, atol=1e-12)
+
     def test_report_margins_have_slack(self):
         pc = PolicyClass.all_labelings(2, 2)
         report = check_bistro_admissibility(
@@ -60,3 +87,41 @@ class TestReductionChecker:
             pc, [0.5, 0.5], n=2, gamma=0.3, eta=0.5, seed=4, initial_checks=50
         )
         assert report.ok()
+
+
+# Reports recorded from the sequence-form checker (per-policy values gathered
+# round by round, one playout draw at a time) that the folded, stacked
+# queries replaced: (lhs, rhs, stderr) per step, then the initial condition's
+# min_margin and failures.
+D3_CLASS = np.array([[0, 1, 2], [2, 1, 0], [1, 1, 1], [0, 2, 1]])
+RECORDED = {
+    "bistro d=2 n=3": (
+        lambda: check_bistro_admissibility(
+            PolicyClass.all_labelings(2, 2), [0.5, 0.5], n=3, gamma=0.25, samples=2000,
+            seed=2, initial_checks=50),
+        [(8.62625, 11.172, 0.3048086061152653), (5.46525, 7.832, 0.24187903630296576),
+         (0.84375, 4.758, 0.14988479150788675)], 0.0, 0),
+    "bistro d=3 n=2": (
+        lambda: check_bistro_admissibility(
+            PolicyClass(D3_CLASS, 3), [0.5, 0.3, 0.2], n=2, gamma=0.2, samples=1000,
+            seed=7, initial_checks=100),
+        [(8.073800000000002, 12.100000000000001, 0.3772002148754718),
+         (1.0, 7.0600000000000005, 0.24150926840750178)], 0.0, 0),
+    "reduction d=3 n=3": (
+        lambda: check_reduction_admissibility(
+            PolicyClass(D3_CLASS, 3), [0.5, 0.3, 0.2], n=3, gamma=0.2, seed=5,
+            initial_checks=300),
+        [(13.45294310209739, 16.22026886600883, 0.0),
+         (10.449564957762584, 13.216890721674023, 0.0),
+         (6.3380825365414815, 9.112299513232328, 0.0)], 5.286091393156799, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED))
+def test_reports_match_sequence_form_checker(name):
+    check, steps, min_margin, failures = RECORDED[name]
+    report = check()
+    got = [(s.lhs, s.rhs, s.stderr) for s in report.steps]
+    np.testing.assert_allclose(got, steps, rtol=1e-12, atol=0)
+    assert report.initial.min_margin == pytest.approx(min_margin, rel=1e-12, abs=0)
+    assert report.initial.failures == failures

@@ -17,8 +17,8 @@ from bistro.erm import (
     policy_constraint_values,
     regularized_erm_value,
 )
-from bistro.policies import CapacityError, Context, PolicyClass, TablePolicy, policy_to_matrix
-from bistro.verify import bruteforce_erm
+from bistro.policies import CapacityError, Context, PolicyClass, TablePolicy
+from bistro.verify import bruteforce_erm, policy_to_matrix
 
 Y_EXAMPLE = np.array([[0.2, 0.5], [0.9, 0.1]])
 

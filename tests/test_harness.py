@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
+from bistro import runner
 from bistro.environments import AdaptiveCosts, Environment, FixedTableCosts, IidBernoulliCosts
-from bistro.policies import PolicyClass
+from bistro.policies import PolicyClass, check_cost_vector
 from bistro.runner import (
     Transcript,
     episode_csv_lines,
@@ -237,6 +238,36 @@ class TestSuite:
             assert summary["bound"] is None
             assert np.isfinite(summary["mean_regret"])
 
+    def test_regularized_bound_at_bench_scale(self):
+        # |X|=4, n=128: far past the 2^(n*d) sign patterns an enumeration could price
+        config = small_config(
+            n=128,
+            policy_class={"family": "all_labelings", "d": 2, "universe": 4},
+            cost_process={"type": "adaptive", "rule": "argmax_punish"},
+            algorithm="bistro_regularized",
+            constraint={"type": "pairwise", "weights": "uniform"},
+            K=4,
+            **{"lambda": 0.1},
+        )
+        summary = run_suite(config, seeds=range(3))
+        assert np.isfinite(summary["bound"]) and np.isfinite(summary["bound_stderr"])
+        assert summary["bound_stderr"] > 0
+        assert summary["violations"] == 0
+
+    def test_numeric_error_policy(self, monkeypatch):
+        seen = {}
+
+        def spy(*args):
+            seen.update(np.geterr())
+            return run_episode(*args)
+
+        monkeypatch.setattr(runner, "run_episode", spy)
+        with np.errstate(all="ignore"):
+            run_suite(small_config(), seeds=[0])
+            assert np.geterr()["invalid"] == "ignore"
+        assert seen == {"divide": "raise", "over": "raise", "under": "ignore",
+                        "invalid": "raise"}
+
     def test_ftl_beats_uniform_on_stationary_costs(self):
         config = small_config(
             n=40,
@@ -245,6 +276,32 @@ class TestSuite:
         ftl = run_suite({**config, "algorithm": "ftl"}, seeds=range(5))
         uni = run_suite({**config, "algorithm": "uniform"}, seeds=range(5))
         assert ftl["mean_regret"] < uni["mean_regret"]
+
+
+class TestCostValidation:
+    """NaN fails the [0, 1] check like any other out-of-range cost."""
+
+    BAD = ([[np.nan, 0.5]], [[-0.1, 0.5]], [[0.2, 1.5]])
+
+    def test_fixed_table(self):
+        for values in self.BAD:
+            with pytest.raises(ValueError, match="cost entries"):
+                FixedTableCosts(values)
+
+    def test_bernoulli_means(self):
+        for means in self.BAD:
+            with pytest.raises(ValueError, match="means"):
+                IidBernoulliCosts(means)
+
+    def test_per_round_cost_vector(self):
+        for values in self.BAD:
+            with pytest.raises(ValueError, match="cost entries"):
+                check_cost_vector(values[0])
+        np.testing.assert_array_equal(check_cost_vector([0.0, 1.0]), [0.0, 1.0])
+        env = Environment(np.ones(2) / 2,
+                          AdaptiveCosts(2, rule=lambda *args: np.array([np.nan, 0.0])))
+        with pytest.raises(ValueError, match="cost entries"):
+            run_episode(UniformStrategy(2), env, 3, seed=0)
 
 
 class TestConfigJson:

@@ -11,11 +11,9 @@ from bistro.policies import (
     TablePolicy,
     ips_estimate,
     mix_with_uniform,
-    policy_cost,
-    policy_to_matrix,
     uniform_distribution,
 )
-from bistro.verify import bruteforce_erm, sequence_values
+from bistro.verify import bruteforce_erm, policy_to_matrix, sequence_values
 
 
 def dyadic(rng, shape):
@@ -58,33 +56,36 @@ class TestPolicyToMatrix:
 
 
 class TestPolicyCost:
+    """One policy's cost sum_t Y[f(x_t), t], priced by ``PolicyClass.values``."""
+
     Y = np.array([[0.2, 0.5], [0.9, 0.1]])
 
+    @staticmethod
+    def cost(table, contexts, Y) -> float:
+        return float(PolicyClass([table], len(Y)).values(contexts, Y)[0])
+
     def test_always_first_action(self):
-        M = policy_to_matrix(TablePolicy([0, 0], 2), [0, 1])
-        assert policy_cost(M, self.Y) == pytest.approx(0.7, abs=1e-12)
+        assert self.cost([0, 0], [0, 1], self.Y) == pytest.approx(0.7, abs=1e-12)
 
     def test_zero_costs(self):
-        M = policy_to_matrix(TablePolicy([1, 0], 2), [0, 1])
-        assert policy_cost(M, np.zeros((2, 2))) == 0.0
+        assert self.cost([1, 0], [0, 1], np.zeros((2, 2))) == 0.0
 
     def test_always_second_action(self):
-        M = policy_to_matrix(TablePolicy([1, 1], 2), [0, 1])
-        assert policy_cost(M, self.Y) == pytest.approx(1.0, abs=1e-12)
+        assert self.cost([1, 1], [0, 1], self.Y) == pytest.approx(1.0, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            policy_cost(np.ones((2, 3)), np.ones((2, 2)))
+            self.cost([0, 0], [0, 1, 0], np.ones((2, 2)))
 
     def test_linearity_in_costs(self):
         rng = np.random.default_rng(1)
         for _ in range(30):
             d, n = int(rng.integers(2, 5)), int(rng.integers(1, 9))
-            M = policy_to_matrix(TablePolicy(rng.integers(0, d, 4), d), rng.integers(0, 4, n))
+            table, ctx = rng.integers(0, d, 4), rng.integers(0, 4, n)
             Y1, Y2 = rng.normal(size=(d, n)), rng.normal(size=(d, n))
             a, b = rng.normal(), rng.normal()
-            lhs = policy_cost(M, a * Y1 + b * Y2)
-            rhs = a * policy_cost(M, Y1) + b * policy_cost(M, Y2)
+            lhs = self.cost(table, ctx, a * Y1 + b * Y2)
+            rhs = a * self.cost(table, ctx, Y1) + b * self.cost(table, ctx, Y2)
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -123,15 +124,15 @@ class TestMixWithUniform:
 class TestIpsEstimate:
     def test_formula(self):
         est = ips_estimate(0.8, 0, np.array([0.5, 0.5]))
-        np.testing.assert_allclose(est.dense(), [1.6, 0.0], atol=1e-15)
+        np.testing.assert_allclose(est, [1.6, 0.0], atol=1e-15)
 
     def test_zero_cost(self):
         est = ips_estimate(0.0, 1, np.array([0.5, 0.5]))
-        np.testing.assert_array_equal(est.dense(), [0.0, 0.0])
+        np.testing.assert_array_equal(est, [0.0, 0.0])
 
     def test_second_action(self):
         est = ips_estimate(1.0, 1, np.array([0.25, 0.75]))
-        np.testing.assert_allclose(est.dense(), [0.0, 4.0 / 3.0], atol=1e-15)
+        np.testing.assert_allclose(est, [0.0, 4.0 / 3.0], atol=1e-15)
 
     def test_zero_probability_guard(self):
         with pytest.raises(ValueError):
@@ -143,7 +144,7 @@ class TestIpsEstimate:
             d = int(rng.integers(2, 7))
             q = mix_with_uniform(rng.dirichlet(np.ones(d)), 0.5 / d)
             c = rng.random(d)
-            recon = sum(q[j] * ips_estimate(c[j], j, q).dense() for j in range(d))
+            recon = sum(q[j] * ips_estimate(c[j], j, q) for j in range(d))
             np.testing.assert_allclose(recon, c, atol=1e-12)
 
 

@@ -4,10 +4,10 @@ import pytest
 from bistro.environments import Environment, FixedTableCosts
 from bistro.erm import BoxRelaxedOracle, ErmOracle, ExactErmOracle, RegularizedErmOracle
 from bistro.erm import PairwiseDisagreement, exact_erm_value
-from bistro.policies import PolicyClass, SparseCostVector, ips_estimate, policy_to_matrix
+from bistro.policies import PolicyClass, ips_estimate
 from bistro.runner import run_episode
 from bistro.strategies import BistroConfig, BistroStrategy
-from bistro.verify import sequence_values
+from bistro.verify import policy_to_matrix, sequence_values
 from bistro.waterfill import minimax_value, waterfill
 
 
@@ -172,7 +172,7 @@ class TestQueryMatrixInvariants:
         tr = run_episode(strat, env, n, seed=7)
         assert len(recorder.queries) == d * playouts * n
         scaled = np.stack([
-            gamma * ips_estimate(tr.observed_costs[s], tr.actions[s], tr.distributions[s]).dense()
+            gamma * ips_estimate(tr.observed_costs[s], tr.actions[s], tr.distributions[s])
             for s in range(n)
         ], axis=1)
         for call, (ctx, Y, _) in enumerate(recorder.queries):
@@ -224,8 +224,8 @@ class TestQueryMatrixInvariants:
             past_ctx, past = [], np.zeros((d, t))
             for s in range(t):
                 past_ctx.append(int(rng.integers(0, 3)))
-                est = SparseCostVector(d, int(rng.integers(0, d)), float(rng.uniform(0, 4)))
-                past[:, s] = gamma * est.dense()
+                j, value = int(rng.integers(0, d)), float(rng.uniform(0, 4))
+                past[j, s] = gamma * value
             future_ctx = rng.integers(0, 3, n - t - 1)
             future = 2.0 * (rng.integers(0, 2, (d, n - t - 1)) * 2 - 1)
             ctx = np.concatenate([past_ctx, [1], future_ctx]).astype(int)

@@ -1,14 +1,27 @@
+import os
+
 import numpy as np
 import pytest
 
+from bistro.erm import PairwiseDisagreement
 from bistro.policies import CapacityError, PolicyClass
+from bistro.runner import (
+    build_constraint,
+    build_environment,
+    build_policy_class,
+    load_config,
+    resolve_strategy_params,
+)
 from bistro.verify import (
     bruteforce_erm,
     enumerate_grid_minimax,
     exact_rademacher,
+    exact_regularized_bound,
     grid_minimax,
     selftest,
 )
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 class TestBruteforceErm:
@@ -45,6 +58,35 @@ class TestExactRademacher:
         pc = PolicyClass.all_labelings(2, 13)
         with pytest.raises(CapacityError):
             exact_rademacher(pc, list(range(13)))
+
+
+class TestExactRegularizedBound:
+    def test_estimate_within_three_standard_errors(self):
+        config = load_config(os.path.join(CONFIG_DIR, "regularized_pairwise.json"))
+        config["tune_samples"] = 2000
+        pc = build_policy_class(config)
+        env = build_environment(config, pc)
+        params = resolve_strategy_params(config, pc, env)
+        exact = exact_regularized_bound(
+            pc, env.probs, config["n"], params["gamma"], lam=config["lambda"], K=config["K"],
+            constraint=build_constraint(config))
+        assert params["bound_stderr"] > 0
+        assert abs(params["bound"] - exact) <= 3 * params["bound_stderr"]
+
+    def test_unpenalized_bound_is_scaled_rademacher_average(self):
+        pc = PolicyClass(np.array([[0, 1], [1, 1], [0, 0]]), 2)
+        n, gamma = 3, 0.25
+        seqs = [[a, b, c] for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+        rad = np.mean([exact_rademacher(pc, s) for s in seqs])
+        bound = exact_regularized_bound(pc, [0.5, 0.5], n, gamma, lam=0.0, K=0.0,
+                                        constraint=None)
+        assert bound == pytest.approx(rad / gamma + n * 2 * gamma, abs=1e-12)
+
+    def test_capacity(self):
+        pc = PolicyClass.all_labelings(2, 2)
+        with pytest.raises(CapacityError):
+            exact_regularized_bound(pc, [0.5, 0.5], 7, 0.25, lam=0.1, K=4,
+                                    constraint=PairwiseDisagreement())
 
 
 class TestGridMinimax:
