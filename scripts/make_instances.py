@@ -40,7 +40,6 @@ def main():
         "policy_class": {"path": "policies8.json"},
         "algorithm": "bistro",
         "gamma": "auto",
-        "sign_scale": 2.0,
         "playouts": 1,
         "pool_factor": 10,
     }

@@ -35,11 +35,7 @@ from .erm import (
 )
 from .policies import (
     CapacityError,
-    Context,
-    LinearArgmaxPolicy,
-    Policy,
     PolicyClass,
-    TablePolicy,
     ips_estimate,
     mix_with_uniform,
     uniform_distribution,

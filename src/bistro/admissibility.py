@@ -22,6 +22,7 @@ import numpy as np
 
 from .adversarial import ExpWeightsRelaxation
 from .policies import CapacityError, PolicyClass, mix_with_uniform
+from .strategies import SIGN_SCALE
 from .waterfill import waterfill
 
 MAX_D = 3
@@ -86,8 +87,8 @@ def _sign_patterns(cells: int) -> np.ndarray:
 
 
 def _exact_mixed_q(policy_class: PolicyClass, probs: np.ndarray, gamma: float,
-                   sign_scale: float, n: int, realized_ctx: np.ndarray,
-                   scaled_past: np.ndarray, x: int) -> np.ndarray:
+                   n: int, realized_ctx: np.ndarray, scaled_past: np.ndarray,
+                   x: int) -> np.ndarray:
     """Expected mixed distribution at context x, playouts enumerated exactly.
 
     Per future context sequence, the strategy's d queries for every sign
@@ -101,7 +102,7 @@ def _exact_mixed_q(policy_class: PolicyClass, probs: np.ndarray, gamma: float,
     Y = np.zeros((patterns, d, d, n))  # (pattern, priced action j, d, n)
     Y[:, :, :, :k] = scaled_past.T
     Y[:, np.arange(d), np.arange(d), k] = 1.0
-    Y[:, :, :, k + 1:] = sign_scale * eps[:, None]
+    Y[:, :, :, k + 1:] = SIGN_SCALE * eps[:, None]
     Y = Y.reshape(patterns * d, d, n)
 
     q_star = np.zeros(d)
@@ -125,12 +126,16 @@ def check_bistro_admissibility(
     *,
     samples: int = 10_000,
     seed=0,
-    sign_scale: float = 2.0,
     initial_checks: int = 1000,
 ) -> AdmissibilityReport:
     """Walk one sampled history and test the per-round inequality at each step,
     then test the horizon condition on random endpoints (exactly, by
-    enumerating action sequences)."""
+    enumerating action sequences).
+
+    Both sides price costs in the relaxation's units: the history as c~ =
+    c/q, the current round as c/q, the playouts as (SIGN_SCALE/gamma)*eps.
+    The strategy's own queries carry the history as gamma*c~.
+    """
     probs = np.asarray(probs, dtype=float)
     _check_capacity(policy_class, probs, n)
     d = policy_class.d
@@ -145,15 +150,16 @@ def check_bistro_admissibility(
     for t in range(1, n + 1):
         k = t - 1
         ctx_fixed = np.asarray(realized, dtype=np.int64)
-        est_cols = np.asarray(estimates, dtype=float).reshape(k, d)
-        fixed = policy_class.values(ctx_fixed, est_cols.T)
+        est_cols = np.asarray(estimates, dtype=float).reshape(k, d)  # gamma * c~
+        fixed = policy_class.values(ctx_fixed, est_cols.T / gamma)
 
         # Relaxation of the shorter history: futures cover rounds t..n.
         m_rhs = n - k
         fut_ctx = rng.choice(universe, size=(samples, m_rhs), p=probs)
         fut_signs = rng.integers(0, 2, size=(samples, d, m_rhs)) * 2.0 - 1.0
         # per draw, sup_f of -(fixed history + the scaled signs of the playout)
-        sups = -(fixed + policy_class.values_many(fut_ctx, 2.0 / gamma * fut_signs)).min(axis=1)
+        future = policy_class.values_many(fut_ctx, SIGN_SCALE / gamma * fut_signs)
+        sups = -(fixed + future).min(axis=1)
         rhs = float(sups.mean()) + m_rhs * d * gamma
         se_rhs = float(sups.std(ddof=1) / np.sqrt(samples))
 
@@ -162,15 +168,14 @@ def check_bistro_admissibility(
         var_lhs = 0.0
         qs_by_context = []
         for x in range(universe):
-            q = _exact_mixed_q(policy_class, probs, gamma, sign_scale, n,
-                               ctx_fixed, est_cols, x)
+            q = _exact_mixed_q(policy_class, probs, gamma, n, ctx_fixed, est_cols, x)
             qs_by_context.append(q)
             if probs[x] == 0.0:
                 continue
             m_lhs = n - t
             fut_ctx_x = rng.choice(universe, size=(samples, m_lhs), p=probs)
             fut_signs_x = rng.integers(0, 2, size=(samples, d, m_lhs)) * 2.0 - 1.0
-            future = policy_class.values_many(fut_ctx_x, 2.0 / gamma * fut_signs_x)
+            future = policy_class.values_many(fut_ctx_x, SIGN_SCALE / gamma * fut_signs_x)
             plays = policy_class.table[:, x]
             sup_by_action = [
                 np.array([-(fixed + (plays == j) * (c[j] / q[j]) + future).min(axis=1)

@@ -32,8 +32,6 @@ class ExpWeightsRelaxation:
     in [0, 1]; eta defaults to sqrt(2 log |F| / n).
     """
 
-    declared_admissible = True
-
     def __init__(self, policy_class: PolicyClass, horizon: int, eta: float | None = None):
         if policy_class.size == 0:
             raise ValueError("exp-weights needs a nonempty policy class")

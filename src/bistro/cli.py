@@ -77,7 +77,6 @@ def _cmd_admissibility(args) -> int:
     else:
         report = check_bistro_admissibility(
             pc, env.probs, n, gamma, samples=args.samples, seed=args.seed,
-            sign_scale=float(config.get("sign_scale", 2.0)),
             initial_checks=args.initial_checks,
         )
     print(f"algorithm={report.algorithm} gamma={report.gamma} d={d} n={n}")

@@ -113,7 +113,7 @@ class Environment:
     stands in for sampling access to the context distribution.
     """
 
-    def __init__(self, probs, cost_process: CostProcess, features=None,
+    def __init__(self, probs, cost_process: CostProcess,
                  pool_factor: int = DEFAULT_POOL_FACTOR):
         probs = np.asarray(probs, dtype=float)
         if probs.ndim != 1 or probs.size == 0:
@@ -122,12 +122,7 @@ class Environment:
             raise ValueError("context probabilities must be nonnegative and sum to 1")
         if pool_factor < 1:
             raise ValueError("pool_factor must be at least 1")
-        if features is not None:
-            features = np.asarray(features, dtype=float)
-            if features.shape[0] != probs.size:
-                raise ValueError("feature table must have one row per context")
         self.probs = probs
-        self.features = features
         self.cost_process = cost_process
         self.pool_factor = int(pool_factor)
 

@@ -115,12 +115,9 @@ class PairwiseDisagreement:
 
     def __init__(self, weights="uniform"):
         self._matrix = None
-        self._fn = None
         if isinstance(weights, str):
             if weights != "uniform":
                 raise ValueError(f"unknown weight spec {weights!r}")
-        elif callable(weights):
-            self._fn = weights
         else:
             W = np.asarray(weights, dtype=float)
             if W.ndim != 2 or W.shape[0] != W.shape[1]:
@@ -132,19 +129,9 @@ class PairwiseDisagreement:
             self._matrix = W
 
     def _pair_weights(self, ids: np.ndarray) -> np.ndarray:
-        n = ids.size
         if self._matrix is not None:
             return self._matrix[np.ix_(ids, ids)]
-        if self._fn is not None:
-            W = np.empty((n, n))
-            for s in range(n):
-                for r in range(n):
-                    w = float(self._fn(int(ids[s]), int(ids[r])))
-                    if w < 0:
-                        raise ValueError("pair weights must be nonnegative")
-                    W[s, r] = w
-            return W
-        return np.ones((n, n))
+        return np.ones((ids.size, ids.size))
 
     def __call__(self, M: np.ndarray, contexts) -> float:
         labels = _labels_of_matrix(M)
@@ -210,17 +197,8 @@ class CoveragePenalty:
 
 
 def policy_constraint_values(constraint, policy_class: PolicyClass, contexts) -> np.ndarray:
-    if isinstance(constraint, (PairwiseDisagreement, CoveragePenalty)):
-        return constraint.per_policy(policy_class, contexts)
-    # Generic callable contract: evaluate policy by policy on its matrix.
-    actions = policy_class.actions_on(contexts)
-    n = actions.shape[1]
-    out = np.empty(policy_class.size)
-    for i in range(policy_class.size):
-        M = np.zeros((policy_class.d, n))
-        M[actions[i], np.arange(n)] = 1.0
-        out[i] = float(constraint(M, contexts))
-    return out
+    """Constraint value of every policy, shape (|F|,)."""
+    return constraint.per_policy(policy_class, contexts)
 
 
 def filter_class(policy_class: PolicyClass, contexts, constraint, K: float) -> PolicyClass:

@@ -1,8 +1,8 @@
 """Core domain types for contextual bandit play.
 
-Contexts are indices into a finite universe (optionally carrying feature
-vectors), policies map contexts to one of ``d`` actions, and a policy class
-is stored as an action table. Every policy's linear cost on a realized
+Contexts are indices into a finite universe, policies map contexts to one
+of ``d`` actions, and a policy class is stored as an (|F|, |X|) action
+table: a policy is a row of it. Every policy's linear cost on a realized
 context sequence comes from ``PolicyClass.values``, which folds the cost
 matrix by context and prices all policies with one matrix-vector product.
 
@@ -11,8 +11,6 @@ Actions are 0-based everywhere in code; file formats and display use
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,71 +23,11 @@ class CapacityError(ValueError):
     """An instance exceeds a hard enumeration limit."""
 
 
-@dataclass(frozen=True)
-class Context:
-    """Side information: an index into a finite universe, plus an optional
-    feature vector for weight-based policy families."""
-
-    id: int
-    features: tuple[float, ...] | None = None
-
-
 def context_ids(contexts) -> np.ndarray:
-    """Normalize a sequence of Context objects / integers to an int array."""
+    """Normalize a sequence of integer context ids to an int array."""
     if isinstance(contexts, np.ndarray) and np.issubdtype(contexts.dtype, np.integer):
         return contexts
-    ids = [c.id if isinstance(c, Context) else int(c) for c in contexts]
-    return np.asarray(ids, dtype=np.int64)
-
-
-class Policy:
-    """Deterministic rule mapping contexts to one of ``d`` actions (0-based)."""
-
-    d: int
-
-    def action(self, context) -> int:
-        raise NotImplementedError
-
-
-class TablePolicy(Policy):
-    """Policy given as an explicit context-id -> action lookup table."""
-
-    def __init__(self, actions, d: int):
-        table = np.array(actions, dtype=np.int64)
-        if table.ndim != 1:
-            raise ValueError("action table must be one-dimensional")
-        if d < 1:
-            raise ValueError("d must be positive")
-        if table.size and (table.min() < 0 or table.max() >= d):
-            raise ValueError("action indices must lie in [0, d)")
-        table.flags.writeable = False  # shared freely across threads
-        self.table = table
-        self.d = int(d)
-
-    def action(self, context) -> int:
-        i = context.id if isinstance(context, Context) else int(context)
-        if not 0 <= i < self.table.size:
-            raise ValueError(f"context id {i} outside the policy's universe")
-        return int(self.table[i])
-
-
-class LinearArgmaxPolicy(Policy):
-    """Policy choosing argmax_j <w_j, features>; ties go to the lowest action."""
-
-    def __init__(self, weights):
-        w = np.asarray(weights, dtype=float)
-        if w.ndim != 2 or w.shape[0] < 1:
-            raise ValueError("weights must be a (d, p) matrix")
-        self.weights = w
-        self.d = w.shape[0]
-
-    def action(self, context) -> int:
-        if not isinstance(context, Context) or context.features is None:
-            raise ValueError("argmax-linear policies require contexts with features")
-        x = np.asarray(context.features, dtype=float)
-        if x.shape != (self.weights.shape[1],):
-            raise ValueError("feature vector length mismatch")
-        return int(np.argmax(self.weights @ x))
+    return np.asarray(contexts, dtype=np.int64)
 
 
 class PolicyClass:
@@ -123,13 +61,6 @@ class PolicyClass:
 
     def __len__(self) -> int:
         return self.size
-
-    def policy(self, index: int) -> TablePolicy:
-        return TablePolicy(self.table[index], self.d)
-
-    @property
-    def policies(self) -> list[TablePolicy]:
-        return [self.policy(i) for i in range(self.size)]
 
     def _checked_ids(self, contexts) -> np.ndarray:
         ids = context_ids(contexts)
@@ -185,8 +116,6 @@ class PolicyClass:
         about 10% more (extra offsets, a matrix-matrix product in place of
         a matrix-vector one).
         """
-        if not (isinstance(contexts, np.ndarray) and np.issubdtype(contexts.dtype, np.integer)):
-            contexts = np.array([context_ids(c) for c in contexts], dtype=np.int64)
         ids = self._checked_ids(contexts)
         Y = np.asarray(Y, dtype=float)
         if ids.ndim != 2 or Y.shape != (ids.shape[0], self.d, ids.shape[1]):
@@ -206,32 +135,6 @@ class PolicyClass:
         return PolicyClass(self.table[np.asarray(indices, dtype=np.int64)], self.d)
 
     @classmethod
-    def from_policies(cls, policies, universe_size: int, features=None) -> "PolicyClass":
-        policies = list(policies)
-        if not policies:
-            raise ValueError("policy list is empty")
-        d = policies[0].d
-        if any(p.d != d for p in policies):
-            raise ValueError("all policies must share the same number of actions")
-        if features is not None:
-            features = np.asarray(features, dtype=float)
-            if features.shape[0] != universe_size:
-                raise ValueError("feature table must have one row per context")
-        rows = []
-        for p in policies:
-            if isinstance(p, TablePolicy):
-                if p.table.size != universe_size:
-                    raise ValueError("table policy universe mismatch")
-                rows.append(p.table)
-            else:
-                ctxs = [
-                    Context(i, tuple(features[i]) if features is not None else None)
-                    for i in range(universe_size)
-                ]
-                rows.append([p.action(c) for c in ctxs])
-        return cls(np.asarray(rows, dtype=np.int64), d)
-
-    @classmethod
     def all_labelings(cls, d: int, universe_size: int) -> "PolicyClass":
         count = d**universe_size
         if count > ALL_LABELINGS_LIMIT:
@@ -242,6 +145,25 @@ class PolicyClass:
         codes = np.arange(count, dtype=np.int64)
         table = (codes[:, None] // d ** np.arange(universe_size, dtype=np.int64)) % d
         return cls(table, d)
+
+    @classmethod
+    def _argmax_linear(cls, weights, features) -> "PolicyClass":
+        """Policy f at context x plays argmax_j <w_fj, features[x]>; ties go to
+        the lowest action."""
+        if features is None:
+            raise ValueError("argmax_linear policy classes require universe features")
+        features = np.asarray(features, dtype=float)
+        ws = [np.asarray(w, dtype=float) for w in weights]
+        if not ws:
+            raise ValueError("argmax_linear needs at least one weight matrix")
+        if any(w.ndim != 2 or w.shape[0] < 1 for w in ws):
+            raise ValueError("weights must be (d, p) matrices")
+        d = ws[0].shape[0]
+        if any(w.shape[0] != d for w in ws):
+            raise ValueError("all policies must share the same number of actions")
+        if features.ndim != 2 or any(w.shape[1] != features.shape[1] for w in ws):
+            raise ValueError("feature vector length mismatch")
+        return cls([[int(np.argmax(w @ x)) for x in features] for w in ws], d)
 
     @classmethod
     def from_json(cls, doc: dict, features=None) -> "PolicyClass":
@@ -261,10 +183,7 @@ class PolicyClass:
         if family == "all_labelings":
             return cls.all_labelings(int(doc["d"]), int(doc["universe"]))
         if family == "argmax_linear":
-            if features is None:
-                raise ValueError("argmax_linear policy classes require universe features")
-            policies = [LinearArgmaxPolicy(w) for w in doc["weights"]]
-            return cls.from_policies(policies, len(features), features=features)
+            return cls._argmax_linear(doc["weights"], features)
         raise ValueError(f"unknown policy family {family!r}")
 
 

@@ -118,17 +118,17 @@ def fixed_sampler(ids):
     return sample
 
 
-def tune_gamma(rad_mean: float, n: int, d: int, floor: float | None = None) -> float:
+def tune_gamma(rad_mean: float, n: int, d: int) -> float:
     """Exploration rate sqrt(2 * rad / (n d)), clamped into (0, 1/d].
 
-    Negative means (Monte-Carlo noise) clamp to zero; a zero mean returns the
-    configured floor, 1/(n d) by default.
+    Negative means (Monte-Carlo noise) clamp to zero; a zero mean returns
+    the floor 1/(n d).
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
     rad = max(float(rad_mean), 0.0)
     if rad == 0.0:
-        return floor if floor is not None else 1.0 / (n * d)
+        return 1.0 / (n * d)
     gamma = float(np.sqrt(2.0 * rad / (n * d)))
     if gamma > 1.0 / d:
         log.warning("tuned gamma %.4f exceeds 1/d; clamping to pure uniform exploration", gamma)

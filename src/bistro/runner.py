@@ -40,6 +40,7 @@ from .strategies import (
     BistroStrategy,
     EpsilonGreedyStrategy,
     FollowTheLeaderStrategy,
+    SIGN_SCALE,
     Strategy,
     UniformStrategy,
 )
@@ -190,12 +191,16 @@ def _resolve_path(config: dict, path: str) -> str:
 
 
 def build_policy_class(config: dict) -> PolicyClass:
+    # Every command builds the class first, so a removed key fails here
+    # instead of being ignored.
+    if "sign_scale" in config:
+        raise ValueError(f"config key 'sign_scale' was removed: playouts use "
+                         f"signs scaled by {SIGN_SCALE}")
     doc = config["policy_class"]
     if "path" in doc:
         with open(_resolve_path(config, doc["path"])) as f:
             doc = json.load(f)
-    features = _context_features(config)
-    pc = PolicyClass.from_json(doc, features=features)
+    pc = PolicyClass.from_json(doc, features=_context_features(config))
     if pc.d != int(config["d"]):
         raise ValueError("policy class action count disagrees with config d")
     return pc
@@ -244,7 +249,6 @@ def build_environment(config: dict, policy_class: PolicyClass) -> Environment:
     return Environment(
         probs,
         build_cost_process(config),
-        features=_context_features(config),
         pool_factor=int(config.get("pool_factor", 10)),
     )
 
@@ -320,7 +324,6 @@ def make_strategy(config: dict, policy_class: PolicyClass, gamma: float | None) 
         cfg = BistroConfig(
             horizon=n,
             gamma=gamma,
-            sign_scale=float(config.get("sign_scale", 2.0)),
             playouts_per_round=int(config.get("playouts", 1)),
             mode=config.get("horizon_mode", "iid_pool"),
         )
@@ -394,8 +397,9 @@ def run_suite(config: dict, seeds, out_dir: str | None = None) -> dict:
             strategy = make_strategy(config, policy_class, params["gamma"])
             try:
                 tr = run_episode(strategy, env, n, seed)
-                regrets[i] = expected_regret(tr, policy_class, constraint, K)
-                realized[i] = realized_regret(tr, policy_class, constraint, K)
+                bench = benchmark_value(tr, policy_class, constraint, K)
+                regrets[i] = tr.expected_total - bench
+                realized[i] = tr.realized_total - bench
             except Exception as exc:
                 raise RuntimeError(f"episode failed for seed {seed}: {exc}") from exc
             calls += strategy.oracle_calls

@@ -20,21 +20,21 @@ from .policies import ips_estimate, mix_with_uniform, uniform_distribution
 from .waterfill import waterfill
 
 MODES = ("iid_pool", "transductive")
+# Magnitude of the playout sign columns: the relaxation the regret bound and
+# the admissibility checks price.
+SIGN_SCALE = 2.0
 
 
 @dataclass(frozen=True)
 class BistroConfig:
     horizon: int
     gamma: float
-    sign_scale: float = 2.0
     playouts_per_round: int = 1
     mode: str = "iid_pool"
 
     def __post_init__(self):
         if self.horizon < 0:
             raise ValueError("horizon must be nonnegative")
-        if self.sign_scale <= 0:
-            raise ValueError("sign_scale must be positive")
         if self.playouts_per_round < 1:
             raise ValueError("at least one playout per round")
         if self.mode not in MODES:
@@ -66,7 +66,7 @@ class BistroStrategy(Strategy):
 
     One (d, n) query matrix serves the whole episode: ``update`` writes column
     t once as gamma * c~_t, each playout overwrites the future columns with
-    sign_scale * eps, and each of the d pricing queries sets column t to e_j
+    SIGN_SCALE * eps, and each of the d pricing queries sets column t to e_j
     and hands the matrix to the oracle in place.
     """
 
@@ -126,7 +126,7 @@ class BistroStrategy(Strategy):
         for _ in range(cfg.playouts_per_round):
             if not self.transductive:
                 ctx[t + 1 :] = self._ctx_rng.choice(self._pool, size=k)
-            Y[:, t + 1 :] = cfg.sign_scale * (self._sign_rng.integers(0, 2, size=(d, k)) * 2 - 1)
+            Y[:, t + 1 :] = SIGN_SCALE * (self._sign_rng.integers(0, 2, size=(d, k)) * 2 - 1)
             for j in range(d):
                 Y[:, t] = 0.0
                 Y[j, t] = 1.0

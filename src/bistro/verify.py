@@ -1,11 +1,12 @@
 """Deliberately naive oracles used only to cross-check the production code.
 
 Nothing here shares computation paths with the implementations under test:
-ERM is a double loop over policy objects, per-policy linear values are
-gathered round by round instead of folded by context, the Rademacher average
-and the regularized bound enumerate every sign assignment, and the minimax
-solver searches a simplex lattice by level counting (or random sampling). Capacity limits are hard
-errors, never silent truncation.
+ERM is a double loop over action-table rows and rounds, per-policy linear
+values are gathered round by round instead of folded by context, the
+Rademacher average and the regularized bound enumerate every sign
+assignment, and the minimax solver searches a simplex lattice by level
+counting (or random sampling). Capacity limits are hard errors, never
+silent truncation.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .erm import policy_constraint_values
-from .policies import CapacityError, Context, Policy, PolicyClass
+from .policies import CapacityError, PolicyClass
 
 BRUTEFORCE_CLASS_LIMIT = 10**4
 BRUTEFORCE_HORIZON_LIMIT = 64
@@ -33,28 +34,37 @@ def sequence_values(policy_class: PolicyClass, contexts, Y) -> np.ndarray:
     return Y[actions, np.arange(n)].sum(axis=1)
 
 
-def policy_to_matrix(policy: Policy, contexts) -> np.ndarray:
-    """One-hot (d, n) matrix whose column t marks the action at context t."""
+def _action(row: np.ndarray, context) -> int:
+    """Action of one action-table row at one context id."""
+    i = int(context)
+    if not 0 <= i < row.size:
+        raise ValueError(f"context id {i} outside the policy's universe")
+    return int(row[i])
+
+
+def policy_to_matrix(policy_class: PolicyClass, f: int, contexts) -> np.ndarray:
+    """One-hot (d, n) matrix whose column t marks policy f's action at context t."""
+    row = policy_class.table[f]
     ctxs = list(contexts)
-    M = np.zeros((policy.d, len(ctxs)), dtype=float)
+    M = np.zeros((policy_class.d, len(ctxs)), dtype=float)
     for t, c in enumerate(ctxs):
-        M[policy.action(c), t] = 1.0
+        M[_action(row, c), t] = 1.0
     return M
 
 
 def bruteforce_erm(policy_class: PolicyClass, contexts, Y) -> float:
-    """Double loop over policies and rounds."""
+    """Double loop over the rows of the action table and the rounds."""
     if policy_class.size == 0:
         raise ValueError("ERM over an empty policy class")
-    if policy_class.size > BRUTEFORCE_CLASS_LIMIT or len(list(contexts)) > BRUTEFORCE_HORIZON_LIMIT:
+    ctxs = list(contexts)
+    if policy_class.size > BRUTEFORCE_CLASS_LIMIT or len(ctxs) > BRUTEFORCE_HORIZON_LIMIT:
         raise CapacityError("instance too large for the brute-force ERM")
     Y = np.asarray(Y, dtype=float)
-    ctxs = list(contexts)
     best = None
-    for policy in policy_class.policies:
+    for row in policy_class.table:
         total = 0.0
         for t, c in enumerate(ctxs):
-            total += Y[policy.action(c), t]
+            total += Y[_action(row, c), t]
         if best is None or total < best:
             best = total
     return float(best)
@@ -68,9 +78,8 @@ def exact_rademacher(policy_class: PolicyClass, contexts) -> float:
     bits = n * d
     if bits > RADEMACHER_BITS_LIMIT:
         raise CapacityError(f"2^{bits} sign assignments exceed the enumeration limit")
-    actions = np.array(
-        [[p.action(c) for c in ctxs] for p in policy_class.policies], dtype=np.int64
-    )
+    actions = np.array([[_action(row, c) for c in ctxs] for row in policy_class.table],
+                       dtype=np.int64)
     total = 0.0
     count = 1 << bits
     cols = np.arange(n)
@@ -249,9 +258,7 @@ def selftest(verbose: bool = True) -> bool:
         ctxs = rng.integers(0, universe, size=n)
         # dyadic entries keep float addition associative across sum orders
         Y = rng.integers(-2 << 20, (2 << 20) + 1, size=(d, n)) / (1 << 20)
-        erm_ok = erm_ok and exact_erm_value(pc, ctxs, Y) == bruteforce_erm(
-            pc, [Context(int(c)) for c in ctxs], Y
-        )
+        erm_ok = erm_ok and exact_erm_value(pc, ctxs, Y) == bruteforce_erm(pc, ctxs, Y)
     report("exact ERM vs brute force (exact equality)", erm_ok)
 
     mlc_ok = True

@@ -44,7 +44,7 @@ class TestBistroChecker:
         # every playout of the strategy's query [past | e_j | scale*eps], priced
         # one query at a time by the sequence-form reference
         rng = np.random.default_rng(12)
-        gamma, scale = 0.2, 0.5
+        gamma, scale = 0.2, 2.0
         for d, universe, n, k in [(2, 2, 3, 1), (3, 3, 2, 0), (2, 3, 3, 0), (3, 2, 3, 2)]:
             pc = PolicyClass(rng.integers(0, d, (5, universe)), d)
             probs = rng.dirichlet(np.ones(universe))
@@ -59,7 +59,7 @@ class TestBistroChecker:
                         sequence_values(pc, ctx, np.hstack([past.T, np.eye(d)[:, [j]], future]))
                         .min() for j in range(d)])
                     expected += np.prod(probs[list(combo)]) / 2 ** (d * m) * waterfill(psi)
-            got = _exact_mixed_q(pc, probs, gamma, scale, n, realized, past, x)
+            got = _exact_mixed_q(pc, probs, gamma, n, realized, past, x)
             np.testing.assert_allclose(got, mix_with_uniform(expected, gamma), rtol=0, atol=1e-12)
 
     def test_report_margins_have_slack(self):
@@ -92,7 +92,8 @@ class TestReductionChecker:
 # Reports recorded from the sequence-form checker (per-policy values gathered
 # round by round, one playout draw at a time) that the folded, stacked
 # queries replaced: (lhs, rhs, stderr) per step, then the initial condition's
-# min_margin and failures.
+# min_margin and failures. Step 3 of "bistro d=2 n=3" is recorded from the
+# checker that prices the sampled history as c/q; no other entry depends on it.
 D3_CLASS = np.array([[0, 1, 2], [2, 1, 0], [1, 1, 1], [0, 2, 1]])
 RECORDED = {
     "bistro d=2 n=3": (
@@ -100,7 +101,7 @@ RECORDED = {
             PolicyClass.all_labelings(2, 2), [0.5, 0.5], n=3, gamma=0.25, samples=2000,
             seed=2, initial_checks=50),
         [(8.62625, 11.172, 0.3048086061152653), (5.46525, 7.832, 0.24187903630296576),
-         (0.84375, 4.758, 0.14988479150788675)], 0.0, 0),
+         (0.6875, 4.572, 0.14827137350176547)], 0.0, 0),
     "bistro d=3 n=2": (
         lambda: check_bistro_admissibility(
             PolicyClass(D3_CLASS, 3), [0.5, 0.3, 0.2], n=2, gamma=0.2, samples=1000,
@@ -125,3 +126,28 @@ def test_reports_match_sequence_form_checker(name):
     np.testing.assert_allclose(got, steps, rtol=1e-12, atol=0)
     assert report.initial.min_margin == pytest.approx(min_margin, rel=1e-12, abs=0)
     assert report.initial.failures == failures
+
+
+@pytest.mark.parametrize("table", [[[0, 0], [1, 1]], [[0, 0], [1, 0], [0, 1], [1, 1]]])
+def test_history_priced_in_relaxation_units(table):
+    # Replays round 1 of the walk from its path stream, then enumerates step
+    # 2's rhs exactly: E_{x_2, eps} sup_f -(c~_1[f(x_1)] + (2/gamma) eps[f(x_2)])
+    # + d*gamma, with the history as the unscaled estimate c~_1 = c/q.
+    pc = PolicyClass(np.array(table), 2)
+    probs, gamma, n, seed, d = np.array([0.6, 0.4]), 0.25, 2, 102, pc.d
+    report = check_bistro_admissibility(pc, probs, n=n, gamma=gamma, samples=200_000,
+                                        seed=seed, initial_checks=1)
+    path_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
+    x1 = int(path_rng.choice(probs.size, p=probs))
+    q1 = _exact_mixed_q(pc, probs, gamma, n, np.empty(0, dtype=np.int64), np.empty((0, d)), x1)
+    c1 = path_rng.integers(0, 2, size=d).astype(float)
+    y1 = int(path_rng.choice(d, p=q1))
+    est = np.zeros(d)
+    est[y1] = c1[y1] / q1[y1]
+    exact = d * gamma
+    for x2 in range(probs.size):
+        for signs in itertools.product((-1.0, 1.0), repeat=d):
+            Y = np.column_stack([est, 2.0 / gamma * np.array(signs)])
+            exact -= probs[x2] / 2**d * sequence_values(pc, [x1, x2], Y).min()
+    step = report.steps[1]
+    assert abs(step.rhs - exact) <= 4 * step.stderr, (step.rhs, exact, step.stderr)

@@ -2,6 +2,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from bistro.cli import main
 
@@ -85,6 +86,15 @@ def test_admissibility_requires_numeric_gamma(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code != 0
         assert "gamma" in err and "number" in err
+
+
+def test_admissibility_rejects_removed_sign_scale_key(tmp_path):
+    with open(cfg("admissibility_small.json")) as f:
+        doc = {**json.load(f), "sign_scale": 1.0}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="sign_scale"):
+        main(["admissibility", "--config", str(path), "--initial-checks", "5"])
 
 
 def test_numeric_error_policy_stays_inside_main(capsys):

@@ -17,10 +17,15 @@ from bistro.erm import (
     policy_constraint_values,
     regularized_erm_value,
 )
-from bistro.policies import CapacityError, Context, PolicyClass, TablePolicy
+from bistro.policies import CapacityError, PolicyClass
 from bistro.verify import bruteforce_erm, policy_to_matrix
 
 Y_EXAMPLE = np.array([[0.2, 0.5], [0.9, 0.1]])
+
+
+def one_hot(row, d, ctxs):
+    """One-hot matrix of the single policy given by an action-table row."""
+    return policy_to_matrix(PolicyClass([row], d), 0, ctxs)
 
 
 def two_constant_policies():
@@ -55,9 +60,7 @@ class TestExactErm:
             ctxs = rng.integers(0, universe, n)
             # dyadic entries keep float addition associative across sum orders
             Y = rng.integers(-3 << 20, (3 << 20) + 1, size=(d, n)) / (1 << 20)
-            assert exact_erm_value(pc, ctxs, Y) == bruteforce_erm(
-                pc, [Context(int(c)) for c in ctxs], Y
-            )
+            assert exact_erm_value(pc, ctxs, Y) == bruteforce_erm(pc, ctxs, Y)
 
     def test_oracles_reject_non_finite_costs(self):
         pc = two_constant_policies()
@@ -163,48 +166,44 @@ class TestApproximateOracle:
 
 class TestConstraints:
     def test_pairwise_two_rounds(self):
-        M = policy_to_matrix(TablePolicy([0, 1], 2), [0, 1])
+        M = one_hot([0, 1], 2, [0, 1])
         assert PairwiseDisagreement("uniform")(M, [0, 1]) == 2.0
 
     def test_pairwise_constant_labeling(self):
-        M = policy_to_matrix(TablePolicy([0, 0, 0], 2), [0, 1, 2])
+        M = one_hot([0, 0, 0], 2, [0, 1, 2])
         assert PairwiseDisagreement("uniform")(M, [0, 1, 2]) == 0.0
 
     def test_pairwise_three_rounds(self):
-        M = policy_to_matrix(TablePolicy([0, 0, 1], 2), [0, 1, 2])
+        M = one_hot([0, 0, 1], 2, [0, 1, 2])
         assert PairwiseDisagreement("uniform")(M, [0, 1, 2]) == 4.0
 
     def test_pairwise_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             PairwiseDisagreement(np.array([[0.0, -1.0], [-1.0, 0.0]]))
-        bad = PairwiseDisagreement(lambda s, r: -1.0)
-        M = policy_to_matrix(TablePolicy([0, 1], 2), [0, 1])
-        with pytest.raises(ValueError):
-            bad(M, [0, 1])
 
     def test_pairwise_matrix_weights_indexed_by_context(self):
         W = np.array([[0.0, 2.0], [2.0, 0.0]])
-        M = policy_to_matrix(TablePolicy([0, 1], 2), [0, 1, 0])
+        M = one_hot([0, 1], 2, [0, 1, 0])
         # ordered pairs over rounds: (1,2),(2,1),(2,3),(3,2) disagree, each w=2
         assert PairwiseDisagreement(W)(M, [0, 1, 0]) == 8.0
 
     def test_coverage_one_block_constant(self):
-        M = policy_to_matrix(TablePolicy([0, 0], 2), [0, 1])
+        M = one_hot([0, 0], 2, [0, 1])
         assert CoveragePenalty([[0, 1]], 1)(M) == 1.0
 
     def test_coverage_k_zero(self):
         rng = np.random.default_rng(22)
         for _ in range(20):
             labels = rng.integers(0, 2, 4)
-            M = policy_to_matrix(TablePolicy(labels, 2), range(4))
+            M = one_hot(labels, 2, range(4))
             assert CoveragePenalty([[0, 1], [2, 3]], 0)(M) == 0.0
 
     def test_coverage_balanced_labeling(self):
-        M = policy_to_matrix(TablePolicy([0, 1], 2), [0, 1])
+        M = one_hot([0, 1], 2, [0, 1])
         assert CoveragePenalty([[0, 1]], 1)(M) == 0.0
 
     def test_coverage_partition_validation(self):
-        M = policy_to_matrix(TablePolicy([0, 1], 2), [0, 1])
+        M = one_hot([0, 1], 2, [0, 1])
         with pytest.raises(ValueError):
             CoveragePenalty([[0]], 1)(M)  # incomplete
         with pytest.raises(ValueError):
@@ -214,7 +213,7 @@ class TestConstraints:
         rng = np.random.default_rng(23)
         for _ in range(30):
             labels = rng.integers(0, 3, 5)
-            M = policy_to_matrix(TablePolicy(labels, 3), range(5))
+            M = one_hot(labels, 3, range(5))
             assert PairwiseDisagreement("uniform")(M, range(5)) >= 0.0
             assert CoveragePenalty([[0, 1, 2], [3, 4]], 2)(M) >= 0.0
 
@@ -229,7 +228,7 @@ class TestConstraints:
 
 def sequence_penalties(constraint, pc, ctxs):
     """Round-pair form: the constraint on each policy's one-hot matrix."""
-    return np.array([constraint(policy_to_matrix(p, ctxs), ctxs) for p in pc.policies])
+    return np.array([constraint(policy_to_matrix(pc, f, ctxs), ctxs) for f in range(pc.size)])
 
 
 def symmetric_weights(rng, universe):
@@ -248,12 +247,10 @@ class TestFoldedPairwise:
             ctxs = rng.integers(0, universe, trial % 3 if trial < 6 else int(rng.integers(3, 14)))
             assert np.array_equal(policy_constraint_values(uniform, pc, ctxs),
                                   sequence_penalties(uniform, pc, ctxs))
-            W = symmetric_weights(rng, universe)
-            for constraint in (PairwiseDisagreement(W),
-                               PairwiseDisagreement(lambda s, r: W[s, r])):
-                np.testing.assert_allclose(policy_constraint_values(constraint, pc, ctxs),
-                                           sequence_penalties(constraint, pc, ctxs),
-                                           rtol=0, atol=1e-12)
+            constraint = PairwiseDisagreement(symmetric_weights(rng, universe))
+            np.testing.assert_allclose(policy_constraint_values(constraint, pc, ctxs),
+                                       sequence_penalties(constraint, pc, ctxs),
+                                       rtol=0, atol=1e-12)
 
     def test_coverage_matches_sequence_form(self):
         rng = np.random.default_rng(29)
@@ -265,17 +262,6 @@ class TestFoldedPairwise:
             coverage = CoveragePenalty([range(n // 2), range(n // 2, n)], 1)
             assert np.array_equal(policy_constraint_values(coverage, pc, ctxs),
                                   sequence_penalties(coverage, pc, ctxs))
-
-    def test_callable_weights_priced_per_distinct_context_pair(self):
-        pairs = []
-
-        def weight(s, r):
-            pairs.append((s, r))
-            return 1.0
-
-        pc = PolicyClass.all_labelings(2, 3)
-        policy_constraint_values(PairwiseDisagreement(weight), pc, [2, 0, 2, 2, 0])
-        assert sorted(pairs) == [(0, 0), (0, 2), (2, 0), (2, 2)]
 
     def test_out_of_universe_ids_rejected(self):
         pc = PolicyClass.all_labelings(2, 2)

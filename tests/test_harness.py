@@ -226,6 +226,11 @@ class TestSuite:
         with pytest.raises(ValueError):
             run_suite(config, seeds=[0])
 
+    def test_removed_sign_scale_key_rejected(self):
+        for algo in ("bistro", "uniform"):
+            with pytest.raises(ValueError, match="sign_scale"):
+                run_suite(small_config(algorithm=algo, sign_scale=2.0), seeds=[0])
+
     def test_shipped_config_loads(self):
         config = load_config(os.path.join(CONFIG_DIR, "fixed_adversarial.json"))
         summary = run_suite(config, seeds=[0])

@@ -5,10 +5,7 @@ import pytest
 
 from bistro.policies import (
     CapacityError,
-    Context,
-    LinearArgmaxPolicy,
     PolicyClass,
-    TablePolicy,
     ips_estimate,
     mix_with_uniform,
     uniform_distribution,
@@ -23,24 +20,24 @@ def dyadic(rng, shape):
 
 class TestPolicyToMatrix:
     def test_constant_policy(self):
-        f = TablePolicy([0, 0, 0], d=2)
-        M = policy_to_matrix(f, [0, 1, 2])
+        M = policy_to_matrix(PolicyClass([[0, 0, 0]], 2), 0, [0, 1, 2])
         np.testing.assert_array_equal(M, [[1, 1, 1], [0, 0, 0]])
 
     def test_table_lookup(self):
-        f = TablePolicy([0, 1], d=2)
-        M = policy_to_matrix(f, [0, 1, 0])
+        M = policy_to_matrix(PolicyClass([[1, 1], [0, 1]], 2), 1, [0, 1, 0])
         np.testing.assert_array_equal(M, [[1, 0, 1], [0, 1, 0]])
 
     def test_argmax_linear(self):
-        f = LinearArgmaxPolicy([[1.0, 0.0], [0.0, 1.0]])
-        M = policy_to_matrix(f, [Context(0, features=(0.3, 0.9))])
+        doc = {"family": "argmax_linear", "weights": [[[1.0, 0.0], [0.0, 1.0]]]}
+        pc = PolicyClass.from_json(doc, features=[[0.3, 0.9]])
+        M = policy_to_matrix(pc, 0, [0])
         np.testing.assert_array_equal(M, [[0], [1]])
 
     def test_context_outside_universe(self):
-        f = TablePolicy([0, 1], d=2)
-        with pytest.raises(ValueError):
-            policy_to_matrix(f, [0, 2])
+        pc = PolicyClass([[0, 1]], 2)
+        for ctxs in ([0, 2], [-1]):
+            with pytest.raises(ValueError):
+                policy_to_matrix(pc, 0, ctxs)
 
     def test_one_hot_invariant_random(self):
         rng = np.random.default_rng(0)
@@ -48,8 +45,8 @@ class TestPolicyToMatrix:
             d = int(rng.integers(1, 6))
             universe = int(rng.integers(1, 8))
             n = int(rng.integers(1, 12))
-            f = TablePolicy(rng.integers(0, d, universe), d)
-            M = policy_to_matrix(f, rng.integers(0, universe, n))
+            pc = PolicyClass([rng.integers(0, d, universe)], d)
+            M = policy_to_matrix(pc, 0, rng.integers(0, universe, n))
             assert M.shape == (d, n)
             np.testing.assert_array_equal(M.sum(axis=0), np.ones(n))
             assert set(np.unique(M)) <= {0.0, 1.0}
@@ -176,6 +173,20 @@ class TestPolicyClass:
         features = np.array([[0.3, 0.9], [0.8, 0.1]])
         pc = PolicyClass.from_json(doc, features=features)
         np.testing.assert_array_equal(pc.table, [[1, 0], [0, 1]])
+        # ties go to the lowest action
+        doc = {"family": "argmax_linear", "weights": [[[1.0], [1.0], [0.0]]]}
+        pc = PolicyClass.from_json(doc, features=[[1.0], [-1.0]])
+        np.testing.assert_array_equal(pc.table, [[0, 2]])
+
+    def test_argmax_linear_rejects_bad_weights(self):
+        bad = ([],                                            # no policies
+               [[1.0, 0.0]],                                  # not a (d, p) matrix
+               [[[1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]],      # d differs
+               [[[1.0], [2.0]]])                              # p differs from the features
+        for weights in bad:
+            with pytest.raises(ValueError):
+                PolicyClass.from_json({"family": "argmax_linear", "weights": weights},
+                                      features=[[0.3, 0.9]])
 
     def test_argmax_linear_requires_features(self):
         doc = {"family": "argmax_linear", "weights": [[[1.0], [2.0]]]}
@@ -185,8 +196,8 @@ class TestPolicyClass:
     def test_json_round_trip(self):
         doc = json.loads(json.dumps({"d": 3, "universe": 2, "policies": [[3, 1]]}))
         pc = PolicyClass.from_json(doc)
-        assert pc.policy(0).action(0) == 2
-        assert pc.policy(0).action(Context(1)) == 0
+        assert pc.table[0, 0] == 2
+        assert pc.actions_on([1]).tolist() == [[0]]
 
     def test_actions_on_bounds(self):
         pc = PolicyClass.all_labelings(2, 2)
@@ -273,7 +284,7 @@ class TestValuesMany:
 
     def test_list_contexts(self):
         pc = PolicyClass(np.array([[0, 1, 1], [1, 0, 0]]), 2)
-        ctxs = [[0, 2], [Context(1), Context(1)]]
+        ctxs = [[0, 2], [1, 1]]
         Y = np.arange(8.0).reshape(2, 2, 2)
         many = pc.values_many(ctxs, Y)
         np.testing.assert_array_equal(many, [pc.values(c, y) for c, y in zip(ctxs, Y)])

@@ -128,7 +128,6 @@ class TestTuning:
     def test_zero_rad_floor(self):
         assert tune_gamma(0.0, 10, 2) == pytest.approx(1 / 20)
         assert tune_gamma(-0.3, 10, 2) == pytest.approx(1 / 20)
-        assert tune_gamma(0.0, 10, 2, floor=0.01) == 0.01
 
     def test_full_clamp_case(self):
         n, d = 10, 2

@@ -294,8 +294,8 @@ class TestRegularizedVariant:
             assert len(recorder.queries) == 2 * n
             penalised_wins = 0
             for ctx, Y, value in recorder.queries:
-                penalty = np.array([PairwiseDisagreement(weights)(policy_to_matrix(f, ctx), ctx)
-                                    for f in pc.policies])
+                penalty = np.array([PairwiseDisagreement(weights)(policy_to_matrix(pc, f, ctx), ctx)
+                                    for f in range(pc.size)])
                 totals = sequence_values(pc, ctx, Y) + lam / gamma * penalty
                 assert abs(value - totals.min()) <= 1e-12
                 penalised_wins += penalty[totals.argmin()] > 0
