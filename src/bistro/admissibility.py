@@ -68,13 +68,15 @@ class AdmissibilityReport:
         return all(s.passed(k) for s in self.steps) and self.initial.failures == 0
 
 
-def _check_capacity(policy_class: PolicyClass, probs, n: int) -> None:
+def _checked_probs(policy_class: PolicyClass, probs, n: int) -> np.ndarray:
+    probs = np.asarray(probs, dtype=float)
     if policy_class.d > MAX_D or n > MAX_N:
         raise CapacityError(f"admissibility checks limited to d<={MAX_D}, n<={MAX_N}")
     if len(probs) > MAX_UNIVERSE or policy_class.size > MAX_CLASS:
         raise CapacityError(
             f"admissibility checks limited to |X|<={MAX_UNIVERSE}, |F|<={MAX_CLASS}"
         )
+    return probs
 
 
 def _vertices(d: int) -> np.ndarray:
@@ -118,6 +120,75 @@ def _exact_mixed_q(policy_class: PolicyClass, probs: np.ndarray, gamma: float,
     return mix_with_uniform(q_star, gamma)
 
 
+def _walk(algorithm: str, samples: int, policy_class: PolicyClass, probs: np.ndarray,
+          n: int, gamma: float, seed, initial_checks: int,
+          strategy, relaxation, endpoint_values) -> AdmissibilityReport:
+    """Walk one sampled history and test the per-round inequality at each step,
+    then test the horizon condition on random endpoints.
+
+    The history is kept as contexts (t,) and columns gamma*c~ (t, d), the
+    units of the strategies' own queries. ``strategy(ctx, cols, x)`` gives the
+    mixed distribution at x. ``relaxation(m, rng)`` draws the randomness of m
+    future rounds once and returns ``price(ctx, cols)``: an array of draws of
+    the relaxation of that history, exploration tax included. The rhs is
+    drawn first; then, per context, q is computed and, unless p(x) = 0, one
+    draw of futures prices every vertex and action. The stderr comes from the
+    rhs draws and the best vertex's draws.
+    """
+    d = policy_class.d
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
+    path_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
+    vertices = _vertices(d)
+    ctx = np.empty(0, dtype=np.int64)
+    cols = np.empty((0, d))
+    steps: list[RecursiveStep] = []
+    for t in range(1, n + 1):
+        # Relaxation of the shorter history: futures cover rounds t..n.
+        rhs_draws = relaxation(n - t + 1, rng)(ctx, cols)
+        rhs, var = float(rhs_draws.mean()), _var_of_mean(rhs_draws)
+
+        # Adversary side, context by context with exact strategy expectations.
+        lhs = 0.0
+        qs_by_context = []
+        for x in range(probs.size):
+            q = strategy(ctx, cols, x)
+            qs_by_context.append(q)
+            if probs[x] == 0.0:
+                continue
+            price = relaxation(n - t, rng)
+            ctx_now = np.append(ctx, x)
+            # the history after playing j depends on the vertex only through c[j]
+            after = [[price(ctx_now, np.vstack([cols, gamma * cj / q[j] * np.eye(d)[j]]))
+                      for cj in (0.0, 1.0)] for j in range(d)]
+            best, best_draws = -np.inf, None
+            for c in vertices:
+                draws = sum(q[j] * (c[j] + after[j][int(c[j])]) for j in range(d))
+                value = float(draws.mean())
+                if value > best:
+                    best, best_draws = value, draws
+            lhs += probs[x] * best
+            var += probs[x] ** 2 * _var_of_mean(best_draws)
+        steps.append(RecursiveStep(round_index=t, lhs=lhs, rhs=rhs, stderr=float(np.sqrt(var))))
+
+        # Advance the sampled history one round.
+        x_t = int(path_rng.choice(probs.size, p=probs))
+        q_t = qs_by_context[x_t]
+        c_t = path_rng.integers(0, 2, size=d).astype(float)
+        y_t = int(path_rng.choice(d, p=q_t))
+        col = gamma * c_t[y_t] / q_t[y_t] * np.eye(d)[y_t]
+        ctx, cols = np.append(ctx, x_t), np.vstack([cols, col])
+
+    initial = _check_initial(endpoint_values, policy_class, probs, n, gamma, rng,
+                             initial_checks)
+    return AdmissibilityReport(algorithm=algorithm, gamma=gamma, samples=samples,
+                               steps=steps, initial=initial)
+
+
+def _var_of_mean(draws: np.ndarray) -> float:
+    """Variance of the mean of i.i.d. draws; 0 for a single (exact) draw."""
+    return float(draws.var(ddof=1)) / draws.size if draws.size > 1 else 0.0
+
+
 def check_bistro_admissibility(
     policy_class: PolicyClass,
     probs,
@@ -128,91 +199,28 @@ def check_bistro_admissibility(
     seed=0,
     initial_checks: int = 1000,
 ) -> AdmissibilityReport:
-    """Walk one sampled history and test the per-round inequality at each step,
-    then test the horizon condition on random endpoints (exactly, by
-    enumerating action sequences).
+    """The walk for the random-playout relaxation, by Monte Carlo over the
+    playouts; the horizon condition is exact (action sequences enumerated).
 
-    Both sides price costs in the relaxation's units: the history as c~ =
-    c/q, the current round as c/q, the playouts as (SIGN_SCALE/gamma)*eps.
-    The strategy's own queries carry the history as gamma*c~.
+    Both sides price costs in the relaxation's units: the history and the
+    current round as c~ = c/q, the playouts as (SIGN_SCALE/gamma)*eps.
     """
-    probs = np.asarray(probs, dtype=float)
-    _check_capacity(policy_class, probs, n)
+    probs = _checked_probs(policy_class, probs, n)
     d = policy_class.d
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
-    path_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
-    universe = probs.size
-    vertices = _vertices(d)
 
-    realized: list[int] = []
-    estimates: list[np.ndarray] = []
-    steps: list[RecursiveStep] = []
-    for t in range(1, n + 1):
-        k = t - 1
-        ctx_fixed = np.asarray(realized, dtype=np.int64)
-        est_cols = np.asarray(estimates, dtype=float).reshape(k, d)  # gamma * c~
-        fixed = policy_class.values(ctx_fixed, est_cols.T / gamma)
-
-        # Relaxation of the shorter history: futures cover rounds t..n.
-        m_rhs = n - k
-        fut_ctx = rng.choice(universe, size=(samples, m_rhs), p=probs)
-        fut_signs = rng.integers(0, 2, size=(samples, d, m_rhs)) * 2.0 - 1.0
-        # per draw, sup_f of -(fixed history + the scaled signs of the playout)
+    def relaxation(m: int, rng: np.random.Generator):
+        fut_ctx = rng.choice(probs.size, size=(samples, m), p=probs)
+        fut_signs = rng.integers(0, 2, size=(samples, d, m)) * 2.0 - 1.0
         future = policy_class.values_many(fut_ctx, SIGN_SCALE / gamma * fut_signs)
-        sups = -(fixed + future).min(axis=1)
-        rhs = float(sups.mean()) + m_rhs * d * gamma
-        se_rhs = float(sups.std(ddof=1) / np.sqrt(samples))
+        # per draw, sup_f of -(history + the scaled signs of the playout)
+        return lambda ctx, cols: m * d * gamma - (
+            policy_class.values(ctx, cols.T / gamma) + future).min(axis=1)
 
-        # Adversary side, context by context with exact strategy expectations.
-        lhs = 0.0
-        var_lhs = 0.0
-        qs_by_context = []
-        for x in range(universe):
-            q = _exact_mixed_q(policy_class, probs, gamma, n, ctx_fixed, est_cols, x)
-            qs_by_context.append(q)
-            if probs[x] == 0.0:
-                continue
-            m_lhs = n - t
-            fut_ctx_x = rng.choice(universe, size=(samples, m_lhs), p=probs)
-            fut_signs_x = rng.integers(0, 2, size=(samples, d, m_lhs)) * 2.0 - 1.0
-            future = policy_class.values_many(fut_ctx_x, SIGN_SCALE / gamma * fut_signs_x)
-            plays = policy_class.table[:, x]
-            sup_by_action = [
-                np.array([-(fixed + (plays == j) * (c[j] / q[j]) + future).min(axis=1)
-                          for c in vertices])
-                for j in range(d)
-            ]
-            best = -np.inf
-            best_draws = None
-            for vi, c in enumerate(vertices):
-                draws = np.zeros(samples)
-                for j in range(d):
-                    draws += q[j] * (c[j] + sup_by_action[j][vi])
-                value = float(draws.mean()) + m_lhs * d * gamma
-                if value > best:
-                    best, best_draws = value, draws
-            lhs += probs[x] * best
-            var_lhs += (probs[x] ** 2) * float(best_draws.var(ddof=1)) / samples
-
-        stderr = float(np.sqrt(var_lhs + se_rhs**2))
-        steps.append(RecursiveStep(round_index=t, lhs=lhs, rhs=rhs, stderr=stderr))
-
-        # Advance the sampled history one round.
-        x_t = int(path_rng.choice(universe, p=probs))
-        q_t = qs_by_context[x_t]
-        c_t = path_rng.integers(0, 2, size=d).astype(float)
-        y_t = int(path_rng.choice(d, p=q_t))
-        est = np.zeros(d)
-        est[y_t] = gamma * c_t[y_t] / q_t[y_t]
-        realized.append(x_t)
-        estimates.append(est)
-
-    initial = _check_initial(
+    return _walk(
+        "bistro", samples, policy_class, probs, n, gamma, seed, initial_checks,
+        lambda ctx, cols, x: _exact_mixed_q(policy_class, probs, gamma, n, ctx, cols, x),
+        relaxation,
         lambda cols, ctx: -policy_class.values_many(ctx, cols.transpose(0, 2, 1)).min(axis=1),
-        policy_class, probs, n, gamma, rng, initial_checks,
-    )
-    return AdmissibilityReport(
-        algorithm="bistro", gamma=gamma, samples=samples, steps=steps, initial=initial
     )
 
 
@@ -265,65 +273,16 @@ def check_reduction_admissibility(
     seed=0,
     initial_checks: int = 1000,
 ) -> AdmissibilityReport:
-    """Same walk for the full-information reduction; every relaxation value is
+    """The walk for the full-information reduction; every relaxation value is
     a finite log-sum-exp, so both sides are exact and stderr is zero."""
-    probs = np.asarray(probs, dtype=float)
-    _check_capacity(policy_class, probs, n)
+    probs = _checked_probs(policy_class, probs, n)
     d = policy_class.d
     rel = ExpWeightsRelaxation(policy_class, n, eta=eta)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
-    path_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
-    universe = probs.size
-    vertices = _vertices(d)
-
-    def reduced_value(scaled_rows: np.ndarray, ctx: np.ndarray) -> float:
-        t = len(scaled_rows)
-        return rel.value(scaled_rows, ctx) / gamma + (n - t) * d * gamma
-
-    xs: list[int] = []
-    scaled: list[np.ndarray] = []
-    steps: list[RecursiveStep] = []
-    for t in range(1, n + 1):
-        hist_rows = np.asarray(scaled, dtype=float).reshape(t - 1, d)
-        hist_ctx = np.asarray(xs, dtype=np.int64)
-        rhs = reduced_value(hist_rows, hist_ctx)
-        lhs = 0.0
-        qs_by_context = []
-        for x in range(universe):
-            q = mix_with_uniform(rel.strategy(hist_rows, hist_ctx, x), gamma)
-            qs_by_context.append(q)
-            if probs[x] == 0.0:
-                continue
-            ctx_now = np.append(hist_ctx, x)
-            best = -np.inf
-            for c in vertices:
-                value = 0.0
-                for j in range(d):
-                    row = np.zeros(d)
-                    row[j] = gamma * c[j] / q[j]
-                    value += q[j] * (
-                        c[j] + reduced_value(np.vstack([hist_rows, row[None, :]]), ctx_now)
-                    )
-                best = max(best, value)
-            lhs += probs[x] * best
-        steps.append(RecursiveStep(round_index=t, lhs=lhs, rhs=rhs, stderr=0.0))
-
-        x_t = int(path_rng.choice(universe, p=probs))
-        q_t = qs_by_context[x_t]
-        c_t = path_rng.integers(0, 2, size=d).astype(float)
-        y_t = int(path_rng.choice(d, p=q_t))
-        row = np.zeros(d)
-        row[y_t] = gamma * c_t[y_t] / q_t[y_t]
-        xs.append(x_t)
-        scaled.append(row)
-
-    initial = _check_initial(
+    return _walk(
+        "adversarial_reduction", 0, policy_class, probs, n, gamma, seed, initial_checks,
+        lambda ctx, cols, x: mix_with_uniform(rel.strategy(cols, ctx, x), gamma),
+        lambda m, rng: lambda ctx, cols: np.array([rel.value(cols, ctx) / gamma + m * d * gamma]),
         lambda cols, ctx: np.array([rel.value(gamma * c, x) for c, x in zip(cols, ctx)]) / gamma,
-        policy_class, probs, n, gamma, rng, initial_checks,
-    )
-    return AdmissibilityReport(
-        algorithm="adversarial_reduction", gamma=gamma, samples=0,
-        steps=steps, initial=initial,
     )
 
 

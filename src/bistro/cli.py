@@ -59,6 +59,11 @@ def _cmd_admissibility(args) -> int:
     config = load_config(args.config)
     if args.algorithm:
         config["algorithm"] = args.algorithm
+    algo = config.get("algorithm", "bistro")
+    if algo not in ("bistro", "adversarial_reduction"):
+        print(f"bistro admissibility: checks only 'bistro' and 'adversarial_reduction'; "
+              f"got algorithm {algo!r}", file=sys.stderr)
+        return 2
     try:
         gamma = float(config["gamma"])
     except (KeyError, TypeError, ValueError):
@@ -68,17 +73,12 @@ def _cmd_admissibility(args) -> int:
     pc = build_policy_class(config)
     env = build_environment(config, pc)
     n, d = int(config["n"]), int(config["d"])
-    algo = config.get("algorithm", "bistro")
     if algo == "adversarial_reduction":
-        report = check_reduction_admissibility(
-            pc, env.probs, n, gamma, eta=config.get("eta"), seed=args.seed,
-            initial_checks=args.initial_checks,
-        )
+        report = check_reduction_admissibility(pc, env.probs, n, gamma, eta=config.get("eta"),
+                                               seed=args.seed, initial_checks=args.initial_checks)
     else:
-        report = check_bistro_admissibility(
-            pc, env.probs, n, gamma, samples=args.samples, seed=args.seed,
-            initial_checks=args.initial_checks,
-        )
+        report = check_bistro_admissibility(pc, env.probs, n, gamma, samples=args.samples,
+                                            seed=args.seed, initial_checks=args.initial_checks)
     print(f"algorithm={report.algorithm} gamma={report.gamma} d={d} n={n}")
     for step in report.steps:
         flag = "ok" if step.passed() else "VIOLATED"
@@ -127,7 +127,8 @@ def main(argv=None) -> int:
     p_adm.add_argument("--samples", type=int, default=10_000)
     p_adm.add_argument("--seed", type=int, default=0)
     p_adm.add_argument("--initial-checks", type=int, default=1000)
-    p_adm.add_argument("--algorithm", default=None)
+    p_adm.add_argument("--algorithm", default=None,
+                       help="bistro or adversarial_reduction (default: the config's)")
     p_adm.set_defaults(fn=_cmd_admissibility)
 
     p_self = sub.add_parser("selftest", help="oracle-equivalence self checks")

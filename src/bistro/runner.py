@@ -36,11 +36,9 @@ from .rademacher import (
     tune_gamma,
 )
 from .strategies import (
-    BistroConfig,
     BistroStrategy,
     EpsilonGreedyStrategy,
     FollowTheLeaderStrategy,
-    SIGN_SCALE,
     Strategy,
     UniformStrategy,
 )
@@ -54,6 +52,12 @@ ALGORITHMS = (
     "egreedy",
     "ftl",
 )
+# Every top-level key a config may set; ``_base_dir`` is set by ``load_config``.
+CONFIG_KEYS = frozenset({
+    "d", "n", "horizon_mode", "context_dist", "policy_class", "cost_process",
+    "algorithm", "gamma", "playouts", "constraint", "lambda", "K", "eta",
+    "pool_factor", "delta", "epsilon", "tune_samples", "tune_seed", "_base_dir",
+})
 
 
 @dataclass
@@ -191,11 +195,11 @@ def _resolve_path(config: dict, path: str) -> str:
 
 
 def build_policy_class(config: dict) -> PolicyClass:
-    # Every command builds the class first, so a removed key fails here
-    # instead of being ignored.
-    if "sign_scale" in config:
-        raise ValueError(f"config key 'sign_scale' was removed: playouts use "
-                         f"signs scaled by {SIGN_SCALE}")
+    # Every command builds the class first, so an unknown key (a typo or a
+    # removed key) fails here instead of being ignored.
+    if not CONFIG_KEYS.issuperset(config):
+        unknown = sorted(config.keys() - CONFIG_KEYS)
+        raise ValueError(f"unknown config keys {unknown}; known keys: {sorted(CONFIG_KEYS)}")
     doc = config["policy_class"]
     if "path" in doc:
         with open(_resolve_path(config, doc["path"])) as f:
@@ -321,12 +325,6 @@ def make_strategy(config: dict, policy_class: PolicyClass, gamma: float | None) 
     algo = config.get("algorithm", "bistro")
     n, d = int(config["n"]), int(config["d"])
     if algo in ("bistro", "bistro_regularized", "bistro_relaxed"):
-        cfg = BistroConfig(
-            horizon=n,
-            gamma=gamma,
-            playouts_per_round=int(config.get("playouts", 1)),
-            mode=config.get("horizon_mode", "iid_pool"),
-        )
         if algo == "bistro":
             oracle = ExactErmOracle(policy_class)
         elif algo == "bistro_regularized":
@@ -336,7 +334,9 @@ def make_strategy(config: dict, policy_class: PolicyClass, gamma: float | None) 
             oracle = BoxRelaxedOracle()
         if "delta" in config:
             oracle = ApproximateErmOracle(oracle, float(config["delta"]), seed=0)
-        return BistroStrategy(policy_class, oracle, cfg)
+        return BistroStrategy(policy_class, oracle, n, gamma,
+                              playouts=int(config.get("playouts", 1)),
+                              mode=config.get("horizon_mode", "iid_pool"))
     if algo == "adversarial_reduction":
         rel = ExpWeightsRelaxation(policy_class, n, eta=config.get("eta"))
         return ReductionStrategy(rel, gamma, n)

@@ -11,8 +11,6 @@ live at the bottom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .erm import ErmOracle
@@ -23,22 +21,6 @@ MODES = ("iid_pool", "transductive")
 # Magnitude of the playout sign columns: the relaxation the regret bound and
 # the admissibility checks price.
 SIGN_SCALE = 2.0
-
-
-@dataclass(frozen=True)
-class BistroConfig:
-    horizon: int
-    gamma: float
-    playouts_per_round: int = 1
-    mode: str = "iid_pool"
-
-    def __post_init__(self):
-        if self.horizon < 0:
-            raise ValueError("horizon must be nonnegative")
-        if self.playouts_per_round < 1:
-            raise ValueError("at least one playout per round")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
 
 
 class Strategy:
@@ -70,13 +52,22 @@ class BistroStrategy(Strategy):
     and hands the matrix to the oracle in place.
     """
 
-    def __init__(self, policy_class, oracle: ErmOracle, config: BistroConfig):
-        d = policy_class.d
-        if not 0.0 < config.gamma <= 1.0 / d:
-            raise ValueError(f"gamma must lie in (0, 1/d]; got {config.gamma}")
+    def __init__(self, policy_class, oracle: ErmOracle, horizon: int, gamma: float,
+                 playouts: int = 1, mode: str = "iid_pool"):
+        if horizon < 0:
+            raise ValueError("horizon must be nonnegative")
+        if playouts < 1:
+            raise ValueError("at least one playout per round")
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}")
+        if not 0.0 < gamma <= 1.0 / policy_class.d:
+            raise ValueError(f"gamma must lie in (0, 1/d]; got {gamma}")
         self.policy_class = policy_class
         self.oracle = oracle
-        self.config = config
+        self.horizon = horizon
+        self.gamma = gamma
+        self.playouts = playouts
+        self.mode = mode
         self._t = 0
         self._ctx = None
         self._Y = None
@@ -86,14 +77,14 @@ class BistroStrategy(Strategy):
 
     @property
     def transductive(self) -> bool:
-        return self.config.mode == "transductive"
+        return self.mode == "transductive"
 
     @property
     def oracle_calls(self) -> int:
         return self.oracle.calls
 
     def begin_episode(self, n: int, seed_seq, pool=None, known_futures=None) -> None:
-        if n != self.config.horizon:
+        if n != self.horizon:
             raise ValueError("episode length does not match the configured horizon")
         if not isinstance(seed_seq, np.random.SeedSequence):
             seed_seq = np.random.SeedSequence(seed_seq)
@@ -116,14 +107,13 @@ class BistroStrategy(Strategy):
         self._t = 0
 
     def choose(self, x: int) -> np.ndarray:
-        cfg = self.config
         d, t = self.policy_class.d, self._t
-        k = cfg.horizon - t - 1
+        k = self.horizon - t - 1
         ctx, Y = self._ctx, self._Y
         ctx[t] = x
         psi = np.empty(d)
         q_sum = np.zeros(d)
-        for _ in range(cfg.playouts_per_round):
+        for _ in range(self.playouts):
             if not self.transductive:
                 ctx[t + 1 :] = self._ctx_rng.choice(self._pool, size=k)
             Y[:, t + 1 :] = SIGN_SCALE * (self._sign_rng.integers(0, 2, size=(d, k)) * 2 - 1)
@@ -132,15 +122,15 @@ class BistroStrategy(Strategy):
                 Y[j, t] = 1.0
                 psi[j] = self.oracle(ctx, Y)
             q_sum += waterfill(psi)
-        return mix_with_uniform(q_sum / cfg.playouts_per_round, cfg.gamma)
+        return mix_with_uniform(q_sum / self.playouts, self.gamma)
 
     def update(self, x: int, q: np.ndarray, action: int, observed_cost: float) -> None:
         est = ips_estimate(observed_cost, action, q)
-        if est[action] > 1.0 / self.config.gamma + 1e-9:
+        if est[action] > 1.0 / self.gamma + 1e-9:
             raise RuntimeError("estimate exceeds 1/gamma; mixing invariant violated")
-        if self._t >= self.config.horizon:
+        if self._t >= self.horizon:
             raise ValueError("episode already complete")
-        self._Y[:, self._t] = self.config.gamma * est
+        self._Y[:, self._t] = self.gamma * est
         self._t += 1
 
 

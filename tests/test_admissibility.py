@@ -94,6 +94,8 @@ class TestReductionChecker:
 # queries replaced: (lhs, rhs, stderr) per step, then the initial condition's
 # min_margin and failures. Step 3 of "bistro d=2 n=3" is recorded from the
 # checker that prices the sampled history as c/q; no other entry depends on it.
+# The two p(x)=0 entries are recorded from the separate walks of the two
+# checkers, before they shared one.
 D3_CLASS = np.array([[0, 1, 2], [2, 1, 0], [1, 1, 1], [0, 2, 1]])
 RECORDED = {
     "bistro d=2 n=3": (
@@ -115,6 +117,18 @@ RECORDED = {
         [(13.45294310209739, 16.22026886600883, 0.0),
          (10.449564957762584, 13.216890721674023, 0.0),
          (6.3380825365414815, 9.112299513232328, 0.0)], 5.286091393156799, 0),
+    # A context of probability 0 gets its q but draws no futures.
+    "bistro p(x)=0": (
+        lambda: check_bistro_admissibility(
+            PolicyClass.all_labelings(2, 2), [1.0, 0.0], n=2, gamma=0.25, samples=1000,
+            seed=3, initial_checks=50),
+        [(4.784, 6.856, 0.3771536197000539), (0.375, 3.838, 0.2141859744045619)], 0.0, 0),
+    "reduction p(x)=0": (
+        lambda: check_reduction_admissibility(
+            PolicyClass(D3_CLASS, 3), [0.5, 0.0, 0.5], n=2, gamma=0.2, seed=6,
+            initial_checks=100),
+        [(9.658215611819031, 12.974100225154746, 0.0),
+         (6.114690555530346, 9.430575168866058, 0.0)], 4.7110121935068845, 0),
 }
 
 

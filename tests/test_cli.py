@@ -97,6 +97,25 @@ def test_admissibility_rejects_removed_sign_scale_key(tmp_path):
         main(["admissibility", "--config", str(path), "--initial-checks", "5"])
 
 
+def test_run_rejects_unknown_config_key(tmp_path):
+    with open(cfg("admissibility_small.json")) as f:
+        doc = {**json.load(f), "playout": 3}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="'playout'"):
+        main(["run", "--config", str(path), "--seeds", "1"])
+
+
+@pytest.mark.parametrize("algorithm", ["ftl", "uniform", "bistro_relaxed", "bistro_regularized"])
+def test_admissibility_refuses_unchecked_algorithms(algorithm, capsys):
+    code = main(["admissibility", "--config", cfg("admissibility_small.json"),
+                 "--algorithm", algorithm, "--initial-checks", "5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert repr(algorithm) in captured.err
+    assert captured.out == ""
+
+
 def test_numeric_error_policy_stays_inside_main(capsys):
     before = np.geterr()
     assert main(["rademacher", "--config", cfg("admissibility_small.json"),

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -230,6 +231,19 @@ class TestSuite:
         for algo in ("bistro", "uniform"):
             with pytest.raises(ValueError, match="sign_scale"):
                 run_suite(small_config(algorithm=algo, sign_scale=2.0), seeds=[0])
+
+    def test_unknown_config_key_rejected(self):
+        # a typo of "playouts" must not run with the default of 1
+        with pytest.raises(ValueError, match="'playout'"):
+            run_suite(small_config(playout=3), seeds=[0])
+
+    def test_readme_table_lists_every_config_key(self):
+        with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as f:
+            section = f.read().split("## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        first_cells = [line.split("|")[1] for line in section.splitlines()
+                       if line.startswith("| `")]
+        keys = {key for cell in first_cells for key in re.findall(r"`([^`]+)`", cell)}
+        assert keys == runner.CONFIG_KEYS - {"_base_dir"}
 
     def test_shipped_config_loads(self):
         config = load_config(os.path.join(CONFIG_DIR, "fixed_adversarial.json"))

@@ -6,7 +6,7 @@ from bistro.erm import BoxRelaxedOracle, ErmOracle, ExactErmOracle, RegularizedE
 from bistro.erm import PairwiseDisagreement, exact_erm_value
 from bistro.policies import PolicyClass, ips_estimate
 from bistro.runner import run_episode
-from bistro.strategies import BistroConfig, BistroStrategy
+from bistro.strategies import BistroStrategy
 from bistro.verify import policy_to_matrix, sequence_values
 from bistro.waterfill import minimax_value, waterfill
 
@@ -26,9 +26,8 @@ class RecordingOracle(ErmOracle):
         return value
 
 
-def make_strategy(pc, gamma=0.25, n=4, oracle=None, **cfg_kwargs):
-    cfg = BistroConfig(horizon=n, gamma=gamma, **cfg_kwargs)
-    return BistroStrategy(pc, oracle or ExactErmOracle(pc), cfg)
+def make_strategy(pc, gamma=0.25, n=4, oracle=None, **kwargs):
+    return BistroStrategy(pc, oracle or ExactErmOracle(pc), n, gamma, **kwargs)
 
 
 def recorded_queries(n, rounds, seed=0):
@@ -87,7 +86,7 @@ class TestBistroRound:
         pc = PolicyClass(rng.integers(0, 3, (5, 4)), 3)
         n = 6
         for playouts in (1, 3):
-            strat = make_strategy(pc, gamma=0.2, n=n, playouts_per_round=playouts)
+            strat = make_strategy(pc, gamma=0.2, n=n, playouts=playouts)
             env = Environment(np.ones(4) / 4, FixedTableCosts(rng.uniform(0, 1, (n, 3))))
             run_episode(strat, env, n, seed=0)
             assert strat.oracle_calls == 3 * playouts * n
@@ -109,7 +108,7 @@ class TestBistroRound:
         env = Environment(np.ones(3) / 3, FixedTableCosts(rng.uniform(0, 1, (n, 2))))
         runs = []
         for _ in range(2):
-            strat = make_strategy(pc, gamma=0.25, n=n, playouts_per_round=2)
+            strat = make_strategy(pc, gamma=0.25, n=n, playouts=2)
             runs.append(run_episode(strat, env, n, seed=11))
         assert np.array_equal(runs[0].distributions, runs[1].distributions)
         assert np.array_equal(runs[0].actions, runs[1].actions)
@@ -124,6 +123,13 @@ class TestBistroRound:
         tr_trans = run_episode(make_strategy(pc, n=n, mode="transductive"), env, n, seed=5)
         assert np.array_equal(tr_pool.distributions, tr_trans.distributions)
         assert np.array_equal(tr_pool.actions, tr_trans.actions)
+
+    def test_constructor_rejects_bad_arguments(self):
+        pc = PolicyClass(np.array([[0]]), 2)
+        for kwargs in ({"n": -1}, {"playouts": 0}, {"mode": "oracle"}, {"gamma": 0.0},
+                       {"gamma": 0.6}):
+            with pytest.raises(ValueError):
+                make_strategy(pc, **kwargs)
 
     def test_transductive_requires_futures(self):
         pc = PolicyClass(np.array([[0]]), 2)
@@ -145,7 +151,7 @@ class TestBistroRound:
         rng = np.random.default_rng(35)
         pc = PolicyClass(rng.integers(0, 2, (4, 3)), 2)
         n, m = 3, 4
-        strat = make_strategy(pc, gamma=0.25, n=n, playouts_per_round=m,
+        strat = make_strategy(pc, gamma=0.25, n=n, playouts=m,
                               oracle=RecordingOracle(ExactErmOracle(pc)))
         strat.begin_episode(n, np.random.SeedSequence(9), pool=np.arange(3))
         q = strat.choose(1)
@@ -167,7 +173,7 @@ class TestQueryMatrixInvariants:
         pc = PolicyClass(rng.integers(0, d, (5, 4)), d)
         recorder = RecordingOracle(ExactErmOracle(pc))
         strat = make_strategy(pc, gamma=gamma, n=n, oracle=recorder,
-                              playouts_per_round=playouts, mode=mode)
+                              playouts=playouts, mode=mode)
         env = Environment(np.ones(4) / 4, FixedTableCosts(rng.uniform(0, 1, (n, d))))
         tr = run_episode(strat, env, n, seed=7)
         assert len(recorder.queries) == d * playouts * n
