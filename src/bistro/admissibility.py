@@ -131,8 +131,8 @@ def _walk(algorithm: str, samples: int, policy_class: PolicyClass, probs: np.nda
     mixed distribution at x. ``relaxation(m, rng)`` draws the randomness of m
     future rounds once and returns ``price(ctx, cols)``: an array of draws of
     the relaxation of that history, exploration tax included. The rhs is
-    drawn first; then, per context, q is computed and, unless p(x) = 0, one
-    draw of futures prices every vertex and action. The stderr comes from the
+    drawn first; then, per context with p(x) > 0, q is computed and one draw
+    of futures prices every vertex and action. The stderr comes from the
     rhs draws and the best vertex's draws.
     """
     d = policy_class.d
@@ -147,14 +147,12 @@ def _walk(algorithm: str, samples: int, policy_class: PolicyClass, probs: np.nda
         rhs_draws = relaxation(n - t + 1, rng)(ctx, cols)
         rhs, var = float(rhs_draws.mean()), _var_of_mean(rhs_draws)
 
-        # Adversary side, context by context with exact strategy expectations.
+        # Adversary side, context by context with exact strategy expectations;
+        # a context with p(x) = 0 adds nothing and is never drawn.
         lhs = 0.0
-        qs_by_context = []
-        for x in range(probs.size):
-            q = strategy(ctx, cols, x)
-            qs_by_context.append(q)
-            if probs[x] == 0.0:
-                continue
+        qs_by_context = {}
+        for x in np.nonzero(probs)[0].tolist():
+            q = qs_by_context[x] = strategy(ctx, cols, x)
             price = relaxation(n - t, rng)
             ctx_now = np.append(ctx, x)
             # the history after playing j depends on the vertex only through c[j]

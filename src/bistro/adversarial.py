@@ -67,9 +67,8 @@ class ExpWeightsRelaxation:
         L = self._losses(costs, contexts)
         w = np.exp(-self.eta * (L - L.min()))
         w /= w.sum()
-        q = np.zeros(self.policy_class.d)
-        np.add.at(q, self.policy_class.table[:, x], w)
-        return q
+        return np.bincount(self.policy_class.table[:, x], weights=w,
+                           minlength=self.policy_class.d)
 
     def initial_value(self) -> float:
         return self.value(np.empty((0, self.policy_class.d)), [])

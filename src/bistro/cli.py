@@ -10,15 +10,14 @@ import sys
 import numpy as np
 
 from .admissibility import check_bistro_admissibility, check_reduction_admissibility
-from .erm import ExactErmOracle
-from .rademacher import (
-    DEFAULT_TUNING_SAMPLES,
-    categorical_sampler,
-    rademacher_estimate,
-    regret_bound,
-    tune_gamma,
+from .rademacher import DEFAULT_TUNING_SAMPLES
+from .runner import (
+    build_environment,
+    build_policy_class,
+    load_config,
+    resolve_strategy_params,
+    run_suite,
 )
-from .runner import build_environment, build_policy_class, load_config, run_suite
 
 
 def _parse_seeds(spec: str) -> list[int]:
@@ -40,18 +39,12 @@ def _cmd_rademacher(args) -> int:
     config = load_config(args.config)
     pc = build_policy_class(config)
     env = build_environment(config, pc)
-    n, d = int(config["n"]), int(config["d"])
-    est = rademacher_estimate(
-        ExactErmOracle(pc), categorical_sampler(env.probs), n,
-        samples=args.samples, seed=args.seed,
-    )
-    print(json.dumps({
-        "rad_estimate": est.mean,
-        "rad_stderr": est.std_error,
-        "samples": est.samples,
-        "tuned_gamma": tune_gamma(est.mean, n, d),
-        "regret_bound": regret_bound(est.mean, n, d),
-    }, indent=2, sort_keys=True))
+    params = resolve_strategy_params({**config, "algorithm": "bistro", "gamma": "auto",
+                                      "tune_samples": args.samples, "tune_seed": args.seed},
+                                     pc, env)
+    print(json.dumps({"rad_estimate": params["rad_estimate"], "rad_stderr": params["rad_stderr"],
+                      "samples": args.samples, "tuned_gamma": params["gamma"],
+                      "regret_bound": params["bound"]}, indent=2, sort_keys=True))
     return 0
 
 
@@ -61,15 +54,13 @@ def _cmd_admissibility(args) -> int:
         config["algorithm"] = args.algorithm
     algo = config.get("algorithm", "bistro")
     if algo not in ("bistro", "adversarial_reduction"):
-        print(f"bistro admissibility: checks only 'bistro' and 'adversarial_reduction'; "
-              f"got algorithm {algo!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"checks only 'bistro' and 'adversarial_reduction'; "
+                         f"got algorithm {algo!r}")
     try:
         gamma = float(config["gamma"])
     except (KeyError, TypeError, ValueError):
-        print(f"bistro admissibility: config key 'gamma' needs a number; "
-              f"got {config.get('gamma')!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"config key 'gamma' needs a number; "
+                         f"got {config.get('gamma')!r}") from None
     pc = build_policy_class(config)
     env = build_environment(config, pc)
     n, d = int(config["n"]), int(config["d"])
@@ -135,8 +126,13 @@ def main(argv=None) -> int:
     p_self.set_defaults(fn=_cmd_selftest)
 
     args = parser.parse_args(argv)
-    with np.errstate(all="raise", under="ignore"):
-        return args.fn(args)
+    # a config error exits 2 with one line, as argparse does; episode failures keep a traceback
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            return args.fn(args)
+    except ValueError as exc:
+        print(f"bistro {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .policies import check_cost_vector, in_unit_interval
+from .policies import in_unit_interval
 from .rademacher import categorical_sampler
 
 DEFAULT_POOL_FACTOR = 10
@@ -99,11 +99,9 @@ class AdaptiveCosts(CostProcess):
         self.sees_current_context = bool(sees_current_context)
 
     def commit(self, t, contexts, past_distributions, past_actions):
+        # run_episode checks every committed vector, this one included
         visible = contexts if self.sees_current_context else contexts[:-1]
-        c = np.asarray(
-            self._rule(visible, past_distributions, past_actions, self.d), dtype=float
-        )
-        return check_cost_vector(c)
+        return self._rule(visible, past_distributions, past_actions, self.d)
 
 
 class Environment:

@@ -4,9 +4,9 @@ An ERM oracle maps (contexts, cost matrix) to the minimum over the policy
 class of the linear objective sum_t <M_t, Y_t>, where M_f is a policy's
 one-hot matrix on the contexts. Variants here: exact finite-class
 enumeration, an additive-noise approximate wrapper, Lagrangian-regularized
-values with data-based constraint functions, a box superset relaxation in
-closed form, and a brute-force metric-labeling solver used as a cross-check
-for the regularized objective.
+values with data-based constraint functions, and a box superset relaxation
+in closed form. The metric-labeling brute force that cross-checks the
+regularized objective is ``verify.mlc_bruteforce``.
 """
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .policies import CapacityError, PolicyClass, context_ids
-
-MLC_LIMIT = 10**6
+from .policies import PolicyClass, context_ids
 
 
 class ErmOracle:
@@ -269,60 +267,6 @@ class BoxRelaxedOracle(ErmOracle):
 
     def _value(self, contexts, Y: np.ndarray) -> float:
         return box_relaxed_erm_value(contexts, Y)
-
-
-def _edge_list(edge_weights, n: int):
-    if isinstance(edge_weights, dict):
-        edges = []
-        for (u, v), w in edge_weights.items():
-            if not (0 <= u < n and 0 <= v < n) or u == v:
-                raise ValueError("edge endpoints must be distinct node indices")
-            if w < 0:
-                raise ValueError("edge weights must be nonnegative")
-            if w > 0:
-                edges.append((min(u, v), max(u, v), float(w)))
-        return edges
-    W = np.asarray(edge_weights, dtype=float)
-    if W.shape != (n, n):
-        raise ValueError("edge weight matrix must be (n, n)")
-    if (W < 0).any():
-        raise ValueError("edge weights must be nonnegative")
-    if not np.array_equal(W, W.T):
-        raise ValueError("edge weight matrix must be symmetric")
-    us, vs = np.nonzero(np.triu(W, k=1))
-    return [(int(u), int(v), float(W[u, v])) for u, v in zip(us, vs)]
-
-
-def mlc_bruteforce(node_costs, edge_weights, label_metric) -> float:
-    """Exact minimum of a metric-labeling objective by enumerating labelings.
-
-    g(z) = sum_v node_costs[v, z_v] + sum_{(u,v)} W_uv * label_metric[z_u, z_v]
-    over z in [d]^n, with one weight per unordered node pair.
-    """
-    node = np.asarray(node_costs, dtype=float)
-    if node.ndim != 2:
-        raise ValueError("node costs must be (n, d)")
-    n, d = node.shape
-    d2 = np.asarray(label_metric, dtype=float)
-    if d2.shape != (d, d):
-        raise ValueError("label metric must be (d, d)")
-    if (d2 < 0).any() or not np.array_equal(d2, d2.T) or np.diagonal(d2).any():
-        raise ValueError("label metric must be symmetric, nonnegative, zero on the diagonal")
-    total = d**n
-    if total > MLC_LIMIT:
-        raise CapacityError(f"{total} labelings exceed the brute-force limit {MLC_LIMIT}")
-    edges = _edge_list(edge_weights, n)
-
-    best = np.inf
-    radix = d ** np.arange(n, dtype=np.int64)
-    for lo in range(0, total, 1 << 16):
-        codes = np.arange(lo, min(lo + (1 << 16), total), dtype=np.int64)
-        Z = (codes[:, None] // radix) % d
-        vals = node[np.arange(n), Z].sum(axis=1)
-        for u, v, w in edges:
-            vals += w * d2[Z[:, u], Z[:, v]]
-        best = min(best, float(vals.min()))
-    return best
 
 
 def load_constraint(doc: dict):

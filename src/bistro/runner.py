@@ -52,11 +52,11 @@ ALGORITHMS = (
     "egreedy",
     "ftl",
 )
-# Every top-level key a config may set; ``_base_dir`` is set by ``load_config``.
+# Every top-level key a config may set.
 CONFIG_KEYS = frozenset({
     "d", "n", "horizon_mode", "context_dist", "policy_class", "cost_process",
     "algorithm", "gamma", "playouts", "constraint", "lambda", "K", "eta",
-    "pool_factor", "delta", "epsilon", "tune_samples", "tune_seed", "_base_dir",
+    "pool_factor", "delta", "epsilon", "tune_samples", "tune_seed",
 })
 
 
@@ -182,27 +182,30 @@ def realized_regret(transcript: Transcript, policy_class: PolicyClass,
 
 
 def load_config(path: str) -> dict:
+    """Config file as a dict; the ``path`` of ``policy_class`` and
+    ``cost_process`` is resolved against the file's directory."""
     with open(path) as f:
         config = json.load(f)
-    config.setdefault("_base_dir", os.path.dirname(os.path.abspath(path)))
+    base = os.path.dirname(os.path.abspath(path))
+    for key in ("policy_class", "cost_process"):
+        doc = config.get(key)
+        if isinstance(doc, dict) and "path" in doc:
+            config[key] = {**doc, "path": os.path.join(base, doc["path"])}
     return config
-
-
-def _resolve_path(config: dict, path: str) -> str:
-    if os.path.isabs(path):
-        return path
-    return os.path.join(config.get("_base_dir", "."), path)
 
 
 def build_policy_class(config: dict) -> PolicyClass:
     # Every command builds the class first, so an unknown key (a typo or a
-    # removed key) fails here instead of being ignored.
+    # removed key) or a missing one fails here instead of later.
     if not CONFIG_KEYS.issuperset(config):
         unknown = sorted(config.keys() - CONFIG_KEYS)
         raise ValueError(f"unknown config keys {unknown}; known keys: {sorted(CONFIG_KEYS)}")
+    missing = [key for key in ("d", "n", "policy_class", "cost_process") if key not in config]
+    if missing:
+        raise ValueError(f"missing required config keys {missing}")
     doc = config["policy_class"]
     if "path" in doc:
-        with open(_resolve_path(config, doc["path"])) as f:
+        with open(doc["path"]) as f:
             doc = json.load(f)
     pc = PolicyClass.from_json(doc, features=_context_features(config))
     if pc.d != int(config["d"]):
@@ -231,7 +234,7 @@ def build_cost_process(config: dict):
     kind = doc["type"]
     if kind == "fixed_table":
         if "path" in doc:
-            values = np.loadtxt(_resolve_path(config, doc["path"]), delimiter=",")
+            values = np.loadtxt(doc["path"], delimiter=",")
         else:
             values = np.asarray(doc["values"], dtype=float)
         return FixedTableCosts(values)
@@ -273,6 +276,9 @@ def _regularized_oracle(config: dict, policy_class: PolicyClass,
     constraint = build_constraint(config)
     if constraint is None:
         raise ValueError("bistro_regularized requires a constraint")
+    if "K" not in config:
+        # the bound prices lam*K and the benchmark filters the class at K
+        raise ValueError("bistro_regularized requires 'K', the constraint budget")
     return RegularizedErmOracle(policy_class, constraint, lambda_scaled)
 
 
@@ -300,10 +306,10 @@ def resolve_strategy_params(config: dict, policy_class: PolicyClass, env: Enviro
         else:
             # E sup_f {-(1/gamma) sum_t eps_t[f(x_t)] - lam*C(f)} is the Rademacher
             # average of the class penalized by lam*gamma*C, over gamma.
-            lam, K = float(config.get("lambda", 0.0)), float(config.get("K", 0.0))
+            lam = float(config.get("lambda", 0.0))
             penalized = rademacher_estimate(
                 _regularized_oracle(config, policy_class, lam * gamma), sampler, n, samples, seed)
-            out["bound"] = penalized.mean / gamma + n * d * gamma + lam * K
+            out["bound"] = penalized.mean / gamma + n * d * gamma + lam * float(config["K"])
             out["bound_stderr"] = penalized.std_error / gamma
     elif algo == "bistro_relaxed":
         rad = box_rademacher(n, d)
@@ -334,9 +340,8 @@ def make_strategy(config: dict, policy_class: PolicyClass, gamma: float | None) 
             oracle = BoxRelaxedOracle()
         if "delta" in config:
             oracle = ApproximateErmOracle(oracle, float(config["delta"]), seed=0)
-        return BistroStrategy(policy_class, oracle, n, gamma,
-                              playouts=int(config.get("playouts", 1)),
-                              mode=config.get("horizon_mode", "iid_pool"))
+        return BistroStrategy(policy_class, oracle, n, gamma, int(config.get("playouts", 1)),
+                              config.get("horizon_mode", "iid_pool"))
     if algo == "adversarial_reduction":
         rel = ExpWeightsRelaxation(policy_class, n, eta=config.get("eta"))
         return ReductionStrategy(rel, gamma, n)

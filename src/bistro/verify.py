@@ -4,12 +4,15 @@ Nothing here shares computation paths with the implementations under test:
 ERM is a double loop over action-table rows and rounds, per-policy linear
 values are gathered round by round instead of folded by context, the
 Rademacher average and the regularized bound enumerate every sign
-assignment, and the minimax solver searches a simplex lattice by level
-counting (or random sampling). Capacity limits are hard errors, never
-silent truncation.
+assignment, the metric-labeling objective enumerates every labeling, the
+water-fill level is found by bisection, and the minimax solver reads the
+optimum of a simplex lattice off its sorted levels. Capacity limits are
+hard errors, never silent truncation.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -21,6 +24,7 @@ BRUTEFORCE_HORIZON_LIMIT = 64
 RADEMACHER_BITS_LIMIT = 24
 REGULARIZED_BOUND_LIMIT = 4096
 LATTICE_LIMIT = 10**8
+MLC_LIMIT = 10**6
 
 
 def sequence_values(policy_class: PolicyClass, contexts, Y) -> np.ndarray:
@@ -124,63 +128,58 @@ def exact_regularized_bound(policy_class: PolicyClass, probs, n: int, gamma: flo
     return float(total + n * d * gamma + lam * K)
 
 
-def _lattice_optimum(psi: np.ndarray, resolution: int) -> tuple[np.ndarray, float]:
-    """Exact minimum of max_j(q_j - psi_j) over {q = k/resolution, sum k = resolution}.
+def _psi_vector(psi) -> np.ndarray:
+    psi = np.asarray(psi, dtype=float)
+    if psi.ndim != 1 or psi.size < 1 or not np.all(np.isfinite(psi)):
+        raise ValueError("psi must be a nonempty finite vector")
+    return psi
 
-    Coordinate j at count m contributes level m/resolution - psi_j, increasing
-    in m; a threshold v is achievable iff every coordinate has some level
-    <= v and the per-coordinate capacities sum to at least ``resolution``.
-    Binary search over the finite set of levels finds the least such v.
+
+def waterfill_oracle(psi, tol: float = 1e-12) -> np.ndarray:
+    """Minimizer of max_j (q_j - psi_j) over the simplex by bisection on the
+    level v solving sum_j max(0, psi_j + v) = 1."""
+    psi = _psi_vector(psi)
+    lo = -float(psi.max())          # total mass 0
+    hi = 1.0 - float(psi.min())     # total mass >= 1
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if np.maximum(psi + mid, 0.0).sum() >= 1.0:
+            hi = mid
+        else:
+            lo = mid
+    q = np.maximum(psi + 0.5 * (lo + hi), 0.0)
+    return q / q.sum()
+
+
+def grid_minimax(psi, resolution: int = 1000) -> tuple[np.ndarray, float]:
+    """Exact minimum of max_j(q_j - psi_j) over {q = k/resolution, sum k = resolution},
+    hence within O(1/resolution) of the continuous optimum.
+
+    Coordinate j at count m sits at level m/resolution - psi_j, nondecreasing
+    in m. A threshold v is achievable iff every count-0 level is <= v and at
+    least ``resolution`` levels above count 0 are <= v, so the least such v
+    is the larger of the top count-0 level and the resolution-th smallest
+    level above count 0. Each coordinate then takes, in order, as many counts
+    as lie at or below v.
     """
+    psi = _psi_vector(psi)
     d = psi.size
+    if d * (resolution + 1) > LATTICE_LIMIT:
+        raise CapacityError("lattice too large")
     levels = np.arange(resolution + 1)[None, :] / resolution - psi[:, None]  # (d, res+1)
-    candidates = np.unique(levels)
+    above = np.partition(levels[:, 1:].ravel(), resolution - 1)[resolution - 1]
+    v = max(levels[:, 0].max(), above)
 
-    caps = np.array([np.searchsorted(levels[j], candidates, side="right") - 1
-                     for j in range(d)])  # (d, |candidates|)
-    feasible = (caps >= 0).all(axis=0) & (np.minimum(caps, resolution).sum(axis=0) >= resolution)
-    v = candidates[np.argmax(feasible)]  # least candidate marked feasible
-
-    cap = np.minimum(
-        np.array([np.searchsorted(levels[j], v, side="right") - 1 for j in range(d)]),
-        resolution,
-    )
     k = np.zeros(d, dtype=np.int64)
     remaining = resolution
     for j in range(d):
-        take = min(int(cap[j]), remaining)
-        k[j] = take
-        remaining -= take
+        cap = min(int(np.searchsorted(levels[j], v, side="right")) - 1, resolution)
+        k[j] = min(cap, remaining)
+        remaining -= k[j]
     if remaining:
         raise RuntimeError("lattice construction failed to place all mass")
     q = k / resolution
     return q, float((q - psi).max())
-
-
-def grid_minimax(psi, resolution: int = 1000, mode: str = "lattice",
-                 samples: int = 1000, rng=None) -> tuple[np.ndarray, float]:
-    """Search min_q max_j (q_j - psi_j) over a simplex lattice or random points.
-
-    Lattice mode returns the exact optimum over the step-1/resolution grid,
-    hence a value within O(1/resolution) of the continuous optimum. Sample
-    mode evaluates ``samples`` Dirichlet draws and keeps the best.
-    """
-    psi = np.asarray(psi, dtype=float)
-    if psi.ndim != 1 or psi.size < 1:
-        raise ValueError("psi must be a nonempty vector")
-    if psi.size == 1:
-        return np.ones(1), float(1.0 - psi[0])
-    if mode == "lattice":
-        if psi.size * (resolution + 1) > LATTICE_LIMIT:
-            raise CapacityError("lattice too large")
-        return _lattice_optimum(psi, resolution)
-    if mode == "sample":
-        rng = np.random.default_rng(rng)
-        qs = rng.dirichlet(np.ones(psi.size), size=samples)
-        vals = (qs - psi[None, :]).max(axis=1)
-        best = int(np.argmin(vals))
-        return qs[best], float(vals[best])
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 def enumerate_grid_minimax(psi, resolution: int) -> tuple[np.ndarray, float]:
@@ -190,23 +189,52 @@ def enumerate_grid_minimax(psi, resolution: int) -> tuple[np.ndarray, float]:
     if (resolution + 1) ** max(d - 1, 1) > 10**6:
         raise CapacityError("full lattice enumeration too large")
     best_q, best_v = None, np.inf
-    counts = np.zeros(d, dtype=np.int64)
-
-    def rec(j: int, remaining: int):
-        nonlocal best_q, best_v
-        if j == d - 1:
-            counts[j] = remaining
-            q = counts / resolution
+    for head in itertools.product(range(resolution + 1), repeat=d - 1):
+        if sum(head) <= resolution:
+            q = np.array([*head, resolution - sum(head)]) / resolution
             v = float((q - psi).max())
             if v < best_v:
-                best_v, best_q = v, q.copy()
-            return
-        for c in range(remaining + 1):
-            counts[j] = c
-            rec(j + 1, remaining - c)
-
-    rec(0, resolution)
+                best_q, best_v = q, v
     return best_q, best_v
+
+
+def mlc_bruteforce(node_costs, edge_weights, label_metric) -> float:
+    """Exact minimum of a metric-labeling objective by enumerating labelings.
+
+    g(z) = sum_v node_costs[v, z_v] + sum_{u<v} W_uv * label_metric[z_u, z_v]
+    over z in [d]^n; ``edge_weights`` is the symmetric (n, n) matrix W.
+    """
+    node = np.asarray(node_costs, dtype=float)
+    if node.ndim != 2:
+        raise ValueError("node costs must be (n, d)")
+    n, d = node.shape
+    d2 = np.asarray(label_metric, dtype=float)
+    if d2.shape != (d, d):
+        raise ValueError("label metric must be (d, d)")
+    if (d2 < 0).any() or not np.array_equal(d2, d2.T) or np.diagonal(d2).any():
+        raise ValueError("label metric must be symmetric, nonnegative, zero on the diagonal")
+    W = np.asarray(edge_weights, dtype=float)
+    if W.shape != (n, n):
+        raise ValueError("edge weight matrix must be (n, n)")
+    if (W < 0).any():
+        raise ValueError("edge weights must be nonnegative")
+    if not np.array_equal(W, W.T):
+        raise ValueError("edge weight matrix must be symmetric")
+    total = d**n
+    if total > MLC_LIMIT:
+        raise CapacityError(f"{total} labelings exceed the brute-force limit {MLC_LIMIT}")
+
+    edges = np.nonzero(np.triu(W, k=1))
+    best = np.inf
+    radix = d ** np.arange(n, dtype=np.int64)
+    for lo in range(0, total, 1 << 16):
+        codes = np.arange(lo, min(lo + (1 << 16), total), dtype=np.int64)
+        Z = (codes[:, None] // radix) % d
+        vals = node[np.arange(n), Z].sum(axis=1)
+        for u, v in zip(*edges):
+            vals += W[u, v] * d2[Z[:, u], Z[:, v]]
+        best = min(best, float(vals.min()))
+    return best
 
 
 def selftest(verbose: bool = True) -> bool:
@@ -215,10 +243,9 @@ def selftest(verbose: bool = True) -> bool:
         PairwiseDisagreement,
         RegularizedErmQuery,
         exact_erm_value,
-        mlc_bruteforce,
         regularized_erm_value,
     )
-    from .waterfill import minimax_value, waterfill, waterfill_oracle
+    from .waterfill import minimax_value, waterfill
 
     rng = np.random.default_rng(20_240_817)
     ok = True

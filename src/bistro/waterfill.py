@@ -3,22 +3,13 @@
 The minimizer admits a closed form: q_j = max(0, psi_j + v) where v is the
 unique level at which sum_j max(0, psi_j + v) = 1. Coordinates with larger
 psi receive mass first, like water filling a terraced basin. We compute the
-level with a sort and prefix sums in O(d log d); ``waterfill_oracle`` finds
-the same level by bisection and exists purely as an independent cross-check.
+level with a sort and prefix sums in O(d log d); ``verify.waterfill_oracle``
+finds the same level by bisection, as an independent cross-check.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def _validate(psi) -> np.ndarray:
-    psi = np.asarray(psi, dtype=float)
-    if psi.ndim != 1 or psi.size < 1:
-        raise ValueError("psi must be a nonempty vector")
-    if not np.all(np.isfinite(psi)):
-        raise ValueError("psi must be finite")
-    return psi
 
 
 def waterfill(psi) -> np.ndarray:
@@ -27,28 +18,15 @@ def waterfill(psi) -> np.ndarray:
     Equal psi entries receive equal mass; the output is invariant to adding
     a constant to psi and equivariant under permutations.
     """
-    psi = _validate(psi)
+    psi = np.asarray(psi, dtype=float)
+    if psi.ndim != 1 or psi.size < 1 or not np.all(np.isfinite(psi)):
+        raise ValueError("psi must be a nonempty finite vector")
     d = psi.size
     u = np.sort(psi)[::-1]
     levels = (1.0 - np.cumsum(u)) / np.arange(1, d + 1)
     # Largest active set k with u_k + v_k > 0; k=1 always qualifies.
     k = int(np.nonzero(u + levels > 0)[0].max()) + 1
     return np.maximum(psi + levels[k - 1], 0.0)
-
-
-def waterfill_oracle(psi, tol: float = 1e-12) -> np.ndarray:
-    """Independent solver: bisection on sum_j max(0, psi_j + v) = 1."""
-    psi = _validate(psi)
-    lo = -float(psi.max())          # total mass 0
-    hi = 1.0 - float(psi.min())     # total mass >= 1
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if np.maximum(psi + mid, 0.0).sum() >= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    q = np.maximum(psi + 0.5 * (lo + hi), 0.0)
-    return q / q.sum()
 
 
 def minimax_value(q, psi) -> float:

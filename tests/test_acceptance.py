@@ -24,7 +24,6 @@ from bistro.erm import (
     RegularizedErmQuery,
     box_relaxed_erm_value,
     exact_erm_value,
-    mlc_bruteforce,
     regularized_erm_value,
 )
 from bistro.policies import PolicyClass
@@ -37,8 +36,14 @@ from bistro.runner import (
     run_episode,
     run_suite,
 )
-from bistro.verify import bruteforce_erm, exact_rademacher, grid_minimax
-from bistro.waterfill import minimax_value, waterfill, waterfill_oracle
+from bistro.verify import (
+    bruteforce_erm,
+    exact_rademacher,
+    grid_minimax,
+    mlc_bruteforce,
+    waterfill_oracle,
+)
+from bistro.waterfill import minimax_value, waterfill
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 SEEDS = range(50)

@@ -88,22 +88,40 @@ def test_admissibility_requires_numeric_gamma(tmp_path, capsys):
         assert "gamma" in err and "number" in err
 
 
-def test_admissibility_rejects_removed_sign_scale_key(tmp_path):
+def write_config(tmp_path, **changes):
+    """admissibility_small.json with keys set (a value of None drops the key)."""
     with open(cfg("admissibility_small.json")) as f:
-        doc = {**json.load(f), "sign_scale": 1.0}
+        doc = json.load(f)
+    doc.update(changes)
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="sign_scale"):
-        main(["admissibility", "--config", str(path), "--initial-checks", "5"])
+    path.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}))
+    return str(path)
 
 
-def test_run_rejects_unknown_config_key(tmp_path):
-    with open(cfg("admissibility_small.json")) as f:
-        doc = {**json.load(f), "playout": 3}
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="'playout'"):
-        main(["run", "--config", str(path), "--seeds", "1"])
+def test_admissibility_rejects_removed_sign_scale_key(tmp_path, capsys):
+    code = main(["admissibility", "--config", write_config(tmp_path, sign_scale=1.0),
+                 "--initial-checks", "5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("bistro admissibility: ") and "sign_scale" in captured.err
+    assert captured.out == ""
+
+
+def test_run_rejects_unknown_config_key(tmp_path, capsys):
+    code = main(["run", "--config", write_config(tmp_path, playout=3), "--seeds", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("bistro run: ") and "'playout'" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["run", "rademacher", "admissibility"])
+def test_missing_required_key_exits_2(command, tmp_path, capsys):
+    code = main([command, "--config", write_config(tmp_path, n=None)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"bistro {command}: missing required config keys ['n']\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("algorithm", ["ftl", "uniform", "bistro_relaxed", "bistro_regularized"])

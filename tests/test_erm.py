@@ -13,12 +13,11 @@ from bistro.erm import (
     exact_erm_value,
     filter_class,
     load_constraint,
-    mlc_bruteforce,
     policy_constraint_values,
     regularized_erm_value,
 )
 from bistro.policies import CapacityError, PolicyClass
-from bistro.verify import bruteforce_erm, policy_to_matrix
+from bistro.verify import bruteforce_erm, mlc_bruteforce, policy_to_matrix
 
 Y_EXAMPLE = np.array([[0.2, 0.5], [0.9, 0.1]])
 
@@ -395,6 +394,16 @@ class TestMetricLabeling:
             mlc_bruteforce(node, np.zeros((2, 2)), np.array([[0.0, 1.0], [2.0, 0.0]]))
         with pytest.raises(ValueError):
             mlc_bruteforce(node, np.zeros((2, 2)), np.array([[0.5, 1.0], [1.0, 0.0]]))
+
+    def test_bad_edge_matrix_rejected(self):
+        node = np.zeros((2, 2))
+        metric = 1.0 - np.eye(2)
+        with pytest.raises(ValueError, match=r"\(n, n\)"):
+            mlc_bruteforce(node, np.zeros((2, 3)), metric)
+        with pytest.raises(ValueError, match="nonnegative"):
+            mlc_bruteforce(node, np.array([[0.0, -0.5], [-0.5, 0.0]]), metric)
+        with pytest.raises(ValueError, match="symmetric"):
+            mlc_bruteforce(node, np.array([[0.0, 0.5], [0.2, 0.0]]), metric)
 
 
 class TestBoxRelaxation:

@@ -233,9 +233,11 @@ class TestSuite:
                 run_suite(small_config(algorithm=algo, sign_scale=2.0), seeds=[0])
 
     def test_unknown_config_key_rejected(self):
-        # a typo of "playouts" must not run with the default of 1
-        with pytest.raises(ValueError, match="'playout'"):
-            run_suite(small_config(playout=3), seeds=[0])
+        # a typo of "playouts" must not run with the default of 1; load_config
+        # resolves paths itself, so a config cannot set a base directory
+        for key in ("playout", "_base_dir"):
+            with pytest.raises(ValueError, match=f"'{key}'"):
+                run_suite(small_config(**{key: 3}), seeds=[0])
 
     def test_readme_table_lists_every_config_key(self):
         with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as f:
@@ -243,7 +245,15 @@ class TestSuite:
         first_cells = [line.split("|")[1] for line in section.splitlines()
                        if line.startswith("| `")]
         keys = {key for cell in first_cells for key in re.findall(r"`([^`]+)`", cell)}
-        assert keys == runner.CONFIG_KEYS - {"_base_dir"}
+        assert keys == runner.CONFIG_KEYS
+
+    def test_regularized_requires_budget(self):
+        # without K the bound would price lam*K at 0 and the benchmark skip filtering
+        config = small_config(algorithm="bistro_regularized", **{"lambda": 0.1},
+                              constraint={"type": "pairwise", "weights": "uniform"})
+        with pytest.raises(ValueError, match="'K'"):
+            run_suite(config, seeds=[0])
+        assert np.isfinite(run_suite({**config, "K": 4}, seeds=[0])["bound"])
 
     def test_shipped_config_loads(self):
         config = load_config(os.path.join(CONFIG_DIR, "fixed_adversarial.json"))

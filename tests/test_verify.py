@@ -110,11 +110,6 @@ class TestGridMinimax:
             _, slow = enumerate_grid_minimax(psi, res)
             assert fast == pytest.approx(slow, abs=1e-12)
 
-    def test_sample_mode(self):
-        psi = np.array([0.5, 0.3, 0.1])
-        _, v = grid_minimax(psi, mode="sample", samples=20000, rng=0)
-        assert v == pytest.approx(1 / 30, abs=5e-3)
-
     def test_resolution_controls_accuracy(self):
         psi = np.array([0.41, -0.13, 0.27, 0.05])
         _, coarse = grid_minimax(psi, resolution=10)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from bistro.verify import grid_minimax
-from bistro.waterfill import minimax_value, waterfill, waterfill_oracle
+from bistro.verify import grid_minimax, waterfill_oracle
+from bistro.waterfill import minimax_value, waterfill
 
 
 class TestWaterfillExamples:
