@@ -45,8 +45,8 @@ class RecursiveStep:
     def margin(self) -> float:
         return self.lhs - self.rhs
 
-    def passed(self, k: float = 3.0) -> bool:
-        return self.margin <= k * self.stderr + EXACT_TOL
+    def passed(self) -> bool:
+        return self.margin <= 3.0 * self.stderr + EXACT_TOL
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,8 @@ class AdmissibilityReport:
     steps: list[RecursiveStep]
     initial: InitialCondition
 
-    def ok(self, k: float = 3.0) -> bool:
-        return all(s.passed(k) for s in self.steps) and self.initial.failures == 0
+    def ok(self) -> bool:
+        return all(s.passed() for s in self.steps) and self.initial.failures == 0
 
 
 def _checked_probs(policy_class: PolicyClass, probs, n: int) -> np.ndarray:

@@ -74,19 +74,6 @@ class ExpWeightsRelaxation:
         return self.value(np.empty((0, self.policy_class.d)), [])
 
 
-def reduction_gamma(initial_value: float, n: int, d: int) -> float:
-    """Rate minimizing (1/gamma) * Rel_full(empty) + n d gamma, clamped to 1/d."""
-    if n < 1 or d < 1:
-        raise ValueError("n and d must be positive")
-    if initial_value <= 0:
-        return 1.0 / (n * d)
-    return float(min(np.sqrt(initial_value / (n * d)), 1.0 / d))
-
-
-def reduction_bound(initial_value: float, n: int, d: int) -> float:
-    return float(2.0 * np.sqrt(d * n * max(initial_value, 0.0)))
-
-
 class ReductionStrategy(Strategy):
     """Bandit play driven by a full-information relaxation on scaled estimates.
 

@@ -82,13 +82,10 @@ _ADAPTIVE_RULES = {"argmax_punish": _argmax_punish}
 
 
 class AdaptiveCosts(CostProcess):
-    """Deterministic rule of the visible history, committed pre-action.
+    """Deterministic rule of the visible history, committed pre-action; the
+    rule sees x_1..x_t, the current context included."""
 
-    ``sees_current_context`` controls whether the rule receives x_t itself;
-    the default is the strongest allowed visibility.
-    """
-
-    def __init__(self, d: int, rule="argmax_punish", sees_current_context: bool = True):
+    def __init__(self, d: int, rule="argmax_punish"):
         self.d = int(d)
         if isinstance(rule, str):
             if rule not in _ADAPTIVE_RULES:
@@ -96,12 +93,10 @@ class AdaptiveCosts(CostProcess):
             self._rule = _ADAPTIVE_RULES[rule]
         else:
             self._rule = rule
-        self.sees_current_context = bool(sees_current_context)
 
     def commit(self, t, contexts, past_distributions, past_actions):
         # run_episode checks every committed vector, this one included
-        visible = contexts if self.sees_current_context else contexts[:-1]
-        return self._rule(visible, past_distributions, past_actions, self.d)
+        return self._rule(contexts, past_distributions, past_actions, self.d)
 
 
 class Environment:

@@ -99,20 +99,14 @@ class ApproximateErmOracle(ErmOracle):
         return self.inner(contexts, Y) + self.delta * self._rng.uniform(-1.0, 1.0)
 
 
-def _labels_of_matrix(M: np.ndarray) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2:
-        raise ValueError("policy matrix must be (d, n)")
-    return M.argmax(axis=0)
-
-
 class PairwiseDisagreement:
     """Constraint charging w(x_s, x_r) for every ordered round pair whose
     actions differ. The double sum runs over all ordered pairs, so each
-    unordered pair with symmetric weights is counted twice."""
+    unordered pair with symmetric weights is counted twice. ``weights`` is
+    the (|X|, |X|) matrix w, or None for unit weights."""
 
     def __init__(self, weights="uniform"):
-        self._matrix = None
+        self.weights = None
         if isinstance(weights, str):
             if weights != "uniform":
                 raise ValueError(f"unknown weight spec {weights!r}")
@@ -124,19 +118,12 @@ class PairwiseDisagreement:
                 raise ValueError("pair weights must be nonnegative")
             if not np.array_equal(W, W.T):
                 raise ValueError("pair weights must be symmetric")
-            self._matrix = W
+            self.weights = W
 
     def _pair_weights(self, ids: np.ndarray) -> np.ndarray:
-        if self._matrix is not None:
-            return self._matrix[np.ix_(ids, ids)]
+        if self.weights is not None:
+            return self.weights[np.ix_(ids, ids)]
         return np.ones((ids.size, ids.size))
-
-    def __call__(self, M: np.ndarray, contexts) -> float:
-        labels = _labels_of_matrix(M)
-        ids = context_ids(contexts)
-        W = self._pair_weights(ids)
-        differ = labels[:, None] != labels[None, :]
-        return float((W * differ).sum())
 
     def per_policy(self, policy_class: PolicyClass, contexts) -> np.ndarray:
         """Constraint value of every policy at once, shape (|F|,).
@@ -169,16 +156,6 @@ class CoveragePenalty:
         seen = np.concatenate(self.partition) if self.partition else np.empty(0, dtype=np.int64)
         if seen.size != n or np.unique(seen).size != n or (seen < 0).any() or (seen >= n).any():
             raise ValueError("partition must cover the round indices 0..n-1 disjointly")
-
-    def __call__(self, M: np.ndarray, contexts=None) -> float:
-        labels = _labels_of_matrix(M)
-        d = np.asarray(M).shape[0]
-        self._check_partition(labels.size)
-        total = 0.0
-        for block in self.partition:
-            counts = np.bincount(labels[block], minlength=d)
-            total += np.maximum(self.k - counts, 0).sum()
-        return float(total)
 
     def per_policy(self, policy_class: PolicyClass, contexts) -> np.ndarray:
         """Constraint value of every policy at once, shape (|F|,); the blocks

@@ -191,13 +191,13 @@ def uniform_distribution(d: int) -> np.ndarray:
     return np.full(d, 1.0 / d)
 
 
-def check_distribution(q: np.ndarray, tol: float = SIMPLEX_TOL) -> np.ndarray:
+def check_distribution(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if q.ndim != 1:
         raise ValueError("distribution must be a vector")
     if (q < 0).any():
         raise ValueError("distribution has negative entries")
-    if abs(q.sum() - 1.0) > tol:
+    if abs(q.sum() - 1.0) > SIMPLEX_TOL:
         raise ValueError(f"distribution sums to {q.sum()!r}, not 1")
     return q
 

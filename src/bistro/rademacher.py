@@ -118,25 +118,20 @@ def fixed_sampler(ids):
     return sample
 
 
-def tune_gamma(rad_mean: float, n: int, d: int) -> float:
-    """Exploration rate sqrt(2 * rad / (n d)), clamped into (0, 1/d].
+def tune_gamma(complexity: float, n: int, d: int) -> float:
+    """Rate sqrt(complexity / (n d)) minimizing complexity/gamma + n d gamma,
+    clamped into (0, 1/d].
 
-    Negative means (Monte-Carlo noise) clamp to zero; a zero mean returns
-    the floor 1/(n d).
+    ``complexity`` is the relaxation's value at the empty history without
+    its exploration term, in the units of the strategy's playouts. A
+    nonpositive complexity returns the floor 1/(n d).
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
-    rad = max(float(rad_mean), 0.0)
-    if rad == 0.0:
+    if complexity <= 0.0:
         return 1.0 / (n * d)
-    gamma = float(np.sqrt(2.0 * rad / (n * d)))
+    gamma = float(np.sqrt(complexity / (n * d)))
     if gamma > 1.0 / d:
         log.warning("tuned gamma %.4f exceeds 1/d; clamping to pure uniform exploration", gamma)
         return 1.0 / d
     return gamma
-
-
-def regret_bound(rad_mean: float, n: int, d: int) -> float:
-    """Expected-regret bound 2 * sqrt(2 d n rad) for the tuned strategy."""
-    rad = max(float(rad_mean), 0.0)
-    return float(2.0 * np.sqrt(2.0 * d * n * rad))

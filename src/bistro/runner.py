@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adversarial import ExpWeightsRelaxation, ReductionStrategy, reduction_bound, reduction_gamma
+from .adversarial import ExpWeightsRelaxation, ReductionStrategy
 from .environments import AdaptiveCosts, Environment, FixedTableCosts, IidBernoulliCosts
 from .erm import (
     ApproximateErmOracle,
@@ -32,10 +32,10 @@ from .rademacher import (
     DEFAULT_TUNING_SAMPLES,
     categorical_sampler,
     rademacher_estimate,
-    regret_bound,
     tune_gamma,
 )
 from .strategies import (
+    SIGN_SCALE,
     BistroStrategy,
     EpsilonGreedyStrategy,
     FollowTheLeaderStrategy,
@@ -58,6 +58,13 @@ CONFIG_KEYS = frozenset({
     "algorithm", "gamma", "playouts", "constraint", "lambda", "K", "eta",
     "pool_factor", "delta", "epsilon", "tune_samples", "tune_seed",
 })
+CONTEXT_DIST_KEYS = frozenset({"probs", "features"})
+# Every key a cost-process document of each type may set.
+COST_PROCESS_KEYS = {
+    "fixed_table": frozenset({"type", "path", "values"}),
+    "iid_bernoulli": frozenset({"type", "means"}),
+    "adaptive": frozenset({"type", "rule"}),
+}
 
 
 @dataclass
@@ -156,13 +163,13 @@ def run_episode(strategy: Strategy, env: Environment, n: int, seed) -> Transcrip
 
 def benchmark_value(transcript: Transcript, policy_class: PolicyClass,
                     constraint=None, K: float | None = None) -> float:
-    """Best cumulative cost inside the (possibly constraint-filtered) class."""
+    """Best cumulative cost inside the class, filtered to C(f) <= K when both
+    a constraint and its budget K are given."""
     if transcript.n == 0:
         return 0.0
     bench = policy_class
-    if constraint is not None:
-        bench = filter_class(policy_class, transcript.contexts, constraint,
-                             np.inf if K is None else K)
+    if constraint is not None and K is not None:
+        bench = filter_class(policy_class, transcript.contexts, constraint, K)
         if bench.size == 0:
             raise ValueError("benchmark class is empty after constraint filtering")
     return exact_erm_value(bench, transcript.contexts, transcript.cost_vectors.T)
@@ -207,31 +214,33 @@ def build_policy_class(config: dict) -> PolicyClass:
     if "path" in doc:
         with open(doc["path"]) as f:
             doc = json.load(f)
-    pc = PolicyClass.from_json(doc, features=_context_features(config))
+    dist = _context_dist(config)
+    pc = PolicyClass.from_json(doc, features=None if dist is None else dist.get("features"))
     if pc.d != int(config["d"]):
         raise ValueError("policy class action count disagrees with config d")
     return pc
 
 
-def _context_probs(config: dict, universe_size: int) -> np.ndarray:
+def _context_dist(config: dict) -> dict | None:
+    """The ``context_dist`` document; None for ``"uniform"``."""
     dist = config.get("context_dist", "uniform")
     if dist == "uniform":
-        return np.full(universe_size, 1.0 / universe_size)
-    if isinstance(dist, dict):
-        return np.asarray(dist["probs"], dtype=float)
-    return np.asarray(dist, dtype=float)
-
-
-def _context_features(config: dict):
-    dist = config.get("context_dist")
-    if isinstance(dist, dict) and "features" in dist:
-        return np.asarray(dist["features"], dtype=float)
-    return None
+        return None
+    if isinstance(dist, dict) and "probs" in dist and CONTEXT_DIST_KEYS.issuperset(dist):
+        return dist
+    raise ValueError(f"context_dist must be \"uniform\" or a dict with \"probs\" and optional "
+                     f"\"features\"; got {dist!r}")
 
 
 def build_cost_process(config: dict):
     doc = config["cost_process"]
-    kind = doc["type"]
+    kind = doc.get("type")
+    known = COST_PROCESS_KEYS.get(kind)
+    if known is None:
+        raise ValueError(f"unknown cost process {kind!r}")
+    if not known.issuperset(doc):
+        raise ValueError(f"unknown cost_process keys {sorted(doc.keys() - known)} for type "
+                         f"{kind!r}; known keys: {sorted(known)}")
     if kind == "fixed_table":
         if "path" in doc:
             values = np.loadtxt(doc["path"], delimiter=",")
@@ -240,17 +249,15 @@ def build_cost_process(config: dict):
         return FixedTableCosts(values)
     if kind == "iid_bernoulli":
         return IidBernoulliCosts(np.asarray(doc["means"], dtype=float))
-    if kind == "adaptive":
-        return AdaptiveCosts(
-            d=int(config["d"]),
-            rule=doc.get("rule", "argmax_punish"),
-            sees_current_context=doc.get("sees_current_context", True),
-        )
-    raise ValueError(f"unknown cost process {kind!r}")
+    return AdaptiveCosts(d=int(config["d"]), rule=doc.get("rule", "argmax_punish"))
 
 
 def build_environment(config: dict, policy_class: PolicyClass) -> Environment:
-    probs = _context_probs(config, policy_class.universe_size)
+    dist = _context_dist(config)
+    if dist is None:
+        probs = np.full(policy_class.universe_size, 1.0 / policy_class.universe_size)
+    else:
+        probs = np.asarray(dist["probs"], dtype=float)
     if probs.size != policy_class.universe_size:
         raise ValueError("context distribution size disagrees with the policy universe")
     return Environment(
@@ -265,12 +272,6 @@ def build_constraint(config: dict):
     return None if doc is None else load_constraint(doc)
 
 
-def box_rademacher(n: int, d: int) -> float:
-    """Exact complexity of the box superset: per column, the best response to
-    a sign vector is max(0, max_j eps_j), which is 1 unless all signs are -1."""
-    return float(n * (1.0 - 0.5**d))
-
-
 def _regularized_oracle(config: dict, policy_class: PolicyClass,
                         lambda_scaled: float) -> RegularizedErmOracle:
     constraint = build_constraint(config)
@@ -283,7 +284,14 @@ def _regularized_oracle(config: dict, policy_class: PolicyClass,
 
 
 def resolve_strategy_params(config: dict, policy_class: PolicyClass, env: Environment) -> dict:
-    """Fix gamma, the complexity estimate, and the theoretical bound."""
+    """Fix gamma, the complexity estimate, and the theoretical bound.
+
+    Each relaxation's value at the empty history is
+    complexity/gamma + n*d*gamma (+ lambda*K for the regularized variant),
+    with the complexity in the units of the strategy's playouts. ``"auto"``
+    tunes gamma to minimize it, and the bound is that value at the gamma the
+    run plays.
+    """
     algo = config.get("algorithm", "bistro")
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}")
@@ -292,37 +300,41 @@ def resolve_strategy_params(config: dict, policy_class: PolicyClass, env: Enviro
     out = {"algorithm": algo, "gamma": None, "rad_estimate": None,
            "rad_stderr": None, "bound": None, "bound_stderr": None}
 
-    if algo.startswith("bistro"):
+    if algo == "adversarial_reduction":
+        complexity = ExpWeightsRelaxation(policy_class, n, eta=config.get("eta")).initial_value()
+        out["rad_estimate"], out["rad_stderr"] = complexity, 0.0
+    elif algo.startswith("bistro"):
         samples = int(config.get("tune_samples", DEFAULT_TUNING_SAMPLES))
         seed = config.get("tune_seed", 0)
         sampler = categorical_sampler(env.probs)
         est = rademacher_estimate(ExactErmOracle(policy_class), sampler, n, samples, seed)
-    if algo in ("bistro", "bistro_regularized"):
         out["rad_estimate"], out["rad_stderr"] = est.mean, est.std_error
-        gamma = tune_gamma(est.mean, n, d) if gamma_cfg == "auto" else float(gamma_cfg)
-        out["gamma"] = gamma
-        if algo == "bistro":
-            out["bound"] = regret_bound(est.mean, n, d)
-        else:
-            # E sup_f {-(1/gamma) sum_t eps_t[f(x_t)] - lam*C(f)} is the Rademacher
-            # average of the class penalized by lam*gamma*C, over gamma.
-            lam = float(config.get("lambda", 0.0))
-            penalized = rademacher_estimate(
-                _regularized_oracle(config, policy_class, lam * gamma), sampler, n, samples, seed)
-            out["bound"] = penalized.mean / gamma + n * d * gamma + lam * float(config["K"])
-            out["bound_stderr"] = penalized.std_error / gamma
-    elif algo == "bistro_relaxed":
-        rad = box_rademacher(n, d)
-        out["rad_estimate"], out["rad_stderr"] = rad, 0.0
-        out["gamma"] = tune_gamma(rad, n, d) if gamma_cfg == "auto" else float(gamma_cfg)
-        out["bound"] = regret_bound(rad, n, d)
-        # superset vs original class widths, reported side by side (no ratio asserted)
-        out["class_rad_estimate"], out["class_rad_stderr"] = est.mean, est.std_error
-    elif algo == "adversarial_reduction":
-        rel0 = ExpWeightsRelaxation(policy_class, n, eta=config.get("eta")).initial_value()
-        out["rad_estimate"], out["rad_stderr"] = rel0, 0.0
-        out["gamma"] = reduction_gamma(rel0, n, d) if gamma_cfg == "auto" else float(gamma_cfg)
-        out["bound"] = reduction_bound(rel0, n, d)
+        # the playouts carry SIGN_SCALE * eps
+        complexity = SIGN_SCALE * max(est.mean, 0.0)
+        if algo == "bistro_relaxed":
+            # superset vs original class widths, reported side by side (no ratio asserted)
+            out["class_rad_estimate"], out["class_rad_stderr"] = est.mean, est.std_error
+            # Box superset: per column the best response to a sign vector is
+            # max(0, max_j eps_j), which is 1 unless all d signs are -1.
+            out["rad_estimate"], out["rad_stderr"] = n * (1.0 - 2.0**-d), 0.0
+            complexity = SIGN_SCALE * out["rad_estimate"]
+    else:
+        return out  # the baselines play no relaxation
+
+    gamma = tune_gamma(complexity, n, d) if gamma_cfg == "auto" else float(gamma_cfg)
+    penalty = 0.0
+    if algo == "bistro_regularized":
+        # E sup_f {-(SIGN_SCALE/gamma) sum_t eps_t[f(x_t)] - lam*C(f)} is SIGN_SCALE/gamma
+        # times the Rademacher average of the class penalized by lam*gamma/SIGN_SCALE * C.
+        lam = float(config.get("lambda", 0.0))
+        penalized = rademacher_estimate(
+            _regularized_oracle(config, policy_class, lam * gamma / SIGN_SCALE),
+            sampler, n, samples, seed)
+        complexity = SIGN_SCALE * penalized.mean
+        out["bound_stderr"] = SIGN_SCALE * penalized.std_error / gamma
+        penalty = lam * float(config["K"])
+    out["gamma"] = gamma
+    out["bound"] = complexity / gamma + n * d * gamma + penalty
     return out
 
 

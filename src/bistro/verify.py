@@ -2,12 +2,12 @@
 
 Nothing here shares computation paths with the implementations under test:
 ERM is a double loop over action-table rows and rounds, per-policy linear
-values are gathered round by round instead of folded by context, the
-Rademacher average and the regularized bound enumerate every sign
-assignment, the metric-labeling objective enumerates every labeling, the
-water-fill level is found by bisection, and the minimax solver reads the
-optimum of a simplex lattice off its sorted levels. Capacity limits are
-hard errors, never silent truncation.
+values and constraint penalties are summed round by round instead of
+folded by context, the Rademacher average and the regularized bound
+enumerate every sign assignment, the metric-labeling objective enumerates
+every labeling, the water-fill level is found by bisection, and the
+minimax solver reads the optimum of a simplex lattice off its sorted
+levels. Capacity limits are hard errors, never silent truncation.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ import itertools
 
 import numpy as np
 
-from .erm import policy_constraint_values
+from .erm import CoveragePenalty, policy_constraint_values
 from .policies import CapacityError, PolicyClass
+from .strategies import SIGN_SCALE
 
 BRUTEFORCE_CLASS_LIMIT = 10**4
 BRUTEFORCE_HORIZON_LIMIT = 64
@@ -54,6 +55,27 @@ def policy_to_matrix(policy_class: PolicyClass, f: int, contexts) -> np.ndarray:
     for t, c in enumerate(ctxs):
         M[_action(row, c), t] = 1.0
     return M
+
+
+def sequence_constraint(constraint, M, contexts=None) -> float:
+    """A constraint on one policy's one-hot (d, n) matrix, summed over round
+    pairs (pairwise, weights read off ``constraint.weights``, None for unit
+    weights) or round blocks (coverage, ``constraint.partition`` and ``k``;
+    ``contexts`` is unused): the form that ``per_policy`` folds."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2:
+        raise ValueError("policy matrix must be (d, n)")
+    labels = M.argmax(axis=0)
+    if isinstance(constraint, CoveragePenalty):
+        rounds = sorted(int(t) for block in constraint.partition for t in block)
+        if rounds != list(range(labels.size)):
+            raise ValueError("partition must cover the round indices 0..n-1 disjointly")
+        return float(sum(max(constraint.k - int((labels[block] == j).sum()), 0)
+                         for block in constraint.partition for j in range(M.shape[0])))
+    ids = np.asarray(list(contexts), dtype=np.int64)
+    W = (np.ones((ids.size, ids.size)) if constraint.weights is None
+         else constraint.weights[np.ix_(ids, ids)])
+    return float((W * (labels[:, None] != labels[None, :])).sum())
 
 
 def bruteforce_erm(policy_class: PolicyClass, contexts, Y) -> float:
@@ -95,7 +117,8 @@ def exact_rademacher(policy_class: PolicyClass, contexts) -> float:
 
 def exact_regularized_bound(policy_class: PolicyClass, probs, n: int, gamma: float,
                             lam: float, K: float, constraint) -> float:
-    """E_{x,eps} sup_f { -(1/gamma) sum_t eps_t[f(x_t)] - lam*C(f; x) } + n*d*gamma + lam*K.
+    """E_{x,eps} sup_f { -(SIGN_SCALE/gamma) sum_t eps_t[f(x_t)] - lam*C(f; x) }
+    + n*d*gamma + lam*K: the regularized relaxation at the empty history.
 
     Exact enumeration over sign patterns and context sequences: the
     reference for the Monte-Carlo bound of ``bistro_regularized``.
@@ -121,7 +144,7 @@ def exact_regularized_bound(policy_class: PolicyClass, probs, n: int, gamma: flo
             continue
         A = policy_class.actions_on(xseq)  # (|F|, n)
         picked = eps[:, A, cols]           # (P, |F|, n)
-        vals = -picked.sum(axis=2) / gamma
+        vals = -SIGN_SCALE * picked.sum(axis=2) / gamma
         if lam > 0:
             vals = vals - lam * policy_constraint_values(constraint, policy_class, xseq)
         total += w * vals.max(axis=1).mean()

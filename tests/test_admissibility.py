@@ -1,4 +1,5 @@
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -9,8 +10,18 @@ from bistro.admissibility import (
     check_reduction_admissibility,
 )
 from bistro.policies import CapacityError, PolicyClass, mix_with_uniform
+from bistro.runner import (
+    build_environment,
+    build_policy_class,
+    load_config,
+    resolve_strategy_params,
+)
+from bistro.strategies import SIGN_SCALE
 from bistro.verify import sequence_values
 from bistro.waterfill import waterfill
+
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 class TestBistroChecker:
@@ -69,6 +80,22 @@ class TestBistroChecker:
         )
         for step in report.steps:
             assert step.margin <= 3 * step.stderr + 1e-9
+
+
+class TestBoundIsRelaxationAtEmptyHistory:
+    def test_bistro_bound_matches_first_rhs(self):
+        # The bound is Rel(empty) at the gamma played, tuned or not; the
+        # checker's first rhs estimates the same value with its own draws.
+        config = load_config(os.path.join(CONFIG_DIR, "admissibility_small.json"))
+        pc = build_policy_class(config)
+        env = build_environment(config, pc)
+        for gamma in (0.1, 0.25, 0.5):
+            params = resolve_strategy_params(
+                {**config, "gamma": gamma, "tune_samples": 2000}, pc, env)
+            step = check_bistro_admissibility(pc, env.probs, config["n"], gamma, samples=2000,
+                                              seed=1, initial_checks=1).steps[0]
+            se = np.hypot(SIGN_SCALE * params["rad_stderr"] / gamma, step.stderr)
+            assert abs(params["bound"] - step.rhs) <= 3 * se
 
 
 class TestReductionChecker:

@@ -2,15 +2,11 @@ import numpy as np
 import pytest
 
 from bistro.admissibility import expweights_initial_margin, expweights_recursive_gap
-from bistro.adversarial import (
-    ExpWeightsRelaxation,
-    ReductionStrategy,
-    reduction_bound,
-    reduction_gamma,
-)
+from bistro.adversarial import ExpWeightsRelaxation, ReductionStrategy
 from bistro.environments import Environment, FixedTableCosts
 from bistro.policies import PolicyClass
-from bistro.runner import run_episode
+from bistro.rademacher import tune_gamma
+from bistro.runner import resolve_strategy_params, run_episode
 from bistro.verify import sequence_values
 
 
@@ -136,12 +132,16 @@ class TestReduction:
 
     def test_derived_gamma_and_bound(self):
         n, d = 100, 2
-        rel0 = float(np.sqrt(2 * n * np.log(8)))
-        gamma = reduction_gamma(rel0, n, d)
-        assert gamma == pytest.approx(min(np.sqrt(rel0 / (n * d)), 1 / d))
-        assert reduction_bound(rel0, n, d) == pytest.approx(2 * np.sqrt(d * n * rel0))
+        rel0 = float(np.sqrt(2 * n * np.log(8)))  # exp-weights over 8 policies
+        pc = PolicyClass.all_labelings(d, 3)
+        env = Environment(np.ones(3) / 3, FixedTableCosts(np.zeros((n, d))))
+        params = resolve_strategy_params({"algorithm": "adversarial_reduction", "n": n, "d": d},
+                                         pc, env)
+        assert params["rad_estimate"] == pytest.approx(rel0)
+        assert params["gamma"] == pytest.approx(min(np.sqrt(rel0 / (n * d)), 1 / d))
+        assert params["bound"] == pytest.approx(2 * np.sqrt(d * n * rel0))
         # clamping at small horizons
-        assert reduction_gamma(100.0, 2, 2) == 0.5
+        assert tune_gamma(100.0, 2, 2) == 0.5
 
     def test_determinism(self):
         rng = np.random.default_rng(45)

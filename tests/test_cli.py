@@ -124,6 +124,22 @@ def test_missing_required_key_exits_2(command, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["run", "rademacher"])
+@pytest.mark.parametrize("changes, named", [
+    ({"context_dist": {"features": [[1.0], [0.0]]}}, "context_dist"),
+    ({"context_dist": [0.6, 0.4]}, "context_dist"),
+    ({"cost_process": {"type": "adaptive", "sees_current_context": False}},
+     "'sees_current_context'"),
+])
+def test_malformed_documents_exit_2(command, changes, named, tmp_path, capsys):
+    count = "--seeds" if command == "run" else "--samples"
+    code = main([command, "--config", write_config(tmp_path, **changes), count, "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"bistro {command}: ") and named in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("algorithm", ["ftl", "uniform", "bistro_relaxed", "bistro_regularized"])
 def test_admissibility_refuses_unchecked_algorithms(algorithm, capsys):
     code = main(["admissibility", "--config", cfg("admissibility_small.json"),

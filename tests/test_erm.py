@@ -17,7 +17,7 @@ from bistro.erm import (
     regularized_erm_value,
 )
 from bistro.policies import CapacityError, PolicyClass
-from bistro.verify import bruteforce_erm, mlc_bruteforce, policy_to_matrix
+from bistro.verify import bruteforce_erm, mlc_bruteforce, policy_to_matrix, sequence_constraint
 
 Y_EXAMPLE = np.array([[0.2, 0.5], [0.9, 0.1]])
 
@@ -166,15 +166,15 @@ class TestApproximateOracle:
 class TestConstraints:
     def test_pairwise_two_rounds(self):
         M = one_hot([0, 1], 2, [0, 1])
-        assert PairwiseDisagreement("uniform")(M, [0, 1]) == 2.0
+        assert sequence_constraint(PairwiseDisagreement("uniform"), M, [0, 1]) == 2.0
 
     def test_pairwise_constant_labeling(self):
         M = one_hot([0, 0, 0], 2, [0, 1, 2])
-        assert PairwiseDisagreement("uniform")(M, [0, 1, 2]) == 0.0
+        assert sequence_constraint(PairwiseDisagreement("uniform"), M, [0, 1, 2]) == 0.0
 
     def test_pairwise_three_rounds(self):
         M = one_hot([0, 0, 1], 2, [0, 1, 2])
-        assert PairwiseDisagreement("uniform")(M, [0, 1, 2]) == 4.0
+        assert sequence_constraint(PairwiseDisagreement("uniform"), M, [0, 1, 2]) == 4.0
 
     def test_pairwise_negative_weight_rejected(self):
         with pytest.raises(ValueError):
@@ -184,37 +184,37 @@ class TestConstraints:
         W = np.array([[0.0, 2.0], [2.0, 0.0]])
         M = one_hot([0, 1], 2, [0, 1, 0])
         # ordered pairs over rounds: (1,2),(2,1),(2,3),(3,2) disagree, each w=2
-        assert PairwiseDisagreement(W)(M, [0, 1, 0]) == 8.0
+        assert sequence_constraint(PairwiseDisagreement(W), M, [0, 1, 0]) == 8.0
 
     def test_coverage_one_block_constant(self):
         M = one_hot([0, 0], 2, [0, 1])
-        assert CoveragePenalty([[0, 1]], 1)(M) == 1.0
+        assert sequence_constraint(CoveragePenalty([[0, 1]], 1), M) == 1.0
 
     def test_coverage_k_zero(self):
         rng = np.random.default_rng(22)
         for _ in range(20):
             labels = rng.integers(0, 2, 4)
             M = one_hot(labels, 2, range(4))
-            assert CoveragePenalty([[0, 1], [2, 3]], 0)(M) == 0.0
+            assert sequence_constraint(CoveragePenalty([[0, 1], [2, 3]], 0), M) == 0.0
 
     def test_coverage_balanced_labeling(self):
         M = one_hot([0, 1], 2, [0, 1])
-        assert CoveragePenalty([[0, 1]], 1)(M) == 0.0
+        assert sequence_constraint(CoveragePenalty([[0, 1]], 1), M) == 0.0
 
     def test_coverage_partition_validation(self):
         M = one_hot([0, 1], 2, [0, 1])
         with pytest.raises(ValueError):
-            CoveragePenalty([[0]], 1)(M)  # incomplete
+            sequence_constraint(CoveragePenalty([[0]], 1), M)  # incomplete
         with pytest.raises(ValueError):
-            CoveragePenalty([[0, 1], [1]], 1)(M)  # overlapping
+            sequence_constraint(CoveragePenalty([[0, 1], [1]], 1), M)  # overlapping
 
     def test_nonnegative_on_random_labelings(self):
         rng = np.random.default_rng(23)
         for _ in range(30):
             labels = rng.integers(0, 3, 5)
             M = one_hot(labels, 3, range(5))
-            assert PairwiseDisagreement("uniform")(M, range(5)) >= 0.0
-            assert CoveragePenalty([[0, 1, 2], [3, 4]], 2)(M) >= 0.0
+            assert sequence_constraint(PairwiseDisagreement("uniform"), M, range(5)) >= 0.0
+            assert sequence_constraint(CoveragePenalty([[0, 1, 2], [3, 4]], 2), M) >= 0.0
 
     def test_load_constraint(self):
         c1 = load_constraint({"type": "pairwise", "weights": "uniform"})
@@ -227,7 +227,8 @@ class TestConstraints:
 
 def sequence_penalties(constraint, pc, ctxs):
     """Round-pair form: the constraint on each policy's one-hot matrix."""
-    return np.array([constraint(policy_to_matrix(pc, f, ctxs), ctxs) for f in range(pc.size)])
+    return np.array([sequence_constraint(constraint, policy_to_matrix(pc, f, ctxs), ctxs)
+                     for f in range(pc.size)])
 
 
 def symmetric_weights(rng, universe):

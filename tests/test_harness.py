@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from bistro import runner
+from bistro import erm, runner
 from bistro.environments import AdaptiveCosts, Environment, FixedTableCosts, IidBernoulliCosts
 from bistro.policies import PolicyClass, check_cost_vector
 from bistro.runner import (
@@ -73,18 +73,6 @@ class TestRunEpisode:
         env = Environment(np.ones(2) / 2, AdaptiveCosts(d=2, rule=spy))
         run_episode(UniformStrategy(2), env, n, seed=1)
         assert seen == [(t + 1, t, t) for t in range(n)]
-
-    def test_adaptive_rule_without_current_context(self):
-        seen = []
-
-        def spy(contexts, past_q, past_actions, d):
-            seen.append(len(contexts))
-            return np.zeros(d)
-
-        env = Environment(np.ones(2) / 2,
-                          AdaptiveCosts(d=2, rule=spy, sees_current_context=False))
-        run_episode(UniformStrategy(2), env, 3, seed=1)
-        assert seen == [0, 1, 2]
 
     def test_argmax_punish_costs_are_committed_pre_action(self):
         env = Environment(np.ones(2) / 2, AdaptiveCosts(d=2, rule="argmax_punish"))
@@ -282,6 +270,62 @@ class TestSuite:
         assert np.isfinite(summary["bound"]) and np.isfinite(summary["bound_stderr"])
         assert summary["bound_stderr"] > 0
         assert summary["violations"] == 0
+
+    def test_unpenalized_regularized_bound_is_bistro_bound(self):
+        # at lambda = 0 the regularized variant plays bistro, so it prices bistro's relaxation
+        config = load_config(os.path.join(CONFIG_DIR, "regularized_pairwise.json"))
+        config.update({"lambda": 0.0, "tune_seed": 3})
+        pc = runner.build_policy_class(config)
+        env = runner.build_environment(config, pc)
+        for gamma in (0.1, 0.25, "auto"):
+            reg = runner.resolve_strategy_params({**config, "gamma": gamma}, pc, env)
+            plain = runner.resolve_strategy_params(
+                {**config, "gamma": gamma, "algorithm": "bistro"}, pc, env)
+            assert reg["gamma"] == plain["gamma"]
+            assert reg["bound"] == plain["bound"]
+
+    def test_constraint_without_budget_keeps_whole_class(self, monkeypatch):
+        constraint = {"type": "pairwise", "weights": "uniform"}
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return values(*args)
+
+        values = erm.policy_constraint_values
+        monkeypatch.setattr(erm, "policy_constraint_values", spy)
+        plain = run_suite(small_config(), seeds=range(3))
+        keyed = run_suite(small_config(constraint=constraint), seeds=range(3))
+        assert keyed["per_seed_regret"] == plain["per_seed_regret"]
+        assert calls == []
+        run_suite(small_config(constraint=constraint, K=4), seeds=range(3))
+        assert len(calls) == 3
+
+    def test_argmax_linear_class_from_context_features(self):
+        # unit features: policy f plays argmax_j w_fj[x] at context x
+        linear = small_config(
+            context_dist={"probs": [0.5, 0.5], "features": [[1.0, 0.0], [0.0, 1.0]]},
+            policy_class={"family": "argmax_linear",
+                          "weights": [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 1], [0, 0]]]})
+        table = small_config(policy_class={"d": 2, "policies": [[1, 2], [2, 1], [1, 1]]})
+        assert runner.build_policy_class(linear).table.tolist() == [[0, 1], [1, 0], [0, 0]]
+        a, b = run_suite(linear, seeds=range(3)), run_suite(table, seeds=range(3))
+        assert a["per_seed_regret"] == b["per_seed_regret"]
+
+    def test_context_dist_has_one_form(self):
+        for dist in ({"features": [[1.0], [0.0]]}, [0.5, 0.5],
+                     {"probs": [0.5, 0.5], "feature": [[1.0], [0.0]]}, "zipf"):
+            with pytest.raises(ValueError, match="context_dist"):
+                run_suite(small_config(context_dist=dist), seeds=[0])
+
+    def test_unknown_cost_process_key_rejected(self):
+        # a removed key must not silently change what the adversary sees
+        for doc, key in (({"type": "adaptive", "sees_current_context": False},
+                          "sees_current_context"),
+                         ({"type": "fixed_table", "values": [[0.5, 0.5]] * 8, "rule": "x"},
+                          "rule")):
+            with pytest.raises(ValueError, match=f"'{key}'"):
+                run_suite(small_config(cost_process=doc), seeds=[0])
 
     def test_numeric_error_policy(self, monkeypatch):
         seen = {}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bistro import rademacher
+from bistro import rademacher, runner
 from bistro.environments import Environment, FixedTableCosts
 from bistro.erm import ExactErmOracle
 from bistro.policies import PolicyClass
@@ -11,7 +11,6 @@ from bistro.rademacher import (
     fixed_sampler,
     rademacher_estimate,
     rademacher_samples,
-    regret_bound,
     tune_gamma,
 )
 from bistro.verify import exact_rademacher
@@ -120,21 +119,22 @@ class TestCategoricalSampler:
 
 
 class TestTuning:
+    # tune_gamma takes the complexity in playout units: twice the Rademacher average
     def test_clamp_to_uniform(self):
         # rad = n/2 at d=2 tunes to sqrt(1/2), above 1/d: clamp.
         for n in (4, 10, 64):
-            assert tune_gamma(n / 2, n, 2) == 0.5
+            assert tune_gamma(n, n, 2) == 0.5
 
     def test_zero_rad_floor(self):
         assert tune_gamma(0.0, 10, 2) == pytest.approx(1 / 20)
-        assert tune_gamma(-0.3, 10, 2) == pytest.approx(1 / 20)
+        assert tune_gamma(-0.6, 10, 2) == pytest.approx(1 / 20)
 
     def test_full_clamp_case(self):
         n, d = 10, 2
-        assert tune_gamma(n * d / 2, n, d) == 0.5
+        assert tune_gamma(n * d, n, d) == 0.5
 
     def test_interior_value(self):
-        gamma = tune_gamma(1.0, 100, 2)
+        gamma = tune_gamma(2.0, 100, 2)
         assert gamma == pytest.approx(np.sqrt(2 / 200))
         assert 0 < gamma <= 0.5
 
@@ -143,24 +143,58 @@ class TestTuning:
         for _ in range(200):
             n = int(rng.integers(1, 1000))
             d = int(rng.integers(1, 20))
-            g = tune_gamma(float(rng.uniform(-1, 3 * n)), n, d)
+            g = tune_gamma(2 * float(rng.uniform(-1, 3 * n)), n, d)
             assert 0 < g <= 1 / d
 
     def test_parameter_errors(self):
         with pytest.raises(ValueError):
-            tune_gamma(1.0, 0, 2)
+            tune_gamma(2.0, 0, 2)
         with pytest.raises(ValueError):
-            tune_gamma(1.0, 5, 0)
+            tune_gamma(2.0, 5, 0)
+
+
+def bistro_params(monkeypatch, rad, n, d, algorithm="bistro", gamma="auto"):
+    """resolve_strategy_params with the class's Rademacher estimate fixed at rad."""
+    monkeypatch.setattr(runner, "rademacher_estimate",
+                        lambda *args: RademacherEstimate(mean=rad, std_error=0.0, samples=1))
+    pc = PolicyClass.all_labelings(d, 2)
+    env = Environment(np.ones(2) / 2, FixedTableCosts(np.zeros((n, d))))
+    config = {"algorithm": algorithm, "n": n, "d": d, "gamma": gamma}
+    return runner.resolve_strategy_params(config, pc, env)
 
 
 class TestBound:
-    def test_zero(self):
-        assert regret_bound(0.0, 100, 4) == 0.0
+    # The bound is complexity/gamma + n*d*gamma at the gamma played, with
+    # complexity = SIGN_SCALE * rad for bistro.
+    def test_zero(self, monkeypatch):
+        for rad in (0.0, -0.3):
+            params = bistro_params(monkeypatch, rad=rad, n=100, d=4)
+            assert params["gamma"] == 1 / 400
+            assert params["bound"] == 1.0
 
-    def test_plug_in(self):
-        assert regret_bound(5.0, 10, 2) == pytest.approx(2 * np.sqrt(200))
+    def test_plug_in(self, monkeypatch):
+        # interior gamma = sqrt(2 rad / (n d)) = 0.1: the bound is 2 * sqrt(2 d n rad)
+        params = bistro_params(monkeypatch, rad=1.0, n=100, d=2)
+        assert params["gamma"] == pytest.approx(0.1)
+        assert params["bound"] == pytest.approx(2 * np.sqrt(400))
 
-    def test_sqrt_scaling(self):
-        b1 = regret_bound(3.0, 50, 3)
-        b4 = regret_bound(12.0, 50, 3)
+    def test_sqrt_scaling(self, monkeypatch):
+        b1 = bistro_params(monkeypatch, rad=3.0, n=500, d=3)["bound"]
+        b4 = bistro_params(monkeypatch, rad=12.0, n=500, d=3)["bound"]
         assert b4 == pytest.approx(2 * b1)
+
+    def test_clamped(self, monkeypatch):
+        # rad = 5 at n=10, d=2 tunes past 1/d: at gamma = 1/d the bound is complexity*d + n
+        params = bistro_params(monkeypatch, rad=5.0, n=10, d=2)
+        assert params["gamma"] == 0.5
+        assert params["bound"] == 2 * 5.0 * 2 + 10
+        # the box superset's complexity 2 * n * (1 - 2^-d) always clamps at d = 2
+        params = bistro_params(monkeypatch, rad=5.0, n=512, d=2, algorithm="bistro_relaxed")
+        assert params["gamma"] == 0.5
+        assert params["rad_estimate"] == 384.0
+        assert params["bound"] == 2048.0
+
+    def test_fixed_gamma(self, monkeypatch):
+        params = bistro_params(monkeypatch, rad=1.0, n=100, d=2, gamma=0.25)
+        assert params["gamma"] == 0.25
+        assert params["bound"] == 2.0 / 0.25 + 200 * 0.25

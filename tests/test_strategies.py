@@ -7,7 +7,7 @@ from bistro.erm import PairwiseDisagreement, exact_erm_value
 from bistro.policies import PolicyClass, ips_estimate
 from bistro.runner import run_episode
 from bistro.strategies import BistroStrategy
-from bistro.verify import policy_to_matrix, sequence_values
+from bistro.verify import policy_to_matrix, sequence_constraint, sequence_values
 from bistro.waterfill import minimax_value, waterfill
 
 
@@ -300,8 +300,9 @@ class TestRegularizedVariant:
             assert len(recorder.queries) == 2 * n
             penalised_wins = 0
             for ctx, Y, value in recorder.queries:
-                penalty = np.array([PairwiseDisagreement(weights)(policy_to_matrix(pc, f, ctx), ctx)
-                                    for f in range(pc.size)])
+                penalty = np.array([
+                    sequence_constraint(constraint, policy_to_matrix(pc, f, ctx), ctx)
+                    for f in range(pc.size)])
                 totals = sequence_values(pc, ctx, Y) + lam / gamma * penalty
                 assert abs(value - totals.min()) <= 1e-12
                 penalised_wins += penalty[totals.argmin()] > 0

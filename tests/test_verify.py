@@ -12,6 +12,7 @@ from bistro.runner import (
     load_config,
     resolve_strategy_params,
 )
+from bistro.strategies import SIGN_SCALE
 from bistro.verify import (
     bruteforce_erm,
     enumerate_grid_minimax,
@@ -80,7 +81,7 @@ class TestExactRegularizedBound:
         rad = np.mean([exact_rademacher(pc, s) for s in seqs])
         bound = exact_regularized_bound(pc, [0.5, 0.5], n, gamma, lam=0.0, K=0.0,
                                         constraint=None)
-        assert bound == pytest.approx(rad / gamma + n * 2 * gamma, abs=1e-12)
+        assert bound == pytest.approx(SIGN_SCALE * rad / gamma + n * 2 * gamma, abs=1e-12)
 
     def test_capacity(self):
         pc = PolicyClass.all_labelings(2, 2)
