@@ -22,6 +22,9 @@ def waterfill(psi) -> np.ndarray:
     if psi.ndim != 1 or psi.size < 1 or not np.all(np.isfinite(psi)):
         raise ValueError("psi must be a nonempty finite vector")
     d = psi.size
+    # Shifting by the max keeps the prefix sums and the level near 1 at any
+    # scale of psi, so the mass stays on the simplex.
+    psi = psi - psi.max()
     u = np.sort(psi)[::-1]
     levels = (1.0 - np.cumsum(u)) / np.arange(1, d + 1)
     # Largest active set k with u_k + v_k > 0; k=1 always qualifies.

@@ -74,6 +74,21 @@ class TestWaterfillProperties:
             perm = rng.permutation(d)
             np.testing.assert_array_equal(waterfill(psi[perm]), waterfill(psi)[perm])
 
+    def test_on_simplex_at_any_scale(self):
+        # psi of the size the pairwise penalty reaches (|psi| ~ 600 in
+        # ordinary play, 1e5 and more at large n) once left the mass off by
+        # up to 1e-8, above check_distribution's 1e-12
+        rng = np.random.default_rng(19)
+        for offset in [sign * 10.0**k for k in range(-3, 8) for sign in (1, -1)]:
+            for d in range(1, 7):
+                for _ in range(10):
+                    u = rng.uniform(-1, 1, size=d)
+                    psi = offset + u
+                    q = waterfill(psi)
+                    assert abs(q.sum() - 1.0) <= 1e-12, (offset, d)
+                    np.testing.assert_allclose(q, waterfill_oracle(psi - offset), rtol=0,
+                                               atol=1e-9)
+
     def test_translation_invariance(self):
         rng = np.random.default_rng(16)
         for _ in range(50):
