@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adversarial import ExpWeightsRelaxation
+from .erm import ErmOracle, ExactErmOracle
 from .policies import CapacityError, PolicyClass, mix_with_uniform
 from .strategies import SIGN_SCALE
 from .waterfill import waterfill
@@ -58,9 +59,6 @@ class InitialCondition:
 
 @dataclass
 class AdmissibilityReport:
-    algorithm: str
-    gamma: float
-    samples: int
     steps: list[RecursiveStep]
     initial: InitialCondition
 
@@ -79,28 +77,33 @@ def _checked_probs(policy_class: PolicyClass, probs, n: int) -> np.ndarray:
     return probs
 
 
-def _vertices(d: int) -> np.ndarray:
-    return np.array(list(itertools.product((0.0, 1.0), repeat=d)))
+def relaxation_price(oracle: ErmOracle, budget: float, gamma: float, ctx: np.ndarray,
+                     cols: np.ndarray, fut_ctx: np.ndarray, fut_signs: np.ndarray) -> np.ndarray:
+    """The relaxation of one history per draw of its m future rounds,
+    m*d*gamma + budget - oracle([history | SIGN_SCALE*eps]) / gamma: contexts
+    (k,) and columns (k, d) in play's units gamma*c~, the current round's
+    included, then S draws of contexts (S, m) and signs (S, d, m), priced as
+    one stack.
+    """
+    S, d, m = fut_signs.shape
+    contexts = np.hstack([np.broadcast_to(ctx, (S, ctx.size)), fut_ctx])
+    Y = np.concatenate([np.broadcast_to(cols.T, (S, d, len(cols))), SIGN_SCALE * fut_signs],
+                       axis=2)
+    return m * d * gamma + budget - oracle(contexts, Y) / gamma
 
 
-def _sign_patterns(cells: int) -> np.ndarray:
-    codes = np.arange(2**cells)
-    return ((codes[:, None] >> np.arange(cells)) & 1) * 2.0 - 1.0
-
-
-def _exact_mixed_q(policy_class: PolicyClass, probs: np.ndarray, gamma: float,
-                   n: int, realized_ctx: np.ndarray, scaled_past: np.ndarray,
-                   x: int) -> np.ndarray:
+def _exact_mixed_q(oracle: ErmOracle, probs: np.ndarray, gamma: float, n: int,
+                   realized_ctx: np.ndarray, scaled_past: np.ndarray, x: int) -> np.ndarray:
     """Expected mixed distribution at context x, playouts enumerated exactly.
 
     Per future context sequence, the strategy's d queries for every sign
-    pattern go to ``values_many`` as one stack of 2^(d*m) * d queries.
+    pattern go to the oracle as one stack of 2^(d*m) * d queries.
     """
-    d = policy_class.d
-    k = realized_ctx.size
+    k, d = scaled_past.shape
     m = n - k - 1
     patterns = 2 ** (d * m)
-    eps = _sign_patterns(d * m).reshape(patterns, d, m)
+    bits = (np.arange(patterns)[:, None] >> np.arange(d * m)) & 1
+    eps = (bits * 2.0 - 1.0).reshape(patterns, d, m)
     Y = np.zeros((patterns, d, d, n))  # (pattern, priced action j, d, n)
     Y[:, :, :, :k] = scaled_past.T
     Y[:, np.arange(d), np.arange(d), k] = 1.0
@@ -113,16 +116,15 @@ def _exact_mixed_q(policy_class: PolicyClass, probs: np.ndarray, gamma: float,
         if ctx_w == 0.0:
             continue
         ctx = np.concatenate([realized_ctx, [x], combo]).astype(np.int64)
-        psi = policy_class.values_many(np.broadcast_to(ctx, (Y.shape[0], n)), Y)
-        psi = psi.min(axis=1).reshape(patterns, d)
+        psi = oracle(np.broadcast_to(ctx, (Y.shape[0], n)), Y).reshape(patterns, d)
         for p in range(patterns):
             q_star += ctx_w / patterns * waterfill(psi[p])
     return mix_with_uniform(q_star, gamma)
 
 
-def _walk(algorithm: str, samples: int, policy_class: PolicyClass, probs: np.ndarray,
-          n: int, gamma: float, seed, initial_checks: int,
-          strategy, relaxation, endpoint_values) -> AdmissibilityReport:
+def _walk(policy_class: PolicyClass, probs: np.ndarray, n: int, gamma: float,
+          seed, initial_checks: int, strategy, relaxation, endpoint_values,
+          constraint=None, K: float | None = None) -> AdmissibilityReport:
     """Walk one sampled history and test the per-round inequality at each step,
     then test the horizon condition on random endpoints.
 
@@ -133,12 +135,13 @@ def _walk(algorithm: str, samples: int, policy_class: PolicyClass, probs: np.nda
     the relaxation of that history, exploration tax included. The rhs is
     drawn first; then, per context with p(x) > 0, q is computed and one draw
     of futures prices every vertex and action. The stderr comes from the
-    rhs draws and the best vertex's draws.
+    rhs draws and the best vertex's draws. With a constraint and its budget
+    K, the horizon condition's benchmark is the class filtered at K.
     """
     d = policy_class.d
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
     path_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
-    vertices = _vertices(d)
+    vertices = np.array(list(itertools.product((0.0, 1.0), repeat=d)))
     ctx = np.empty(0, dtype=np.int64)
     cols = np.empty((0, d))
     steps: list[RecursiveStep] = []
@@ -177,9 +180,8 @@ def _walk(algorithm: str, samples: int, policy_class: PolicyClass, probs: np.nda
         ctx, cols = np.append(ctx, x_t), np.vstack([cols, col])
 
     initial = _check_initial(endpoint_values, policy_class, probs, n, gamma, rng,
-                             initial_checks)
-    return AdmissibilityReport(algorithm=algorithm, gamma=gamma, samples=samples,
-                               steps=steps, initial=initial)
+                             initial_checks, constraint, K)
+    return AdmissibilityReport(steps=steps, initial=initial)
 
 
 def _var_of_mean(draws: np.ndarray) -> float:
@@ -193,38 +195,48 @@ def check_bistro_admissibility(
     n: int,
     gamma: float,
     *,
+    oracle: ErmOracle | None = None,
+    budget: float = 0.0,
+    constraint=None,
+    K: float | None = None,
     samples: int = 10_000,
     seed=0,
     initial_checks: int = 1000,
 ) -> AdmissibilityReport:
-    """The walk for the random-playout relaxation, by Monte Carlo over the
+    """The walk for a random-playout relaxation, by Monte Carlo over the
     playouts; the horizon condition is exact (action sequences enumerated).
 
-    Both sides price costs in the relaxation's units: the history and the
-    current round as c~ = c/q, the playouts as (SIGN_SCALE/gamma)*eps.
+    ``oracle`` and ``budget`` are the relaxation's (``runner.relaxation``;
+    by default bistro's), and both sides price through ``relaxation_price``.
+    ``constraint`` and ``K`` filter the benchmark, as the runner does.
     """
     probs = _checked_probs(policy_class, probs, n)
     d = policy_class.d
+    oracle = ExactErmOracle(policy_class) if oracle is None else oracle
 
     def relaxation(m: int, rng: np.random.Generator):
         fut_ctx = rng.choice(probs.size, size=(samples, m), p=probs)
         fut_signs = rng.integers(0, 2, size=(samples, d, m)) * 2.0 - 1.0
-        future = policy_class.values_many(fut_ctx, SIGN_SCALE / gamma * fut_signs)
-        # per draw, sup_f of -(history + the scaled signs of the playout)
-        return lambda ctx, cols: m * d * gamma - (
-            policy_class.values(ctx, cols.T / gamma) + future).min(axis=1)
+        # each distinct draw is priced once; the short horizons repeat most
+        code = (fut_ctx @ probs.size ** np.arange(m) * 2 ** (d * m)
+                + (fut_signs > 0).reshape(samples, d * m) @ 2 ** np.arange(d * m))
+        _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+        fut_ctx, fut_signs = fut_ctx[first], fut_signs[first]
+        return lambda ctx, cols: relaxation_price(oracle, budget, gamma, ctx, cols, fut_ctx,
+                                                  fut_signs)[inverse]
 
     return _walk(
-        "bistro", samples, policy_class, probs, n, gamma, seed, initial_checks,
-        lambda ctx, cols, x: _exact_mixed_q(policy_class, probs, gamma, n, ctx, cols, x),
+        policy_class, probs, n, gamma, seed, initial_checks,
+        lambda ctx, cols, x: _exact_mixed_q(oracle, probs, gamma, n, ctx, cols, x),
         relaxation,
-        lambda cols, ctx: -policy_class.values_many(ctx, cols.transpose(0, 2, 1)).min(axis=1),
+        lambda cols, ctx: budget - oracle(ctx, gamma * cols.transpose(0, 2, 1)) / gamma,
+        constraint, K,
     )
 
 
 def _check_initial(endpoint_values, policy_class: PolicyClass, probs: np.ndarray,
-                   n: int, gamma: float, rng: np.random.Generator,
-                   count: int) -> InitialCondition:
+                   n: int, gamma: float, rng: np.random.Generator, count: int,
+                   constraint=None, K: float | None = None) -> InitialCondition:
     """E over action draws of the endpoint relaxation must dominate the
     negated benchmark; action sequences are enumerated exactly.
 
@@ -243,7 +255,11 @@ def _check_initial(endpoint_values, policy_class: PolicyClass, probs: np.ndarray
         else:
             costs[i] = rng.random((n, d))
         qs[i] = [mix_with_uniform(rng.dirichlet(np.ones(d)), gamma) for _ in range(n)]
-    bench = -policy_class.values_many(xs, costs.transpose(0, 2, 1)).min(axis=1)
+    values = policy_class.values_many(xs, costs.transpose(0, 2, 1))
+    if constraint is not None and K is not None:
+        # only policies with C(f) <= K on the endpoint's contexts compete
+        values[[constraint.per_policy(policy_class, x) > K for x in xs]] = np.inf
+    bench = -values.min(axis=1)
 
     actions = np.array(list(itertools.product(range(d), repeat=n)))  # (d^n, n)
     seqs, rounds = np.arange(d**n)[:, None], np.arange(n)
@@ -277,36 +293,9 @@ def check_reduction_admissibility(
     d = policy_class.d
     rel = ExpWeightsRelaxation(policy_class, n, eta=eta)
     return _walk(
-        "adversarial_reduction", 0, policy_class, probs, n, gamma, seed, initial_checks,
+        policy_class, probs, n, gamma, seed, initial_checks,
         lambda ctx, cols, x: mix_with_uniform(rel.strategy(cols, ctx, x), gamma),
         lambda m, rng: lambda ctx, cols: np.array([rel.value(cols, ctx) / gamma + m * d * gamma]),
         lambda cols, ctx: np.array([rel.value(gamma * c, x) for c, x in zip(cols, ctx)]) / gamma,
     )
 
-
-def expweights_recursive_gap(rel: ExpWeightsRelaxation, costs, contexts,
-                             universe: int) -> float:
-    """Worst-case per-round slack of the full-information potential.
-
-    Returns max over contexts and vertex costs of
-    q^T c + value(c_1..c_t) - value(c_1..c_{t-1}); admissibility requires
-    this to be <= 0 (up to arithmetic noise). Vertices suffice because the
-    expression is convex in c_t.
-    """
-    costs = np.asarray(costs, dtype=float).reshape(len(costs), rel.policy_class.d)
-    before = rel.value(costs, contexts)
-    worst = -np.inf
-    for x in range(universe):
-        q = rel.strategy(costs, contexts, x)
-        ctx_now = np.append(np.asarray(contexts, dtype=np.int64), x)
-        for c in _vertices(rel.policy_class.d):
-            after = rel.value(np.vstack([costs, c[None, :]]), ctx_now)
-            worst = max(worst, float(q @ c) + after - before)
-    return worst
-
-
-def expweights_initial_margin(rel: ExpWeightsRelaxation, costs, contexts) -> float:
-    """value(c_1..c_n) + min_f L_n(f); admissibility requires >= 0."""
-    costs = np.asarray(costs, dtype=float)
-    L = rel._losses(costs, contexts)
-    return rel.value(costs, contexts) + float(L.min())

@@ -12,9 +12,12 @@ import numpy as np
 from .admissibility import check_bistro_admissibility, check_reduction_admissibility
 from .rademacher import DEFAULT_TUNING_SAMPLES
 from .runner import (
+    RELAXATIONS,
+    build_constraint,
     build_environment,
     build_policy_class,
     load_config,
+    relaxation,
     resolve_strategy_params,
     run_suite,
 )
@@ -53,9 +56,9 @@ def _cmd_admissibility(args) -> int:
     if args.algorithm:
         config["algorithm"] = args.algorithm
     algo = config.get("algorithm", "bistro")
-    if algo not in ("bistro", "adversarial_reduction"):
-        raise ValueError(f"checks only 'bistro' and 'adversarial_reduction'; "
-                         f"got algorithm {algo!r}")
+    checked = (*RELAXATIONS, "adversarial_reduction")
+    if algo not in checked:
+        raise ValueError(f"checks only {', '.join(map(repr, checked))}; got algorithm {algo!r}")
     try:
         gamma = float(config["gamma"])
     except (KeyError, TypeError, ValueError):
@@ -68,9 +71,12 @@ def _cmd_admissibility(args) -> int:
         report = check_reduction_admissibility(pc, env.probs, n, gamma, eta=config.get("eta"),
                                                seed=args.seed, initial_checks=args.initial_checks)
     else:
-        report = check_bistro_admissibility(pc, env.probs, n, gamma, samples=args.samples,
-                                            seed=args.seed, initial_checks=args.initial_checks)
-    print(f"algorithm={report.algorithm} gamma={report.gamma} d={d} n={n}")
+        oracle, budget = relaxation(config, pc, gamma)
+        report = check_bistro_admissibility(
+            pc, env.probs, n, gamma, oracle=oracle, budget=budget,
+            constraint=build_constraint(config), K=config.get("K"), samples=args.samples,
+            seed=args.seed, initial_checks=args.initial_checks)
+    print(f"algorithm={algo} gamma={gamma} d={d} n={n}")
     for step in report.steps:
         flag = "ok" if step.passed() else "VIOLATED"
         print(
@@ -119,7 +125,8 @@ def main(argv=None) -> int:
     p_adm.add_argument("--seed", type=int, default=0)
     p_adm.add_argument("--initial-checks", type=int, default=1000)
     p_adm.add_argument("--algorithm", default=None,
-                       help="bistro or adversarial_reduction (default: the config's)")
+                       help="bistro, bistro_relaxed, bistro_regularized or "
+                            "adversarial_reduction (default: the config's)")
     p_adm.set_defaults(fn=_cmd_admissibility)
 
     p_self = sub.add_parser("selftest", help="oracle-equivalence self checks")

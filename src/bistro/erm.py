@@ -64,17 +64,10 @@ class ExactErmOracle(ErmOracle):
         self.policy_class = policy_class
 
     def _value(self, contexts, Y: np.ndarray) -> float:
-        return exact_erm_value(self.policy_class, contexts, Y)
+        return float(self.policy_class.values(contexts, Y).min())
 
     def _values(self, contexts, Y: np.ndarray) -> np.ndarray:
         return self.policy_class.values_many(contexts, Y).min(axis=1)
-
-
-def exact_erm_value(policy_class: PolicyClass, contexts, Y) -> float:
-    """Exact ERM value without counter bookkeeping."""
-    if policy_class.size == 0:
-        raise ValueError("ERM over an empty policy class")
-    return float(policy_class.values(contexts, Y).min())
 
 
 class ApproximateErmOracle(ErmOracle):
@@ -231,19 +224,17 @@ class RegularizedErmOracle(ErmOracle):
         return regularized_erm_value(self.policy_class, contexts, query)
 
 
-def box_relaxed_erm_value(contexts, Y) -> float:
+class BoxRelaxedOracle(ErmOracle):
     """ERM value over the loosest superset: matrices with nonnegative entries
     and column sums at most one. Per column the best choice puts unit mass on
-    a negative minimum entry or no mass at all."""
-    Y = np.asarray(Y, dtype=float)
-    return float(np.minimum(Y.min(axis=0), 0.0).sum())
-
-
-class BoxRelaxedOracle(ErmOracle):
-    """Counter-carrying form of the box superset value (delta = 0)."""
+    a negative minimum entry or no mass at all, so a query or a stack is
+    priced in closed form (delta = 0); the contexts are not read."""
 
     def _value(self, contexts, Y: np.ndarray) -> float:
-        return box_relaxed_erm_value(contexts, Y)
+        return float(self._values(contexts, Y))
+
+    def _values(self, contexts, Y: np.ndarray) -> np.ndarray:
+        return np.minimum(Y.min(axis=-2), 0.0).sum(axis=-1)
 
 
 def load_constraint(doc: dict):

@@ -59,9 +59,6 @@ class PolicyClass:
     def universe_size(self) -> int:
         return self.table.shape[1]
 
-    def __len__(self) -> int:
-        return self.size
-
     def _checked_ids(self, contexts) -> np.ndarray:
         ids = context_ids(contexts)
         if ids.size and (ids.min() < 0 or ids.max() >= self.universe_size):

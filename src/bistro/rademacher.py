@@ -41,16 +41,17 @@ class RademacherEstimate:
 
 
 def rademacher_samples(
-    oracle: ErmOracle, context_sampler, n: int, samples: int, seed
+    oracle: ErmOracle, context_sampler, n: int, samples: int, seed, scale: float = 1.0
 ) -> np.ndarray:
-    """Per-sample supremum values; one logical oracle call each.
+    """Per-sample supremum values -oracle(contexts, scale * signs); one
+    logical oracle call each.
 
     The RNG stream of sample r derives from (seed, r) alone, so results are
     identical no matter how samples are scheduled, and two classes estimated
     with the same seed see the same contexts and signs. The samples go to
     the oracle in stacks of about STACK_BYTES of query and product arrays;
-    each value is a sum of +-1 entries, exact in any summation order, so the
-    stacking cannot change a value.
+    each linear value is a sum of +-scale entries, exact in any summation
+    order for a power-of-two scale, so the stacking cannot change a value.
     """
     if samples < 1:
         raise ValueError("at least one sample required")
@@ -58,7 +59,7 @@ def rademacher_samples(
     per_sample = 8 * ((2 * d + 1) * n + oracle.policy_class.size)
     stack = max(1, min(samples, STACK_BYTES // per_sample))
     contexts = np.empty((stack, n), dtype=np.int64)
-    Y = np.empty((stack, d, n))  # the negated sign matrices
+    Y = np.empty((stack, d, n))  # the negated, scaled sign matrices
     values = np.empty(samples)
     for lo in range(0, samples, stack):
         size = min(stack, samples - lo)
@@ -66,15 +67,15 @@ def rademacher_samples(
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=seed, spawn_key=(lo + s,)))
             contexts[s] = context_sampler(rng, n)
-            Y[s] = 1 - 2 * rng.integers(0, 2, size=(d, n))
+            Y[s] = scale * (1 - 2 * rng.integers(0, 2, size=(d, n)))
         values[lo:lo + size] = -oracle(contexts[:size], Y[:size])
     return values
 
 
 def rademacher_estimate(
-    oracle: ErmOracle, context_sampler, n: int, samples: int, seed
+    oracle: ErmOracle, context_sampler, n: int, samples: int, seed, scale: float = 1.0
 ) -> RademacherEstimate:
-    values = rademacher_samples(oracle, context_sampler, n, samples, seed)
+    values = rademacher_samples(oracle, context_sampler, n, samples, seed, scale)
     mean = float(values.mean())
     se = float(values.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
     return RademacherEstimate(mean=mean, std_error=se, samples=samples)
@@ -102,18 +103,6 @@ def categorical_sampler(probs):
 
     def sample(rng: np.random.Generator, n: int) -> np.ndarray:
         return cdf.searchsorted(rng.random(n), side="right")
-
-    return sample
-
-
-def fixed_sampler(ids):
-    """Sampler returning the same context sequence every time."""
-    ids = np.asarray(ids, dtype=np.int64)
-
-    def sample(rng: np.random.Generator, n: int) -> np.ndarray:
-        if n != ids.size:
-            raise ValueError("fixed sampler length mismatch")
-        return ids
 
     return sample
 

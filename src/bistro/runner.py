@@ -23,13 +23,13 @@ from .erm import (
     BoxRelaxedOracle,
     ExactErmOracle,
     RegularizedErmOracle,
-    exact_erm_value,
     filter_class,
     load_constraint,
 )
 from .policies import PolicyClass, check_cost_vector
 from .rademacher import (
     DEFAULT_TUNING_SAMPLES,
+    RademacherEstimate,
     categorical_sampler,
     rademacher_estimate,
     tune_gamma,
@@ -43,15 +43,6 @@ from .strategies import (
     UniformStrategy,
 )
 
-ALGORITHMS = (
-    "bistro",
-    "bistro_regularized",
-    "bistro_relaxed",
-    "adversarial_reduction",
-    "uniform",
-    "egreedy",
-    "ftl",
-)
 # Every top-level key a config may set.
 CONFIG_KEYS = frozenset({
     "d", "n", "horizon_mode", "context_dist", "policy_class", "cost_process",
@@ -172,17 +163,12 @@ def benchmark_value(transcript: Transcript, policy_class: PolicyClass,
         bench = filter_class(policy_class, transcript.contexts, constraint, K)
         if bench.size == 0:
             raise ValueError("benchmark class is empty after constraint filtering")
-    return exact_erm_value(bench, transcript.contexts, transcript.cost_vectors.T)
+    return ExactErmOracle(bench)(transcript.contexts, transcript.cost_vectors.T)
 
 
 def expected_regret(transcript: Transcript, policy_class: PolicyClass,
                     constraint=None, K: float | None = None) -> float:
     return transcript.expected_total - benchmark_value(transcript, policy_class, constraint, K)
-
-
-def realized_regret(transcript: Transcript, policy_class: PolicyClass,
-                    constraint=None, K: float | None = None) -> float:
-    return transcript.realized_total - benchmark_value(transcript, policy_class, constraint, K)
 
 
 # -- configuration ----------------------------------------------------------
@@ -272,25 +258,44 @@ def build_constraint(config: dict):
     return None if doc is None else load_constraint(doc)
 
 
-def _regularized_oracle(config: dict, policy_class: PolicyClass,
-                        lambda_scaled: float) -> RegularizedErmOracle:
+def _regularized(config: dict, policy_class: PolicyClass, gamma: float):
     constraint = build_constraint(config)
     if constraint is None:
         raise ValueError("bistro_regularized requires a constraint")
     if "K" not in config:
         # the bound prices lam*K and the benchmark filters the class at K
         raise ValueError("bistro_regularized requires 'K', the constraint budget")
-    return RegularizedErmOracle(policy_class, constraint, lambda_scaled)
+    lam = float(config.get("lambda", 0.0))
+    # lam*C on the estimates c~ is lam*gamma*C on the query's gamma*c~
+    return RegularizedErmOracle(policy_class, constraint, lam * gamma), lam * float(config["K"])
+
+
+RELAXATIONS = {
+    "bistro": lambda config, policy_class, gamma: (ExactErmOracle(policy_class), 0.0),
+    "bistro_relaxed": lambda config, policy_class, gamma: (BoxRelaxedOracle(), 0.0),
+    "bistro_regularized": _regularized,
+}
+ALGORITHMS = (*RELAXATIONS, "adversarial_reduction", "uniform", "egreedy", "ftl")
+
+
+def relaxation(config: dict, policy_class: PolicyClass, gamma: float):
+    """The config's playout relaxation at rate gamma, as (oracle, budget).
+
+    The oracle prices play's queries: history gamma*c~, current column e_j,
+    playouts SIGN_SCALE*eps. With m rounds to go the relaxation is
+    m*d*gamma + budget - E oracle([history | SIGN_SCALE*eps]) / gamma; play,
+    the bound and the admissibility check all price through it.
+    """
+    return RELAXATIONS[config.get("algorithm", "bistro")](config, policy_class, gamma)
 
 
 def resolve_strategy_params(config: dict, policy_class: PolicyClass, env: Environment) -> dict:
     """Fix gamma, the complexity estimate, and the theoretical bound.
 
     Each relaxation's value at the empty history is
-    complexity/gamma + n*d*gamma (+ lambda*K for the regularized variant),
-    with the complexity in the units of the strategy's playouts. ``"auto"``
-    tunes gamma to minimize it, and the bound is that value at the gamma the
-    run plays.
+    complexity/gamma + n*d*gamma + budget; a playout relaxation's complexity
+    is -E oracle(SIGN_SCALE*eps). ``"auto"`` tunes gamma to minimize it, and
+    the bound is that value at the gamma the run plays.
     """
     algo = config.get("algorithm", "bistro")
     if algo not in ALGORITHMS:
@@ -303,38 +308,37 @@ def resolve_strategy_params(config: dict, policy_class: PolicyClass, env: Enviro
     if algo == "adversarial_reduction":
         complexity = ExpWeightsRelaxation(policy_class, n, eta=config.get("eta")).initial_value()
         out["rad_estimate"], out["rad_stderr"] = complexity, 0.0
-    elif algo.startswith("bistro"):
+    elif algo in RELAXATIONS:
         samples = int(config.get("tune_samples", DEFAULT_TUNING_SAMPLES))
         seed = config.get("tune_seed", 0)
         sampler = categorical_sampler(env.probs)
-        est = rademacher_estimate(ExactErmOracle(policy_class), sampler, n, samples, seed)
-        out["rad_estimate"], out["rad_stderr"] = est.mean, est.std_error
-        # the playouts carry SIGN_SCALE * eps
-        complexity = SIGN_SCALE * max(est.mean, 0.0)
-        if algo == "bistro_relaxed":
-            # superset vs original class widths, reported side by side (no ratio asserted)
-            out["class_rad_estimate"], out["class_rad_stderr"] = est.mean, est.std_error
-            # Box superset: per column the best response to a sign vector is
-            # max(0, max_j eps_j), which is 1 unless all d signs are -1.
-            out["rad_estimate"], out["rad_stderr"] = n * (1.0 - 2.0**-d), 0.0
-            complexity = SIGN_SCALE * out["rad_estimate"]
+
+        def estimate(oracle) -> RademacherEstimate:
+            if isinstance(oracle, BoxRelaxedOracle):
+                # superset vs original class widths, reported side by side (no ratio asserted)
+                est = rademacher_estimate(ExactErmOracle(policy_class), sampler, n, samples, seed)
+                out["class_rad_estimate"], out["class_rad_stderr"] = est.mean, est.std_error
+                # Per column the box's best response to a sign vector is
+                # max(0, max_j eps_j), which is 1 unless all d signs are -1.
+                return RademacherEstimate(SIGN_SCALE * n * (1.0 - 2.0**-d), 0.0, samples)
+            return rademacher_estimate(oracle, sampler, n, samples, seed, SIGN_SCALE)
+
+        # A penalty scales with gamma, so the relaxation at gamma = 0 is the
+        # unpenalized one; its complexity bounds every gamma's and tunes the rate.
+        est = estimate(relaxation(config, policy_class, 0.0)[0])
+        out["rad_estimate"], out["rad_stderr"] = est.mean / SIGN_SCALE, est.std_error / SIGN_SCALE
+        complexity = max(est.mean, 0.0)
     else:
         return out  # the baselines play no relaxation
 
     gamma = tune_gamma(complexity, n, d) if gamma_cfg == "auto" else float(gamma_cfg)
-    penalty = 0.0
-    if algo == "bistro_regularized":
-        # E sup_f {-(SIGN_SCALE/gamma) sum_t eps_t[f(x_t)] - lam*C(f)} is SIGN_SCALE/gamma
-        # times the Rademacher average of the class penalized by lam*gamma/SIGN_SCALE * C.
-        lam = float(config.get("lambda", 0.0))
-        penalized = rademacher_estimate(
-            _regularized_oracle(config, policy_class, lam * gamma / SIGN_SCALE),
-            sampler, n, samples, seed)
-        complexity = SIGN_SCALE * penalized.mean
-        out["bound_stderr"] = SIGN_SCALE * penalized.std_error / gamma
-        penalty = lam * float(config["K"])
+    oracle, budget = relaxation(config, policy_class, gamma) if algo in RELAXATIONS else (None, 0)
+    if hasattr(oracle, "lambda_scaled"):  # the penalized complexity, at the gamma played
+        est = estimate(oracle)
+        complexity = max(est.mean, 0.0)
+        out["bound_stderr"] = est.std_error / gamma
     out["gamma"] = gamma
-    out["bound"] = complexity / gamma + n * d * gamma + penalty
+    out["bound"] = complexity / gamma + n * d * gamma + budget
     return out
 
 
@@ -342,14 +346,8 @@ def make_strategy(config: dict, policy_class: PolicyClass, gamma: float | None) 
     """Fresh strategy instance; one per episode so call counters stay per-episode."""
     algo = config.get("algorithm", "bistro")
     n, d = int(config["n"]), int(config["d"])
-    if algo in ("bistro", "bistro_regularized", "bistro_relaxed"):
-        if algo == "bistro":
-            oracle = ExactErmOracle(policy_class)
-        elif algo == "bistro_regularized":
-            oracle = _regularized_oracle(config, policy_class,
-                                         float(config.get("lambda", 0.0)) / gamma)
-        else:
-            oracle = BoxRelaxedOracle()
+    if algo in RELAXATIONS:
+        oracle, _ = relaxation(config, policy_class, gamma)
         if "delta" in config:
             oracle = ApproximateErmOracle(oracle, float(config["delta"]), seed=0)
         return BistroStrategy(policy_class, oracle, n, gamma, int(config.get("playouts", 1)),

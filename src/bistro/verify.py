@@ -174,6 +174,11 @@ def waterfill_oracle(psi, tol: float = 1e-12) -> np.ndarray:
     return q / q.sum()
 
 
+def minimax_value(q, psi) -> float:
+    """Objective max_j (q_j - psi_j) at a given point."""
+    return float((np.asarray(q, dtype=float) - np.asarray(psi, dtype=float)).max())
+
+
 def grid_minimax(psi, resolution: int = 1000) -> tuple[np.ndarray, float]:
     """Exact minimum of max_j(q_j - psi_j) over {q = k/resolution, sum k = resolution},
     hence within O(1/resolution) of the continuous optimum.
@@ -260,15 +265,42 @@ def mlc_bruteforce(node_costs, edge_weights, label_metric) -> float:
     return best
 
 
+def expweights_recursive_gap(rel, costs, contexts, universe: int) -> float:
+    """Worst-case per-round slack of the full-information potential of an
+    ``ExpWeightsRelaxation``.
+
+    Returns max over contexts and vertex costs of
+    q^T c + value(c_1..c_t) - value(c_1..c_{t-1}); admissibility requires
+    this to be <= 0 (up to arithmetic noise). Vertices suffice because the
+    expression is convex in c_t.
+    """
+    costs = np.asarray(costs, dtype=float).reshape(len(costs), rel.policy_class.d)
+    before = rel.value(costs, contexts)
+    worst = -np.inf
+    for x in range(universe):
+        q = rel.strategy(costs, contexts, x)
+        ctx_now = np.append(np.asarray(contexts, dtype=np.int64), x)
+        for c in itertools.product((0.0, 1.0), repeat=rel.policy_class.d):
+            after = rel.value(np.vstack([costs, c]), ctx_now)
+            worst = max(worst, float(q @ c) + after - before)
+    return worst
+
+
+def expweights_initial_margin(rel, costs, contexts) -> float:
+    """value(c_1..c_n) + min_f L_n(f); admissibility requires >= 0."""
+    costs = np.asarray(costs, dtype=float)
+    return rel.value(costs, contexts) + float(rel._losses(costs, contexts).min())
+
+
 def selftest(verbose: bool = True) -> bool:
     """Fast oracle-equivalence pass over the production implementations."""
     from .erm import (
+        ExactErmOracle,
         PairwiseDisagreement,
         RegularizedErmQuery,
-        exact_erm_value,
         regularized_erm_value,
     )
-    from .waterfill import minimax_value, waterfill
+    from .waterfill import waterfill
 
     rng = np.random.default_rng(20_240_817)
     ok = True
@@ -308,7 +340,7 @@ def selftest(verbose: bool = True) -> bool:
         ctxs = rng.integers(0, universe, size=n)
         # dyadic entries keep float addition associative across sum orders
         Y = rng.integers(-2 << 20, (2 << 20) + 1, size=(d, n)) / (1 << 20)
-        erm_ok = erm_ok and exact_erm_value(pc, ctxs, Y) == bruteforce_erm(pc, ctxs, Y)
+        erm_ok = erm_ok and ExactErmOracle(pc)(ctxs, Y) == bruteforce_erm(pc, ctxs, Y)
     report("exact ERM vs brute force (exact equality)", erm_ok)
 
     mlc_ok = True

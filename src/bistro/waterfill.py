@@ -31,9 +31,3 @@ def waterfill(psi) -> np.ndarray:
     k = int(np.nonzero(u + levels > 0)[0].max()) + 1
     return np.maximum(psi + levels[k - 1], 0.0)
 
-
-def minimax_value(q, psi) -> float:
-    """Objective max_j (q_j - psi_j) at a given point."""
-    q = np.asarray(q, dtype=float)
-    psi = np.asarray(psi, dtype=float)
-    return float((q - psi).max())

@@ -11,23 +11,17 @@ import time
 import numpy as np
 import pytest
 
-from bistro.admissibility import (
-    check_bistro_admissibility,
-    check_reduction_admissibility,
-    expweights_initial_margin,
-    expweights_recursive_gap,
-)
+from bistro.admissibility import check_bistro_admissibility, check_reduction_admissibility
 from bistro.adversarial import ExpWeightsRelaxation
 from bistro.erm import (
+    BoxRelaxedOracle,
     ExactErmOracle,
     PairwiseDisagreement,
     RegularizedErmQuery,
-    box_relaxed_erm_value,
-    exact_erm_value,
     regularized_erm_value,
 )
 from bistro.policies import PolicyClass
-from bistro.rademacher import fixed_sampler, rademacher_estimate
+from bistro.rademacher import rademacher_estimate
 from bistro.runner import (
     build_environment,
     build_policy_class,
@@ -39,11 +33,15 @@ from bistro.runner import (
 from bistro.verify import (
     bruteforce_erm,
     exact_rademacher,
+    expweights_initial_margin,
+    expweights_recursive_gap,
     grid_minimax,
+    minimax_value,
     mlc_bruteforce,
     waterfill_oracle,
 )
-from bistro.waterfill import minimax_value, waterfill
+from bistro.waterfill import waterfill
+from test_rademacher import fixed_sampler
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 SEEDS = range(50)
@@ -102,7 +100,7 @@ def test_criterion_2_erm_oracle_equivalence():
         ctxs = rng.integers(0, 4, n)
         # dyadic entries make float addition associative, so "exactly" is exact
         Y = rng.integers(-3 << 20, (3 << 20) + 1, size=(d, n)) / (1 << 20)
-        exact_ok = exact_ok and exact_erm_value(pc, ctxs, Y) == bruteforce_erm(pc, ctxs, Y)
+        exact_ok = exact_ok and ExactErmOracle(pc)(ctxs, Y) == bruteforce_erm(pc, ctxs, Y)
 
     constraint = PairwiseDisagreement("uniform")
     mlc_worst = 0.0
@@ -290,9 +288,8 @@ def test_criterion_8_superset_relaxation():
         pc = PolicyClass(rng.integers(0, d, (int(rng.integers(1, 9)), 3)), d)
         Y = rng.uniform(-2, 1.5, (d, n))
         ctxs = rng.integers(0, 3, n)
-        dominated = dominated and box_relaxed_erm_value(ctxs, Y) <= exact_erm_value(
-            pc, ctxs, Y
-        ) + 1e-12
+        dominated = dominated and BoxRelaxedOracle()(ctxs, Y) <= ExactErmOracle(pc)(
+            ctxs, Y) + 1e-12
 
     fixed = cfg("fixed_adversarial.json")
     summary = run_suite({**fixed, "algorithm": "bistro_relaxed"}, SEEDS)

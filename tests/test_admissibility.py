@@ -8,12 +8,16 @@ from bistro.admissibility import (
     _exact_mixed_q,
     check_bistro_admissibility,
     check_reduction_admissibility,
+    relaxation_price,
 )
+from bistro.erm import ErmOracle, ExactErmOracle, PairwiseDisagreement, RegularizedErmOracle
 from bistro.policies import CapacityError, PolicyClass, mix_with_uniform
 from bistro.runner import (
     build_environment,
     build_policy_class,
     load_config,
+    make_strategy,
+    relaxation,
     resolve_strategy_params,
 )
 from bistro.strategies import SIGN_SCALE
@@ -70,7 +74,7 @@ class TestBistroChecker:
                         sequence_values(pc, ctx, np.hstack([past.T, np.eye(d)[:, [j]], future]))
                         .min() for j in range(d)])
                     expected += np.prod(probs[list(combo)]) / 2 ** (d * m) * waterfill(psi)
-            got = _exact_mixed_q(pc, probs, gamma, n, realized, past, x)
+            got = _exact_mixed_q(ExactErmOracle(pc), probs, gamma, n, realized, past, x)
             np.testing.assert_allclose(got, mix_with_uniform(expected, gamma), rtol=0, atol=1e-12)
 
     def test_report_margins_have_slack(self):
@@ -82,20 +86,96 @@ class TestBistroChecker:
             assert step.margin <= 3 * step.stderr + 1e-9
 
 
+def relaxation_config(algorithm: str) -> dict:
+    """admissibility_small.json playing ``algorithm``, with the constraint,
+    lambda and budget K the regularized relaxation needs."""
+    config = load_config(os.path.join(CONFIG_DIR, "admissibility_small.json"))
+    return {**config, "algorithm": algorithm, "lambda": 0.1, "K": 4,
+            "constraint": {"type": "pairwise", "weights": "uniform"}}
+
+
+PLAYOUT_RELAXATIONS = ["bistro", "bistro_relaxed", "bistro_regularized"]
+
+
 class TestBoundIsRelaxationAtEmptyHistory:
-    def test_bistro_bound_matches_first_rhs(self):
+    @pytest.mark.parametrize("algorithm", PLAYOUT_RELAXATIONS)
+    def test_bound_matches_first_rhs(self, algorithm):
         # The bound is Rel(empty) at the gamma played, tuned or not; the
         # checker's first rhs estimates the same value with its own draws.
-        config = load_config(os.path.join(CONFIG_DIR, "admissibility_small.json"))
+        config = relaxation_config(algorithm)
         pc = build_policy_class(config)
         env = build_environment(config, pc)
         for gamma in (0.1, 0.25, 0.5):
             params = resolve_strategy_params(
                 {**config, "gamma": gamma, "tune_samples": 2000}, pc, env)
-            step = check_bistro_admissibility(pc, env.probs, config["n"], gamma, samples=2000,
-                                              seed=1, initial_checks=1).steps[0]
-            se = np.hypot(SIGN_SCALE * params["rad_stderr"] / gamma, step.stderr)
-            assert abs(params["bound"] - step.rhs) <= 3 * se
+            oracle, budget = relaxation(config, pc, gamma)
+            step = check_bistro_admissibility(pc, env.probs, config["n"], gamma, oracle=oracle,
+                                              budget=budget, samples=2000, seed=1,
+                                              initial_checks=1).steps[0]
+            bound_se = params["bound_stderr"]
+            if bound_se is None:  # a gamma-free complexity: its estimate's error
+                bound_se = SIGN_SCALE * params["rad_stderr"] / gamma
+            se = np.hypot(bound_se, step.stderr)
+            assert abs(params["bound"] - step.rhs) <= 3 * se, (gamma, params["bound"], step.rhs)
+
+
+class SpyOracle(ErmOracle):
+    """Records every query and value of the oracle it wraps."""
+
+    def __init__(self, inner):
+        super().__init__()
+        self.inner, self.queries = inner, []
+
+    def _value(self, contexts, Y):
+        value = self.inner(contexts, Y)
+        self.queries.append((np.array(contexts), Y.copy(), value))
+        return value
+
+
+@pytest.mark.parametrize("algorithm", PLAYOUT_RELAXATIONS)
+def test_play_queries_price_the_checked_relaxation(algorithm):
+    # Exact, one round: each of play's d queries [gamma*c~ | e_j | 2*eps]
+    # is -gamma * (price - m*d*gamma - budget), where price is the checker's
+    # relaxation of the same history, current column and draws.
+    config = relaxation_config(algorithm)
+    pc = build_policy_class(config)
+    env = build_environment(config, pc)
+    n, d, gamma = config["n"], pc.d, 0.25
+    strategy = make_strategy(config, pc, gamma)
+    strategy.oracle = spy = SpyOracle(strategy.oracle)
+    strategy.begin_episode(n=n, seed_seq=np.random.SeedSequence(3), pool=np.array([0, 1, 1, 0]))
+    q = strategy.choose(1)
+    strategy.update(1, q, 0, 0.7)
+    spy.queries.clear()
+    strategy.choose(0)  # round 2: one past column, the current one, m = 1 future
+
+    oracle, budget = relaxation(config, pc, gamma)
+    t, m = 1, n - 2
+    assert len(spy.queries) == d
+    for j, (ctx, Y, value) in enumerate(spy.queries):
+        np.testing.assert_array_equal(Y[:, t], np.eye(d)[j])
+        price = relaxation_price(oracle, budget, gamma, ctx[:t + 1], Y[:, :t + 1].T,
+                                 ctx[None, t + 1:], Y[None, :, t + 1:] / SIGN_SCALE)
+        assert value == pytest.approx(-gamma * (price[0] - m * d * gamma - budget),
+                                      rel=1e-12, abs=1e-12)
+
+
+def test_horizon_benchmark_is_the_filtered_class():
+    # Costly penalties (lambda = 10, K = 0) leave the relaxation only the
+    # constant policies, so an endpoint whose cheap policy switches actions
+    # (C > K) would fail against the whole class, but that policy is not in
+    # the benchmark.
+    pc = PolicyClass.all_labelings(2, 2)
+    gamma, lam = 0.25, 10.0
+    oracle = RegularizedErmOracle(pc, PairwiseDisagreement("uniform"), lam * gamma)
+    failures = {}
+    for constraint in (None, PairwiseDisagreement("uniform")):
+        report = check_bistro_admissibility(pc, [0.5, 0.5], n=2, gamma=gamma, oracle=oracle,
+                                            budget=0.0, constraint=constraint, K=0.0,
+                                            samples=200, seed=5, initial_checks=200)
+        failures[constraint is None] = report.initial.failures
+    assert failures[True] > 0
+    assert failures[False] == 0
 
 
 class TestReductionChecker:
@@ -180,7 +260,8 @@ def test_history_priced_in_relaxation_units(table):
                                         seed=seed, initial_checks=1)
     path_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
     x1 = int(path_rng.choice(probs.size, p=probs))
-    q1 = _exact_mixed_q(pc, probs, gamma, n, np.empty(0, dtype=np.int64), np.empty((0, d)), x1)
+    q1 = _exact_mixed_q(ExactErmOracle(pc), probs, gamma, n, np.empty(0, dtype=np.int64),
+                        np.empty((0, d)), x1)
     c1 = path_rng.integers(0, 2, size=d).astype(float)
     y1 = int(path_rng.choice(d, p=q1))
     est = np.zeros(d)

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from bistro.admissibility import expweights_initial_margin, expweights_recursive_gap
 from bistro.adversarial import ExpWeightsRelaxation, ReductionStrategy
 from bistro.environments import Environment, FixedTableCosts
 from bistro.policies import PolicyClass
 from bistro.rademacher import tune_gamma
 from bistro.runner import resolve_strategy_params, run_episode
-from bistro.verify import sequence_values
+from bistro.verify import expweights_initial_margin, expweights_recursive_gap, sequence_values
 
 
 def constants_class():

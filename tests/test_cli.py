@@ -140,13 +140,28 @@ def test_malformed_documents_exit_2(command, changes, named, tmp_path, capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("algorithm", ["ftl", "uniform", "bistro_relaxed", "bistro_regularized"])
+@pytest.mark.parametrize("algorithm", ["bistro_relaxed", "bistro_regularized"])
+def test_admissibility_checks_relaxed_variants(algorithm, tmp_path, capsys):
+    # the regularized relaxation needs its constraint, lambda and budget K
+    config = write_config(tmp_path, constraint={"type": "pairwise", "weights": "uniform"},
+                          K=4, **{"lambda": 0.1})
+    code = main(["admissibility", "--config", config, "--algorithm", algorithm,
+                 "--samples", "1000", "--initial-checks", "50"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.startswith(f"algorithm={algorithm} gamma=0.25 ")
+    assert "round 3" in out and out.endswith("PASS\n")
+
+
+@pytest.mark.parametrize("algorithm", ["ftl", "uniform", "egreedy"])
 def test_admissibility_refuses_unchecked_algorithms(algorithm, capsys):
     code = main(["admissibility", "--config", cfg("admissibility_small.json"),
                  "--algorithm", algorithm, "--initial-checks", "5"])
     captured = capsys.readouterr()
     assert code == 2
-    assert repr(algorithm) in captured.err
+    assert captured.err == (
+        "bistro admissibility: checks only 'bistro', 'bistro_relaxed', 'bistro_regularized', "
+        f"'adversarial_reduction'; got algorithm {algorithm!r}\n")
     assert captured.out == ""
 
 

@@ -9,8 +9,6 @@ from bistro.erm import (
     PairwiseDisagreement,
     RegularizedErmOracle,
     RegularizedErmQuery,
-    box_relaxed_erm_value,
-    exact_erm_value,
     filter_class,
     load_constraint,
     policy_constraint_values,
@@ -33,20 +31,20 @@ def two_constant_policies():
 
 class TestExactErm:
     def test_two_policy_example(self):
-        assert exact_erm_value(two_constant_policies(), [0, 1], Y_EXAMPLE) == pytest.approx(0.7)
+        assert ExactErmOracle(two_constant_policies())([0, 1], Y_EXAMPLE) == pytest.approx(0.7)
 
     def test_singleton_zero_costs(self):
         pc = PolicyClass(np.array([[1, 0]]), 2)
-        assert exact_erm_value(pc, [0, 1], np.zeros((2, 2))) == 0.0
+        assert ExactErmOracle(pc)([0, 1], np.zeros((2, 2))) == 0.0
 
     def test_all_labelings_column_minima(self):
         pc = PolicyClass.all_labelings(2, 2)
-        assert exact_erm_value(pc, [0, 1], Y_EXAMPLE) == pytest.approx(0.3)
+        assert ExactErmOracle(pc)([0, 1], Y_EXAMPLE) == pytest.approx(0.3)
 
     def test_empty_class_errors(self):
         empty = two_constant_policies().subset([])
         with pytest.raises(ValueError):
-            exact_erm_value(empty, [0], np.zeros((2, 1)))
+            ExactErmOracle(empty)([0], np.zeros((2, 1)))
 
     def test_matches_bruteforce_exactly(self):
         rng = np.random.default_rng(21)
@@ -59,7 +57,7 @@ class TestExactErm:
             ctxs = rng.integers(0, universe, n)
             # dyadic entries keep float addition associative across sum orders
             Y = rng.integers(-3 << 20, (3 << 20) + 1, size=(d, n)) / (1 << 20)
-            assert exact_erm_value(pc, ctxs, Y) == bruteforce_erm(pc, ctxs, Y)
+            assert ExactErmOracle(pc)(ctxs, Y) == bruteforce_erm(pc, ctxs, Y)
 
     def test_oracles_reject_non_finite_costs(self):
         pc = two_constant_policies()
@@ -68,7 +66,7 @@ class TestExactErm:
         with pytest.raises(ValueError):
             ExactErmOracle(pc)([0, 1], Y)
         with pytest.raises(ValueError):
-            exact_erm_value(pc, [0, 1], -np.inf * np.ones((2, 2)))
+            ExactErmOracle(pc)([0, 1], -np.inf * np.ones((2, 2)))
         with pytest.raises(ValueError):
             RegularizedErmOracle(pc, PairwiseDisagreement("uniform"), 0.5)([0, 1], Y)
 
@@ -104,7 +102,7 @@ class TestStackedQueries:
         self.assert_stack_equals_sequence(lambda: ExactErmOracle(pc), ctxs, dyadic)
         values = ExactErmOracle(pc)(ctxs, Y)
         np.testing.assert_allclose(
-            values, [exact_erm_value(pc, c, y) for c, y in zip(ctxs, Y)], rtol=0, atol=1e-12)
+            values, [ExactErmOracle(pc)(c, y) for c, y in zip(ctxs, Y)], rtol=0, atol=1e-12)
 
     def test_approximate_draws_noise_in_order(self):
         pc, ctxs, Y = self.queries(52)
@@ -318,7 +316,7 @@ class TestRegularizedErm:
             ctxs = rng.integers(0, 3, 4)
             Y = rng.uniform(-2, 2, (2, 4))
             q = RegularizedErmQuery(Y=Y, lambda_scaled=0.0, constraint=constraint)
-            assert regularized_erm_value(pc, ctxs, q) == exact_erm_value(pc, ctxs, Y)
+            assert regularized_erm_value(pc, ctxs, q) == ExactErmOracle(pc)(ctxs, Y)
 
     def test_hand_enumerated_example(self):
         pc = PolicyClass.all_labelings(2, 2)
@@ -410,14 +408,14 @@ class TestMetricLabeling:
 class TestBoxRelaxation:
     def test_example_with_negative_entry(self):
         Y = np.array([[0.2, -0.5], [0.9, 0.1]])
-        assert box_relaxed_erm_value(None, Y) == pytest.approx(-0.5)
+        assert BoxRelaxedOracle()(None, Y) == pytest.approx(-0.5)
 
     def test_nonnegative_costs_give_zero(self):
         rng = np.random.default_rng(27)
-        assert box_relaxed_erm_value(None, rng.uniform(0, 1, (3, 5))) == 0.0
+        assert BoxRelaxedOracle()(None, rng.uniform(0, 1, (3, 5))) == 0.0
 
     def test_all_minus_one(self):
-        assert box_relaxed_erm_value(None, -np.ones((2, 7))) == pytest.approx(-7.0)
+        assert BoxRelaxedOracle()(None, -np.ones((2, 7))) == pytest.approx(-7.0)
 
     def test_dominates_exact_erm(self):
         rng = np.random.default_rng(28)
@@ -427,7 +425,7 @@ class TestBoxRelaxation:
             pc = PolicyClass(rng.integers(0, d, (int(rng.integers(1, 9)), 3)), d)
             Y = rng.uniform(-2, 1, (d, n))
             ctxs = rng.integers(0, 3, n)
-            assert box_relaxed_erm_value(ctxs, Y) <= exact_erm_value(pc, ctxs, Y) + 1e-12
+            assert BoxRelaxedOracle()(ctxs, Y) <= ExactErmOracle(pc)(ctxs, Y) + 1e-12
 
     def test_oracle_counter(self):
         oracle = BoxRelaxedOracle()
@@ -444,6 +442,6 @@ class TestBoxRelaxation:
             n = int(rng.integers(1, 8))
             ctxs = rng.integers(0, 4, n)
             eps = rng.integers(0, 2, (2, n)) * 2.0 - 1.0
-            sup_box = -box_relaxed_erm_value(ctxs, -eps)
-            sup_class = -exact_erm_value(pc, ctxs, -eps)
+            sup_box = -BoxRelaxedOracle()(ctxs, -eps)
+            sup_class = -ExactErmOracle(pc)(ctxs, -eps)
             assert sup_box >= sup_class - 1e-12

@@ -13,8 +13,8 @@ from bistro.runner import (
     episode_csv_lines,
     expected_regret,
     load_config,
+    benchmark_value,
     make_strategy,
-    realized_regret,
     run_episode,
     run_suite,
 )
@@ -125,7 +125,7 @@ class TestRegret:
         for seed in range(3000):
             tr = run_episode(UniformStrategy(2), env, n, seed)
             exp.append(expected_regret(tr, pc))
-            real.append(realized_regret(tr, pc))
+            real.append(tr.realized_total - benchmark_value(tr, pc))
         se = np.std(np.array(real) - np.array(exp), ddof=1) / np.sqrt(len(real))
         assert abs(np.mean(real) - np.mean(exp)) <= 3 * se + 1e-12
 

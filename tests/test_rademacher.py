@@ -8,12 +8,23 @@ from bistro.policies import PolicyClass
 from bistro.rademacher import (
     RademacherEstimate,
     categorical_sampler,
-    fixed_sampler,
     rademacher_estimate,
     rademacher_samples,
     tune_gamma,
 )
 from bistro.verify import exact_rademacher
+
+
+def fixed_sampler(ids):
+    """Sampler returning the same context sequence every time."""
+    ids = np.asarray(ids, dtype=np.int64)
+
+    def sample(rng: np.random.Generator, n: int) -> np.ndarray:
+        if n != ids.size:
+            raise ValueError("fixed sampler length mismatch")
+        return ids
+
+    return sample
 
 
 class TestEstimator:
@@ -156,7 +167,8 @@ class TestTuning:
 def bistro_params(monkeypatch, rad, n, d, algorithm="bistro", gamma="auto"):
     """resolve_strategy_params with the class's Rademacher estimate fixed at rad."""
     monkeypatch.setattr(runner, "rademacher_estimate",
-                        lambda *args: RademacherEstimate(mean=rad, std_error=0.0, samples=1))
+                        lambda oracle, sampler, n, samples, seed, scale=1.0:
+                        RademacherEstimate(mean=scale * rad, std_error=0.0, samples=1))
     pc = PolicyClass.all_labelings(d, 2)
     env = Environment(np.ones(2) / 2, FixedTableCosts(np.zeros((n, d))))
     config = {"algorithm": algorithm, "n": n, "d": d, "gamma": gamma}

@@ -3,12 +3,12 @@ import pytest
 
 from bistro.environments import Environment, FixedTableCosts
 from bistro.erm import BoxRelaxedOracle, ErmOracle, ExactErmOracle, RegularizedErmOracle
-from bistro.erm import PairwiseDisagreement, exact_erm_value
+from bistro.erm import PairwiseDisagreement
 from bistro.policies import PolicyClass, ips_estimate
 from bistro.runner import run_episode
 from bistro.strategies import BistroStrategy
-from bistro.verify import policy_to_matrix, sequence_constraint, sequence_values
-from bistro.waterfill import minimax_value, waterfill
+from bistro.verify import minimax_value, policy_to_matrix, sequence_constraint, sequence_values
+from bistro.waterfill import waterfill
 
 
 class RecordingOracle(ErmOracle):
@@ -212,7 +212,7 @@ class TestQueryMatrixInvariants:
         env = Environment(np.ones(4) / 4, FixedTableCosts(rng.uniform(0, 1, (n, 2))))
         tr = run_episode(strat, env, n, seed=13)
         for ctx, Y, value in recorder.queries:
-            assert value <= exact_erm_value(pc, ctx, Y) + 1e-12
+            assert value <= ExactErmOracle(pc)(ctx, Y) + 1e-12
         # with the box oracle all action prices coincide, so play is uniform
         np.testing.assert_allclose(tr.distributions, 0.5, atol=1e-12)
 
@@ -239,8 +239,8 @@ class TestQueryMatrixInvariants:
             def query(column):
                 return np.concatenate([past, np.asarray(column)[:, None], future], axis=1)
 
-            psi = np.array([exact_erm_value(pc, ctx, query(np.eye(d)[j])) for j in range(d)])
-            psi0 = exact_erm_value(pc, ctx, query(np.zeros(d)))
+            psi = np.array([ExactErmOracle(pc)(ctx, query(np.eye(d)[j])) for j in range(d)])
+            psi0 = ExactErmOracle(pc)(ctx, query(np.zeros(d)))
 
             grid = np.linspace(0.0, 1.0, 2001)
             qs = np.stack([grid, 1.0 - grid], axis=1)

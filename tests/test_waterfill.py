@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from bistro.verify import grid_minimax, waterfill_oracle
-from bistro.waterfill import minimax_value, waterfill
+from bistro.verify import grid_minimax, minimax_value, waterfill_oracle
+from bistro.waterfill import waterfill
 
 
 class TestWaterfillExamples:
