@@ -7,10 +7,10 @@ convex in the cost vector) does not exceed the relaxation of the shorter
 history, and when at the horizon the relaxation dominates the negated
 benchmark in expectation over the action draws.
 
-The playout relaxation is estimated by Monte Carlo with reported standard
-errors; the exponential-weights reduction is evaluated exactly. Instances
-are capped at desk scale so expectations over playouts and action sequences
-stay enumerable.
+The playout relaxations are estimated by Monte Carlo through the oracle
+each one plays, with reported standard errors; the exponential-weights
+reduction is evaluated exactly. Instances are capped at desk scale so
+expectations over playouts and action sequences stay enumerable.
 """
 
 from __future__ import annotations

@@ -59,7 +59,7 @@ def rademacher_samples(
     per_sample = 8 * ((2 * d + 1) * n + oracle.policy_class.size)
     stack = max(1, min(samples, STACK_BYTES // per_sample))
     contexts = np.empty((stack, n), dtype=np.int64)
-    Y = np.empty((stack, d, n))  # the negated, scaled sign matrices
+    Y = np.empty((stack, d, n))  # the sign bits; the query is scale * (1 - 2 * bits)
     values = np.empty(samples)
     for lo in range(0, samples, stack):
         size = min(stack, samples - lo)
@@ -67,8 +67,8 @@ def rademacher_samples(
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=seed, spawn_key=(lo + s,)))
             contexts[s] = context_sampler(rng, n)
-            Y[s] = scale * (1 - 2 * rng.integers(0, 2, size=(d, n)))
-        values[lo:lo + size] = -oracle(contexts[:size], Y[:size])
+            Y[s] = rng.integers(0, 2, size=(d, n))
+        values[lo:lo + size] = -oracle(contexts[:size], scale - 2 * scale * Y[:size])
     return values
 
 

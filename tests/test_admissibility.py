@@ -10,7 +10,7 @@ from bistro.admissibility import (
     check_reduction_admissibility,
     relaxation_price,
 )
-from bistro.erm import ErmOracle, ExactErmOracle, PairwiseDisagreement, RegularizedErmOracle
+from bistro.erm import ExactErmOracle, PairwiseDisagreement, RegularizedErmOracle
 from bistro.policies import CapacityError, PolicyClass, mix_with_uniform
 from bistro.runner import (
     build_environment,
@@ -23,6 +23,7 @@ from bistro.runner import (
 from bistro.strategies import SIGN_SCALE
 from bistro.verify import sequence_values
 from bistro.waterfill import waterfill
+from test_strategies import RecordingOracle
 
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -119,19 +120,6 @@ class TestBoundIsRelaxationAtEmptyHistory:
             assert abs(params["bound"] - step.rhs) <= 3 * se, (gamma, params["bound"], step.rhs)
 
 
-class SpyOracle(ErmOracle):
-    """Records every query and value of the oracle it wraps."""
-
-    def __init__(self, inner):
-        super().__init__()
-        self.inner, self.queries = inner, []
-
-    def _value(self, contexts, Y):
-        value = self.inner(contexts, Y)
-        self.queries.append((np.array(contexts), Y.copy(), value))
-        return value
-
-
 @pytest.mark.parametrize("algorithm", PLAYOUT_RELAXATIONS)
 def test_play_queries_price_the_checked_relaxation(algorithm):
     # Exact, one round: each of play's d queries [gamma*c~ | e_j | 2*eps]
@@ -142,7 +130,7 @@ def test_play_queries_price_the_checked_relaxation(algorithm):
     env = build_environment(config, pc)
     n, d, gamma = config["n"], pc.d, 0.25
     strategy = make_strategy(config, pc, gamma)
-    strategy.oracle = spy = SpyOracle(strategy.oracle)
+    strategy.oracle = spy = RecordingOracle(strategy.oracle)
     strategy.begin_episode(n=n, seed_seq=np.random.SeedSequence(3), pool=np.array([0, 1, 1, 0]))
     q = strategy.choose(1)
     strategy.update(1, q, 0, 0.7)
@@ -153,7 +141,10 @@ def test_play_queries_price_the_checked_relaxation(algorithm):
     t, m = 1, n - 2
     assert len(spy.queries) == d
     for j, (ctx, Y, value) in enumerate(spy.queries):
+        # the walk's units: history gamma*c/q on the played action, playouts 2*eps
+        np.testing.assert_array_equal(Y[:, 0], gamma * (0.7 / q[0]) * np.eye(d)[0])
         np.testing.assert_array_equal(Y[:, t], np.eye(d)[j])
+        assert set(np.abs(Y[:, t + 1:]).ravel()) == {SIGN_SCALE}
         price = relaxation_price(oracle, budget, gamma, ctx[:t + 1], Y[:, :t + 1].T,
                                  ctx[None, t + 1:], Y[None, :, t + 1:] / SIGN_SCALE)
         assert value == pytest.approx(-gamma * (price[0] - m * d * gamma - budget),
