@@ -255,7 +255,7 @@ def _check_initial(endpoint_values, policy_class: PolicyClass, probs: np.ndarray
         else:
             costs[i] = rng.random((n, d))
         qs[i] = [mix_with_uniform(rng.dirichlet(np.ones(d)), gamma) for _ in range(n)]
-    values = policy_class.values_many(xs, costs.transpose(0, 2, 1))
+    values = policy_class.values(xs, costs.transpose(0, 2, 1))
     if constraint is not None and K is not None:
         # only policies with C(f) <= K on the endpoint's contexts compete
         values[[constraint.per_policy(policy_class, x) > K for x in xs]] = np.inf

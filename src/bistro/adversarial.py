@@ -48,8 +48,6 @@ class ExpWeightsRelaxation:
 
     def _losses(self, costs, contexts) -> np.ndarray:
         costs = np.asarray(costs, dtype=float)
-        if costs.size == 0:
-            return np.zeros(self.policy_class.size)
         ids = context_ids(contexts)
         if costs.shape[0] != ids.size:
             raise ValueError("history lengths disagree")

@@ -23,7 +23,8 @@ class ErmOracle:
 
     One query is contexts (n,) with Y (d, n) and returns a float. A stack of
     S queries is contexts (S, n) with Y (S, d, n); it returns an (S,) array
-    and counts as S calls, the paper's count of ERM calls. Oracles are
+    and counts as S calls, the paper's count of ERM calls. A subclass prices
+    either shape in ``_values``, or one query in ``_value``. Oracles are
     stateless across calls apart from the counter (and a noise stream).
     """
 
@@ -44,13 +45,16 @@ class ErmOracle:
             self._calls += Y.shape[0]
             return self._values(contexts, Y)
         self._calls += 1
-        return self._value(contexts, Y)
+        return float(self._values(contexts, Y))
 
     def _value(self, contexts, Y: np.ndarray) -> float:
         raise NotImplementedError
 
-    def _values(self, contexts, Y: np.ndarray) -> np.ndarray:
-        """A stack priced query by query, exactly as S sequential calls."""
+    def _values(self, contexts, Y: np.ndarray):
+        """The value of one query, or the (S,) values of a stack; priced here
+        query by query through ``_value``, exactly as S sequential calls."""
+        if Y.ndim != 3:
+            return self._value(contexts, Y)
         return np.array([self._value(c, y) for c, y in zip(contexts, Y)], dtype=float)
 
 
@@ -63,11 +67,8 @@ class ExactErmOracle(ErmOracle):
             raise ValueError("ERM over an empty policy class")
         self.policy_class = policy_class
 
-    def _value(self, contexts, Y: np.ndarray) -> float:
-        return float(self.policy_class.values(contexts, Y).min())
-
-    def _values(self, contexts, Y: np.ndarray) -> np.ndarray:
-        return self.policy_class.values_many(contexts, Y).min(axis=1)
+    def _values(self, contexts, Y: np.ndarray):
+        return self.policy_class.values(contexts, Y).min(axis=-1)
 
 
 class ApproximateErmOracle(ErmOracle):
@@ -229,9 +230,6 @@ class BoxRelaxedOracle(ErmOracle):
     and column sums at most one. Per column the best choice puts unit mass on
     a negative minimum entry or no mass at all, so a query or a stack is
     priced in closed form (delta = 0); the contexts are not read."""
-
-    def _value(self, contexts, Y: np.ndarray) -> float:
-        return float(self._values(contexts, Y))
 
     def _values(self, contexts, Y: np.ndarray) -> np.ndarray:
         return np.minimum(Y.min(axis=-2), 0.0).sum(axis=-1)

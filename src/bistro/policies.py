@@ -4,7 +4,7 @@ Contexts are indices into a finite universe, policies map contexts to one
 of ``d`` actions, and a policy class is stored as an (|F|, |X|) action
 table: a policy is a row of it. Every policy's linear cost on a realized
 context sequence comes from ``PolicyClass.values``, which folds the cost
-matrix by context and prices all policies with one matrix-vector product.
+matrix by context and prices all policies with one matrix product.
 
 Actions are 0-based everywhere in code; file formats and display use
 1-based action indices, converted only at I/O boundaries.
@@ -82,51 +82,39 @@ class PolicyClass:
         return self._onehot
 
     def values(self, contexts, Y) -> np.ndarray:
-        """sum_t Y[f(x_t), t] for every policy f, shape (|F|,).
+        """sum_t Y[f(x_t), t] for every policy f: contexts (n,) with Y (d, n)
+        give shape (|F|,), and a stack of S queries, contexts (S, n) with
+        Y (S, d, n), gives shape (S, |F|).
 
         A table policy's cost depends only on the per-context column sums
         Z[j, x] = sum_{t: x_t = x} Y[j, t], so Y is folded by context with
-        one bincount and priced with one product against ``onehot``:
-        O(d*n + d*|F|*|X|) per call instead of O(|F|*n).
+        one bincount (a stack's query s into cells s*d*|X| onwards) and
+        priced with one product against ``onehot``: O(d*n + d*|F|*|X|) per
+        query instead of O(|F|*n), and the one-hot is streamed once per
+        stack. One query keeps a matrix-vector product.
         """
         ids = self._checked_ids(contexts)
         Y = np.asarray(Y, dtype=float)
-        if Y.shape != (self.d, ids.size):
-            raise ValueError(
-                f"cost matrix must be (d, n) = ({self.d}, {ids.size}); got {Y.shape}")
         universe = self.universe_size
-        keys = (np.arange(self.d)[:, None] * universe + ids).ravel()
-        z = np.bincount(keys, weights=Y.ravel(), minlength=self.d * universe)
+        cells = self.d * universe
+        if ids.ndim == 1 and Y.shape == (self.d, ids.size):
+            queries = 1
+            keys = np.arange(self.d)[:, None] * universe + ids
+        elif ids.ndim == 2 and Y.shape == (len(ids), self.d, ids.shape[1]):
+            queries = len(ids)
+            keys = (np.arange(queries)[:, None, None] * cells
+                    + np.arange(self.d)[:, None] * universe + ids[:, None, :])
+        else:
+            raise ValueError(
+                f"a query needs contexts (n,) and Y (d, n), a stack contexts (S, n) and "
+                f"Y (S, d, n), with d={self.d}; got {ids.shape} and {Y.shape}")
+        z = np.bincount(keys.ravel(), weights=Y.ravel(), minlength=queries * cells)
         if not np.isfinite(z).all():
             # 0 * inf in the product would turn every policy's value into nan
             raise ValueError("cost matrix folds to non-finite context sums")
-        return self.onehot @ z
-
-    def values_many(self, contexts, Y) -> np.ndarray:
-        """``values`` of a stack of S queries, shape (S, |F|): contexts (S, n)
-        and Y (S, d, n).
-
-        One bincount folds every query, its keys offset by s*d*|X|, and one
-        product prices the (S, d*|X|) sums, so the one-hot is streamed once
-        per stack instead of once per query. ``values`` keeps its own body
-        for single queries, the per-round path: a one-query stack costs
-        about 10% more (extra offsets, a matrix-matrix product in place of
-        a matrix-vector one).
-        """
-        ids = self._checked_ids(contexts)
-        Y = np.asarray(Y, dtype=float)
-        if ids.ndim != 2 or Y.shape != (ids.shape[0], self.d, ids.shape[1]):
-            raise ValueError(
-                f"a stack of queries needs contexts (S, n) and Y (S, d, n) with d={self.d}; "
-                f"got {ids.shape} and {Y.shape}")
-        stack, universe = ids.shape[0], self.universe_size
-        cells = self.d * universe
-        keys = (np.arange(stack)[:, None, None] * cells
-                + np.arange(self.d)[:, None] * universe + ids[:, None, :]).ravel()
-        z = np.bincount(keys, weights=Y.ravel(), minlength=stack * cells)
-        if not np.isfinite(z).all():
-            raise ValueError("cost matrix folds to non-finite context sums")
-        return z.reshape(stack, cells) @ self.onehot.T
+        if ids.ndim == 1:
+            return self.onehot @ z
+        return z.reshape(queries, cells) @ self.onehot.T
 
     def subset(self, indices) -> "PolicyClass":
         return PolicyClass(self.table[np.asarray(indices, dtype=np.int64)], self.d)

@@ -251,6 +251,8 @@ class TestValues:
 
 
 class TestValuesMany:
+    """``values`` of a stack of queries: contexts (S, n) and Y (S, d, n)."""
+
     def stack(self, rng, pc, stack, n, costs):
         # ids from a prefix of the universe, so some contexts never occur
         top = int(rng.integers(1, pc.universe_size + 1))
@@ -268,7 +270,7 @@ class TestValuesMany:
                 for stack in (1, 2, 7):
                     for n in (0, 1, 5):
                         ctxs, Y = self.stack(rng, pc, stack, n, costs)
-                        many = pc.values_many(ctxs, Y)
+                        many = pc.values(ctxs, Y)
                         assert many.shape == (stack, pc.size)
                         for s in range(stack):
                             assert np.array_equal(many[s], pc.values(ctxs[s], Y[s]))
@@ -278,7 +280,7 @@ class TestValuesMany:
         pc = PolicyClass(rng.integers(0, 3, (40, 6)), 3)
         for stack in (1, 2, 7):
             ctxs, Y = self.stack(rng, pc, stack, 30, lambda rng, shape: rng.normal(size=shape))
-            many = pc.values_many(ctxs, Y)
+            many = pc.values(ctxs, Y)
             for s in range(stack):
                 np.testing.assert_allclose(many[s], pc.values(ctxs[s], Y[s]), rtol=0, atol=1e-12)
 
@@ -286,7 +288,7 @@ class TestValuesMany:
         pc = PolicyClass(np.array([[0, 1, 1], [1, 0, 0]]), 2)
         ctxs = [[0, 2], [1, 1]]
         Y = np.arange(8.0).reshape(2, 2, 2)
-        many = pc.values_many(ctxs, Y)
+        many = pc.values(ctxs, Y)
         np.testing.assert_array_equal(many, [pc.values(c, y) for c, y in zip(ctxs, Y)])
 
     def test_rejects_bad_shapes(self):
@@ -294,10 +296,10 @@ class TestValuesMany:
         ctxs = np.zeros((2, 4), dtype=np.int64)
         for shape in ((2, 2, 3), (3, 2, 4), (2, 3, 4), (2, 4), (2, 2, 4, 1)):
             with pytest.raises(ValueError):
-                pc.values_many(ctxs, np.zeros(shape))
+                pc.values(ctxs, np.zeros(shape))
         for bad_ctxs in (np.zeros(4, dtype=np.int64), [[0, 1], [0]]):
             with pytest.raises(ValueError):
-                pc.values_many(bad_ctxs, np.zeros((2, 2, 2)))
+                pc.values(bad_ctxs, np.zeros((2, 2, 2)))
 
     def test_rejects_out_of_universe_ids_in_any_query(self):
         pc = PolicyClass.all_labelings(2, 3)
@@ -306,7 +308,7 @@ class TestValuesMany:
                 ctxs = np.zeros((3, 2), dtype=np.int64)
                 ctxs[s, 1] = bad
                 with pytest.raises(ValueError):
-                    pc.values_many(ctxs, np.zeros((3, 2, 2)))
+                    pc.values(ctxs, np.zeros((3, 2, 2)))
 
     def test_rejects_non_finite_costs(self):
         pc = PolicyClass.all_labelings(2, 3)
@@ -314,4 +316,4 @@ class TestValuesMany:
             Y = np.zeros((3, 2, 2))
             Y[2, 1, 0] = bad
             with pytest.raises(ValueError):
-                pc.values_many(np.zeros((3, 2), dtype=np.int64), Y)
+                pc.values(np.zeros((3, 2), dtype=np.int64), Y)
