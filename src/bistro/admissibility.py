@@ -260,6 +260,8 @@ def _check_initial(endpoint_values, policy_class: PolicyClass, probs: np.ndarray
         # only policies with C(f) <= K on the endpoint's contexts compete
         values[[constraint.per_policy(policy_class, x) > K for x in xs]] = np.inf
     bench = -values.min(axis=1)
+    if np.isneginf(bench).any():
+        raise ValueError("benchmark class is empty after constraint filtering")
 
     actions = np.array(list(itertools.product(range(d), repeat=n)))  # (d^n, n)
     seqs, rounds = np.arange(d**n)[:, None], np.arange(n)

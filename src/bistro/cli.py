@@ -16,6 +16,7 @@ from .runner import (
     build_constraint,
     build_environment,
     build_policy_class,
+    config_number,
     load_config,
     relaxation,
     resolve_strategy_params,
@@ -59,11 +60,7 @@ def _cmd_admissibility(args) -> int:
     checked = (*RELAXATIONS, "adversarial_reduction")
     if algo not in checked:
         raise ValueError(f"checks only {', '.join(map(repr, checked))}; got algorithm {algo!r}")
-    try:
-        gamma = float(config["gamma"])
-    except (KeyError, TypeError, ValueError):
-        raise ValueError(f"config key 'gamma' needs a number; "
-                         f"got {config.get('gamma')!r}") from None
+    gamma = config_number(config, "gamma")
     pc = build_policy_class(config)
     env = build_environment(config, pc)
     n, d = int(config["n"]), int(config["d"])

@@ -23,6 +23,17 @@ class CapacityError(ValueError):
     """An instance exceeds a hard enumeration limit."""
 
 
+def check_keys(name: str, doc: dict, required, optional=()) -> None:
+    """Reject a config document that sets a key outside ``required`` and
+    ``optional`` (a typo or a removed key) or misses a required one."""
+    known = {*required, *optional}
+    if not known.issuperset(doc):
+        raise ValueError(f"unknown {name} keys {sorted(doc.keys() - known)}; "
+                         f"known keys: {sorted(known)}")
+    if not doc.keys() >= set(required):
+        raise ValueError(f"missing required {name} keys {sorted(set(required) - doc.keys())}")
+
+
 def context_ids(contexts) -> np.ndarray:
     """Normalize a sequence of integer context ids to an int array."""
     if isinstance(contexts, np.ndarray) and np.issubdtype(contexts.dtype, np.integer):
@@ -159,6 +170,7 @@ class PolicyClass:
         """
         family = doc.get("family")
         if family is None:
+            check_keys("policy_class", doc, ("d", "policies"), ("universe",))
             d = int(doc["d"])
             table = np.asarray(doc["policies"], dtype=np.int64) - 1
             pc = cls(table, d)
@@ -166,8 +178,10 @@ class PolicyClass:
                 raise ValueError("declared universe size does not match policy tables")
             return pc
         if family == "all_labelings":
+            check_keys("policy_class", doc, ("family", "d", "universe"))
             return cls.all_labelings(int(doc["d"]), int(doc["universe"]))
         if family == "argmax_linear":
+            check_keys("policy_class", doc, ("family", "weights"))
             return cls._argmax_linear(doc["weights"], features)
         raise ValueError(f"unknown policy family {family!r}")
 

@@ -26,11 +26,10 @@ from .erm import (
     filter_class,
     load_constraint,
 )
-from .policies import PolicyClass, check_cost_vector
+from .policies import PolicyClass, check_cost_vector, check_keys
 from .rademacher import (
     DEFAULT_TUNING_SAMPLES,
     RademacherEstimate,
-    categorical_sampler,
     rademacher_estimate,
     tune_gamma,
 )
@@ -43,19 +42,14 @@ from .strategies import (
     UniformStrategy,
 )
 
-# Every top-level key a config may set.
+# Every top-level key a config may set, and the keys it must set.
 CONFIG_KEYS = frozenset({
     "d", "n", "horizon_mode", "context_dist", "policy_class", "cost_process",
     "algorithm", "gamma", "playouts", "constraint", "lambda", "K", "eta",
     "pool_factor", "delta", "epsilon", "tune_samples", "tune_seed",
 })
+REQUIRED_CONFIG_KEYS = ("d", "n", "policy_class", "cost_process")
 CONTEXT_DIST_KEYS = frozenset({"probs", "features"})
-# Every key a cost-process document of each type may set.
-COST_PROCESS_KEYS = {
-    "fixed_table": frozenset({"type", "path", "values"}),
-    "iid_bernoulli": frozenset({"type", "means"}),
-    "adaptive": frozenset({"type", "rule"}),
-}
 
 
 @dataclass
@@ -187,17 +181,26 @@ def load_config(path: str) -> dict:
     return config
 
 
+def config_number(config: dict, key: str, default=None) -> float:
+    """``config[key]``, or ``default`` when unset, as a float; an error names the key."""
+    value = config.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"config key {key!r} needs a number; got {value!r}") from None
+
+
 def build_policy_class(config: dict) -> PolicyClass:
-    # Every command builds the class first, so an unknown key (a typo or a
-    # removed key) or a missing one fails here instead of later.
-    if not CONFIG_KEYS.issuperset(config):
-        unknown = sorted(config.keys() - CONFIG_KEYS)
-        raise ValueError(f"unknown config keys {unknown}; known keys: {sorted(CONFIG_KEYS)}")
-    missing = [key for key in ("d", "n", "policy_class", "cost_process") if key not in config]
-    if missing:
-        raise ValueError(f"missing required config keys {missing}")
+    # Every command builds the class first, so a malformed config fails here
+    # instead of later: the top-level keys, the gamma, the constraint
+    # document (which not every command builds otherwise) and the class.
+    check_keys("config", config, REQUIRED_CONFIG_KEYS, CONFIG_KEYS)
+    if config.get("gamma", "auto") != "auto":
+        config_number(config, "gamma")
+    build_constraint(config)
     doc = config["policy_class"]
     if "path" in doc:
+        check_keys("policy_class", doc, ("path",))
         with open(doc["path"]) as f:
             doc = json.load(f)
     dist = _context_dist(config)
@@ -221,21 +224,18 @@ def _context_dist(config: dict) -> dict | None:
 def build_cost_process(config: dict):
     doc = config["cost_process"]
     kind = doc.get("type")
-    known = COST_PROCESS_KEYS.get(kind)
-    if known is None:
-        raise ValueError(f"unknown cost process {kind!r}")
-    if not known.issuperset(doc):
-        raise ValueError(f"unknown cost_process keys {sorted(doc.keys() - known)} for type "
-                         f"{kind!r}; known keys: {sorted(known)}")
-    if kind == "fixed_table":
+    if kind == "fixed_table":  # a table in a file or inline, never both
+        check_keys("cost_process", doc, ("type", "path" if "path" in doc else "values"))
         if "path" in doc:
-            values = np.loadtxt(doc["path"], delimiter=",")
-        else:
-            values = np.asarray(doc["values"], dtype=float)
-        return FixedTableCosts(values)
+            return FixedTableCosts(np.loadtxt(doc["path"], delimiter=","))
+        return FixedTableCosts(np.asarray(doc["values"], dtype=float))
     if kind == "iid_bernoulli":
+        check_keys("cost_process", doc, ("type", "means"))
         return IidBernoulliCosts(np.asarray(doc["means"], dtype=float))
-    return AdaptiveCosts(d=int(config["d"]), rule=doc.get("rule", "argmax_punish"))
+    if kind == "adaptive":
+        check_keys("cost_process", doc, ("type",), ("rule",))
+        return AdaptiveCosts(d=int(config["d"]), rule=doc.get("rule", "argmax_punish"))
+    raise ValueError(f"unknown cost process {kind!r}")
 
 
 def build_environment(config: dict, policy_class: PolicyClass) -> Environment:
@@ -265,9 +265,9 @@ def _regularized(config: dict, policy_class: PolicyClass, gamma: float):
     if "K" not in config:
         # the bound prices lam*K and the benchmark filters the class at K
         raise ValueError("bistro_regularized requires 'K', the constraint budget")
-    lam = float(config.get("lambda", 0.0))
+    lam, K = config_number(config, "lambda", 0.0), config_number(config, "K")
     # lam*C on the estimates c~ is lam*gamma*C on the query's gamma*c~
-    return RegularizedErmOracle(policy_class, constraint, lam * gamma), lam * float(config["K"])
+    return RegularizedErmOracle(policy_class, constraint, lam * gamma), lam * K
 
 
 RELAXATIONS = {
@@ -311,17 +311,18 @@ def resolve_strategy_params(config: dict, policy_class: PolicyClass, env: Enviro
     elif algo in RELAXATIONS:
         samples = int(config.get("tune_samples", DEFAULT_TUNING_SAMPLES))
         seed = config.get("tune_seed", 0)
-        sampler = categorical_sampler(env.probs)
 
         def estimate(oracle) -> RademacherEstimate:
             if isinstance(oracle, BoxRelaxedOracle):
                 # superset vs original class widths, reported side by side (no ratio asserted)
-                est = rademacher_estimate(ExactErmOracle(policy_class), sampler, n, samples, seed)
+                est = rademacher_estimate(ExactErmOracle(policy_class), env.sample_contexts, n,
+                                          samples, seed)
                 out["class_rad_estimate"], out["class_rad_stderr"] = est.mean, est.std_error
                 # Per column the box's best response to a sign vector is
                 # max(0, max_j eps_j), which is 1 unless all d signs are -1.
                 return RademacherEstimate(SIGN_SCALE * n * (1.0 - 2.0**-d), 0.0, samples)
-            return rademacher_estimate(oracle, sampler, n, samples, seed, SIGN_SCALE)
+            return rademacher_estimate(oracle, env.sample_contexts, n, samples, seed,
+                                       SIGN_SCALE)
 
         # A penalty scales with gamma, so the relaxation at gamma = 0 is the
         # unpenalized one; its complexity bounds every gamma's and tunes the rate.
@@ -331,7 +332,7 @@ def resolve_strategy_params(config: dict, policy_class: PolicyClass, env: Enviro
     else:
         return out  # the baselines play no relaxation
 
-    gamma = tune_gamma(complexity, n, d) if gamma_cfg == "auto" else float(gamma_cfg)
+    gamma = tune_gamma(complexity, n, d) if gamma_cfg == "auto" else config_number(config, "gamma")
     oracle, budget = relaxation(config, policy_class, gamma) if algo in RELAXATIONS else (None, 0)
     if hasattr(oracle, "lambda_scaled"):  # the penalized complexity, at the gamma played
         est = estimate(oracle)
@@ -349,7 +350,7 @@ def make_strategy(config: dict, policy_class: PolicyClass, gamma: float | None) 
     if algo in RELAXATIONS:
         oracle, _ = relaxation(config, policy_class, gamma)
         if "delta" in config:
-            oracle = ApproximateErmOracle(oracle, float(config["delta"]), seed=0)
+            oracle = ApproximateErmOracle(oracle, config_number(config, "delta"), seed=0)
         return BistroStrategy(policy_class, oracle, n, gamma, int(config.get("playouts", 1)),
                               config.get("horizon_mode", "iid_pool"))
     if algo == "adversarial_reduction":
@@ -358,7 +359,7 @@ def make_strategy(config: dict, policy_class: PolicyClass, gamma: float | None) 
     if algo == "uniform":
         return UniformStrategy(d)
     if algo == "egreedy":
-        return EpsilonGreedyStrategy(policy_class, epsilon=float(config.get("epsilon", 0.1)))
+        return EpsilonGreedyStrategy(policy_class, epsilon=config_number(config, "epsilon", 0.1))
     if algo == "ftl":
         return FollowTheLeaderStrategy(policy_class)
     raise ValueError(f"unknown algorithm {algo!r}")

@@ -27,7 +27,7 @@ class Strategy:
     """Interface shared by all per-round strategies."""
 
     transductive = False
-    needs_full_costs = False
+    needs_full_costs = False  # if set, run_episode also calls observe_full_costs(x, c)
     oracle_calls = 0
 
     def begin_episode(self, n: int, seed_seq, pool=None, known_futures=None) -> None:
@@ -37,9 +37,6 @@ class Strategy:
         raise NotImplementedError
 
     def update(self, x: int, q: np.ndarray, action: int, observed_cost: float) -> None:
-        pass
-
-    def observe_full_costs(self, x: int, cost_vector: np.ndarray) -> None:
         pass
 
 
@@ -86,8 +83,6 @@ class BistroStrategy(Strategy):
     def begin_episode(self, n: int, seed_seq, pool=None, known_futures=None) -> None:
         if n != self.horizon:
             raise ValueError("episode length does not match the configured horizon")
-        if not isinstance(seed_seq, np.random.SeedSequence):
-            seed_seq = np.random.SeedSequence(seed_seq)
         ctx_ss, sign_ss, noise_ss = seed_seq.spawn(3)
         self._ctx_rng = np.random.default_rng(ctx_ss)
         self._sign_rng = np.random.default_rng(sign_ss)

@@ -51,6 +51,18 @@ class TestExpWeightsValue:
             rel.value(np.zeros((2, 3)), [0, 1])  # cost vectors of the wrong length
         with pytest.raises(ValueError):
             rel.value(np.array([[np.inf, 0.0]]), [0])
+        with pytest.raises(ValueError, match="lengths disagree"):
+            rel.value(np.zeros((2, 2)), [0])
+        with pytest.raises(ValueError, match="longer than the horizon"):
+            rel.value(np.zeros((5, 2)), [0] * 5)
+
+    def test_rejects_bad_arguments(self):
+        for pc, horizon, eta, match in (
+                (PolicyClass(np.zeros((0, 2), dtype=np.int64), 2), 4, None, "nonempty"),
+                (constants_class(), -1, None, "horizon"),
+                (constants_class(), 4, 0.0, "eta")):
+            with pytest.raises(ValueError, match=match):
+                ExpWeightsRelaxation(pc, horizon, eta=eta)
 
     def test_initial_value_at_default_rate(self):
         n = 8

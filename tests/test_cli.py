@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -130,6 +132,18 @@ def test_missing_required_key_exits_2(command, tmp_path, capsys):
     ({"context_dist": [0.6, 0.4]}, "context_dist"),
     ({"cost_process": {"type": "adaptive", "sees_current_context": False}},
      "'sees_current_context'"),
+    ({"policy_class": {"family": "all_labelings", "d": 2, "univers": 2}}, "'univers'"),
+    ({"policy_class": {"path": "policies8.json", "d": 2}}, "'d'"),
+    ({"policy_class": {"family": "all_labelings", "d": 3, "universe": 2}}, "config d"),
+    ({"context_dist": {"probs": [0.2, 0.3, 0.5]}}, "universe"),
+    ({"cost_process": {"type": "iid_bernoulli"}}, "'means'"),
+    ({"cost_process": {"type": "fixed_table", "path": "c.csv", "values": [[0.5, 0.5]] * 3}},
+     "'values'"),
+    ({"constraint": {"type": "coverage", "partition": [[0, 1], [2, 3]]}}, "'k'"),
+    ({"constraint": {"type": "pairwise", "weight": [[0, 5], [5, 0]]}}, "'weight'"),
+    ({"gamma": "abc"}, "'gamma'"),
+    ({"policy_class": {"family": "trees", "d": 2}}, "'trees'"),
+    ({"cost_process": {"type": "poisson"}}, "'poisson'"),
 ])
 def test_malformed_documents_exit_2(command, changes, named, tmp_path, capsys):
     count = "--seeds" if command == "run" else "--samples"
@@ -137,6 +151,7 @@ def test_malformed_documents_exit_2(command, changes, named, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith(f"bistro {command}: ") and named in captured.err
+    assert captured.err.count("\n") == 1
     assert captured.out == ""
 
 
@@ -151,6 +166,19 @@ def test_admissibility_checks_relaxed_variants(algorithm, tmp_path, capsys):
     assert code == 0
     assert out.startswith(f"algorithm={algorithm} gamma=0.25 ")
     assert "round 3" in out and out.endswith("PASS\n")
+
+
+def test_admissibility_refuses_an_empty_filtered_benchmark(tmp_path, capsys):
+    # C >= 1 > K for every policy on the one block of n = 3 rounds, as run refuses too
+    config = write_config(tmp_path, constraint={"type": "coverage", "partition": [[0, 1, 2]],
+                                                "k": 2}, K=0.5, **{"lambda": 0.1})
+    code = main(["admissibility", "--config", config, "--algorithm", "bistro_regularized",
+                 "--samples", "100", "--initial-checks", "5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ("bistro admissibility: benchmark class is empty after constraint "
+                            "filtering\n")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("algorithm", ["ftl", "uniform", "egreedy"])
@@ -170,3 +198,13 @@ def test_numeric_error_policy_stays_inside_main(capsys):
     assert main(["rademacher", "--config", cfg("admissibility_small.json"),
                  "--samples", "5"]) == 0
     assert np.geterr() == before
+
+
+def test_module_entry_point_exits_with_mains_status():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "bistro.cli", "admissibility", "--config",
+                           cfg("admissibility_small.json"), "--algorithm", "ftl"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr.startswith("bistro admissibility: checks only ")

@@ -175,8 +175,11 @@ class TestConstraints:
         assert sequence_constraint(PairwiseDisagreement("uniform"), M, [0, 1, 2]) == 4.0
 
     def test_pairwise_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            PairwiseDisagreement(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+        for weights, match in (([[0.0, -1.0], [-1.0, 0.0]], "nonnegative"),
+                               ("unit", "weight spec"), ([[0.0, 1.0, 1.0]], "square"),
+                               ([[0.0, 1.0], [2.0, 0.0]], "symmetric")):
+            with pytest.raises(ValueError, match=match):
+                PairwiseDisagreement(weights if isinstance(weights, str) else np.array(weights))
 
     def test_pairwise_matrix_weights_indexed_by_context(self):
         W = np.array([[0.0, 2.0], [2.0, 0.0]])
@@ -205,6 +208,9 @@ class TestConstraints:
             sequence_constraint(CoveragePenalty([[0]], 1), M)  # incomplete
         with pytest.raises(ValueError):
             sequence_constraint(CoveragePenalty([[0, 1], [1]], 1), M)  # overlapping
+        for partition in ([[0]], [[0, 1], [1]]):  # the folded form checks the same
+            with pytest.raises(ValueError, match="partition"):
+                CoveragePenalty(partition, 1).per_policy(PolicyClass.all_labelings(2, 2), [0, 1])
 
     def test_nonnegative_on_random_labelings(self):
         rng = np.random.default_rng(23)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -88,6 +89,15 @@ class TestRunEpisode:
             tr.cost_vectors, means[tr.contexts]
         )
 
+    def test_environment_rejects_bad_arguments(self):
+        costs = FixedTableCosts(np.tile([0.5, 0.5], (4, 1)))
+        for probs, pool_factor, match in (([], 10, "nonempty"), ([[0.5, 0.5]], 10, "nonempty"),
+                                          ([0.7, 0.7], 10, "sum to 1"),
+                                          ([1.5, -0.5], 10, "nonnegative"),
+                                          ([0.5, 0.5], 0, "pool_factor")):
+            with pytest.raises(ValueError, match=match):
+                Environment(probs, costs, pool_factor=pool_factor)
+
     def test_strategy_environment_mismatch(self):
         pc = PolicyClass.all_labelings(2, 3)  # universe of 3
         env = Environment(np.ones(2) / 2, FixedTableCosts(np.tile([0.5, 0.5], (4, 1))))
@@ -148,6 +158,11 @@ class TestRegret:
             config["cost_process"]["values"])))
         tr = run_episode(make_strategy(config, pc, gamma=0.25), env, config["n"], seed=7)
         tr.validate()
+        for broken, match in ((dataclasses.replace(tr, actions=tr.actions[1:]), "lengths"),
+                              (dataclasses.replace(tr, observed_costs=tr.observed_costs + 0.5),
+                               "inconsistent")):
+            with pytest.raises(ValueError, match=match):
+                broken.validate()
         np.testing.assert_allclose(
             tr.cumulative_expected,
             np.cumsum((tr.distributions * tr.cost_vectors).sum(axis=1)),
@@ -241,13 +256,16 @@ class TestSuite:
                               constraint={"type": "pairwise", "weights": "uniform"})
         with pytest.raises(ValueError, match="'K'"):
             run_suite(config, seeds=[0])
+        with pytest.raises(ValueError, match="requires a constraint"):
+            run_suite({**config, "K": 4, "constraint": None}, seeds=[0])
         assert np.isfinite(run_suite({**config, "K": 4}, seeds=[0])["bound"])
 
     def test_shipped_config_loads(self):
-        config = load_config(os.path.join(CONFIG_DIR, "fixed_adversarial.json"))
-        summary = run_suite(config, seeds=[0])
-        assert summary["gamma_used"] > 0
-        assert summary["oracle_calls_total"] == 2 * config["n"]
+        for name in ("fixed_adversarial.json", "bernoulli_demo.json"):
+            config = load_config(os.path.join(CONFIG_DIR, name))
+            summary = run_suite(config, seeds=[0])
+            assert summary["gamma_used"] > 0
+            assert summary["oracle_calls_total"] == 2 * config["n"]
 
     def test_baselines_run(self):
         for algo in ("uniform", "egreedy", "ftl"):

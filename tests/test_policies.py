@@ -107,6 +107,12 @@ class TestMixWithUniform:
             with pytest.raises(ValueError):
                 mix_with_uniform(np.array([1.0, 0.0]), gamma)
 
+    def test_rejects_points_off_the_simplex(self):
+        for q_star, match in (([[0.5, 0.5]], "vector"), ([1.5, -0.5], "negative"),
+                              ([0.5, 0.5 + 1e-9], "sums to")):
+            with pytest.raises(ValueError, match=match):
+                mix_with_uniform(np.array(q_star), 0.1)
+
     def test_floor_and_normalization(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
@@ -151,6 +157,12 @@ class TestPolicyClass:
         assert pc.size == 8
         tables = {tuple(pc.table[i]) for i in range(8)}
         assert len(tables) == 8
+
+    def test_rejects_bad_tables(self):
+        for table, d, match in (([0, 1], 2, "table"), ([[0, 1]], 0, "d must"),
+                                ([[0, 2]], 2, "action indices"), ([[-1, 0]], 2, "action indices")):
+            with pytest.raises(ValueError, match=match):
+                PolicyClass(table, d)
 
     def test_all_labelings_capacity(self):
         with pytest.raises(CapacityError):

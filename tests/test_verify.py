@@ -78,10 +78,12 @@ class TestExactRegularizedBound:
         pc = PolicyClass(np.array([[0, 1], [1, 1], [0, 0]]), 2)
         n, gamma = 3, 0.25
         seqs = [[a, b, c] for a in (0, 1) for b in (0, 1) for c in (0, 1)]
-        rad = np.mean([exact_rademacher(pc, s) for s in seqs])
-        bound = exact_regularized_bound(pc, [0.5, 0.5], n, gamma, lam=0.0, K=0.0,
-                                        constraint=None)
-        assert bound == pytest.approx(SIGN_SCALE * rad / gamma + n * 2 * gamma, abs=1e-12)
+        for probs in ([0.5, 0.5], [1.0, 0.0]):  # p(x) = 0: no sequence holding x counts
+            weights = [np.prod([probs[x] for x in s]) for s in seqs]
+            rad = np.dot(weights, [exact_rademacher(pc, s) for s in seqs])
+            bound = exact_regularized_bound(pc, probs, n, gamma, lam=0.0, K=0.0,
+                                            constraint=None)
+            assert bound == pytest.approx(SIGN_SCALE * rad / gamma + n * 2 * gamma, abs=1e-12)
 
     def test_capacity(self):
         pc = PolicyClass.all_labelings(2, 2)
