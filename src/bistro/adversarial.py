@@ -69,7 +69,8 @@ class ExpWeightsRelaxation:
                            minlength=self.policy_class.d)
 
     def initial_value(self) -> float:
-        return self.value(np.empty((0, self.policy_class.d)), [])
+        """``value`` of the empty history, bit for bit, without building the one-hot."""
+        return float(np.log(self.policy_class.size)) / self.eta + self.horizon * self.eta / 2.0
 
 
 class ReductionStrategy(Strategy):

@@ -26,12 +26,13 @@ class CapacityError(ValueError):
 def check_keys(name: str, doc: dict, required, optional=()) -> None:
     """Reject a config document that sets a key outside ``required`` and
     ``optional`` (a typo or a removed key) or misses a required one."""
-    known = {*required, *optional}
-    if not known.issuperset(doc):
-        raise ValueError(f"unknown {name} keys {sorted(doc.keys() - known)}; "
-                         f"known keys: {sorted(known)}")
-    if not doc.keys() >= set(required):
-        raise ValueError(f"missing required {name} keys {sorted(set(required) - doc.keys())}")
+    unknown = [key for key in doc if key not in optional and key not in required]
+    if unknown:
+        raise ValueError(f"unknown {name} keys {sorted(unknown)}; "
+                         f"known keys: {sorted({*required, *optional})}")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise ValueError(f"missing required {name} keys {sorted(missing)}")
 
 
 def context_ids(contexts) -> np.ndarray:
