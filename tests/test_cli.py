@@ -169,7 +169,7 @@ def test_admissibility_checks_relaxed_variants(algorithm, tmp_path, capsys):
 
 
 def test_admissibility_refuses_an_empty_filtered_benchmark(tmp_path, capsys):
-    # C >= 1 > K for every policy on the one block of n = 3 rounds, as run refuses too
+    # C >= 1 > K for every policy on the one block of n = 3 rounds; run fails on it too
     config = write_config(tmp_path, constraint={"type": "coverage", "partition": [[0, 1, 2]],
                                                 "k": 2}, K=0.5, **{"lambda": 0.1})
     code = main(["admissibility", "--config", config, "--algorithm", "bistro_regularized",
