@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .policies import PolicyClass, context_ids, ips_estimate, mix_with_uniform
-from .strategies import Strategy
-
-SCALED_COST_TOL = 1e-12
+from .policies import PolicyClass, context_ids
+from .policies import mix_with_uniform  # noqa: F401  (a patch point of perfbench/spans.py)
+from .strategies import RelaxationStrategy
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -73,47 +72,14 @@ class ExpWeightsRelaxation:
         return float(np.log(self.policy_class.size)) / self.eta + self.horizon * self.eta / 2.0
 
 
-class ReductionStrategy(Strategy):
-    """Bandit play driven by a full-information relaxation on scaled estimates.
-
-    Every vector handed to the full-information side is gamma * c~_t, which
-    stays inside [0,1]^d because mixing keeps q_t(y) >= gamma.
-    """
+class ReductionStrategy(RelaxationStrategy):
+    """Bandit play driven by a full-information relaxation: q* is the
+    relaxation's strategy on the gamma-scaled history."""
 
     def __init__(self, relaxation, gamma: float, horizon: int):
-        d = relaxation.policy_class.d
-        if not 0.0 < gamma <= 1.0 / d:
-            raise ValueError(f"gamma must lie in (0, 1/d]; got {gamma}")
+        super().__init__(relaxation.policy_class, horizon, gamma)
         self.relaxation = relaxation
-        self.gamma = float(gamma)
-        self.horizon = int(horizon)
-        self._scaled = None
-        self._contexts = None
-        self._t = 0
 
-    @property
-    def policy_class(self):
-        return self.relaxation.policy_class
-
-    def begin_episode(self, n: int, seed_seq, pool=None, known_futures=None) -> None:
-        if n != self.horizon:
-            raise ValueError("episode length does not match the configured horizon")
-        d = self.relaxation.policy_class.d
-        self._scaled = np.zeros((n, d))
-        self._contexts = np.zeros(n, dtype=np.int64)
-        self._t = 0
-
-    def choose(self, x: int) -> np.ndarray:
-        q_star = self.relaxation.strategy(
-            self._scaled[: self._t], self._contexts[: self._t], x
-        )
-        return mix_with_uniform(q_star, self.gamma)
-
-    def update(self, x: int, q: np.ndarray, action: int, observed_cost: float) -> None:
-        est = ips_estimate(observed_cost, action, q)
-        scaled = self.gamma * est
-        if scaled.min() < -SCALED_COST_TOL or scaled.max() > 1.0 + SCALED_COST_TOL:
-            raise RuntimeError("scaled estimate left [0,1]^d; mixing invariant violated")
-        self._scaled[self._t] = scaled
-        self._contexts[self._t] = x
-        self._t += 1
+    def _q_star(self, x: int) -> np.ndarray:
+        t = self._t
+        return self.relaxation.strategy(self._Y[:, :t].T, self._ctx[:t], x)

@@ -1,12 +1,12 @@
 """Per-round bandit strategies.
 
-BISTRO prices each action by an ERM oracle value on a hybrid cost matrix
-(scaled history estimates, a basis-vector column for the candidate action,
-and doubled random signs for hypothetical futures), water-fills the
-resulting values into a distribution, and mixes toward uniform before
-playing. The regularized and superset variants are the same loop with a
-penalized or relaxed oracle plugged in. Baselines used as harness anchors
-live at the bottom.
+One learner, ``RelaxationStrategy``, keeps the gamma-scaled history and plays
+a q* mixed toward uniform; its subclasses differ only in the rule for q*.
+BISTRO water-fills ERM oracle values on a hybrid cost matrix (the history, a
+basis-vector column for the candidate action, and doubled random signs for
+hypothetical futures); its regularized and superset variants plug in a
+penalized or relaxed oracle. The adversarial reduction takes q* from a
+full-information relaxation. Baselines used as harness anchors are last.
 """
 
 from __future__ import annotations
@@ -40,37 +40,68 @@ class Strategy:
         pass
 
 
-class BistroStrategy(Strategy):
+class RelaxationStrategy(Strategy):
+    """Bandit play on a relaxation of gamma-scaled estimates: q = mix(q*, gamma).
+
+    The history is the contexts (n,) and the columns gamma * c~_t of one
+    (d, n) matrix, which stay inside [0,1]^d because mixing keeps
+    q_t(y) >= gamma. ``update`` writes round t's entries once; a subclass
+    supplies its rule for q* at round t as ``_q_star(x)``.
+    """
+
+    def __init__(self, policy_class, horizon: int, gamma: float):
+        if horizon < 0:
+            raise ValueError("horizon must be nonnegative")
+        if not 0.0 < gamma <= 1.0 / policy_class.d:
+            raise ValueError(f"gamma must lie in (0, 1/d]; got {gamma}")
+        self.policy_class = policy_class
+        self.horizon = int(horizon)
+        self.gamma = float(gamma)
+        self._t, self._ctx, self._Y = 0, None, None
+
+    def begin_episode(self, n: int, seed_seq, pool=None, known_futures=None) -> None:
+        if n != self.horizon:
+            raise ValueError("episode length does not match the configured horizon")
+        self._ctx = np.zeros(n, dtype=np.int64)
+        self._Y = np.zeros((self.policy_class.d, n))
+        self._t = 0
+
+    def _q_star(self, x: int) -> np.ndarray:
+        raise NotImplementedError
+
+    def choose(self, x: int) -> np.ndarray:
+        return mix_with_uniform(self._q_star(x), self.gamma)
+
+    def update(self, x: int, q: np.ndarray, action: int, observed_cost: float) -> None:
+        est = ips_estimate(observed_cost, action, q)
+        if est[action] > 1.0 / self.gamma + 1e-9:
+            raise RuntimeError("estimate exceeds 1/gamma; mixing invariant violated")
+        if self._t >= self.horizon:
+            raise ValueError("episode already complete")
+        self._ctx[self._t] = x
+        self._Y[:, self._t] = self.gamma * est
+        self._t += 1
+
+
+class BistroStrategy(RelaxationStrategy):
     """Random-playout relaxation strategy; d oracle calls per playout per round.
 
-    One (d, n) query matrix serves the whole episode: ``update`` writes column
-    t once as gamma * c~_t, each playout overwrites the future columns with
-    SIGN_SCALE * eps, and each of the d pricing queries sets column t to e_j
-    and hands the matrix to the oracle in place.
+    The history matrix doubles as the query: each playout overwrites the
+    future columns with SIGN_SCALE * eps, and each of the d pricing queries
+    sets column t to e_j and hands the matrix to the oracle in place.
     """
 
     def __init__(self, policy_class, oracle: ErmOracle, horizon: int, gamma: float,
                  playouts: int = 1, mode: str = "iid_pool"):
-        if horizon < 0:
-            raise ValueError("horizon must be nonnegative")
+        super().__init__(policy_class, horizon, gamma)
         if playouts < 1:
             raise ValueError("at least one playout per round")
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if not 0.0 < gamma <= 1.0 / policy_class.d:
-            raise ValueError(f"gamma must lie in (0, 1/d]; got {gamma}")
-        self.policy_class = policy_class
         self.oracle = oracle
-        self.horizon = horizon
-        self.gamma = gamma
         self.playouts = playouts
         self.mode = mode
-        self._t = 0
-        self._ctx = None
-        self._Y = None
-        self._pool = None
-        self._ctx_rng = None
-        self._sign_rng = None
+        self._pool = self._ctx_rng = self._sign_rng = None
 
     @property
     def transductive(self) -> bool:
@@ -81,8 +112,7 @@ class BistroStrategy(Strategy):
         return self.oracle.calls
 
     def begin_episode(self, n: int, seed_seq, pool=None, known_futures=None) -> None:
-        if n != self.horizon:
-            raise ValueError("episode length does not match the configured horizon")
+        super().begin_episode(n, seed_seq)
         ctx_ss, sign_ss, noise_ss = seed_seq.spawn(3)
         self._ctx_rng = np.random.default_rng(ctx_ss)
         self._sign_rng = np.random.default_rng(sign_ss)
@@ -91,17 +121,14 @@ class BistroStrategy(Strategy):
         if self.transductive:
             if known_futures is None or len(known_futures) != n:
                 raise ValueError("transductive mode requires the full context sequence")
-            # choose overwrites entry t with x_t; later entries keep the known futures
-            self._ctx = np.array(known_futures, dtype=np.int64)
+            # _q_star overwrites entry t with x_t; later entries keep the known futures
+            self._ctx[:] = known_futures
         else:
             if pool is None or len(pool) == 0:
                 raise ValueError("iid_pool mode requires a nonempty unlabeled pool")
             self._pool = np.asarray(pool, dtype=np.int64)
-            self._ctx = np.zeros(n, dtype=np.int64)
-        self._Y = np.zeros((self.policy_class.d, n))
-        self._t = 0
 
-    def choose(self, x: int) -> np.ndarray:
+    def _q_star(self, x: int) -> np.ndarray:
         d, t = self.policy_class.d, self._t
         k = self.horizon - t - 1
         ctx, Y = self._ctx, self._Y
@@ -117,16 +144,7 @@ class BistroStrategy(Strategy):
                 Y[j, t] = 1.0
                 psi[j] = self.oracle(ctx, Y)
             q_sum += waterfill(psi)
-        return mix_with_uniform(q_sum / self.playouts, self.gamma)
-
-    def update(self, x: int, q: np.ndarray, action: int, observed_cost: float) -> None:
-        est = ips_estimate(observed_cost, action, q)
-        if est[action] > 1.0 / self.gamma + 1e-9:
-            raise RuntimeError("estimate exceeds 1/gamma; mixing invariant violated")
-        if self._t >= self.horizon:
-            raise ValueError("episode already complete")
-        self._Y[:, self._t] = self.gamma * est
-        self._t += 1
+        return q_sum / self.playouts
 
 
 class UniformStrategy(Strategy):

@@ -341,7 +341,7 @@ def test_criterion_9_adversarial_reduction():
                                  gamma=summary["gamma_used"])
         run_episode(strategy, env, config["n"], seed=0)
         scaled_ok = scaled_ok and (
-            strategy._scaled.min() >= 0.0 and strategy._scaled.max() <= 1.0
+            strategy._Y.min() >= 0.0 and strategy._Y.max() <= 1.0
         )
     elapsed = time.perf_counter() - t0
     ok = (

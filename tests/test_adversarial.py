@@ -137,8 +137,8 @@ class TestReduction:
         env = Environment(np.ones(4) / 4, FixedTableCosts(rng.uniform(0, 1, (n, 2))))
         strat = ReductionStrategy(ExpWeightsRelaxation(pc, n), gamma, n)
         tr = run_episode(strat, env, n, seed=3)
-        assert strat._scaled.min() >= 0.0
-        assert strat._scaled.max() <= 1.0 + 1e-12
+        assert strat._Y.min() >= 0.0
+        assert strat._Y.max() <= 1.0 + 1e-12
         assert tr.distributions.min() >= gamma - 1e-12
 
     def test_derived_gamma_and_bound(self):
