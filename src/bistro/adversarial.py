@@ -73,8 +73,7 @@ class ExpWeightsRelaxation:
 
 
 class ReductionStrategy(RelaxationStrategy):
-    """Bandit play driven by a full-information relaxation: q* is the
-    relaxation's strategy on the gamma-scaled history."""
+    """Bandit play whose q* is a full-information relaxation's strategy on the history."""
 
     def __init__(self, relaxation, gamma: float, horizon: int):
         super().__init__(relaxation.policy_class, horizon, gamma)

@@ -16,6 +16,7 @@ from .runner import (
     build_constraint,
     build_environment,
     build_policy_class,
+    config_int,
     config_number,
     load_config,
     relaxation,
@@ -61,18 +62,21 @@ def _cmd_admissibility(args) -> int:
     if algo not in checked:
         raise ValueError(f"checks only {', '.join(map(repr, checked))}; got algorithm {algo!r}")
     gamma = config_number(config, "gamma")
+    if gamma is None:
+        raise ValueError("config key 'gamma' needs a number; got None")
     pc = build_policy_class(config)
     env = build_environment(config, pc)
-    n, d = int(config["n"]), int(config["d"])
+    n, d = config_int(config, "n"), pc.d
     if algo == "adversarial_reduction":
-        report = check_reduction_admissibility(pc, env.probs, n, gamma, eta=config.get("eta"),
-                                               seed=args.seed, initial_checks=args.initial_checks)
+        report = check_reduction_admissibility(
+            pc, env.probs, n, gamma, eta=config_number(config, "eta"), seed=args.seed,
+            initial_checks=args.initial_checks)
     else:
         oracle, budget = relaxation(config, pc, gamma)
         report = check_bistro_admissibility(
             pc, env.probs, n, gamma, oracle=oracle, budget=budget,
-            constraint=build_constraint(config), K=config.get("K"), samples=args.samples,
-            seed=args.seed, initial_checks=args.initial_checks)
+            constraint=build_constraint(config), K=config_number(config, "K"),
+            samples=args.samples, seed=args.seed, initial_checks=args.initial_checks)
     print(f"algorithm={algo} gamma={gamma} d={d} n={n}")
     for step in report.steps:
         flag = "ok" if step.passed() else "VIOLATED"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .policies import PolicyClass, check_keys, context_ids
+from .policies import PolicyClass, check_keys, check_object, config_int, context_ids
 
 
 class ErmOracle:
@@ -237,11 +237,11 @@ class BoxRelaxedOracle(ErmOracle):
 
 def load_constraint(doc: dict):
     """Constraint from its JSON document form."""
-    kind = doc.get("type")
+    kind = check_object("constraint", doc).get("type")
     if kind == "pairwise":
         check_keys("constraint", doc, ("type",), ("weights",))
         return PairwiseDisagreement(doc.get("weights", "uniform"))
     if kind == "coverage":
         check_keys("constraint", doc, ("type", "partition", "k"))
-        return CoveragePenalty(doc["partition"], int(doc["k"]))
+        return CoveragePenalty(doc["partition"], config_int(doc, "k", name="constraint"))
     raise ValueError(f"unknown constraint type {kind!r}")

@@ -23,16 +23,44 @@ class CapacityError(ValueError):
     """An instance exceeds a hard enumeration limit."""
 
 
+def check_object(name: str, doc) -> dict:
+    """``doc``, if the config document is a JSON object; an error names it."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{name} must be a JSON object; got {doc!r}")
+    return doc
+
+
 def check_keys(name: str, doc: dict, required, optional=()) -> None:
-    """Reject a config document that sets a key outside ``required`` and
-    ``optional`` (a typo or a removed key) or misses a required one."""
-    unknown = [key for key in doc if key not in optional and key not in required]
+    """Reject a config document that is not a JSON object, sets a key outside
+    ``required`` and ``optional`` (a typo or a removed key) or misses one."""
+    unknown = [key for key in check_object(name, doc)
+               if key not in optional and key not in required]
     if unknown:
         raise ValueError(f"unknown {name} keys {sorted(unknown)}; "
                          f"known keys: {sorted({*required, *optional})}")
     missing = [key for key in required if key not in doc]
     if missing:
         raise ValueError(f"missing required {name} keys {sorted(missing)}")
+
+
+def config_number(doc: dict, key: str, default=None) -> float | None:
+    """``doc[key]`` as a float, or ``default`` when unset; an error names the key."""
+    if key not in doc:
+        return default
+    value = doc[key]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"config key {key!r} needs a number; got {value!r}")
+
+
+def config_int(doc: dict, key: str, default=None, name: str = "config") -> int | None:
+    """``doc[key]`` as a non-negative int, or ``default`` when unset; an error names the key."""
+    if key not in doc:
+        return default
+    value = doc[key]
+    if type(value) is int and value >= 0:
+        return value
+    raise ValueError(f"{name} key {key!r} needs a non-negative integer; got {value!r}")
 
 
 def context_ids(contexts) -> np.ndarray:
@@ -169,7 +197,7 @@ class PolicyClass:
         Action entries in documents are 1-based; conversion to the internal
         0-based indexing happens here.
         """
-        family = doc.get("family")
+        family = check_object("policy_class", doc).get("family")
         if family is None:
             check_keys("policy_class", doc, ("d", "policies"), ("universe",))
             d = int(doc["d"])

@@ -26,7 +26,14 @@ from .erm import (
     filter_class,
     load_constraint,
 )
-from .policies import PolicyClass, check_cost_vector, check_keys
+from .policies import (
+    PolicyClass,
+    check_cost_vector,
+    check_keys,
+    check_object,
+    config_int,
+    config_number,
+)
 from .rademacher import (
     DEFAULT_TUNING_SAMPLES,
     RademacherEstimate,
@@ -172,7 +179,7 @@ def load_config(path: str) -> dict:
     """Config file as a dict; the ``path`` of ``policy_class`` and
     ``cost_process`` is resolved against the file's directory."""
     with open(path) as f:
-        config = json.load(f)
+        config = check_object("config", json.load(f))
     base = os.path.dirname(os.path.abspath(path))
     for key in ("policy_class", "cost_process"):
         doc = config.get(key)
@@ -181,22 +188,17 @@ def load_config(path: str) -> dict:
     return config
 
 
-def config_number(config: dict, key: str, default=None) -> float:
-    """``config[key]``, or ``default`` when unset, as a float; an error names the key."""
-    value = config.get(key, default)
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"config key {key!r} needs a number; got {value!r}") from None
-
-
 def build_policy_class(config: dict) -> PolicyClass:
     # Every command builds the class first, so a malformed config fails here
-    # instead of later: the top-level keys, the gamma, the constraint
-    # document (which not every command builds otherwise) and the class.
+    # instead of later: the top-level keys, the numbers (which not every
+    # command reads otherwise), the constraint document and the class.
     check_keys("config", config, REQUIRED_CONFIG_KEYS, CONFIG_KEYS)
     if config.get("gamma", "auto") != "auto":
         config_number(config, "gamma")
+    for key in ("lambda", "K", "eta", "delta", "epsilon"):
+        config_number(config, key)
+    for key in ("d", "n", "playouts", "pool_factor", "tune_samples", "tune_seed"):
+        config_int(config, key)
     build_constraint(config)
     doc = config["policy_class"]
     if "path" in doc:
@@ -205,7 +207,7 @@ def build_policy_class(config: dict) -> PolicyClass:
             doc = json.load(f)
     dist = _context_dist(config)
     pc = PolicyClass.from_json(doc, features=None if dist is None else dist.get("features"))
-    if pc.d != int(config["d"]):
+    if pc.d != config_int(config, "d"):
         raise ValueError("policy class action count disagrees with config d")
     return pc
 
@@ -222,7 +224,7 @@ def _context_dist(config: dict) -> dict | None:
 
 
 def build_cost_process(config: dict):
-    doc = config["cost_process"]
+    doc = check_object("cost_process", config["cost_process"])
     kind = doc.get("type")
     if kind == "fixed_table":  # a table in a file or inline, never both
         check_keys("cost_process", doc, ("type", "path" if "path" in doc else "values"))
@@ -234,7 +236,7 @@ def build_cost_process(config: dict):
         return IidBernoulliCosts(np.asarray(doc["means"], dtype=float))
     if kind == "adaptive":
         check_keys("cost_process", doc, ("type",), ("rule",))
-        return AdaptiveCosts(d=int(config["d"]), rule=doc.get("rule", "argmax_punish"))
+        return AdaptiveCosts(d=config_int(config, "d"), rule=doc.get("rule", "argmax_punish"))
     raise ValueError(f"unknown cost process {kind!r}")
 
 
@@ -249,7 +251,7 @@ def build_environment(config: dict, policy_class: PolicyClass) -> Environment:
     return Environment(
         probs,
         build_cost_process(config),
-        pool_factor=int(config.get("pool_factor", 10)),
+        pool_factor=config_int(config, "pool_factor", 10),
     )
 
 
@@ -300,17 +302,18 @@ def resolve_strategy_params(config: dict, policy_class: PolicyClass, env: Enviro
     algo = config.get("algorithm", "bistro")
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}")
-    n, d = int(config["n"]), int(config["d"])
+    n, d = config_int(config, "n"), policy_class.d
     gamma_cfg = config.get("gamma", "auto")
     out = {"algorithm": algo, "gamma": None, "rad_estimate": None,
            "rad_stderr": None, "bound": None, "bound_stderr": None}
 
     if algo == "adversarial_reduction":
-        complexity = ExpWeightsRelaxation(policy_class, n, eta=config.get("eta")).initial_value()
+        eta = config_number(config, "eta")
+        complexity = ExpWeightsRelaxation(policy_class, n, eta=eta).initial_value()
         out["rad_estimate"], out["rad_stderr"] = complexity, 0.0
     elif algo in RELAXATIONS:
-        samples = int(config.get("tune_samples", DEFAULT_TUNING_SAMPLES))
-        seed = config.get("tune_seed", 0)
+        samples = config_int(config, "tune_samples", DEFAULT_TUNING_SAMPLES)
+        seed = config_int(config, "tune_seed", 0)
 
         def estimate(oracle) -> RademacherEstimate:
             if isinstance(oracle, BoxRelaxedOracle):
@@ -346,18 +349,18 @@ def resolve_strategy_params(config: dict, policy_class: PolicyClass, env: Enviro
 def make_strategy(config: dict, policy_class: PolicyClass, gamma: float | None) -> Strategy:
     """Fresh strategy instance; one per episode so call counters stay per-episode."""
     algo = config.get("algorithm", "bistro")
-    n, d = int(config["n"]), int(config["d"])
+    n = config_int(config, "n")
     if algo in RELAXATIONS:
         oracle, _ = relaxation(config, policy_class, gamma)
         if "delta" in config:
             oracle = ApproximateErmOracle(oracle, config_number(config, "delta"), seed=0)
-        return BistroStrategy(policy_class, oracle, n, gamma, int(config.get("playouts", 1)),
+        return BistroStrategy(policy_class, oracle, n, gamma, config_int(config, "playouts", 1),
                               config.get("horizon_mode", "iid_pool"))
     if algo == "adversarial_reduction":
-        rel = ExpWeightsRelaxation(policy_class, n, eta=config.get("eta"))
+        rel = ExpWeightsRelaxation(policy_class, n, eta=config_number(config, "eta"))
         return ReductionStrategy(rel, gamma, n)
     if algo == "uniform":
-        return UniformStrategy(d)
+        return UniformStrategy(policy_class.d)
     if algo == "egreedy":
         return EpsilonGreedyStrategy(policy_class, epsilon=config_number(config, "epsilon", 0.1))
     if algo == "ftl":
@@ -399,10 +402,10 @@ def run_suite(config: dict, seeds, out_dir: str | None = None) -> dict:
     with np.errstate(all="raise", under="ignore"):
         policy_class = build_policy_class(config)
         env = build_environment(config, policy_class)
-        n = int(config["n"])
+        n = config_int(config, "n")
         params = resolve_strategy_params(config, policy_class, env)
         constraint = build_constraint(config)
-        K = config.get("K")
+        K = config_number(config, "K")
 
         seeds = list(seeds)
         regrets = np.zeros(len(seeds))
@@ -427,7 +430,7 @@ def run_suite(config: dict, seeds, out_dir: str | None = None) -> dict:
         summary = {
             "algorithm": params["algorithm"],
             "n": n,
-            "d": int(config["d"]),
+            "d": policy_class.d,
             "seeds": [int(s) for s in seeds],
             "mean_regret": mean,
             "std_regret": std,

@@ -31,7 +31,7 @@ class Strategy:
     oracle_calls = 0
 
     def begin_episode(self, n: int, seed_seq, pool=None, known_futures=None) -> None:
-        raise NotImplementedError
+        pass
 
     def choose(self, x: int) -> np.ndarray:
         raise NotImplementedError
@@ -66,9 +66,6 @@ class RelaxationStrategy(Strategy):
         self._Y = np.zeros((self.policy_class.d, n))
         self._t = 0
 
-    def _q_star(self, x: int) -> np.ndarray:
-        raise NotImplementedError
-
     def choose(self, x: int) -> np.ndarray:
         return mix_with_uniform(self._q_star(x), self.gamma)
 
@@ -100,12 +97,8 @@ class BistroStrategy(RelaxationStrategy):
             raise ValueError(f"mode must be one of {MODES}")
         self.oracle = oracle
         self.playouts = playouts
-        self.mode = mode
+        self.transductive = mode == "transductive"
         self._pool = self._ctx_rng = self._sign_rng = None
-
-    @property
-    def transductive(self) -> bool:
-        return self.mode == "transductive"
 
     @property
     def oracle_calls(self) -> int:
@@ -153,9 +146,6 @@ class UniformStrategy(Strategy):
     def __init__(self, d: int):
         self.d = d
 
-    def begin_episode(self, n, seed_seq, pool=None, known_futures=None):
-        pass
-
     def choose(self, x: int) -> np.ndarray:
         return uniform_distribution(self.d)
 
@@ -187,25 +177,20 @@ class EpsilonGreedyStrategy(Strategy):
         self._losses[hit] += est[action]
 
 
-class FollowTheLeaderStrategy(Strategy):
-    """Plays the exact ERM policy on past true cost vectors. Requires
+class FollowTheLeaderStrategy(EpsilonGreedyStrategy):
+    """Plays the exact ERM policy on past true cost vectors: epsilon-greedy at
+    epsilon = 0, fed the full cost vectors instead of estimates. Requires
     full-information feedback the protocol does not grant; diagnostic only."""
 
     needs_full_costs = True
+    epsilon = 0.0
 
     def __init__(self, policy_class):
         self.policy_class = policy_class
         self._losses = None
 
-    def begin_episode(self, n, seed_seq, pool=None, known_futures=None):
-        self._losses = np.zeros(self.policy_class.size)
-
-    def choose(self, x: int) -> np.ndarray:
-        d = self.policy_class.d
-        best = int(np.argmin(self._losses))
-        q = np.zeros(d)
-        q[self.policy_class.table[best, x]] = 1.0
-        return q
+    def update(self, x, q, action, observed_cost):
+        pass
 
     def observe_full_costs(self, x, cost_vector):
         self._losses += np.asarray(cost_vector, dtype=float)[self.policy_class.table[:, x]]

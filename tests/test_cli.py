@@ -144,6 +144,20 @@ def test_missing_required_key_exits_2(command, tmp_path, capsys):
     ({"gamma": "abc"}, "'gamma'"),
     ({"policy_class": {"family": "trees", "d": 2}}, "'trees'"),
     ({"cost_process": {"type": "poisson"}}, "'poisson'"),
+    # K and eta are read as numbers wherever they are read, not only by the bound
+    ({"algorithm": "bistro_regularized", "constraint": {"type": "pairwise"}, "lambda": 0.1,
+      "K": "4"}, "'K'"),
+    ({"algorithm": "adversarial_reduction", "eta": "0.5"}, "'eta'"),
+    # integer keys refuse fractions, strings and negative values
+    ({"playouts": 2.7}, "'playouts'"),
+    ({"n": 2.5}, "'n'"),
+    ({"playouts": "two"}, "'playouts'"),
+    ({"tune_seed": -1}, "'tune_seed'"),
+    ({"constraint": {"type": "coverage", "partition": [[0, 1, 2]], "k": 1.5}}, "'k'"),
+    # a nested document must be a JSON object
+    ({"constraint": "pairwise"}, "constraint must be a JSON object"),
+    ({"cost_process": "adaptive"}, "cost_process must be a JSON object"),
+    ({"policy_class": "all_labelings"}, "policy_class must be a JSON object"),
 ])
 def test_malformed_documents_exit_2(command, changes, named, tmp_path, capsys):
     count = "--seeds" if command == "run" else "--samples"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bistro.adversarial import ExpWeightsRelaxation, ReductionStrategy
 from bistro.environments import Environment, FixedTableCosts
 from bistro.erm import BoxRelaxedOracle, ErmOracle, ExactErmOracle, RegularizedErmOracle
 from bistro.erm import PairwiseDisagreement
@@ -28,6 +29,14 @@ class RecordingOracle(ErmOracle):
 
 def make_strategy(pc, gamma=0.25, n=4, oracle=None, **kwargs):
     return BistroStrategy(pc, oracle or ExactErmOracle(pc), n, gamma, **kwargs)
+
+
+def make_reduction(pc, gamma=0.25, n=4):
+    return ReductionStrategy(ExpWeightsRelaxation(pc, 4), gamma, n)
+
+
+# The two relaxation strategies share one learner and so its guards.
+LEARNERS = {"bistro": make_strategy, "reduction": make_reduction}
 
 
 def recorded_queries(n, rounds, seed=0):
@@ -124,12 +133,27 @@ class TestBistroRound:
         assert np.array_equal(tr_pool.distributions, tr_trans.distributions)
         assert np.array_equal(tr_pool.actions, tr_trans.actions)
 
-    def test_constructor_rejects_bad_arguments(self):
+    @pytest.mark.parametrize("learner", LEARNERS)
+    def test_constructor_rejects_bad_arguments(self, learner):
         pc = PolicyClass(np.array([[0]]), 2)
-        for kwargs in ({"n": -1}, {"playouts": 0}, {"mode": "oracle"}, {"gamma": 0.0},
-                       {"gamma": 0.6}):
-            with pytest.raises(ValueError):
-                make_strategy(pc, **kwargs)
+        cases = [({"n": -1}, "horizon"), ({"gamma": 0.0}, "gamma"), ({"gamma": 0.6}, "gamma")]
+        if learner == "bistro":
+            cases += [({"playouts": 0}, "playout"), ({"mode": "oracle"}, "mode")]
+        for kwargs, match in cases:
+            with pytest.raises(ValueError, match=match):
+                LEARNERS[learner](pc, **kwargs)
+
+    @pytest.mark.parametrize("learner", LEARNERS)
+    def test_episode_length_guards(self, learner):
+        pc = PolicyClass(np.array([[0]]), 2)
+        strat = LEARNERS[learner](pc, gamma=0.25, n=1)
+        with pytest.raises(ValueError, match="configured horizon"):
+            strat.begin_episode(2, np.random.SeedSequence(0), pool=np.zeros(2, dtype=int))
+        strat.begin_episode(1, np.random.SeedSequence(0), pool=np.zeros(2, dtype=int))
+        q = strat.choose(0)
+        strat.update(0, q, 0, 1.0)
+        with pytest.raises(ValueError, match="already complete"):
+            strat.update(0, q, 0, 1.0)
 
     def test_transductive_requires_futures(self):
         pc = PolicyClass(np.array([[0]]), 2)
@@ -137,12 +161,13 @@ class TestBistroRound:
         with pytest.raises(ValueError):
             strat.begin_episode(3, np.random.SeedSequence(0), pool=np.zeros(3, dtype=int))
 
-    def test_estimate_magnitude_guard(self):
+    @pytest.mark.parametrize("learner", LEARNERS)
+    def test_estimate_magnitude_guard(self, learner):
         pc = PolicyClass(np.array([[0]]), 2)
-        strat = make_strategy(pc, gamma=0.25, n=1)
+        strat = LEARNERS[learner](pc, gamma=0.25, n=1)
         strat.begin_episode(1, np.random.SeedSequence(0), pool=np.zeros(2, dtype=int))
         q = strat.choose(0)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="1/gamma"):
             # claim the low-probability action was played with an inflated cost
             strat.update(0, np.array([1 - 1e-9, 1e-9]), 1, 1.0)
         assert q is not None
