@@ -12,6 +12,8 @@ Actions are 0-based everywhere in code; file formats and display use
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 SIMPLEX_TOL = 1e-12
@@ -65,7 +67,7 @@ def config_int(doc: dict, key: str, default=None, name: str = "config") -> int |
 
 def context_ids(contexts) -> np.ndarray:
     """Normalize a sequence of integer context ids to an int array."""
-    if isinstance(contexts, np.ndarray) and np.issubdtype(contexts.dtype, np.integer):
+    if isinstance(contexts, np.ndarray) and contexts.dtype.kind in "iu":
         return contexts
     return np.asarray(contexts, dtype=np.int64)
 
@@ -121,6 +123,11 @@ class PolicyClass:
             self._onehot = onehot
         return self._onehot
 
+    @cached_property
+    def _key_offsets(self) -> np.ndarray:
+        # the (d, 1) offsets j*|X| of action j's fold cells, built on first use
+        return np.arange(self.d)[:, None] * self.universe_size
+
     def values(self, contexts, Y) -> np.ndarray:
         """sum_t Y[f(x_t), t] for every policy f: contexts (n,) with Y (d, n)
         give shape (|F|,), and a stack of S queries, contexts (S, n) with
@@ -135,15 +142,13 @@ class PolicyClass:
         """
         ids = self._checked_ids(contexts)
         Y = np.asarray(Y, dtype=float)
-        universe = self.universe_size
-        cells = self.d * universe
+        cells = self.d * self.universe_size
         if ids.ndim == 1 and Y.shape == (self.d, ids.size):
             queries = 1
-            keys = np.arange(self.d)[:, None] * universe + ids
+            keys = self._key_offsets + ids
         elif ids.ndim == 2 and Y.shape == (len(ids), self.d, ids.shape[1]):
             queries = len(ids)
-            keys = (np.arange(queries)[:, None, None] * cells
-                    + np.arange(self.d)[:, None] * universe + ids[:, None, :])
+            keys = np.arange(queries)[:, None, None] * cells + self._key_offsets + ids[:, None, :]
         else:
             raise ValueError(
                 f"a query needs contexts (n,) and Y (d, n), a stack contexts (S, n) and "
@@ -200,15 +205,16 @@ class PolicyClass:
         family = check_object("policy_class", doc).get("family")
         if family is None:
             check_keys("policy_class", doc, ("d", "policies"), ("universe",))
-            d = int(doc["d"])
             table = np.asarray(doc["policies"], dtype=np.int64) - 1
-            pc = cls(table, d)
-            if "universe" in doc and pc.universe_size != int(doc["universe"]):
+            pc = cls(table, config_int(doc, "d", name="policy_class"))
+            universe = config_int(doc, "universe", pc.universe_size, name="policy_class")
+            if pc.universe_size != universe:
                 raise ValueError("declared universe size does not match policy tables")
             return pc
         if family == "all_labelings":
             check_keys("policy_class", doc, ("family", "d", "universe"))
-            return cls.all_labelings(int(doc["d"]), int(doc["universe"]))
+            return cls.all_labelings(config_int(doc, "d", name="policy_class"),
+                                     config_int(doc, "universe", name="policy_class"))
         if family == "argmax_linear":
             check_keys("policy_class", doc, ("family", "weights"))
             return cls._argmax_linear(doc["weights"], features)
@@ -219,15 +225,17 @@ def uniform_distribution(d: int) -> np.ndarray:
     return np.full(d, 1.0 / d)
 
 
-def check_distribution(q: np.ndarray) -> np.ndarray:
+def check_distribution(q) -> list[float]:
+    """The entries of ``q`` as floats, if q is a vector on the simplex."""
     q = np.asarray(q, dtype=float)
     if q.ndim != 1:
         raise ValueError("distribution must be a vector")
-    if (q < 0).any():
-        raise ValueError("distribution has negative entries")
-    if abs(q.sum() - 1.0) > SIMPLEX_TOL:
-        raise ValueError(f"distribution sums to {q.sum()!r}, not 1")
-    return q
+    values = q.tolist()
+    if not all(map((0.0).__le__, values)):
+        raise ValueError("distribution has negative or NaN entries")
+    if abs(sum(values) - 1.0) > SIMPLEX_TOL:
+        raise ValueError(f"distribution sums to {sum(values)!r}, not 1")
+    return values
 
 
 def in_unit_interval(v: np.ndarray) -> bool:
@@ -239,7 +247,8 @@ def check_cost_vector(c: np.ndarray) -> np.ndarray:
     c = np.asarray(c, dtype=float)
     if c.ndim != 1:
         raise ValueError("cost vector must be one-dimensional")
-    if not in_unit_interval(c):
+    # checked on floats: d entries are too few for NumPy's per-call cost; NaN fails
+    if not all(0.0 <= v <= 1.0 for v in c.tolist()):
         raise ValueError("cost entries must lie in [0, 1]")
     return c
 
@@ -248,13 +257,15 @@ def mix_with_uniform(q_star: np.ndarray, gamma: float) -> np.ndarray:
     """Shift a simplex point away from the boundary: (1 - gamma*d)*q + gamma.
 
     Every coordinate of the result is at least ``gamma``; requires
-    ``0 < gamma <= 1/d``.
+    ``0 < gamma <= 1/d``. Computed per entry on Python floats, in the float
+    operations of the NumPy expression.
     """
-    q_star = check_distribution(q_star)
-    d = q_star.size
+    values = check_distribution(q_star)
+    d = len(values)
     if not 0.0 < gamma <= 1.0 / d:
         raise ValueError(f"gamma must lie in (0, 1/d]; got {gamma} with d={d}")
-    return (1.0 - gamma * d) * q_star + gamma
+    scale = 1.0 - gamma * d
+    return np.array([scale * v + gamma for v in values])
 
 
 def ips_estimate(c_observed: float, chosen: int, q: np.ndarray) -> np.ndarray:

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import json
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -57,6 +59,8 @@ CONFIG_KEYS = frozenset({
 })
 REQUIRED_CONFIG_KEYS = ("d", "n", "policy_class", "cost_process")
 CONTEXT_DIST_KEYS = frozenset({"probs", "features"})
+# How far from 1 ``Generator.choice`` lets a probability vector sum.
+CHOICE_SUM_TOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 @dataclass
@@ -102,6 +106,25 @@ class Transcript:
             raise ValueError("observed costs inconsistent with cost vectors")
 
 
+def draw_action(rng: np.random.Generator, q, d: int) -> int:
+    """``int(rng.choice(d, p=q))``: the same action from the same one uniform,
+    with choice's refusals (q of another length than d, negative or NaN
+    entries, a sum off 1 by more than sqrt(eps)), at a fraction of its cost
+    per call. The uniform is looked up in the normalised CDF, as in
+    ``categorical_sampler``."""
+    q = np.asarray(q, dtype=float)
+    p = q.tolist() if q.ndim == 1 else []
+    if d < 1 or len(p) != d:
+        raise ValueError(f"a distribution over {d} actions needs {d} entries; got shape {q.shape}")
+    if not all(map((0.0).__le__, p)):
+        raise ValueError("probabilities are negative or NaN")
+    cdf = list(accumulate(p))
+    total = cdf[-1]
+    if abs(total - 1.0) > CHOICE_SUM_TOL:
+        raise ValueError(f"probabilities sum to {total!r}, not 1")
+    return bisect_right([c / total for c in cdf], rng.random())
+
+
 def run_episode(strategy: Strategy, env: Environment, n: int, seed) -> Transcript:
     """Play one episode of length n; deterministic given (strategy config, env, seed)."""
     d = env.d
@@ -136,12 +159,12 @@ def run_episode(strategy: Strategy, env: Environment, n: int, seed) -> Transcrip
         c = check_cost_vector(c)
         if c.size != d:
             raise ValueError("cost process dimension mismatch")
-        a = int(act_rng.choice(d, p=q))
+        a = draw_action(act_rng, q, d)
         distributions[t] = q
         actions[t] = a
-        observed[t] = c[a]
+        observed[t] = cost = float(c[a])
         costs[t] = c
-        strategy.update(x, q, a, float(c[a]))
+        strategy.update(x, q, a, cost)
         if strategy.needs_full_costs:
             strategy.observe_full_costs(x, c)
     return Transcript(
@@ -151,6 +174,10 @@ def run_episode(strategy: Strategy, env: Environment, n: int, seed) -> Transcrip
         observed_costs=observed,
         cost_vectors=costs,
     )
+
+
+class EmptyBenchmarkError(ValueError):
+    """No policy meets the budget K on an episode's contexts: a config error."""
 
 
 def benchmark_value(transcript: Transcript, policy_class: PolicyClass,
@@ -163,7 +190,7 @@ def benchmark_value(transcript: Transcript, policy_class: PolicyClass,
     if constraint is not None and K is not None:
         bench = filter_class(policy_class, transcript.contexts, constraint, K)
         if bench.size == 0:
-            raise ValueError("benchmark class is empty after constraint filtering")
+            raise EmptyBenchmarkError("benchmark class is empty after constraint filtering")
     return ExactErmOracle(bench)(transcript.contexts, transcript.cost_vectors.T)
 
 
@@ -377,14 +404,13 @@ def episode_csv_lines(transcript: Transcript) -> list[str]:
         + ",observed_cost,expected_cost,cum_expected_cost"
     )
     lines = [header]
-    cum = transcript.cumulative_expected
-    expected = transcript.expected_costs
-    for t in range(transcript.n):
-        qs = ",".join(repr(float(v)) for v in transcript.distributions[t])
-        lines.append(
-            f"{t + 1},{int(transcript.contexts[t])},{int(transcript.actions[t]) + 1},{qs},"
-            f"{float(transcript.observed_costs[t])!r},{float(expected[t])!r},{float(cum[t])!r}"
-        )
+    # each column read once, as Python scalars
+    rows = zip(transcript.contexts.tolist(), transcript.actions.tolist(),
+               transcript.distributions.tolist(), transcript.observed_costs.tolist(),
+               transcript.expected_costs.tolist(), transcript.cumulative_expected.tolist())
+    for t, (x, a, q, observed, expected, cum) in enumerate(rows, 1):
+        qs = ",".join(map(repr, q))
+        lines.append(f"{t},{x},{a + 1},{qs},{observed!r},{expected!r},{cum!r}")
     return lines
 
 
@@ -419,6 +445,8 @@ def run_suite(config: dict, seeds, out_dir: str | None = None) -> dict:
                 bench = benchmark_value(tr, policy_class, constraint, K)
                 regrets[i] = tr.expected_total - bench
                 realized[i] = tr.realized_total - bench
+            except EmptyBenchmarkError:
+                raise  # the budget, not the episode, is at fault: exit 2 in the CLI
             except Exception as exc:
                 raise RuntimeError(f"episode failed for seed {seed}: {exc}") from exc
             calls += strategy.oracle_calls

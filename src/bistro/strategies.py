@@ -70,14 +70,17 @@ class RelaxationStrategy(Strategy):
         return mix_with_uniform(self._q_star(x), self.gamma)
 
     def update(self, x: int, q: np.ndarray, action: int, observed_cost: float) -> None:
-        est = ips_estimate(observed_cost, action, q)
-        if est[action] > 1.0 / self.gamma + 1e-9:
+        est = ips_estimate(observed_cost, action, q)[action]
+        if est > 1.0 / self.gamma + 1e-9:
             raise RuntimeError("estimate exceeds 1/gamma; mixing invariant violated")
         if self._t >= self.horizon:
             raise ValueError("episode already complete")
-        self._ctx[self._t] = x
-        self._Y[:, self._t] = self.gamma * est
-        self._t += 1
+        t = self._t
+        self._ctx[t] = x
+        # gamma * c~_t: the estimate's other entries are 0, and gamma * 0 is 0
+        self._Y[:, t] = 0.0
+        self._Y[action, t] = self.gamma * est
+        self._t = t + 1
 
 
 class BistroStrategy(RelaxationStrategy):
@@ -126,17 +129,21 @@ class BistroStrategy(RelaxationStrategy):
         k = self.horizon - t - 1
         ctx, Y = self._ctx, self._Y
         ctx[t] = x
+        future = Y[:, t + 1 :]
         psi = np.empty(d)
-        q_sum = np.zeros(d)
+        q_sum = 0.0
         for _ in range(self.playouts):
             if not self.transductive:
-                ctx[t + 1 :] = self._ctx_rng.choice(self._pool, size=k)
-            Y[:, t + 1 :] = SIGN_SCALE * (self._sign_rng.integers(0, 2, size=(d, k)) * 2 - 1)
+                # rng.choice(pool, size=k) draws these same indices
+                ctx[t + 1 :] = self._pool[self._ctx_rng.integers(0, self._pool.size, size=k)]
+            # SIGN_SCALE * (2 * bits - 1), written in place; exact for bits in {0, 1}
+            np.multiply(self._sign_rng.integers(0, 2, size=(d, k)), 2 * SIGN_SCALE, out=future)
+            future -= SIGN_SCALE
             for j in range(d):
                 Y[:, t] = 0.0
                 Y[j, t] = 1.0
                 psi[j] = self.oracle(ctx, Y)
-            q_sum += waterfill(psi)
+            q_sum = q_sum + waterfill(psi)
         return q_sum / self.playouts
 
 

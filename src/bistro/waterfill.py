@@ -9,6 +9,8 @@ finds the same level by bisection, as an independent cross-check.
 
 from __future__ import annotations
 
+from math import isfinite
+
 import numpy as np
 
 
@@ -17,17 +19,27 @@ def waterfill(psi) -> np.ndarray:
 
     Equal psi entries receive equal mass; the output is invariant to adding
     a constant to psi and equivariant under permutations.
+
+    The body runs on Python floats: d is the number of actions, so NumPy's
+    per-call cost would outweigh the work. Its float operations, in their
+    order, are those of NumPy's sort, sequential ``cumsum`` and elementwise
+    ``maximum``; ``tests/test_waterfill.py`` keeps that NumPy body as the
+    reference for the bits.
     """
     psi = np.asarray(psi, dtype=float)
-    if psi.ndim != 1 or psi.size < 1 or not np.all(np.isfinite(psi)):
+    values = psi.tolist() if psi.ndim == 1 else []
+    if not values or not all(map(isfinite, values)):
         raise ValueError("psi must be a nonempty finite vector")
-    d = psi.size
     # Shifting by the max keeps the prefix sums and the level near 1 at any
     # scale of psi, so the mass stays on the simplex.
-    psi = psi - psi.max()
-    u = np.sort(psi)[::-1]
-    levels = (1.0 - np.cumsum(u)) / np.arange(1, d + 1)
-    # Largest active set k with u_k + v_k > 0; k=1 always qualifies.
-    k = int(np.nonzero(u + levels > 0)[0].max()) + 1
-    return np.maximum(psi + levels[k - 1], 0.0)
-
+    top = max(values)
+    values = [v - top for v in values]
+    # The level of the largest active set k with u_k + v_k > 0, u sorted
+    # descending and v_k = (1 - u_1 - ... - u_k) / k; k = 1 always qualifies.
+    acc = 0.0
+    for k, u in enumerate(sorted(values, reverse=True), 1):
+        acc += u
+        v = (1.0 - acc) / k
+        if u + v > 0:
+            level = v
+    return np.array([max(p + level, 0.0) for p in values])

@@ -158,6 +158,10 @@ def test_missing_required_key_exits_2(command, tmp_path, capsys):
     ({"constraint": "pairwise"}, "constraint must be a JSON object"),
     ({"cost_process": "adaptive"}, "cost_process must be a JSON object"),
     ({"policy_class": "all_labelings"}, "policy_class must be a JSON object"),
+    # so must the integers inside the policy class document
+    ({"policy_class": {"family": "all_labelings", "d": 2, "universe": 2.5}}, "'universe'"),
+    ({"policy_class": {"family": "all_labelings", "d": "2", "universe": 2}}, "'d'"),
+    ({"policy_class": {"d": 2, "policies": [[1, 2], [2, 1]], "universe": 2.0}}, "'universe'"),
 ])
 def test_malformed_documents_exit_2(command, changes, named, tmp_path, capsys):
     count = "--seeds" if command == "run" else "--samples"
@@ -192,6 +196,17 @@ def test_admissibility_refuses_an_empty_filtered_benchmark(tmp_path, capsys):
     assert code == 2
     assert captured.err == ("bistro admissibility: benchmark class is empty after constraint "
                             "filtering\n")
+    assert captured.out == ""
+
+
+def test_run_refuses_an_empty_filtered_benchmark(tmp_path, capsys):
+    # the budget is a config error: one line and exit 2, not an episode failure's traceback
+    config = write_config(tmp_path, constraint={"type": "coverage", "partition": [[0, 1, 2]],
+                                                "k": 2}, K=0.5, **{"lambda": 0.1})
+    code = main(["run", "--config", config, "--algorithm", "bistro_regularized", "--seeds", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "bistro run: benchmark class is empty after constraint filtering\n"
     assert captured.out == ""
 
 

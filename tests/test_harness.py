@@ -15,6 +15,7 @@ from bistro.runner import (
     expected_regret,
     load_config,
     benchmark_value,
+    draw_action,
     make_strategy,
     run_episode,
     run_suite,
@@ -108,6 +109,29 @@ class TestRunEpisode:
         strat3 = make_strategy(small_config(n=4, d=3, gamma=0.2), pc3, gamma=0.2)
         with pytest.raises(ValueError, match="actions"):
             run_episode(strat3, env, 4, seed=0)
+
+    def test_action_draw_is_choices_draw(self):
+        source = np.random.default_rng(45)
+        mine, numpys = np.random.default_rng(46), np.random.default_rng(46)
+        for i in range(20_000):
+            d = 1 + i % 8
+            q = source.dirichlet(np.ones(d))
+            if i % 5 == 0:  # exact zeros, and a sum off 1 inside choice's tolerance
+                q[source.integers(0, d, size=d // 2)] = 0.0
+                q = q / q.sum() * (1 + 1e-9)
+            assert draw_action(mine, q, d) == int(numpys.choice(d, p=q))
+        assert mine.bit_generator.state == numpys.bit_generator.state
+
+    @pytest.mark.parametrize("q", [[-0.1, 1.1], [np.nan, 1.0], [0.5, 0.6], [0.5, 0.5 + 1e-6],
+                                   [1.0], [0.2, 0.3, 0.5], [[0.5, 0.5]]])
+    def test_action_draw_refuses_bad_distributions(self, q):
+        class FixedQ(UniformStrategy):
+            def choose(self, x):
+                return np.array(q)
+
+        env = Environment(np.ones(2) / 2, FixedTableCosts(np.full((2, 2), 0.5)))
+        with pytest.raises(ValueError):
+            run_episode(FixedQ(2), env, 2, seed=0)
 
 
 class TestRegret:

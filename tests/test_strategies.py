@@ -7,7 +7,7 @@ from bistro.erm import BoxRelaxedOracle, ErmOracle, ExactErmOracle, RegularizedE
 from bistro.erm import PairwiseDisagreement
 from bistro.policies import PolicyClass, ips_estimate
 from bistro.runner import run_episode
-from bistro.strategies import BistroStrategy
+from bistro.strategies import SIGN_SCALE, BistroStrategy
 from bistro.verify import minimax_value, policy_to_matrix, sequence_constraint, sequence_values
 from bistro.waterfill import waterfill
 
@@ -74,6 +74,57 @@ class TestAssembleQueryMatrix:
     def test_past_column_is_gamma_scaled(self):
         queries = recorded_queries(3, [(0, 0, 1.0), (1, None, None)])
         np.testing.assert_array_equal(queries[2][1][:, 0], [1.0, 0.0])
+
+
+class ReplayOracle(ErmOracle):
+    """Compares each query's future columns with the NumPy calls the strategy
+    made before its playouts were written in place: ``rng.choice(pool,
+    size=k)`` for the contexts and ``SIGN_SCALE * (bits * 2 - 1)`` for the
+    signs, from replays of the strategy's two playout streams."""
+
+    def __init__(self, inner, seed_seq, pool, n, playouts):
+        super().__init__()
+        self.inner, self.policy_class = inner, inner.policy_class
+        ctx_ss, sign_ss, _ = seed_seq.spawn(3)
+        self.ctx_rng, self.sign_rng = np.random.default_rng(ctx_ss), np.random.default_rng(sign_ss)
+        self.pool, self.n, self.playouts = pool, n, playouts
+        self.contexts_equal, self.signs_equal = [], []
+
+    def _value(self, contexts, Y):
+        d = self.policy_class.d
+        t = (self.calls - 1) // (d * self.playouts)
+        if (self.calls - 1) % d == 0:  # a playout's first query: replay its draws
+            k = self.n - t - 1
+            self.ctx = self.ctx_rng.choice(self.pool, size=k)
+            self.signs = SIGN_SCALE * (self.sign_rng.integers(0, 2, size=(d, k)) * 2 - 1)
+        self.contexts_equal.append(np.array_equal(contexts[t + 1 :], self.ctx))
+        self.signs_equal.append(Y[:, t + 1 :].tobytes() == self.signs.tobytes())
+        return self.inner(contexts, Y)
+
+
+def replayed_playouts(n=601, d=3, playouts=2):
+    """A strategy's episode of n rounds, so k = n - t - 1 runs from n - 1 to 0,
+    priced through a ``ReplayOracle``."""
+    rng = np.random.default_rng(43)
+    pc = PolicyClass(rng.integers(0, d, (4, 5)), d)
+    pool = rng.integers(0, 5, size=37)
+    # a second SeedSequence(44): spawning advances a sequence's child counter
+    oracle = ReplayOracle(ExactErmOracle(pc), np.random.SeedSequence(44), pool, n, playouts)
+    strat = make_strategy(pc, gamma=0.25, n=n, oracle=oracle, playouts=playouts)
+    strat.begin_episode(n, np.random.SeedSequence(44), pool=pool)
+    for t in range(n):
+        q = strat.choose(int(pool[t % pool.size]))
+        strat.update(int(pool[t % pool.size]), q, t % d, 0.5)
+    assert oracle.calls == d * playouts * n
+    return oracle
+
+
+class TestPlayoutDraws:
+    def test_pool_draw_is_choices_draw(self):
+        assert all(replayed_playouts().contexts_equal)
+
+    def test_sign_columns_are_the_scaled_signs(self):
+        assert all(replayed_playouts().signs_equal)
 
 
 class TestBistroRound:

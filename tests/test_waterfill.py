@@ -114,3 +114,32 @@ class TestWaterfillProperties:
             _, grid_value = grid_minimax(psi, resolution=1000)
             assert value <= grid_value + 1e-9
             assert grid_value - value <= 2e-3
+
+
+def numpy_waterfill(psi):
+    """The NumPy sort-and-prefix-sum body ``waterfill`` had before it moved to
+    Python floats; the reference for its bits."""
+    psi = np.asarray(psi, dtype=float)
+    d = psi.size
+    psi = psi - psi.max()
+    u = np.sort(psi)[::-1]
+    levels = (1.0 - np.cumsum(u)) / np.arange(1, d + 1)
+    k = int(np.nonzero(u + levels > 0)[0].max()) + 1
+    return np.maximum(psi + levels[k - 1], 0.0)
+
+
+class TestWaterfillBits:
+    def test_matches_the_numpy_body_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        for scale in 10.0 ** np.arange(-3, 8):
+            for d in range(1, 9):
+                for trial in range(40):
+                    if trial % 4 == 0:  # ties: few distinct values
+                        psi = scale * rng.integers(-2, 3, size=d).astype(float)
+                    elif trial % 4 == 1:  # the size of play's values, offset by the scale
+                        psi = -scale + rng.uniform(-1, 1, size=d)
+                    else:
+                        psi = scale * rng.uniform(-1, 1, size=d)
+                    if trial % 3 == 0:
+                        psi[rng.integers(0, d)] = psi[0]
+                    assert waterfill(psi).tobytes() == numpy_waterfill(psi).tobytes(), psi
