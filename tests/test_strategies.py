@@ -77,10 +77,10 @@ class TestAssembleQueryMatrix:
 
 
 class ReplayOracle(ErmOracle):
-    """Compares each query's future columns with the NumPy calls the strategy
-    made before its playouts were written in place: ``rng.choice(pool,
-    size=k)`` for the contexts and ``SIGN_SCALE * (bits * 2 - 1)`` for the
-    signs, from replays of the strategy's two playout streams."""
+    """Compares each query's future columns with the NumPy calls the playouts
+    used to make, replayed on the strategy's two playout streams:
+    ``rng.choice(pool, size=k)`` for the contexts and
+    ``SIGN_SCALE * (bits * 2 - 1)`` for the signs."""
 
     def __init__(self, inner, seed_seq, pool, n, playouts):
         super().__init__()
