@@ -1,4 +1,4 @@
-"""Empirical admissibility checks for the shipped relaxations.
+"""Exact admissibility checks for the shipped relaxations.
 
 A relaxation is admissible when, at every round, the expected best-response
 value of the adversary (enumerating contexts with their probabilities and
@@ -7,10 +7,10 @@ convex in the cost vector) does not exceed the relaxation of the shorter
 history, and when at the horizon the relaxation dominates the negated
 benchmark in expectation over the action draws.
 
-The playout relaxations are estimated by Monte Carlo through the oracle
-each one plays, with reported standard errors; the exponential-weights
-reduction is evaluated exactly. Instances are capped at desk scale so
-expectations over playouts and action sequences stay enumerable.
+Both sides are exact: the playout relaxations are priced through the oracle
+each one plays, as weighted means over every future of the remaining rounds,
+and the exponential-weights reduction is a finite log-sum-exp. Instances are
+capped at desk scale so futures and action sequences stay enumerable.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import numpy as np
 
 from .adversarial import ExpWeightsRelaxation
 from .erm import ErmOracle, ExactErmOracle
+from .environments import context_probs
 from .policies import CapacityError, PolicyClass, mix_with_uniform
 from .strategies import SIGN_SCALE
 from .waterfill import waterfill
@@ -31,8 +32,7 @@ MAX_N = 3
 MAX_UNIVERSE = 3
 MAX_CLASS = 8
 
-INITIAL_TOL = 1e-9
-EXACT_TOL = 1e-9
+TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -40,14 +40,13 @@ class RecursiveStep:
     round_index: int
     lhs: float
     rhs: float
-    stderr: float
 
     @property
     def margin(self) -> float:
         return self.lhs - self.rhs
 
     def passed(self) -> bool:
-        return self.margin <= 3.0 * self.stderr + EXACT_TOL
+        return self.margin <= TOL
 
 
 @dataclass(frozen=True)
@@ -67,7 +66,7 @@ class AdmissibilityReport:
 
 
 def _checked_probs(policy_class: PolicyClass, probs, n: int) -> np.ndarray:
-    probs = np.asarray(probs, dtype=float)
+    probs = context_probs(probs)
     if policy_class.d > MAX_D or n > MAX_N:
         raise CapacityError(f"admissibility checks limited to d<={MAX_D}, n<={MAX_N}")
     if len(probs) > MAX_UNIVERSE or policy_class.size > MAX_CLASS:
@@ -79,10 +78,10 @@ def _checked_probs(policy_class: PolicyClass, probs, n: int) -> np.ndarray:
 
 def relaxation_price(oracle: ErmOracle, budget: float, gamma: float, ctx: np.ndarray,
                      cols: np.ndarray, fut_ctx: np.ndarray, fut_signs: np.ndarray) -> np.ndarray:
-    """The relaxation of one history per draw of its m future rounds,
+    """The relaxation of one history per future of its m remaining rounds,
     m*d*gamma + budget - oracle([history | SIGN_SCALE*eps]) / gamma: contexts
     (k,) and columns (k, d) in play's units gamma*c~, the current round's
-    included, then S draws of contexts (S, m) and signs (S, d, m), priced as
+    included, then S futures of contexts (S, m) and signs (S, d, m), priced as
     one stack.
     """
     S, d, m = fut_signs.shape
@@ -92,33 +91,37 @@ def relaxation_price(oracle: ErmOracle, budget: float, gamma: float, ctx: np.nda
     return m * d * gamma + budget - oracle(contexts, Y) / gamma
 
 
-def _exact_mixed_q(oracle: ErmOracle, probs: np.ndarray, gamma: float, n: int,
-                   realized_ctx: np.ndarray, scaled_past: np.ndarray, x: int) -> np.ndarray:
-    """Expected mixed distribution at context x, playouts enumerated exactly.
-
-    Per future context sequence, the strategy's d queries for every sign
-    pattern go to the oracle as one stack of 2^(d*m) * d queries.
-    """
-    k, d = scaled_past.shape
-    m = n - k - 1
+def _futures(probs: np.ndarray, d: int, m: int):
+    """Every future of m rounds: contexts (S, m) and signs (S, d, m), context
+    sequence by context sequence (those with p = 0 left out), sign pattern by
+    sign pattern, with weights p(contexts) * 2^(-d*m) (S,) summing to 1."""
     patterns = 2 ** (d * m)
     bits = (np.arange(patterns)[:, None] >> np.arange(d * m)) & 1
     eps = (bits * 2.0 - 1.0).reshape(patterns, d, m)
-    Y = np.zeros((patterns, d, d, n))  # (pattern, priced action j, d, n)
+    combos = np.array(list(itertools.product(range(probs.size), repeat=m)), dtype=np.int64)
+    ctx_w = probs[combos].prod(axis=1)
+    combos, ctx_w = combos[ctx_w > 0], ctx_w[ctx_w > 0]
+    return (np.repeat(combos, patterns, axis=0), np.tile(eps, (len(combos), 1, 1)),
+            np.repeat(ctx_w / patterns, patterns))
+
+
+def _exact_mixed_q(oracle: ErmOracle, probs: np.ndarray, gamma: float, n: int,
+                   realized_ctx: np.ndarray, scaled_past: np.ndarray, x: int) -> np.ndarray:
+    """Expected mixed distribution at context x, playouts enumerated exactly:
+    the strategy's d queries for every future go to the oracle as one stack.
+    """
+    k, d = scaled_past.shape
+    fut_ctx, fut_signs, weights = _futures(probs, d, n - k - 1)
+    S = len(weights)
+    Y = np.zeros((S, d, d, n))  # (future, priced action j, d, n)
     Y[:, :, :, :k] = scaled_past.T
     Y[:, np.arange(d), np.arange(d), k] = 1.0
-    Y[:, :, :, k + 1:] = SIGN_SCALE * eps[:, None]
-    Y = Y.reshape(patterns * d, d, n)
-
+    Y[:, :, :, k + 1:] = SIGN_SCALE * fut_signs[:, None]
+    ctx = np.hstack([np.broadcast_to(np.append(realized_ctx, x), (S, k + 1)), fut_ctx])
+    psi = oracle(np.repeat(ctx, d, axis=0), Y.reshape(S * d, d, n)).reshape(S, d)
     q_star = np.zeros(d)
-    for combo in itertools.product(range(probs.size), repeat=m):
-        ctx_w = float(np.prod(probs[list(combo)])) if m else 1.0
-        if ctx_w == 0.0:
-            continue
-        ctx = np.concatenate([realized_ctx, [x], combo]).astype(np.int64)
-        psi = oracle(np.broadcast_to(ctx, (Y.shape[0], n)), Y).reshape(patterns, d)
-        for p in range(patterns):
-            q_star += ctx_w / patterns * waterfill(psi[p])
+    for w, row in zip(weights, psi):
+        q_star += w * waterfill(row)
     return mix_with_uniform(q_star, gamma)
 
 
@@ -130,13 +133,11 @@ def _walk(policy_class: PolicyClass, probs: np.ndarray, n: int, gamma: float,
 
     The history is kept as contexts (t,) and columns gamma*c~ (t, d), the
     units of the strategies' own queries. ``strategy(ctx, cols, x)`` gives the
-    mixed distribution at x. ``relaxation(m, rng)`` draws the randomness of m
-    future rounds once and returns ``price(ctx, cols)``: an array of draws of
-    the relaxation of that history, exploration tax included. The rhs is
-    drawn first; then, per context with p(x) > 0, q is computed and one draw
-    of futures prices every vertex and action. The stderr comes from the
-    rhs draws and the best vertex's draws. With a constraint and its budget
-    K, the horizon condition's benchmark is the class filtered at K.
+    mixed distribution at x. ``relaxation(m)`` returns ``price(ctx, cols)``,
+    the relaxation of that history, exploration tax included, in expectation
+    over m rounds to go. The history draws from spawn key 1 of ``seed``, the
+    endpoints from key 0. With a constraint and its budget K, the horizon
+    condition's benchmark is the class filtered at K.
     """
     d = policy_class.d
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
@@ -147,29 +148,22 @@ def _walk(policy_class: PolicyClass, probs: np.ndarray, n: int, gamma: float,
     steps: list[RecursiveStep] = []
     for t in range(1, n + 1):
         # Relaxation of the shorter history: futures cover rounds t..n.
-        rhs_draws = relaxation(n - t + 1, rng)(ctx, cols)
-        rhs, var = float(rhs_draws.mean()), _var_of_mean(rhs_draws)
+        rhs = relaxation(n - t + 1)(ctx, cols)
+        price = relaxation(n - t)
 
         # Adversary side, context by context with exact strategy expectations;
-        # a context with p(x) = 0 adds nothing and is never drawn.
+        # a context with p(x) = 0 adds nothing.
         lhs = 0.0
         qs_by_context = {}
         for x in np.nonzero(probs)[0].tolist():
             q = qs_by_context[x] = strategy(ctx, cols, x)
-            price = relaxation(n - t, rng)
             ctx_now = np.append(ctx, x)
             # the history after playing j depends on the vertex only through c[j]
             after = [[price(ctx_now, np.vstack([cols, gamma * cj / q[j] * np.eye(d)[j]]))
                       for cj in (0.0, 1.0)] for j in range(d)]
-            best, best_draws = -np.inf, None
-            for c in vertices:
-                draws = sum(q[j] * (c[j] + after[j][int(c[j])]) for j in range(d))
-                value = float(draws.mean())
-                if value > best:
-                    best, best_draws = value, draws
-            lhs += probs[x] * best
-            var += probs[x] ** 2 * _var_of_mean(best_draws)
-        steps.append(RecursiveStep(round_index=t, lhs=lhs, rhs=rhs, stderr=float(np.sqrt(var))))
+            lhs += probs[x] * max(sum(q[j] * (c[j] + after[j][int(c[j])]) for j in range(d))
+                                  for c in vertices)
+        steps.append(RecursiveStep(round_index=t, lhs=float(lhs), rhs=float(rhs)))
 
         # Advance the sampled history one round.
         x_t = int(path_rng.choice(probs.size, p=probs))
@@ -184,11 +178,6 @@ def _walk(policy_class: PolicyClass, probs: np.ndarray, n: int, gamma: float,
     return AdmissibilityReport(steps=steps, initial=initial)
 
 
-def _var_of_mean(draws: np.ndarray) -> float:
-    """Variance of the mean of i.i.d. draws; 0 for a single (exact) draw."""
-    return float(draws.var(ddof=1)) / draws.size if draws.size > 1 else 0.0
-
-
 def check_bistro_admissibility(
     policy_class: PolicyClass,
     probs,
@@ -199,12 +188,11 @@ def check_bistro_admissibility(
     budget: float = 0.0,
     constraint=None,
     K: float | None = None,
-    samples: int = 10_000,
     seed=0,
     initial_checks: int = 1000,
 ) -> AdmissibilityReport:
-    """The walk for a random-playout relaxation, by Monte Carlo over the
-    playouts; the horizon condition is exact (action sequences enumerated).
+    """The walk for a random-playout relaxation; q, every relaxation value and
+    the horizon condition enumerate futures or action sequences exactly.
 
     ``oracle`` and ``budget`` are the relaxation's (``runner.relaxation``;
     by default bistro's), and both sides price through ``relaxation_price``.
@@ -214,16 +202,10 @@ def check_bistro_admissibility(
     d = policy_class.d
     oracle = ExactErmOracle(policy_class) if oracle is None else oracle
 
-    def relaxation(m: int, rng: np.random.Generator):
-        fut_ctx = rng.choice(probs.size, size=(samples, m), p=probs)
-        fut_signs = rng.integers(0, 2, size=(samples, d, m)) * 2.0 - 1.0
-        # each distinct draw is priced once; the short horizons repeat most
-        code = (fut_ctx @ probs.size ** np.arange(m) * 2 ** (d * m)
-                + (fut_signs > 0).reshape(samples, d * m) @ 2 ** np.arange(d * m))
-        _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-        fut_ctx, fut_signs = fut_ctx[first], fut_signs[first]
-        return lambda ctx, cols: relaxation_price(oracle, budget, gamma, ctx, cols, fut_ctx,
-                                                  fut_signs)[inverse]
+    def relaxation(m: int):
+        fut_ctx, fut_signs, weights = _futures(probs, d, m)
+        return lambda ctx, cols: weights @ relaxation_price(oracle, budget, gamma, ctx, cols,
+                                                            fut_ctx, fut_signs)
 
     return _walk(
         policy_class, probs, n, gamma, seed, initial_checks,
@@ -276,7 +258,7 @@ def _check_initial(endpoint_values, policy_class: PolicyClass, probs: np.ndarray
         expectation += seq_probs[:, a] * values[:, a]
     margins = expectation - bench
     return InitialCondition(checks=count, min_margin=float(margins.min(initial=np.inf)),
-                            failures=int((margins < -INITIAL_TOL).sum()))
+                            failures=int((margins < -TOL).sum()))
 
 
 def check_reduction_admissibility(
@@ -289,15 +271,14 @@ def check_reduction_admissibility(
     seed=0,
     initial_checks: int = 1000,
 ) -> AdmissibilityReport:
-    """The walk for the full-information reduction; every relaxation value is
-    a finite log-sum-exp, so both sides are exact and stderr is zero."""
+    """The walk for the full-information reduction, priced by log-sum-exps."""
     probs = _checked_probs(policy_class, probs, n)
     d = policy_class.d
     rel = ExpWeightsRelaxation(policy_class, n, eta=eta)
     return _walk(
         policy_class, probs, n, gamma, seed, initial_checks,
         lambda ctx, cols, x: mix_with_uniform(rel.strategy(cols, ctx, x), gamma),
-        lambda m, rng: lambda ctx, cols: np.array([rel.value(cols, ctx) / gamma + m * d * gamma]),
+        lambda m: lambda ctx, cols: rel.value(cols, ctx) / gamma + m * d * gamma,
         lambda cols, ctx: np.array([rel.value(gamma * c, x) for c, x in zip(cols, ctx)]) / gamma,
     )
 

@@ -19,6 +19,16 @@ from .rademacher import categorical_sampler
 DEFAULT_POOL_FACTOR = 10
 
 
+def context_probs(probs) -> np.ndarray:
+    """probs as a float vector: nonempty, nonnegative (not NaN), summing to 1."""
+    probs = np.asarray(probs, dtype=float)
+    if probs.ndim != 1 or probs.size == 0:
+        raise ValueError("context distribution must be a nonempty vector")
+    if not (probs >= 0).all() or abs(probs.sum() - 1.0) > 1e-9:
+        raise ValueError("context probabilities must be nonnegative and sum to 1")
+    return probs
+
+
 class CostProcess:
     d: int
 
@@ -108,14 +118,9 @@ class Environment:
 
     def __init__(self, probs, cost_process: CostProcess,
                  pool_factor: int = DEFAULT_POOL_FACTOR):
-        probs = np.asarray(probs, dtype=float)
-        if probs.ndim != 1 or probs.size == 0:
-            raise ValueError("context distribution must be a nonempty vector")
-        if (probs < 0).any() or abs(probs.sum() - 1.0) > 1e-9:
-            raise ValueError("context probabilities must be nonnegative and sum to 1")
+        self.probs = context_probs(probs)
         if pool_factor < 1:
             raise ValueError("pool_factor must be at least 1")
-        self.probs = probs
         self.cost_process = cost_process
         self.pool_factor = int(pool_factor)
 

@@ -175,11 +175,10 @@ def test_criterion_4_bistro_admissibility():
     for n in (1, 2, 3):
         for size, pc in classes.items():
             rep = check_bistro_admissibility(
-                pc, probs, n=n, gamma=0.25, samples=10_000, seed=100 + n,
-                initial_checks=1000,
+                pc, probs, n=n, gamma=0.25, seed=100 + n, initial_checks=1000,
             )
             for step in rep.steps:
-                worst_step = max(worst_step, step.margin - 3 * step.stderr)
+                worst_step = max(worst_step, step.margin)
                 checks += 1
             init_min = min(init_min, rep.initial.min_margin)
             assert rep.ok()
@@ -187,7 +186,7 @@ def test_criterion_4_bistro_admissibility():
     ok = worst_step <= 1e-9 and init_min >= -1e-9
     report(
         4, ok,
-        f"{checks} recursive steps, worst margin-3se={worst_step:+.3f}; "
+        f"{checks} recursive steps, worst margin={worst_step:+.3f}; "
         f"6000 horizon endpoints, min margin {init_min:+.1e}",
         elapsed, 300,
     )

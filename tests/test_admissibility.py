@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bistro.admissibility import (
+    RecursiveStep,
     _exact_mixed_q,
     check_bistro_admissibility,
     check_reduction_admissibility,
@@ -21,7 +22,7 @@ from bistro.runner import (
     resolve_strategy_params,
 )
 from bistro.strategies import SIGN_SCALE
-from bistro.verify import sequence_values
+from bistro.verify import exact_regularized_bound, sequence_values
 from bistro.waterfill import waterfill
 from test_strategies import RecordingOracle
 
@@ -33,18 +34,16 @@ class TestBistroChecker:
     def test_two_policy_horizon_two(self):
         pc = PolicyClass(np.array([[0, 0], [1, 1]]), 2)
         report = check_bistro_admissibility(
-            pc, [0.6, 0.4], n=2, gamma=0.25, samples=2000, seed=0, initial_checks=100
+            pc, [0.6, 0.4], n=2, gamma=0.25, seed=0, initial_checks=100
         )
         assert len(report.steps) == 2
         assert report.ok()
         assert report.initial.min_margin >= -1e-9
 
     def test_degenerate_single_round(self):
-        # no playout at n=1: both sides are near-exact, still must hold
+        # no playout at n=1: one future on each side, still must hold
         pc = PolicyClass(np.array([[0], [1]]), 2)
-        report = check_bistro_admissibility(
-            pc, [1.0], n=1, gamma=0.25, samples=500, seed=1, initial_checks=50
-        )
+        report = check_bistro_admissibility(pc, [1.0], n=1, gamma=0.25, seed=1, initial_checks=50)
         assert report.ok()
 
     def test_capacity_guard(self):
@@ -80,11 +79,26 @@ class TestBistroChecker:
 
     def test_report_margins_have_slack(self):
         pc = PolicyClass.all_labelings(2, 2)
-        report = check_bistro_admissibility(
-            pc, [0.5, 0.5], n=3, gamma=0.25, samples=2000, seed=2, initial_checks=50
-        )
+        report = check_bistro_admissibility(pc, [0.5, 0.5], n=3, gamma=0.25, seed=2,
+                                            initial_checks=50)
         for step in report.steps:
-            assert step.margin <= 3 * step.stderr + 1e-9
+            assert step.margin <= 1e-9
+
+    def test_step_passes_only_within_tolerance(self):
+        # both sides are exact: no allowance beyond rounding
+        assert RecursiveStep(1, lhs=2.0, rhs=2.0 - 1e-10).passed()
+        assert not RecursiveStep(1, lhs=2.0, rhs=2.0 - 1e-6).passed()
+
+    @pytest.mark.parametrize("probs", [[0.5, 0.4], [0.6, 0.5], [1.2, -0.2], [np.nan, 1.0]])
+    def test_refuses_bad_probabilities_before_pricing(self, probs):
+        # sums 0.9 and 1.1, a negative entry and a NaN: refused before any query
+        pc = PolicyClass.all_labelings(2, 2)
+        spy = RecordingOracle(ExactErmOracle(pc))
+        with pytest.raises(ValueError, match="nonnegative and sum to 1"):
+            check_bistro_admissibility(pc, probs, n=2, gamma=0.25, oracle=spy, initial_checks=5)
+        with pytest.raises(ValueError, match="nonnegative and sum to 1"):
+            check_reduction_admissibility(pc, probs, n=2, gamma=0.25, initial_checks=5)
+        assert spy.queries == []
 
 
 def relaxation_config(algorithm: str) -> dict:
@@ -102,7 +116,7 @@ class TestBoundIsRelaxationAtEmptyHistory:
     @pytest.mark.parametrize("algorithm", PLAYOUT_RELAXATIONS)
     def test_bound_matches_first_rhs(self, algorithm):
         # The bound is Rel(empty) at the gamma played, tuned or not; the
-        # checker's first rhs estimates the same value with its own draws.
+        # checker's first rhs is the same value, exact.
         config = relaxation_config(algorithm)
         pc = build_policy_class(config)
         env = build_environment(config, pc)
@@ -111,13 +125,13 @@ class TestBoundIsRelaxationAtEmptyHistory:
                 {**config, "gamma": gamma, "tune_samples": 2000}, pc, env)
             oracle, budget = relaxation(config, pc, gamma)
             step = check_bistro_admissibility(pc, env.probs, config["n"], gamma, oracle=oracle,
-                                              budget=budget, samples=2000, seed=1,
+                                              budget=budget, seed=1,
                                               initial_checks=1).steps[0]
             bound_se = params["bound_stderr"]
             if bound_se is None:  # a gamma-free complexity: its estimate's error
                 bound_se = SIGN_SCALE * params["rad_stderr"] / gamma
-            se = np.hypot(bound_se, step.stderr)
-            assert abs(params["bound"] - step.rhs) <= 3 * se, (gamma, params["bound"], step.rhs)
+            assert abs(params["bound"] - step.rhs) <= 3 * bound_se + 1e-9, (
+                gamma, params["bound"], step.rhs)
 
 
 @pytest.mark.parametrize("algorithm", PLAYOUT_RELAXATIONS)
@@ -163,7 +177,7 @@ def test_horizon_benchmark_is_the_filtered_class():
     for constraint in (None, PairwiseDisagreement("uniform")):
         report = check_bistro_admissibility(pc, [0.5, 0.5], n=2, gamma=gamma, oracle=oracle,
                                             budget=0.0, constraint=constraint, K=0.0,
-                                            samples=200, seed=5, initial_checks=200)
+                                            seed=5, initial_checks=200)
         failures[constraint is None] = report.initial.failures
     assert failures[True] > 0
     assert failures[False] == 0
@@ -175,7 +189,6 @@ class TestReductionChecker:
         report = check_reduction_admissibility(
             pc, [0.6, 0.4], n=3, gamma=0.25, seed=3, initial_checks=100
         )
-        assert all(s.stderr == 0.0 for s in report.steps)
         assert all(s.margin <= 1e-9 for s in report.steps)
         assert report.initial.failures == 0
 
@@ -193,19 +206,25 @@ class TestReductionChecker:
 # min_margin and failures. Step 3 of "bistro d=2 n=3" is recorded from the
 # checker that prices the sampled history as c/q; no other entry depends on it.
 # The two p(x)=0 entries are recorded from the separate walks of the two
-# checkers, before they shared one.
+# checkers, before they shared one. The bistro entries were Monte-Carlo
+# estimates, so the exact walk must land within 3 of their standard errors;
+# the reduction entries were exact and stay so.
 D3_CLASS = np.array([[0, 1, 2], [2, 1, 0], [1, 1, 1], [0, 2, 1]])
+# (policy class, probs, n, gamma) of the bistro entries
+BISTRO_INSTANCES = {
+    "bistro d=2 n=3": (PolicyClass.all_labelings(2, 2), [0.5, 0.5], 3, 0.25),
+    "bistro d=3 n=2": (PolicyClass(D3_CLASS, 3), [0.5, 0.3, 0.2], 2, 0.2),
+    "bistro p(x)=0": (PolicyClass.all_labelings(2, 2), [1.0, 0.0], 2, 0.25),
+}
 RECORDED = {
     "bistro d=2 n=3": (
-        lambda: check_bistro_admissibility(
-            PolicyClass.all_labelings(2, 2), [0.5, 0.5], n=3, gamma=0.25, samples=2000,
-            seed=2, initial_checks=50),
+        lambda: check_bistro_admissibility(*BISTRO_INSTANCES["bistro d=2 n=3"], seed=2,
+                                           initial_checks=50),
         [(8.62625, 11.172, 0.3048086061152653), (5.46525, 7.832, 0.24187903630296576),
          (0.6875, 4.572, 0.14827137350176547)], 0.0, 0),
     "bistro d=3 n=2": (
-        lambda: check_bistro_admissibility(
-            PolicyClass(D3_CLASS, 3), [0.5, 0.3, 0.2], n=2, gamma=0.2, samples=1000,
-            seed=7, initial_checks=100),
+        lambda: check_bistro_admissibility(*BISTRO_INSTANCES["bistro d=3 n=2"], seed=7,
+                                           initial_checks=100),
         [(8.073800000000002, 12.100000000000001, 0.3772002148754718),
          (1.0, 7.0600000000000005, 0.24150926840750178)], 0.0, 0),
     "reduction d=3 n=3": (
@@ -217,9 +236,8 @@ RECORDED = {
          (6.3380825365414815, 9.112299513232328, 0.0)], 5.286091393156799, 0),
     # A context of probability 0 gets its q but draws no futures.
     "bistro p(x)=0": (
-        lambda: check_bistro_admissibility(
-            PolicyClass.all_labelings(2, 2), [1.0, 0.0], n=2, gamma=0.25, samples=1000,
-            seed=3, initial_checks=50),
+        lambda: check_bistro_admissibility(*BISTRO_INSTANCES["bistro p(x)=0"], seed=3,
+                                           initial_checks=50),
         [(4.784, 6.856, 0.3771536197000539), (0.375, 3.838, 0.2141859744045619)], 0.0, 0),
     "reduction p(x)=0": (
         lambda: check_reduction_admissibility(
@@ -234,8 +252,9 @@ RECORDED = {
 def test_reports_match_sequence_form_checker(name):
     check, steps, min_margin, failures = RECORDED[name]
     report = check()
-    got = [(s.lhs, s.rhs, s.stderr) for s in report.steps]
-    np.testing.assert_allclose(got, steps, rtol=1e-12, atol=0)
+    got = np.array([(s.lhs, s.rhs) for s in report.steps])
+    want, se = np.array(steps)[:, :2], np.array(steps)[:, 2:]
+    assert (np.abs(got - want) <= 3 * se + 1e-12 * np.abs(want)).all(), (got, want, se)
     assert report.initial.min_margin == pytest.approx(min_margin, rel=1e-12, abs=0)
     assert report.initial.failures == failures
 
@@ -247,8 +266,7 @@ def test_history_priced_in_relaxation_units(table):
     # + d*gamma, with the history as the unscaled estimate c~_1 = c/q.
     pc = PolicyClass(np.array(table), 2)
     probs, gamma, n, seed, d = np.array([0.6, 0.4]), 0.25, 2, 102, pc.d
-    report = check_bistro_admissibility(pc, probs, n=n, gamma=gamma, samples=200_000,
-                                        seed=seed, initial_checks=1)
+    report = check_bistro_admissibility(pc, probs, n=n, gamma=gamma, seed=seed, initial_checks=1)
     path_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
     x1 = int(path_rng.choice(probs.size, p=probs))
     q1 = _exact_mixed_q(ExactErmOracle(pc), probs, gamma, n, np.empty(0, dtype=np.int64),
@@ -262,5 +280,21 @@ def test_history_priced_in_relaxation_units(table):
         for signs in itertools.product((-1.0, 1.0), repeat=d):
             Y = np.column_stack([est, 2.0 / gamma * np.array(signs)])
             exact -= probs[x2] / 2**d * sequence_values(pc, [x1, x2], Y).min()
-    step = report.steps[1]
-    assert abs(step.rhs - exact) <= 4 * step.stderr, (step.rhs, exact, step.stderr)
+    assert report.steps[1].rhs == pytest.approx(exact, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(BISTRO_INSTANCES))
+@pytest.mark.parametrize("algorithm", ["bistro", "bistro_regularized"])
+def test_first_rhs_is_the_exact_bound(name, algorithm):
+    # Step 1's rhs is Rel(empty history), which verify enumerates on its own:
+    # lambda = 0 for bistro, the relaxation's lambda and K for bistro_regularized.
+    pc, probs, n, gamma = BISTRO_INSTANCES[name]
+    config = {"algorithm": algorithm, "constraint": {"type": "pairwise", "weights": "uniform"},
+              "lambda": 0.1, "K": 4}
+    oracle, budget = relaxation(config, pc, gamma)
+    report = check_bistro_admissibility(pc, probs, n, gamma, oracle=oracle, budget=budget,
+                                        initial_checks=1)
+    lam = config["lambda"] if algorithm == "bistro_regularized" else 0.0
+    exact = exact_regularized_bound(pc, probs, n, gamma, lam, config["K"],
+                                    PairwiseDisagreement("uniform"))
+    assert report.steps[0].rhs == pytest.approx(exact, rel=0, abs=1e-12)

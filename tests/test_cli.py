@@ -52,13 +52,20 @@ def test_rademacher_subcommand(capsys):
 
 def test_admissibility_subcommand(capsys):
     code = main([
-        "admissibility", "--config", cfg("admissibility_small.json"),
-        "--samples", "1000", "--initial-checks", "50",
+        "admissibility", "--config", cfg("admissibility_small.json"), "--initial-checks", "50",
     ])
     out = capsys.readouterr().out
     assert code == 0
     assert "PASS" in out
     assert "round 3" in out
+
+
+def test_admissibility_has_no_samples_flag(capsys):
+    # the check enumerates every future; there is nothing to sample
+    with pytest.raises(SystemExit) as exc:
+        main(["admissibility", "--config", cfg("admissibility_small.json"), "--samples", "10"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --samples 10" in capsys.readouterr().err
 
 
 def test_admissibility_reduction(capsys):
@@ -173,13 +180,26 @@ def test_malformed_documents_exit_2(command, changes, named, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("args", [["run", "--algorithm", "uniform"], ["run"], ["rademacher"],
+                                  ["admissibility"]])
+def test_nan_context_probability_exits_2(args, tmp_path, capsys):
+    # NaN passes neither the sign nor the sum test, whatever the command samples with
+    config = write_config(tmp_path, context_dist={"probs": [float("nan"), 1.0]})
+    code = main([*args, "--config", config])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (f"bistro {args[0]}: context probabilities must be nonnegative "
+                            "and sum to 1\n")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("algorithm", ["bistro_relaxed", "bistro_regularized"])
 def test_admissibility_checks_relaxed_variants(algorithm, tmp_path, capsys):
     # the regularized relaxation needs its constraint, lambda and budget K
     config = write_config(tmp_path, constraint={"type": "pairwise", "weights": "uniform"},
                           K=4, **{"lambda": 0.1})
     code = main(["admissibility", "--config", config, "--algorithm", algorithm,
-                 "--samples", "1000", "--initial-checks", "50"])
+                 "--initial-checks", "50"])
     out = capsys.readouterr().out
     assert code == 0
     assert out.startswith(f"algorithm={algorithm} gamma=0.25 ")
@@ -191,7 +211,7 @@ def test_admissibility_refuses_an_empty_filtered_benchmark(tmp_path, capsys):
     config = write_config(tmp_path, constraint={"type": "coverage", "partition": [[0, 1, 2]],
                                                 "k": 2}, K=0.5, **{"lambda": 0.1})
     code = main(["admissibility", "--config", config, "--algorithm", "bistro_regularized",
-                 "--samples", "100", "--initial-checks", "5"])
+                 "--initial-checks", "5"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == ("bistro admissibility: benchmark class is empty after constraint "
