@@ -61,9 +61,9 @@ def _cmd_admissibility(args) -> int:
     checked = (*RELAXATIONS, "adversarial_reduction")
     if algo not in checked:
         raise ValueError(f"checks only {', '.join(map(repr, checked))}; got algorithm {algo!r}")
+    if "gamma" not in config:
+        raise ValueError("missing required config key 'gamma' (a number)")
     gamma = config_number(config, "gamma")
-    if gamma is None:
-        raise ValueError("config key 'gamma' needs a number; got None")
     pc = build_policy_class(config)
     env = build_environment(config, pc)
     n, d = config_int(config, "n"), pc.d

@@ -14,7 +14,6 @@ from functools import cached_property
 import numpy as np
 
 from .policies import in_unit_interval
-from .rademacher import categorical_sampler
 
 DEFAULT_POOL_FACTOR = 10
 
@@ -27,6 +26,22 @@ def context_probs(probs) -> np.ndarray:
     if not (probs >= 0).all() or abs(probs.sum() - 1.0) > 1e-9:
         raise ValueError("context probabilities must be nonnegative and sum to 1")
     return probs
+
+
+def categorical_sampler(probs):
+    """Sampler drawing context ids i.i.d. from a categorical distribution.
+
+    Draws exactly what ``rng.choice(probs.size, size=n, p=probs)`` draws --
+    n uniforms looked up in the normalised CDF -- with the CDF computed once
+    here instead of on every call. ``probs`` is checked by ``context_probs``.
+    """
+    cdf = context_probs(probs).cumsum()
+    cdf /= cdf[-1]
+
+    def sample(rng: np.random.Generator, n: int) -> np.ndarray:
+        return cdf.searchsorted(rng.random(n), side="right")
+
+    return sample
 
 
 class CostProcess:

@@ -5,8 +5,9 @@ class of the linear objective sum_t <M_t, Y_t>, where M_f is a policy's
 one-hot matrix on the contexts. Variants here: exact finite-class
 enumeration, an additive-noise approximate wrapper, Lagrangian-regularized
 values with data-based constraint functions, and a box superset relaxation
-in closed form. The metric-labeling brute force that cross-checks the
-regularized objective is ``verify.mlc_bruteforce``.
+in closed form. Each prices a single query or a stack of queries in one
+body. The metric-labeling brute force that cross-checks the regularized
+objective is ``verify.mlc_bruteforce``.
 """
 
 from __future__ import annotations
@@ -24,8 +25,10 @@ class ErmOracle:
     One query is contexts (n,) with Y (d, n) and returns a float. A stack of
     S queries is contexts (S, n) with Y (S, d, n); it returns an (S,) array
     and counts as S calls, the paper's count of ERM calls. A subclass prices
-    either shape in ``_values``, or one query in ``_value``. Oracles are
-    stateless across calls apart from the counter (and a noise stream).
+    either shape in one ``_values`` body. A stack equals S sequential calls
+    bit for bit on dyadic costs and to 1e-12 otherwise: its products sum in
+    another order than a single query's. Oracles are stateless across calls
+    apart from the counter (and a noise stream).
     """
 
     def __init__(self):
@@ -47,15 +50,9 @@ class ErmOracle:
         self._calls += 1
         return float(self._values(contexts, Y))
 
-    def _value(self, contexts, Y: np.ndarray) -> float:
-        raise NotImplementedError
-
     def _values(self, contexts, Y: np.ndarray):
-        """The value of one query, or the (S,) values of a stack; priced here
-        query by query through ``_value``, exactly as S sequential calls."""
-        if Y.ndim != 3:
-            return self._value(contexts, Y)
-        return np.array([self._value(c, y) for c, y in zip(contexts, Y)], dtype=float)
+        """The value of one query, or the (S,) values of a stack."""
+        raise NotImplementedError
 
 
 class ExactErmOracle(ErmOracle):
@@ -74,8 +71,9 @@ class ExactErmOracle(ErmOracle):
 class ApproximateErmOracle(ErmOracle):
     """Wraps an oracle with seeded uniform noise in [-delta, +delta].
 
-    A noise variate is drawn on every call, including at delta = 0, so runs
-    at different delta values share the same underlying noise stream.
+    A noise variate is drawn for every logical call, in stack order and
+    including at delta = 0, so runs at different delta values share the same
+    underlying noise stream.
     """
 
     def __init__(self, inner: ErmOracle, delta: float, seed):
@@ -89,8 +87,8 @@ class ApproximateErmOracle(ErmOracle):
     def reseed(self, seed) -> None:
         self._rng = np.random.default_rng(seed)
 
-    def _value(self, contexts, Y: np.ndarray) -> float:
-        return self.inner(contexts, Y) + self.delta * self._rng.uniform(-1.0, 1.0)
+    def _values(self, contexts, Y: np.ndarray):
+        return self.inner(contexts, Y) + self.delta * self._rng.uniform(-1.0, 1.0, Y.shape[:-2])
 
 
 class PairwiseDisagreement:
@@ -193,22 +191,15 @@ class RegularizedErmQuery:
 
 def regularized_erm_value(policy_class: PolicyClass, contexts, query: RegularizedErmQuery) -> float:
     """Exact minimum of the penalized objective over the unconstrained class."""
-    if policy_class.size == 0:
-        raise ValueError("ERM over an empty policy class")
-    vals = policy_class.values(contexts, query.Y)
-    if query.lambda_scaled > 0:
-        vals = vals + query.lambda_scaled * policy_constraint_values(
-            query.constraint, policy_class, contexts
-        )
-    return float(vals.min())
+    oracle = RegularizedErmOracle(policy_class, query.constraint, query.lambda_scaled)
+    return oracle(contexts, query.Y)
 
 
 class RegularizedErmOracle(ErmOracle):
-    """Oracle form of the penalized objective, for per-round strategy use.
-
-    With lambda_scaled = 0 the penalty branch is skipped entirely, so values
-    match ExactErmOracle bit for bit.
-    """
+    """Minimum of the penalized objective sum_t <M_t, Y_t> + lambda_scaled * C(M),
+    its linear part priced as ExactErmOracle's. At lambda_scaled = 0 the penalty
+    is skipped entirely, so a query or a stack matches ExactErmOracle's bit for
+    bit."""
 
     def __init__(self, policy_class: PolicyClass, constraint, lambda_scaled: float):
         super().__init__()
@@ -220,9 +211,21 @@ class RegularizedErmOracle(ErmOracle):
         self.constraint = constraint
         self.lambda_scaled = float(lambda_scaled)
 
-    def _value(self, contexts, Y: np.ndarray) -> float:
-        query = RegularizedErmQuery(Y, self.lambda_scaled, self.constraint)
-        return regularized_erm_value(self.policy_class, contexts, query)
+    def _values(self, contexts, Y: np.ndarray):
+        vals = self.policy_class.values(contexts, Y)
+        if self.lambda_scaled > 0:
+            vals = vals + self.lambda_scaled * self._penalties(contexts, Y.ndim == 3)
+        return vals.min(axis=-1)
+
+    def _penalties(self, contexts, stacked: bool) -> np.ndarray:
+        """Every policy's C, (|F|,) or a stack's (S, |F|), once per distinct context row."""
+        if not stacked:
+            return policy_constraint_values(self.constraint, self.policy_class, contexts)
+        ids = context_ids(contexts)
+        keys = [row.tobytes() for row in ids]
+        penalty = {key: policy_constraint_values(self.constraint, self.policy_class, row)
+                   for key, row in dict(zip(keys, ids)).items()}
+        return np.array([penalty[key] for key in keys])
 
 
 class BoxRelaxedOracle(ErmOracle):

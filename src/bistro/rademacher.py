@@ -81,32 +81,6 @@ def rademacher_estimate(
     return RademacherEstimate(mean=mean, std_error=se, samples=samples)
 
 
-def categorical_sampler(probs):
-    """Sampler drawing context ids i.i.d. from a categorical distribution.
-
-    Draws exactly what ``rng.choice(probs.size, size=n, p=probs)`` draws --
-    n uniforms looked up in the normalised CDF -- with the CDF computed once
-    here instead of on every call. ``probs`` is checked by ``choice``'s rules.
-    """
-    probs = np.asarray(probs, dtype=float)
-    if probs.ndim != 1 or probs.size == 0:
-        raise ValueError("context probabilities must be a nonempty vector")
-    total = probs.sum()
-    if np.isnan(total):
-        raise ValueError("context probabilities contain NaN")
-    if (probs < 0).any():
-        raise ValueError("context probabilities must be nonnegative")
-    if abs(total - 1.0) > np.sqrt(np.finfo(np.float64).eps):
-        raise ValueError("context probabilities do not sum to 1")
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
-
-    def sample(rng: np.random.Generator, n: int) -> np.ndarray:
-        return cdf.searchsorted(rng.random(n), side="right")
-
-    return sample
-
-
 def tune_gamma(complexity: float, n: int, d: int) -> float:
     """Rate sqrt(complexity / (n d)) minimizing complexity/gamma + n d gamma,
     clamped into (0, 1/d].

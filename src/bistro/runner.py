@@ -59,6 +59,8 @@ CONFIG_KEYS = frozenset({
 })
 REQUIRED_CONFIG_KEYS = ("d", "n", "policy_class", "cost_process")
 CONTEXT_DIST_KEYS = frozenset({"probs", "features"})
+# The least value of each numeric key bounded below; a range error names its key.
+CONFIG_MINIMA = {"lambda": 0, "K": 0, "playouts": 1, "tune_samples": 1}
 # How far from 1 ``Generator.choice`` lets a probability vector sum.
 CHOICE_SUM_TOL = float(np.sqrt(np.finfo(np.float64).eps))
 
@@ -226,6 +228,9 @@ def build_policy_class(config: dict) -> PolicyClass:
         config_number(config, key)
     for key in ("d", "n", "playouts", "pool_factor", "tune_samples", "tune_seed"):
         config_int(config, key)
+    for key, least in CONFIG_MINIMA.items():
+        if not config.get(key, least) >= least:  # NaN fails too
+            raise ValueError(f"config key {key!r} must be at least {least}; got {config[key]!r}")
     build_constraint(config)
     doc = config["policy_class"]
     if "path" in doc:

@@ -11,7 +11,12 @@ from bistro.admissibility import (
     check_reduction_admissibility,
     relaxation_price,
 )
-from bistro.erm import ExactErmOracle, PairwiseDisagreement, RegularizedErmOracle
+from bistro.erm import (
+    CoveragePenalty,
+    ExactErmOracle,
+    PairwiseDisagreement,
+    RegularizedErmOracle,
+)
 from bistro.policies import CapacityError, PolicyClass, mix_with_uniform
 from bistro.runner import (
     build_environment,
@@ -256,6 +261,44 @@ def test_reports_match_sequence_form_checker(name):
     want, se = np.array(steps)[:, :2], np.array(steps)[:, 2:]
     assert (np.abs(got - want) <= 3 * se + 1e-12 * np.abs(want)).all(), (got, want, se)
     assert report.initial.min_margin == pytest.approx(min_margin, rel=1e-12, abs=0)
+    assert report.initial.failures == failures
+
+
+# bistro_regularized at the checker's caps (d = n = |X| = 3, |F| = 8, lambda =
+# 0.1, K = 4), recorded from the checker that priced each query of a stack
+# with its own penalty: every step's (lhs, rhs), then the horizon's
+# min_margin and failures, as float.hex. Step 1's rhs is a weighted mean over
+# 13,824 futures, one BLAS dot product, which OpenBLAS splits across its
+# threads; its last bits depend on the thread count (recorded with one), so
+# it alone is compared to 1e-12.
+CAPS_CLASS = [[1, 1, 2], [1, 2, 0], [1, 1, 0], [1, 1, 0], [0, 2, 0], [2, 2, 0], [0, 2, 0],
+              [0, 2, 2]]
+CAPS_RECORDED = {
+    "pairwise": (
+        PairwiseDisagreement("uniform"),
+        [("0x1.920e30589487cp+3", "0x1.fdd645a1cac2ap+3"),
+         ("0x1.ee5c0cc9cb490p+2", "0x1.7d0ed916872b0p+3"),
+         ("0x1.210a8358564a0p+0", "0x1.c000000000001p+2")], "-0x1.0000000000000p-54", 0),
+    "coverage": (
+        CoveragePenalty([[0, 1], [2]], 1),
+        [("0x1.8c8e9d4bdf98bp+3", "0x1.f804f5c28f5d5p+3"),
+         ("0x1.ea8787b3be082p+2", "0x1.7a89ba5e353f8p+3"),
+         ("0x1.199999999999ap+0", "0x1.bccccccccccccp+2")], "-0x1.0000000000000p-54", 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAPS_RECORDED))
+def test_regularized_report_at_the_caps(name):
+    constraint, steps, min_margin, failures = CAPS_RECORDED[name]
+    pc, gamma, lam, K = PolicyClass(CAPS_CLASS, 3), 0.2, 0.1, 4
+    oracle = RegularizedErmOracle(pc, constraint, lam * gamma)
+    report = check_bistro_admissibility(pc, [0.5, 0.3, 0.2], 3, gamma, oracle=oracle,
+                                        budget=lam * K, constraint=constraint, K=K, seed=4,
+                                        initial_checks=20)
+    got = [(s.lhs.hex(), s.rhs.hex()) for s in report.steps]
+    assert got[0][0] == steps[0][0] and got[1:] == steps[1:]
+    assert report.steps[0].rhs == pytest.approx(float.fromhex(steps[0][1]), rel=0, abs=1e-12)
+    assert report.initial.min_margin.hex() == min_margin
     assert report.initial.failures == failures
 
 

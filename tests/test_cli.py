@@ -180,6 +180,23 @@ def test_malformed_documents_exit_2(command, changes, named, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command, changes, named", [
+    ("run", {"lambda": -1}, "config key 'lambda' must be at least 0"),
+    ("run", {"lambda": float("nan")}, "config key 'lambda' must be at least 0"),
+    ("run", {"K": -1}, "config key 'K' must be at least 0"),
+    ("run", {"tune_samples": 0}, "config key 'tune_samples' must be at least 1"),
+    ("run", {"playouts": 0}, "config key 'playouts' must be at least 1"),
+    ("admissibility", {"gamma": None}, "missing required config key 'gamma'"),
+], ids=["lambda", "lambda-nan", "K", "tune_samples", "playouts", "gamma-missing"])
+def test_range_errors_name_their_key(command, changes, named, tmp_path, capsys):
+    code = main([command, "--config", write_config(tmp_path, **changes)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"bistro {command}: {named}")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("args", [["run", "--algorithm", "uniform"], ["run"], ["rademacher"],
                                   ["admissibility"]])
 def test_nan_context_probability_exits_2(args, tmp_path, capsys):

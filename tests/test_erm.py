@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bistro import erm
 from bistro.erm import (
     ApproximateErmOracle,
     BoxRelaxedOracle,
@@ -79,8 +80,9 @@ class TestExactErm:
 
 
 class TestStackedQueries:
-    """A stack of S queries, contexts (S, n) and Y (S, d, n), answers exactly
-    as S sequential calls and counts as S calls."""
+    """A stack of S queries, contexts (S, n) and Y (S, d, n), counts as S
+    calls and answers as S sequential calls: bit for bit on dyadic costs, to
+    1e-12 otherwise, since its products sum in another order."""
 
     def queries(self, seed, stack=6, n=5):
         rng = np.random.default_rng(seed)
@@ -96,18 +98,25 @@ class TestStackedQueries:
         assert values.tolist() == expected
         assert stacked.calls == sequential.calls
 
+    def assert_stack_matches_sequence(self, make, ctxs, Y):
+        dyadic = np.round(Y * (1 << 20)) / (1 << 20)
+        self.assert_stack_equals_sequence(make, ctxs, dyadic)
+        sequential = make()
+        np.testing.assert_allclose(
+            make()(ctxs, Y), [sequential(c, y) for c, y in zip(ctxs, Y)], rtol=0, atol=1e-12)
+
     def test_exact(self):
         pc, ctxs, Y = self.queries(51)
-        dyadic = np.round(Y * (1 << 20)) / (1 << 20)
-        self.assert_stack_equals_sequence(lambda: ExactErmOracle(pc), ctxs, dyadic)
-        values = ExactErmOracle(pc)(ctxs, Y)
-        np.testing.assert_allclose(
-            values, [ExactErmOracle(pc)(c, y) for c, y in zip(ctxs, Y)], rtol=0, atol=1e-12)
+        self.assert_stack_matches_sequence(lambda: ExactErmOracle(pc), ctxs, Y)
 
     def test_approximate_draws_noise_in_order(self):
         pc, ctxs, Y = self.queries(52)
-        self.assert_stack_equals_sequence(
-            lambda: ApproximateErmOracle(ExactErmOracle(pc), 0.1, seed=3), ctxs, Y)
+        make = lambda: ApproximateErmOracle(ExactErmOracle(pc), 0.1, seed=3)
+        self.assert_stack_matches_sequence(make, ctxs, Y)
+        # the inner stack plus delta times one draw per query, in stack order
+        rng = np.random.default_rng(3)
+        noise = np.array([rng.uniform(-1.0, 1.0) for _ in Y])
+        assert make()(ctxs, Y).tolist() == (ExactErmOracle(pc)(ctxs, Y) + 0.1 * noise).tolist()
 
     def test_box_relaxed(self):
         _, ctxs, Y = self.queries(53)
@@ -116,8 +125,30 @@ class TestStackedQueries:
     def test_regularized(self):
         pc, ctxs, Y = self.queries(54)
         for constraint in (PairwiseDisagreement("uniform"), CoveragePenalty([[0, 1], [2, 3, 4]], 1)):
-            self.assert_stack_equals_sequence(
+            self.assert_stack_matches_sequence(
                 lambda: RegularizedErmOracle(pc, constraint, 0.3), ctxs, Y)
+            # lambda = 0 skips the penalty: the exact oracle's stack, bit for bit
+            assert (RegularizedErmOracle(pc, constraint, 0.0)(ctxs, Y).tolist()
+                    == ExactErmOracle(pc)(ctxs, Y).tolist())
+
+    def test_penalty_once_per_distinct_context_row(self, monkeypatch):
+        pc, ctxs, Y = self.queries(57, stack=8)
+        ctxs[[2, 5, 7]] = ctxs[0]
+        ctxs[6] = ctxs[1]
+        rows = []
+
+        def spy(constraint, policy_class, contexts):
+            rows.append(np.array(contexts).tolist())
+            return penalties(constraint, policy_class, contexts)
+
+        penalties = erm.policy_constraint_values
+        monkeypatch.setattr(erm, "policy_constraint_values", spy)
+        oracle = RegularizedErmOracle(pc, PairwiseDisagreement("uniform"), 0.3)
+        oracle(ctxs, Y)
+        assert rows == [ctxs[s].tolist() for s in (0, 1, 3, 4)]
+        rows.clear()
+        oracle(ctxs[0], Y[0])
+        assert rows == [ctxs[0].tolist()]
 
     def test_counter_adds_stack_size(self):
         pc, ctxs, Y = self.queries(55, stack=7)

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from bistro import rademacher, runner
-from bistro.environments import Environment, FixedTableCosts
+from bistro.environments import Environment, FixedTableCosts, categorical_sampler
 from bistro.erm import ExactErmOracle
 from bistro.policies import PolicyClass
 from bistro.rademacher import (
     RademacherEstimate,
-    categorical_sampler,
     rademacher_estimate,
     rademacher_samples,
     tune_gamma,

@@ -13,7 +13,8 @@ from bistro.waterfill import waterfill
 
 
 class RecordingOracle(ErmOracle):
-    """Pass-through wrapper keeping copies of every query."""
+    """Pass-through wrapper keeping copies of every query; a stack is passed
+    on and recorded query by query."""
 
     def __init__(self, inner):
         super().__init__()
@@ -21,7 +22,9 @@ class RecordingOracle(ErmOracle):
         self.policy_class = getattr(inner, "policy_class", None)
         self.queries = []
 
-    def _value(self, contexts, Y):
+    def _values(self, contexts, Y):
+        if Y.ndim == 3:
+            return np.array([self._values(c, y) for c, y in zip(contexts, Y)])
         value = self.inner(contexts, Y)
         self.queries.append((np.array(contexts, copy=True), Y.copy(), value))
         return value
@@ -90,7 +93,7 @@ class ReplayOracle(ErmOracle):
         self.pool, self.n, self.playouts = pool, n, playouts
         self.contexts_equal, self.signs_equal = [], []
 
-    def _value(self, contexts, Y):
+    def _values(self, contexts, Y):
         d = self.policy_class.d
         t = (self.calls - 1) // (d * self.playouts)
         if (self.calls - 1) % d == 0:  # a playout's first query: replay its draws
