@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adversarial import ExpWeightsRelaxation
-from .erm import ErmOracle, ExactErmOracle
+from .erm import ErmOracle, ExactErmOracle, benchmark
 from .environments import context_probs
 from .policies import CapacityError, PolicyClass, mix_with_uniform
 from .strategies import SIGN_SCALE
@@ -237,13 +237,8 @@ def _check_initial(endpoint_values, policy_class: PolicyClass, probs: np.ndarray
         else:
             costs[i] = rng.random((n, d))
         qs[i] = [mix_with_uniform(rng.dirichlet(np.ones(d)), gamma) for _ in range(n)]
-    values = policy_class.values(xs, costs.transpose(0, 2, 1))
-    if constraint is not None and K is not None:
-        # only policies with C(f) <= K on the endpoint's contexts compete
-        values[[constraint.per_policy(policy_class, x) > K for x in xs]] = np.inf
-    bench = -values.min(axis=1)
-    if np.isneginf(bench).any():
-        raise ValueError("benchmark class is empty after constraint filtering")
+    # only policies with C(f) <= K on the endpoint's contexts compete, as in regret accounting
+    bench = -benchmark(policy_class, xs, costs.transpose(0, 2, 1), constraint, K)
 
     actions = np.array(list(itertools.product(range(d), repeat=n)))  # (d^n, n)
     seqs, rounds = np.arange(d**n)[:, None], np.arange(n)

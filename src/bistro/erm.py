@@ -6,8 +6,9 @@ one-hot matrix on the contexts. Variants here: exact finite-class
 enumeration, an additive-noise approximate wrapper, Lagrangian-regularized
 values with data-based constraint functions, and a box superset relaxation
 in closed form. Each prices a single query or a stack of queries in one
-body. The metric-labeling brute force that cross-checks the regularized
-objective is ``verify.mlc_bruteforce``.
+body, and so does ``benchmark``, the unrelaxed class at its budget K. The
+metric-labeling brute force that cross-checks the regularized objective is
+``verify.mlc_bruteforce``.
 """
 
 from __future__ import annotations
@@ -168,12 +169,30 @@ def policy_constraint_values(constraint, policy_class: PolicyClass, contexts) ->
     return constraint.per_policy(policy_class, contexts)
 
 
-def filter_class(policy_class: PolicyClass, contexts, constraint, K: float) -> PolicyClass:
-    """Subclass of policies whose constraint value is at most K; may be empty."""
-    costs = policy_constraint_values(constraint, policy_class, contexts)
-    if (costs < 0).any():
-        raise ValueError("constraint values must be nonnegative")
-    return policy_class.subset(np.nonzero(costs <= K)[0])
+class EmptyBenchmarkError(ValueError):
+    """No policy meets the budget K on a query's contexts: a config error."""
+
+
+def benchmark(policy_class: PolicyClass, contexts, Y, constraint=None, K: float | None = None):
+    """The benchmark: the least linear cost sum_t Y[f(x_t), t] over the original
+    class, filtered to C(f) <= K on the query's contexts when both a constraint
+    and its budget K are given. A query, contexts (n,) with Y (d, n), gives a
+    float; a stack, contexts (S, n) with Y (S, d, n), an (S,) array. The
+    constraint is priced once per context row; a relaxation's integrality gap
+    never enters here.
+    """
+    values = policy_class.values(contexts, Y)
+    if constraint is not None and K is not None:
+        ids = context_ids(contexts)
+        costs = np.array([policy_constraint_values(constraint, policy_class, row)
+                          for row in (ids if ids.ndim == 2 else [ids])]).reshape(values.shape)
+        if (costs < 0).any():
+            raise ValueError("constraint values must be nonnegative")
+        values = np.where(costs <= K, values, np.inf)
+    best = values.min(axis=-1, initial=np.inf)
+    if np.isinf(best).any():
+        raise EmptyBenchmarkError("benchmark class is empty after constraint filtering")
+    return float(best) if best.ndim == 0 else best
 
 
 @dataclass(frozen=True)
@@ -195,19 +214,16 @@ def regularized_erm_value(policy_class: PolicyClass, contexts, query: Regularize
     return oracle(contexts, query.Y)
 
 
-class RegularizedErmOracle(ErmOracle):
+class RegularizedErmOracle(ExactErmOracle):
     """Minimum of the penalized objective sum_t <M_t, Y_t> + lambda_scaled * C(M),
     its linear part priced as ExactErmOracle's. At lambda_scaled = 0 the penalty
     is skipped entirely, so a query or a stack matches ExactErmOracle's bit for
     bit."""
 
     def __init__(self, policy_class: PolicyClass, constraint, lambda_scaled: float):
-        super().__init__()
-        if policy_class.size == 0:
-            raise ValueError("ERM over an empty policy class")
+        super().__init__(policy_class)
         if lambda_scaled < 0:
             raise ValueError("lambda_scaled must be nonnegative")
-        self.policy_class = policy_class
         self.constraint = constraint
         self.lambda_scaled = float(lambda_scaled)
 

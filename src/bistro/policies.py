@@ -76,8 +76,7 @@ class PolicyClass:
     """A finite ordered class of policies over a shared context universe.
 
     Stored as an (|F|, |X|) action table. Empty classes (|F| = 0) are
-    representable -- they arise from constraint filtering -- but cannot be
-    queried by ERM oracles.
+    representable but cannot be queried by ERM oracles.
     """
 
     def __init__(self, table, d: int):
@@ -160,9 +159,6 @@ class PolicyClass:
         if ids.ndim == 1:
             return self.onehot @ z
         return z.reshape(queries, cells) @ self.onehot.T
-
-    def subset(self, indices) -> "PolicyClass":
-        return PolicyClass(self.table[np.asarray(indices, dtype=np.int64)], self.d)
 
     @classmethod
     def all_labelings(cls, d: int, universe_size: int) -> "PolicyClass":
@@ -268,17 +264,12 @@ def mix_with_uniform(q_star: np.ndarray, gamma: float) -> np.ndarray:
     return np.array([scale * v + gamma for v in values])
 
 
-def ips_estimate(c_observed: float, chosen: int, q: np.ndarray) -> np.ndarray:
-    """Inverse-propensity reconstruction of a cost vector from one coordinate.
-
-    Coordinate ``chosen`` is c_observed / q[chosen]; all others are exactly 0.
-    """
+def ips_estimate(c_observed: float, chosen: int, q: np.ndarray) -> float:
+    """Inverse-propensity estimate c_observed / q[chosen] of the chosen action's
+    cost; the estimate of every other action is exactly 0."""
     q = np.asarray(q, dtype=float)
-    d = q.size
-    if not 0 <= chosen < d:
+    if not 0 <= chosen < q.size:
         raise ValueError("chosen action out of range")
     if q[chosen] <= 0.0:
         raise ValueError("chosen action has zero probability; cannot reweight")
-    est = np.zeros(d)
-    est[chosen] = float(c_observed) / float(q[chosen])
-    return est
+    return float(c_observed) / float(q[chosen])

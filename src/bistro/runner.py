@@ -23,9 +23,10 @@ from .environments import AdaptiveCosts, Environment, FixedTableCosts, IidBernou
 from .erm import (
     ApproximateErmOracle,
     BoxRelaxedOracle,
+    EmptyBenchmarkError,
     ExactErmOracle,
     RegularizedErmOracle,
-    filter_class,
+    benchmark,
     load_constraint,
 )
 from .policies import (
@@ -178,22 +179,13 @@ def run_episode(strategy: Strategy, env: Environment, n: int, seed) -> Transcrip
     )
 
 
-class EmptyBenchmarkError(ValueError):
-    """No policy meets the budget K on an episode's contexts: a config error."""
-
-
 def benchmark_value(transcript: Transcript, policy_class: PolicyClass,
                     constraint=None, K: float | None = None) -> float:
     """Best cumulative cost inside the class, filtered to C(f) <= K when both
-    a constraint and its budget K are given."""
+    a constraint and its budget K are given (``erm.benchmark``)."""
     if transcript.n == 0:
         return 0.0
-    bench = policy_class
-    if constraint is not None and K is not None:
-        bench = filter_class(policy_class, transcript.contexts, constraint, K)
-        if bench.size == 0:
-            raise EmptyBenchmarkError("benchmark class is empty after constraint filtering")
-    return ExactErmOracle(bench)(transcript.contexts, transcript.cost_vectors.T)
+    return benchmark(policy_class, transcript.contexts, transcript.cost_vectors.T, constraint, K)
 
 
 def expected_regret(transcript: Transcript, policy_class: PolicyClass,

@@ -70,7 +70,7 @@ class RelaxationStrategy(Strategy):
         return mix_with_uniform(self._q_star(x), self.gamma)
 
     def update(self, x: int, q: np.ndarray, action: int, observed_cost: float) -> None:
-        est = ips_estimate(observed_cost, action, q)[action]
+        est = ips_estimate(observed_cost, action, q)
         if est > 1.0 / self.gamma + 1e-9:
             raise RuntimeError("estimate exceeds 1/gamma; mixing invariant violated")
         if self._t >= self.horizon:
@@ -179,9 +179,8 @@ class EpsilonGreedyStrategy(Strategy):
         return q
 
     def update(self, x, q, action, observed_cost):
-        est = ips_estimate(observed_cost, action, q)
         hit = self.policy_class.table[:, x] == action
-        self._losses[hit] += est[action]
+        self._losses[hit] += ips_estimate(observed_cost, action, q)
 
 
 class FollowTheLeaderStrategy(EpsilonGreedyStrategy):

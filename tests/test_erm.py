@@ -6,17 +6,24 @@ from bistro.erm import (
     ApproximateErmOracle,
     BoxRelaxedOracle,
     CoveragePenalty,
+    EmptyBenchmarkError,
     ExactErmOracle,
     PairwiseDisagreement,
     RegularizedErmOracle,
     RegularizedErmQuery,
-    filter_class,
+    benchmark,
     load_constraint,
     policy_constraint_values,
     regularized_erm_value,
 )
 from bistro.policies import CapacityError, PolicyClass
-from bistro.verify import bruteforce_erm, mlc_bruteforce, policy_to_matrix, sequence_constraint
+from bistro.verify import (
+    bruteforce_erm,
+    mlc_bruteforce,
+    policy_to_matrix,
+    sequence_constraint,
+    sequence_values,
+)
 
 Y_EXAMPLE = np.array([[0.2, 0.5], [0.9, 0.1]])
 
@@ -43,7 +50,7 @@ class TestExactErm:
         assert ExactErmOracle(pc)([0, 1], Y_EXAMPLE) == pytest.approx(0.3)
 
     def test_empty_class_errors(self):
-        empty = two_constant_policies().subset([])
+        empty = PolicyClass(two_constant_policies().table[[]], 2)
         with pytest.raises(ValueError):
             ExactErmOracle(empty)([0], np.zeros((2, 1)))
 
@@ -326,22 +333,77 @@ class TestFoldedPairwise:
             assert mlc_bruteforce(node, edges, 1.0 - np.eye(d)) == pytest.approx(reg, abs=1e-10)
 
 
-class TestFilterClass:
+class TestBenchmark:
     def test_infinite_budget_keeps_everything(self):
+        # -M_f makes policy f the unique minimum, so each value shows f was kept
         pc = PolicyClass.all_labelings(2, 3)
-        kept = filter_class(pc, [0, 1, 2], PairwiseDisagreement("uniform"), np.inf)
-        np.testing.assert_array_equal(kept.table, pc.table)
+        for f in range(pc.size):
+            Y = -one_hot(pc.table[f], 2, [0, 1, 2])
+            assert benchmark(pc, [0, 1, 2], Y, PairwiseDisagreement("uniform"), np.inf) == -3.0
 
     def test_negative_budget_empties(self):
         pc = PolicyClass.all_labelings(2, 3)
-        kept = filter_class(pc, [0, 1, 2], PairwiseDisagreement("uniform"), -1.0)
-        assert kept.size == 0
+        with pytest.raises(EmptyBenchmarkError, match="empty after constraint filtering"):
+            benchmark(pc, [0, 1, 2], np.zeros((2, 3)), PairwiseDisagreement("uniform"), -1.0)
 
     def test_selects_satisfying_policy(self):
+        # [0, 1] costs -1 but disagrees on its two rounds (C = 2 > K); [0, 0] costs 0
         pc = PolicyClass(np.array([[0, 0], [0, 1]]), 2)
-        kept = filter_class(pc, [0, 1], PairwiseDisagreement("uniform"), 1.0)
-        assert kept.size == 1
-        np.testing.assert_array_equal(kept.table, [[0, 0]])
+        Y = np.array([[0.0, 0.0], [0.0, -1.0]])
+        assert benchmark(pc, [0, 1], Y) == -1.0
+        assert benchmark(pc, [0, 1], Y, PairwiseDisagreement("uniform"), 1.0) == 0.0
+
+    def test_matches_sequence_form_reference(self):
+        # Reference: the least sequence-form value over the policies whose
+        # sequence-form constraint on their one-hot matrix is at most K. Costs
+        # and weights are dyadic, so both sides are exact and must agree bit for bit.
+        rng = np.random.default_rng(43)
+        for trial in range(150):
+            d, universe, n = int(rng.integers(2, 4)), int(rng.integers(1, 5)), int(rng.integers(1, 9))
+            pc = PolicyClass(rng.integers(0, d, (int(rng.integers(1, 17)), universe)), d)
+            if trial % 2:
+                A = rng.integers(0, 4, (universe, universe)) / 2.0
+                constraint = PairwiseDisagreement("uniform" if trial % 4 == 1 else A + A.T)
+            else:
+                cuts = np.sort(rng.choice(np.arange(1, n), size=min(n - 1, 2), replace=False))
+                constraint = CoveragePenalty(np.split(rng.permutation(n), cuts),
+                                             int(rng.integers(0, 3)))
+            S = 3
+            ctxs = rng.integers(0, universe, (S, n))
+            Y = rng.integers(-8, 9, (S, d, n)) / 4.0
+            values = [sequence_values(pc, ctxs[s], Y[s]) for s in range(S)]
+            penalties = [sequence_penalties(constraint, pc, ctxs[s]) for s in range(S)]
+            least = max(p.min() for p in penalties)  # the least K every query meets
+            for K in (least - 0.5, least, least + float(rng.integers(1, 5)), np.inf):
+                refs = [values[s][penalties[s] <= K].min(initial=np.inf) for s in range(S)]
+                for s in range(S):
+                    if refs[s] == np.inf:
+                        with pytest.raises(EmptyBenchmarkError):
+                            benchmark(pc, ctxs[s], Y[s], constraint, K)
+                    else:
+                        assert benchmark(pc, ctxs[s], Y[s], constraint, K) == refs[s]
+                if np.inf in refs:
+                    with pytest.raises(EmptyBenchmarkError):
+                        benchmark(pc, ctxs, Y, constraint, K)
+                else:
+                    assert np.array_equal(benchmark(pc, ctxs, Y, constraint, K), refs)
+            # no constraint or no budget: the whole class
+            for args in ((), (constraint, None), (None, 0.0)):
+                assert np.array_equal(benchmark(pc, ctxs, Y, *args),
+                                      [v.min() for v in values])
+
+    def test_refuses_negative_constraint_values(self):
+        class Negative:
+            def per_policy(self, policy_class, contexts):
+                return -np.ones(policy_class.size)
+
+        with pytest.raises(ValueError, match="nonnegative"):
+            benchmark(two_constant_policies(), [0, 1], Y_EXAMPLE, Negative(), 1.0)
+
+    def test_empty_class(self):
+        empty = PolicyClass(two_constant_policies().table[[]], 2)
+        with pytest.raises(EmptyBenchmarkError):
+            benchmark(empty, [0, 1], Y_EXAMPLE)
 
 
 class TestRegularizedErm:

@@ -127,19 +127,23 @@ class TestMixWithUniform:
 class TestIpsEstimate:
     def test_formula(self):
         est = ips_estimate(0.8, 0, np.array([0.5, 0.5]))
-        np.testing.assert_allclose(est, [1.6, 0.0], atol=1e-15)
+        assert type(est) is float
+        assert est == pytest.approx(1.6, abs=1e-15)
 
     def test_zero_cost(self):
-        est = ips_estimate(0.0, 1, np.array([0.5, 0.5]))
-        np.testing.assert_array_equal(est, [0.0, 0.0])
+        assert ips_estimate(0.0, 1, np.array([0.5, 0.5])) == 0.0
 
     def test_second_action(self):
-        est = ips_estimate(1.0, 1, np.array([0.25, 0.75]))
-        np.testing.assert_allclose(est, [0.0, 4.0 / 3.0], atol=1e-15)
+        assert ips_estimate(1.0, 1, np.array([0.25, 0.75])) == pytest.approx(4.0 / 3.0, abs=1e-15)
 
     def test_zero_probability_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="zero probability"):
             ips_estimate(0.5, 0, np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("chosen", [-1, 2])
+    def test_out_of_range_guard(self, chosen):
+        with pytest.raises(ValueError, match="out of range"):
+            ips_estimate(0.5, chosen, np.array([0.5, 0.5]))
 
     def test_unbiasedness(self):
         rng = np.random.default_rng(3)
@@ -147,7 +151,8 @@ class TestIpsEstimate:
             d = int(rng.integers(2, 7))
             q = mix_with_uniform(rng.dirichlet(np.ones(d)), 0.5 / d)
             c = rng.random(d)
-            recon = sum(q[j] * ips_estimate(c[j], j, q) for j in range(d))
+            # the estimate's vector is the scalar on the chosen action's one-hot
+            recon = sum(q[j] * ips_estimate(c[j], j, q) * np.eye(d)[j] for j in range(d))
             np.testing.assert_allclose(recon, c, atol=1e-12)
 
 

@@ -69,7 +69,7 @@ class TestEstimator:
     def test_inclusion_monotone_with_shared_streams(self):
         rng = np.random.default_rng(4)
         big = PolicyClass(rng.integers(0, 2, (8, 3)), 2)
-        small = big.subset([0, 1, 2])
+        small = PolicyClass(big.table[[0, 1, 2]], 2)
         sampler = categorical_sampler(np.ones(3) / 3)
         v_small = rademacher_samples(ExactErmOracle(small), sampler, 6, 200, seed=5)
         v_big = rademacher_samples(ExactErmOracle(big), sampler, 6, 200, seed=5)

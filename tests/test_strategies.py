@@ -258,6 +258,7 @@ class TestQueryMatrixInvariants:
         assert len(recorder.queries) == d * playouts * n
         scaled = np.stack([
             gamma * ips_estimate(tr.observed_costs[s], tr.actions[s], tr.distributions[s])
+            * np.eye(d)[tr.actions[s]]
             for s in range(n)
         ], axis=1)
         for call, (ctx, Y, _) in enumerate(recorder.queries):
