@@ -67,6 +67,8 @@ class AdmissibilityReport:
 
 def _checked_probs(policy_class: PolicyClass, probs, n: int) -> np.ndarray:
     probs = context_probs(probs)
+    if n < 1:
+        raise ValueError(f"admissibility checks need at least one round; got n={n}")
     if policy_class.d > MAX_D or n > MAX_N:
         raise CapacityError(f"admissibility checks limited to d<={MAX_D}, n<={MAX_N}")
     if len(probs) > MAX_UNIVERSE or policy_class.size > MAX_CLASS:
@@ -158,9 +160,11 @@ def _walk(policy_class: PolicyClass, probs: np.ndarray, n: int, gamma: float,
         for x in np.nonzero(probs)[0].tolist():
             q = qs_by_context[x] = strategy(ctx, cols, x)
             ctx_now = np.append(ctx, x)
-            # the history after playing j depends on the vertex only through c[j]
-            after = [[price(ctx_now, np.vstack([cols, gamma * cj / q[j] * np.eye(d)[j]]))
-                      for cj in (0.0, 1.0)] for j in range(d)]
+            # the history after playing j depends on the vertex only through c[j];
+            # at c[j] = 0 the appended column is all zeros, whatever j
+            zero = price(ctx_now, np.vstack([cols, np.zeros(d)]))
+            after = [(zero, price(ctx_now, np.vstack([cols, gamma / q[j] * np.eye(d)[j]])))
+                     for j in range(d)]
             lhs += probs[x] * max(sum(q[j] * (c[j] + after[j][int(c[j])]) for j in range(d))
                                   for c in vertices)
         steps.append(RecursiveStep(round_index=t, lhs=float(lhs), rhs=float(rhs)))

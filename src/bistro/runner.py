@@ -44,6 +44,7 @@ from .rademacher import (
     tune_gamma,
 )
 from .strategies import (
+    MODES,
     SIGN_SCALE,
     BistroStrategy,
     EpsilonGreedyStrategy,
@@ -61,7 +62,8 @@ CONFIG_KEYS = frozenset({
 REQUIRED_CONFIG_KEYS = ("d", "n", "policy_class", "cost_process")
 CONTEXT_DIST_KEYS = frozenset({"probs", "features"})
 # The least value of each numeric key bounded below; a range error names its key.
-CONFIG_MINIMA = {"lambda": 0, "K": 0, "playouts": 1, "tune_samples": 1}
+CONFIG_MINIMA = {"lambda": 0, "K": 0, "delta": 0, "playouts": 1, "pool_factor": 1,
+                 "tune_samples": 1}
 # How far from 1 ``Generator.choice`` lets a probability vector sum.
 CHOICE_SUM_TOL = float(np.sqrt(np.finfo(np.float64).eps))
 
@@ -223,6 +225,9 @@ def build_policy_class(config: dict) -> PolicyClass:
     for key, least in CONFIG_MINIMA.items():
         if not config.get(key, least) >= least:  # NaN fails too
             raise ValueError(f"config key {key!r} must be at least {least}; got {config[key]!r}")
+    for key, known in (("algorithm", ALGORITHMS), ("horizon_mode", MODES)):
+        if config.get(key, known[0]) not in known:
+            raise ValueError(f"config key {key!r} must be one of {known}; got {config[key]!r}")
     build_constraint(config)
     doc = config["policy_class"]
     if "path" in doc:
@@ -324,8 +329,6 @@ def resolve_strategy_params(config: dict, policy_class: PolicyClass, env: Enviro
     the bound is that value at the gamma the run plays.
     """
     algo = config.get("algorithm", "bistro")
-    if algo not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algo!r}")
     n, d = config_int(config, "n"), policy_class.d
     gamma_cfg = config.get("gamma", "auto")
     out = {"algorithm": algo, "gamma": None, "rad_estimate": None,
@@ -379,7 +382,7 @@ def make_strategy(config: dict, policy_class: PolicyClass, gamma: float | None) 
         if "delta" in config:
             oracle = ApproximateErmOracle(oracle, config_number(config, "delta"), seed=0)
         return BistroStrategy(policy_class, oracle, n, gamma, config_int(config, "playouts", 1),
-                              config.get("horizon_mode", "iid_pool"))
+                              config.get("horizon_mode", MODES[0]))
     if algo == "adversarial_reduction":
         rel = ExpWeightsRelaxation(policy_class, n, eta=config_number(config, "eta"))
         return ReductionStrategy(rel, gamma, n)

@@ -60,6 +60,13 @@ class TestBistroChecker:
                 PolicyClass.all_labelings(2, 4), [0.25] * 4, n=2, gamma=0.25
             )
 
+    @pytest.mark.parametrize("check", [check_bistro_admissibility,
+                                       check_reduction_admissibility])
+    def test_refuses_an_empty_horizon(self, check):
+        pc = PolicyClass.all_labelings(2, 2)
+        with pytest.raises(ValueError, match="at least one round; got n=0"):
+            check(pc, [0.5, 0.5], n=0, gamma=0.25)
+
     def test_exact_mixed_q_matches_sequence_form(self):
         # every playout of the strategy's query [past | e_j | scale*eps], priced
         # one query at a time by the sequence-form reference

@@ -180,15 +180,40 @@ def test_malformed_documents_exit_2(command, changes, named, tmp_path, capsys):
     assert captured.out == ""
 
 
+RANGE_ERRORS = {
+    "lambda": ({"lambda": -1}, "config key 'lambda' must be at least 0"),
+    "lambda-nan": ({"lambda": float("nan")}, "config key 'lambda' must be at least 0"),
+    "K": ({"K": -1}, "config key 'K' must be at least 0"),
+    "tune_samples": ({"tune_samples": 0}, "config key 'tune_samples' must be at least 1"),
+    "playouts": ({"playouts": 0}, "config key 'playouts' must be at least 1"),
+    "delta": ({"delta": -1}, "config key 'delta' must be at least 0"),
+    "pool_factor": ({"pool_factor": 0}, "config key 'pool_factor' must be at least 1"),
+    "horizon_mode": ({"horizon_mode": "bogus"}, "config key 'horizon_mode' must be one of"),
+}
+
+
+# every command builds the class first, so each applies the same checks
+@pytest.mark.parametrize("command", ["run", "admissibility", "rademacher"])
+@pytest.mark.parametrize("case", sorted(RANGE_ERRORS))
+def test_range_errors_name_their_key(command, case, tmp_path, capsys):
+    changes, named = RANGE_ERRORS[case]
+    check_range_error(command, changes, named, tmp_path, capsys)
+
+
 @pytest.mark.parametrize("command, changes, named", [
-    ("run", {"lambda": -1}, "config key 'lambda' must be at least 0"),
-    ("run", {"lambda": float("nan")}, "config key 'lambda' must be at least 0"),
-    ("run", {"K": -1}, "config key 'K' must be at least 0"),
-    ("run", {"tune_samples": 0}, "config key 'tune_samples' must be at least 1"),
-    ("run", {"playouts": 0}, "config key 'playouts' must be at least 1"),
+    # admissibility refuses an algorithm it cannot check before reading the rest
+    ("run", {"algorithm": "bogus"}, "config key 'algorithm' must be one of"),
+    ("rademacher", {"algorithm": "bogus"}, "config key 'algorithm' must be one of"),
+    # uniform plays no horizon mode, but the key is checked all the same
+    ("run", {"algorithm": "uniform", "horizon_mode": "bogus"},
+     "config key 'horizon_mode' must be one of"),
     ("admissibility", {"gamma": None}, "missing required config key 'gamma'"),
-], ids=["lambda", "lambda-nan", "K", "tune_samples", "playouts", "gamma-missing"])
-def test_range_errors_name_their_key(command, changes, named, tmp_path, capsys):
+], ids=["algorithm-run", "algorithm-rademacher", "horizon_mode-uniform", "gamma-missing"])
+def test_command_errors_name_their_key(command, changes, named, tmp_path, capsys):
+    check_range_error(command, changes, named, tmp_path, capsys)
+
+
+def check_range_error(command, changes, named, tmp_path, capsys):
     code = main([command, "--config", write_config(tmp_path, **changes)])
     captured = capsys.readouterr()
     assert code == 2
@@ -233,6 +258,14 @@ def test_admissibility_refuses_an_empty_filtered_benchmark(tmp_path, capsys):
     assert code == 2
     assert captured.err == ("bistro admissibility: benchmark class is empty after constraint "
                             "filtering\n")
+    assert captured.out == ""
+
+
+def test_admissibility_refuses_an_empty_horizon(tmp_path, capsys):
+    code = main(["admissibility", "--config", write_config(tmp_path, n=0)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "bistro admissibility: admissibility checks need at least one round; got n=0\n"
     assert captured.out == ""
 
 
