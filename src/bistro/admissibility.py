@@ -16,6 +16,7 @@ capped at desk scale so futures and action sequences stay enumerable.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,8 +209,9 @@ def check_bistro_admissibility(
 
     def relaxation(m: int):
         fut_ctx, fut_signs, weights = _futures(probs, d, m)
-        return lambda ctx, cols: weights @ relaxation_price(oracle, budget, gamma, ctx, cols,
-                                                            fut_ctx, fut_signs)
+        # fsum: a BLAS dot product's last bits would depend on its thread count
+        return lambda ctx, cols: math.fsum(weights * relaxation_price(
+            oracle, budget, gamma, ctx, cols, fut_ctx, fut_signs))
 
     return _walk(
         policy_class, probs, n, gamma, seed, initial_checks,
