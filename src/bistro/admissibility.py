@@ -161,8 +161,7 @@ def _walk(policy_class: PolicyClass, probs: np.ndarray, n: int, gamma: float,
         for x in np.nonzero(probs)[0].tolist():
             q = qs_by_context[x] = strategy(ctx, cols, x)
             ctx_now = np.append(ctx, x)
-            # the history after playing j depends on the vertex only through c[j];
-            # at c[j] = 0 the appended column is all zeros, whatever j
+            # after playing j the history depends on c only through c[j]; at c[j] = 0, not on j
             zero = price(ctx_now, np.vstack([cols, np.zeros(d)]))
             after = [(zero, price(ctx_now, np.vstack([cols, gamma / q[j] * np.eye(d)[j]])))
                      for j in range(d)]

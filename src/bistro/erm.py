@@ -5,10 +5,9 @@ class of the linear objective sum_t <M_t, Y_t>, where M_f is a policy's
 one-hot matrix on the contexts. Variants here: exact finite-class
 enumeration, an additive-noise approximate wrapper, Lagrangian-regularized
 values with data-based constraint functions, and a box superset relaxation
-in closed form. Each prices a single query or a stack of queries in one
-body, and so does ``benchmark``, the unrelaxed class at its budget K. The
-metric-labeling brute force that cross-checks the regularized objective is
-``verify.mlc_bruteforce``.
+in closed form; each prices a query or a stack in one body, as does the
+benchmark (the unrelaxed class at its budget K). ``verify.mlc_bruteforce``
+cross-checks the regularized objective by metric-labeling brute force.
 """
 
 from __future__ import annotations
@@ -174,18 +173,14 @@ class EmptyBenchmarkError(ValueError):
 
 
 def benchmark(policy_class: PolicyClass, contexts, Y, constraint=None, K: float | None = None):
-    """The benchmark: the least linear cost sum_t Y[f(x_t), t] over the original
-    class, filtered to C(f) <= K on the query's contexts when both a constraint
-    and its budget K are given. A query, contexts (n,) with Y (d, n), gives a
-    float; a stack, contexts (S, n) with Y (S, d, n), an (S,) array. The
-    constraint is priced once per context row; a relaxation's integrality gap
-    never enters here.
-    """
+    """Least linear cost sum_t Y[f(x_t), t] over the unrelaxed class, filtered to
+    C(f) <= K on each query's contexts (priced once per row) when a constraint
+    and its budget K are both given: a float for a query, contexts (n,) with
+    Y (d, n), and an (S,) array for a stack, contexts (S, n) with Y (S, d, n)."""
     values = policy_class.values(contexts, Y)
     if constraint is not None and K is not None:
-        ids = context_ids(contexts)
         costs = np.array([policy_constraint_values(constraint, policy_class, row)
-                          for row in (ids if ids.ndim == 2 else [ids])]).reshape(values.shape)
+                          for row in np.atleast_2d(context_ids(contexts))]).reshape(values.shape)
         if (costs < 0).any():
             raise ValueError("constraint values must be nonnegative")
         values = np.where(costs <= K, values, np.inf)

@@ -265,7 +265,8 @@ def test_admissibility_refuses_an_empty_horizon(tmp_path, capsys):
     code = main(["admissibility", "--config", write_config(tmp_path, n=0)])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err == "bistro admissibility: admissibility checks need at least one round; got n=0\n"
+    assert captured.err == ("bistro admissibility: admissibility checks need at least one round; "
+                            "got n=0\n")
     assert captured.out == ""
 
 

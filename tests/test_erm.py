@@ -359,7 +359,8 @@ class TestBenchmark:
         # and weights are dyadic, so both sides are exact and must agree bit for bit.
         rng = np.random.default_rng(43)
         for trial in range(150):
-            d, universe, n = int(rng.integers(2, 4)), int(rng.integers(1, 5)), int(rng.integers(1, 9))
+            d, universe = int(rng.integers(2, 4)), int(rng.integers(1, 5))
+            n = int(rng.integers(1, 9))
             pc = PolicyClass(rng.integers(0, d, (int(rng.integers(1, 17)), universe)), d)
             if trial % 2:
                 A = rng.integers(0, 4, (universe, universe)) / 2.0
