@@ -180,6 +180,8 @@ def test_malformed_documents_exit_2(command, changes, named, tmp_path, capsys):
     assert captured.out == ""
 
 
+# Each is refused by every command, which builds the class first; run's ids
+# are the case names alone.
 RANGE_ERRORS = {
     "lambda": ({"lambda": -1}, "config key 'lambda' must be at least 0"),
     "lambda-nan": ({"lambda": float("nan")}, "config key 'lambda' must be at least 0"),
@@ -190,17 +192,11 @@ RANGE_ERRORS = {
     "pool_factor": ({"pool_factor": 0}, "config key 'pool_factor' must be at least 1"),
     "horizon_mode": ({"horizon_mode": "bogus"}, "config key 'horizon_mode' must be one of"),
 }
-
-
-# every command builds the class first, so each applies the same checks
-@pytest.mark.parametrize("command", ["run", "admissibility", "rademacher"])
-@pytest.mark.parametrize("case", sorted(RANGE_ERRORS))
-def test_range_errors_name_their_key(command, case, tmp_path, capsys):
-    changes, named = RANGE_ERRORS[case]
-    check_range_error(command, changes, named, tmp_path, capsys)
+COMMANDS = ("run", "admissibility", "rademacher")
 
 
 @pytest.mark.parametrize("command, changes, named", [
+    *[(command, *RANGE_ERRORS[case]) for case in RANGE_ERRORS for command in COMMANDS],
     # admissibility refuses an algorithm it cannot check before reading the rest
     ("run", {"algorithm": "bogus"}, "config key 'algorithm' must be one of"),
     ("rademacher", {"algorithm": "bogus"}, "config key 'algorithm' must be one of"),
@@ -208,12 +204,10 @@ def test_range_errors_name_their_key(command, case, tmp_path, capsys):
     ("run", {"algorithm": "uniform", "horizon_mode": "bogus"},
      "config key 'horizon_mode' must be one of"),
     ("admissibility", {"gamma": None}, "missing required config key 'gamma'"),
-], ids=["algorithm-run", "algorithm-rademacher", "horizon_mode-uniform", "gamma-missing"])
-def test_command_errors_name_their_key(command, changes, named, tmp_path, capsys):
-    check_range_error(command, changes, named, tmp_path, capsys)
-
-
-def check_range_error(command, changes, named, tmp_path, capsys):
+], ids=[*[case if command == "run" else f"{case}-{command}"
+          for case in RANGE_ERRORS for command in COMMANDS],
+        "algorithm", "algorithm-rademacher", "horizon_mode-uniform", "gamma-missing"])
+def test_range_errors_name_their_key(command, changes, named, tmp_path, capsys):
     code = main([command, "--config", write_config(tmp_path, **changes)])
     captured = capsys.readouterr()
     assert code == 2
