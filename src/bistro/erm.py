@@ -28,7 +28,7 @@ class ErmOracle:
     either shape in one ``_values`` body. A stack equals S sequential calls
     bit for bit on dyadic costs and to 1e-12 otherwise: its products sum in
     another order than a single query's. Oracles are stateless across calls
-    apart from the counter (and a noise stream).
+    apart from the counter (and a noise stream or a penalty cache).
     """
 
     def __init__(self):
@@ -124,7 +124,9 @@ class PairwiseDisagreement:
         over round pairs folds into one over the distinct contexts u with
         counts c, weighted by W_u * outer(c, c): O(|F|*|u|^2), not O(|F|*n^2).
         """
-        u, c = np.unique(context_ids(contexts), return_counts=True)
+        counts = np.bincount(context_ids(contexts), minlength=policy_class.universe_size)
+        u = np.flatnonzero(counts)  # sorted; actions_on refuses ids past the universe
+        c = counts[u]
         actions = policy_class.actions_on(u)
         W = self._pair_weights(u) * np.outer(c, c)
         differ = actions[:, :, None] != actions[:, None, :]
@@ -221,6 +223,7 @@ class RegularizedErmOracle(ExactErmOracle):
             raise ValueError("lambda_scaled must be nonnegative")
         self.constraint = constraint
         self.lambda_scaled = float(lambda_scaled)
+        self._last = (None, None)
 
     def _values(self, contexts, Y: np.ndarray):
         vals = self.policy_class.values(contexts, Y)
@@ -229,10 +232,16 @@ class RegularizedErmOracle(ExactErmOracle):
         return vals.min(axis=-1)
 
     def _penalties(self, contexts, stacked: bool) -> np.ndarray:
-        """Every policy's C, (|F|,) or a stack's (S, |F|), once per distinct context row."""
-        if not stacked:
-            return policy_constraint_values(self.constraint, self.policy_class, contexts)
+        """Every policy's C, (|F|,) or a stack's (S, |F|), once per distinct context row;
+        a single query reuses the last one's vector on a repeated row (play's d queries)."""
         ids = context_ids(contexts)
+        if not stacked:
+            key = (ids.dtype.str, ids.tobytes())  # content, not identity: play rewrites its row
+            if self._last[0] != key:
+                penalty = policy_constraint_values(self.constraint, self.policy_class, ids)
+                penalty.flags.writeable = False
+                self._last = (key, penalty)
+            return self._last[1]
         keys = [row.tobytes() for row in ids]
         penalty = {key: policy_constraint_values(self.constraint, self.policy_class, row)
                    for key, row in dict(zip(keys, ids)).items()}

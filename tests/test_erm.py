@@ -157,6 +157,52 @@ class TestStackedQueries:
         oracle(ctxs[0], Y[0])
         assert rows == [ctxs[0].tolist()]
 
+    @staticmethod
+    def spied_oracle(monkeypatch, pc):
+        """A pairwise oracle at lambda 0.3, and the context rows it prices."""
+        rows = []
+        penalties = erm.policy_constraint_values
+
+        def spy(constraint, policy_class, contexts):
+            rows.append(np.array(contexts).tolist())
+            return penalties(constraint, policy_class, contexts)
+
+        monkeypatch.setattr(erm, "policy_constraint_values", spy)
+        return RegularizedErmOracle(pc, PairwiseDisagreement("uniform"), 0.3), rows
+
+    def test_single_queries_on_one_row_price_it_once(self, monkeypatch):
+        # play's d queries of a playout share their context row and differ only in Y
+        pc, ctxs, Y = self.queries(58)
+        fresh = [RegularizedErmOracle(pc, PairwiseDisagreement("uniform"), 0.3)(ctxs[0], y)
+                 for y in Y]
+        oracle, rows = self.spied_oracle(monkeypatch, pc)
+        assert [oracle(ctxs[0], y) for y in Y] == fresh
+        assert rows == [ctxs[0].tolist()]
+
+    def test_row_rewritten_in_place_prices_again(self, monkeypatch):
+        # the strategy rewrites one context array in place between playouts
+        pc, ctxs, Y = self.queries(59)
+        fresh = [RegularizedErmOracle(pc, PairwiseDisagreement("uniform"), 0.3)(c, y)
+                 for c, y in zip(ctxs[:2], Y[:2])]
+        oracle, rows = self.spied_oracle(monkeypatch, pc)
+        row = ctxs[0].copy()
+        first = oracle(row, Y[0])
+        row[:] = ctxs[1]
+        assert [first, oracle(row, Y[1])] == fresh
+        assert rows == [ctxs[0].tolist(), ctxs[1].tolist()]
+
+    def test_repeated_row_needs_a_repeated_dtype(self):
+        # int32 [1, 0] and int64 [1] are the same eight bytes; no constant
+        # policy hides a stale penalty behind a zero one
+        pc = PolicyClass([[0, 1], [1, 0]], 2)
+        make = lambda: RegularizedErmOracle(pc, PairwiseDisagreement("uniform"), 0.5)
+        pair, single = np.array([1, 0], dtype=np.int32), np.array([1], dtype=np.int64)
+        assert pair.tobytes() == single.tobytes()
+        oracle = make()
+        for ctxs in (pair, single, pair):
+            Y = Y_EXAMPLE[:, :ctxs.size]
+            assert oracle(ctxs, Y) == make()(ctxs, Y)
+
     def test_counter_adds_stack_size(self):
         pc, ctxs, Y = self.queries(55, stack=7)
         oracle = ExactErmOracle(pc)
@@ -273,6 +319,15 @@ def sequence_penalties(constraint, pc, ctxs):
                      for f in range(pc.size)])
 
 
+def sorted_fold(constraint, pc, ctxs):
+    """The pairwise fold over np.unique's sorted contexts and counts: the
+    summation order every weighted penalty is kept in, bit for bit."""
+    u, c = np.unique(ctxs, return_counts=True)
+    actions = pc.actions_on(u)
+    W = constraint.weights[np.ix_(u, u)] * np.outer(c, c)
+    return ((actions[:, :, None] != actions[:, None, :]) * W).sum(axis=(1, 2))
+
+
 def symmetric_weights(rng, universe):
     A = rng.uniform(0, 1, (universe, universe))
     return A + A.T
@@ -293,6 +348,8 @@ class TestFoldedPairwise:
             np.testing.assert_allclose(policy_constraint_values(constraint, pc, ctxs),
                                        sequence_penalties(constraint, pc, ctxs),
                                        rtol=0, atol=1e-12)
+            assert np.array_equal(policy_constraint_values(constraint, pc, ctxs),
+                                  sorted_fold(constraint, pc, ctxs))
 
     def test_coverage_matches_sequence_form(self):
         rng = np.random.default_rng(29)
@@ -307,8 +364,9 @@ class TestFoldedPairwise:
 
     def test_out_of_universe_ids_rejected(self):
         pc = PolicyClass.all_labelings(2, 2)
-        with pytest.raises(ValueError):
-            policy_constraint_values(PairwiseDisagreement("uniform"), pc, [0, 2])
+        for ctxs in ([0, 2], [0, -1]):
+            with pytest.raises(ValueError):
+                policy_constraint_values(PairwiseDisagreement("uniform"), pc, ctxs)
 
     def test_regularized_value_matches_metric_labeling(self):
         # Nodes are the contexts: folded node costs, and per unordered pair

@@ -343,6 +343,35 @@ class TestSuite:
         run_suite(small_config(constraint=constraint, K=4), seeds=range(3))
         assert len(calls) == 3
 
+    def test_play_prices_the_penalty_once_per_playout(self, monkeypatch):
+        # a playout's d queries share one context row; a transductive episode
+        # never rewrites it, so play prices it once and regret accounting once
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return values(*args)
+
+        values = erm.policy_constraint_values
+        monkeypatch.setattr(erm, "policy_constraint_values", spy)
+        n, playouts = 32, 2
+        for mode in runner.MODES:
+            config = small_config(
+                n=n, horizon_mode=mode, playouts=playouts, algorithm="bistro_regularized",
+                policy_class={"family": "all_labelings", "d": 2, "universe": 4},
+                cost_process={"type": "adaptive", "rule": "argmax_punish"},
+                constraint={"type": "pairwise", "weights": "uniform"}, K=4, **{"lambda": 0.1})
+            pc = runner.build_policy_class(config)
+            strategy = make_strategy(config, pc, 0.25)
+            calls.clear()
+            tr = run_episode(strategy, runner.build_environment(config, pc), n, seed=0)
+            benchmark_value(tr, pc, runner.build_constraint(config), 4)
+            assert strategy.oracle_calls == 2 * playouts * n
+            if mode == "transductive":
+                assert len(calls) == 2
+            else:
+                assert len(calls) <= playouts * n + 1
+
     def test_argmax_linear_class_from_context_features(self):
         # unit features: policy f plays argmax_j w_fj[x] at context x
         linear = small_config(
