@@ -425,6 +425,9 @@ def run_suite(config: dict, seeds, out_dir: str | None = None) -> dict:
     Runs under the same numeric policy as the CLI: floating-point errors
     other than underflow raise, whatever the caller's ``np.errstate``.
     """
+    seeds = list(seeds)  # each names one episode and its CSV
+    if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
+        raise ValueError(f"seeds must be one or more distinct nonnegative integers; got {seeds}")
     with np.errstate(all="raise", under="ignore"):
         policy_class = build_policy_class(config)
         env = build_environment(config, policy_class)
@@ -433,7 +436,6 @@ def run_suite(config: dict, seeds, out_dir: str | None = None) -> dict:
         constraint = build_constraint(config)
         K = config_number(config, "K")
 
-        seeds = list(seeds)
         regrets = np.zeros(len(seeds))
         realized = np.zeros(len(seeds))
         calls = 0
@@ -452,7 +454,7 @@ def run_suite(config: dict, seeds, out_dir: str | None = None) -> dict:
             calls += strategy.oracle_calls
             transcripts.append(tr)
 
-        mean = float(regrets.mean()) if seeds else 0.0
+        mean = float(regrets.mean())
         std = float(regrets.std(ddof=1)) if len(seeds) > 1 else 0.0
         bound = params["bound"]
         summary = {
@@ -462,7 +464,7 @@ def run_suite(config: dict, seeds, out_dir: str | None = None) -> dict:
             "seeds": [int(s) for s in seeds],
             "mean_regret": mean,
             "std_regret": std,
-            "mean_realized_regret": float(realized.mean()) if seeds else 0.0,
+            "mean_realized_regret": float(realized.mean()),
             "bound": bound,
             "bound_stderr": params["bound_stderr"],
             "gamma_used": params["gamma"],

@@ -40,6 +40,18 @@ def test_run_algorithm_override_and_seed_list(tmp_path, capsys):
     assert printed["seeds"] == [3, 5]
 
 
+@pytest.mark.parametrize("seeds", ["0", "-2", "1,-1", "2,2"])
+def test_run_refuses_seed_lists_that_check_nothing(seeds, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["run", "--config", cfg("regularized_pairwise.json"), "--seeds", seeds,
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("bistro run: seeds must be")
+    assert captured.err.count("\n") == 1
+    assert captured.out == "" and not out.exists()
+
+
 def test_rademacher_subcommand(capsys):
     code = main([
         "rademacher", "--config", cfg("admissibility_small.json"), "--samples", "200",

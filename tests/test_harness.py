@@ -249,6 +249,13 @@ class TestSuite:
         with pytest.raises(RuntimeError, match="seed 3"):
             run_suite(config, seeds=[3])
 
+    def test_seed_lists_that_check_nothing_are_refused(self, tmp_path):
+        # no episode, a seed that cannot seed one, or one episode's CSV written twice
+        for seeds in ([], range(0), [1, -1], [2, 2]):
+            with pytest.raises(ValueError, match="seeds must be"):
+                run_suite(small_config(), seeds=seeds, out_dir=str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
+
     def test_algorithm_validation(self):
         config = small_config(algorithm="nope")
         with pytest.raises(ValueError):
