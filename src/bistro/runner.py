@@ -471,6 +471,7 @@ def run_suite(config: dict, seeds, out_dir: str | None = None) -> dict:
             "rad_estimate": params["rad_estimate"],
             "rad_stderr": params["rad_stderr"],
             "oracle_calls_total": int(calls),
+            "regret_stderr": float(std / np.sqrt(len(seeds))),
             "violations": int(bound is not None and mean > bound),
             "per_seed_regret": [float(r) for r in regrets],
         }

@@ -226,6 +226,14 @@ class TestSuite:
             b = (dirs[1] / name).read_bytes()
             assert a == b, name
 
+    def test_regret_stderr_is_the_mean_regrets_standard_error(self, tmp_path):
+        # a diagnostic beside violations, which stays mean > bound
+        summary = run_suite(small_config(n=6), seeds=[0, 1, 2], out_dir=str(tmp_path))
+        assert json.loads((tmp_path / "summary.json").read_text()) == summary
+        assert summary["std_regret"] == float(np.std(summary["per_seed_regret"], ddof=1))
+        assert summary["regret_stderr"] == summary["std_regret"] / np.sqrt(3)
+        assert summary["violations"] == int(summary["mean_regret"] > summary["bound"])
+
     def test_csv_schema(self):
         config = small_config(n=3)
         pc = PolicyClass.all_labelings(2, 2)
