@@ -58,8 +58,8 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     values: dict[str, dict[str, dict[int, float]]] = {}
     for run in runs:
         for key, metric in json.loads(run["last_line"])["metrics"].items():
-            values.setdefault(key, {side: {} for side in SIDES})[run["side"]][run["pair"]] = \
-                metric["value"]
+            side = values.setdefault(key, {s: {} for s in SIDES})[run["side"]]
+            side[run["pair"]] = metric["value"]
     summary = {}
     for key in sorted(values):
         parent, change = values[key]["parent"], values[key]["change"]
