@@ -1,11 +1,11 @@
 """Run the benchmark on two commits in alternating pairs and write BENCH_<label>.json.
 
-    python scripts/bench_pairs.py --parent <rev> --change <rev> --label <label>
+    python scripts/bench_pairs.py --parent <rev> --change <rev> --label <label> --seed-base <n>
 
 Both commits are exported with ``git archive`` into fresh temporary
-directories. Pair p runs ``perfbench/run.py --workload all --seed <base + p>
---seconds <s> --trace 0`` in each tree, the parent first in odd pairs and the
-change first in even ones, and keeps the last line of standard output. The
+directories. Each of the 10 pairs p runs ``perfbench/run.py --workload all
+--seed <base + p> --seconds 5 --trace 0`` in each tree, the parent first in odd
+pairs and the change first in even ones, and keeps the last line of standard output. The
 summary gives each end-to-end metric's median and quartiles per side, the
 pairs in which the change reads better by the metric's direction (from
 ``BENCHMARK.json``), the tied pairs and the ratio of the medians.
@@ -26,6 +26,8 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+PAIRS = 10  # fewer pairs cannot show a gain in nine tenths of them
+SECONDS = 5
 
 
 def git(*args: str) -> str:
@@ -41,10 +43,10 @@ def export(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def run_once(tree: Path, seed: int, seconds: float) -> str:
+def run_once(tree: Path, seed: int) -> str:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(SECONDS), "--trace", "0"],
         cwd=tree, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -81,12 +83,9 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="revision of the parent commit")
     parser.add_argument("--change", required=True, help="revision of the change")
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json at the root")
-    parser.add_argument("--pairs", type=int, default=10, help="at least 10")
-    parser.add_argument("--seconds", type=float, default=5.0)
-    parser.add_argument("--seed-base", type=int, default=1800)
+    parser.add_argument("--seed-base", type=int, required=True,
+                        help="pair p runs with seed <seed-base> + p")
     args = parser.parse_args(argv)
-    if args.pairs < 10:  # fewer pairs cannot show a gain in nine tenths of them
-        parser.error("--pairs must be at least 10")
     shas = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
     better = {m["name"]: m["better"]
               for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
@@ -96,19 +95,19 @@ def main(argv=None) -> int:
         trees = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
             export(shas[side], trees[side])
-        for pair in range(1, args.pairs + 1):
+        for pair in range(1, PAIRS + 1):
             seed = args.seed_base + pair
             for side in SIDES if pair % 2 else SIDES[::-1]:
                 runs.append({"pair": pair, "side": side, "seed": seed,
-                             "last_line": run_once(trees[side], seed, args.seconds)})
+                             "last_line": run_once(trees[side], seed)})
                 print(f"pair {pair} {side} done", file=sys.stderr, flush=True)
 
     totals = {key: {side: sum(json.loads(r["last_line"])[key] for r in runs if r["side"] == side)
                     for side in SIDES} for key in ("failed", "attempted")}
     doc = {
         "command": f"python3 perfbench/run.py --workload all --seed <{args.seed_base}+pair> "
-                   f"--seconds {args.seconds:g} --trace 0 | tail -1",
-        "protocol": f"{args.pairs} pairs; each pair runs the parent commit and the change in "
+                   f"--seconds {SECONDS} --trace 0 | tail -1",
+        "protocol": f"{PAIRS} pairs; each pair runs the parent commit and the change in "
                     "fresh git archive copies, parent first in odd pairs and change first in "
                     "even pairs; both sides of a pair use the same seed; no pinning beyond "
                     "the benchmark's own",

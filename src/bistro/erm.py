@@ -124,8 +124,9 @@ class PairwiseDisagreement:
         over round pairs folds into one over the distinct contexts u with
         counts c, weighted by W_u * outer(c, c): O(|F|*|u|^2), not O(|F|*n^2).
         """
-        counts = np.bincount(context_ids(contexts), minlength=policy_class.universe_size)
-        u = np.flatnonzero(counts)  # sorted; actions_on refuses ids past the universe
+        ids = policy_class._checked_ids(contexts)  # before bincount sizes by the largest id
+        counts = np.bincount(ids, minlength=policy_class.universe_size)
+        u = np.flatnonzero(counts)  # sorted
         c = counts[u]
         actions = policy_class.actions_on(u)
         W = self._pair_weights(u) * np.outer(c, c)

@@ -33,8 +33,3 @@ def test_summary_counts_wins_by_each_metrics_direction():
     assert rate["ratio_of_medians"] == pytest.approx(12 / 11)
     assert (ms["change_better_pairs"], ms["tied_pairs"]) == (1, 1)
 
-
-def test_refuses_fewer_than_ten_pairs():
-    with pytest.raises(SystemExit):
-        load_script().main(["--parent", "HEAD", "--change", "HEAD", "--label", "x",
-                            "--pairs", "9"])

@@ -364,8 +364,8 @@ class TestFoldedPairwise:
 
     def test_out_of_universe_ids_rejected(self):
         pc = PolicyClass.all_labelings(2, 2)
-        for ctxs in ([0, 2], [0, -1]):
-            with pytest.raises(ValueError):
+        for ctxs in ([0, 2], [0, -1], [0, 10**12]):
+            with pytest.raises(ValueError, match="universe"):
                 policy_constraint_values(PairwiseDisagreement("uniform"), pc, ctxs)
 
     def test_regularized_value_matches_metric_labeling(self):
