@@ -128,7 +128,7 @@ class PairwiseDisagreement:
         counts = np.bincount(ids, minlength=policy_class.universe_size)
         u = np.flatnonzero(counts)  # sorted
         c = counts[u]
-        actions = policy_class.table[:, u]
+        actions = policy_class.actions_on(u)
         W = self._pair_weights(u) * np.outer(c, c)
         differ = actions[:, :, None] != actions[:, None, :]
         return (differ * W).sum(axis=(1, 2))
