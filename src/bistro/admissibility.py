@@ -79,19 +79,17 @@ def _checked_probs(policy_class: PolicyClass, probs, n: int) -> np.ndarray:
     return probs
 
 
-def relaxation_price(oracle: ErmOracle, budget: float, gamma: float, ctx: np.ndarray,
-                     cols: np.ndarray, fut_ctx: np.ndarray, fut_signs: np.ndarray) -> np.ndarray:
-    """The relaxation of one history per future of its m remaining rounds,
-    m*d*gamma + budget - oracle([history | SIGN_SCALE*eps]) / gamma: contexts
-    (k,) and columns (k, d) in play's units gamma*c~, the current round's
-    included, then S futures of contexts (S, m) and signs (S, d, m), priced as
-    one stack.
-    """
-    S, d, m = fut_signs.shape
-    contexts = np.hstack([np.broadcast_to(ctx, (S, ctx.size)), fut_ctx])
-    Y = np.concatenate([np.broadcast_to(cols.T, (S, d, len(cols))), SIGN_SCALE * fut_signs],
-                       axis=2)
-    return m * d * gamma + budget - oracle(contexts, Y) / gamma
+def playout_values(oracle: ErmOracle, ctx: np.ndarray, cols: np.ndarray,
+                   fut_ctx: np.ndarray, fut_signs: np.ndarray) -> np.ndarray:
+    """``oracle`` on play's queries [history | SIGN_SCALE*eps], every history
+    against every future, as one stack in s-major order: H histories of
+    contexts (H, k) and columns (H, k, d) in play's units gamma*c~, and S
+    futures of contexts (S, m) and signs (S, d, m). Returns shape (S, H)."""
+    (H, k, d), S = cols.shape, len(fut_signs)
+    contexts = np.hstack([np.tile(ctx, (S, 1)), np.repeat(fut_ctx, H, axis=0)])
+    Y = np.concatenate([np.tile(cols.transpose(0, 2, 1), (S, 1, 1)),
+                        np.repeat(SIGN_SCALE * fut_signs, H, axis=0)], axis=2)
+    return oracle(contexts, Y).reshape(S, H)
 
 
 def _futures(probs: np.ndarray, d: int, m: int):
@@ -111,17 +109,13 @@ def _futures(probs: np.ndarray, d: int, m: int):
 def _exact_mixed_q(oracle: ErmOracle, probs: np.ndarray, gamma: float, n: int,
                    realized_ctx: np.ndarray, scaled_past: np.ndarray, x: int) -> np.ndarray:
     """Expected mixed distribution at context x, playouts enumerated exactly:
-    the strategy's d queries for every future go to the oracle as one stack.
-    """
+    the strategy's d queries, whose history j is the past then e_j at x, for
+    every future go through ``playout_values`` as one stack."""
     k, d = scaled_past.shape
     fut_ctx, fut_signs, weights = _futures(probs, d, n - k - 1)
-    S = len(weights)
-    Y = np.zeros((S, d, d, n))  # (future, priced action j, d, n)
-    Y[:, :, :, :k] = scaled_past.T
-    Y[:, np.arange(d), np.arange(d), k] = 1.0
-    Y[:, :, :, k + 1:] = SIGN_SCALE * fut_signs[:, None]
-    ctx = np.hstack([np.broadcast_to(np.append(realized_ctx, x), (S, k + 1)), fut_ctx])
-    psi = oracle(np.repeat(ctx, d, axis=0), Y.reshape(S * d, d, n)).reshape(S, d)
+    cols = np.concatenate([np.broadcast_to(scaled_past, (d, k, d)), np.eye(d)[:, None]], axis=1)
+    ctx = np.broadcast_to(np.append(realized_ctx, x), (d, k + 1))
+    psi = playout_values(oracle, ctx, cols, fut_ctx, fut_signs)
     q_star = np.zeros(d)
     for w, row in zip(weights, psi):
         q_star += w * waterfill(row)
@@ -199,7 +193,7 @@ def check_bistro_admissibility(
     the horizon condition enumerate futures or action sequences exactly.
 
     ``oracle`` and ``budget`` are the relaxation's (``runner.relaxation``;
-    by default bistro's), and both sides price through ``relaxation_price``.
+    by default bistro's), and both sides price through ``playout_values``.
     ``constraint`` and ``K`` filter the benchmark, as the runner does.
     """
     probs = _checked_probs(policy_class, probs, n)
@@ -209,14 +203,16 @@ def check_bistro_admissibility(
     def relaxation(m: int):
         fut_ctx, fut_signs, weights = _futures(probs, d, m)
         # fsum: a BLAS dot product's last bits would depend on its thread count
-        return lambda ctx, cols: math.fsum(weights * relaxation_price(
-            oracle, budget, gamma, ctx, cols, fut_ctx, fut_signs))
+        return lambda ctx, cols: math.fsum(weights * (m * d * gamma + budget - playout_values(
+            oracle, ctx[None], cols[None], fut_ctx, fut_signs)[:, 0] / gamma))
 
+    empty_ctx, empty_signs, _ = _futures(probs, d, 0)  # an endpoint's one future
     return _walk(
         policy_class, probs, n, gamma, seed, initial_checks,
         lambda ctx, cols, x: _exact_mixed_q(oracle, probs, gamma, n, ctx, cols, x),
         relaxation,
-        lambda cols, ctx: budget - oracle(ctx, gamma * cols.transpose(0, 2, 1)) / gamma,
+        lambda cols, ctx: budget - playout_values(
+            oracle, ctx, gamma * cols, empty_ctx, empty_signs)[0] / gamma,
         constraint, K,
     )
 

@@ -9,7 +9,7 @@ from bistro.admissibility import (
     _exact_mixed_q,
     check_bistro_admissibility,
     check_reduction_admissibility,
-    relaxation_price,
+    playout_values,
 )
 from bistro.erm import (
     CoveragePenalty,
@@ -149,8 +149,8 @@ class TestBoundIsRelaxationAtEmptyHistory:
 @pytest.mark.parametrize("algorithm", PLAYOUT_RELAXATIONS)
 def test_play_queries_price_the_checked_relaxation(algorithm):
     # Exact, one round: each of play's d queries [gamma*c~ | e_j | 2*eps]
-    # is -gamma * (price - m*d*gamma - budget), where price is the checker's
-    # relaxation of the same history, current column and draws.
+    # has the value the checker's playout_values gives the same history,
+    # current column and draws.
     config = relaxation_config(algorithm)
     pc = build_policy_class(config)
     env = build_environment(config, pc)
@@ -163,18 +163,18 @@ def test_play_queries_price_the_checked_relaxation(algorithm):
     spy.queries.clear()
     strategy.choose(0)  # round 2: one past column, the current one, m = 1 future
 
-    oracle, budget = relaxation(config, pc, gamma)
-    t, m = 1, n - 2
+    oracle, _ = relaxation(config, pc, gamma)
+    t = 1
     assert len(spy.queries) == d
     for j, (ctx, Y, value) in enumerate(spy.queries):
         # the walk's units: history gamma*c/q on the played action, playouts 2*eps
         np.testing.assert_array_equal(Y[:, 0], gamma * (0.7 / q[0]) * np.eye(d)[0])
         np.testing.assert_array_equal(Y[:, t], np.eye(d)[j])
         assert set(np.abs(Y[:, t + 1:]).ravel()) == {SIGN_SCALE}
-        price = relaxation_price(oracle, budget, gamma, ctx[:t + 1], Y[:, :t + 1].T,
+        checked = playout_values(oracle, ctx[None, :t + 1], Y[:, :t + 1].T[None],
                                  ctx[None, t + 1:], Y[None, :, t + 1:] / SIGN_SCALE)
-        assert value == pytest.approx(-gamma * (price[0] - m * d * gamma - budget),
-                                      rel=1e-12, abs=1e-12)
+        assert checked.shape == (1, 1)
+        assert value == pytest.approx(checked[0, 0], rel=1e-12, abs=1e-12)
 
 
 def test_horizon_benchmark_is_the_filtered_class():
