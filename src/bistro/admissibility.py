@@ -66,10 +66,12 @@ class AdmissibilityReport:
         return all(s.passed() for s in self.steps) and self.initial.failures == 0
 
 
-def _checked_probs(policy_class: PolicyClass, probs, n: int) -> np.ndarray:
+def _checked_probs(policy_class: PolicyClass, probs, n: int, gamma: float) -> np.ndarray:
     probs = context_probs(probs)
     if n < 1:
         raise ValueError(f"admissibility checks need at least one round; got n={n}")
+    if not 0.0 < gamma <= 1.0 / policy_class.d:
+        raise ValueError(f"admissibility checks need gamma in (0, 1/d]; got gamma={gamma}")
     if policy_class.d > MAX_D or n > MAX_N:
         raise CapacityError(f"admissibility checks limited to d<={MAX_D}, n<={MAX_N}")
     if len(probs) > MAX_UNIVERSE or policy_class.size > MAX_CLASS:
@@ -196,7 +198,7 @@ def check_bistro_admissibility(
     by default bistro's), and both sides price through ``playout_values``.
     ``constraint`` and ``K`` filter the benchmark, as the runner does.
     """
-    probs = _checked_probs(policy_class, probs, n)
+    probs = _checked_probs(policy_class, probs, n, gamma)
     d = policy_class.d
     oracle = ExactErmOracle(policy_class) if oracle is None else oracle
 
@@ -268,7 +270,7 @@ def check_reduction_admissibility(
     initial_checks: int = 1000,
 ) -> AdmissibilityReport:
     """The walk for the full-information reduction, priced by log-sum-exps."""
-    probs = _checked_probs(policy_class, probs, n)
+    probs = _checked_probs(policy_class, probs, n, gamma)
     d = policy_class.d
     rel = ExpWeightsRelaxation(policy_class, n, eta=eta)
     return _walk(

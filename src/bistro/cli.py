@@ -44,11 +44,13 @@ def _cmd_rademacher(args) -> int:
     config = load_config(args.config)
     pc = build_policy_class(config)
     env = build_environment(config, pc)
-    params = resolve_strategy_params({**config, "algorithm": "bistro", "gamma": "auto",
-                                      "tune_samples": args.samples, "tune_seed": args.seed},
-                                     pc, env)
+    # tuned as run tunes bistro: a flag overrides the config's tuning key
+    flags = {"tune_samples": args.samples, "tune_seed": args.seed, "algorithm": "bistro"}
+    config.update({k: v for k, v in flags.items() if v is not None}, gamma="auto")
+    params = resolve_strategy_params(config, pc, env)
+    samples = config_int(config, "tune_samples", DEFAULT_TUNING_SAMPLES)
     print(json.dumps({"rad_estimate": params["rad_estimate"], "rad_stderr": params["rad_stderr"],
-                      "samples": args.samples, "tuned_gamma": params["gamma"],
+                      "samples": samples, "tuned_gamma": params["gamma"],
                       "regret_bound": params["bound"]}, indent=2, sort_keys=True))
     return 0
 
@@ -72,6 +74,9 @@ def _cmd_admissibility(args) -> int:
             pc, env.probs, n, gamma, eta=config_number(config, "eta"), seed=args.seed,
             initial_checks=args.initial_checks)
     else:
+        if config.get("horizon_mode") == "transductive":  # _futures draws i.i.d. futures
+            raise ValueError("config key 'horizon_mode' must be 'iid_pool' to be checked; "
+                             "the checker enumerates i.i.d. futures, not a known sequence")
         oracle, budget = relaxation(config, pc, gamma)
         report = check_bistro_admissibility(
             pc, env.probs, n, gamma, oracle=oracle, budget=budget,
@@ -116,8 +121,8 @@ def main(argv=None) -> int:
 
     p_rad = sub.add_parser("rademacher", help="Monte-Carlo class complexity and tuned rate")
     p_rad.add_argument("--config", required=True)
-    p_rad.add_argument("--samples", type=int, default=DEFAULT_TUNING_SAMPLES)
-    p_rad.add_argument("--seed", type=int, default=0)
+    p_rad.add_argument("--samples", type=int, help="default: the config's tune_samples, or 200")
+    p_rad.add_argument("--seed", type=int, help="default: the config's tune_seed, or 0")
     p_rad.set_defaults(fn=_cmd_rademacher)
 
     p_adm = sub.add_parser("admissibility", help="exact per-round inequality check")

@@ -216,15 +216,17 @@ def build_policy_class(config: dict) -> PolicyClass:
     # instead of later: the top-level keys, the numbers (which not every
     # command reads otherwise), the constraint document and the class.
     check_keys("config", config, REQUIRED_CONFIG_KEYS, CONFIG_KEYS)
-    if config.get("gamma", "auto") != "auto":
-        config_number(config, "gamma")
-    for key in ("lambda", "K", "eta", "delta", "epsilon"):
-        config_number(config, key)
     for key in ("d", "n", "playouts", "pool_factor", "tune_samples", "tune_seed"):
         config_int(config, key)
     for key, least in CONFIG_MINIMA.items():
-        if not config.get(key, least) >= least:  # NaN fails too
+        if not config_number(config, key, least) >= least:  # NaN fails too
             raise ValueError(f"config key {key!r} must be at least {least}; got {config[key]!r}")
+    for key in ("lambda", "K", "eta", "delta", "epsilon"):
+        if not -np.inf < config_number(config, key, 0.0) < np.inf:  # NaN fails too
+            raise ValueError(f"config key {key!r} must be finite; got {config[key]!r}")
+    gamma = config.get("gamma", "auto")
+    if gamma != "auto" and not (0.0 < config_number(config, "gamma") and config["d"] * gamma <= 1):
+        raise ValueError(f"config key 'gamma' must be \"auto\" or in (0, 1/d]; got {gamma!r}")
     for key, known in (("algorithm", ALGORITHMS), ("horizon_mode", MODES)):
         if config.get(key, known[0]) not in known:
             raise ValueError(f"config key {key!r} must be one of {known}; got {config[key]!r}")

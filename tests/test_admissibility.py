@@ -67,6 +67,15 @@ class TestBistroChecker:
         with pytest.raises(ValueError, match="at least one round; got n=0"):
             check(pc, [0.5, 0.5], n=0, gamma=0.25)
 
+    @pytest.mark.parametrize("check", [check_bistro_admissibility,
+                                       check_reduction_admissibility])
+    @pytest.mark.parametrize("gamma", [0.0, -0.25, 0.5 + 1e-9, np.inf, np.nan])
+    def test_refuses_a_rate_outside_the_floor_range(self, check, gamma):
+        # mixing needs 0 < gamma <= 1/d (d = 2), refused before any query
+        pc = PolicyClass.all_labelings(2, 2)
+        with pytest.raises(ValueError, match=r"need gamma in \(0, 1/d\]"):
+            check(pc, [0.5, 0.5], n=2, gamma=gamma, initial_checks=5)
+
     def test_exact_mixed_q_matches_sequence_form(self):
         # every playout of the strategy's query [past | e_j | scale*eps], priced
         # one query at a time by the sequence-form reference

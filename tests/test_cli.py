@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bistro.cli import main
+from bistro.runner import load_config
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -60,6 +61,35 @@ def test_rademacher_subcommand(capsys):
     printed = json.loads(capsys.readouterr().out)
     assert printed["samples"] == 200
     assert 0 < printed["tuned_gamma"] <= 0.5
+
+
+def test_rademacher_prices_what_run_plays(tmp_path, capsys):
+    # the flags default to the config's tuning keys, as run's tuning does
+    config = {**load_config(cfg("fixed_adversarial.json")), "tune_samples": 20, "tune_seed": 7}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["rademacher", "--config", str(path)]) == 0
+    priced = json.loads(capsys.readouterr().out)
+    assert main(["run", "--config", str(path), "--seeds", "1"]) == 0
+    played = json.loads(capsys.readouterr().out)
+    assert priced["samples"] == 20
+    assert priced["tuned_gamma"] == played["gamma_used"]
+    assert priced["regret_bound"] == played["bound"]
+    # a given flag still overrides its key
+    assert main(["rademacher", "--config", str(path), "--samples", "30", "--seed", "7"]) == 0
+    overridden = json.loads(capsys.readouterr().out)
+    assert overridden["samples"] == 30 and overridden["tuned_gamma"] != priced["tuned_gamma"]
+
+
+def test_admissibility_refuses_transductive_configs(tmp_path, capsys):
+    # the checker enumerates i.i.d. futures, so a PASS would certify iid_pool's relaxation
+    code = main(["admissibility", "--config", write_config(tmp_path, horizon_mode="transductive"),
+                 "--initial-checks", "5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("bistro admissibility: config key 'horizon_mode' must be")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 def test_admissibility_subcommand(capsys):
@@ -203,6 +233,18 @@ RANGE_ERRORS = {
     "delta": ({"delta": -1}, "config key 'delta' must be at least 0"),
     "pool_factor": ({"pool_factor": 0}, "config key 'pool_factor' must be at least 1"),
     "horizon_mode": ({"horizon_mode": "bogus"}, "config key 'horizon_mode' must be one of"),
+    # a rate outside (0, 1/d] (d = 2 here) and infinite numbers
+    "gamma-zero": ({"gamma": 0}, "config key 'gamma' must be \"auto\" or in (0, 1/d]"),
+    "gamma-above": ({"gamma": 0.6}, "config key 'gamma' must be \"auto\" or in (0, 1/d]"),
+    "gamma-nan": ({"gamma": float("nan")}, "config key 'gamma' must be \"auto\" or in (0, 1/d]"),
+    "lambda-inf": ({"algorithm": "bistro_regularized", "constraint": {"type": "pairwise"},
+                    "K": 2, "lambda": float("inf")}, "config key 'lambda' must be finite"),
+    "K-inf": ({"K": float("inf")}, "config key 'K' must be finite"),
+    "eta-inf": ({"algorithm": "adversarial_reduction", "eta": float("inf")},
+                "config key 'eta' must be finite"),
+    "eta-nan": ({"eta": float("nan")}, "config key 'eta' must be finite"),
+    "delta-inf": ({"delta": float("inf")}, "config key 'delta' must be finite"),
+    "epsilon-inf": ({"epsilon": float("-inf")}, "config key 'epsilon' must be finite"),
 }
 COMMANDS = ("run", "admissibility", "rademacher")
 
