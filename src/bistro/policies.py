@@ -90,7 +90,6 @@ class PolicyClass:
         table.flags.writeable = False  # shared freely across threads
         self.table = table
         self.d = int(d)
-        self._onehot = None
 
     @property
     def size(self) -> int:
@@ -110,17 +109,15 @@ class PolicyClass:
         """Actions of every policy on a context sequence, shape (|F|, n)."""
         return self.table[:, self._checked_ids(contexts)]
 
-    @property
+    @cached_property
     def onehot(self) -> np.ndarray:
         """Read-only (|F|, d*|X|) 0/1 matrix; row f marks the cells j*|X| + x
         with j = f(x). Built on first use and cached (d*|F|*|X| floats)."""
-        if self._onehot is None:
-            size, universe = self.table.shape
-            onehot = np.zeros((size, self.d * universe))
-            onehot[np.arange(size)[:, None], self.table * universe + np.arange(universe)] = 1.0
-            onehot.flags.writeable = False
-            self._onehot = onehot
-        return self._onehot
+        size, universe = self.table.shape
+        onehot = np.zeros((size, self.d * universe))
+        onehot[np.arange(size)[:, None], self.table * universe + np.arange(universe)] = 1.0
+        onehot.flags.writeable = False
+        return onehot
 
     @cached_property
     def _key_offsets(self) -> np.ndarray:
@@ -215,10 +212,6 @@ class PolicyClass:
             check_keys("policy_class", doc, ("family", "weights"))
             return cls._argmax_linear(doc["weights"], features)
         raise ValueError(f"unknown policy family {family!r}")
-
-
-def uniform_distribution(d: int) -> np.ndarray:
-    return np.full(d, 1.0 / d)
 
 
 def check_distribution(q) -> list[float]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .erm import ErmOracle
-from .policies import ips_estimate, mix_with_uniform, uniform_distribution
+from .policies import ips_estimate, mix_with_uniform
 from .waterfill import waterfill
 
 MODES = ("iid_pool", "transductive")
@@ -154,7 +154,7 @@ class UniformStrategy(Strategy):
         self.d = d
 
     def choose(self, x: int) -> np.ndarray:
-        return uniform_distribution(self.d)
+        return np.full(self.d, 1.0 / self.d)
 
 
 class EpsilonGreedyStrategy(Strategy):

@@ -16,7 +16,7 @@ import itertools
 
 import numpy as np
 
-from .erm import CoveragePenalty, policy_constraint_values
+from .erm import CoveragePenalty
 from .policies import CapacityError, PolicyClass
 from .strategies import SIGN_SCALE
 
@@ -146,7 +146,8 @@ def exact_regularized_bound(policy_class: PolicyClass, probs, n: int, gamma: flo
         picked = eps[:, A, cols]           # (P, |F|, n)
         vals = -SIGN_SCALE * picked.sum(axis=2) / gamma
         if lam > 0:
-            vals = vals - lam * policy_constraint_values(constraint, policy_class, xseq)
+            vals = vals - lam * np.array([sequence_constraint(
+                constraint, policy_to_matrix(policy_class, f, xseq), xseq) for f in range(len(A))])
         total += w * vals.max(axis=1).mean()
     return float(total + n * d * gamma + lam * K)
 

@@ -8,7 +8,6 @@ from bistro.policies import (
     PolicyClass,
     ips_estimate,
     mix_with_uniform,
-    uniform_distribution,
 )
 from bistro.verify import bruteforce_erm, policy_to_matrix, sequence_values
 
@@ -95,8 +94,8 @@ class TestMixWithUniform:
     def test_uniform_fixed_point(self):
         for d in (2, 3, 5):
             for gamma in (1e-4, 0.3 / d, 1.0 / d):
-                q = mix_with_uniform(uniform_distribution(d), gamma)
-                np.testing.assert_allclose(q, uniform_distribution(d), atol=1e-15)
+                q = mix_with_uniform(np.full(d, 1.0 / d), gamma)
+                np.testing.assert_allclose(q, np.full(d, 1.0 / d), atol=1e-15)
 
     def test_three_action_example(self):
         q = mix_with_uniform(np.array([0.5, 0.5, 0.0]), 0.1)
