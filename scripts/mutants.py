@@ -1,0 +1,418 @@
+#!/usr/bin/env python3
+"""Mutation catalogue: the source edits that the tests are known to catch.
+
+Each mutant replaces one exact snippet, which occurs once in its file, and
+names the pytest node ids that must all fail with it in place. The script
+copies the checkout into two temporary directories, applies one mutant at a
+time in each, runs its ids, and restores the file before the next. It
+exits 1 if any mutant survives (one of its ids passes or is not collected)
+or if a snippet does not occur exactly once.
+
+The equivalent mutants change no result that a test can see; they are
+listed, not run.
+
+    python3 scripts/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import queue
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKERS = 2  # pytest processes at a time, each in its own copy of the checkout
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the checkout
+    old: str
+    new: str
+    ids: tuple[str, ...]  # node ids that must fail; why it survives, for an equivalent one
+
+
+ADM, CLI, ENV = ("src/bistro/admissibility.py", "src/bistro/cli.py",
+                 "src/bistro/environments.py")
+ERM, RUNNER = "src/bistro/erm.py", "src/bistro/runner.py"
+T_ADM, T_CLI, T_ERM = "tests/test_admissibility.py", "tests/test_cli.py", "tests/test_erm.py"
+T_HARNESS, T_RAD = "tests/test_harness.py", "tests/test_rademacher.py"
+T_STRAT, T_GOLDEN = "tests/test_strategies.py", "tests/test_golden.py::test_golden_transcript"
+RANGE = f"{T_CLI}::test_range_errors_name_their_key"
+RECORDED = f"{T_ADM}::test_reports_match_sequence_form_checker"
+CAPS = tuple(f"{T_ADM}::test_regularized_report_at_the_caps[{name}]"
+             for name in ("pairwise", "coverage"))
+# the mixed strategy, enumerated; the walk's recorded reports allow Monte-Carlo error
+MIXED_Q = (f"{T_ADM}::TestBistroChecker::test_exact_mixed_q_matches_sequence_form", *CAPS)
+
+
+def on_commands(case: str) -> tuple[str, ...]:
+    """A range-error case's ids on run, admissibility and rademacher."""
+    return tuple(f"{RANGE}[{case}{suffix}]"
+                 for suffix in ("", "-admissibility", "-rademacher"))
+
+
+MUTANTS = [
+    # -- the benchmark, filtered at K (erm.benchmark) --
+    Mutant("benchmark-strict-budget", ERM,
+           "np.where(costs <= K, values, np.inf)", "np.where(costs < K, values, np.inf)",
+           (f"{T_ERM}::TestBenchmark::test_matches_sequence_form_reference",
+            f"{T_ADM}::test_horizon_benchmark_is_the_filtered_class", *CAPS)),
+    Mutant("benchmark-first-row-constraint", ERM,
+           "policy_constraint_values(constraint, policy_class, row)",
+           "policy_constraint_values(constraint, policy_class, "
+           "np.atleast_2d(context_ids(contexts))[0])",
+           (f"{T_ERM}::TestBenchmark::test_matches_sequence_form_reference",)),
+    Mutant("benchmark-negative-costs-accepted", ERM,
+           "if (costs < 0).any():", "if False:",
+           (f"{T_ERM}::TestBenchmark::test_refuses_negative_constraint_values",)),
+    Mutant("benchmark-empty-accepted", ERM,
+           "if np.isinf(best).any():", "if False:",
+           (f"{T_ERM}::TestBenchmark::test_negative_budget_empties",
+            f"{T_ERM}::TestBenchmark::test_matches_sequence_form_reference",
+            f"{T_ERM}::TestBenchmark::test_empty_class",
+            f"{T_CLI}::test_admissibility_refuses_an_empty_filtered_benchmark",
+            f"{T_CLI}::test_run_refuses_an_empty_filtered_benchmark",
+            f"{T_HARNESS}::TestRegret::test_empty_benchmark_class_errors")),
+    # -- the IPS estimate --
+    Mutant("ips-wrong-propensity", "src/bistro/policies.py",
+           "float(c_observed) / float(q[chosen])", "float(c_observed) / float(q[0])",
+           ("tests/test_policies.py::TestIpsEstimate::test_second_action",
+            "tests/test_policies.py::TestIpsEstimate::test_unbiasedness",
+            f"{T_STRAT}::TestBistroRound::test_estimate_magnitude_guard[bistro]",
+            f"{T_STRAT}::TestBistroRound::test_estimate_magnitude_guard[reduction]",
+            f"{T_GOLDEN}[fixed_adversarial_bistro]")),
+    # -- the admissibility checker: futures, the stacked queries, the walk --
+    Mutant("futures-without-sign-weight", ADM,
+           "np.repeat(ctx_w / patterns, patterns)", "np.repeat(ctx_w, patterns)",
+           (f"{T_ADM}::test_first_rhs_is_the_exact_bound[bistro-bistro d=2 n=3]", *MIXED_Q)),
+    Mutant("futures-without-context-weight", ADM,
+           "ctx_w = probs[combos].prod(axis=1)", "ctx_w = np.ones(len(combos))",
+           (f"{T_ADM}::test_first_rhs_is_the_exact_bound[bistro-bistro d=2 n=3]", *MIXED_Q)),
+    Mutant("playout-values-h-major", ADM,
+           "return oracle(contexts, Y).reshape(S, H)",
+           "return oracle(contexts, Y).reshape(H, S).T", MIXED_Q),
+    Mutant("relaxation-one-round-short", ADM,
+           "fut_ctx, fut_signs, weights = _futures(probs, d, m)",
+           "fut_ctx, fut_signs, weights = _futures(probs, d, max(m - 1, 0))",
+           (f"{T_ADM}::TestBoundIsRelaxationAtEmptyHistory::test_bound_matches_first_rhs[bistro]",
+            f"{T_ADM}::test_history_priced_in_relaxation_units[table0]",
+            f"{T_ADM}::test_first_rhs_is_the_exact_bound[bistro-bistro d=2 n=3]")),
+    Mutant("relaxation-mean-by-dot-product", ADM,
+           "math.fsum(weights * (m * d * gamma + budget - playout_values(",
+           "(weights @ (m * d * gamma + budget - playout_values(", CAPS),
+    Mutant("mixed-q-e_j-on-wrong-history", ADM,
+           "np.eye(d)[:, None]", "np.eye(d)[::-1, None]", MIXED_Q),
+    Mutant("mixed-q-e_j-half", ADM, "np.eye(d)[:, None]", "0.5 * np.eye(d)[:, None]", MIXED_Q),
+    Mutant("mixed-q-without-history", ADM,
+           "np.broadcast_to(scaled_past, (d, k, d))", "np.zeros((d, k, d))", MIXED_Q[:1]),
+    Mutant("mixed-q-current-context-zero", ADM,
+           "np.append(realized_ctx, x)", "np.append(realized_ctx, 0)", MIXED_Q),
+    Mutant("mixed-q-uniform-weights", ADM,
+           "q_star += w * waterfill(row)", "q_star += waterfill(row) / len(weights)", MIXED_Q),
+    Mutant("walk-lhs-priced-a-round-long", ADM,
+           "price = relaxation(n - t)", "price = relaxation(n - t + 1)",
+           (f"{T_ADM}::TestBistroChecker::test_report_margins_have_slack",
+            f"{RECORDED}[reduction d=3 n=3]", *CAPS)),
+    Mutant("walk-adversary-minimizes", ADM,
+           "lhs += probs[x] * max(", "lhs += probs[x] * min(",
+           (f"{RECORDED}[bistro d=2 n=3]", f"{RECORDED}[reduction d=3 n=3]", *CAPS)),
+    Mutant("walk-zero-cost-column", ADM,
+           "np.vstack([cols, np.zeros(d)])", "np.vstack([cols, -np.ones(d)])",
+           tuple(f"{RECORDED}[{name}]"
+                 for name in ("bistro d=2 n=3", "bistro d=3 n=2", "bistro p(x)=0",
+                              "reduction d=3 n=3", "reduction p(x)=0")) + CAPS[:1]),
+    Mutant("walk-column-without-propensity", ADM,
+           "gamma / q[j] * np.eye(d)[j]", "gamma * np.eye(d)[j]",
+           (f"{RECORDED}[reduction d=3 n=3]", *CAPS)),
+    Mutant("walk-price-index-flipped", ADM,
+           "after[j][int(c[j])]", "after[j][1 - int(c[j])]",
+           (f"{RECORDED}[reduction d=3 n=3]", *CAPS)),
+    Mutant("step-slack-one", ADM,
+           "return self.margin <= TOL", "return self.margin <= 1.0",
+           (f"{T_ADM}::TestBistroChecker::test_step_passes_only_within_tolerance",)),
+    # -- the admissibility checker: the horizon condition --
+    Mutant("horizon-empty-future-dropped", ADM,
+           "oracle, ctx, gamma * cols, empty_ctx, empty_signs)[0] / gamma",
+           "oracle, ctx, gamma * cols, empty_ctx[:0], empty_signs[:0]).sum(axis=0) / gamma",
+           (f"{T_ADM}::test_horizon_benchmark_is_the_filtered_class", *CAPS)),
+    Mutant("horizon-estimate-times-propensity", ADM,
+           "costs[:, rounds, actions] / picked_q", "costs[:, rounds, actions] * picked_q",
+           (f"{RECORDED}[reduction d=3 n=3]", f"{RECORDED}[reduction p(x)=0]")),
+    Mutant("horizon-mean-without-action-probabilities", ADM,
+           "expectation += seq_probs[:, a] * values[:, a]",
+           "expectation += values[:, a] / d**n", (f"{RECORDED}[reduction d=3 n=3]", *CAPS)),
+    Mutant("horizon-contexts-tiled", ADM,
+           "np.repeat(xs, d**n, axis=0)", "np.tile(xs, (d**n, 1))",
+           (f"{RECORDED}[bistro d=2 n=3]", f"{RECORDED}[reduction d=3 n=3]", *CAPS)),
+    # -- the admissibility checker: its inputs --
+    Mutant("walk-empty-horizon", ADM,
+           "if n < 1:", "if n < 0:",
+           (f"{T_ADM}::TestBistroChecker::test_refuses_an_empty_horizon"
+            "[check_bistro_admissibility]",
+            f"{T_ADM}::TestBistroChecker::test_refuses_an_empty_horizon"
+            "[check_reduction_admissibility]",
+            f"{T_CLI}::test_admissibility_refuses_an_empty_horizon")),
+    Mutant("checker-accepts-any-rate", ADM,
+           "if not 0.0 < gamma <= 1.0 / policy_class.d:", "if False:",
+           tuple(f"{T_ADM}::TestBistroChecker::test_refuses_a_rate_outside_the_floor_range"
+                 f"[{gamma}-{check}]"
+                 for gamma in ("0.0", "0.500000001", "inf")
+                 for check in ("check_bistro_admissibility", "check_reduction_admissibility"))),
+    Mutant("checker-probabilities-unchecked", ADM,
+           "probs = context_probs(probs)", "probs = np.asarray(probs, dtype=float)",
+           tuple(f"{T_ADM}::TestBistroChecker::test_refuses_bad_probabilities_before_pricing"
+                 f"[probs{i}]" for i in range(4))),
+    Mutant("probabilities-nan-blind", ENV,
+           "if not (probs >= 0).all()", "if (probs < 0).any()",
+           (f"{T_ADM}::TestBistroChecker::test_refuses_bad_probabilities_before_pricing[probs3]",
+            *(f"{T_CLI}::test_nan_context_probability_exits_2[args{i}]" for i in range(4)),
+            f"{T_RAD}::TestCategoricalSampler::test_rejects_what_choice_rejects")),
+    Mutant("sampler-probabilities-unchecked", ENV,
+           "cdf = context_probs(probs).cumsum()", "cdf = np.asarray(probs, dtype=float).cumsum()",
+           (f"{T_RAD}::TestCategoricalSampler::test_rejects_what_choice_rejects",)),
+    # -- the config pass (runner.build_policy_class) and the CLI --
+    Mutant("config-K-unbounded", RUNNER, '"K": 0, ', "", on_commands("K")),
+    Mutant("config-delta-unbounded", RUNNER, '"delta": 0, ', "", on_commands("delta")),
+    Mutant("config-pool-factor-unbounded", RUNNER, '"pool_factor": 1,', "",
+           on_commands("pool_factor")),
+    Mutant("config-minima-nan-blind", RUNNER,
+           "if not config_number(config, key, least) >= least:",
+           "if config_number(config, key, least) < least:", on_commands("lambda-nan")),
+    Mutant("config-horizon-mode-bogus", RUNNER,
+           '("horizon_mode", MODES)', '("horizon_mode", (*MODES, "bogus"))',
+           on_commands("horizon_mode") + (f"{RANGE}[horizon_mode-uniform]",)),
+    Mutant("config-algorithm-bogus", RUNNER,
+           '("algorithm", ALGORITHMS)', '("algorithm", (*ALGORITHMS, "bogus"))',
+           (f"{RANGE}[algorithm]", f"{RANGE}[algorithm-rademacher]")),
+    Mutant("config-gamma-above-floor", RUNNER,
+           'config["d"] * gamma <= 1', 'config["d"] * gamma <= 2', on_commands("gamma-above")),
+    Mutant("config-gamma-zero", RUNNER,
+           '0.0 < config_number(config, "gamma")', '0.0 <= config_number(config, "gamma")',
+           on_commands("gamma-zero")),
+    Mutant("config-infinite-numbers", RUNNER,
+           "if not -np.inf < config_number(config, key, 0.0) < np.inf:",
+           "if not -np.inf <= config_number(config, key, 0.0) <= np.inf:",
+           on_commands("lambda-inf") + on_commands("K-inf") + on_commands("delta-inf")
+           + on_commands("epsilon-inf") + on_commands("eta-inf")),
+    Mutant("config-eta-unchecked", RUNNER,
+           'for key in ("lambda", "K", "eta", "delta", "epsilon"):',
+           'for key in ("lambda", "K", "delta", "epsilon"):',
+           on_commands("eta-inf") + on_commands("eta-nan")),
+    Mutant("admissibility-gamma-not-required", CLI,
+           'if "gamma" not in config:', "if False:",
+           (f"{T_CLI}::test_admissibility_requires_numeric_gamma", f"{RANGE}[gamma-missing]")),
+    Mutant("admissibility-checks-transductive", CLI,
+           'if config.get("horizon_mode") == "transductive":', "if False:",
+           (f"{T_CLI}::test_admissibility_refuses_transductive_configs",)),
+    Mutant("rademacher-seed-flag-default", CLI,
+           '"tune_seed": args.seed,', '"tune_seed": 0 if args.seed is None else args.seed,',
+           (f"{T_CLI}::test_rademacher_prices_what_run_plays[3]",)),
+    Mutant("rademacher-samples-printed", CLI,
+           "samples = config_int(config, \"tune_samples\", DEFAULT_TUNING_SAMPLES)",
+           "samples = args.samples",
+           tuple(f"{T_CLI}::test_rademacher_prices_what_run_plays[{seed}]" for seed in (7, 3))),
+    # -- the bound and the rate (runner.resolve_strategy_params, runner.relaxation) --
+    Mutant("bound-complexity-not-over-gamma", RUNNER,
+           "complexity / gamma + n * d * gamma + budget", "complexity + n * d * gamma + budget",
+           (f"{T_ADM}::TestBoundIsRelaxationAtEmptyHistory::test_bound_matches_first_rhs[bistro]",
+            f"{T_RAD}::TestBound::test_plug_in")),
+    Mutant("bound-stderr-not-over-gamma", RUNNER,
+           'out["bound_stderr"] = est.std_error / gamma', 'out["bound_stderr"] = est.std_error',
+           (f"{T_ADM}::TestBoundIsRelaxationAtEmptyHistory::"
+            "test_bound_matches_first_rhs[bistro_regularized]",
+            "tests/test_verify.py::TestExactRegularizedBound::"
+            "test_estimate_within_three_standard_errors")),
+    Mutant("penalty-lambda-over-gamma", RUNNER,
+           "lam * gamma), lam * K", "lam / max(gamma, 1e-12)), lam * K",
+           (f"{T_ADM}::test_first_rhs_is_the_exact_bound[bistro_regularized-bistro d=2 n=3]",
+            f"{T_GOLDEN}[regularized_pairwise]")),
+    # -- the seed list, the numeric policy and the summary (runner.run_suite) --
+    Mutant("run-suite-without-errstate", RUNNER,
+           'with np.errstate(all="raise", under="ignore"):', "with np.errstate():",
+           (f"{T_HARNESS}::TestSuite::test_numeric_error_policy",)),
+    Mutant("seeds-repeated", RUNNER,
+           "if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):",
+           "if not seeds or min(seeds) < 0:",
+           (f"{T_HARNESS}::TestSuite::test_seed_lists_that_check_nothing_are_refused",
+            f"{T_CLI}::test_run_refuses_seed_lists_that_check_nothing[2,2]")),
+    Mutant("seeds-negative", RUNNER,
+           "if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):",
+           "if not seeds or len(set(seeds)) < len(seeds):",
+           (f"{T_HARNESS}::TestSuite::test_seed_lists_that_check_nothing_are_refused",
+            f"{T_CLI}::test_run_refuses_seed_lists_that_check_nothing[1,-1]")),
+    Mutant("seeds-empty", RUNNER,
+           "if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):",
+           "if seeds and (min(seeds) < 0 or len(set(seeds)) < len(seeds)):",
+           (f"{T_HARNESS}::TestSuite::test_seed_lists_that_check_nothing_are_refused",
+            f"{T_CLI}::test_run_refuses_seed_lists_that_check_nothing[0]",
+            f"{T_CLI}::test_run_refuses_seed_lists_that_check_nothing[-2]")),
+    Mutant("regret-stderr-without-root", RUNNER,
+           "float(std / np.sqrt(len(seeds)))", "float(std / len(seeds))",
+           (f"{T_HARNESS}::TestSuite::test_regret_stderr_is_the_mean_regrets_standard_error",)),
+    # -- the ERM oracles' stacks and the regularized oracle's penalty --
+    Mutant("approximate-one-draw-per-stack", ERM,
+           "self._rng.uniform(-1.0, 1.0, Y.shape[:-2])", "self._rng.uniform(-1.0, 1.0)",
+           (f"{T_ERM}::TestStackedQueries::test_approximate_draws_noise_in_order",)),
+    Mutant("regularized-stack-one-minimum", ERM,
+           "return vals.min(axis=-1)", "return vals.min()",
+           (f"{T_ERM}::TestStackedQueries::test_regularized",
+            f"{T_HARNESS}::TestSuite::test_unpenalized_regularized_bound_is_bistro_bound")),
+    Mutant("penalty-shape-flag-inverted", ERM,
+           "self._penalties(contexts, Y.ndim == 3)", "self._penalties(contexts, Y.ndim == 2)",
+           (f"{T_ERM}::TestRegularizedErm::test_oracle_matches_value",
+            f"{T_GOLDEN}[regularized_pairwise]",
+            f"{T_ADM}::test_play_queries_price_the_checked_relaxation[bistro_regularized]")),
+    Mutant("stack-penalty-wrong-row", ERM,
+           "return np.array([penalty[key] for key in keys])",
+           "return np.array([penalty[key] for key in reversed(keys)])",
+           (f"{T_ERM}::TestStackedQueries::test_regularized", *CAPS)),
+    Mutant("stack-penalty-keyed-by-identity", ERM,
+           "keys = [row.tobytes() for row in ids]", "keys = [id(row) for row in ids]",
+           (f"{T_ERM}::TestStackedQueries::test_regularized",
+            f"{T_ERM}::TestStackedQueries::test_penalty_once_per_distinct_context_row",
+            f"{T_ADM}::test_horizon_benchmark_is_the_filtered_class", *CAPS)),
+    Mutant("penalty-key-without-dtype", ERM,
+           "key = (ids.dtype.str, ids.tobytes())", "key = ids.tobytes()",
+           (f"{T_ERM}::TestStackedQueries::test_repeated_row_needs_a_repeated_dtype",)),
+    Mutant("penalty-key-by-identity", ERM,
+           "key = (ids.dtype.str, ids.tobytes())", "key = id(contexts)",
+           (f"{T_ERM}::TestStackedQueries::test_single_queries_on_one_row_price_it_once",
+            f"{T_ERM}::TestStackedQueries::test_row_rewritten_in_place_prices_again",
+            f"{T_GOLDEN}[regularized_pairwise]",
+            f"{T_ADM}::test_play_queries_price_the_checked_relaxation[bistro_regularized]",
+            f"{T_STRAT}::TestRegularizedVariant::test_queries_reprice_in_round_pair_form")),
+    Mutant("penalty-cache-not-refreshed", ERM,
+           "self._last = (key, penalty)", "return penalty",
+           (f"{T_ERM}::TestStackedQueries::test_single_queries_on_one_row_price_it_once",
+            f"{T_HARNESS}::TestSuite::test_play_prices_the_penalty_once_per_playout")),
+    Mutant("pairwise-contexts-unsorted", ERM,
+           "u = np.flatnonzero(counts)", "u = np.flatnonzero(counts)[::-1]",
+           (f"{T_ERM}::TestFoldedPairwise::test_matches_sequence_form",)),
+    Mutant("pairwise-ids-counted-unchecked", ERM,
+           "ids = policy_class._checked_ids(contexts)", "ids = context_ids(contexts)",
+           (f"{T_ERM}::TestFoldedPairwise::test_out_of_universe_ids_rejected",)),
+    Mutant("pairwise-one-sided-counts", ERM,
+           "np.outer(c, c)", "np.outer(c, np.ones_like(c))",
+           (f"{T_ADM}::test_first_rhs_is_the_exact_bound[bistro_regularized-bistro d=2 n=3]",)),
+]
+
+EQUIVALENT = [
+    Mutant("penalty-cache-writable", ERM, "                penalty.flags.writeable = False\n",
+           "", ("nothing writes the cached vector; the flag only guards later code",)),
+    Mutant("pairwise-float-counts", ERM, "c = counts[u]", "c = counts[u].astype(float)",
+           ("counts below 2^53 give the same products as floats",)),
+    Mutant("sampler-left-side", ENV,
+           'cdf.searchsorted(rng.random(n), side="right")',
+           'cdf.searchsorted(rng.random(n), side="left")',
+           ("a uniform draw lands exactly on a CDF value with probability ~0",)),
+    Mutant("waterfill-tiny-margin", "src/bistro/waterfill.py",
+           "if u + v > 0:", "if u + v > 1e-300:",
+           ("at u + v in (0, 1e-300] both levels give the same q",)),
+    Mutant("futures-keep-zero-probability", ADM,
+           "combos[ctx_w > 0], ctx_w[ctx_w > 0]", "combos[ctx_w >= 0], ctx_w[ctx_w >= 0]",
+           ("a future of weight 0 adds exact zeros to every mean",)),
+    Mutant("futures-reversed-sign-columns", ADM,
+           "eps = (bits * 2.0 - 1.0).reshape(patterns, d, m)",
+           "eps = (bits * 2.0 - 1.0).reshape(patterns, d, m)[:, :, ::-1]",
+           ("reversing the columns permutes the sign patterns, which have equal weights",)),
+    Mutant("mixed-q-e_j-two", ADM, "np.eye(d)[:, None]", "2.0 * np.eye(d)[:, None]",
+           ("water-filling saturates once a price gap reaches 1, so any e_j >= 1 gives one q",)),
+    Mutant("walk-zero-probability-contexts", ADM,
+           "for x in np.nonzero(probs)[0].tolist():", "for x in range(probs.size):",
+           ("a context of probability 0 adds 0 times a finite value to the lhs",)),
+]
+
+SUMMARY = re.compile(r"^(PASSED|FAILED|ERROR) (.+?)(?: - .*)?$")
+
+
+def snippet_problems(mutants=MUTANTS + EQUIVALENT, root: str = ROOT) -> list[str]:
+    """Every mutant whose snippet does not occur exactly once in its file."""
+    problems = []
+    for m in mutants:
+        with open(os.path.join(root, m.path)) as f:
+            count = f.read().count(m.old)
+        if count != 1:
+            problems.append(f"{m.name}: {m.old!r} occurs {count} times in {m.path}")
+    return problems
+
+
+def outcomes(checkout: str, ids) -> dict[str, str]:
+    """pytest's outcome (PASSED, FAILED or ERROR) of each id it ran."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(checkout, "src"),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "--tb=no", "-rA", *ids], cwd=checkout, env=env,
+                          capture_output=True, text=True)
+    found = {}
+    for line in done.stdout.splitlines():
+        match = SUMMARY.match(line)
+        if match:
+            found[match.group(2)] = match.group(1)
+    return found
+
+
+def run_mutant(mutant: Mutant, checkout: str) -> list[str]:
+    """Apply ``mutant`` in ``checkout``, run its ids, restore the file, and
+    return the ids that did not fail."""
+    path = os.path.join(checkout, mutant.path)
+    with open(path) as f:
+        source = f.read()
+    if source.count(mutant.old) != 1:
+        return ["snippet not found once"]
+    with open(path, "w") as f:
+        f.write(source.replace(mutant.old, mutant.new))
+    try:
+        found = outcomes(checkout, mutant.ids)
+    finally:
+        with open(path, "w") as f:
+            f.write(source)
+    return [f"{found.get(i, 'not run')}: {i}" for i in mutant.ids
+            if found.get(i) not in ("FAILED", "ERROR")]
+
+
+def main() -> int:
+    problems = snippet_problems()
+    for problem in problems:
+        print("SNIPPET", problem)
+    start, survivors = time.perf_counter(), 0
+    with tempfile.TemporaryDirectory(prefix="bistro-mutants-") as tmp:
+        checkouts: queue.Queue[str] = queue.Queue()
+        for worker in range(WORKERS):  # each worker mutates its own copy
+            checkout = os.path.join(tmp, f"checkout{worker}")
+            shutil.copytree(ROOT, checkout, ignore=shutil.ignore_patterns(
+                ".git", "__pycache__", ".pytest_cache", ".perfbench_out", ".bench_build"))
+            checkouts.put(checkout)
+
+        def job(mutant: Mutant) -> list[str]:
+            checkout = checkouts.get()
+            try:
+                return run_mutant(mutant, checkout)
+            finally:
+                checkouts.put(checkout)
+
+        with ThreadPoolExecutor(WORKERS) as pool:
+            for m, missed in zip(MUTANTS, pool.map(job, MUTANTS)):
+                status = "caught" if not missed else "SURVIVED"
+                print(f"{status:8} {m.name} ({len(m.ids) - len(missed)}/{len(m.ids)} ids fail)",
+                      flush=True)
+                for line in missed:
+                    print(f"         {line}")
+                survivors += bool(missed)
+    print("equivalent, not run:")
+    for m in EQUIVALENT:
+        print(f"         {m.name}: {m.ids[0]}")
+    print(f"{len(MUTANTS)} mutants, {survivors} survived, {len(problems)} snippet problems, "
+          f"{time.perf_counter() - start:.0f} s")
+    return 1 if survivors or problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -74,7 +74,7 @@ def _cmd_admissibility(args) -> int:
             pc, env.probs, n, gamma, eta=config_number(config, "eta"), seed=args.seed,
             initial_checks=args.initial_checks)
     else:
-        if config.get("horizon_mode") == "transductive":  # _futures draws i.i.d. futures
+        if config.get("horizon_mode") == "transductive":
             raise ValueError("config key 'horizon_mode' must be 'iid_pool' to be checked; "
                              "the checker enumerates i.i.d. futures, not a known sequence")
         oracle, budget = relaxation(config, pc, gamma)
