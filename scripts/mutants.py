@@ -49,8 +49,10 @@ RANGE = f"{T_CLI}::test_range_errors_name_their_key"
 RECORDED = f"{T_ADM}::test_reports_match_sequence_form_checker"
 CAPS = tuple(f"{T_ADM}::test_regularized_report_at_the_caps[{name}]"
              for name in ("pairwise", "coverage"))
-# the mixed strategy, enumerated; the walk's recorded reports allow Monte-Carlo error
+# the mixed strategy, enumerated, and the walks it steers, recorded bit for bit
 MIXED_Q = (f"{T_ADM}::TestBistroChecker::test_exact_mixed_q_matches_sequence_form", *CAPS)
+MIXED_Q_WALKS = MIXED_Q + tuple(f"{RECORDED}[bistro {name}]"
+                                for name in ("d=2 n=3", "p(x)=0", "d=3 n=3"))
 
 
 def on_commands(case: str) -> tuple[str, ...]:
@@ -98,7 +100,7 @@ MUTANTS = [
            (f"{T_ADM}::test_first_rhs_is_the_exact_bound[bistro-bistro d=2 n=3]", *MIXED_Q)),
     Mutant("playout-values-h-major", ADM,
            "return oracle(contexts, Y).reshape(S, H)",
-           "return oracle(contexts, Y).reshape(H, S).T", MIXED_Q),
+           "return oracle(contexts, Y).reshape(H, S).T", MIXED_Q_WALKS),
     Mutant("relaxation-one-round-short", ADM,
            "fut_ctx, fut_signs, weights = _futures(probs, d, m)",
            "fut_ctx, fut_signs, weights = _futures(probs, d, max(m - 1, 0))",
@@ -109,14 +111,15 @@ MUTANTS = [
            "math.fsum(weights * (m * d * gamma + budget - playout_values(",
            "(weights @ (m * d * gamma + budget - playout_values(", CAPS),
     Mutant("mixed-q-e_j-on-wrong-history", ADM,
-           "np.eye(d)[:, None]", "np.eye(d)[::-1, None]", MIXED_Q),
+           "np.eye(d)[:, None]", "np.eye(d)[::-1, None]", MIXED_Q_WALKS),
     Mutant("mixed-q-e_j-half", ADM, "np.eye(d)[:, None]", "0.5 * np.eye(d)[:, None]", MIXED_Q),
     Mutant("mixed-q-without-history", ADM,
            "np.broadcast_to(scaled_past, (d, k, d))", "np.zeros((d, k, d))", MIXED_Q[:1]),
     Mutant("mixed-q-current-context-zero", ADM,
            "np.append(realized_ctx, x)", "np.append(realized_ctx, 0)", MIXED_Q),
     Mutant("mixed-q-uniform-weights", ADM,
-           "q_star += w * waterfill(row)", "q_star += waterfill(row) / len(weights)", MIXED_Q),
+           "q_star += w * waterfill(row)", "q_star += waterfill(row) / len(weights)",
+           (*MIXED_Q, f"{RECORDED}[bistro d=3 n=3]")),
     Mutant("walk-lhs-priced-a-round-long", ADM,
            "price = relaxation(n - t)", "price = relaxation(n - t + 1)",
            (f"{T_ADM}::TestBistroChecker::test_report_margins_have_slack",

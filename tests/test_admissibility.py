@@ -221,15 +221,13 @@ class TestReductionChecker:
         assert report.ok()
 
 
-# Reports recorded from the sequence-form checker (per-policy values gathered
-# round by round, one playout draw at a time) that the folded, stacked
-# queries replaced: (lhs, rhs, stderr) per step, then the initial condition's
-# min_margin and failures. Step 3 of "bistro d=2 n=3" is recorded from the
-# checker that prices the sampled history as c/q; no other entry depends on it.
-# The two p(x)=0 entries are recorded from the separate walks of the two
-# checkers, before they shared one. The bistro entries were Monte-Carlo
-# estimates, so the exact walk must land within 3 of their standard errors;
-# the reduction entries were exact and stay so.
+# Recorded reports: each step's (lhs, rhs), then the initial condition's
+# min_margin and failures. The bistro entries are today's exact walk as
+# float.hex, so a wrong mixed strategy or a misordered stack moves them. The
+# reduction entries are floats recorded from the sequence-form checker (per-
+# policy values gathered round by round) that the folded, stacked queries
+# replaced, and must hold to 1e-12; the p(x)=0 one was recorded from its own
+# walk, before the two checkers shared one.
 D3_CLASS = np.array([[0, 1, 2], [2, 1, 0], [1, 1, 1], [0, 2, 1]])
 # (policy class, probs, n, gamma) of the bistro entries
 BISTRO_INSTANCES = {
@@ -241,31 +239,39 @@ RECORDED = {
     "bistro d=2 n=3": (
         lambda: check_bistro_admissibility(*BISTRO_INSTANCES["bistro d=2 n=3"], seed=2,
                                            initial_checks=50),
-        [(8.62625, 11.172, 0.3048086061152653), (5.46525, 7.832, 0.24187903630296576),
-         (0.6875, 4.572, 0.14827137350176547)], 0.0, 0),
+        [("0x1.1300000000000p+3", "0x1.5c00000000000p+3"),
+         ("0x1.5000000000000p+2", "0x1.0000000000000p+3"),
+         ("0x1.6000000000000p-1", "0x1.1000000000000p+2")], "0x0.0p+0", 0),
     "bistro d=3 n=2": (
         lambda: check_bistro_admissibility(*BISTRO_INSTANCES["bistro d=3 n=2"], seed=7,
                                            initial_checks=100),
-        [(8.073800000000002, 12.100000000000001, 0.3772002148754718),
-         (1.0, 7.0600000000000005, 0.24150926840750178)], 0.0, 0),
+        [("0x1.007ae147ae148p+3", "0x1.8133333333333p+3"),
+         ("0x1.0000000000000p+0", "0x1.d666666666666p+2")], "0x0.0p+0", 0),
+    # Non-uniform future weights: the one entry a uniform mean over futures moves.
+    "bistro d=3 n=3": (
+        lambda: check_bistro_admissibility(PolicyClass(D3_CLASS, 3), [0.5, 0.3, 0.2], 3, 0.2,
+                                           seed=7, initial_checks=50),
+        [("0x1.923902de00d1ap+3", "0x1.f6e7ae147ae15p+3"),
+         ("0x1.007ae147ae148p+3", "0x1.8133333333333p+3"),
+         ("0x1.0000000000000p+0", "0x1.d666666666666p+2")], "0x0.0p+0", 0),
     "reduction d=3 n=3": (
         lambda: check_reduction_admissibility(
             PolicyClass(D3_CLASS, 3), [0.5, 0.3, 0.2], n=3, gamma=0.2, seed=5,
             initial_checks=300),
-        [(13.45294310209739, 16.22026886600883, 0.0),
-         (10.449564957762584, 13.216890721674023, 0.0),
-         (6.3380825365414815, 9.112299513232328, 0.0)], 5.286091393156799, 0),
+        [(13.45294310209739, 16.22026886600883), (10.449564957762584, 13.216890721674023),
+         (6.3380825365414815, 9.112299513232328)], 5.286091393156799, 0),
     # A context of probability 0 gets its q but draws no futures.
     "bistro p(x)=0": (
         lambda: check_bistro_admissibility(*BISTRO_INSTANCES["bistro p(x)=0"], seed=3,
                                            initial_checks=50),
-        [(4.784, 6.856, 0.3771536197000539), (0.375, 3.838, 0.2141859744045619)], 0.0, 0),
+        [("0x1.4000000000000p+2", "0x1.c000000000000p+2"),
+         ("0x1.8000000000000p-2", "0x1.0000000000000p+2")], "0x0.0p+0", 0),
     "reduction p(x)=0": (
         lambda: check_reduction_admissibility(
             PolicyClass(D3_CLASS, 3), [0.5, 0.0, 0.5], n=2, gamma=0.2, seed=6,
             initial_checks=100),
-        [(9.658215611819031, 12.974100225154746, 0.0),
-         (6.114690555530346, 9.430575168866058, 0.0)], 4.7110121935068845, 0),
+        [(9.658215611819031, 12.974100225154746), (6.114690555530346, 9.430575168866058)],
+        4.7110121935068845, 0),
 }
 
 
@@ -273,10 +279,13 @@ RECORDED = {
 def test_reports_match_sequence_form_checker(name):
     check, steps, min_margin, failures = RECORDED[name]
     report = check()
-    got = np.array([(s.lhs, s.rhs) for s in report.steps])
-    want, se = np.array(steps)[:, :2], np.array(steps)[:, 2:]
-    assert (np.abs(got - want) <= 3 * se + 1e-12 * np.abs(want)).all(), (got, want, se)
-    assert report.initial.min_margin == pytest.approx(min_margin, rel=1e-12, abs=0)
+    if isinstance(min_margin, str):  # the exact walk, bit for bit
+        assert [(s.lhs.hex(), s.rhs.hex()) for s in report.steps] == steps
+        assert report.initial.min_margin.hex() == min_margin
+    else:
+        got = [(s.lhs, s.rhs) for s in report.steps]
+        np.testing.assert_allclose(got, steps, rtol=1e-12, atol=0)
+        assert report.initial.min_margin == pytest.approx(min_margin, rel=1e-12, abs=0)
     assert report.initial.failures == failures
 
 
