@@ -215,8 +215,18 @@ MUTANTS = [
     Mutant("admissibility-checks-transductive", CLI,
            'if config.get("horizon_mode") == "transductive":', "if False:",
            (f"{T_CLI}::test_admissibility_refuses_transductive_configs",)),
+    Mutant("config-tune-samples-unbounded", RUNNER, '"tune_samples": 1}', "}",
+           on_commands("tune_samples") + tuple(
+               f"{T_CLI}::test_rademacher_flags_are_checked_as_their_keys[{case}]"
+               for case in ("samples-zero", "tune_samples-zero"))),
+    Mutant("rademacher-flags-checked-after-build", CLI,
+           "config.update({k: v for k, v in flags.items() if v is not None})\n"
+           "    pc = build_policy_class(config)",
+           "pc = build_policy_class(dict(config))\n"
+           "    config.update({k: v for k, v in flags.items() if v is not None})",
+           (f"{T_CLI}::test_rademacher_flags_are_checked_as_their_keys[samples-zero]",)),
     Mutant("rademacher-seed-flag-default", CLI,
-           '"tune_seed": args.seed,', '"tune_seed": 0 if args.seed is None else args.seed,',
+           '"tune_seed": args.seed}', '"tune_seed": 0 if args.seed is None else args.seed}',
            (f"{T_CLI}::test_rademacher_prices_what_run_plays[3]",)),
     Mutant("rademacher-samples-printed", CLI,
            "samples = config_int(config, \"tune_samples\", DEFAULT_TUNING_SAMPLES)",

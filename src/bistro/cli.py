@@ -42,11 +42,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_rademacher(args) -> int:
     config = load_config(args.config)
+    # a flag overrides the config's tuning key, and is checked by the key's rule
+    flags = {"tune_samples": args.samples, "tune_seed": args.seed}
+    config.update({k: v for k, v in flags.items() if v is not None})
     pc = build_policy_class(config)
     env = build_environment(config, pc)
-    # tuned as run tunes bistro: a flag overrides the config's tuning key
-    flags = {"tune_samples": args.samples, "tune_seed": args.seed, "algorithm": "bistro"}
-    config.update({k: v for k, v in flags.items() if v is not None}, gamma="auto")
+    config.update(algorithm="bistro", gamma="auto")  # tuned as run tunes bistro
     params = resolve_strategy_params(config, pc, env)
     samples = config_int(config, "tune_samples", DEFAULT_TUNING_SAMPLES)
     print(json.dumps({"rad_estimate": params["rad_estimate"], "rad_stderr": params["rad_stderr"],

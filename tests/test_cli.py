@@ -273,6 +273,22 @@ def test_range_errors_name_their_key(command, changes, named, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("flags, changes, named", [
+    (["--samples", "0"], {}, "config key 'tune_samples' must be at least 1"),
+    (["--samples", "-3"], {}, "config key 'tune_samples' needs a non-negative integer"),
+    ([], {"tune_samples": 0}, "config key 'tune_samples' must be at least 1"),
+    (["--seed", "-1"], {}, "config key 'tune_seed' needs a non-negative integer"),
+], ids=["samples-zero", "samples-negative", "tune_samples-zero", "seed-negative"])
+def test_rademacher_flags_are_checked_as_their_keys(flags, changes, named, tmp_path, capsys):
+    # a flag meets the rule of the key it overrides, before anything is built
+    code = main(["rademacher", "--config", write_config(tmp_path, **changes), *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"bistro rademacher: {named}")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("args", [["run", "--algorithm", "uniform"], ["run"], ["rademacher"],
                                   ["admissibility"]])
 def test_nan_context_probability_exits_2(args, tmp_path, capsys):
