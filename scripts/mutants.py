@@ -45,10 +45,20 @@ ERM, RUNNER = "src/bistro/erm.py", "src/bistro/runner.py"
 T_ADM, T_CLI, T_ERM = "tests/test_admissibility.py", "tests/test_cli.py", "tests/test_erm.py"
 T_HARNESS, T_RAD = "tests/test_harness.py", "tests/test_rademacher.py"
 T_STRAT, T_GOLDEN = "tests/test_strategies.py", "tests/test_golden.py::test_golden_transcript"
+STRAT = "src/bistro/strategies.py"
 RANGE = f"{T_CLI}::test_range_errors_name_their_key"
 RECORDED = f"{T_ADM}::test_reports_match_sequence_form_checker"
 CAPS = tuple(f"{T_ADM}::test_regularized_report_at_the_caps[{name}]"
              for name in ("pairwise", "coverage"))
+# play's mean q, its folded draws enumerated, against the checker's mixed strategy
+LAW = tuple(f"{T_ADM}::test_mean_play_is_the_exact_mixed_q[{penalty}]"
+            for penalty in ("coverage", "exact", "pairwise"))
+TRANSDUCTIVE_LAW = tuple(
+    f"{T_ADM}::test_transductive_mean_play_averages_the_known_futures_signs[{penalty}]"
+    for penalty in ("coverage", "exact"))
+FOLDED = tuple(f"{T_STRAT}::TestQueryMatrixInvariants::"
+               f"test_folded_queries_hold_the_history_and_the_future_counts[{p}-{mode}]"
+               for p in (1, 3) for mode in ("iid_pool", "transductive"))
 # the mixed strategy, enumerated, and the walks it steers, recorded bit for bit
 MIXED_Q = (f"{T_ADM}::TestBistroChecker::test_exact_mixed_q_matches_sequence_form", *CAPS)
 MIXED_Q_WALKS = MIXED_Q + tuple(f"{RECORDED}[bistro {name}]"
@@ -83,6 +93,40 @@ MUTANTS = [
             f"{T_CLI}::test_admissibility_refuses_an_empty_filtered_benchmark",
             f"{T_CLI}::test_run_refuses_an_empty_filtered_benchmark",
             f"{T_HARNESS}::TestRegret::test_empty_benchmark_class_errors")),
+    # -- the folded playouts (strategies.BistroStrategy) --
+    Mutant("playout-pattern-bit-wrong-row", STRAT,
+           ">> np.arange(policy_class.d)", ">> np.arange(policy_class.d) // 2",
+           LAW + (f"{T_GOLDEN}[fixed_adversarial_bistro]",)),
+    Mutant("playout-cells-not-divided-by-patterns", STRAT,
+           "np.repeat(counts / (counts.sum() * cells), cells)",
+           "np.repeat(counts / counts.sum(), cells)",
+           LAW + (f"{T_GOLDEN}[fixed_adversarial_bistro]",
+                  f"{T_STRAT}::TestFoldedPlayouts::test_exact_queries_never_outgrow_the_universe")),
+    Mutant("playout-uniform-contexts", STRAT,
+           "np.repeat(counts / (counts.sum() * cells), cells)",
+           "np.repeat(np.full(counts.size, 1 / (counts.size * cells)), cells)", LAW),
+    Mutant("playout-e_j-at-context-zero", STRAT,
+           "self._Z + (counts @ self._eps).T, x", "self._Z + (counts @ self._eps).T, 0",
+           LAW[1:2] + FOLDED + (f"{T_GOLDEN}[fixed_adversarial_bistro]",)),
+    Mutant("playout-history-not-folded", STRAT,
+           "self._Z[action, x] += self._Y[action, t - 1]", "pass",
+           LAW[1:2] + FOLDED + (f"{T_ADM}::test_play_queries_price_the_checked_relaxation[bistro]",
+                                f"{T_GOLDEN}[adaptive_adversary_bistro]")),
+    Mutant("transductive-future-not-decremented", STRAT,
+           "self._future[self._ctx[t]] -= 1", "pass",
+           TRANSDUCTIVE_LAW + FOLDED[1::2]),
+    Mutant("transductive-cells-off-their-rounds", STRAT,
+           "if self.transductive:  # the signs' order on a context's rounds changes no value",
+           "if False:",
+           TRANSDUCTIVE_LAW[:1]
+           + (f"{T_STRAT}::TestQueryMatrixInvariants::test_past_and_future_column_ranges",)),
+    Mutant("columns-in-count-order", STRAT,
+           "slots = t + 1 + self._order_rng.permutation(k)", "slots = t + 1 + np.arange(k)",
+           LAW[:1]),
+    Mutant("penalized-oracle-folds", ERM,
+           "self.folds = self.lambda_scaled == 0", "self.folds = True",
+           (LAW[0], LAW[2], f"{T_GOLDEN}[regularized_pairwise]",
+            f"{T_ADM}::test_play_queries_price_the_checked_relaxation[bistro_regularized]")),
     # -- the IPS estimate --
     Mutant("ips-wrong-propensity", "src/bistro/policies.py",
            "float(c_observed) / float(q[chosen])", "float(c_observed) / float(q[0])",

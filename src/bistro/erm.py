@@ -28,8 +28,11 @@ class ErmOracle:
     either shape in one ``_values`` body. A stack equals S sequential calls
     bit for bit on dyadic costs and to 1e-12 otherwise: its products sum in
     another order than a single query's. Oracles are stateless across calls
-    apart from the counter (and a noise stream or a penalty cache).
+    apart from the counter (and a noise stream or a penalty cache). ``folds``
+    says whether a value depends on a query only through its fold Z[j, x].
     """
+
+    folds = False
 
     def __init__(self):
         self._calls = 0
@@ -58,6 +61,8 @@ class ErmOracle:
 class ExactErmOracle(ErmOracle):
     """Exact minimum over a finite class (delta = 0)."""
 
+    folds = True
+
     def __init__(self, policy_class: PolicyClass):
         super().__init__()
         if policy_class.size == 0:
@@ -81,6 +86,7 @@ class ApproximateErmOracle(ErmOracle):
         if delta < 0:
             raise ValueError("delta must be nonnegative")
         self.inner = inner
+        self.folds = inner.folds
         self.delta = float(delta)
         self._rng = np.random.default_rng(seed)
 
@@ -224,6 +230,7 @@ class RegularizedErmOracle(ExactErmOracle):
             raise ValueError("lambda_scaled must be nonnegative")
         self.constraint = constraint
         self.lambda_scaled = float(lambda_scaled)
+        self.folds = self.lambda_scaled == 0  # a penalty reads the context sequence itself
         self._last = (None, None)
 
     def _values(self, contexts, Y: np.ndarray):

@@ -4,8 +4,8 @@ One learner, ``RelaxationStrategy``, keeps the gamma-scaled history and plays
 a q* mixed toward uniform; its subclasses differ only in the rule for q*.
 BISTRO water-fills ERM oracle values on a hybrid cost matrix (the history, a
 basis-vector column for the candidate action, and doubled random signs for
-hypothetical futures); its regularized and superset variants plug in a
-penalized or relaxed oracle. The adversarial reduction takes q* from a
+hypothetical futures, drawn as counts); its regularized and superset variants
+plug in a penalized or relaxed oracle. The adversarial reduction takes q* from a
 full-information relaxation. Baselines used as harness anchors are last.
 """
 
@@ -86,9 +86,13 @@ class RelaxationStrategy(Strategy):
 class BistroStrategy(RelaxationStrategy):
     """Random-playout relaxation strategy; d oracle calls per playout per round.
 
-    The history matrix doubles as the query: each playout overwrites the
-    future columns with SIGN_SCALE * eps, and each of the d pricing queries
-    sets column t to e_j and hands the matrix to the oracle in place.
+    A playout's future, k = n - t - 1 columns of a context and SIGN_SCALE *
+    eps (eps uniform on {-1, +1}^d), is drawn as its (|X|, 2^d) counts of
+    (context, pattern) cells: multinomial over the pool's empirical p(x) *
+    2^-d, or per context over the known future's counts (transductive). An
+    oracle that ``folds`` prices the (d, |X|) sums Z_h + Z_f + e_{j,x}, so a
+    round's cost does not grow with n; any other gets the columns rebuilt
+    from the counts, shuffled (iid_pool) or on the known rounds.
     """
 
     def __init__(self, policy_class, oracle: ErmOracle, horizon: int, gamma: float,
@@ -99,9 +103,12 @@ class BistroStrategy(RelaxationStrategy):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         self.oracle = oracle
+        self.folded = oracle.folds
         self.playouts = playouts
         self.transductive = mode == "transductive"
-        self._pool = self._ctx_rng = self._sign_rng = None
+        bits = np.arange(2**policy_class.d)[:, None] >> np.arange(policy_class.d) & 1
+        self._eps = SIGN_SCALE * (bits * 2.0 - 1.0)  # (2^d, d): row s is pattern s
+        self._universe = np.arange(policy_class.universe_size)
 
     @property
     def oracle_calls(self) -> int:
@@ -109,40 +116,58 @@ class BistroStrategy(RelaxationStrategy):
 
     def begin_episode(self, n: int, seed_seq, pool=None, known_futures=None) -> None:
         super().begin_episode(n, seed_seq)
-        ctx_ss, sign_ss, noise_ss = seed_seq.spawn(3)
-        self._ctx_rng = np.random.default_rng(ctx_ss)
-        self._sign_rng = np.random.default_rng(sign_ss)
+        count_ss, order_ss, noise_ss = seed_seq.spawn(3)
+        self._count_rng = np.random.default_rng(count_ss)
+        self._order_rng = np.random.default_rng(order_ss)
         if hasattr(self.oracle, "reseed"):
             self.oracle.reseed(noise_ss)
+        self._Z = np.zeros((self.policy_class.d, self._universe.size))
+        cells = len(self._eps)
         if self.transductive:
             if known_futures is None or len(known_futures) != n:
                 raise ValueError("transductive mode requires the full context sequence")
             # _q_star overwrites entry t with x_t; later entries keep the known futures
-            self._ctx[:] = known_futures
+            self._ctx[:] = self.policy_class._checked_ids(known_futures)
+            self._future = np.bincount(self._ctx[1:], minlength=self._universe.size)
+            self._probs = np.full(cells, 1.0 / cells)
         else:
             if pool is None or len(pool) == 0:
                 raise ValueError("iid_pool mode requires a nonempty unlabeled pool")
-            self._pool = np.asarray(pool, dtype=np.int64)
+            counts = np.bincount(self.policy_class._checked_ids(pool),
+                                 minlength=self._universe.size)
+            self._probs = np.repeat(counts / (counts.sum() * cells), cells)
+
+    def update(self, x: int, q: np.ndarray, action: int, observed_cost: float) -> None:
+        super().update(x, q, action, observed_cost)
+        t = self._t
+        self._Z[action, x] += self._Y[action, t - 1]
+        if self.transductive and t < self.horizon:
+            self._future[self._ctx[t]] -= 1  # round t leaves the future
 
     def _q_star(self, x: int) -> np.ndarray:
         d, t = self.policy_class.d, self._t
         k = self.horizon - t - 1
         ctx, Y = self._ctx, self._Y
-        ctx[t] = x
-        future = Y[:, t + 1 :]
+        ctx[t], Y[:, t] = x, 0.0
         psi = np.empty(d)
         q_sum = 0.0
         for _ in range(self.playouts):
-            if not self.transductive:
-                # rng.choice(pool, size=k) draws these same indices
-                ctx[t + 1 :] = self._pool[self._ctx_rng.integers(0, self._pool.size, size=k)]
-            # SIGN_SCALE * (2 * bits - 1), written in place; exact for bits in {0, 1}
-            np.multiply(self._sign_rng.integers(0, 2, size=(d, k)), 2 * SIGN_SCALE, out=future)
-            future -= SIGN_SCALE
+            counts = self._count_rng.multinomial(self._future if self.transductive else k,
+                                                 self._probs).reshape(-1, 2**d)
+            if self.folded:  # e_j goes into the fold's cell (j, x)
+                ctx, Y, col = self._universe, self._Z + (counts @ self._eps).T, x
+            else:  # e_j goes into column t, the future onto t + 1..n - 1
+                cells = np.repeat(np.arange(counts.size), counts.ravel())  # x * 2^d + s, sorted
+                if self.transductive:  # the signs' order on a context's rounds changes no value
+                    slots = t + 1 + np.argsort(ctx[t + 1 :], kind="stable")
+                else:
+                    slots = t + 1 + self._order_rng.permutation(k)
+                ctx[slots], Y[:, slots], col = cells >> d, self._eps[cells % 2**d].T, t
             for j in range(d):
-                Y[:, t] = 0.0
-                Y[j, t] = 1.0
+                y = Y[j, col]
+                Y[j, col] = y + 1.0
                 psi[j] = self.oracle(ctx, Y)
+                Y[j, col] = y
             q_sum = q_sum + waterfill(psi)
         return q_sum / self.playouts
 

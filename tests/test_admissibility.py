@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 
 import numpy as np
@@ -26,10 +27,10 @@ from bistro.runner import (
     relaxation,
     resolve_strategy_params,
 )
-from bistro.strategies import SIGN_SCALE
+from bistro.strategies import SIGN_SCALE, BistroStrategy
 from bistro.verify import exact_regularized_bound, sequence_values
 from bistro.waterfill import waterfill
-from test_strategies import RecordingOracle
+from test_strategies import RecordingDraws, RecordingOracle, future_columns
 
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -157,9 +158,9 @@ class TestBoundIsRelaxationAtEmptyHistory:
 
 @pytest.mark.parametrize("algorithm", PLAYOUT_RELAXATIONS)
 def test_play_queries_price_the_checked_relaxation(algorithm):
-    # Exact, one round: each of play's d queries [gamma*c~ | e_j | 2*eps]
-    # has the value the checker's playout_values gives the same history,
-    # current column and draws.
+    # Exact, one round: each of play's d queries, [gamma*c~ | e_j | 2*eps] as
+    # columns or as their fold, has the value the checker's playout_values
+    # gives the same history, current column and draws.
     config = relaxation_config(algorithm)
     pc = build_policy_class(config)
     env = build_environment(config, pc)
@@ -170,20 +171,134 @@ def test_play_queries_price_the_checked_relaxation(algorithm):
     q = strategy.choose(1)
     strategy.update(1, q, 0, 0.7)
     spy.queries.clear()
+    strategy._count_rng = draws = RecordingDraws(strategy._count_rng)
     strategy.choose(0)  # round 2: one past column, the current one, m = 1 future
 
     oracle, _ = relaxation(config, pc, gamma)
     t = 1
-    assert len(spy.queries) == d
+    # the walk's units: history gamma*c/q on the played action, playouts 2*eps
+    past = gamma * (0.7 / q[0]) * np.eye(d)[0]
+    fut_ctx, fut_signs = future_columns(draws.counts[0], d)
+    assert len(spy.queries) == d and strategy.folded == (algorithm == "bistro")
     for j, (ctx, Y, value) in enumerate(spy.queries):
-        # the walk's units: history gamma*c/q on the played action, playouts 2*eps
-        np.testing.assert_array_equal(Y[:, 0], gamma * (0.7 / q[0]) * np.eye(d)[0])
-        np.testing.assert_array_equal(Y[:, t], np.eye(d)[j])
-        assert set(np.abs(Y[:, t + 1:]).ravel()) == {SIGN_SCALE}
-        checked = playout_values(oracle, ctx[None, :t + 1], Y[:, :t + 1].T[None],
-                                 ctx[None, t + 1:], Y[None, :, t + 1:] / SIGN_SCALE)
+        if strategy.folded:
+            np.testing.assert_array_equal(ctx, np.arange(pc.universe_size))
+            fold = np.zeros((d, pc.universe_size))  # contexts 1 (past), 0 (now), future
+            fold[:, 1] += past
+            fold[j, 0] += 1.0
+            np.add.at(fold.T, fut_ctx, SIGN_SCALE * fut_signs.T)
+            np.testing.assert_allclose(Y, fold, rtol=0, atol=1e-12)
+        else:
+            np.testing.assert_array_equal(ctx, [1, 0, *fut_ctx])
+            np.testing.assert_array_equal(Y[:, 0], past)
+            np.testing.assert_array_equal(Y[:, t], np.eye(d)[j])
+            np.testing.assert_array_equal(Y[:, t + 1:], SIGN_SCALE * fut_signs)
+        checked = playout_values(oracle, np.array([[1, 0]]), np.array([[past, np.eye(d)[j]]]),
+                                 fut_ctx[None], fut_signs[None])
         assert checked.shape == (1, 1)
         assert value == pytest.approx(checked[0, 0], rel=1e-12, abs=1e-12)
+
+
+class ScriptedDraws:
+    """Stands in for a strategy's two generators: ``multinomial`` returns the
+    scripted cell counts and records its arguments, ``permutation`` returns
+    the scripted column order."""
+
+    def __init__(self, counts, order):
+        self.counts, self.order, self.args = counts, order, []
+
+    def multinomial(self, n, pvals):
+        self.args.append((n, np.array(pvals)))
+        return self.counts[0] if np.ndim(n) == 0 else self.counts
+
+    def permutation(self, k):
+        assert k == len(self.order)
+        return np.array(self.order, dtype=np.int64)
+
+
+def count_atoms(totals, cells: int):
+    """Every (len(totals), cells) count matrix whose row r sums to totals[r]."""
+    rows = [[np.bincount(c, minlength=cells)
+             for c in itertools.combinations_with_replacement(range(cells), m)] for m in totals]
+    return [np.array(atom) for atom in itertools.product(*rows)]
+
+
+def multinomial_pmf(counts, pvals) -> float:
+    return math.factorial(int(counts.sum())) * math.prod(
+        p**int(c) / math.factorial(int(c)) for p, c in zip(pvals, counts))
+
+
+def mean_play(strategy, x: int, totals, cells: int) -> np.ndarray:
+    """The strategy's E[q] at x (one playout), its draws enumerated exactly:
+    every multinomial atom with its probability under the probabilities the
+    strategy asks for, and every column order with probability 1/k!."""
+    k = int(sum(totals))
+    orders = [()] if strategy.folded else list(itertools.permutations(range(k)))
+    mean = np.zeros(strategy.policy_class.d)
+    for atom in count_atoms(totals, cells):
+        for order in orders:
+            draws = ScriptedDraws(atom, order)
+            strategy._count_rng = strategy._order_rng = draws
+            q = strategy.choose(x)
+            (n, pvals), = draws.args
+            assert np.array_equal(n, totals if np.ndim(n) else k)
+            mean += math.prod(multinomial_pmf(row, pvals) for row in atom) / len(orders) * q
+    return mean
+
+
+CAPS_PENALTIES = {"exact": None, "pairwise": PairwiseDisagreement("uniform"),
+                  "coverage": CoveragePenalty([[0, 1], [2]], 1)}
+
+
+@pytest.mark.parametrize("penalty", sorted(CAPS_PENALTIES))
+def test_mean_play_is_the_exact_mixed_q(penalty):
+    # At the checker's caps (d = n = |X| = 3, |F| = 8) the folded draw's law,
+    # enumerated atom by atom, gives play's mean q; it must equal the
+    # checker's enumeration over every future sequence and sign pattern, fed
+    # the pool's empirical distribution, at every round of a history.
+    constraint, gamma = CAPS_PENALTIES[penalty], 0.2
+    pc, d, n = PolicyClass(CAPS_CLASS, 3), 3, 3
+    oracle = (ExactErmOracle(pc) if constraint is None
+              else RegularizedErmOracle(pc, constraint, 1.0 * gamma))
+    pool = np.array([0, 1, 1, 2, 2, 2, 0, 1, 2, 2])
+    probs = np.bincount(pool) / pool.size
+    strategy = BistroStrategy(pc, oracle, n, gamma)
+    assert strategy.folded == (constraint is None)
+    strategy.begin_episode(n, np.random.SeedSequence(8), pool=pool)
+    for t, x in enumerate([2, 0, 1]):
+        expected = _exact_mixed_q(oracle, probs, gamma, n, strategy._ctx[:t].copy(),
+                                  strategy._Y[:, :t].T.copy(), x)
+        got = mean_play(strategy, x, [n - t - 1], pc.universe_size * 2**d)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        # cost 1 on the likeliest action, which the cheapest policies play
+        strategy.update(x, expected, int(np.argmax(expected)), 1.0)
+
+
+@pytest.mark.parametrize("penalty", ["exact", "coverage"])
+def test_transductive_mean_play_averages_the_known_futures_signs(penalty):
+    # Transductive play draws only the signs of the known future: per context,
+    # multinomial counts of its rounds' sign patterns, placed on those rounds.
+    # Its mean q must equal the average over every sign pattern of the known
+    # future columns, priced by playout_values.
+    constraint, gamma = CAPS_PENALTIES[penalty], 0.2
+    pc, d, n = PolicyClass(CAPS_CLASS, 3), 3, 3
+    oracle = (ExactErmOracle(pc) if constraint is None
+              else RegularizedErmOracle(pc, constraint, 1.0 * gamma))
+    known = np.array([1, 2, 0])
+    strategy = BistroStrategy(pc, oracle, n, gamma, mode="transductive")
+    strategy.begin_episode(n, np.random.SeedSequence(8), known_futures=known)
+    for t in range(n):
+        x, m = int(known[t]), n - t - 1
+        bits = (np.arange(2 ** (d * m))[:, None] >> np.arange(d * m)) & 1
+        signs = (bits * 2.0 - 1.0).reshape(len(bits), d, m)
+        cols = np.concatenate([np.broadcast_to(strategy._Y[:, :t].T, (d, t, d)),
+                               np.eye(d)[:, None]], axis=1)
+        psi = playout_values(oracle, np.broadcast_to(known[: t + 1], (d, t + 1)), cols,
+                             np.repeat(known[None, t + 1:], len(signs), axis=0), signs)
+        expected = mix_with_uniform(np.mean([waterfill(row) for row in psi], axis=0), gamma)
+        got = mean_play(strategy, x, np.bincount(known[t + 1:], minlength=3), 2**d)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        strategy.update(x, expected, int(np.argmin(expected)), 1.0)
 
 
 def test_horizon_benchmark_is_the_filtered_class():

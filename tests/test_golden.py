@@ -17,6 +17,7 @@ import pytest
 from bistro.runner import (
     build_environment,
     build_policy_class,
+    draw_action,
     load_config,
     make_strategy,
     resolve_strategy_params,
@@ -59,11 +60,13 @@ def golden_path(name: str) -> str:
     return os.path.join(GOLDEN_DIR, f"{name}.json")
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_transcript(name):
+def load_golden(name: str) -> dict:
     with open(golden_path(name)) as f:
-        golden = json.load(f)
-    got = play(name)
+        return json.load(f)
+
+
+def assert_replays(name: str) -> None:
+    golden, got = load_golden(name), play(name)
     assert abs(got["gamma"] - golden["gamma"]) <= TOL
     assert sorted(got["episodes"]) == sorted(golden["episodes"])
     for seed, want in golden["episodes"].items():
@@ -71,6 +74,25 @@ def test_golden_transcript(name):
         assert have["actions"] == want["actions"], f"seed {seed}: actions differ"
         dq = np.abs(np.array(have["q"]) - np.array(want["q"])).max()
         assert dq <= TOL, f"seed {seed}: max |dq| = {dq:.3e}"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_transcript(name):
+    assert_replays(name)
+
+
+def test_goldens_blind_to_the_playout_draws_replay_unmodified():
+    # The box prices every action alike whatever the playouts draw, so its
+    # golden is uniform play, the actions drawn from (1/2, 1/2) by the
+    # episode's action stream; the reduction draws no playouts. Neither
+    # golden was re-recorded when the playout draws changed.
+    for seed, episode in load_golden("fixed_adversarial_bistro_relaxed")["episodes"].items():
+        act_rng = np.random.default_rng(np.random.SeedSequence(int(seed)).spawn(5)[3])
+        assert all(q == [0.5, 0.5] for q in episode["q"])
+        assert episode["actions"] == [draw_action(act_rng, [0.5, 0.5], 2)
+                                      for _ in episode["actions"]]
+    assert_replays("fixed_adversarial_bistro_relaxed")
+    assert_replays("adaptive_adversary_adversarial_reduction")
 
 
 if __name__ == "__main__":

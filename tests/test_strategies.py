@@ -30,6 +30,28 @@ class RecordingOracle(ErmOracle):
         return value
 
 
+class RecordingDraws:
+    """Pass-through wrapper of a strategy's generator keeping every count
+    matrix its multinomial returns."""
+
+    def __init__(self, rng):
+        self.rng, self.counts = rng, []
+
+    def multinomial(self, n, pvals):
+        self.counts.append(self.rng.multinomial(n, pvals))
+        return self.counts[-1]
+
+    def permutation(self, k):
+        return self.rng.permutation(k)
+
+
+def future_columns(counts, d):
+    """A playout's future as columns, cell by cell in x-major order: contexts
+    (k,) and signs (d, k) in {-1, +1}, bit j of pattern s the sign of row j."""
+    cells = np.repeat(np.arange(counts.size), np.ravel(counts))
+    return cells // 2**d, ((cells % 2**d) >> np.arange(d)[:, None] & 1) * 2.0 - 1.0
+
+
 def make_strategy(pc, gamma=0.25, n=4, oracle=None, **kwargs):
     return BistroStrategy(pc, oracle or ExactErmOracle(pc), n, gamma, **kwargs)
 
@@ -58,17 +80,20 @@ def recorded_queries(n, rounds, seed=0):
 
 
 class TestAssembleQueryMatrix:
-    """Layout of the query matrix the strategy builds in place, as the oracle sees it."""
+    """Layout of the column query the strategy builds in place, as an oracle
+    that does not fold sees it."""
 
     def test_first_round_with_future(self):
         queries = recorded_queries(2, [(0, None, None)], seed=0)
-        # the strategy's seed spawns (contexts, signs, oracle noise) streams
-        sign_ss = np.random.SeedSequence(0).spawn(3)[1]
-        signs = np.random.default_rng(sign_ss).integers(0, 2, size=(2, 1)) * 2 - 1
+        # the strategy's seed spawns (counts, column order, oracle noise) streams;
+        # the pool [0, 1] gives each of the 2 * 2^2 (context, pattern) cells 1/8
+        count_ss = np.random.SeedSequence(0).spawn(3)[0]
+        counts = np.random.default_rng(count_ss).multinomial(1, np.full(8, 1 / 8))
+        ctx, signs = future_columns(counts, 2)
         assert len(queries) == 2
-        for j, (_, Y, _) in enumerate(queries):
-            expected = np.hstack([np.eye(2)[:, [j]], 2.0 * signs])
-            np.testing.assert_array_equal(Y, expected)
+        for j, (contexts, Y, _) in enumerate(queries):
+            np.testing.assert_array_equal(contexts, [0, *ctx])
+            np.testing.assert_array_equal(Y, np.hstack([np.eye(2)[:, [j]], 2.0 * signs]))
 
     def test_last_round_no_future(self):
         queries = recorded_queries(2, [(0, 0, 1.0), (1, None, None)])
@@ -79,55 +104,34 @@ class TestAssembleQueryMatrix:
         np.testing.assert_array_equal(queries[2][1][:, 0], [1.0, 0.0])
 
 
-class ReplayOracle(ErmOracle):
-    """Compares each query's future columns with the NumPy calls the playouts
-    used to make, replayed on the strategy's two playout streams:
-    ``rng.choice(pool, size=k)`` for the contexts and
-    ``SIGN_SCALE * (bits * 2 - 1)`` for the signs."""
+class LengthSpy(ErmOracle):
+    """Pass-through wrapper keeping the longest query it was handed."""
 
-    def __init__(self, inner, seed_seq, pool, n, playouts):
+    def __init__(self, inner):
         super().__init__()
-        self.inner, self.policy_class = inner, inner.policy_class
-        ctx_ss, sign_ss, _ = seed_seq.spawn(3)
-        self.ctx_rng, self.sign_rng = np.random.default_rng(ctx_ss), np.random.default_rng(sign_ss)
-        self.pool, self.n, self.playouts = pool, n, playouts
-        self.contexts_equal, self.signs_equal = [], []
+        self.inner, self.longest = inner, 0
 
     def _values(self, contexts, Y):
-        d = self.policy_class.d
-        t = (self.calls - 1) // (d * self.playouts)
-        if (self.calls - 1) % d == 0:  # a playout's first query: replay its draws
-            k = self.n - t - 1
-            self.ctx = self.ctx_rng.choice(self.pool, size=k)
-            self.signs = SIGN_SCALE * (self.sign_rng.integers(0, 2, size=(d, k)) * 2 - 1)
-        self.contexts_equal.append(np.array_equal(contexts[t + 1 :], self.ctx))
-        self.signs_equal.append(Y[:, t + 1 :].tobytes() == self.signs.tobytes())
+        self.longest = max(self.longest, len(contexts))
         return self.inner(contexts, Y)
 
 
-def replayed_playouts(n=601, d=3, playouts=2):
-    """A strategy's episode of n rounds, so k = n - t - 1 runs from n - 1 to 0,
-    priced through a ``ReplayOracle``."""
-    rng = np.random.default_rng(43)
-    pc = PolicyClass(rng.integers(0, d, (4, 5)), d)
-    pool = rng.integers(0, 5, size=37)
-    # a second SeedSequence(44): spawning advances a sequence's child counter
-    oracle = ReplayOracle(ExactErmOracle(pc), np.random.SeedSequence(44), pool, n, playouts)
-    strat = make_strategy(pc, gamma=0.25, n=n, oracle=oracle, playouts=playouts)
-    strat.begin_episode(n, np.random.SeedSequence(44), pool=pool)
-    for t in range(n):
-        q = strat.choose(int(pool[t % pool.size]))
-        strat.update(int(pool[t % pool.size]), q, t % d, 0.5)
-    assert oracle.calls == d * playouts * n
-    return oracle
-
-
-class TestPlayoutDraws:
-    def test_pool_draw_is_choices_draw(self):
-        assert all(replayed_playouts().contexts_equal)
-
-    def test_sign_columns_are_the_scaled_signs(self):
-        assert all(replayed_playouts().signs_equal)
+class TestFoldedPlayouts:
+    def test_exact_queries_never_outgrow_the_universe(self):
+        # n = 601 rounds, so k = n - t - 1 runs from 600 to 0 future rounds,
+        # and no query carries more than one column per context
+        rng = np.random.default_rng(43)
+        d, n, playouts = 3, 601, 2
+        pc = PolicyClass(rng.integers(0, d, (4, 5)), d)
+        pool = rng.integers(0, 5, size=37)
+        strat = make_strategy(pc, gamma=0.25, n=n, playouts=playouts)
+        strat.oracle = spy = LengthSpy(strat.oracle)
+        strat.begin_episode(n, np.random.SeedSequence(44), pool=pool)
+        for t in range(n):
+            q = strat.choose(int(pool[t % pool.size]))
+            strat.update(int(pool[t % pool.size]), q, t % d, 0.5)
+        assert spy.calls == d * playouts * n
+        assert spy.longest == pc.universe_size
 
 
 class TestBistroRound:
@@ -282,6 +286,44 @@ class TestQueryMatrixInvariants:
         for (ctx_a, Y_a, _), (ctx_b, Y_b, _) in zip(firsts, firsts[1:]):
             assert not np.array_equal(Y_a[:, 1:], Y_b[:, 1:])
             assert mode == "transductive" or not np.array_equal(ctx_a[1:], ctx_b[1:])
+
+    @pytest.mark.parametrize("mode", ["iid_pool", "transductive"])
+    @pytest.mark.parametrize("playouts", [1, 3])
+    def test_folded_queries_hold_the_history_and_the_future_counts(self, mode, playouts):
+        # An exact oracle's query is contexts 0..|X|-1 and Z_h + Z_f + e_{j,x}:
+        # the gamma*c~ history folded by context, the future's 2*eps sums
+        # (2H - m_x per context, H of m_x signs +1) and the current column.
+        rng = np.random.default_rng(36)
+        d, universe, n, gamma = 2, 4, 12, 0.2
+        pc = PolicyClass(rng.integers(0, d, (5, universe)), d)
+        strat = make_strategy(pc, gamma=gamma, n=n, playouts=playouts, mode=mode)
+        assert strat.folded
+        strat.oracle = recorder = RecordingOracle(strat.oracle)
+        env = Environment(np.ones(universe) / universe,
+                          FixedTableCosts(rng.uniform(0, 1, (n, d))))
+        tr = run_episode(strat, env, n, seed=7)
+        assert len(recorder.queries) == d * playouts * n
+        Z_h = np.zeros((d, universe))
+        for call, (ctx, Z, _) in enumerate(recorder.queries):
+            t, j = call // (d * playouts), call % d
+            if call % (d * playouts) == 0 and t > 0:  # round t - 1's column joins the history
+                a = tr.actions[t - 1]
+                Z_h[a, tr.contexts[t - 1]] += gamma * ips_estimate(
+                    tr.observed_costs[t - 1], a, tr.distributions[t - 1])
+            assert np.array_equal(ctx, np.arange(universe))
+            future = (Z - Z_h - np.eye(d)[:, [j]] * np.eye(universe)[tr.contexts[t]]) / SIGN_SCALE
+            sums = np.round(future)
+            np.testing.assert_allclose(future, sums, rtol=0, atol=1e-9)
+            k = n - t - 1
+            if mode == "transductive":  # m_x is the known future's count of x
+                m = np.bincount(tr.contexts[t + 1:], minlength=universe)
+                assert (np.abs(sums) <= m).all() and ((sums - m) % 2 == 0).all()
+            else:
+                assert (np.abs(sums).sum(axis=1) <= k).all()
+                assert (sums.sum(axis=1) % 2 == k % 2).all()
+            if j == 0:
+                playout_sums = sums
+            assert np.array_equal(sums, playout_sums)  # the d queries share the future
 
     def test_box_values_below_exact_values_per_round(self):
         rng = np.random.default_rng(37)
