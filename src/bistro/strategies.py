@@ -161,7 +161,8 @@ class BistroStrategy(RelaxationStrategy):
                 if self.transductive:  # the signs' order on a context's rounds changes no value
                     slots = t + 1 + np.argsort(ctx[t + 1 :], kind="stable")
                 else:
-                    slots = t + 1 + self._order_rng.permutation(k)
+                    self._order_rng.shuffle(cells)
+                    slots = slice(t + 1, None)
                 ctx[slots], Y[:, slots], col = cells >> d, self._eps[cells % 2**d].T, t
             for j in range(d):
                 y = Y[j, col]

@@ -201,8 +201,8 @@ def test_play_queries_price_the_checked_relaxation(algorithm):
 
 class ScriptedDraws:
     """Stands in for a strategy's two generators: ``multinomial`` returns the
-    scripted cell counts and records its arguments, ``permutation`` returns
-    the scripted column order."""
+    scripted cell counts and records its arguments, ``shuffle`` puts the
+    future's cells in the scripted order."""
 
     def __init__(self, counts, order):
         self.counts, self.order, self.args = counts, order, []
@@ -211,9 +211,9 @@ class ScriptedDraws:
         self.args.append((n, np.array(pvals)))
         return self.counts[0] if np.ndim(n) == 0 else self.counts
 
-    def permutation(self, k):
-        assert k == len(self.order)
-        return np.array(self.order, dtype=np.int64)
+    def shuffle(self, cells):
+        assert len(cells) == len(self.order)
+        cells[:] = cells[list(self.order)]
 
 
 def count_atoms(totals, cells: int):

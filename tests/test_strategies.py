@@ -41,8 +41,8 @@ class RecordingDraws:
         self.counts.append(self.rng.multinomial(n, pvals))
         return self.counts[-1]
 
-    def permutation(self, k):
-        return self.rng.permutation(k)
+    def shuffle(self, cells):
+        self.rng.shuffle(cells)
 
 
 def future_columns(counts, d):
