@@ -59,6 +59,14 @@ TRANSDUCTIVE_LAW = tuple(
 FOLDED = tuple(f"{T_STRAT}::TestQueryMatrixInvariants::"
                f"test_folded_queries_hold_the_history_and_the_future_counts[{p}-{mode}]"
                for p in (1, 3) for mode in ("iid_pool", "transductive"))
+# the reduction's q* from the fold against the sequence form, and the fold itself
+REDUCTION_FOLD = tuple(f"tests/test_adversarial.py::TestReduction::"
+                       f"test_fold_prices_the_sequence_form_bit_for_bit[{costs}]"
+                       for costs in ("fixed", "adaptive"))
+FOLD_HISTORY = REDUCTION_FOLD + tuple(
+    f"{T_STRAT}::TestFoldedPlayouts::test_fold_is_the_bincount_of_the_history[{learner}]"
+    for learner in ("bistro", "reduction")) + (
+    f"{T_GOLDEN}[adaptive_adversary_adversarial_reduction]",)
 # the mixed strategy, enumerated, and the walks it steers, recorded bit for bit
 MIXED_Q = (f"{T_ADM}::TestBistroChecker::test_exact_mixed_q_matches_sequence_form", *CAPS)
 MIXED_Q_WALKS = MIXED_Q + tuple(f"{RECORDED}[bistro {name}]"
@@ -109,11 +117,18 @@ MUTANTS = [
            "self._Z + (counts @ self._eps).T, x", "self._Z + (counts @ self._eps).T, 0",
            LAW[1:2] + FOLDED + (f"{T_GOLDEN}[fixed_adversarial_bistro]",)),
     Mutant("playout-history-not-folded", STRAT,
-           "self._Z[action, x] += self._Y[action, t - 1]", "pass",
-           LAW[1:2] + FOLDED + (f"{T_ADM}::test_play_queries_price_the_checked_relaxation[bistro]",
-                                f"{T_GOLDEN}[adaptive_adversary_bistro]")),
+           "self._Z[action, x] += y", "pass",
+           LAW[1:2] + FOLDED + FOLD_HISTORY
+           + (f"{T_ADM}::test_play_queries_price_the_checked_relaxation[bistro]",
+              f"{T_GOLDEN}[adaptive_adversary_bistro]")),
+    Mutant("history-fold-overwritten", STRAT,
+           "self._Z[action, x] += y", "self._Z[action, x] = y", FOLD_HISTORY),
+    Mutant("reduction-priced-from-a-zero-fold", "src/bistro/adversarial.py",
+           "self.relaxation.strategy(self._Z.T, self._universe, x)",
+           "self.relaxation.strategy(0.0 * self._Z.T, self._universe, x)",
+           REDUCTION_FOLD + (f"{T_GOLDEN}[adaptive_adversary_adversarial_reduction]",)),
     Mutant("transductive-future-not-decremented", STRAT,
-           "self._future[self._ctx[t]] -= 1", "pass",
+           "self._future[self._ctx[self._t]] -= 1", "pass",
            TRANSDUCTIVE_LAW + FOLDED[1::2]),
     Mutant("transductive-cells-off-their-rounds", STRAT,
            "if self.transductive:  # the signs' order on a context's rounds changes no value",
@@ -253,6 +268,13 @@ MUTANTS = [
            'for key in ("lambda", "K", "eta", "delta", "epsilon"):',
            'for key in ("lambda", "K", "delta", "epsilon"):',
            on_commands("eta-inf") + on_commands("eta-nan")),
+    Mutant("config-eta-zero", RUNNER,
+           'config_number(config, "eta", 1.0) > 0', 'config_number(config, "eta", 1.0) >= 0',
+           on_commands("eta-zero")),
+    Mutant("config-epsilon-above-one", RUNNER,
+           'config_number(config, "epsilon", 1.0) <= 1',
+           'config_number(config, "epsilon", 1.0) <= 2',
+           on_commands("epsilon-above")),
     Mutant("admissibility-gamma-not-required", CLI,
            'if "gamma" not in config:', "if False:",
            (f"{T_CLI}::test_admissibility_requires_numeric_gamma", f"{RANGE}[gamma-missing]")),

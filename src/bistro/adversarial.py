@@ -73,12 +73,12 @@ class ExpWeightsRelaxation:
 
 
 class ReductionStrategy(RelaxationStrategy):
-    """Bandit play whose q* is a full-information relaxation's strategy on the history."""
+    """Bandit play whose q* is a full-information relaxation's strategy on the
+    history's fold: one column per context, so a round's cost does not grow with t."""
 
     def __init__(self, relaxation, gamma: float, horizon: int):
         super().__init__(relaxation.policy_class, horizon, gamma)
         self.relaxation = relaxation
 
     def _q_star(self, x: int) -> np.ndarray:
-        t = self._t
-        return self.relaxation.strategy(self._Y[:, :t].T, self._ctx[:t], x)
+        return self.relaxation.strategy(self._Z.T, self._universe, x)

@@ -12,6 +12,7 @@ import numpy as np
 from .admissibility import check_bistro_admissibility, check_reduction_admissibility
 from .rademacher import DEFAULT_TUNING_SAMPLES
 from .runner import (
+    ALGORITHMS,
     RELAXATIONS,
     build_constraint,
     build_environment,
@@ -60,7 +61,7 @@ def _cmd_admissibility(args) -> int:
     config = load_config(args.config)
     if args.algorithm:
         config["algorithm"] = args.algorithm
-    algo = config.get("algorithm", "bistro")
+    algo = config.get("algorithm", ALGORITHMS[0])
     checked = (*RELAXATIONS, "adversarial_reduction")
     if algo not in checked:
         raise ValueError(f"checks only {', '.join(map(repr, checked))}; got algorithm {algo!r}")

@@ -19,7 +19,8 @@ from itertools import accumulate
 import numpy as np
 
 from .adversarial import ExpWeightsRelaxation, ReductionStrategy
-from .environments import AdaptiveCosts, Environment, FixedTableCosts, IidBernoulliCosts
+from .environments import DEFAULT_POOL_FACTOR, AdaptiveCosts, Environment, FixedTableCosts
+from .environments import IidBernoulliCosts
 from .erm import (
     ApproximateErmOracle,
     BoxRelaxedOracle,
@@ -48,7 +49,6 @@ from .strategies import (
     SIGN_SCALE,
     BistroStrategy,
     EpsilonGreedyStrategy,
-    FollowTheLeaderStrategy,
     Strategy,
     UniformStrategy,
 )
@@ -170,8 +170,6 @@ def run_episode(strategy: Strategy, env: Environment, n: int, seed) -> Transcrip
         observed[t] = cost = float(c[a])
         costs[t] = c
         strategy.update(x, q, a, cost)
-        if strategy.needs_full_costs:
-            strategy.observe_full_costs(x, c)
     return Transcript(
         contexts=xs,
         distributions=distributions,
@@ -224,6 +222,10 @@ def build_policy_class(config: dict) -> PolicyClass:
     for key in ("lambda", "K", "eta", "delta", "epsilon"):
         if not -np.inf < config_number(config, key, 0.0) < np.inf:  # NaN fails too
             raise ValueError(f"config key {key!r} must be finite; got {config[key]!r}")
+    if not config_number(config, "eta", 1.0) > 0:
+        raise ValueError(f"config key 'eta' must be positive; got {config['eta']!r}")
+    if not 0 < config_number(config, "epsilon", 1.0) <= 1:
+        raise ValueError(f"config key 'epsilon' must lie in (0, 1]; got {config['epsilon']!r}")
     gamma = config.get("gamma", "auto")
     if gamma != "auto" and not (0.0 < config_number(config, "gamma") and config["d"] * gamma <= 1):
         raise ValueError(f"config key 'gamma' must be \"auto\" or in (0, 1/d]; got {gamma!r}")
@@ -279,11 +281,8 @@ def build_environment(config: dict, policy_class: PolicyClass) -> Environment:
         probs = np.asarray(dist["probs"], dtype=float)
     if probs.size != policy_class.universe_size:
         raise ValueError("context distribution size disagrees with the policy universe")
-    return Environment(
-        probs,
-        build_cost_process(config),
-        pool_factor=config_int(config, "pool_factor", 10),
-    )
+    return Environment(probs, build_cost_process(config),
+                       config_int(config, "pool_factor", DEFAULT_POOL_FACTOR))
 
 
 def build_constraint(config: dict):
@@ -308,7 +307,7 @@ RELAXATIONS = {
     "bistro_relaxed": lambda config, policy_class, gamma: (BoxRelaxedOracle(), 0.0),
     "bistro_regularized": _regularized,
 }
-ALGORITHMS = (*RELAXATIONS, "adversarial_reduction", "uniform", "egreedy", "ftl")
+ALGORITHMS = (*RELAXATIONS, "adversarial_reduction", "uniform", "egreedy")
 
 
 def relaxation(config: dict, policy_class: PolicyClass, gamma: float):
@@ -319,7 +318,7 @@ def relaxation(config: dict, policy_class: PolicyClass, gamma: float):
     m*d*gamma + budget - E oracle([history | SIGN_SCALE*eps]) / gamma; play,
     the bound and the admissibility check all price through it.
     """
-    return RELAXATIONS[config.get("algorithm", "bistro")](config, policy_class, gamma)
+    return RELAXATIONS[config.get("algorithm", ALGORITHMS[0])](config, policy_class, gamma)
 
 
 def resolve_strategy_params(config: dict, policy_class: PolicyClass, env: Environment) -> dict:
@@ -330,7 +329,7 @@ def resolve_strategy_params(config: dict, policy_class: PolicyClass, env: Enviro
     is -E oracle(SIGN_SCALE*eps). ``"auto"`` tunes gamma to minimize it, and
     the bound is that value at the gamma the run plays.
     """
-    algo = config.get("algorithm", "bistro")
+    algo = config.get("algorithm", ALGORITHMS[0])
     n, d = config_int(config, "n"), policy_class.d
     gamma_cfg = config.get("gamma", "auto")
     out = {"algorithm": algo, "gamma": None, "rad_estimate": None,
@@ -377,7 +376,7 @@ def resolve_strategy_params(config: dict, policy_class: PolicyClass, env: Enviro
 
 def make_strategy(config: dict, policy_class: PolicyClass, gamma: float | None) -> Strategy:
     """Fresh strategy instance; one per episode so call counters stay per-episode."""
-    algo = config.get("algorithm", "bistro")
+    algo = config.get("algorithm", ALGORITHMS[0])
     n = config_int(config, "n")
     if algo in RELAXATIONS:
         oracle, _ = relaxation(config, policy_class, gamma)
@@ -392,8 +391,6 @@ def make_strategy(config: dict, policy_class: PolicyClass, gamma: float | None) 
         return UniformStrategy(policy_class.d)
     if algo == "egreedy":
         return EpsilonGreedyStrategy(policy_class, epsilon=config_number(config, "epsilon", 0.1))
-    if algo == "ftl":
-        return FollowTheLeaderStrategy(policy_class)
     raise ValueError(f"unknown algorithm {algo!r}")
 
 

@@ -1,12 +1,12 @@
 """Per-round bandit strategies.
 
-One learner, ``RelaxationStrategy``, keeps the gamma-scaled history and plays
-a q* mixed toward uniform; its subclasses differ only in the rule for q*.
-BISTRO water-fills ERM oracle values on a hybrid cost matrix (the history, a
-basis-vector column for the candidate action, and doubled random signs for
-hypothetical futures, drawn as counts); its regularized and superset variants
-plug in a penalized or relaxed oracle. The adversarial reduction takes q* from a
-full-information relaxation. Baselines used as harness anchors are last.
+One learner, ``RelaxationStrategy``, keeps the gamma-scaled history and its
+per-context fold and plays a q* mixed toward uniform; its subclasses differ
+only in the rule for q*. BISTRO water-fills ERM oracle values on a hybrid cost
+matrix (the history, a basis-vector column for the candidate action, and
+doubled random signs for hypothetical futures, drawn as counts); its variants
+plug in a penalized or relaxed oracle. The adversarial reduction prices q* from
+the fold with a full-information relaxation. Baselines are last.
 """
 
 from __future__ import annotations
@@ -24,10 +24,9 @@ SIGN_SCALE = 2.0
 
 
 class Strategy:
-    """Interface shared by all per-round strategies."""
+    """Interface of every per-round strategy; bandit feedback reaches it only by ``update``."""
 
     transductive = False
-    needs_full_costs = False  # if set, run_episode also calls observe_full_costs(x, c)
     oracle_calls = 0
 
     def begin_episode(self, n: int, seed_seq, pool=None, known_futures=None) -> None:
@@ -45,8 +44,9 @@ class RelaxationStrategy(Strategy):
 
     The history is the contexts (n,) and the columns gamma * c~_t of one
     (d, n) matrix, which stay inside [0,1]^d because mixing keeps
-    q_t(y) >= gamma. ``update`` writes round t's entries once; a subclass
-    supplies its rule for q* at round t as ``_q_star(x)``.
+    q_t(y) >= gamma. ``update`` writes round t's entries once, and adds the
+    played one to the fold Z[j, x] = sum_{t: x_t = x} Y[j, t] in round order,
+    as ``PolicyClass.values`` bincounts it; ``_q_star(x)`` is a subclass's rule.
     """
 
     def __init__(self, policy_class, horizon: int, gamma: float):
@@ -57,13 +57,15 @@ class RelaxationStrategy(Strategy):
         self.policy_class = policy_class
         self.horizon = int(horizon)
         self.gamma = float(gamma)
-        self._t, self._ctx, self._Y = 0, None, None
+        self._universe = np.arange(policy_class.universe_size)
+        self._t, self._ctx, self._Y, self._Z = 0, None, None, None
 
     def begin_episode(self, n: int, seed_seq, pool=None, known_futures=None) -> None:
         if n != self.horizon:
             raise ValueError("episode length does not match the configured horizon")
         self._ctx = np.zeros(n, dtype=np.int64)
         self._Y = np.zeros((self.policy_class.d, n))
+        self._Z = np.zeros((self.policy_class.d, self._universe.size))
         self._t = 0
 
     def choose(self, x: int) -> np.ndarray:
@@ -79,7 +81,8 @@ class RelaxationStrategy(Strategy):
         self._ctx[t] = x
         # gamma * c~_t: the estimate's other entries are 0, and gamma * 0 is 0
         self._Y[:, t] = 0.0
-        self._Y[action, t] = self.gamma * est
+        self._Y[action, t] = y = self.gamma * est
+        self._Z[action, x] += y
         self._t = t + 1
 
 
@@ -108,7 +111,6 @@ class BistroStrategy(RelaxationStrategy):
         self.transductive = mode == "transductive"
         bits = np.arange(2**policy_class.d)[:, None] >> np.arange(policy_class.d) & 1
         self._eps = SIGN_SCALE * (bits * 2.0 - 1.0)  # (2^d, d): row s is pattern s
-        self._universe = np.arange(policy_class.universe_size)
 
     @property
     def oracle_calls(self) -> int:
@@ -121,7 +123,6 @@ class BistroStrategy(RelaxationStrategy):
         self._order_rng = np.random.default_rng(order_ss)
         if hasattr(self.oracle, "reseed"):
             self.oracle.reseed(noise_ss)
-        self._Z = np.zeros((self.policy_class.d, self._universe.size))
         cells = len(self._eps)
         if self.transductive:
             if known_futures is None or len(known_futures) != n:
@@ -139,10 +140,8 @@ class BistroStrategy(RelaxationStrategy):
 
     def update(self, x: int, q: np.ndarray, action: int, observed_cost: float) -> None:
         super().update(x, q, action, observed_cost)
-        t = self._t
-        self._Z[action, x] += self._Y[action, t - 1]
-        if self.transductive and t < self.horizon:
-            self._future[self._ctx[t]] -= 1  # round t leaves the future
+        if self.transductive and self._t < self.horizon:  # round t leaves the future
+            self._future[self._ctx[self._t]] -= 1
 
     def _q_star(self, x: int) -> np.ndarray:
         d, t = self.policy_class.d, self._t
@@ -207,22 +206,3 @@ class EpsilonGreedyStrategy(Strategy):
     def update(self, x, q, action, observed_cost):
         hit = self.policy_class.table[:, x] == action
         self._losses[hit] += ips_estimate(observed_cost, action, q)
-
-
-class FollowTheLeaderStrategy(EpsilonGreedyStrategy):
-    """Plays the exact ERM policy on past true cost vectors: epsilon-greedy at
-    epsilon = 0, fed the full cost vectors instead of estimates. Requires
-    full-information feedback the protocol does not grant; diagnostic only."""
-
-    needs_full_costs = True
-    epsilon = 0.0
-
-    def __init__(self, policy_class):
-        self.policy_class = policy_class
-        self._losses = None
-
-    def update(self, x, q, action, observed_cost):
-        pass
-
-    def observe_full_costs(self, x, cost_vector):
-        self._losses += np.asarray(cost_vector, dtype=float)[self.policy_class.table[:, x]]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bistro.adversarial import ExpWeightsRelaxation, ReductionStrategy
-from bistro.environments import Environment, FixedTableCosts
+from bistro.environments import AdaptiveCosts, Environment, FixedTableCosts
 from bistro.policies import PolicyClass
 from bistro.rademacher import tune_gamma
 from bistro.runner import resolve_strategy_params, run_episode
@@ -153,6 +153,28 @@ class TestReduction:
         assert params["bound"] == pytest.approx(2 * np.sqrt(d * n * rel0))
         # clamping at small horizons
         assert tune_gamma(100.0, 2, 2) == 0.5
+
+    @pytest.mark.parametrize("costs", ["fixed", "adaptive"])
+    def test_fold_prices_the_sequence_form_bit_for_bit(self, costs):
+        # each round's q* from the fold, one column per context, against the
+        # relaxation's strategy on the t past columns
+        rng = np.random.default_rng(49)
+        d, universe, n = 3, 6, 300
+        pc = PolicyClass(rng.integers(0, d, (64, universe)), d)
+        process = (FixedTableCosts(rng.uniform(0, 1, (n, d))) if costs == "fixed"
+                   else AdaptiveCosts(d))
+        strat = ReductionStrategy(ExpWeightsRelaxation(pc, n), 0.1, n)
+        fold_q_star, same = strat._q_star, []
+
+        def q_star(x):
+            t, q = strat._t, fold_q_star(x)
+            columns = strat.relaxation.strategy(strat._Y[:, :t].T, strat._ctx[:t], x)
+            same.append(np.array_equal(q, columns))
+            return q
+
+        strat._q_star = q_star
+        run_episode(strat, Environment(np.ones(universe) / universe, process), n, seed=10)
+        assert len(same) == n and all(same)
 
     def test_determinism(self):
         rng = np.random.default_rng(45)

@@ -248,6 +248,11 @@ RANGE_ERRORS = {
     "eta-nan": ({"eta": float("nan")}, "config key 'eta' must be finite"),
     "delta-inf": ({"delta": float("inf")}, "config key 'delta' must be finite"),
     "epsilon-inf": ({"epsilon": float("-inf")}, "config key 'epsilon' must be finite"),
+    # the rates: eta > 0 and epsilon in (0, 1], whichever algorithm reads them
+    "eta-zero": ({"eta": 0}, "config key 'eta' must be positive"),
+    "eta-negative": ({"eta": -1}, "config key 'eta' must be positive"),
+    "epsilon-zero": ({"epsilon": 0}, "config key 'epsilon' must lie in (0, 1]"),
+    "epsilon-above": ({"epsilon": 1.5}, "config key 'epsilon' must lie in (0, 1]"),
 }
 COMMANDS = ("run", "admissibility", "rademacher")
 
@@ -257,13 +262,15 @@ COMMANDS = ("run", "admissibility", "rademacher")
     # admissibility refuses an algorithm it cannot check before reading the rest
     ("run", {"algorithm": "bogus"}, "config key 'algorithm' must be one of"),
     ("rademacher", {"algorithm": "bogus"}, "config key 'algorithm' must be one of"),
+    ("run", {"algorithm": "ftl"}, "config key 'algorithm' must be one of"),  # removed
     # uniform plays no horizon mode, but the key is checked all the same
     ("run", {"algorithm": "uniform", "horizon_mode": "bogus"},
      "config key 'horizon_mode' must be one of"),
     ("admissibility", {"gamma": None}, "missing required config key 'gamma'"),
 ], ids=[*[case if command == "run" else f"{case}-{command}"
           for case in RANGE_ERRORS for command in COMMANDS],
-        "algorithm", "algorithm-rademacher", "horizon_mode-uniform", "gamma-missing"])
+        "algorithm", "algorithm-rademacher", "algorithm-ftl", "horizon_mode-uniform",
+        "gamma-missing"])
 def test_range_errors_name_their_key(command, changes, named, tmp_path, capsys):
     code = main([command, "--config", write_config(tmp_path, **changes)])
     captured = capsys.readouterr()

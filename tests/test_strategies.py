@@ -133,6 +133,38 @@ class TestFoldedPlayouts:
         assert spy.calls == d * playouts * n
         assert spy.longest == pc.universe_size
 
+    def test_reduction_queries_never_outgrow_the_universe(self):
+        # n = 600 rounds of history, and exp-weights is handed one column per context
+        rng = np.random.default_rng(46)
+        d, universe, n = 3, 5, 600
+        pc = PolicyClass(rng.integers(0, d, (4, universe)), d)
+        strat = make_reduction(pc, gamma=0.25, n=n)
+        rel, widths = strat.relaxation, []
+
+        def spy(costs, contexts, x):
+            widths.append(len(contexts))
+            return ExpWeightsRelaxation.strategy(rel, costs, contexts, x)
+
+        rel.strategy = spy
+        env = Environment(np.ones(universe) / universe, FixedTableCosts(rng.uniform(0, 1, (n, d))))
+        run_episode(strat, env, n, seed=47)
+        assert len(widths) == n
+        assert max(widths) == pc.universe_size
+
+    @pytest.mark.parametrize("learner", LEARNERS)
+    def test_fold_is_the_bincount_of_the_history(self, learner):
+        # update's running Z equals the one-bincount fold of the columns, bit for bit
+        rng = np.random.default_rng(48)
+        d, universe, n = 3, 5, 200
+        pc = PolicyClass(rng.integers(0, d, (6, universe)), d)
+        strat = LEARNERS[learner](pc, gamma=0.2, n=n)
+        env = Environment(np.ones(universe) / universe, FixedTableCosts(rng.uniform(0, 1, (n, d))))
+        tr = run_episode(strat, env, n, seed=9)
+        assert np.array_equal(strat._ctx, tr.contexts)
+        keys = np.arange(d)[:, None] * universe + strat._ctx
+        fold = np.bincount(keys.ravel(), weights=strat._Y.ravel(), minlength=d * universe)
+        assert np.array_equal(strat._Z, fold.reshape(d, universe))
+
 
 class TestBistroRound:
     def test_two_policy_single_round_uniform(self):
