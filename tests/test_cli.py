@@ -262,7 +262,7 @@ COMMANDS = ("run", "admissibility", "rademacher")
     # admissibility refuses an algorithm it cannot check before reading the rest
     ("run", {"algorithm": "bogus"}, "config key 'algorithm' must be one of"),
     ("rademacher", {"algorithm": "bogus"}, "config key 'algorithm' must be one of"),
-    ("run", {"algorithm": "ftl"}, "config key 'algorithm' must be one of"),  # removed
+    ("run", {"algorithm": "ftl"}, "config key 'algorithm' must be one of"),
     # uniform plays no horizon mode, but the key is checked all the same
     ("run", {"algorithm": "uniform", "horizon_mode": "bogus"},
      "config key 'horizon_mode' must be one of"),
