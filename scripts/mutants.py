@@ -42,9 +42,11 @@ class Mutant(NamedTuple):
 ADM, CLI, ENV = ("src/bistro/admissibility.py", "src/bistro/cli.py",
                  "src/bistro/environments.py")
 ERM, RUNNER = "src/bistro/erm.py", "src/bistro/runner.py"
+POL = "src/bistro/policies.py"
 T_ADM, T_CLI, T_ERM = "tests/test_admissibility.py", "tests/test_cli.py", "tests/test_erm.py"
 T_HARNESS, T_RAD = "tests/test_harness.py", "tests/test_rademacher.py"
 T_STRAT, T_GOLDEN = "tests/test_strategies.py", "tests/test_golden.py::test_golden_transcript"
+T_FOLD = "tests/test_policies.py::TestFoldQuery"
 STRAT = "src/bistro/strategies.py"
 RANGE = f"{T_CLI}::test_range_errors_name_their_key"
 RECORDED = f"{T_ADM}::test_reports_match_sequence_form_checker"
@@ -142,8 +144,37 @@ MUTANTS = [
            "self.folds = self.lambda_scaled == 0", "self.folds = True",
            (LAW[0], LAW[2], f"{T_GOLDEN}[regularized_pairwise]",
             f"{T_ADM}::test_play_queries_price_the_checked_relaxation[bistro_regularized]")),
+    # -- the fold query on the class's own universe (PolicyClass.values) --
+    Mutant("fold-query-non-finite-unchecked", POL,
+           "if not np.isfinite(z).all():",
+           "if contexts is not self.universe and not np.isfinite(z).all():",
+           (f"{T_FOLD}::test_rejects_non_finite_folds",)),
+    Mutant("fold-query-shape-unchecked", POL,
+           "if contexts is self.universe and Y.shape == (self.d, self.universe_size):",
+           "if contexts is self.universe:",
+           (f"{T_FOLD}::test_rejects_wrong_shapes",)),
+    Mutant("fold-query-keyed-on-length", POL,
+           "if contexts is self.universe and", "if len(contexts) == self.universe_size and",
+           (f"{T_FOLD}::test_other_contexts_take_the_bincount_path",)),
+    Mutant("fold-query-universe-writable", POL,
+           "        universe.flags.writeable = False\n", "",
+           (f"{T_FOLD}::test_universe_is_a_cached_read_only_arange",)),
+    Mutant("relaxation-builds-its-own-universe", STRAT,
+           "self._universe = policy_class.universe",
+           "self._universe = np.arange(policy_class.universe_size)",
+           tuple(f"{T_STRAT}::TestFoldedPlayouts::test_fold_queries_skip_the_id_check[{learner}]"
+                 for learner in ("bistro", "reduction"))),
+    # -- the running totals of argmax_punish (environments.AdaptiveCosts) --
+    Mutant("adaptive-totals-not-reset", ENV,
+           "self._totals, self._seen = np.zeros(self.d), 0",
+           "self._totals, self._seen = getattr(self, \"_totals\", np.zeros(self.d)), 0",
+           tuple(f"{T_HARNESS}::TestRunEpisode::"
+                 f"test_argmax_punish_running_totals_are_the_resummed_rule[{algorithm}]"
+                 for algorithm in ("bistro", "adversarial_reduction"))
+           + (f"{T_GOLDEN}[adaptive_adversary_bistro]",
+              f"{T_GOLDEN}[adaptive_adversary_adversarial_reduction]")),
     # -- the IPS estimate --
-    Mutant("ips-wrong-propensity", "src/bistro/policies.py",
+    Mutant("ips-wrong-propensity", POL,
            "float(c_observed) / float(q[chosen])", "float(c_observed) / float(q[0])",
            ("tests/test_policies.py::TestIpsEstimate::test_second_action",
             "tests/test_policies.py::TestIpsEstimate::test_unbiasedness",

@@ -95,33 +95,36 @@ class IidBernoulliCosts(CostProcess):
         return (self._rng.random(self.d) < self.means[x]).astype(float)
 
 
-def _argmax_punish(contexts, past_distributions, past_actions, d):
-    past = np.asarray(past_distributions, dtype=float).reshape(-1, d)
-    totals = past.sum(axis=0)
-    c = np.zeros(d)
-    c[int(np.argmax(totals))] = 1.0
-    return c
-
-
-_ADAPTIVE_RULES = {"argmax_punish": _argmax_punish}
+ADAPTIVE_RULES = ("argmax_punish",)
 
 
 class AdaptiveCosts(CostProcess):
     """Deterministic rule of the visible history, committed pre-action; the
-    rule sees x_1..x_t, the current context included."""
+    rule sees x_1..x_t, the current context included. The shipped
+    ``argmax_punish`` charges the action of largest total past q, kept as running
+    totals that ``begin`` resets and ``commit`` extends in round order; a custom
+    rule is called as ``rule(contexts, past_distributions, past_actions, d)``."""
 
-    def __init__(self, d: int, rule="argmax_punish"):
+    def __init__(self, d: int, rule=ADAPTIVE_RULES[0]):
         self.d = int(d)
-        if isinstance(rule, str):
-            if rule not in _ADAPTIVE_RULES:
-                raise ValueError(f"unknown adaptive rule {rule!r}")
-            self._rule = _ADAPTIVE_RULES[rule]
-        else:
-            self._rule = rule
+        if isinstance(rule, str) and rule not in ADAPTIVE_RULES:
+            raise ValueError(f"unknown adaptive rule {rule!r}")
+        self._rule = None if isinstance(rule, str) else rule
+
+    def begin(self, rng, n):
+        self._totals, self._seen = np.zeros(self.d), 0
 
     def commit(self, t, contexts, past_distributions, past_actions):
         # run_episode checks every committed vector, this one included
-        return self._rule(contexts, past_distributions, past_actions, self.d)
+        if self._rule is not None:
+            return self._rule(contexts, past_distributions, past_actions, self.d)
+        past = np.asarray(past_distributions, dtype=float).reshape(-1, self.d)
+        for q in past[self._seen:]:
+            self._totals += q
+        self._seen = len(past)
+        c = np.zeros(self.d)
+        c[int(np.argmax(self._totals))] = 1.0
+        return c
 
 
 class Environment:

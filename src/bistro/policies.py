@@ -110,6 +110,14 @@ class PolicyClass:
         return self.table[:, self._checked_ids(contexts)]
 
     @cached_property
+    def universe(self) -> np.ndarray:
+        """Read-only context ids 0..|X|-1, built on first use and cached: the
+        contexts of a fold query, which ``values`` recognizes by identity."""
+        universe = np.arange(self.universe_size)
+        universe.flags.writeable = False
+        return universe
+
+    @cached_property
     def onehot(self) -> np.ndarray:
         """Read-only (|F|, d*|X|) 0/1 matrix; row f marks the cells j*|X| + x
         with j = f(x). Built on first use and cached (d*|F|*|X| floats)."""
@@ -134,28 +142,33 @@ class PolicyClass:
         one bincount (a stack's query s into cells s*d*|X| onwards) and
         priced with one product against ``onehot``: O(d*n + d*|F|*|X|) per
         query instead of O(|F|*n), and the one-hot is streamed once per
-        stack. One query keeps a matrix-vector product.
+        stack. One query keeps a matrix-vector product. A fold query, the
+        array ``universe`` itself with Y (d, |X|), is already its fold: it is
+        priced with the one product, with no id check and no bincount.
         """
-        ids = self._checked_ids(contexts)
         Y = np.asarray(Y, dtype=float)
-        cells = self.d * self.universe_size
-        if ids.ndim == 1 and Y.shape == (self.d, ids.size):
-            queries = 1
-            keys = self._key_offsets + ids
-        elif ids.ndim == 2 and Y.shape == (len(ids), self.d, ids.shape[1]):
-            queries = len(ids)
-            keys = np.arange(queries)[:, None, None] * cells + self._key_offsets + ids[:, None, :]
+        if contexts is self.universe and Y.shape == (self.d, self.universe_size):
+            z = Y.ravel()  # Z itself; the bincount would add each cell once to +0.0
         else:
-            raise ValueError(
-                f"a query needs contexts (n,) and Y (d, n), a stack contexts (S, n) and "
-                f"Y (S, d, n), with d={self.d}; got {ids.shape} and {Y.shape}")
-        z = np.bincount(keys.ravel(), weights=Y.ravel(), minlength=queries * cells)
+            ids = self._checked_ids(contexts)
+            cells = self.d * self.universe_size
+            if ids.ndim == 1 and Y.shape == (self.d, ids.size):
+                queries = 1
+                keys = self._key_offsets + ids
+            elif ids.ndim == 2 and Y.shape == (len(ids), self.d, ids.shape[1]):
+                queries = len(ids)
+                keys = np.arange(queries)[:, None, None] * cells + self._key_offsets + ids[:, None, :]
+            else:
+                raise ValueError(
+                    f"a query needs contexts (n,) and Y (d, n), a stack contexts (S, n) and "
+                    f"Y (S, d, n), with d={self.d}; got {ids.shape} and {Y.shape}")
+            z = np.bincount(keys.ravel(), weights=Y.ravel(), minlength=queries * cells)
+            if ids.ndim == 2:
+                z = z.reshape(queries, cells)
         if not np.isfinite(z).all():
             # 0 * inf in the product would turn every policy's value into nan
             raise ValueError("cost matrix folds to non-finite context sums")
-        if ids.ndim == 1:
-            return self.onehot @ z
-        return z.reshape(queries, cells) @ self.onehot.T
+        return self.onehot @ z if z.ndim == 1 else z @ self.onehot.T
 
     @classmethod
     def all_labelings(cls, d: int, universe_size: int) -> "PolicyClass":

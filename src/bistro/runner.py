@@ -20,7 +20,7 @@ import numpy as np
 
 from .adversarial import ExpWeightsRelaxation, ReductionStrategy
 from .environments import DEFAULT_POOL_FACTOR, AdaptiveCosts, Environment, FixedTableCosts
-from .environments import IidBernoulliCosts
+from .environments import ADAPTIVE_RULES, IidBernoulliCosts
 from .erm import (
     ApproximateErmOracle,
     BoxRelaxedOracle,
@@ -45,6 +45,7 @@ from .rademacher import (
     tune_gamma,
 )
 from .strategies import (
+    DEFAULT_EPSILON,
     MODES,
     SIGN_SCALE,
     BistroStrategy,
@@ -269,7 +270,7 @@ def build_cost_process(config: dict):
         return IidBernoulliCosts(np.asarray(doc["means"], dtype=float))
     if kind == "adaptive":
         check_keys("cost_process", doc, ("type",), ("rule",))
-        return AdaptiveCosts(d=config_int(config, "d"), rule=doc.get("rule", "argmax_punish"))
+        return AdaptiveCosts(d=config_int(config, "d"), rule=doc.get("rule", ADAPTIVE_RULES[0]))
     raise ValueError(f"unknown cost process {kind!r}")
 
 
@@ -390,7 +391,7 @@ def make_strategy(config: dict, policy_class: PolicyClass, gamma: float | None) 
     if algo == "uniform":
         return UniformStrategy(policy_class.d)
     if algo == "egreedy":
-        return EpsilonGreedyStrategy(policy_class, epsilon=config_number(config, "epsilon", 0.1))
+        return EpsilonGreedyStrategy(policy_class, config_number(config, "epsilon", DEFAULT_EPSILON))
     raise ValueError(f"unknown algorithm {algo!r}")
 
 

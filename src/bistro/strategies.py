@@ -21,6 +21,7 @@ MODES = ("iid_pool", "transductive")
 # Magnitude of the playout sign columns: the relaxation the regret bound and
 # the admissibility checks price.
 SIGN_SCALE = 2.0
+DEFAULT_EPSILON = 0.1  # egreedy's exploration share
 
 
 class Strategy:
@@ -57,7 +58,7 @@ class RelaxationStrategy(Strategy):
         self.policy_class = policy_class
         self.horizon = int(horizon)
         self.gamma = float(gamma)
-        self._universe = np.arange(policy_class.universe_size)
+        self._universe = policy_class.universe
         self._t, self._ctx, self._Y, self._Z = 0, None, None, None
 
     def begin_episode(self, n: int, seed_seq, pool=None, known_futures=None) -> None:
@@ -186,7 +187,7 @@ class EpsilonGreedyStrategy(Strategy):
     """Follows the policy with smallest reweighted cumulative cost, with an
     epsilon floor of uniform exploration."""
 
-    def __init__(self, policy_class, epsilon: float = 0.1):
+    def __init__(self, policy_class, epsilon: float = DEFAULT_EPSILON):
         if not 0.0 < epsilon <= 1.0:
             raise ValueError("epsilon must lie in (0, 1]")
         self.policy_class = policy_class

@@ -82,6 +82,31 @@ class TestRunEpisode:
         tr.validate()
         np.testing.assert_array_equal(tr.cost_vectors.sum(axis=1), np.ones(6))
 
+    @pytest.mark.parametrize("algorithm", ["bistro", "adversarial_reduction"])
+    def test_argmax_punish_running_totals_are_the_resummed_rule(self, algorithm):
+        # each round, over three episodes on one process: the running totals
+        # equal the past q rows summed afresh, bit for bit, and so does the vector
+        config = load_config(os.path.join(CONFIG_DIR, "adaptive_adversary.json"))
+        config["algorithm"] = algorithm
+        pc = runner.build_policy_class(config)
+        env = runner.build_environment(config, pc)
+        gamma = runner.resolve_strategy_params(config, pc, env)["gamma"]
+        process, same = env.cost_process, []
+        running = process.commit
+
+        def commit(t, contexts, past_q, past_actions):
+            c = running(t, contexts, past_q, past_actions)
+            totals = np.asarray(past_q).sum(axis=0)
+            resummed = np.zeros(2)
+            resummed[int(np.argmax(totals))] = 1.0
+            same.append(np.array_equal(process._totals, totals) and np.array_equal(c, resummed))
+            return c
+
+        process.commit = commit
+        for seed in range(3):
+            run_episode(make_strategy(config, pc, gamma), env, config["n"], seed)
+        assert len(same) == 3 * config["n"] and all(same)
+
     def test_bernoulli_costs(self):
         means = np.array([[0.0, 1.0], [1.0, 0.0]])
         env = Environment(np.ones(2) / 2, IidBernoulliCosts(means))

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from bistro.erm import ExactErmOracle, RegularizedErmOracle
 from bistro.policies import (
     CapacityError,
     PolicyClass,
@@ -264,6 +265,69 @@ class TestValues:
             Y[1, 0] = bad
             with pytest.raises(ValueError):
                 pc.values([0, 1], Y)
+
+
+class TestFoldQuery:
+    """``values`` on the class's own ``universe`` with Y (d, |X|): the query is its fold."""
+
+    @staticmethod
+    def playout_fold(rng, d, universe):
+        # Z_h >= 0 (some cells unvisited), plus a future's sign sums and e_j, as play builds them
+        history = rng.uniform(0, 3, (d, universe)) * (rng.random((d, universe)) < 0.7)
+        Z = history + (rng.integers(-6, 7, (d, universe)) * 2.0).astype(float)
+        Z[int(rng.integers(d)), int(rng.integers(universe))] += 1.0
+        return Z
+
+    def test_universe_is_a_cached_read_only_arange(self):
+        pc = PolicyClass.all_labelings(2, 3)
+        universe = pc.universe
+        np.testing.assert_array_equal(universe, np.arange(3))
+        assert pc.universe is universe
+        assert not universe.flags.writeable
+
+    def test_matches_the_bincount_path_bit_for_bit(self):
+        rng = np.random.default_rng(51)
+        for _ in range(500):
+            d = int(rng.integers(1, 5))
+            universe = int(rng.integers(1, 8))
+            pc = PolicyClass(rng.integers(0, d, (int(rng.integers(1, 30)), universe)), d)
+            Z = self.playout_fold(rng, d, universe)
+            fresh = np.arange(universe)
+            assert np.array_equal(pc.values(pc.universe, Z), pc.values(fresh, Z))
+            for oracle in (ExactErmOracle(pc), RegularizedErmOracle(pc, None, 0.0)):
+                assert oracle(pc.universe, Z) == oracle(fresh, Z)
+
+    def test_rejects_wrong_shapes(self):
+        pc = PolicyClass.all_labelings(2, 3)
+        for shape in ((2, 4), (3, 3), (3, 2), (6,)):
+            with pytest.raises(ValueError, match="a query needs"):
+                pc.values(pc.universe, np.zeros(shape))
+
+    def test_rejects_non_finite_folds(self):
+        pc = PolicyClass.all_labelings(2, 3)
+        for bad in (np.inf, -np.inf, np.nan):
+            Z = np.zeros((2, 3))
+            Z[1, 2] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                pc.values(pc.universe, Z)
+
+    def test_other_contexts_take_the_bincount_path(self, monkeypatch):
+        # |X| rounds on other arrays, even equal to the universe, are columns to fold
+        checked = []
+        check = PolicyClass._checked_ids
+        monkeypatch.setattr(PolicyClass, "_checked_ids",
+                            lambda pc, ctxs: checked.append(ctxs) or check(pc, ctxs))
+        rng = np.random.default_rng(52)
+        for trial in range(100):
+            d, universe = int(rng.integers(1, 4)), int(rng.integers(2, 7))
+            pc = PolicyClass(rng.integers(0, d, (int(rng.integers(1, 12)), universe)), d)
+            ctxs = (np.arange(universe)[::-1] if trial % 3 == 0 else rng.permutation(universe)
+                    if trial % 3 == 1 else np.arange(universe))
+            Y = dyadic(rng, (d, universe))
+            values = pc.values(ctxs, Y)
+            assert checked[-1] is ctxs
+            assert np.array_equal(values, sequence_values(pc, ctxs, Y))
+            assert values.min() == bruteforce_erm(pc, ctxs, Y)
 
 
 class TestValuesMany:

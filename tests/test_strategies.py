@@ -152,6 +152,24 @@ class TestFoldedPlayouts:
         assert max(widths) == pc.universe_size
 
     @pytest.mark.parametrize("learner", LEARNERS)
+    def test_fold_queries_skip_the_id_check(self, learner, monkeypatch):
+        # the fold queries hand over the class's own universe, which is priced
+        # without checking its ids: no check ever sees |X| ids
+        checked = []
+        check = PolicyClass._checked_ids
+        monkeypatch.setattr(PolicyClass, "_checked_ids",
+                            lambda pc, ctxs: checked.append(len(ctxs)) or check(pc, ctxs))
+        rng = np.random.default_rng(53)
+        d, universe, n = 3, 5, 600
+        pc = PolicyClass(rng.integers(0, d, (8, universe)), d)
+        strat = LEARNERS[learner](pc, gamma=0.2, n=n)
+        env = Environment(np.ones(universe) / universe, FixedTableCosts(rng.uniform(0, 1, (n, d))))
+        run_episode(strat, env, n, seed=54)
+        assert strat.oracle_calls == (d * n if learner == "bistro" else 0)
+        assert universe not in checked
+        assert len(checked) <= 1  # the pool's ids, once per episode
+
+    @pytest.mark.parametrize("learner", LEARNERS)
     def test_fold_is_the_bincount_of_the_history(self, learner):
         # update's running Z equals the one-bincount fold of the columns, bit for bit
         rng = np.random.default_rng(48)
