@@ -88,13 +88,10 @@ MUTANTS = [
            (f"{T_ERM}::TestBenchmark::test_matches_sequence_form_reference",
             f"{T_ADM}::test_horizon_benchmark_is_the_filtered_class", *CAPS)),
     Mutant("benchmark-first-row-constraint", ERM,
-           "policy_constraint_values(constraint, policy_class, row)",
-           "policy_constraint_values(constraint, policy_class, "
-           "np.atleast_2d(context_ids(contexts))[0])",
+           "costs = policy_constraint_values(constraint, policy_class, contexts)",
+           "costs = policy_constraint_values(constraint, policy_class, "
+           "np.atleast_2d(contexts)[0])",
            (f"{T_ERM}::TestBenchmark::test_matches_sequence_form_reference",)),
-    Mutant("benchmark-negative-costs-accepted", ERM,
-           "if (costs < 0).any():", "if False:",
-           (f"{T_ERM}::TestBenchmark::test_refuses_negative_constraint_values",)),
     Mutant("benchmark-empty-accepted", ERM,
            "if np.isinf(best).any():", "if False:",
            (f"{T_ERM}::TestBenchmark::test_negative_budget_empties",
@@ -375,33 +372,44 @@ MUTANTS = [
            "return vals.min(axis=-1)", "return vals.min()",
            (f"{T_ERM}::TestStackedQueries::test_regularized",
             f"{T_HARNESS}::TestSuite::test_unpenalized_regularized_bound_is_bistro_bound")),
-    Mutant("penalty-shape-flag-inverted", ERM,
-           "self._penalties(contexts, Y.ndim == 3)", "self._penalties(contexts, Y.ndim == 2)",
-           (f"{T_ERM}::TestRegularizedErm::test_oracle_matches_value",
-            f"{T_GOLDEN}[regularized_pairwise]",
-            f"{T_ADM}::test_play_queries_price_the_checked_relaxation[bistro_regularized]")),
+    # -- every caller's penalties (erm.policy_constraint_values) --
     Mutant("stack-penalty-wrong-row", ERM,
-           "return np.array([penalty[key] for key in keys])",
-           "return np.array([penalty[key] for key in reversed(keys)])",
-           (f"{T_ERM}::TestStackedQueries::test_regularized", *CAPS)),
+           "np.array([priced[key] for key in keys])",
+           "np.array([priced[key] for key in reversed(keys)])",
+           (f"{T_ERM}::TestStackedQueries::test_regularized",
+            f"{T_ERM}::TestBenchmark::test_matches_sequence_form_reference", *CAPS)),
     Mutant("stack-penalty-keyed-by-identity", ERM,
            "keys = [row.tobytes() for row in ids]", "keys = [id(row) for row in ids]",
            (f"{T_ERM}::TestStackedQueries::test_regularized",
             f"{T_ERM}::TestStackedQueries::test_penalty_once_per_distinct_context_row",
             f"{T_ADM}::test_horizon_benchmark_is_the_filtered_class", *CAPS)),
-    Mutant("penalty-key-without-dtype", ERM,
-           "key = (ids.dtype.str, ids.tobytes())", "key = ids.tobytes()",
-           (f"{T_ERM}::TestStackedQueries::test_repeated_row_needs_a_repeated_dtype",)),
+    Mutant("stack-penalty-every-row-priced", ERM,
+           "for key, row in dict(zip(keys, ids)).items()}", "for key, row in zip(keys, ids)}",
+           (f"{T_ERM}::TestStackedQueries::test_penalty_once_per_distinct_context_row",)),
+    Mutant("negative-constraint-values-accepted", ERM,
+           "if values.min(initial=0) < 0:", "if False:",
+           (f"{T_ERM}::TestBenchmark::test_refuses_negative_constraint_values",
+            f"{T_ERM}::TestStackedQueries::test_refuses_negative_constraint_values")),
+    # -- the regularized oracle's memo (RegularizedErmOracle._penalties) --
+    Mutant("penalty-key-without-shape", ERM,
+           "key = (ids.dtype.str, ids.shape, ids.tobytes())",
+           "key = (ids.dtype.str, ids.tobytes())",
+           (f"{T_ERM}::TestStackedQueries::test_repeated_bytes_need_a_repeated_shape",)),
     Mutant("penalty-key-by-identity", ERM,
-           "key = (ids.dtype.str, ids.tobytes())", "key = id(contexts)",
+           "key = (ids.dtype.str, ids.shape, ids.tobytes())", "key = id(contexts)",
            (f"{T_ERM}::TestStackedQueries::test_single_queries_on_one_row_price_it_once",
             f"{T_ERM}::TestStackedQueries::test_row_rewritten_in_place_prices_again",
             f"{T_GOLDEN}[regularized_pairwise]",
             f"{T_STRAT}::TestRegularizedVariant::test_queries_reprice_in_round_pair_form")),
-    Mutant("penalty-cache-not-refreshed", ERM,
-           "self._last = (key, penalty)", "return penalty",
+    Mutant("penalty-memo-never-hit", ERM,
+           "if self._memo[0] != key:", "if True:",
            (f"{T_ERM}::TestStackedQueries::test_single_queries_on_one_row_price_it_once",
             f"{T_HARNESS}::TestSuite::test_play_prices_the_penalty_once_per_playout")),
+    Mutant("penalty-memo-never-refreshed", ERM,
+           "if self._memo[0] != key:", "if self._memo[0] is None:",
+           (f"{T_ERM}::TestStackedQueries::test_row_rewritten_in_place_prices_again",
+            f"{T_ERM}::TestStackedQueries::test_repeated_bytes_need_a_repeated_shape",
+            f"{T_GOLDEN}[regularized_pairwise]")),
     Mutant("pairwise-contexts-unsorted", ERM,
            "u = np.flatnonzero(counts)", "u = np.flatnonzero(counts)[::-1]",
            (f"{T_ERM}::TestFoldedPairwise::test_matches_sequence_form",)),
@@ -409,13 +417,25 @@ MUTANTS = [
            "ids = policy_class._checked_ids(contexts)", "ids = context_ids(contexts)",
            (f"{T_ERM}::TestFoldedPairwise::test_out_of_universe_ids_rejected",)),
     Mutant("pairwise-one-sided-counts", ERM,
-           "np.outer(c, c)", "np.outer(c, np.ones_like(c))",
+           "W = np.outer(c, c)", "W = np.outer(c, np.ones_like(c))",
            (f"{T_ADM}::test_first_rhs_is_the_exact_bound[bistro_regularized-bistro d=2 n=3]",)),
+    Mutant("pairwise-weights-without-counts", ERM,
+           "W = self.weights[np.ix_(u, u)] * W", "W = self.weights[np.ix_(u, u)]",
+           (f"{T_ERM}::TestFoldedPairwise::test_matches_sequence_form",)),
+    # -- coverage partitions, checked once (erm.CoveragePenalty) --
+    Mutant("coverage-cover-unchecked", ERM,
+           "if not np.array_equal(seen, np.arange(seen.size)):", "if False:",
+           (f"{T_ERM}::TestConstraints::test_coverage_partition_validation",)),
+    Mutant("coverage-horizon-unchecked", ERM,
+           "if actions.shape[1] != self.n:", "if False:",
+           (f"{T_ERM}::TestConstraints::test_coverage_partition_validation",)),
 ]
 
 EQUIVALENT = [
-    Mutant("penalty-cache-writable", ERM, "                penalty.flags.writeable = False\n",
-           "", ("nothing writes the cached vector; the flag only guards later code",)),
+    Mutant("penalty-key-without-dtype", ERM,
+           "key = (ids.dtype.str, ids.shape, ids.tobytes())", "key = (ids.shape, ids.tobytes())",
+           ("with the shape in the key, equal bytes mean equal item sizes, and ids the class "
+            "accepts read the same signed or unsigned",)),
     Mutant("pairwise-float-counts", ERM, "c = counts[u]", "c = counts[u].astype(float)",
            ("counts below 2^53 give the same products as floats",)),
     Mutant("sampler-left-side", ENV,

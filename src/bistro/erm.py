@@ -118,11 +118,6 @@ class PairwiseDisagreement:
                 raise ValueError("pair weights must be symmetric")
             self.weights = W
 
-    def _pair_weights(self, ids: np.ndarray) -> np.ndarray:
-        if self.weights is not None:
-            return self.weights[np.ix_(ids, ids)]
-        return np.ones((ids.size, ids.size))
-
     def per_policy(self, policy_class: PolicyClass, contexts) -> np.ndarray:
         """Constraint value of every policy at once, shape (|F|,).
 
@@ -135,7 +130,9 @@ class PairwiseDisagreement:
         u = np.flatnonzero(counts)  # sorted
         c = counts[u]
         actions = policy_class.actions_on(u)
-        W = self._pair_weights(u) * np.outer(c, c)
+        W = np.outer(c, c)
+        if self.weights is not None:
+            W = self.weights[np.ix_(u, u)] * W
         differ = actions[:, :, None] != actions[:, None, :]
         return (differ * W).sum(axis=(1, 2))
 
@@ -143,38 +140,50 @@ class PairwiseDisagreement:
 class CoveragePenalty:
     """Hinge penalty sum_l sum_j [k - (# rounds in block T_l given action j)]_+.
 
-    ``partition`` holds 0-based round-index blocks that must cover the
-    horizon disjointly.
+    ``partition`` holds 0-based round-index blocks that cover the horizon
+    0..n-1 disjointly, checked once here; ``n`` is the horizon they cover.
     """
 
     def __init__(self, partition, k: int):
         if k < 0:
             raise ValueError("k must be nonnegative")
         self.partition = [np.asarray(sorted(block), dtype=np.int64) for block in partition]
+        seen = np.sort(np.concatenate([np.empty(0, dtype=np.int64), *self.partition]))
+        if not np.array_equal(seen, np.arange(seen.size)):
+            raise ValueError("constraint partition must cover the round indices 0..n-1 disjointly")
+        self.n = seen.size
         self.k = int(k)
-
-    def _check_partition(self, n: int) -> None:
-        seen = np.concatenate(self.partition) if self.partition else np.empty(0, dtype=np.int64)
-        if seen.size != n or np.unique(seen).size != n or (seen < 0).any() or (seen >= n).any():
-            raise ValueError("partition must cover the round indices 0..n-1 disjointly")
 
     def per_policy(self, policy_class: PolicyClass, contexts) -> np.ndarray:
         """Constraint value of every policy at once, shape (|F|,); the blocks
         index rounds, so this prices the (|F|, n) actions on the sequence."""
         actions = policy_class.actions_on(contexts)
-        self._check_partition(actions.shape[1])
+        if actions.shape[1] != self.n:
+            raise ValueError(f"partition covers {self.n} rounds; got {actions.shape[1]}")
         out = np.zeros(actions.shape[0])
         for block in self.partition:
             sub = actions[:, block]
             for j in range(policy_class.d):
                 counts = (sub == j).sum(axis=1)
                 out += np.maximum(self.k - counts, 0)
-        return out.astype(float)
+        return out
 
 
 def policy_constraint_values(constraint, policy_class: PolicyClass, contexts) -> np.ndarray:
-    """Constraint value of every policy, shape (|F|,)."""
-    return constraint.per_policy(policy_class, contexts)
+    """Every policy's constraint value: (|F|,) for contexts (n,), and (S, |F|)
+    for a stack of S context rows, each distinct row priced once. Negative
+    values, which would reward a policy for its constraint, are refused."""
+    ids = context_ids(contexts)
+    if ids.ndim == 1:
+        values = constraint.per_policy(policy_class, ids)
+    else:
+        keys = [row.tobytes() for row in ids]
+        priced = {key: constraint.per_policy(policy_class, row)
+                  for key, row in dict(zip(keys, ids)).items()}
+        values = np.array([priced[key] for key in keys]).reshape(len(ids), policy_class.size)
+    if values.min(initial=0) < 0:
+        raise ValueError("constraint values must be nonnegative")
+    return values
 
 
 class EmptyBenchmarkError(ValueError):
@@ -183,15 +192,12 @@ class EmptyBenchmarkError(ValueError):
 
 def benchmark(policy_class: PolicyClass, contexts, Y, constraint=None, K: float | None = None):
     """Least linear cost sum_t Y[f(x_t), t] over the unrelaxed class, filtered to
-    C(f) <= K on each query's contexts (priced once per row) when a constraint
-    and its budget K are both given: a float for a query, contexts (n,) with
-    Y (d, n), and an (S,) array for a stack, contexts (S, n) with Y (S, d, n)."""
+    C(f) <= K on each query's contexts when a constraint and its budget K are
+    both given: a float for a query, contexts (n,) with Y (d, n), and an (S,)
+    array for a stack, contexts (S, n) with Y (S, d, n)."""
     values = policy_class.values(contexts, Y)
     if constraint is not None and K is not None:
-        costs = np.array([policy_constraint_values(constraint, policy_class, row)
-                          for row in np.atleast_2d(context_ids(contexts))]).reshape(values.shape)
-        if (costs < 0).any():
-            raise ValueError("constraint values must be nonnegative")
+        costs = policy_constraint_values(constraint, policy_class, contexts)
         values = np.where(costs <= K, values, np.inf)
     best = values.min(axis=-1, initial=np.inf)
     if np.isinf(best).any():
@@ -231,29 +237,22 @@ class RegularizedErmOracle(ExactErmOracle):
         self.constraint = constraint
         self.lambda_scaled = float(lambda_scaled)
         self.folds = self.lambda_scaled == 0  # a penalty reads the context sequence itself
-        self._last = (None, None)
+        self._memo = (None, None)
 
     def _values(self, contexts, Y: np.ndarray):
         vals = self.policy_class.values(contexts, Y)
         if self.lambda_scaled > 0:
-            vals = vals + self.lambda_scaled * self._penalties(contexts, Y.ndim == 3)
+            vals = vals + self.lambda_scaled * self._penalties(contexts)
         return vals.min(axis=-1)
 
-    def _penalties(self, contexts, stacked: bool) -> np.ndarray:
-        """Every policy's C, (|F|,) or a stack's (S, |F|), once per distinct context row;
-        a single query reuses the last one's vector on a repeated row (play's d queries)."""
+    def _penalties(self, contexts) -> np.ndarray:
+        """Every policy's C for a query (|F|,) or a stack (S, |F|); a repeat of
+        the last contexts (play's d queries share one row) reuses its values."""
         ids = context_ids(contexts)
-        if not stacked:
-            key = (ids.dtype.str, ids.tobytes())  # content, not identity: play rewrites its row
-            if self._last[0] != key:
-                penalty = policy_constraint_values(self.constraint, self.policy_class, ids)
-                penalty.flags.writeable = False
-                self._last = (key, penalty)
-            return self._last[1]
-        keys = [row.tobytes() for row in ids]
-        penalty = {key: policy_constraint_values(self.constraint, self.policy_class, row)
-                   for key, row in dict(zip(keys, ids)).items()}
-        return np.array([penalty[key] for key in keys])
+        key = (ids.dtype.str, ids.shape, ids.tobytes())  # content: play rewrites its row
+        if self._memo[0] != key:
+            self._memo = (key, policy_constraint_values(self.constraint, self.policy_class, ids))
+        return self._memo[1]
 
 
 class BoxRelaxedOracle(ErmOracle):

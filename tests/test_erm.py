@@ -143,14 +143,15 @@ class TestStackedQueries:
         ctxs[[2, 5, 7]] = ctxs[0]
         ctxs[6] = ctxs[1]
         rows = []
+        constraint = PairwiseDisagreement("uniform")
 
-        def spy(constraint, policy_class, contexts):
+        def spy(policy_class, contexts):
             rows.append(np.array(contexts).tolist())
-            return penalties(constraint, policy_class, contexts)
+            return penalties(policy_class, contexts)
 
-        penalties = erm.policy_constraint_values
-        monkeypatch.setattr(erm, "policy_constraint_values", spy)
-        oracle = RegularizedErmOracle(pc, PairwiseDisagreement("uniform"), 0.3)
+        penalties = constraint.per_policy
+        monkeypatch.setattr(constraint, "per_policy", spy)
+        oracle = RegularizedErmOracle(pc, constraint, 0.3)
         oracle(ctxs, Y)
         assert rows == [ctxs[s].tolist() for s in (0, 1, 3, 4)]
         rows.clear()
@@ -202,6 +203,28 @@ class TestStackedQueries:
         for ctxs in (pair, single, pair):
             Y = Y_EXAMPLE[:, :ctxs.size]
             assert oracle(ctxs, Y) == make()(ctxs, Y)
+
+    def test_repeated_bytes_need_a_repeated_shape(self):
+        # one query of four rounds and a stack of two two-round rows share
+        # their dtype and bytes, not their penalties
+        pc = PolicyClass([[0, 1], [1, 0], [0, 0]], 2)
+        make = lambda: RegularizedErmOracle(pc, PairwiseDisagreement("uniform"), 0.05)
+        single, stack = np.array([0, 1, 1, 0]), np.array([[0, 1], [1, 0]])
+        Y = np.array([[-1.0, 1.0], [1.0, -1.0]])  # the disagreeing policies win
+        Ys = {1: np.hstack([Y, Y[:, ::-1]]), 2: np.stack([Y, Y[:, ::-1]])}
+        oracle = make()
+        for ctxs in (single, stack, single):
+            assert np.array_equal(oracle(ctxs, Ys[ctxs.ndim]), make()(ctxs, Ys[ctxs.ndim]))
+
+    def test_refuses_negative_constraint_values(self):
+        class Negative:
+            def per_policy(self, policy_class, contexts):
+                return -np.ones(policy_class.size)
+
+        pc, ctxs, Y = self.queries(60)
+        for query in ((ctxs[0], Y[0]), (ctxs, Y)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                RegularizedErmOracle(pc, Negative(), 0.3)(*query)
 
     def test_counter_adds_stack_size(self):
         pc, ctxs, Y = self.queries(55, stack=7)
@@ -288,11 +311,20 @@ class TestConstraints:
 
     def test_coverage_partition_validation(self):
         M = one_hot([0, 1], 2, [0, 1])
-        with pytest.raises(ValueError):
-            sequence_constraint(CoveragePenalty([[0]], 1), M)  # incomplete
-        with pytest.raises(ValueError):
-            sequence_constraint(CoveragePenalty([[0, 1], [1]], 1), M)  # overlapping
-        for partition in ([[0]], [[0, 1], [1]]):  # the folded form checks the same
+        # the reference checks on its own: covers of other horizons, and an
+        # overlap set after construction
+        for partition in ([[0]], [[0, 1, 2]]):
+            with pytest.raises(ValueError, match="partition"):
+                sequence_constraint(CoveragePenalty(partition, 1), M)
+        overlapping = CoveragePenalty([[0, 1]], 1)
+        overlapping.partition = [np.array([0, 1]), np.array([1])]
+        with pytest.raises(ValueError, match="partition"):
+            sequence_constraint(overlapping, M)
+        # the folded form checks the cover once, on construction, and then the horizon
+        for partition in ([[0, 1], [1]], [[1]], [[0], [2]], [[-1, 0, 1]]):
+            with pytest.raises(ValueError, match="partition"):
+                CoveragePenalty(partition, 1)
+        for partition in ([[0]], [[0, 1, 2]]):
             with pytest.raises(ValueError, match="partition"):
                 CoveragePenalty(partition, 1).per_policy(PolicyClass.all_labelings(2, 2), [0, 1])
 
