@@ -425,10 +425,45 @@ MUTANTS = [
     # -- coverage partitions, checked once (erm.CoveragePenalty) --
     Mutant("coverage-cover-unchecked", ERM,
            "if not np.array_equal(seen, np.arange(seen.size)):", "if False:",
-           (f"{T_ERM}::TestConstraints::test_coverage_partition_validation",)),
+           (f"{T_ERM}::TestConstraints::test_coverage_partition_validation",
+            *on_commands("partition-overlap"))),
     Mutant("coverage-horizon-unchecked", ERM,
            "if actions.shape[1] != self.n:", "if False:",
            (f"{T_ERM}::TestConstraints::test_coverage_partition_validation",)),
+    # -- config shapes refused before an episode (runner) --
+    Mutant("config-partition-entries-unchecked", ERM,
+           "isinstance(block, list) and all(type(t) is int for t in block)", "True",
+           on_commands("partition-fraction") + on_commands("partition-flat")),
+    Mutant("config-partition-horizon-unchecked", RUNNER,
+           "isinstance(constraint, CoveragePenalty) and constraint.n != n",
+           "isinstance(constraint, CoveragePenalty) and False",
+           on_commands("partition-short")),
+    Mutant("config-weights-shape-unchecked", RUNNER,
+           "weights is not None and weights.shape != (universe, universe)",
+           "weights is not None and False",
+           on_commands("weights-shape")),
+    Mutant("config-table-width-unchecked", RUNNER,
+           "(costs.d != d or len(costs.values) < n)", "(len(costs.values) < n)",
+           on_commands("table-wide")),
+    Mutant("config-table-length-unchecked", RUNNER,
+           "(costs.d != d or len(costs.values) < n)", "(costs.d != d)",
+           on_commands("table-short") + (f"{T_HARNESS}::TestSuite::test_failure_identifies_seed",)),
+    Mutant("config-means-shape-unchecked", RUNNER,
+           "costs.means.shape != (probs.size, d)", "False",
+           on_commands("means-short") + on_commands("means-wide")),
+    # -- admissibility checks that check nothing --
+    Mutant("initial-checks-unchecked", ADM,
+           "if initial_checks < 1:", "if False:",
+           tuple(f"{T_ADM}::TestBistroChecker::test_refuses_horizon_checks_that_check_nothing"
+                 f"[{count}-{check}]" for count in (0, -1)
+                 for check in ("check_bistro_admissibility", "check_reduction_admissibility"))
+           + tuple(f"{T_CLI}::test_admissibility_refuses_initial_checks_that_check_nothing"
+                   f"[{count}-{algorithm}]" for count in (0, -1)
+                   for algorithm in ("bistro", "adversarial_reduction"))),
+    Mutant("seeds-unreadable-unnamed", CLI,
+           "    except ValueError:\n        raise ValueError(f\"--seeds needs",
+           "    except KeyError:\n        raise ValueError(f\"--seeds needs",
+           (f"{T_CLI}::test_run_names_seeds_it_cannot_read",)),
 ]
 
 EQUIVALENT = [

@@ -138,6 +138,8 @@ def _walk(policy_class: PolicyClass, probs: np.ndarray, n: int, gamma: float,
     endpoints from key 0. With a constraint and its budget K, the horizon
     condition's benchmark is the class filtered at K.
     """
+    if initial_checks < 1:
+        raise ValueError(f"initial_checks must be at least 1; got {initial_checks}")
     d = policy_class.d
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
     path_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))

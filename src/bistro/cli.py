@@ -27,9 +27,13 @@ from .runner import (
 
 
 def _parse_seeds(spec: str) -> list[int]:
-    if "," in spec:
-        return [int(s) for s in spec.split(",") if s]
-    return list(range(int(spec)))
+    try:
+        if "," in spec:
+            return [int(s) for s in spec.split(",") if s]
+        return list(range(int(spec)))
+    except ValueError:
+        raise ValueError(f"--seeds needs a count or a comma-separated list of integers; "
+                         f"got {spec!r}") from None
 
 
 def _cmd_run(args) -> int:

@@ -273,5 +273,11 @@ def load_constraint(doc: dict):
         return PairwiseDisagreement(doc.get("weights", "uniform"))
     if kind == "coverage":
         check_keys("constraint", doc, ("type", "partition", "k"))
-        return CoveragePenalty(doc["partition"], config_int(doc, "k", name="constraint"))
+        partition = doc["partition"]
+        if not isinstance(partition, list) or not all(
+                isinstance(block, list) and all(type(t) is int for t in block)
+                for block in partition):
+            raise ValueError(f"constraint key 'partition' needs lists of integer round indices; "
+                             f"got {partition!r}")
+        return CoveragePenalty(partition, config_int(doc, "k", name="constraint"))
     raise ValueError(f"unknown constraint type {kind!r}")

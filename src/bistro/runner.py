@@ -24,8 +24,10 @@ from .environments import ADAPTIVE_RULES, IidBernoulliCosts
 from .erm import (
     ApproximateErmOracle,
     BoxRelaxedOracle,
+    CoveragePenalty,
     EmptyBenchmarkError,
     ExactErmOracle,
+    PairwiseDisagreement,
     RegularizedErmOracle,
     benchmark,
     load_constraint,
@@ -213,7 +215,7 @@ def load_config(path: str) -> dict:
 def build_policy_class(config: dict) -> PolicyClass:
     # Every command builds the class first, so a malformed config fails here
     # instead of later: the top-level keys, the numbers (which not every
-    # command reads otherwise), the constraint document and the class.
+    # command reads otherwise), the class and the constraint on its shape.
     check_keys("config", config, REQUIRED_CONFIG_KEYS, CONFIG_KEYS)
     for key in ("d", "n", "playouts", "pool_factor", "tune_samples", "tune_seed"):
         config_int(config, key)
@@ -233,7 +235,6 @@ def build_policy_class(config: dict) -> PolicyClass:
     for key, known in (("algorithm", ALGORITHMS), ("horizon_mode", MODES)):
         if config.get(key, known[0]) not in known:
             raise ValueError(f"config key {key!r} must be one of {known}; got {config[key]!r}")
-    build_constraint(config)
     doc = config["policy_class"]
     if "path" in doc:
         check_keys("policy_class", doc, ("path",))
@@ -243,6 +244,14 @@ def build_policy_class(config: dict) -> PolicyClass:
     pc = PolicyClass.from_json(doc, features=None if dist is None else dist.get("features"))
     if pc.d != config_int(config, "d"):
         raise ValueError("policy class action count disagrees with config d")
+    constraint, n, universe = build_constraint(config), config["n"], pc.universe_size
+    if isinstance(constraint, CoveragePenalty) and constraint.n != n:
+        raise ValueError(f"constraint partition covers {constraint.n} rounds; "
+                         f"config key 'n' is {n}")
+    weights = constraint.weights if isinstance(constraint, PairwiseDisagreement) else None
+    if weights is not None and weights.shape != (universe, universe):
+        raise ValueError(f"constraint weights must be (|X|, |X|) = {(universe, universe)}; "
+                         f"got {weights.shape}")
     return pc
 
 
@@ -282,8 +291,14 @@ def build_environment(config: dict, policy_class: PolicyClass) -> Environment:
         probs = np.asarray(dist["probs"], dtype=float)
     if probs.size != policy_class.universe_size:
         raise ValueError("context distribution size disagrees with the policy universe")
-    return Environment(probs, build_cost_process(config),
-                       config_int(config, "pool_factor", DEFAULT_POOL_FACTOR))
+    costs, n, d = build_cost_process(config), config_int(config, "n"), policy_class.d
+    if isinstance(costs, FixedTableCosts) and (costs.d != d or len(costs.values) < n):
+        raise ValueError(f"cost_process table must have d = {d} columns and at least "
+                         f"n = {n} rows; got {costs.values.shape}")
+    if isinstance(costs, IidBernoulliCosts) and costs.means.shape != (probs.size, d):
+        raise ValueError(f"cost_process means must be (|X|, d) = {(probs.size, d)}; "
+                         f"got {costs.means.shape}")
+    return Environment(probs, costs, config_int(config, "pool_factor", DEFAULT_POOL_FACTOR))
 
 
 def build_constraint(config: dict):

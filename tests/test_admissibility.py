@@ -77,6 +77,14 @@ class TestBistroChecker:
         with pytest.raises(ValueError, match=r"need gamma in \(0, 1/d\]"):
             check(pc, [0.5, 0.5], n=2, gamma=gamma, initial_checks=5)
 
+    @pytest.mark.parametrize("check", [check_bistro_admissibility,
+                                       check_reduction_admissibility])
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_refuses_horizon_checks_that_check_nothing(self, check, count):
+        pc = PolicyClass.all_labelings(2, 2)
+        with pytest.raises(ValueError, match=f"initial_checks must be at least 1; got {count}"):
+            check(pc, [0.5, 0.5], n=2, gamma=0.25, initial_checks=count)
+
     def test_exact_mixed_q_matches_sequence_form(self):
         # every playout of the strategy's query [past | e_j | scale*eps], priced
         # one query at a time by the sequence-form reference

@@ -53,6 +53,28 @@ def test_run_refuses_seed_lists_that_check_nothing(seeds, tmp_path, capsys):
     assert captured.out == "" and not out.exists()
 
 
+def test_run_names_seeds_it_cannot_read(capsys):
+    for seeds in ("a", "1,b"):
+        code = main(["run", "--config", cfg("regularized_pairwise.json"), "--seeds", seeds])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("bistro run: --seeds needs a count or a comma-separated")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("algorithm", ["bistro", "adversarial_reduction"])
+@pytest.mark.parametrize("checks", ["0", "-1"])
+def test_admissibility_refuses_initial_checks_that_check_nothing(algorithm, checks, capsys):
+    code = main(["admissibility", "--config", cfg("admissibility_small.json"),
+                 "--algorithm", algorithm, "--initial-checks", checks])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (f"bistro admissibility: initial_checks must be at least 1; "
+                            f"got {checks}\n")
+    assert captured.out == ""
+
+
 def test_rademacher_subcommand(capsys):
     code = main([
         "rademacher", "--config", cfg("admissibility_small.json"), "--samples", "200",
@@ -253,6 +275,28 @@ RANGE_ERRORS = {
     "eta-negative": ({"eta": -1}, "config key 'eta' must be positive"),
     "epsilon-zero": ({"epsilon": 0}, "config key 'epsilon' must lie in (0, 1]"),
     "epsilon-above": ({"epsilon": 1.5}, "config key 'epsilon' must lie in (0, 1]"),
+    # shapes the episode would meet too late (d = 2, n = 3, |X| = 2 here)
+    "table-wide": ({"cost_process": {"type": "fixed_table", "values": [[0.5] * 3] * 3}},
+                   "cost_process table must have d = 2 columns and at least n = 3 rows"),
+    "table-short": ({"cost_process": {"type": "fixed_table", "values": [[0.5] * 2] * 2}},
+                    "cost_process table must have d = 2 columns and at least n = 3 rows"),
+    "means-short": ({"cost_process": {"type": "iid_bernoulli", "means": [[0.5] * 2]}},
+                    "cost_process means must be (|X|, d) = (2, 2)"),
+    "means-wide": ({"cost_process": {"type": "iid_bernoulli", "means": [[0.5] * 3] * 2}},
+                   "cost_process means must be (|X|, d) = (2, 2)"),
+    "partition-overlap": ({"constraint": {"type": "coverage", "partition": [[0, 1], [1, 2]],
+                                          "k": 1}, "K": 4},
+                          "constraint partition must cover the round indices"),
+    "partition-fraction": ({"constraint": {"type": "coverage", "partition": [[0.5, 1, 2]],
+                                           "k": 1}},
+                           "constraint key 'partition' needs lists of integer round indices"),
+    "partition-flat": ({"constraint": {"type": "coverage", "partition": [0, 1, 2], "k": 1}},
+                       "constraint key 'partition' needs lists of integer round indices"),
+    "partition-short": ({"constraint": {"type": "coverage", "partition": [[0, 1]], "k": 1}},
+                        "constraint partition covers 2 rounds; config key 'n' is 3"),
+    "weights-shape": ({"constraint": {"type": "pairwise", "weights": [[0, 1, 1], [1, 0, 1],
+                                                                      [1, 1, 0]]}},
+                      "constraint weights must be (|X|, |X|) = (2, 2)"),
 }
 COMMANDS = ("run", "admissibility", "rademacher")
 

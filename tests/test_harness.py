@@ -280,11 +280,15 @@ class TestSuite:
             for cell in line.split(",")[3:]:
                 assert np.isfinite(float(cell))
 
-    def test_failure_identifies_seed(self):
-        config = small_config()
-        config["cost_process"] = {"type": "fixed_table", "values": [[0.1, 0.9]] * 4}  # too short
-        with pytest.raises(RuntimeError, match="seed 3"):
+    def test_failure_identifies_seed(self, monkeypatch):
+        # a cost table too short for the horizon is a config error, refused before any episode
+        config = small_config(cost_process={"type": "fixed_table", "values": [[0.1, 0.9]] * 4})
+        with pytest.raises(ValueError, match="cost_process table"):
             run_suite(config, seeds=[3])
+        # a cost entry outside [0, 1], committed mid-episode, fails the episode
+        monkeypatch.setattr(FixedTableCosts, "commit", lambda self, t, *seen: np.array([0.1, 2.0]))
+        with pytest.raises(RuntimeError, match="seed 3"):
+            run_suite(small_config(), seeds=[3])
 
     def test_seed_lists_that_check_nothing_are_refused(self, tmp_path):
         # no episode, a seed that cannot seed one, or one episode's CSV written twice
