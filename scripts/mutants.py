@@ -69,6 +69,9 @@ FOLD_HISTORY = REDUCTION_FOLD + tuple(
     f"{T_STRAT}::TestFoldedPlayouts::test_fold_is_the_bincount_of_the_history[{learner}]"
     for learner in ("bistro", "reduction")) + (
     f"{T_GOLDEN}[adaptive_adversary_adversarial_reduction]",)
+COLUMN_HISTORY = tuple(f"{T_STRAT}::TestFoldedPlayouts::"
+                       f"test_column_path_keeps_the_history_columns[{oracle}]"
+                       for oracle in ("box", "coverage"))
 # the mixed strategy, enumerated, and the walks it steers, recorded bit for bit
 MIXED_Q = (f"{T_ADM}::TestBistroChecker::test_exact_mixed_q_matches_sequence_form", *CAPS)
 MIXED_Q_WALKS = MIXED_Q + tuple(f"{RECORDED}[bistro {name}]"
@@ -116,19 +119,44 @@ MUTANTS = [
            "self._Z + (counts @ self._eps).T, x", "self._Z + (counts @ self._eps).T, 0",
            LAW[1:2] + FOLDED + (f"{T_GOLDEN}[fixed_adversarial_bistro]",)),
     Mutant("playout-history-not-folded", STRAT,
-           "self._Z[action, x] += y", "pass",
+           "self._Z[action, x] += self.gamma * est", "pass",
            LAW[1:2] + FOLDED + FOLD_HISTORY
            + (f"{T_ADM}::test_play_queries_price_the_checked_relaxation[bistro]",
               f"{T_GOLDEN}[adaptive_adversary_bistro]")),
     Mutant("history-fold-overwritten", STRAT,
-           "self._Z[action, x] += y", "self._Z[action, x] = y", FOLD_HISTORY),
+           "self._Z[action, x] += self.gamma * est", "self._Z[action, x] = self.gamma * est",
+           FOLD_HISTORY),
     Mutant("reduction-priced-from-a-zero-fold", "src/bistro/adversarial.py",
            "self.relaxation.strategy(self._Z.T, self._universe, x)",
            "self.relaxation.strategy(0.0 * self._Z.T, self._universe, x)",
            REDUCTION_FOLD + (f"{T_GOLDEN}[adaptive_adversary_adversarial_reduction]",)),
     Mutant("transductive-future-not-decremented", STRAT,
-           "self._future[self._ctx[self._t]] -= 1", "pass",
+           "self._future[self._known[self._t]] -= 1", "pass",
            TRANSDUCTIVE_LAW + FOLDED[1::2]),
+    Mutant("transductive-future-loses-the-played-round", STRAT,
+           "self._future[self._known[self._t]] -= 1", "self._future[self._known[self._t - 1]] -= 1",
+           TRANSDUCTIVE_LAW + FOLDED[1::2]),
+    Mutant("transductive-future-starts-a-round-short", STRAT,
+           "np.bincount(self._known[1:], minlength=self._universe.size)",
+           "np.bincount(self._known[2:], minlength=self._universe.size)",
+           TRANSDUCTIVE_LAW + FOLDED[1::2]),
+    Mutant("transductive-slots-from-the-column-buffer", STRAT,
+           "np.argsort(self._known[t + 1 :], kind=\"stable\")",
+           "np.argsort(self._ctx[t + 1 :], kind=\"stable\")",
+           TRANSDUCTIVE_LAW[:1]),
+    # -- the column form's history, kept only when the oracle does not fold --
+    Mutant("column-history-entry-not-written", STRAT,
+           "self._Y[action, self._t - 1] = self.gamma * ips_estimate(observed_cost, action, q)",
+           "pass", COLUMN_HISTORY + (LAW[0], f"{T_GOLDEN}[regularized_pairwise]")),
+    Mutant("column-history-not-zeroed", STRAT,
+           "ctx[t], Y[:, t] = x, 0.0", "ctx[t] = x",
+           COLUMN_HISTORY + (LAW[0], LAW[2], f"{T_GOLDEN}[regularized_pairwise]")),
+    Mutant("folded-strategy-keeps-columns", STRAT,
+           "        if not self.folded:\n            self._ctx, self._Y =",
+           "        if True:\n            self._ctx, self._Y =",
+           tuple(f"{T_STRAT}::TestFoldedPlayouts::"
+                 f"test_folded_state_does_not_grow_with_the_horizon[{learner}]"
+                 for learner in ("bistro", "bistro-transductive"))),
     Mutant("transductive-cells-off-their-rounds", STRAT,
            "if self.transductive:  # the signs' order on a context's rounds changes no value",
            "if False:",

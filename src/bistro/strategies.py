@@ -43,11 +43,11 @@ class Strategy:
 class RelaxationStrategy(Strategy):
     """Bandit play on a relaxation of gamma-scaled estimates: q = mix(q*, gamma).
 
-    The history is the contexts (n,) and the columns gamma * c~_t of one
-    (d, n) matrix, which stay inside [0,1]^d because mixing keeps
-    q_t(y) >= gamma. ``update`` writes round t's entries once, and adds the
-    played one to the fold Z[j, x] = sum_{t: x_t = x} Y[j, t] in round order,
-    as ``PolicyClass.values`` bincounts it; ``_q_star(x)`` is a subclass's rule.
+    The history gamma * c~_t, inside [0,1]^d because mixing keeps
+    q_t(y) >= gamma, is kept only as its (d, |X|) per-context fold
+    Z[j, x] = sum_{t: x_t = x} gamma * c~_t[j], which ``update`` extends in
+    round order, as ``PolicyClass.values`` bincounts columns. ``_q_star(x)``
+    is a subclass's rule.
     """
 
     def __init__(self, policy_class, horizon: int, gamma: float):
@@ -59,13 +59,11 @@ class RelaxationStrategy(Strategy):
         self.horizon = int(horizon)
         self.gamma = float(gamma)
         self._universe = policy_class.universe
-        self._t, self._ctx, self._Y, self._Z = 0, None, None, None
+        self._t, self._Z = 0, None
 
     def begin_episode(self, n: int, seed_seq, pool=None, known_futures=None) -> None:
         if n != self.horizon:
             raise ValueError("episode length does not match the configured horizon")
-        self._ctx = np.zeros(n, dtype=np.int64)
-        self._Y = np.zeros((self.policy_class.d, n))
         self._Z = np.zeros((self.policy_class.d, self._universe.size))
         self._t = 0
 
@@ -78,13 +76,9 @@ class RelaxationStrategy(Strategy):
             raise RuntimeError("estimate exceeds 1/gamma; mixing invariant violated")
         if self._t >= self.horizon:
             raise ValueError("episode already complete")
-        t = self._t
-        self._ctx[t] = x
         # gamma * c~_t: the estimate's other entries are 0, and gamma * 0 is 0
-        self._Y[:, t] = 0.0
-        self._Y[action, t] = y = self.gamma * est
-        self._Z[action, x] += y
-        self._t = t + 1
+        self._Z[action, x] += self.gamma * est
+        self._t += 1
 
 
 class BistroStrategy(RelaxationStrategy):
@@ -94,9 +88,10 @@ class BistroStrategy(RelaxationStrategy):
     eps (eps uniform on {-1, +1}^d), is drawn as its (|X|, 2^d) counts of
     (context, pattern) cells: multinomial over the pool's empirical p(x) *
     2^-d, or per context over the known future's counts (transductive). An
-    oracle that ``folds`` prices the (d, |X|) sums Z_h + Z_f + e_{j,x}, so a
-    round's cost does not grow with n; any other gets the columns rebuilt
-    from the counts, shuffled (iid_pool) or on the known rounds.
+    oracle that ``folds`` prices the (d, |X|) sums Z_h + Z_f + e_{j,x}, so no
+    round's cost or state grows with n. Only another keeps the history's (n,)
+    contexts and (d, n) columns, and gets the future on the rounds after t,
+    rebuilt from the counts, shuffled (iid_pool) or on the known rounds.
     """
 
     def __init__(self, policy_class, oracle: ErmOracle, horizon: int, gamma: float,
@@ -125,12 +120,13 @@ class BistroStrategy(RelaxationStrategy):
         if hasattr(self.oracle, "reseed"):
             self.oracle.reseed(noise_ss)
         cells = len(self._eps)
+        if not self.folded:
+            self._ctx, self._Y = np.zeros(n, dtype=np.int64), np.zeros((self.policy_class.d, n))
         if self.transductive:
             if known_futures is None or len(known_futures) != n:
                 raise ValueError("transductive mode requires the full context sequence")
-            # _q_star overwrites entry t with x_t; later entries keep the known futures
-            self._ctx[:] = self.policy_class._checked_ids(known_futures)
-            self._future = np.bincount(self._ctx[1:], minlength=self._universe.size)
+            self._known = self.policy_class._checked_ids(known_futures)
+            self._future = np.bincount(self._known[1:], minlength=self._universe.size)
             self._probs = np.full(cells, 1.0 / cells)
         else:
             if pool is None or len(pool) == 0:
@@ -141,14 +137,14 @@ class BistroStrategy(RelaxationStrategy):
 
     def update(self, x: int, q: np.ndarray, action: int, observed_cost: float) -> None:
         super().update(x, q, action, observed_cost)
+        if not self.folded:  # _q_star zeroed the round's column; its played entry is the fold's
+            self._Y[action, self._t - 1] = self.gamma * ips_estimate(observed_cost, action, q)
         if self.transductive and self._t < self.horizon:  # round t leaves the future
-            self._future[self._ctx[self._t]] -= 1
+            self._future[self._known[self._t]] -= 1
 
     def _q_star(self, x: int) -> np.ndarray:
         d, t = self.policy_class.d, self._t
         k = self.horizon - t - 1
-        ctx, Y = self._ctx, self._Y
-        ctx[t], Y[:, t] = x, 0.0
         psi = np.empty(d)
         q_sum = 0.0
         for _ in range(self.playouts):
@@ -157,13 +153,15 @@ class BistroStrategy(RelaxationStrategy):
             if self.folded:  # e_j goes into the fold's cell (j, x)
                 ctx, Y, col = self._universe, self._Z + (counts @ self._eps).T, x
             else:  # e_j goes into column t, the future onto t + 1..n - 1
+                ctx, Y, col = self._ctx, self._Y, t
+                ctx[t], Y[:, t] = x, 0.0
                 cells = np.repeat(np.arange(counts.size), counts.ravel())  # x * 2^d + s, sorted
                 if self.transductive:  # the signs' order on a context's rounds changes no value
-                    slots = t + 1 + np.argsort(ctx[t + 1 :], kind="stable")
+                    slots = t + 1 + np.argsort(self._known[t + 1 :], kind="stable")
                 else:
                     self._order_rng.shuffle(cells)
                     slots = slice(t + 1, None)
-                ctx[slots], Y[:, slots], col = cells >> d, self._eps[cells % 2**d].T, t
+                ctx[slots], Y[:, slots] = cells >> d, self._eps[cells % 2**d].T
             for j in range(d):
                 y = Y[j, col]
                 Y[j, col] = y + 1.0

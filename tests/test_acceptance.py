@@ -42,6 +42,7 @@ from bistro.verify import (
 )
 from bistro.waterfill import waterfill
 from test_rademacher import fixed_sampler
+from test_strategies import scaled_history
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 SEEDS = range(50)
@@ -338,9 +339,10 @@ def test_criterion_9_adversarial_reduction():
         env = build_environment(config, pc)
         strategy = make_strategy({**config, "algorithm": "adversarial_reduction"}, pc,
                                  gamma=summary["gamma_used"])
-        run_episode(strategy, env, config["n"], seed=0)
+        scaled = scaled_history(run_episode(strategy, env, config["n"], seed=0),
+                                summary["gamma_used"])
         scaled_ok = scaled_ok and (
-            strategy._Y.min() >= 0.0 and strategy._Y.max() <= 1.0
+            scaled.min() >= 0.0 and scaled.max() <= 1.0
         )
     elapsed = time.perf_counter() - t0
     ok = (

@@ -18,7 +18,7 @@ from bistro.erm import (
     PairwiseDisagreement,
     RegularizedErmOracle,
 )
-from bistro.policies import CapacityError, PolicyClass, mix_with_uniform
+from bistro.policies import CapacityError, PolicyClass, ips_estimate, mix_with_uniform
 from bistro.runner import (
     build_environment,
     build_policy_class,
@@ -273,13 +273,17 @@ def test_mean_play_is_the_exact_mixed_q(penalty):
     strategy = BistroStrategy(pc, oracle, n, gamma)
     assert strategy.folded == (constraint is None)
     strategy.begin_episode(n, np.random.SeedSequence(8), pool=pool)
+    contexts, history = [], np.zeros((n, d))  # the rows gamma * c~_t the updates feed
     for t, x in enumerate([2, 0, 1]):
-        expected = _exact_mixed_q(oracle, probs, gamma, n, strategy._ctx[:t].copy(),
-                                  strategy._Y[:, :t].T.copy(), x)
+        expected = _exact_mixed_q(oracle, probs, gamma, n, np.array(contexts, dtype=np.int64),
+                                  history[:t].copy(), x)
         got = mean_play(strategy, x, [n - t - 1], pc.universe_size * 2**d)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
         # cost 1 on the likeliest action, which the cheapest policies play
-        strategy.update(x, expected, int(np.argmax(expected)), 1.0)
+        action = int(np.argmax(expected))
+        strategy.update(x, expected, action, 1.0)
+        contexts.append(x)
+        history[t, action] = gamma * ips_estimate(1.0, action, expected)
 
 
 @pytest.mark.parametrize("penalty", ["exact", "coverage"])
@@ -295,18 +299,21 @@ def test_transductive_mean_play_averages_the_known_futures_signs(penalty):
     known = np.array([1, 2, 0])
     strategy = BistroStrategy(pc, oracle, n, gamma, mode="transductive")
     strategy.begin_episode(n, np.random.SeedSequence(8), known_futures=known)
+    history = np.zeros((n, d))  # the rows gamma * c~_t the updates feed
     for t in range(n):
         x, m = int(known[t]), n - t - 1
         bits = (np.arange(2 ** (d * m))[:, None] >> np.arange(d * m)) & 1
         signs = (bits * 2.0 - 1.0).reshape(len(bits), d, m)
-        cols = np.concatenate([np.broadcast_to(strategy._Y[:, :t].T, (d, t, d)),
+        cols = np.concatenate([np.broadcast_to(history[:t], (d, t, d)),
                                np.eye(d)[:, None]], axis=1)
         psi = playout_values(oracle, np.broadcast_to(known[: t + 1], (d, t + 1)), cols,
                              np.repeat(known[None, t + 1:], len(signs), axis=0), signs)
         expected = mix_with_uniform(np.mean([waterfill(row) for row in psi], axis=0), gamma)
         got = mean_play(strategy, x, np.bincount(known[t + 1:], minlength=3), 2**d)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
-        strategy.update(x, expected, int(np.argmin(expected)), 1.0)
+        action = int(np.argmin(expected))
+        strategy.update(x, expected, action, 1.0)
+        history[t, action] = gamma * ips_estimate(1.0, action, expected)
 
 
 def test_horizon_benchmark_is_the_filtered_class():

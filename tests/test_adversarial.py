@@ -7,6 +7,7 @@ from bistro.policies import PolicyClass
 from bistro.rademacher import tune_gamma
 from bistro.runner import resolve_strategy_params, run_episode
 from bistro.verify import expweights_initial_margin, expweights_recursive_gap, sequence_values
+from test_strategies import scaled_history
 
 
 def constants_class():
@@ -137,8 +138,9 @@ class TestReduction:
         env = Environment(np.ones(4) / 4, FixedTableCosts(rng.uniform(0, 1, (n, 2))))
         strat = ReductionStrategy(ExpWeightsRelaxation(pc, n), gamma, n)
         tr = run_episode(strat, env, n, seed=3)
-        assert strat._Y.min() >= 0.0
-        assert strat._Y.max() <= 1.0 + 1e-12
+        Y = scaled_history(tr, gamma)
+        assert Y.min() >= 0.0
+        assert Y.max() <= 1.0 + 1e-12
         assert tr.distributions.min() >= gamma - 1e-12
 
     def test_derived_gamma_and_bound(self):
@@ -164,16 +166,17 @@ class TestReduction:
         process = (FixedTableCosts(rng.uniform(0, 1, (n, d))) if costs == "fixed"
                    else AdaptiveCosts(d))
         strat = ReductionStrategy(ExpWeightsRelaxation(pc, n), 0.1, n)
-        fold_q_star, same = strat._q_star, []
+        fold_q_star, played = strat._q_star, []
 
         def q_star(x):
-            t, q = strat._t, fold_q_star(x)
-            columns = strat.relaxation.strategy(strat._Y[:, :t].T, strat._ctx[:t], x)
-            same.append(np.array_equal(q, columns))
-            return q
+            played.append(fold_q_star(x))
+            return played[-1]
 
         strat._q_star = q_star
-        run_episode(strat, Environment(np.ones(universe) / universe, process), n, seed=10)
+        tr = run_episode(strat, Environment(np.ones(universe) / universe, process), n, seed=10)
+        Y = scaled_history(tr, 0.1)
+        same = [np.array_equal(q, strat.relaxation.strategy(Y[:, :t].T, tr.contexts[:t], x))
+                for t, (q, x) in enumerate(zip(played, tr.contexts))]
         assert len(same) == n and all(same)
 
     def test_determinism(self):

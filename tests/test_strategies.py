@@ -4,7 +4,7 @@ import pytest
 from bistro.adversarial import ExpWeightsRelaxation, ReductionStrategy
 from bistro.environments import Environment, FixedTableCosts
 from bistro.erm import BoxRelaxedOracle, ErmOracle, ExactErmOracle, RegularizedErmOracle
-from bistro.erm import PairwiseDisagreement
+from bistro.erm import CoveragePenalty, PairwiseDisagreement
 from bistro.policies import PolicyClass, ips_estimate
 from bistro.runner import run_episode
 from bistro.strategies import SIGN_SCALE, BistroStrategy
@@ -50,6 +50,15 @@ def future_columns(counts, d):
     (k,) and signs (d, k) in {-1, +1}, bit j of pattern s the sign of row j."""
     cells = np.repeat(np.arange(counts.size), np.ravel(counts))
     return cells // 2**d, ((cells % 2**d) >> np.arange(d)[:, None] & 1) * 2.0 - 1.0
+
+
+def scaled_history(tr, gamma) -> np.ndarray:
+    """An episode's history gamma * c~_t as (d, n) columns, in ``update``'s
+    float operations: gamma * (cost / q[action]) in the played row, 0 elsewhere."""
+    Y = np.zeros((tr.d, tr.n))
+    for t, (action, cost, q) in enumerate(zip(tr.actions, tr.observed_costs, tr.distributions)):
+        Y[action, t] = gamma * ips_estimate(cost, action, q)
+    return Y
 
 
 def make_strategy(pc, gamma=0.25, n=4, oracle=None, **kwargs):
@@ -171,17 +180,50 @@ class TestFoldedPlayouts:
 
     @pytest.mark.parametrize("learner", LEARNERS)
     def test_fold_is_the_bincount_of_the_history(self, learner):
-        # update's running Z equals the one-bincount fold of the columns, bit for bit
+        # update's running Z equals the one-bincount fold of the episode's
+        # columns gamma * c~_t on its contexts, bit for bit
         rng = np.random.default_rng(48)
         d, universe, n = 3, 5, 200
         pc = PolicyClass(rng.integers(0, d, (6, universe)), d)
         strat = LEARNERS[learner](pc, gamma=0.2, n=n)
         env = Environment(np.ones(universe) / universe, FixedTableCosts(rng.uniform(0, 1, (n, d))))
         tr = run_episode(strat, env, n, seed=9)
-        assert np.array_equal(strat._ctx, tr.contexts)
-        keys = np.arange(d)[:, None] * universe + strat._ctx
-        fold = np.bincount(keys.ravel(), weights=strat._Y.ravel(), minlength=d * universe)
+        keys = np.arange(d)[:, None] * universe + tr.contexts
+        fold = np.bincount(keys.ravel(), weights=scaled_history(tr, 0.2).ravel(),
+                           minlength=d * universe)
         assert np.array_equal(strat._Z, fold.reshape(d, universe))
+
+    @pytest.mark.parametrize("learner", ["reduction", "bistro", "bistro-transductive"])
+    def test_folded_state_does_not_grow_with_the_horizon(self, learner):
+        # the fold is the whole history: nothing the strategy holds has n
+        # entries, except the known sequence it is told in transductive mode
+        d, universe, n = 2, 5, 100_000
+        pc = PolicyClass.all_labelings(d, universe)
+        mode = "transductive" if learner == "bistro-transductive" else "iid_pool"
+        strat = (make_reduction(pc, 0.2, n) if learner == "reduction"
+                 else make_strategy(pc, 0.2, n, mode=mode))
+        contexts = np.arange(n) % universe
+        strat.begin_episode(n, np.random.SeedSequence(5), pool=contexts, known_futures=contexts)
+        big = {name for name, value in vars(strat).items()
+               if isinstance(value, np.ndarray) and value.size >= n}
+        assert big == ({"_known"} if mode == "transductive" else set())
+
+    @pytest.mark.parametrize("oracle", ["box", "coverage"])
+    def test_column_path_keeps_the_history_columns(self, oracle):
+        # an oracle that does not fold gets the (n,) contexts and (d, n) columns,
+        # round t's holding x_t and gamma * c~_t once the round is played
+        rng = np.random.default_rng(57)
+        d, universe, n, gamma = 2, 3, 40, 0.2
+        pc = PolicyClass(rng.integers(0, d, (5, universe)), d)
+        inner = (BoxRelaxedOracle() if oracle == "box" else RegularizedErmOracle(
+            pc, CoveragePenalty([list(range(0, n, 2)), list(range(1, n, 2))], 1), 0.5))
+        strat = make_strategy(pc, gamma, n, oracle=inner)
+        assert not strat.folded
+        env = Environment(np.ones(universe) / universe, FixedTableCosts(rng.uniform(0, 1, (n, d))))
+        tr = run_episode(strat, env, n, seed=12)
+        assert strat._ctx.shape == (n,) and strat._Y.shape == (d, n)
+        assert np.array_equal(strat._ctx, tr.contexts)
+        assert np.array_equal(strat._Y, scaled_history(tr, gamma))
 
 
 class TestBistroRound:
