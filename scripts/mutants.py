@@ -84,6 +84,18 @@ def on_commands(case: str) -> tuple[str, ...]:
                  for suffix in ("", "-admissibility", "-rademacher"))
 
 
+def unreadable(*cases: str) -> tuple[str, ...]:
+    """An unreadable-file case's ids on run, rademacher and admissibility."""
+    return tuple(f"{T_CLI}::test_unreadable_files_exit_2_naming_their_key[{case}-{command}]"
+                 for case in cases for command in ("run", "rademacher", "admissibility"))
+
+
+def malformed(*cases: str) -> tuple[str, ...]:
+    """A malformed-document case's ids on run and rademacher."""
+    return tuple(f"{T_CLI}::test_malformed_documents_exit_2[{case}-{command}]"
+                 for case in cases for command in ("run", "rademacher"))
+
+
 MUTANTS = [
     # -- the benchmark, filtered at K (erm.benchmark) --
     Mutant("benchmark-strict-budget", ERM,
@@ -492,6 +504,40 @@ MUTANTS = [
            "    except ValueError:\n        raise ValueError(f\"--seeds needs",
            "    except KeyError:\n        raise ValueError(f\"--seeds needs",
            (f"{T_CLI}::test_run_names_seeds_it_cannot_read",)),
+    # -- files a config cannot open, and numeric arrays that hold no numbers --
+    Mutant("unopenable-file-unnamed", RUNNER,
+           "except (OSError, ValueError) as exc:", "except ValueError as exc:",
+           unreadable("config-missing", "policy_class-missing", "cost_process-missing",
+                      "cost_process-a-directory")),
+    Mutant("unparsable-file-unnamed", RUNNER,
+           "except (OSError, ValueError) as exc:", "except OSError as exc:",
+           unreadable("config-not-json", "policy_class-not-json", "cost_process-not-numbers")),
+    Mutant("file-path-type-unchecked", RUNNER,
+           'isinstance(doc.get("path"), str)', '"path" in doc',
+           unreadable("policy_class-not-a-name")),
+    Mutant("array-strings-accepted", POL,
+           "elif type(value) not in kinds:", "elif type(value) not in (*kinds, str):",
+           malformed("argmax-weights-string", "features-string", "probs-string",
+                     "values-string", "means-string", "weights-string")),
+    Mutant("array-booleans-accepted", POL,
+           "elif type(value) not in kinds:", "elif not isinstance(value, kinds):",
+           malformed("policies-bool", "probs-bool", "weights-bool")),
+    Mutant("policies-fractions-accepted", POL,
+           "((int,) if integer else (int, float))", "(int, float)",
+           malformed("policies-fraction")),
+    Mutant("array-entries-unwalked", POL,
+           "pending.extend(reversed(value))", "pass",
+           malformed("policies-fraction", "probs-string", "means-null", "weights-bool")),
+    Mutant("context-dist-arrays-unchecked", RUNNER,
+           'config_numbers("context_dist", dist, key)', "pass",
+           malformed("features-string", "probs-string", "probs-bool")),
+    Mutant("cost-arrays-unchecked", RUNNER,
+           'np.asarray(config_numbers("cost_process", doc, "means"), float)',
+           'np.asarray(doc["means"], float)',
+           malformed("means-string", "means-null")),
+    Mutant("constraint-weights-unchecked", ERM,
+           'else config_numbers("constraint", doc, "weights"))', "else weights)",
+           malformed("weights-string", "weights-bool")),
 ]
 
 EQUIVALENT = [

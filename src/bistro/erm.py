@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .policies import PolicyClass, check_keys, check_object, config_int, context_ids
+from .policies import PolicyClass, check_keys, check_object, config_int, config_numbers, context_ids
 
 
 class ErmOracle:
@@ -270,7 +270,9 @@ def load_constraint(doc: dict):
     kind = check_object("constraint", doc).get("type")
     if kind == "pairwise":
         check_keys("constraint", doc, ("type",), ("weights",))
-        return PairwiseDisagreement(doc.get("weights", "uniform"))
+        weights = doc.get("weights", "uniform")
+        return PairwiseDisagreement(weights if isinstance(weights, str)
+                                    else config_numbers("constraint", doc, "weights"))
     if kind == "coverage":
         check_keys("constraint", doc, ("type", "partition", "k"))
         partition = doc["partition"]

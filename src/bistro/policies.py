@@ -65,6 +65,20 @@ def config_int(doc: dict, key: str, default=None, name: str = "config") -> int |
     raise ValueError(f"{name} key {key!r} needs a non-negative integer; got {value!r}")
 
 
+def config_numbers(name: str, doc: dict, key: str, integer: bool = False):
+    """``doc[key]``, if every entry of its nested lists is a JSON number (an
+    integer if ``integer``); an error names the document and key."""
+    kinds, pending = ((int,) if integer else (int, float)), [doc[key]]
+    while pending:
+        value = pending.pop()
+        if isinstance(value, list):
+            pending.extend(reversed(value))
+        elif type(value) not in kinds:  # a string, a boolean, null or a fraction
+            kind = "integer" if integer else "numeric"
+            raise ValueError(f"{name} key {key!r} needs {kind} entries; got {value!r}")
+    return doc[key]
+
+
 def context_ids(contexts) -> np.ndarray:
     """Normalize a sequence of integer context ids to an int array."""
     if isinstance(contexts, np.ndarray) and contexts.dtype.kind in "iu":
@@ -211,7 +225,7 @@ class PolicyClass:
         family = check_object("policy_class", doc).get("family")
         if family is None:
             check_keys("policy_class", doc, ("d", "policies"), ("universe",))
-            table = np.asarray(doc["policies"], dtype=np.int64) - 1
+            table = np.asarray(config_numbers("policy_class", doc, "policies", True), np.int64) - 1
             pc = cls(table, config_int(doc, "d", name="policy_class"))
             universe = config_int(doc, "universe", pc.universe_size, name="policy_class")
             if pc.universe_size != universe:
@@ -223,7 +237,7 @@ class PolicyClass:
                                      config_int(doc, "universe", name="policy_class"))
         if family == "argmax_linear":
             check_keys("policy_class", doc, ("family", "weights"))
-            return cls._argmax_linear(doc["weights"], features)
+            return cls._argmax_linear(config_numbers("policy_class", doc, "weights"), features)
         raise ValueError(f"unknown policy family {family!r}")
 
 

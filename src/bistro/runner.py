@@ -39,6 +39,7 @@ from .policies import (
     check_object,
     config_int,
     config_number,
+    config_numbers,
 )
 from .rademacher import (
     DEFAULT_TUNING_SAMPLES,
@@ -199,15 +200,27 @@ def expected_regret(transcript: Transcript, policy_class: PolicyClass,
 # -- configuration ----------------------------------------------------------
 
 
+def _read(key: str, path, parse=json.load):
+    """``parse`` of the open file at ``path``; a path that is not a string or
+    names a file that cannot be opened or parsed is an error naming ``key``."""
+    if not isinstance(path, str):
+        raise ValueError(f"{key} needs a file name; got {path!r}")
+    try:
+        with open(path) as f:
+            return parse(f)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{key} names {path!r}, which cannot be read: "
+                         f"{getattr(exc, 'strerror', None) or exc}") from None
+
+
 def load_config(path: str) -> dict:
     """Config file as a dict; the ``path`` of ``policy_class`` and
     ``cost_process`` is resolved against the file's directory."""
-    with open(path) as f:
-        config = check_object("config", json.load(f))
+    config = check_object("config", _read("--config", path))
     base = os.path.dirname(os.path.abspath(path))
     for key in ("policy_class", "cost_process"):
         doc = config.get(key)
-        if isinstance(doc, dict) and "path" in doc:
+        if isinstance(doc, dict) and isinstance(doc.get("path"), str):
             config[key] = {**doc, "path": os.path.join(base, doc["path"])}
     return config
 
@@ -238,8 +251,7 @@ def build_policy_class(config: dict) -> PolicyClass:
     doc = config["policy_class"]
     if "path" in doc:
         check_keys("policy_class", doc, ("path",))
-        with open(doc["path"]) as f:
-            doc = json.load(f)
+        doc = _read("policy_class key 'path'", doc["path"])
     dist = _context_dist(config)
     pc = PolicyClass.from_json(doc, features=None if dist is None else dist.get("features"))
     if pc.d != config_int(config, "d"):
@@ -261,6 +273,8 @@ def _context_dist(config: dict) -> dict | None:
     if dist == "uniform":
         return None
     if isinstance(dist, dict) and "probs" in dist and CONTEXT_DIST_KEYS.issuperset(dist):
+        for key in dist:
+            config_numbers("context_dist", dist, key)
         return dist
     raise ValueError(f"context_dist must be \"uniform\" or a dict with \"probs\" and optional "
                      f"\"features\"; got {dist!r}")
@@ -272,11 +286,12 @@ def build_cost_process(config: dict):
     if kind == "fixed_table":  # a table in a file or inline, never both
         check_keys("cost_process", doc, ("type", "path" if "path" in doc else "values"))
         if "path" in doc:
-            return FixedTableCosts(np.loadtxt(doc["path"], delimiter=","))
-        return FixedTableCosts(np.asarray(doc["values"], dtype=float))
+            return FixedTableCosts(_read("cost_process key 'path'", doc["path"],
+                                         lambda f: np.loadtxt(f, delimiter=",")))
+        return FixedTableCosts(np.asarray(config_numbers("cost_process", doc, "values"), float))
     if kind == "iid_bernoulli":
         check_keys("cost_process", doc, ("type", "means"))
-        return IidBernoulliCosts(np.asarray(doc["means"], dtype=float))
+        return IidBernoulliCosts(np.asarray(config_numbers("cost_process", doc, "means"), float))
     if kind == "adaptive":
         check_keys("cost_process", doc, ("type",), ("rule",))
         return AdaptiveCosts(d=config_int(config, "d"), rule=doc.get("rule", ADAPTIVE_RULES[0]))

@@ -236,6 +236,34 @@ def test_missing_required_key_exits_2(command, tmp_path, capsys):
     ({"policy_class": {"family": "all_labelings", "d": 2, "universe": 2.5}}, "'universe'"),
     ({"policy_class": {"family": "all_labelings", "d": "2", "universe": 2}}, "'d'"),
     ({"policy_class": {"d": 2, "policies": [[1, 2], [2, 1]], "universe": 2.0}}, "'universe'"),
+    # numeric arrays refuse strings and booleans, and the policies fractions
+    pytest.param({"policy_class": {"d": 2, "policies": [[1.5, 2], [2, 1]]}},
+                 "policy_class key 'policies' needs integer entries; got 1.5",
+                 id="policies-fraction"),
+    pytest.param({"policy_class": {"d": 2, "policies": [[1, True], [2, 1]]}},
+                 "policy_class key 'policies' needs integer entries; got True",
+                 id="policies-bool"),
+    pytest.param({"policy_class": {"family": "argmax_linear", "weights": [[[1.0], ["a"]]]},
+                  "context_dist": {"probs": [0.5, 0.5], "features": [[1.0], [-1.0]]}},
+                 "policy_class key 'weights' needs numeric entries; got 'a'",
+                 id="argmax-weights-string"),
+    pytest.param({"context_dist": {"probs": [0.5, 0.5], "features": [[1.0], ["a"]]}},
+                 "context_dist key 'features' needs numeric entries; got 'a'",
+                 id="features-string"),
+    pytest.param({"context_dist": {"probs": ["0.5", 0.5]}},
+                 "context_dist key 'probs' needs numeric entries; got '0.5'", id="probs-string"),
+    pytest.param({"context_dist": {"probs": [True, False]}},
+                 "context_dist key 'probs' needs numeric entries; got True", id="probs-bool"),
+    pytest.param({"cost_process": {"type": "fixed_table", "values": [[0.5, "a"]] * 3}},
+                 "cost_process key 'values' needs numeric entries; got 'a'", id="values-string"),
+    pytest.param({"cost_process": {"type": "iid_bernoulli", "means": [[0.5, 0.5], [0.5, "a"]]}},
+                 "cost_process key 'means' needs numeric entries; got 'a'", id="means-string"),
+    pytest.param({"cost_process": {"type": "iid_bernoulli", "means": [[0.5, 0.5], [0.5, None]]}},
+                 "cost_process key 'means' needs numeric entries; got None", id="means-null"),
+    pytest.param({"constraint": {"type": "pairwise", "weights": [[0, "x"], ["x", 0]]}},
+                 "constraint key 'weights' needs numeric entries; got 'x'", id="weights-string"),
+    pytest.param({"constraint": {"type": "pairwise", "weights": [[0, True], [True, 0]]}},
+                 "constraint key 'weights' needs numeric entries; got True", id="weights-bool"),
 ])
 def test_malformed_documents_exit_2(command, changes, named, tmp_path, capsys):
     count = "--seeds" if command == "run" else "--samples"
@@ -243,6 +271,45 @@ def test_malformed_documents_exit_2(command, changes, named, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith(f"bistro {command}: ") and named in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+UNREADABLE = {
+    "config-missing": (None, "--config names"),
+    "config-not-json": ("config", "--config names"),
+    "policy_class-missing": ({"policy_class": {"path": "nope.json"}},
+                             "policy_class key 'path' names"),
+    "policy_class-not-json": ({"policy_class": {"path": "bad.txt"}},
+                              "policy_class key 'path' names"),
+    "policy_class-not-a-name": ({"policy_class": {"path": 5}},
+                                "policy_class key 'path' needs a file name; got 5"),
+    "cost_process-missing": ({"cost_process": {"type": "fixed_table", "path": "nope.csv"}},
+                             "cost_process key 'path' names"),
+    "cost_process-not-numbers": ({"cost_process": {"type": "fixed_table", "path": "bad.txt"}},
+                                 "cost_process key 'path' names"),
+    "cost_process-a-directory": ({"cost_process": {"type": "fixed_table", "path": "."}},
+                                 "cost_process key 'path' names"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "rademacher", "admissibility"])
+@pytest.mark.parametrize("case", UNREADABLE)
+def test_unreadable_files_exit_2_naming_their_key(command, case, tmp_path, capsys):
+    # a file the config names, or the config itself, that cannot be opened or
+    # parsed is a config error: exit 2 with one line naming its key
+    changes, named = UNREADABLE[case]
+    (tmp_path / "bad.txt").write_text("0.5,zero\n0.5,0.5\n")
+    if changes is None:
+        path = str(tmp_path / "nope.json")
+    elif changes == "config":
+        path = str(tmp_path / "bad.txt")
+    else:
+        path = write_config(tmp_path, **changes)
+    code = main([command, "--config", path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"bistro {command}: {named}")
     assert captured.err.count("\n") == 1
     assert captured.out == ""
 
