@@ -89,9 +89,9 @@ class BistroStrategy(RelaxationStrategy):
     (context, pattern) cells: multinomial over the pool's empirical p(x) *
     2^-d, or per context over the known future's counts (transductive). An
     oracle that ``folds`` prices the (d, |X|) sums Z_h + Z_f + e_{j,x}, so no
-    round's cost or state grows with n. Only another keeps the history's (n,)
-    contexts and (d, n) columns, and gets the future on the rounds after t,
-    rebuilt from the counts, shuffled (iid_pool) or on the known rounds.
+    round's cost or state grows with n. With any other oracle it keeps the
+    history's (n,) contexts and (d, n) columns, and rebuilds the future from
+    the counts on the rounds after t, shuffled (iid_pool) or on the known ones.
     """
 
     def __init__(self, policy_class, oracle: ErmOracle, horizon: int, gamma: float,
