@@ -46,7 +46,11 @@ POL = "src/bistro/policies.py"
 T_ADM, T_CLI, T_ERM = "tests/test_admissibility.py", "tests/test_cli.py", "tests/test_erm.py"
 T_HARNESS, T_RAD = "tests/test_harness.py", "tests/test_rademacher.py"
 T_STRAT, T_GOLDEN = "tests/test_strategies.py", "tests/test_golden.py::test_golden_transcript"
-T_FOLD = "tests/test_policies.py::TestFoldQuery"
+T_POL = "tests/test_policies.py"
+T_FOLD = f"{T_POL}::TestFoldQuery"
+LABELINGS = tuple(f"{T_POL}::TestPolicyClass::"
+                  f"test_all_labelings_equal_the_digit_and_scatter_references[{d}]"
+                  for d in range(1, 5))
 STRAT = "src/bistro/strategies.py"
 RANGE = f"{T_CLI}::test_range_errors_name_their_key"
 RECORDED = f"{T_ADM}::test_reports_match_sequence_form_checker"
@@ -196,6 +200,23 @@ MUTANTS = [
     Mutant("fold-query-universe-writable", POL,
            "        universe.flags.writeable = False\n", "",
            (f"{T_FOLD}::test_universe_is_a_cached_read_only_arange",)),
+    # -- the all-labelings table and the one-hot (policies.PolicyClass) --
+    Mutant("table-column-period-off-by-one", POL,
+           "rows[:, :, :, x] = np.arange(d)[:, None]",
+           "rows[:, :, :, x - 1] = np.arange(d)[:, None]", LABELINGS[1:]),
+    Mutant("onehot-fortran-ordered", POL,
+           "        onehot.flags.writeable = False\n",
+           "        onehot = np.asfortranarray(onehot)\n        onehot.flags.writeable = False\n",
+           (f"{T_POL}::TestPolicyClass::test_table_and_onehot_are_c_ordered_and_read_only",)),
+    Mutant("onehot-compared-on-the-wrong-axis", POL,
+           "self.table[:, None, :] == np.arange(self.d)[:, None]",
+           "self.table[:, :, None] == np.arange(self.d)",
+           LABELINGS[1:] + tuple(f"{T_POL}::TestValues::{test}" for test in (
+               "test_onehot_cached_and_read_only",
+               "test_matches_sequence_form_and_bruteforce_exactly"))),
+    Mutant("tuning-stack-ignores-the-onehot", "src/bistro/rademacher.py",
+           "max(STACK_BYTES, 8 * size * d * oracle.policy_class.universe_size)", "STACK_BYTES",
+           (f"{T_RAD}::TestEstimator::test_a_stack_streams_the_onehot_for_d_x_samples",)),
     Mutant("relaxation-builds-its-own-universe", STRAT,
            "self._universe = policy_class.universe",
            "self._universe = np.arange(policy_class.universe_size)",
@@ -472,7 +493,8 @@ MUTANTS = [
            (f"{T_ERM}::TestConstraints::test_coverage_partition_validation",)),
     # -- config shapes refused before an episode (runner) --
     Mutant("config-partition-entries-unchecked", ERM,
-           "isinstance(block, list) and all(type(t) is int for t in block)", "True",
+           "isinstance(block, list) and all(type(t) is int and 0 <= t < 2**63 for t in block)",
+           "True",
            on_commands("partition-fraction") + on_commands("partition-flat")),
     Mutant("config-partition-horizon-unchecked", RUNNER,
            "isinstance(constraint, CoveragePenalty) and constraint.n != n",
@@ -516,18 +538,29 @@ MUTANTS = [
            'isinstance(doc.get("path"), str)', '"path" in doc',
            unreadable("policy_class-not-a-name")),
     Mutant("array-strings-accepted", POL,
-           "elif type(value) not in kinds:", "elif type(value) not in (*kinds, str):",
+           "if type(value) not in kinds:", "if type(value) not in (*kinds, str):",
            malformed("argmax-weights-string", "features-string", "probs-string",
                      "values-string", "means-string", "weights-string")),
     Mutant("array-booleans-accepted", POL,
-           "elif type(value) not in kinds:", "elif not isinstance(value, kinds):",
+           "if type(value) not in kinds:", "if not isinstance(value, kinds):",
            malformed("policies-bool", "probs-bool", "weights-bool")),
     Mutant("policies-fractions-accepted", POL,
-           "((int,) if integer else (int, float))", "(int, float)",
+           "((int,), np.int64) if integer", "((int, float), np.int64) if integer",
            malformed("policies-fraction")),
     Mutant("array-entries-unwalked", POL,
-           "pending.extend(reversed(value))", "pass",
+           "level = [entry for row in level for entry in row]", "level = []",
            malformed("policies-fraction", "probs-string", "means-null", "weights-bool")),
+    Mutant("array-ragged-rows-accepted", POL,
+           "if len({len(value) if isinstance(value, list) else -1 for value in level}) > 1:",
+           "if False:",
+           malformed("policies-ragged", "means-ragged", "values-depth", "probs-depth",
+                     "features-ragged", "weights-ragged", "argmax-weights-ragged")),
+    Mutant("array-int64-range-unchecked", POL,
+           "held(value)  # as NumPy will hold it", "pass",
+           on_commands("policies-int64") + malformed("means-overflow")),
+    Mutant("partition-int64-range-unchecked", ERM,
+           "type(t) is int and 0 <= t < 2**63", "type(t) is int",
+           on_commands("partition-int64")),
     Mutant("context-dist-arrays-unchecked", RUNNER,
            'config_numbers("context_dist", dist, key)', "pass",
            malformed("features-string", "probs-string", "probs-bool")),

@@ -277,7 +277,7 @@ def load_constraint(doc: dict):
         check_keys("constraint", doc, ("type", "partition", "k"))
         partition = doc["partition"]
         if not isinstance(partition, list) or not all(
-                isinstance(block, list) and all(type(t) is int for t in block)
+                isinstance(block, list) and all(type(t) is int and 0 <= t < 2**63 for t in block)
                 for block in partition):
             raise ValueError(f"constraint key 'partition' needs lists of integer round indices; "
                              f"got {partition!r}")

@@ -66,16 +66,25 @@ def config_int(doc: dict, key: str, default=None, name: str = "config") -> int |
 
 
 def config_numbers(name: str, doc: dict, key: str, integer: bool = False):
-    """``doc[key]``, if every entry of its nested lists is a JSON number (an
-    integer if ``integer``); an error names the document and key."""
-    kinds, pending = ((int,) if integer else (int, float)), [doc[key]]
-    while pending:
-        value = pending.pop()
-        if isinstance(value, list):
-            pending.extend(reversed(value))
-        elif type(value) not in kinds:  # a string, a boolean, null or a fraction
-            kind = "integer" if integer else "numeric"
+    """``doc[key]``, if its nested lists are rectangular and every entry is a
+    JSON number (an integer if ``integer``) that NumPy can hold as an int64
+    or a float; an error names the document and key."""
+    level = [doc[key]]
+    while any(isinstance(value, list) for value in level):  # one depth at a time
+        if len({len(value) if isinstance(value, list) else -1 for value in level}) > 1:
+            raise ValueError(f"{name} key {key!r} needs a rectangular array; "
+                             "its lists differ in length or depth")
+        level = [entry for row in level for entry in row]
+    kinds, held = ((int,), np.int64) if integer else ((int, float), float)
+    kind = "integer" if integer else "numeric"
+    for value in level:
+        if type(value) not in kinds:  # a string, a boolean, null or a fraction
             raise ValueError(f"{name} key {key!r} needs {kind} entries; got {value!r}")
+        try:
+            held(value)  # as NumPy will hold it
+        except OverflowError:
+            raise ValueError(f"{name} key {key!r} needs entries that fit {held.__name__}; "
+                             f"got {value!r}") from None
     return doc[key]
 
 
@@ -136,8 +145,10 @@ class PolicyClass:
         """Read-only (|F|, d*|X|) 0/1 matrix; row f marks the cells j*|X| + x
         with j = f(x). Built on first use and cached (d*|F|*|X| floats)."""
         size, universe = self.table.shape
-        onehot = np.zeros((size, self.d * universe))
-        onehot[np.arange(size)[:, None], self.table * universe + np.arange(universe)] = 1.0
+        # one comparison, laid out (|F|, d, |X|) and C-ordered: the products
+        # that price a query sum in the order this layout gives them
+        onehot = (self.table[:, None, :] == np.arange(self.d)[:, None]).astype(float)
+        onehot = onehot.reshape(size, self.d * universe)
         onehot.flags.writeable = False
         return onehot
 
@@ -192,8 +203,13 @@ class PolicyClass:
                 f"all-labelings class would contain {count} policies "
                 f"(limit {ALL_LABELINGS_LIMIT})"
             )
-        codes = np.arange(count, dtype=np.int64)
-        table = (codes[:, None] // d ** np.arange(universe_size, dtype=np.int64)) % d
+        # policy c plays digit x of c in base d at context x: column x repeats
+        # each action d**x times, cycling, written as one broadcast into the
+        # rows viewed as (cycles, action, repeat)
+        table = np.empty((count, universe_size), dtype=np.int64)
+        for x in range(universe_size):
+            rows = table.reshape(d ** (universe_size - 1 - x), d, d**x, universe_size)
+            rows[:, :, :, x] = np.arange(d)[:, None]
         return cls(table, d)
 
     @classmethod

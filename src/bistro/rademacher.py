@@ -21,9 +21,10 @@ log = logging.getLogger(__name__)
 
 DEFAULT_TUNING_SAMPLES = 200
 
-# Target size of one stack of tuning queries: its (S, n) contexts, its
-# (S, d, n) costs and fold keys, and the (S, |F|) product. Larger stacks
-# gain little and raise peak memory.
+# Target size of one stack of tuning queries: its (S, n) contexts and its
+# (S, d, n) costs and fold keys. Its (S, |F|) product may grow to the
+# (|F|, d*|X|) one-hot that each stack streams once, so a large class prices
+# at least d*|X| samples per pass over the one-hot.
 STACK_BYTES = 256 * 1024
 
 
@@ -49,15 +50,18 @@ def rademacher_samples(
     The RNG stream of sample r derives from (seed, r) alone, so results are
     identical no matter how samples are scheduled, and two classes estimated
     with the same seed see the same contexts and signs. The samples go to
-    the oracle in stacks of about STACK_BYTES of query and product arrays;
-    each linear value is a sum of +-scale entries, exact in any summation
-    order for a power-of-two scale, so the stacking cannot change a value.
+    the oracle in stacks of about STACK_BYTES of query arrays, whose product
+    fits the larger of STACK_BYTES and the one-hot; each linear value is a
+    sum of +-scale entries, exact in any summation order for a power-of-two
+    scale, and a penalty is priced per row, so the stacking cannot change a
+    value.
     """
     if samples < 1:
         raise ValueError("at least one sample required")
-    d = oracle.policy_class.d
-    per_sample = 8 * ((2 * d + 1) * n + oracle.policy_class.size)
-    stack = max(1, min(samples, STACK_BYTES // per_sample))
+    d, size = oracle.policy_class.d, oracle.policy_class.size
+    by_query = STACK_BYTES // (8 * (2 * d + 1) * n) if n else samples
+    by_product = max(STACK_BYTES, 8 * size * d * oracle.policy_class.universe_size) // (8 * size)
+    stack = max(1, min(samples, by_query, by_product))
     contexts = np.empty((stack, n), dtype=np.int64)
     Y = np.empty((stack, d, n))  # the sign bits; the query is scale * (1 - 2 * bits)
     values = np.empty(samples)

@@ -264,6 +264,28 @@ def test_missing_required_key_exits_2(command, tmp_path, capsys):
                  "constraint key 'weights' needs numeric entries; got 'x'", id="weights-string"),
     pytest.param({"constraint": {"type": "pairwise", "weights": [[0, True], [True, 0]]}},
                  "constraint key 'weights' needs numeric entries; got True", id="weights-bool"),
+    # numeric arrays are rectangular: rows of one length, entries at one depth
+    pytest.param({"policy_class": {"d": 2, "policies": [[1, 2], [2]]}},
+                 "policy_class key 'policies' needs a rectangular array", id="policies-ragged"),
+    pytest.param({"cost_process": {"type": "iid_bernoulli", "means": [[0.5, 0.5], [0.5]]}},
+                 "cost_process key 'means' needs a rectangular array", id="means-ragged"),
+    pytest.param({"cost_process": {"type": "fixed_table", "values": [[0.5, 0.5], 0.5, [0.5]]}},
+                 "cost_process key 'values' needs a rectangular array", id="values-depth"),
+    pytest.param({"context_dist": {"probs": [0.5, [0.5]]}},
+                 "context_dist key 'probs' needs a rectangular array", id="probs-depth"),
+    pytest.param({"context_dist": {"probs": [0.5, 0.5], "features": [[1.0], [1.0, 2.0]]}},
+                 "context_dist key 'features' needs a rectangular array", id="features-ragged"),
+    pytest.param({"constraint": {"type": "pairwise", "weights": [[0, 1], [1]]}},
+                 "constraint key 'weights' needs a rectangular array", id="weights-ragged"),
+    pytest.param({"policy_class": {"family": "argmax_linear",
+                                   "weights": [[[1.0], [1.0]], [[1.0]]]},
+                  "context_dist": {"probs": [0.5, 0.5], "features": [[1.0], [-1.0]]}},
+                 "policy_class key 'weights' needs a rectangular array",
+                 id="argmax-weights-ragged"),
+    # and hold no number NumPy cannot store
+    pytest.param({"cost_process": {"type": "iid_bernoulli",
+                                   "means": [[0.5, 0.5], [0.5, 10**400]]}},
+                 "cost_process key 'means' needs entries that fit float", id="means-overflow"),
 ])
 def test_malformed_documents_exit_2(command, changes, named, tmp_path, capsys):
     count = "--seeds" if command == "run" else "--samples"
@@ -364,6 +386,12 @@ RANGE_ERRORS = {
     "weights-shape": ({"constraint": {"type": "pairwise", "weights": [[0, 1, 1], [1, 0, 1],
                                                                       [1, 1, 0]]}},
                       "constraint weights must be (|X|, |X|) = (2, 2)"),
+    # integers beyond int64, which NumPy cannot store
+    "policies-int64": ({"policy_class": {"d": 2, "policies": [[1, 2**70], [2, 1]]}},
+                       f"policy_class key 'policies' needs entries that fit int64; got {2**70}"),
+    "partition-int64": ({"constraint": {"type": "coverage", "partition": [[0, 1, 2**70]],
+                                        "k": 1}},
+                        "constraint key 'partition' needs lists of integer round indices"),
 }
 COMMANDS = ("run", "admissibility", "rademacher")
 

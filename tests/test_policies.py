@@ -163,6 +163,28 @@ class TestPolicyClass:
         tables = {tuple(pc.table[i]) for i in range(8)}
         assert len(tables) == 8
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_all_labelings_equal_the_digit_and_scatter_references(self, d):
+        # policy c plays digit x of c in base d at context x, and its one-hot
+        # row marks the cells j*|X| + x with j = f(x)
+        for universe in range(7):
+            pc = PolicyClass.all_labelings(d, universe)
+            table = np.arange(d**universe)[:, None] // d ** np.arange(universe) % d
+            onehot = np.zeros((pc.size, d * universe))
+            onehot[np.arange(pc.size)[:, None], table * universe + np.arange(universe)] = 1.0
+            assert pc.table.dtype == table.dtype and np.array_equal(pc.table, table)
+            assert np.array_equal(pc.onehot, onehot)
+
+    def test_table_and_onehot_are_c_ordered_and_read_only(self):
+        # a product against a Fortran-ordered one-hot sums in another order
+        classes = [PolicyClass.all_labelings(d, universe)
+                   for d in range(1, 5) for universe in range(7)]
+        empty = PolicyClass(np.empty((0, 3), dtype=int), 2)
+        assert empty.onehot.shape == (0, 6)
+        for pc in (*classes, empty):
+            for array in (pc.table, pc.onehot):
+                assert array.flags.c_contiguous and not array.flags.writeable
+
     def test_rejects_bad_tables(self):
         for table, d, match in (([0, 1], 2, "table"), ([[0, 1]], 0, "d must"),
                                 ([[0, 2]], 2, "action indices"), ([[-1, 0]], 2, "action indices")):

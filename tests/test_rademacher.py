@@ -3,7 +3,12 @@ import pytest
 
 from bistro import rademacher, runner
 from bistro.environments import Environment, FixedTableCosts, categorical_sampler
-from bistro.erm import ExactErmOracle
+from bistro.erm import (
+    CoveragePenalty,
+    ExactErmOracle,
+    PairwiseDisagreement,
+    RegularizedErmOracle,
+)
 from bistro.policies import PolicyClass
 from bistro.rademacher import (
     RademacherEstimate,
@@ -24,6 +29,17 @@ def fixed_sampler(ids):
         return ids
 
     return sample
+
+
+class StackSpy:
+    """Oracle proxy that records the size of each stack it prices."""
+
+    def __init__(self, inner):
+        self.inner, self.policy_class, self.stacks = inner, inner.policy_class, []
+
+    def __call__(self, contexts, Y):
+        self.stacks.append(len(contexts))
+        return self.inner(contexts, Y)
 
 
 class TestEstimator:
@@ -82,22 +98,45 @@ class TestEstimator:
         assert oracle.calls == 37
 
     def test_stack_size_changes_no_value(self, monkeypatch):
+        # a sample's query arrays take 8*(2d+1)*n bytes of STACK_BYTES; its
+        # product row, 8*|F| bytes, is held to the same or the one-hot's size
         rng = np.random.default_rng(8)
         probs = rng.uniform(0.1, 1.0, 5)
         probs /= probs.sum()
+        samples, default = 61, rademacher.STACK_BYTES
         for d, universe, n in ((1, 1, 6), (2, 5, 7), (4, 5, 3)):
             pc = PolicyClass(rng.integers(0, d, (11, universe)), d)
             sampler = categorical_sampler(probs[:universe] / probs[:universe].sum())
-            runs = []
-            for stack_samples in (1, 3, 50):
-                # one sample costs 8*((2d+1)*n + |F|) bytes of stack
-                per_sample = 8 * ((2 * d + 1) * n + pc.size)
-                monkeypatch.setattr(rademacher, "STACK_BYTES", per_sample * stack_samples)
-                oracle = ExactErmOracle(pc)
-                runs.append(rademacher_samples(oracle, sampler, n, 23, seed=9))
-                assert oracle.calls == 23
-            for values in runs[1:]:
-                assert np.array_equal(values, runs[0])
+            # penalties are priced per row, so a stack changes no penalized value either
+            halves = [list(range(0, n, 2)), list(range(1, n, 2))]
+            for oracle_of in (lambda: ExactErmOracle(pc),
+                              lambda: RegularizedErmOracle(pc, PairwiseDisagreement(), 0.3),
+                              lambda: RegularizedErmOracle(pc, CoveragePenalty(halves, 2), 0.3)):
+                runs = []
+                for stack_samples in (1, 3, 50, None):
+                    monkeypatch.setattr(rademacher, "STACK_BYTES", default if stack_samples is None
+                                        else 8 * (2 * d + 1) * n * stack_samples)
+                    spy = StackSpy(oracle_of())
+                    runs.append(rademacher_samples(spy, sampler, n, samples, seed=9))
+                    assert spy.inner.calls == samples == sum(spy.stacks)
+                    if stack_samples is None:
+                        assert spy.stacks[0] > d * universe
+                    else:
+                        assert spy.stacks[0] == stack_samples
+                for values in runs[1:]:
+                    assert np.array_equal(values, runs[0])
+
+    def test_a_stack_streams_the_onehot_for_d_x_samples(self):
+        # at |F| = 4096 the (|F|, d*|X|) one-hot outweighs STACK_BYTES, and a
+        # stack of d*|X| samples has a product as large; smaller classes keep
+        # the query budget, 12 samples at n = 512
+        sampler = categorical_sampler(np.ones(5) / 5)
+        for pc, n, stack in ((PolicyClass.all_labelings(2, 12), 128, 24),
+                             (PolicyClass.all_labelings(2, 10), 10, 32),
+                             (PolicyClass(np.zeros((8, 5), dtype=int), 2), 512, 12)):
+            spy = StackSpy(ExactErmOracle(pc))
+            rademacher_samples(spy, sampler, n, 50, seed=0)
+            assert spy.stacks[0] == stack
 
     def test_estimate_validation(self):
         with pytest.raises(ValueError):
