@@ -217,6 +217,10 @@ MUTANTS = [
     Mutant("tuning-stack-ignores-the-onehot", "src/bistro/rademacher.py",
            "max(STACK_BYTES, 8 * size * d * oracle.policy_class.universe_size)", "STACK_BYTES",
            (f"{T_RAD}::TestEstimator::test_a_stack_streams_the_onehot_for_d_x_samples",)),
+    Mutant("tuning-stack-divides-by-an-empty-horizon", "src/bistro/rademacher.py",
+           "STACK_BYTES // (8 * (2 * d + 1) * n) if n else samples",
+           "STACK_BYTES // (8 * (2 * d + 1) * n)",
+           (f"{T_RAD}::TestEstimator::test_empty_horizon_prices_every_sample_at_zero",)),
     Mutant("relaxation-builds-its-own-universe", STRAT,
            "self._universe = policy_class.universe",
            "self._universe = np.arange(policy_class.universe_size)",

@@ -50,11 +50,9 @@ def rademacher_samples(
     The RNG stream of sample r derives from (seed, r) alone, so results are
     identical no matter how samples are scheduled, and two classes estimated
     with the same seed see the same contexts and signs. The samples go to
-    the oracle in stacks of about STACK_BYTES of query arrays, whose product
-    fits the larger of STACK_BYTES and the one-hot; each linear value is a
-    sum of +-scale entries, exact in any summation order for a power-of-two
-    scale, and a penalty is priced per row, so the stacking cannot change a
-    value.
+    the oracle in stacks sized by STACK_BYTES; each linear value is a sum of
+    +-scale entries, exact in any summation order for a power-of-two scale,
+    and a penalty is priced per row, so the stacking cannot change a value.
     """
     if samples < 1:
         raise ValueError("at least one sample required")

@@ -138,6 +138,12 @@ class TestEstimator:
             rademacher_samples(spy, sampler, n, 50, seed=0)
             assert spy.stacks[0] == stack
 
+    def test_empty_horizon_prices_every_sample_at_zero(self):
+        # at n = 0 a sample has no query arrays to budget
+        spy = StackSpy(ExactErmOracle(PolicyClass.all_labelings(2, 3)))
+        values = rademacher_samples(spy, categorical_sampler(np.ones(3) / 3), 0, 7, seed=0)
+        assert np.array_equal(values, np.zeros(7)) and sum(spy.stacks) == 7
+
     def test_estimate_validation(self):
         with pytest.raises(ValueError):
             RademacherEstimate(mean=0.0, std_error=-1.0, samples=10)
