@@ -65,14 +65,18 @@ TRANSDUCTIVE_LAW = tuple(
 FOLDED = tuple(f"{T_STRAT}::TestQueryMatrixInvariants::"
                f"test_folded_queries_hold_the_history_and_the_future_counts[{p}-{mode}]"
                for p in (1, 3) for mode in ("iid_pool", "transductive"))
-# the reduction's q* from the fold against the sequence form, and the fold itself
-REDUCTION_FOLD = tuple(f"tests/test_adversarial.py::TestReduction::"
-                       f"test_fold_prices_the_sequence_form_bit_for_bit[{costs}]"
+ADV, T_REDUCTION = "src/bistro/adversarial.py", "tests/test_adversarial.py::TestReduction"
+# the reduction's q* from its running losses against the losses of the
+# history, its running losses against the summed history and the fold's values
+REDUCTION_FOLD = tuple(f"{T_REDUCTION}::test_fold_prices_the_sequence_form_bit_for_bit[{costs}]"
                        for costs in ("fixed", "adaptive"))
-FOLD_HISTORY = REDUCTION_FOLD + tuple(
-    f"{T_STRAT}::TestFoldedPlayouts::test_fold_is_the_bincount_of_the_history[{learner}]"
-    for learner in ("bistro", "reduction")) + (
+RUNNING_LOSSES = tuple(f"{T_REDUCTION}::test_running_losses_are_the_summed_history[{d}-{costs}]"
+                       for d in (2, 3) for costs in ("fixed", "adaptive"))
+REDUCTION_PLAY = REDUCTION_FOLD + RUNNING_LOSSES + (
     f"{T_GOLDEN}[adaptive_adversary_adversarial_reduction]",)
+FOLD_HISTORY = RUNNING_LOSSES + tuple(
+    f"{T_STRAT}::TestFoldedPlayouts::test_fold_is_the_bincount_of_the_history[{learner}]"
+    for learner in ("bistro", "reduction"))
 COLUMN_HISTORY = tuple(f"{T_STRAT}::TestFoldedPlayouts::"
                        f"test_column_path_keeps_the_history_columns[{oracle}]"
                        for oracle in ("box", "coverage"))
@@ -135,17 +139,33 @@ MUTANTS = [
            "self._Z + (counts @ self._eps).T, x", "self._Z + (counts @ self._eps).T, 0",
            LAW[1:2] + FOLDED + (f"{T_GOLDEN}[fixed_adversarial_bistro]",)),
     Mutant("playout-history-not-folded", STRAT,
-           "self._Z[action, x] += self.gamma * est", "pass",
+           "self._Z[action, x] += inc", "pass",
            LAW[1:2] + FOLDED + FOLD_HISTORY
            + (f"{T_ADM}::test_play_queries_price_the_checked_relaxation[bistro]",
               f"{T_GOLDEN}[adaptive_adversary_bistro]")),
     Mutant("history-fold-overwritten", STRAT,
-           "self._Z[action, x] += self.gamma * est", "self._Z[action, x] = self.gamma * est",
-           FOLD_HISTORY),
-    Mutant("reduction-priced-from-a-zero-fold", "src/bistro/adversarial.py",
-           "self.relaxation.strategy(self._Z.T, self._universe, x)",
-           "self.relaxation.strategy(0.0 * self._Z.T, self._universe, x)",
+           "self._Z[action, x] += inc", "self._Z[action, x] = inc", FOLD_HISTORY),
+    # -- the running losses of the reduction (adversarial.ReductionStrategy) --
+    Mutant("reduction-priced-from-a-zero-fold", ADV,
+           "self.relaxation.strategy(self._L, x)", "self.relaxation.strategy(0.0 * self._L, x)",
            REDUCTION_FOLD + (f"{T_GOLDEN}[adaptive_adversary_adversarial_reduction]",)),
+    Mutant("reduction-losses-on-the-wrong-action", ADV,
+           "self._cells[action * self._universe.size + x]",
+           "self._cells[(action + 1) % self.policy_class.d * self._universe.size + x]",
+           REDUCTION_PLAY),
+    Mutant("reduction-losses-not-reset", ADV,
+           "self._L = np.zeros(self.policy_class.size)",
+           "self._L = np.zeros(self.policy_class.size) if self._L is None else self._L",
+           RUNNING_LOSSES),
+    Mutant("reduction-losses-not-extended", ADV,
+           "self._L += inc * self._cells", "self._L = self._L + 0.0 * self._cells",
+           REDUCTION_PLAY),
+    Mutant("losses-summed-in-reverse", ADV,
+           "zip(costs, ids.tolist())", "zip(costs[::-1], ids.tolist()[::-1])",
+           REDUCTION_FOLD + RUNNING_LOSSES),
+    Mutant("losses-accept-non-finite-costs", ADV,
+           "if not np.isfinite(costs).all():", "if False:",
+           ("tests/test_adversarial.py::TestExpWeightsValue::test_losses_reject_bad_history",)),
     Mutant("transductive-future-not-decremented", STRAT,
            "self._future[self._known[self._t]] -= 1", "pass",
            TRANSDUCTIVE_LAW + FOLDED[1::2]),
@@ -224,17 +244,35 @@ MUTANTS = [
     Mutant("relaxation-builds-its-own-universe", STRAT,
            "self._universe = policy_class.universe",
            "self._universe = np.arange(policy_class.universe_size)",
-           tuple(f"{T_STRAT}::TestFoldedPlayouts::test_fold_queries_skip_the_id_check[{learner}]"
-                 for learner in ("bistro", "reduction"))),
+           (f"{T_STRAT}::TestFoldedPlayouts::test_fold_queries_skip_the_id_check[bistro]",)),
     # -- the running totals of argmax_punish (environments.AdaptiveCosts) --
     Mutant("adaptive-totals-not-reset", ENV,
-           "self._totals, self._seen = np.zeros(self.d), 0",
-           "self._totals, self._seen = getattr(self, \"_totals\", np.zeros(self.d)), 0",
+           "self._totals, self._seen = [0.0] * self.d, 0",
+           "self._totals, self._seen = getattr(self, \"_totals\", [0.0] * self.d), 0",
            tuple(f"{T_HARNESS}::TestRunEpisode::"
                  f"test_argmax_punish_running_totals_are_the_resummed_rule[{algorithm}]"
                  for algorithm in ("bistro", "adversarial_reduction"))
            + (f"{T_GOLDEN}[adaptive_adversary_bistro]",
               f"{T_GOLDEN}[adaptive_adversary_adversarial_reduction]")),
+    Mutant("adaptive-ties-to-the-last-maximum", ENV,
+           "max(range(self.d), key=totals.__getitem__)",
+           "max(reversed(range(self.d)), key=totals.__getitem__)",
+           tuple(f"{T_HARNESS}::TestRunEpisode::test_argmax_punish_matches_the_numpy_running_sum"
+                 f"[{d}]" for d in (2, 3, 4))
+           + tuple(f"{T_HARNESS}::TestRunEpisode::"
+                   f"test_argmax_punish_running_totals_are_the_resummed_rule[{algorithm}]"
+                   for algorithm in ("bistro", "adversarial_reduction"))
+           + (f"{T_GOLDEN}[adaptive_adversary_bistro]",
+              f"{T_GOLDEN}[adaptive_adversary_adversarial_reduction]")),
+    # -- the policy table (policies.PolicyClass) --
+    Mutant("caller-table-not-copied", POL,
+           "self._adopt(np.array(table, dtype=np.int64), d)",
+           "self._adopt(np.asarray(table, dtype=np.int64), d)",
+           tuple(f"{T_POL}::TestPolicyClass::test_a_callers_table_is_copied_and_left_as_it_was"
+                 f"[{writeable}]" for writeable in (True, False))),
+    Mutant("all-labelings-table-copied-again", POL,
+           "pc._adopt(table, d)", "pc._adopt(table.copy(), d)",
+           (f"{T_POL}::TestPolicyClass::test_all_labelings_builds_its_table_once",)),
     # -- the IPS estimate --
     Mutant("ips-wrong-propensity", POL,
            "float(c_observed) / float(q[chosen])", "float(c_observed) / float(q[0])",

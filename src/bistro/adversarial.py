@@ -5,14 +5,18 @@ Any admissible full-information relaxation yields an admissible bandit
 relaxation by evaluating it on gamma-scaled inverse-propensity estimates
 (which lie in [0,1]^d) and adding an exploration tax of (n - t) * d * gamma.
 An exponential-weights relaxation over a finite class ships as the stock
-full-information instance.
+full-information instance. It reads a history only through each policy's
+cumulative loss, which one round extends in O(|F|): the reduction keeps
+those losses running and never re-prices the history.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
-from .policies import PolicyClass, context_ids
+from .policies import PolicyClass
 from .policies import mix_with_uniform  # noqa: F401  (a patch point of perfbench/spans.py)
 from .strategies import RelaxationStrategy
 
@@ -46,11 +50,22 @@ class ExpWeightsRelaxation:
         self.eta = float(eta)
 
     def _losses(self, costs, contexts) -> np.ndarray:
+        """L_t(f) = sum_s costs[s, f(x_s)] for every policy, costs (t, d) on
+        contexts (t,), summed in round order with one addition per round: the
+        additions ``ReductionStrategy`` makes to its running losses."""
         costs = np.asarray(costs, dtype=float)
-        ids = context_ids(contexts)
+        ids = self.policy_class._checked_ids(contexts)
+        if costs.ndim != 2 or costs.shape[1] != self.policy_class.d:
+            raise ValueError(f"cost vectors need d={self.policy_class.d} entries; "
+                             f"got shape {costs.shape}")
         if costs.shape[0] != ids.size:
             raise ValueError("history lengths disagree")
-        return self.policy_class.values(ids, costs.T)
+        if not np.isfinite(costs).all():
+            raise ValueError("history costs must be finite")
+        losses = np.zeros(self.policy_class.size)
+        for c, x in zip(costs, ids.tolist()):
+            losses += c[self.policy_class.table[:, x]]
+        return losses
 
     def value(self, costs, contexts) -> float:
         t = len(costs)
@@ -59,10 +74,10 @@ class ExpWeightsRelaxation:
         L = self._losses(costs, contexts)
         return _logsumexp(-self.eta * L) / self.eta + (self.horizon - t) * self.eta / 2.0
 
-    def strategy(self, costs, contexts, x: int) -> np.ndarray:
-        """q(j) proportional to the posterior mass of policies playing j at x."""
-        L = self._losses(costs, contexts)
-        w = np.exp(-self.eta * (L - L.min()))
+    def strategy(self, losses: np.ndarray, x: int) -> np.ndarray:
+        """q(j) proportional to the posterior mass of policies playing j at x,
+        given each policy's cumulative loss (``_losses`` of the history)."""
+        w = np.exp(-self.eta * (losses - losses.min()))
         w /= w.sum()
         return np.bincount(self.policy_class.table[:, x], weights=w,
                            minlength=self.policy_class.d)
@@ -73,12 +88,30 @@ class ExpWeightsRelaxation:
 
 
 class ReductionStrategy(RelaxationStrategy):
-    """Bandit play whose q* is a full-information relaxation's strategy on the
-    history's fold: one column per context, so a round's cost does not grow with t."""
+    """Bandit play whose q* is a full-information relaxation's strategy on
+    ``_L``, each policy's loss on the gamma-scaled history. ``update`` extends
+    it by gamma * c~_t on the policies that play the drawn action at x, in one
+    dense O(|F|) pass, so a round's cost grows with neither t nor |X|."""
 
     def __init__(self, relaxation, gamma: float, horizon: int):
         super().__init__(relaxation.policy_class, horizon, gamma)
         self.relaxation = relaxation
+        self._L = None
+
+    @cached_property
+    def _cells(self) -> np.ndarray:
+        # (d*|X|, |F|), built on first use: row j*|X| + x is 1.0 on the
+        # policies that play j at x, contiguous for the update's one pass
+        return np.ascontiguousarray(self.policy_class.onehot.T)
+
+    def begin_episode(self, n: int, seed_seq, pool=None, known_futures=None) -> None:
+        super().begin_episode(n, seed_seq)
+        self._L = np.zeros(self.policy_class.size)
+
+    def _extend(self, x: int, action: int, inc: float) -> None:
+        super()._extend(x, action, inc)
+        # inc * 0.0 adds exactly 0.0 to the other policies: _L is _losses of the history
+        self._L += inc * self._cells[action * self._universe.size + x]
 
     def _q_star(self, x: int) -> np.ndarray:
-        return self.relaxation.strategy(self._Z.T, self._universe, x)
+        return self.relaxation.strategy(self._L, x)

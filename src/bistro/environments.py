@@ -112,18 +112,20 @@ class AdaptiveCosts(CostProcess):
         self._rule = None if isinstance(rule, str) else rule
 
     def begin(self, rng, n):
-        self._totals, self._seen = np.zeros(self.d), 0
+        self._totals, self._seen = [0.0] * self.d, 0
 
     def commit(self, t, contexts, past_distributions, past_actions):
         # run_episode checks every committed vector, this one included
         if self._rule is not None:
             return self._rule(contexts, past_distributions, past_actions, self.d)
         past = np.asarray(past_distributions, dtype=float).reshape(-1, self.d)
-        for q in past[self._seen:]:
-            self._totals += q
-        self._seen = len(past)
+        # Python floats: d entries are too few for NumPy's per-call cost
+        totals = self._totals
+        for q in past[self._seen:].tolist():
+            totals = [s + v for s, v in zip(totals, q)]
+        self._totals, self._seen = totals, len(past)
         c = np.zeros(self.d)
-        c[int(np.argmax(self._totals))] = 1.0
+        c[max(range(self.d), key=totals.__getitem__)] = 1.0  # the first maximum, as np.argmax
         return c
 
 

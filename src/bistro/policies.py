@@ -103,7 +103,10 @@ class PolicyClass:
     """
 
     def __init__(self, table, d: int):
-        table = np.array(table, dtype=np.int64)
+        self._adopt(np.array(table, dtype=np.int64), d)  # a copy: the caller's array stays as is
+
+    def _adopt(self, table: np.ndarray, d: int) -> None:
+        """Check ``table``, an int64 array no caller holds, and freeze it as the class's own."""
         if table.ndim != 2:
             raise ValueError("policy table must be (|F|, |X|)")
         if d < 1:
@@ -210,7 +213,9 @@ class PolicyClass:
         for x in range(universe_size):
             rows = table.reshape(d ** (universe_size - 1 - x), d, d**x, universe_size)
             rows[:, :, :, x] = np.arange(d)[:, None]
-        return cls(table, d)
+        pc = cls.__new__(cls)
+        pc._adopt(table, d)  # fresh, so not copied again
+        return pc
 
     @classmethod
     def _argmax_linear(cls, weights, features) -> "PolicyClass":

@@ -2,11 +2,12 @@
 
 One learner, ``RelaxationStrategy``, keeps the gamma-scaled history and its
 per-context fold and plays a q* mixed toward uniform; its subclasses differ
-only in the rule for q*. BISTRO water-fills ERM oracle values on a hybrid cost
+in the rule for q* and in what else of the history it reads. BISTRO water-fills ERM oracle values on a hybrid cost
 matrix (the history, a basis-vector column for the candidate action, and
 doubled random signs for hypothetical futures, drawn as counts); its variants
-plug in a penalized or relaxed oracle. The adversarial reduction prices q* from
-the fold with a full-information relaxation. Baselines are last.
+plug in a penalized or relaxed oracle. The adversarial reduction prices q* with
+a full-information relaxation from each policy's running loss, which it extends
+beside the fold. Baselines are last.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ class RelaxationStrategy(Strategy):
     q_t(y) >= gamma, is kept only as its (d, |X|) per-context fold
     Z[j, x] = sum_{t: x_t = x} gamma * c~_t[j], which ``update`` extends in
     round order, as ``PolicyClass.values`` bincounts columns. ``_q_star(x)``
-    is a subclass's rule.
+    is a subclass's rule; a subclass that keeps more of the history extends
+    it in ``_extend``.
     """
 
     def __init__(self, policy_class, horizon: int, gamma: float):
@@ -77,8 +79,12 @@ class RelaxationStrategy(Strategy):
         if self._t >= self.horizon:
             raise ValueError("episode already complete")
         # gamma * c~_t: the estimate's other entries are 0, and gamma * 0 is 0
-        self._Z[action, x] += self.gamma * est
+        self._extend(x, action, self.gamma * est)
         self._t += 1
+
+    def _extend(self, x: int, action: int, inc: float) -> None:
+        """Add the round's gamma * c~_t, ``inc`` in cell (action, x), to the history."""
+        self._Z[action, x] += inc
 
 
 class BistroStrategy(RelaxationStrategy):

@@ -277,9 +277,10 @@ def expweights_recursive_gap(rel, costs, contexts, universe: int) -> float:
     """
     costs = np.asarray(costs, dtype=float).reshape(len(costs), rel.policy_class.d)
     before = rel.value(costs, contexts)
+    losses = rel._losses(costs, contexts)
     worst = -np.inf
     for x in range(universe):
-        q = rel.strategy(costs, contexts, x)
+        q = rel.strategy(losses, x)
         ctx_now = np.append(np.asarray(contexts, dtype=np.int64), x)
         for c in itertools.product((0.0, 1.0), repeat=rel.policy_class.d):
             after = rel.value(np.vstack([costs, c]), ctx_now)

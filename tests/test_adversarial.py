@@ -79,20 +79,20 @@ class TestExpWeightsValue:
 class TestExpWeightsStrategy:
     def test_uniform_at_start(self):
         rel = ExpWeightsRelaxation(PolicyClass.all_labelings(2, 2), horizon=4)
-        q = rel.strategy(np.zeros((0, 2)), [], 0)
+        q = rel.strategy(rel._losses(np.zeros((0, 2)), []), 0)
         np.testing.assert_allclose(q, [0.5, 0.5], atol=1e-15)
 
     def test_two_policy_softmax(self):
         eta = 0.7
         rel = ExpWeightsRelaxation(constants_class(), horizon=3, eta=eta)
         costs = np.array([[0.0, 1.0]])  # first policy ahead by margin 1
-        q = rel.strategy(costs, [0], 1)
+        q = rel.strategy(rel._losses(costs, [0]), 1)
         assert q[0] == pytest.approx(np.exp(eta) / (np.exp(eta) + 1.0))
 
     def test_vanishing_rate_counts_votes(self):
         pc = PolicyClass(np.array([[0], [0], [1]]), 2)
         rel = ExpWeightsRelaxation(pc, horizon=3, eta=1e-9)
-        q = rel.strategy(np.array([[0.3, 0.9]]), [0], 0)
+        q = rel.strategy(rel._losses(np.array([[0.3, 0.9]]), [0]), 0)
         np.testing.assert_allclose(q, [2 / 3, 1 / 3], atol=1e-6)
 
 
@@ -158,8 +158,8 @@ class TestReduction:
 
     @pytest.mark.parametrize("costs", ["fixed", "adaptive"])
     def test_fold_prices_the_sequence_form_bit_for_bit(self, costs):
-        # each round's q* from the fold, one column per context, against the
-        # relaxation's strategy on the t past columns
+        # each round's q* from the running losses against the relaxation's
+        # strategy on the losses of the t past columns
         rng = np.random.default_rng(49)
         d, universe, n = 3, 6, 300
         pc = PolicyClass(rng.integers(0, d, (64, universe)), d)
@@ -175,9 +175,39 @@ class TestReduction:
         strat._q_star = q_star
         tr = run_episode(strat, Environment(np.ones(universe) / universe, process), n, seed=10)
         Y = scaled_history(tr, 0.1)
-        same = [np.array_equal(q, strat.relaxation.strategy(Y[:, :t].T, tr.contexts[:t], x))
+        rel = strat.relaxation
+        same = [np.array_equal(q, rel.strategy(rel._losses(Y[:, :t].T, tr.contexts[:t]), x))
                 for t, (q, x) in enumerate(zip(played, tr.contexts))]
         assert len(same) == n and all(same)
+
+    @pytest.mark.parametrize("costs", ["fixed", "adaptive"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_running_losses_are_the_summed_history(self, d, costs):
+        # after every round of two episodes on one strategy, _L is the
+        # relaxation's _losses of the scaled history bit for bit, and the
+        # class's values on the fold Z to 1e-12
+        rng = np.random.default_rng(55 + d)
+        universe, n, gamma = 5, 150, 0.1
+        pc = PolicyClass(rng.integers(0, d, (40, universe)), d)
+        process = (FixedTableCosts(rng.uniform(0, 1, (n, d))) if costs == "fixed"
+                   else AdaptiveCosts(d))
+        strat = ReductionStrategy(ExpWeightsRelaxation(pc, n), gamma, n)
+        rel, update, states = strat.relaxation, strat.update, []
+
+        def spy(x, q, action, observed_cost):
+            update(x, q, action, observed_cost)
+            states.append((strat._L.copy(), strat._Z.copy()))
+
+        strat.update = spy
+        env = Environment(np.ones(universe) / universe, process)
+        for seed in (12, 13):
+            states.clear()
+            tr = run_episode(strat, env, n, seed=seed)
+            Y = scaled_history(tr, gamma)
+            assert len(states) == n
+            for t, (L, Z) in enumerate(states, 1):
+                assert np.array_equal(L, rel._losses(Y[:, :t].T, tr.contexts[:t]))
+                np.testing.assert_allclose(L, pc.values(pc.universe, Z), rtol=1e-12, atol=1e-12)
 
     def test_determinism(self):
         rng = np.random.default_rng(45)

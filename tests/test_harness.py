@@ -107,6 +107,31 @@ class TestRunEpisode:
             run_episode(make_strategy(config, pc, gamma), env, config["n"], seed)
         assert len(same) == 3 * config["n"] and all(same)
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_argmax_punish_matches_the_numpy_running_sum(self, d):
+        # 2,000 rounds in episodes of 1 to 60: the Python-float totals equal
+        # a NumPy running sum in round order, and the charged action is
+        # np.argmax's first maximum, bit for bit; q in quarters makes ties
+        rng = np.random.default_rng(60 + d)
+        process, rounds, ties = AdaptiveCosts(d), 0, 0
+        while rounds < 2000:
+            n = int(rng.integers(1, 61))
+            qs = np.where(rng.random((n, 1)) < 0.8, rng.multinomial(4, np.ones(d) / d, n) / 4,
+                          rng.dirichlet(np.ones(d), n))
+            process.begin(rng, n)
+            totals = np.zeros(d)
+            for t in range(n):
+                c = process.commit(t, np.zeros(t + 1, dtype=np.int64), qs[:t],
+                                   np.zeros(t, dtype=np.int64))
+                if t:
+                    totals += qs[t - 1]
+                expected = np.zeros(d)
+                expected[np.argmax(totals)] = 1.0
+                assert np.array_equal(process._totals, totals) and np.array_equal(c, expected)
+                ties += int((totals == totals.max()).sum() > 1)
+            rounds += n
+        assert ties > 100
+
     def test_bernoulli_costs(self):
         means = np.array([[0.0, 1.0], [1.0, 0.0]])
         env = Environment(np.ones(2) / 2, IidBernoulliCosts(means))

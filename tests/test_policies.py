@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,6 +185,26 @@ class TestPolicyClass:
         for pc in (*classes, empty):
             for array in (pc.table, pc.onehot):
                 assert array.flags.c_contiguous and not array.flags.writeable
+
+    def test_all_labelings_builds_its_table_once(self):
+        # the class takes the table all_labelings builds: no copy of it is
+        # ever alive beside it (4096 x 12 int64 entries, 393,216 bytes)
+        tracemalloc.start()
+        try:
+            pc = PolicyClass.all_labelings(2, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * pc.table.nbytes
+
+    @pytest.mark.parametrize("writeable", [True, False])
+    def test_a_callers_table_is_copied_and_left_as_it_was(self, writeable):
+        table = np.array([[0, 1, 1], [1, 0, 1]], dtype=np.int64)
+        table.flags.writeable = writeable
+        pc = PolicyClass(table, 2)
+        assert not np.shares_memory(pc.table, table)
+        assert table.flags.writeable == writeable and not pc.table.flags.writeable
+        assert np.array_equal(pc.table, [[0, 1, 1], [1, 0, 1]])
 
     def test_rejects_bad_tables(self):
         for table, d, match in (([0, 1], 2, "table"), ([[0, 1]], 0, "d must"),

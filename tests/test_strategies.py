@@ -143,22 +143,22 @@ class TestFoldedPlayouts:
         assert spy.longest == pc.universe_size
 
     def test_reduction_queries_never_outgrow_the_universe(self):
-        # n = 600 rounds of history, and exp-weights is handed one column per context
+        # n = 600 rounds of history, and exp-weights is handed one loss per policy
         rng = np.random.default_rng(46)
         d, universe, n = 3, 5, 600
         pc = PolicyClass(rng.integers(0, d, (4, universe)), d)
         strat = make_reduction(pc, gamma=0.25, n=n)
         rel, widths = strat.relaxation, []
 
-        def spy(costs, contexts, x):
-            widths.append(len(contexts))
-            return ExpWeightsRelaxation.strategy(rel, costs, contexts, x)
+        def spy(losses, x):
+            widths.append(len(losses))
+            return ExpWeightsRelaxation.strategy(rel, losses, x)
 
         rel.strategy = spy
         env = Environment(np.ones(universe) / universe, FixedTableCosts(rng.uniform(0, 1, (n, d))))
         run_episode(strat, env, n, seed=47)
         assert len(widths) == n
-        assert max(widths) == pc.universe_size
+        assert set(widths) == {pc.size}
 
     @pytest.mark.parametrize("learner", LEARNERS)
     def test_fold_queries_skip_the_id_check(self, learner, monkeypatch):
