@@ -150,15 +150,15 @@ MUTANTS = [
            "self.relaxation.strategy(self._L, x)", "self.relaxation.strategy(0.0 * self._L, x)",
            REDUCTION_FOLD + (f"{T_GOLDEN}[adaptive_adversary_adversarial_reduction]",)),
     Mutant("reduction-losses-on-the-wrong-action", ADV,
-           "self._cells[action * self._universe.size + x]",
-           "self._cells[(action + 1) % self.policy_class.d * self._universe.size + x]",
+           "onehot[:, action * self._universe.size + x]",
+           "onehot[:, (action + 1) % self.policy_class.d * self._universe.size + x]",
            REDUCTION_PLAY),
     Mutant("reduction-losses-not-reset", ADV,
            "self._L = np.zeros(self.policy_class.size)",
            "self._L = np.zeros(self.policy_class.size) if self._L is None else self._L",
            RUNNING_LOSSES),
     Mutant("reduction-losses-not-extended", ADV,
-           "self._L += inc * self._cells", "self._L = self._L + 0.0 * self._cells",
+           "self._L += inc * self.policy_class.onehot", "self._L += 0.0 * self.policy_class.onehot",
            REDUCTION_PLAY),
     Mutant("losses-summed-in-reverse", ADV,
            "zip(costs, ids.tolist())", "zip(costs[::-1], ids.tolist()[::-1])",

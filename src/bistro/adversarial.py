@@ -12,8 +12,6 @@ those losses running and never re-prices the history.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from .policies import PolicyClass
@@ -55,11 +53,9 @@ class ExpWeightsRelaxation:
         additions ``ReductionStrategy`` makes to its running losses."""
         costs = np.asarray(costs, dtype=float)
         ids = self.policy_class._checked_ids(contexts)
-        if costs.ndim != 2 or costs.shape[1] != self.policy_class.d:
-            raise ValueError(f"cost vectors need d={self.policy_class.d} entries; "
-                             f"got shape {costs.shape}")
-        if costs.shape[0] != ids.size:
-            raise ValueError("history lengths disagree")
+        if costs.shape != (ids.size, self.policy_class.d):
+            raise ValueError(f"history lengths disagree: costs {costs.shape} on {ids.shape} "
+                             f"contexts with d={self.policy_class.d}")
         if not np.isfinite(costs).all():
             raise ValueError("history costs must be finite")
         losses = np.zeros(self.policy_class.size)
@@ -98,20 +94,16 @@ class ReductionStrategy(RelaxationStrategy):
         self.relaxation = relaxation
         self._L = None
 
-    @cached_property
-    def _cells(self) -> np.ndarray:
-        # (d*|X|, |F|), built on first use: row j*|X| + x is 1.0 on the
-        # policies that play j at x, contiguous for the update's one pass
-        return np.ascontiguousarray(self.policy_class.onehot.T)
-
     def begin_episode(self, n: int, seed_seq, pool=None, known_futures=None) -> None:
         super().begin_episode(n, seed_seq)
         self._L = np.zeros(self.policy_class.size)
 
     def _extend(self, x: int, action: int, inc: float) -> None:
         super()._extend(x, action, inc)
-        # inc * 0.0 adds exactly 0.0 to the other policies: _L is _losses of the history
-        self._L += inc * self._cells[action * self._universe.size + x]
+        # the one-hot's column (action, x) is 1.0 on the policies that play the
+        # action at x, and inc * 0.0 adds exactly 0.0 to the others: _L stays
+        # _losses of the history, bit for bit
+        self._L += inc * self.policy_class.onehot[:, action * self._universe.size + x]
 
     def _q_star(self, x: int) -> np.ndarray:
         return self.relaxation.strategy(self._L, x)
