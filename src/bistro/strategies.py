@@ -2,12 +2,13 @@
 
 One learner, ``RelaxationStrategy``, keeps the gamma-scaled history and its
 per-context fold and plays a q* mixed toward uniform; its subclasses differ
-in the rule for q* and in what else of the history it reads. BISTRO water-fills ERM oracle values on a hybrid cost
-matrix (the history, a basis-vector column for the candidate action, and
-doubled random signs for hypothetical futures, drawn as counts); its variants
-plug in a penalized or relaxed oracle. The adversarial reduction prices q* with
-a full-information relaxation from each policy's running loss, which it extends
-beside the fold. Baselines are last.
+in the rule for q* and in what else they keep of the history. BISTRO
+water-fills ERM oracle values on a hybrid cost matrix (the history, a
+basis-vector column for the candidate action, and doubled random signs for
+hypothetical futures, drawn as counts); its variants plug in a penalized or
+relaxed oracle. The adversarial reduction prices q* with a full-information
+relaxation from each policy's running loss, which it extends beside the fold.
+Baselines are last.
 """
 
 from __future__ import annotations
