@@ -42,6 +42,7 @@ class Mutant(NamedTuple):
 ADM, CLI, ENV = ("src/bistro/admissibility.py", "src/bistro/cli.py",
                  "src/bistro/environments.py")
 ERM, RUNNER = "src/bistro/erm.py", "src/bistro/runner.py"
+CONF = "src/bistro/config.py"
 POL = "src/bistro/policies.py"
 T_ADM, T_CLI, T_ERM = "tests/test_admissibility.py", "tests/test_cli.py", "tests/test_erm.py"
 T_HARNESS, T_RAD = "tests/test_harness.py", "tests/test_rademacher.py"
@@ -74,9 +75,7 @@ RUNNING_LOSSES = tuple(f"{T_REDUCTION}::test_running_losses_are_the_summed_histo
                        for d in (2, 3) for costs in ("fixed", "adaptive"))
 REDUCTION_PLAY = REDUCTION_FOLD + RUNNING_LOSSES + (
     f"{T_GOLDEN}[adaptive_adversary_adversarial_reduction]",)
-FOLD_HISTORY = RUNNING_LOSSES + tuple(
-    f"{T_STRAT}::TestFoldedPlayouts::test_fold_is_the_bincount_of_the_history[{learner}]"
-    for learner in ("bistro", "reduction"))
+FOLD_HISTORY = (f"{T_STRAT}::TestFoldedPlayouts::test_fold_is_the_bincount_of_the_history[bistro]",)
 COLUMN_HISTORY = tuple(f"{T_STRAT}::TestFoldedPlayouts::"
                        f"test_column_path_keeps_the_history_columns[{oracle}]"
                        for oracle in ("box", "coverage"))
@@ -371,48 +370,63 @@ MUTANTS = [
     Mutant("sampler-probabilities-unchecked", ENV,
            "cdf = context_probs(probs).cumsum()", "cdf = np.asarray(probs, dtype=float).cumsum()",
            (f"{T_RAD}::TestCategoricalSampler::test_rejects_what_choice_rejects",)),
-    # -- the config pass (runner.build_policy_class) and the CLI --
-    Mutant("config-K-unbounded", RUNNER, '"K": 0, ', "", on_commands("K")),
-    Mutant("config-delta-unbounded", RUNNER, '"delta": 0, ', "", on_commands("delta")),
-    Mutant("config-pool-factor-unbounded", RUNNER, '"pool_factor": 1,', "",
+    # -- the config table (config.DOCUMENTS, config.check) and the CLI --
+    Mutant("config-K-unbounded", CONF,
+           '"K": Key(number, None, "[0, inf)")', '"K": Key(number, None, "(-inf, inf)")',
+           on_commands("K")),
+    Mutant("config-delta-unbounded", CONF,
+           '"delta": Key(number, None, "[0, inf)")', '"delta": Key(number, None, "(-inf, inf)")',
+           on_commands("delta")),
+    Mutant("config-pool-factor-unbounded", CONF,
+           '"pool_factor": Key(count, 10, "[1, inf)")',
+           '"pool_factor": Key(count, 10, "[0, inf)")',
            on_commands("pool_factor")),
-    Mutant("config-minima-nan-blind", RUNNER,
-           "if not config_number(config, key, least) >= least:",
-           "if config_number(config, key, least) < least:", on_commands("lambda-nan")),
-    Mutant("config-horizon-mode-bogus", RUNNER,
-           '("horizon_mode", MODES)', '("horizon_mode", (*MODES, "bogus"))',
+    Mutant("config-minima-nan-blind", CONF,
+           "above = value >= low if closed_low", "above = not value < low if closed_low",
+           on_commands("lambda-nan")),
+    Mutant("config-horizon-mode-bogus", CONF,
+           'Key(choice, "iid_pool", MODES)', 'Key(choice, "iid_pool", (*MODES, "bogus"))',
            on_commands("horizon_mode") + (f"{RANGE}[horizon_mode-uniform]",)),
-    Mutant("config-algorithm-bogus", RUNNER,
-           '("algorithm", ALGORITHMS)', '("algorithm", (*ALGORITHMS, "bogus"))',
+    Mutant("config-algorithm-bogus", CONF,
+           'Key(choice, "bistro", ALGORITHMS)', 'Key(choice, "bistro", (*ALGORITHMS, "bogus"))',
            (f"{RANGE}[algorithm]", f"{RANGE}[algorithm-rademacher]")),
-    Mutant("config-gamma-above-floor", RUNNER,
-           'config["d"] * gamma <= 1', 'config["d"] * gamma <= 2', on_commands("gamma-above")),
-    Mutant("config-gamma-zero", RUNNER,
-           '0.0 < config_number(config, "gamma")', '0.0 <= config_number(config, "gamma")',
-           on_commands("gamma-zero")),
-    Mutant("config-infinite-numbers", RUNNER,
-           "if not -np.inf < config_number(config, key, 0.0) < np.inf:",
-           "if not -np.inf <= config_number(config, key, 0.0) <= np.inf:",
+    Mutant("config-gamma-above-floor", CONF,
+           'doc["d"] * value <= 1', 'doc["d"] * value <= 2', on_commands("gamma-above")),
+    Mutant("config-gamma-zero", CONF,
+           "0.0 < value and", "0.0 <= value and", on_commands("gamma-zero")),
+    Mutant("config-infinite-numbers", CONF,
+           "finite = -math.inf < value < math.inf", "finite = -math.inf <= value <= math.inf",
            on_commands("lambda-inf") + on_commands("K-inf") + on_commands("delta-inf")
            + on_commands("epsilon-inf") + on_commands("eta-inf")),
-    Mutant("config-eta-unchecked", RUNNER,
-           'for key in ("lambda", "K", "eta", "delta", "epsilon"):',
-           'for key in ("lambda", "K", "delta", "epsilon"):',
+    Mutant("config-eta-unchecked", CONF,
+           '"eta": Key(number, None, "(0, inf)")', '"eta": Key(None, None, "(0, inf)")',
            on_commands("eta-inf") + on_commands("eta-nan")),
-    Mutant("config-eta-zero", RUNNER,
-           'config_number(config, "eta", 1.0) > 0', 'config_number(config, "eta", 1.0) >= 0',
+    Mutant("config-eta-zero", CONF,
+           '"eta": Key(number, None, "(0, inf)")', '"eta": Key(number, None, "[0, inf)")',
            on_commands("eta-zero")),
-    Mutant("config-epsilon-above-one", RUNNER,
-           'config_number(config, "epsilon", 1.0) <= 1',
-           'config_number(config, "epsilon", 1.0) <= 2',
+    Mutant("config-epsilon-above-one", CONF,
+           '"epsilon": Key(number, 0.1, "(0, 1]")', '"epsilon": Key(number, 0.1, "(0, 2]")',
            on_commands("epsilon-above")),
+    # the table itself: a default, a nested document's key, an open range end
+    Mutant("config-default-changed", CONF,
+           '"pool_factor": Key(count, 10,', '"pool_factor": Key(count, 9,',
+           (f"{T_HARNESS}::TestSuite::test_readme_table_lists_every_config_key",)),
+    Mutant("config-nested-key-dropped", CONF,
+           '        "features": Key(array, None, float),\n', "",
+           (f"{T_HARNESS}::TestSuite::test_argmax_linear_class_from_context_features",)
+           + malformed("features-string", "features-ragged")),
+    Mutant("config-open-end-closed", CONF,
+           '"epsilon": Key(number, 0.1, "(0, 1]")', '"epsilon": Key(number, 0.1, "[0, 1]")',
+           on_commands("epsilon-zero")),
     Mutant("admissibility-gamma-not-required", CLI,
            'if "gamma" not in config:', "if False:",
            (f"{T_CLI}::test_admissibility_requires_numeric_gamma", f"{RANGE}[gamma-missing]")),
     Mutant("admissibility-checks-transductive", CLI,
-           'if config.get("horizon_mode") == "transductive":', "if False:",
+           'if get(config, "horizon_mode") == "transductive":', "if False:",
            (f"{T_CLI}::test_admissibility_refuses_transductive_configs",)),
-    Mutant("config-tune-samples-unbounded", RUNNER, '"tune_samples": 1}', "}",
+    Mutant("config-tune-samples-unbounded", CONF,
+           '"tune_samples": Key(count, 200, "[1, inf)")',
+           '"tune_samples": Key(count, 200, "[0, inf)")',
            on_commands("tune_samples") + tuple(
                f"{T_CLI}::test_rademacher_flags_are_checked_as_their_keys[{case}]"
                for case in ("samples-zero", "tune_samples-zero"))),
@@ -426,8 +440,7 @@ MUTANTS = [
            '"tune_seed": args.seed}', '"tune_seed": 0 if args.seed is None else args.seed}',
            (f"{T_CLI}::test_rademacher_prices_what_run_plays[3]",)),
     Mutant("rademacher-samples-printed", CLI,
-           "samples = config_int(config, \"tune_samples\", DEFAULT_TUNING_SAMPLES)",
-           "samples = args.samples",
+           '"samples": get(config, "tune_samples")', '"samples": args.samples',
            tuple(f"{T_CLI}::test_rademacher_prices_what_run_plays[{seed}]" for seed in (7, 3))),
     # -- the bound and the rate (runner.resolve_strategy_params, runner.relaxation) --
     Mutant("bound-complexity-not-over-gamma", RUNNER,
@@ -534,7 +547,7 @@ MUTANTS = [
            "if actions.shape[1] != self.n:", "if False:",
            (f"{T_ERM}::TestConstraints::test_coverage_partition_validation",)),
     # -- config shapes refused before an episode (runner) --
-    Mutant("config-partition-entries-unchecked", ERM,
+    Mutant("config-partition-entries-unchecked", CONF,
            "isinstance(block, list) and all(type(t) is int and 0 <= t < 2**63 for t in block)",
            "True",
            on_commands("partition-fraction") + on_commands("partition-flat")),
@@ -569,49 +582,50 @@ MUTANTS = [
            "    except KeyError:\n        raise ValueError(f\"--seeds needs",
            (f"{T_CLI}::test_run_names_seeds_it_cannot_read",)),
     # -- files a config cannot open, and numeric arrays that hold no numbers --
-    Mutant("unopenable-file-unnamed", RUNNER,
+    Mutant("unopenable-file-unnamed", CONF,
            "except (OSError, ValueError) as exc:", "except ValueError as exc:",
            unreadable("config-missing", "policy_class-missing", "cost_process-missing",
                       "cost_process-a-directory")),
-    Mutant("unparsable-file-unnamed", RUNNER,
+    Mutant("unparsable-file-unnamed", CONF,
            "except (OSError, ValueError) as exc:", "except OSError as exc:",
            unreadable("config-not-json", "policy_class-not-json", "cost_process-not-numbers")),
-    Mutant("file-path-type-unchecked", RUNNER,
+    Mutant("file-path-type-unchecked", CONF,
            'isinstance(doc.get("path"), str)', '"path" in doc',
            unreadable("policy_class-not-a-name")),
-    Mutant("array-strings-accepted", POL,
-           "if type(value) not in kinds:", "if type(value) not in (*kinds, str):",
+    Mutant("array-strings-accepted", CONF,
+           "if type(entry) not in kinds:", "if type(entry) not in (*kinds, str):",
            malformed("argmax-weights-string", "features-string", "probs-string",
                      "values-string", "means-string", "weights-string")),
-    Mutant("array-booleans-accepted", POL,
-           "if type(value) not in kinds:", "if not isinstance(value, kinds):",
+    Mutant("array-booleans-accepted", CONF,
+           "if type(entry) not in kinds:", "if not isinstance(entry, kinds):",
            malformed("policies-bool", "probs-bool", "weights-bool")),
-    Mutant("policies-fractions-accepted", POL,
-           "((int,), np.int64) if integer", "((int, float), np.int64) if integer",
+    Mutant("policies-fractions-accepted", CONF,
+           '((int,), "integer") if held is np.int64',
+           '((int, float), "integer") if held is np.int64',
            malformed("policies-fraction")),
-    Mutant("array-entries-unwalked", POL,
-           "level = [entry for row in level for entry in row]", "level = []",
+    Mutant("array-entries-unwalked", CONF,
+           "level = [entry for lists in level for entry in lists]", "level = []",
            malformed("policies-fraction", "probs-string", "means-null", "weights-bool")),
-    Mutant("array-ragged-rows-accepted", POL,
-           "if len({len(value) if isinstance(value, list) else -1 for value in level}) > 1:",
+    Mutant("array-ragged-rows-accepted", CONF,
+           "if len({len(entry) if isinstance(entry, list) else -1 for entry in level}) > 1:",
            "if False:",
            malformed("policies-ragged", "means-ragged", "values-depth", "probs-depth",
                      "features-ragged", "weights-ragged", "argmax-weights-ragged")),
-    Mutant("array-int64-range-unchecked", POL,
-           "held(value)  # as NumPy will hold it", "pass",
+    Mutant("array-int64-range-unchecked", CONF,
+           "held(entry)  # as NumPy will hold it", "pass",
            on_commands("policies-int64") + malformed("means-overflow")),
-    Mutant("partition-int64-range-unchecked", ERM,
+    Mutant("partition-int64-range-unchecked", CONF,
            "type(t) is int and 0 <= t < 2**63", "type(t) is int",
            on_commands("partition-int64")),
-    Mutant("context-dist-arrays-unchecked", RUNNER,
-           'config_numbers("context_dist", dist, key)', "pass",
+    Mutant("context-dist-arrays-unchecked", CONF,
+           '"probs": Key(array, REQUIRED, float),\n        "features": Key(array, None, float),',
+           '"probs": Key(None),\n        "features": Key(None, None),',
            malformed("features-string", "probs-string", "probs-bool")),
-    Mutant("cost-arrays-unchecked", RUNNER,
-           'np.asarray(config_numbers("cost_process", doc, "means"), float)',
-           'np.asarray(doc["means"], float)',
+    Mutant("cost-arrays-unchecked", CONF,
+           '"means": Key(array, REQUIRED, float)', '"means": Key(None)',
            malformed("means-string", "means-null")),
-    Mutant("constraint-weights-unchecked", ERM,
-           'else config_numbers("constraint", doc, "weights"))', "else weights)",
+    Mutant("constraint-weights-unchecked", CONF,
+           'Key(array, "uniform", float)', 'Key(None, "uniform", float)',
            malformed("weights-string", "weights-bool")),
 ]
 

@@ -10,16 +10,12 @@ import sys
 import numpy as np
 
 from .admissibility import check_bistro_admissibility, check_reduction_admissibility
-from .rademacher import DEFAULT_TUNING_SAMPLES
+from .config import CONFIG, Key, get, load_config, number
 from .runner import (
-    ALGORITHMS,
     RELAXATIONS,
     build_constraint,
     build_environment,
     build_policy_class,
-    config_int,
-    config_number,
-    load_config,
     relaxation,
     resolve_strategy_params,
     run_suite,
@@ -54,9 +50,8 @@ def _cmd_rademacher(args) -> int:
     env = build_environment(config, pc)
     config.update(algorithm="bistro", gamma="auto")  # tuned as run tunes bistro
     params = resolve_strategy_params(config, pc, env)
-    samples = config_int(config, "tune_samples", DEFAULT_TUNING_SAMPLES)
     print(json.dumps({"rad_estimate": params["rad_estimate"], "rad_stderr": params["rad_stderr"],
-                      "samples": samples, "tuned_gamma": params["gamma"],
+                      "samples": get(config, "tune_samples"), "tuned_gamma": params["gamma"],
                       "regret_bound": params["bound"]}, indent=2, sort_keys=True))
     return 0
 
@@ -65,28 +60,30 @@ def _cmd_admissibility(args) -> int:
     config = load_config(args.config)
     if args.algorithm:
         config["algorithm"] = args.algorithm
-    algo = config.get("algorithm", ALGORITHMS[0])
+    algo = get(config, "algorithm")
     checked = (*RELAXATIONS, "adversarial_reduction")
     if algo not in checked:
         raise ValueError(f"checks only {', '.join(map(repr, checked))}; got algorithm {algo!r}")
-    if "gamma" not in config:
+    if "gamma" not in config:  # the check plays a given rate: gamma is required and numeric
         raise ValueError("missing required config key 'gamma' (a number)")
-    gamma = config_number(config, "gamma")
+    problem = number(config["gamma"], Key(number), config)
+    if problem:
+        raise ValueError(f"config key 'gamma' {problem}")
     pc = build_policy_class(config)
     env = build_environment(config, pc)
-    n, d = config_int(config, "n"), pc.d
+    gamma, n, d = get(config, "gamma"), config["n"], pc.d
     if algo == "adversarial_reduction":
         report = check_reduction_admissibility(
-            pc, env.probs, n, gamma, eta=config_number(config, "eta"), seed=args.seed,
+            pc, env.probs, n, gamma, eta=get(config, "eta"), seed=args.seed,
             initial_checks=args.initial_checks)
     else:
-        if config.get("horizon_mode") == "transductive":
+        if get(config, "horizon_mode") == "transductive":
             raise ValueError("config key 'horizon_mode' must be 'iid_pool' to be checked; "
                              "the checker enumerates i.i.d. futures, not a known sequence")
         oracle, budget = relaxation(config, pc, gamma)
         report = check_bistro_admissibility(
             pc, env.probs, n, gamma, oracle=oracle, budget=budget,
-            constraint=build_constraint(config), K=config_number(config, "K"),
+            constraint=build_constraint(config), K=get(config, "K"),
             seed=args.seed, initial_checks=args.initial_checks)
     print(f"algorithm={algo} gamma={gamma} d={d} n={n}")
     for step in report.steps:
@@ -127,8 +124,10 @@ def main(argv=None) -> int:
 
     p_rad = sub.add_parser("rademacher", help="Monte-Carlo class complexity and tuned rate")
     p_rad.add_argument("--config", required=True)
-    p_rad.add_argument("--samples", type=int, help="default: the config's tune_samples, or 200")
-    p_rad.add_argument("--seed", type=int, help="default: the config's tune_seed, or 0")
+    p_rad.add_argument("--samples", type=int, help="default: the config's tune_samples, or "
+                                                    f"{CONFIG['tune_samples'].default}")
+    p_rad.add_argument("--seed", type=int, help="default: the config's tune_seed, or "
+                                                 f"{CONFIG['tune_seed'].default}")
     p_rad.set_defaults(fn=_cmd_rademacher)
 
     p_adm = sub.add_parser("admissibility", help="exact per-round inequality check")

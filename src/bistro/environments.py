@@ -13,9 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .config import CONFIG
 from .policies import in_unit_interval
-
-DEFAULT_POOL_FACTOR = 10
 
 
 def context_probs(probs) -> np.ndarray:
@@ -137,7 +136,7 @@ class Environment:
     """
 
     def __init__(self, probs, cost_process: CostProcess,
-                 pool_factor: int = DEFAULT_POOL_FACTOR):
+                 pool_factor: int = CONFIG["pool_factor"].default):
         self.probs = context_probs(probs)
         if pool_factor < 1:
             raise ValueError("pool_factor must be at least 1")

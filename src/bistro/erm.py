@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .policies import PolicyClass, check_keys, check_object, config_int, config_numbers, context_ids
+from .config import get
+from .policies import PolicyClass, context_ids
 
 
 class ErmOracle:
@@ -266,20 +267,10 @@ class BoxRelaxedOracle(ErmOracle):
 
 
 def load_constraint(doc: dict):
-    """Constraint from its JSON document form."""
-    kind = check_object("constraint", doc).get("type")
+    """Constraint from its JSON document form, as ``config.check_document`` passes it."""
+    kind = doc.get("type")
     if kind == "pairwise":
-        check_keys("constraint", doc, ("type",), ("weights",))
-        weights = doc.get("weights", "uniform")
-        return PairwiseDisagreement(weights if isinstance(weights, str)
-                                    else config_numbers("constraint", doc, "weights"))
+        return PairwiseDisagreement(get(doc, "weights", "constraint"))
     if kind == "coverage":
-        check_keys("constraint", doc, ("type", "partition", "k"))
-        partition = doc["partition"]
-        if not isinstance(partition, list) or not all(
-                isinstance(block, list) and all(type(t) is int and 0 <= t < 2**63 for t in block)
-                for block in partition):
-            raise ValueError(f"constraint key 'partition' needs lists of integer round indices; "
-                             f"got {partition!r}")
-        return CoveragePenalty(partition, config_int(doc, "k", name="constraint"))
+        return CoveragePenalty(doc["partition"], doc["k"])
     raise ValueError(f"unknown constraint type {kind!r}")

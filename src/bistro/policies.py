@@ -26,69 +26,6 @@ class CapacityError(ValueError):
     """An instance exceeds a hard enumeration limit."""
 
 
-def check_object(name: str, doc) -> dict:
-    """``doc``, if the config document is a JSON object; an error names it."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{name} must be a JSON object; got {doc!r}")
-    return doc
-
-
-def check_keys(name: str, doc: dict, required, optional=()) -> None:
-    """Reject a config document that is not a JSON object, sets a key outside
-    ``required`` and ``optional`` (a typo or a removed key) or misses one."""
-    unknown = [key for key in check_object(name, doc)
-               if key not in optional and key not in required]
-    if unknown:
-        raise ValueError(f"unknown {name} keys {sorted(unknown)}; "
-                         f"known keys: {sorted({*required, *optional})}")
-    missing = [key for key in required if key not in doc]
-    if missing:
-        raise ValueError(f"missing required {name} keys {sorted(missing)}")
-
-
-def config_number(doc: dict, key: str, default=None) -> float | None:
-    """``doc[key]`` as a float, or ``default`` when unset; an error names the key."""
-    if key not in doc:
-        return default
-    value = doc[key]
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    raise ValueError(f"config key {key!r} needs a number; got {value!r}")
-
-
-def config_int(doc: dict, key: str, default=None, name: str = "config") -> int | None:
-    """``doc[key]`` as a non-negative int, or ``default`` when unset; an error names the key."""
-    if key not in doc:
-        return default
-    value = doc[key]
-    if type(value) is int and value >= 0:
-        return value
-    raise ValueError(f"{name} key {key!r} needs a non-negative integer; got {value!r}")
-
-
-def config_numbers(name: str, doc: dict, key: str, integer: bool = False):
-    """``doc[key]``, if its nested lists are rectangular and every entry is a
-    JSON number (an integer if ``integer``) that NumPy can hold as an int64
-    or a float; an error names the document and key."""
-    level = [doc[key]]
-    while any(isinstance(value, list) for value in level):  # one depth at a time
-        if len({len(value) if isinstance(value, list) else -1 for value in level}) > 1:
-            raise ValueError(f"{name} key {key!r} needs a rectangular array; "
-                             "its lists differ in length or depth")
-        level = [entry for row in level for entry in row]
-    kinds, held = ((int,), np.int64) if integer else ((int, float), float)
-    kind = "integer" if integer else "numeric"
-    for value in level:
-        if type(value) not in kinds:  # a string, a boolean, null or a fraction
-            raise ValueError(f"{name} key {key!r} needs {kind} entries; got {value!r}")
-        try:
-            held(value)  # as NumPy will hold it
-        except OverflowError:
-            raise ValueError(f"{name} key {key!r} needs entries that fit {held.__name__}; "
-                             f"got {value!r}") from None
-    return doc[key]
-
-
 def context_ids(contexts) -> np.ndarray:
     """Normalize a sequence of integer context ids to an int array."""
     if isinstance(contexts, np.ndarray) and contexts.dtype.kind in "iu":
@@ -239,27 +176,22 @@ class PolicyClass:
 
     @classmethod
     def from_json(cls, doc: dict, features=None) -> "PolicyClass":
-        """Build a class from its JSON document form.
+        """Build a class from its JSON document form, as ``config.check_document``
+        passes it.
 
         Action entries in documents are 1-based; conversion to the internal
         0-based indexing happens here.
         """
-        family = check_object("policy_class", doc).get("family")
+        family = doc.get("family")
         if family is None:
-            check_keys("policy_class", doc, ("d", "policies"), ("universe",))
-            table = np.asarray(config_numbers("policy_class", doc, "policies", True), np.int64) - 1
-            pc = cls(table, config_int(doc, "d", name="policy_class"))
-            universe = config_int(doc, "universe", pc.universe_size, name="policy_class")
-            if pc.universe_size != universe:
+            pc = cls(np.asarray(doc["policies"], np.int64) - 1, doc["d"])
+            if "universe" in doc and doc["universe"] != pc.universe_size:
                 raise ValueError("declared universe size does not match policy tables")
             return pc
         if family == "all_labelings":
-            check_keys("policy_class", doc, ("family", "d", "universe"))
-            return cls.all_labelings(config_int(doc, "d", name="policy_class"),
-                                     config_int(doc, "universe", name="policy_class"))
+            return cls.all_labelings(doc["d"], doc["universe"])
         if family == "argmax_linear":
-            check_keys("policy_class", doc, ("family", "weights"))
-            return cls._argmax_linear(config_numbers("policy_class", doc, "weights"), features)
+            return cls._argmax_linear(doc["weights"], features)
         raise ValueError(f"unknown policy family {family!r}")
 
 

@@ -19,8 +19,6 @@ from .erm import ErmOracle
 
 log = logging.getLogger(__name__)
 
-DEFAULT_TUNING_SAMPLES = 200
-
 # Target size of one stack of tuning queries: its (S, n) contexts and its
 # (S, d, n) costs and fold keys. Its (S, |F|) product may grow to the
 # (|F|, d*|X|) one-hot that each stack streams once, so a large class prices

@@ -1,4 +1,5 @@
-"""Episode runner, regret accounting, suite aggregation, and serialization.
+"""Set-up from a checked config, the episode runner, regret accounting, suite
+aggregation, and serialization.
 
 An episode is strictly sequential: observe x_t, ask the strategy for q_t,
 let the cost process commit c_t (seeing only the history it is entitled
@@ -19,8 +20,9 @@ from itertools import accumulate
 import numpy as np
 
 from .adversarial import ExpWeightsRelaxation, ReductionStrategy
-from .environments import DEFAULT_POOL_FACTOR, AdaptiveCosts, Environment, FixedTableCosts
-from .environments import ADAPTIVE_RULES, IidBernoulliCosts
+from .config import check, check_document, get, read
+from .config import MODES, load_config  # noqa: F401  (read from here by perfbench and the tests)
+from .environments import AdaptiveCosts, Environment, FixedTableCosts, IidBernoulliCosts
 from .erm import (
     ApproximateErmOracle,
     BoxRelaxedOracle,
@@ -32,24 +34,9 @@ from .erm import (
     benchmark,
     load_constraint,
 )
-from .policies import (
-    PolicyClass,
-    check_cost_vector,
-    check_keys,
-    check_object,
-    config_int,
-    config_number,
-    config_numbers,
-)
-from .rademacher import (
-    DEFAULT_TUNING_SAMPLES,
-    RademacherEstimate,
-    rademacher_estimate,
-    tune_gamma,
-)
+from .policies import PolicyClass, check_cost_vector
+from .rademacher import RademacherEstimate, rademacher_estimate, tune_gamma
 from .strategies import (
-    DEFAULT_EPSILON,
-    MODES,
     SIGN_SCALE,
     BistroStrategy,
     EpsilonGreedyStrategy,
@@ -57,17 +44,6 @@ from .strategies import (
     UniformStrategy,
 )
 
-# Every top-level key a config may set, and the keys it must set.
-CONFIG_KEYS = frozenset({
-    "d", "n", "horizon_mode", "context_dist", "policy_class", "cost_process",
-    "algorithm", "gamma", "playouts", "constraint", "lambda", "K", "eta",
-    "pool_factor", "delta", "epsilon", "tune_samples", "tune_seed",
-})
-REQUIRED_CONFIG_KEYS = ("d", "n", "policy_class", "cost_process")
-CONTEXT_DIST_KEYS = frozenset({"probs", "features"})
-# The least value of each numeric key bounded below; a range error names its key.
-CONFIG_MINIMA = {"lambda": 0, "K": 0, "delta": 0, "playouts": 1, "pool_factor": 1,
-                 "tune_samples": 1}
 # How far from 1 ``Generator.choice`` lets a probability vector sum.
 CHOICE_SUM_TOL = float(np.sqrt(np.finfo(np.float64).eps))
 
@@ -197,64 +173,20 @@ def expected_regret(transcript: Transcript, policy_class: PolicyClass,
     return transcript.expected_total - benchmark_value(transcript, policy_class, constraint, K)
 
 
-# -- configuration ----------------------------------------------------------
-
-
-def _read(key: str, path, parse=json.load):
-    """``parse`` of the open file at ``path``; a path that is not a string or
-    names a file that cannot be opened or parsed is an error naming ``key``."""
-    if not isinstance(path, str):
-        raise ValueError(f"{key} needs a file name; got {path!r}")
-    try:
-        with open(path) as f:
-            return parse(f)
-    except (OSError, ValueError) as exc:
-        raise ValueError(f"{key} names {path!r}, which cannot be read: "
-                         f"{getattr(exc, 'strerror', None) or exc}") from None
-
-
-def load_config(path: str) -> dict:
-    """Config file as a dict; the ``path`` of ``policy_class`` and
-    ``cost_process`` is resolved against the file's directory."""
-    config = check_object("config", _read("--config", path))
-    base = os.path.dirname(os.path.abspath(path))
-    for key in ("policy_class", "cost_process"):
-        doc = config.get(key)
-        if isinstance(doc, dict) and isinstance(doc.get("path"), str):
-            config[key] = {**doc, "path": os.path.join(base, doc["path"])}
-    return config
+# -- set-up -----------------------------------------------------------------
 
 
 def build_policy_class(config: dict) -> PolicyClass:
     # Every command builds the class first, so a malformed config fails here
-    # instead of later: the top-level keys, the numbers (which not every
-    # command reads otherwise), the class and the constraint on its shape.
-    check_keys("config", config, REQUIRED_CONFIG_KEYS, CONFIG_KEYS)
-    for key in ("d", "n", "playouts", "pool_factor", "tune_samples", "tune_seed"):
-        config_int(config, key)
-    for key, least in CONFIG_MINIMA.items():
-        if not config_number(config, key, least) >= least:  # NaN fails too
-            raise ValueError(f"config key {key!r} must be at least {least}; got {config[key]!r}")
-    for key in ("lambda", "K", "eta", "delta", "epsilon"):
-        if not -np.inf < config_number(config, key, 0.0) < np.inf:  # NaN fails too
-            raise ValueError(f"config key {key!r} must be finite; got {config[key]!r}")
-    if not config_number(config, "eta", 1.0) > 0:
-        raise ValueError(f"config key 'eta' must be positive; got {config['eta']!r}")
-    if not 0 < config_number(config, "epsilon", 1.0) <= 1:
-        raise ValueError(f"config key 'epsilon' must lie in (0, 1]; got {config['epsilon']!r}")
-    gamma = config.get("gamma", "auto")
-    if gamma != "auto" and not (0.0 < config_number(config, "gamma") and config["d"] * gamma <= 1):
-        raise ValueError(f"config key 'gamma' must be \"auto\" or in (0, 1/d]; got {gamma!r}")
-    for key, known in (("algorithm", ALGORITHMS), ("horizon_mode", MODES)):
-        if config.get(key, known[0]) not in known:
-            raise ValueError(f"config key {key!r} must be one of {known}; got {config[key]!r}")
+    # instead of later: the table's check of every key, then the class and
+    # the constraint on its shape.
+    check(config)
     doc = config["policy_class"]
     if "path" in doc:
-        check_keys("policy_class", doc, ("path",))
-        doc = _read("policy_class key 'path'", doc["path"])
-    dist = _context_dist(config)
-    pc = PolicyClass.from_json(doc, features=None if dist is None else dist.get("features"))
-    if pc.d != config_int(config, "d"):
+        doc = check_document("policy_class", read("policy_class key 'path'", doc["path"]))
+    dist = get(config, "context_dist")
+    pc = PolicyClass.from_json(doc, features=None if dist == "uniform" else dist.get("features"))
+    if pc.d != config["d"]:
         raise ValueError("policy class action count disagrees with config d")
     constraint, n, universe = build_constraint(config), config["n"], pc.universe_size
     if isinstance(constraint, CoveragePenalty) and constraint.n != n:
@@ -267,57 +199,41 @@ def build_policy_class(config: dict) -> PolicyClass:
     return pc
 
 
-def _context_dist(config: dict) -> dict | None:
-    """The ``context_dist`` document; None for ``"uniform"``."""
-    dist = config.get("context_dist", "uniform")
-    if dist == "uniform":
-        return None
-    if isinstance(dist, dict) and "probs" in dist and CONTEXT_DIST_KEYS.issuperset(dist):
-        for key in dist:
-            config_numbers("context_dist", dist, key)
-        return dist
-    raise ValueError(f"context_dist must be \"uniform\" or a dict with \"probs\" and optional "
-                     f"\"features\"; got {dist!r}")
-
-
 def build_cost_process(config: dict):
-    doc = check_object("cost_process", config["cost_process"])
+    doc = config["cost_process"]
     kind = doc.get("type")
     if kind == "fixed_table":  # a table in a file or inline, never both
-        check_keys("cost_process", doc, ("type", "path" if "path" in doc else "values"))
         if "path" in doc:
-            return FixedTableCosts(_read("cost_process key 'path'", doc["path"],
-                                         lambda f: np.loadtxt(f, delimiter=",")))
-        return FixedTableCosts(np.asarray(config_numbers("cost_process", doc, "values"), float))
+            return FixedTableCosts(read("cost_process key 'path'", doc["path"],
+                                        lambda f: np.loadtxt(f, delimiter=",")))
+        return FixedTableCosts(np.asarray(doc["values"], float))
     if kind == "iid_bernoulli":
-        check_keys("cost_process", doc, ("type", "means"))
-        return IidBernoulliCosts(np.asarray(config_numbers("cost_process", doc, "means"), float))
+        return IidBernoulliCosts(np.asarray(doc["means"], float))
     if kind == "adaptive":
-        check_keys("cost_process", doc, ("type",), ("rule",))
-        return AdaptiveCosts(d=config_int(config, "d"), rule=doc.get("rule", ADAPTIVE_RULES[0]))
+        return AdaptiveCosts(d=config["d"], rule=get(doc, "rule", "cost_process"))
     raise ValueError(f"unknown cost process {kind!r}")
 
 
 def build_environment(config: dict, policy_class: PolicyClass) -> Environment:
-    dist = _context_dist(config)
-    if dist is None:
+    dist = get(config, "context_dist")
+    if dist == "uniform":
         probs = np.full(policy_class.universe_size, 1.0 / policy_class.universe_size)
     else:
         probs = np.asarray(dist["probs"], dtype=float)
     if probs.size != policy_class.universe_size:
         raise ValueError("context distribution size disagrees with the policy universe")
-    costs, n, d = build_cost_process(config), config_int(config, "n"), policy_class.d
+    costs, n, d = build_cost_process(config), config["n"], policy_class.d
     if isinstance(costs, FixedTableCosts) and (costs.d != d or len(costs.values) < n):
         raise ValueError(f"cost_process table must have d = {d} columns and at least "
                          f"n = {n} rows; got {costs.values.shape}")
     if isinstance(costs, IidBernoulliCosts) and costs.means.shape != (probs.size, d):
         raise ValueError(f"cost_process means must be (|X|, d) = {(probs.size, d)}; "
                          f"got {costs.means.shape}")
-    return Environment(probs, costs, config_int(config, "pool_factor", DEFAULT_POOL_FACTOR))
+    return Environment(probs, costs, get(config, "pool_factor"))
 
 
 def build_constraint(config: dict):
-    doc = config.get("constraint")
+    doc = get(config, "constraint")
     return None if doc is None else load_constraint(doc)
 
 
@@ -328,7 +244,7 @@ def _regularized(config: dict, policy_class: PolicyClass, gamma: float):
     if "K" not in config:
         # the bound prices lam*K and the benchmark filters the class at K
         raise ValueError("bistro_regularized requires 'K', the constraint budget")
-    lam, K = config_number(config, "lambda", 0.0), config_number(config, "K")
+    lam, K = get(config, "lambda"), get(config, "K")
     # lam*C on the estimates c~ is lam*gamma*C on the query's gamma*c~
     return RegularizedErmOracle(policy_class, constraint, lam * gamma), lam * K
 
@@ -338,7 +254,6 @@ RELAXATIONS = {
     "bistro_relaxed": lambda config, policy_class, gamma: (BoxRelaxedOracle(), 0.0),
     "bistro_regularized": _regularized,
 }
-ALGORITHMS = (*RELAXATIONS, "adversarial_reduction", "uniform", "egreedy")
 
 
 def relaxation(config: dict, policy_class: PolicyClass, gamma: float):
@@ -349,7 +264,7 @@ def relaxation(config: dict, policy_class: PolicyClass, gamma: float):
     m*d*gamma + budget - E oracle([history | SIGN_SCALE*eps]) / gamma; play,
     the bound and the admissibility check all price through it.
     """
-    return RELAXATIONS[config.get("algorithm", ALGORITHMS[0])](config, policy_class, gamma)
+    return RELAXATIONS[get(config, "algorithm")](config, policy_class, gamma)
 
 
 def resolve_strategy_params(config: dict, policy_class: PolicyClass, env: Environment) -> dict:
@@ -360,19 +275,16 @@ def resolve_strategy_params(config: dict, policy_class: PolicyClass, env: Enviro
     is -E oracle(SIGN_SCALE*eps). ``"auto"`` tunes gamma to minimize it, and
     the bound is that value at the gamma the run plays.
     """
-    algo = config.get("algorithm", ALGORITHMS[0])
-    n, d = config_int(config, "n"), policy_class.d
-    gamma_cfg = config.get("gamma", "auto")
+    algo, gamma = get(config, "algorithm"), get(config, "gamma")
+    n, d = config["n"], policy_class.d
     out = {"algorithm": algo, "gamma": None, "rad_estimate": None,
            "rad_stderr": None, "bound": None, "bound_stderr": None}
 
     if algo == "adversarial_reduction":
-        eta = config_number(config, "eta")
-        complexity = ExpWeightsRelaxation(policy_class, n, eta=eta).initial_value()
+        complexity = ExpWeightsRelaxation(policy_class, n, get(config, "eta")).initial_value()
         out["rad_estimate"], out["rad_stderr"] = complexity, 0.0
     elif algo in RELAXATIONS:
-        samples = config_int(config, "tune_samples", DEFAULT_TUNING_SAMPLES)
-        seed = config_int(config, "tune_seed", 0)
+        samples, seed = get(config, "tune_samples"), get(config, "tune_seed")
 
         def estimate(oracle) -> RademacherEstimate:
             if isinstance(oracle, BoxRelaxedOracle):
@@ -394,7 +306,8 @@ def resolve_strategy_params(config: dict, policy_class: PolicyClass, env: Enviro
     else:
         return out  # the baselines play no relaxation
 
-    gamma = tune_gamma(complexity, n, d) if gamma_cfg == "auto" else config_number(config, "gamma")
+    if gamma == "auto":
+        gamma = tune_gamma(complexity, n, d)
     oracle, budget = relaxation(config, policy_class, gamma) if algo in RELAXATIONS else (None, 0)
     if hasattr(oracle, "lambda_scaled"):  # the penalized complexity, at the gamma played
         est = estimate(oracle)
@@ -407,21 +320,20 @@ def resolve_strategy_params(config: dict, policy_class: PolicyClass, env: Enviro
 
 def make_strategy(config: dict, policy_class: PolicyClass, gamma: float | None) -> Strategy:
     """Fresh strategy instance; one per episode so call counters stay per-episode."""
-    algo = config.get("algorithm", ALGORITHMS[0])
-    n = config_int(config, "n")
+    algo, n = get(config, "algorithm"), config["n"]
     if algo in RELAXATIONS:
         oracle, _ = relaxation(config, policy_class, gamma)
         if "delta" in config:
-            oracle = ApproximateErmOracle(oracle, config_number(config, "delta"), seed=0)
-        return BistroStrategy(policy_class, oracle, n, gamma, config_int(config, "playouts", 1),
-                              config.get("horizon_mode", MODES[0]))
+            oracle = ApproximateErmOracle(oracle, get(config, "delta"), seed=0)
+        return BistroStrategy(policy_class, oracle, n, gamma, get(config, "playouts"),
+                              get(config, "horizon_mode"))
     if algo == "adversarial_reduction":
-        rel = ExpWeightsRelaxation(policy_class, n, eta=config_number(config, "eta"))
+        rel = ExpWeightsRelaxation(policy_class, n, get(config, "eta"))
         return ReductionStrategy(rel, gamma, n)
     if algo == "uniform":
         return UniformStrategy(policy_class.d)
     if algo == "egreedy":
-        return EpsilonGreedyStrategy(policy_class, config_number(config, "epsilon", DEFAULT_EPSILON))
+        return EpsilonGreedyStrategy(policy_class, get(config, "epsilon"))
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
@@ -461,10 +373,10 @@ def run_suite(config: dict, seeds, out_dir: str | None = None) -> dict:
     with np.errstate(all="raise", under="ignore"):
         policy_class = build_policy_class(config)
         env = build_environment(config, policy_class)
-        n = config_int(config, "n")
+        n = config["n"]
         params = resolve_strategy_params(config, policy_class, env)
         constraint = build_constraint(config)
-        K = config_number(config, "K")
+        K = get(config, "K")
 
         regrets = np.zeros(len(seeds))
         realized = np.zeros(len(seeds))

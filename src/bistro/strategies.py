@@ -1,13 +1,13 @@
 """Per-round bandit strategies.
 
-One learner, ``RelaxationStrategy``, keeps the gamma-scaled history and its
-per-context fold and plays a q* mixed toward uniform; its subclasses differ
-in the rule for q* and in what else they keep of the history. BISTRO
-water-fills ERM oracle values on a hybrid cost matrix (the history, a
+One learner, ``RelaxationStrategy``, estimates the gamma-scaled history and
+plays a q* mixed toward uniform; its subclasses differ in the rule for q*
+and in the form they keep the history in. BISTRO keeps its per-context fold
+and water-fills ERM oracle values on a hybrid cost matrix (the history, a
 basis-vector column for the candidate action, and doubled random signs for
 hypothetical futures, drawn as counts); its variants plug in a penalized or
 relaxed oracle. The adversarial reduction prices q* with a full-information
-relaxation from each policy's running loss, which it extends beside the fold.
+relaxation from each policy's running loss, which is all it keeps.
 Baselines are last.
 """
 
@@ -15,15 +15,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import CONFIG, MODES
 from .erm import ErmOracle
 from .policies import ips_estimate, mix_with_uniform
 from .waterfill import waterfill
 
-MODES = ("iid_pool", "transductive")
 # Magnitude of the playout sign columns: the relaxation the regret bound and
 # the admissibility checks price.
 SIGN_SCALE = 2.0
-DEFAULT_EPSILON = 0.1  # egreedy's exploration share
 
 
 class Strategy:
@@ -45,12 +44,10 @@ class Strategy:
 class RelaxationStrategy(Strategy):
     """Bandit play on a relaxation of gamma-scaled estimates: q = mix(q*, gamma).
 
-    The history gamma * c~_t, inside [0,1]^d because mixing keeps
-    q_t(y) >= gamma, is kept only as its (d, |X|) per-context fold
-    Z[j, x] = sum_{t: x_t = x} gamma * c~_t[j], which ``update`` extends in
-    round order, as ``PolicyClass.values`` bincounts columns. ``_q_star(x)``
-    is a subclass's rule; a subclass that keeps more of the history extends
-    it in ``_extend``.
+    ``update`` hands each round's gamma * c~_t, inside [0,1]^d because
+    mixing keeps q_t(y) >= gamma, to ``_extend(x, action, inc)``, and
+    ``_q_star(x)`` prices the next round; both are a subclass's, which keeps
+    the history in the form its rule reads.
     """
 
     def __init__(self, policy_class, horizon: int, gamma: float):
@@ -62,12 +59,11 @@ class RelaxationStrategy(Strategy):
         self.horizon = int(horizon)
         self.gamma = float(gamma)
         self._universe = policy_class.universe
-        self._t, self._Z = 0, None
+        self._t = 0
 
     def begin_episode(self, n: int, seed_seq, pool=None, known_futures=None) -> None:
         if n != self.horizon:
             raise ValueError("episode length does not match the configured horizon")
-        self._Z = np.zeros((self.policy_class.d, self._universe.size))
         self._t = 0
 
     def choose(self, x: int) -> np.ndarray:
@@ -83,10 +79,6 @@ class RelaxationStrategy(Strategy):
         self._extend(x, action, self.gamma * est)
         self._t += 1
 
-    def _extend(self, x: int, action: int, inc: float) -> None:
-        """Add the round's gamma * c~_t, ``inc`` in cell (action, x), to the history."""
-        self._Z[action, x] += inc
-
 
 class BistroStrategy(RelaxationStrategy):
     """Random-playout relaxation strategy; d oracle calls per playout per round.
@@ -94,15 +86,19 @@ class BistroStrategy(RelaxationStrategy):
     A playout's future, k = n - t - 1 columns of a context and SIGN_SCALE *
     eps (eps uniform on {-1, +1}^d), is drawn as its (|X|, 2^d) counts of
     (context, pattern) cells: multinomial over the pool's empirical p(x) *
-    2^-d, or per context over the known future's counts (transductive). An
-    oracle that ``folds`` prices the (d, |X|) sums Z_h + Z_f + e_{j,x}, so no
-    round's cost or state grows with n. With any other oracle it keeps the
-    history's (n,) contexts and (d, n) columns, and rebuilds the future from
-    the counts on the rounds after t, shuffled (iid_pool) or on the known ones.
+    2^-d, or per context over the known future's counts (transductive). The
+    history is kept as its (d, |X|) per-context fold
+    Z[j, x] = sum_{t: x_t = x} gamma * c~_t[j], extended in round order, as
+    ``PolicyClass.values`` bincounts columns. An oracle that ``folds``
+    prices the (d, |X|) sums Z_h + Z_f + e_{j,x}, so no round's cost or
+    state grows with n. With any other oracle it also keeps the history's
+    (n,) contexts and (d, n) columns, and rebuilds the future from the
+    counts on the rounds after t, shuffled (iid_pool) or on the known ones.
     """
 
     def __init__(self, policy_class, oracle: ErmOracle, horizon: int, gamma: float,
-                 playouts: int = 1, mode: str = "iid_pool"):
+                 playouts: int = CONFIG["playouts"].default,
+                 mode: str = CONFIG["horizon_mode"].default):
         super().__init__(policy_class, horizon, gamma)
         if playouts < 1:
             raise ValueError("at least one playout per round")
@@ -127,6 +123,7 @@ class BistroStrategy(RelaxationStrategy):
         if hasattr(self.oracle, "reseed"):
             self.oracle.reseed(noise_ss)
         cells = len(self._eps)
+        self._Z = np.zeros((self.policy_class.d, self._universe.size))
         if not self.folded:
             self._ctx, self._Y = np.zeros(n, dtype=np.int64), np.zeros((self.policy_class.d, n))
         if self.transductive:
@@ -148,6 +145,9 @@ class BistroStrategy(RelaxationStrategy):
             self._Y[action, self._t - 1] = self.gamma * ips_estimate(observed_cost, action, q)
         if self.transductive and self._t < self.horizon:  # round t leaves the future
             self._future[self._known[self._t]] -= 1
+
+    def _extend(self, x: int, action: int, inc: float) -> None:
+        self._Z[action, x] += inc  # the round's gamma * c~_t, in cell (action, x)
 
     def _q_star(self, x: int) -> np.ndarray:
         d, t = self.policy_class.d, self._t
@@ -192,7 +192,7 @@ class EpsilonGreedyStrategy(Strategy):
     """Follows the policy with smallest reweighted cumulative cost, with an
     epsilon floor of uniform exploration."""
 
-    def __init__(self, policy_class, epsilon: float = DEFAULT_EPSILON):
+    def __init__(self, policy_class, epsilon: float = CONFIG["epsilon"].default):
         if not 0.0 < epsilon <= 1.0:
             raise ValueError("epsilon must lie in (0, 1]")
         self.policy_class = policy_class

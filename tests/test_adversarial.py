@@ -185,7 +185,8 @@ class TestReduction:
     def test_running_losses_are_the_summed_history(self, d, costs):
         # after every round of two episodes on one strategy, _L is the
         # relaxation's _losses of the scaled history bit for bit, and the
-        # class's values on the fold Z to 1e-12
+        # class's values on the history's one-bincount fold to 1e-12; the
+        # reduction keeps no fold of its own
         rng = np.random.default_rng(55 + d)
         universe, n, gamma = 5, 150, 0.1
         pc = PolicyClass(rng.integers(0, d, (40, universe)), d)
@@ -196,7 +197,7 @@ class TestReduction:
 
         def spy(x, q, action, observed_cost):
             update(x, q, action, observed_cost)
-            states.append((strat._L.copy(), strat._Z.copy()))
+            states.append(strat._L.copy())
 
         strat.update = spy
         env = Environment(np.ones(universe) / universe, process)
@@ -205,9 +206,10 @@ class TestReduction:
             tr = run_episode(strat, env, n, seed=seed)
             Y = scaled_history(tr, gamma)
             assert len(states) == n
-            for t, (L, Z) in enumerate(states, 1):
+            for t, L in enumerate(states, 1):
                 assert np.array_equal(L, rel._losses(Y[:, :t].T, tr.contexts[:t]))
-                np.testing.assert_allclose(L, pc.values(pc.universe, Z), rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(L, pc.values(tr.contexts[:t], Y[:, :t]),
+                                           rtol=1e-12, atol=1e-12)
 
     def test_determinism(self):
         rng = np.random.default_rng(45)

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from bistro import erm, runner
+from bistro import config as config_table, erm, runner
 from bistro.environments import AdaptiveCosts, Environment, FixedTableCosts, IidBernoulliCosts
 from bistro.policies import PolicyClass, check_cost_vector
 from bistro.runner import (
@@ -340,12 +340,31 @@ class TestSuite:
                 run_suite(small_config(**{key: 3}), seeds=[0])
 
     def test_readme_table_lists_every_config_key(self):
+        # the README's key table names every top-level key of the config
+        # table, and each default it states is the first named key's row's
         with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as f:
             section = f.read().split("## Configuration\n", 1)[1].split("\n## ", 1)[0]
-        first_cells = [line.split("|")[1] for line in section.splitlines()
-                       if line.startswith("| `")]
-        keys = {key for cell in first_cells for key in re.findall(r"`([^`]+)`", cell)}
-        assert keys == runner.CONFIG_KEYS
+        rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+        keys = {key for cell, _ in rows for key in re.findall(r"`([^`]+)`", cell)}
+        assert keys == set(config_table.CONFIG)
+        stated = {re.findall(r"`([^`]+)`", cell)[0]: float(default[1]) for cell, meaning in rows
+                  if (default := re.search(r"default (\d+(?:\.\d+)?)", meaning))}
+        assert stated == {"playouts": 1, "pool_factor": 10, "epsilon": 0.1, "tune_samples": 200,
+                          "tune_seed": 0, "lambda": 0}
+        assert stated == {key: config_table.CONFIG[key].default for key in stated}
+
+    @pytest.mark.parametrize("name, n", [("fixed_adversarial.json", 16),
+                                         ("regularized_pairwise.json", 6),
+                                         ("bernoulli_demo.json", 16)])
+    def test_a_config_is_checked_once_per_suite(self, name, n, monkeypatch):
+        # the table's walk runs once, in build_policy_class; every later
+        # builder only reads the checked config
+        calls = []
+        check = runner.check
+        monkeypatch.setattr(runner, "check", lambda config: calls.append(1) or check(config))
+        run_suite({**load_config(os.path.join(CONFIG_DIR, name)), "n": n, "tune_samples": 8},
+                  seeds=[0, 1])
+        assert len(calls) == 1
 
     def test_regularized_requires_budget(self):
         # without K the bound would price lam*K at 0 and the benchmark skip filtering

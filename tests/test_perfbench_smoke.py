@@ -45,6 +45,18 @@ def bench():
 
 
 @pytest.mark.parametrize("name", sorted(TRACED_LAYERS))
+def test_setup_checks_the_config_once(bench, name, monkeypatch):
+    # a timed set-up walks the config table once
+    run, smoke = bench
+    calls = []
+    check = run.build_policy_class.__globals__["check"]
+    monkeypatch.setitem(run.build_policy_class.__globals__, "check",
+                        lambda config: calls.append(1) or check(config))
+    run.setup(smoke.tiny(name))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", sorted(TRACED_LAYERS))
 def test_traced_layers_see_work(bench, name):
     run, smoke = bench
     result = run.measure(name, smoke.tiny(name), counted=2, seed=0, seconds=0, trace=True)
