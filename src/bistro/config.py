@@ -139,7 +139,7 @@ DOCUMENTS = {
         "pool_factor": Key(count, 10, "[1, inf)"),
         "tune_samples": Key(count, 200, "[1, inf)"),
         "tune_seed": Key(count, 0),
-        "lambda": Key(number, 0, "[0, inf)"),
+        "lambda": Key(number, 0.0, "[0, inf)"),
         "K": Key(number, None, "[0, inf)"),
         "delta": Key(number, None, "[0, inf)"),
         "eta": Key(number, None, "(0, inf)"),
@@ -168,6 +168,7 @@ DOCUMENTS = {
     }),
 }
 CONFIG = DOCUMENTS["config"][1][None]  # the top-level rows
+NUMBERS = frozenset(key for key, row in CONFIG.items() if row.kind in (number, rate))
 
 
 def _rows(name: str, doc: dict) -> dict | None:
@@ -210,11 +211,15 @@ def check(config) -> dict:
 
 
 def get(doc: dict, key: str, name: str = "config"):
-    """``doc[key]`` of document ``name``, or its row's default when unset; a
-    number as a float."""
-    row = (CONFIG if name == "config" else _rows(name, doc))[key]
-    value = doc[key] if key in doc or row.default is REQUIRED else row.default
-    return float(value) if row.kind in (number, rate) and value not in ("auto", None) else value
+    """``doc[key]`` of document ``name``, a number as a float, or its row's
+    default when unset; an unset required key raises ``KeyError``."""
+    if key in doc:
+        value = doc[key]
+        return float(value) if name == "config" and key in NUMBERS and value != "auto" else value
+    default = (CONFIG if name == "config" else _rows(name, doc))[key].default
+    if default is REQUIRED:
+        raise KeyError(key)
+    return default
 
 
 def read(key: str, path, parse=json.load):
