@@ -372,23 +372,23 @@ MUTANTS = [
            (f"{T_RAD}::TestCategoricalSampler::test_rejects_what_choice_rejects",)),
     # -- the config table (config.DOCUMENTS, config.check) and the CLI --
     Mutant("config-K-unbounded", CONF,
-           '"K": Key(number, None, "[0, inf)")', '"K": Key(number, None, "(-inf, inf)")',
+           '"K": Key("number", None, "[0, inf)")', '"K": Key("number", None, "(-inf, inf)")',
            on_commands("K")),
     Mutant("config-delta-unbounded", CONF,
-           '"delta": Key(number, None, "[0, inf)")', '"delta": Key(number, None, "(-inf, inf)")',
+           '"delta": Key("number", None, "[0, inf)")', '"delta": Key("number", None, "(-inf, inf)")',
            on_commands("delta")),
     Mutant("config-pool-factor-unbounded", CONF,
-           '"pool_factor": Key(count, 10, "[1, inf)")',
-           '"pool_factor": Key(count, 10, "[0, inf)")',
+           '"pool_factor": Key("count", 10, "[1, inf)")',
+           '"pool_factor": Key("count", 10, "[0, inf)")',
            on_commands("pool_factor")),
     Mutant("config-minima-nan-blind", CONF,
            "above = value >= low if closed_low", "above = not value < low if closed_low",
            on_commands("lambda-nan")),
     Mutant("config-horizon-mode-bogus", CONF,
-           'Key(choice, "iid_pool", MODES)', 'Key(choice, "iid_pool", (*MODES, "bogus"))',
+           'Key("choice", "iid_pool", MODES)', 'Key("choice", "iid_pool", (*MODES, "bogus"))',
            on_commands("horizon_mode") + (f"{RANGE}[horizon_mode-uniform]",)),
     Mutant("config-algorithm-bogus", CONF,
-           'Key(choice, "bistro", ALGORITHMS)', 'Key(choice, "bistro", (*ALGORITHMS, "bogus"))',
+           'Key("choice", "bistro", ALGORITHMS)', 'Key("choice", "bistro", (*ALGORITHMS, "bogus"))',
            (f"{RANGE}[algorithm]", f"{RANGE}[algorithm-rademacher]")),
     Mutant("config-gamma-above-floor", CONF,
            'doc["d"] * value <= 1', 'doc["d"] * value <= 2', on_commands("gamma-above")),
@@ -399,24 +399,24 @@ MUTANTS = [
            on_commands("lambda-inf") + on_commands("K-inf") + on_commands("delta-inf")
            + on_commands("epsilon-inf") + on_commands("eta-inf")),
     Mutant("config-eta-unchecked", CONF,
-           '"eta": Key(number, None, "(0, inf)")', '"eta": Key(None, None, "(0, inf)")',
+           '"eta": Key("number", None, "(0, inf)")', '"eta": Key(None, None, "(0, inf)")',
            on_commands("eta-inf") + on_commands("eta-nan")),
     Mutant("config-eta-zero", CONF,
-           '"eta": Key(number, None, "(0, inf)")', '"eta": Key(number, None, "[0, inf)")',
+           '"eta": Key("number", None, "(0, inf)")', '"eta": Key("number", None, "[0, inf)")',
            on_commands("eta-zero")),
     Mutant("config-epsilon-above-one", CONF,
-           '"epsilon": Key(number, 0.1, "(0, 1]")', '"epsilon": Key(number, 0.1, "(0, 2]")',
+           '"epsilon": Key("number", 0.1, "(0, 1]")', '"epsilon": Key("number", 0.1, "(0, 2]")',
            on_commands("epsilon-above")),
     # the table itself: a default, a nested document's key, an open range end
     Mutant("config-default-changed", CONF,
-           '"pool_factor": Key(count, 10,', '"pool_factor": Key(count, 9,',
+           '"pool_factor": Key("count", 10,', '"pool_factor": Key("count", 9,',
            (f"{T_HARNESS}::TestSuite::test_readme_table_lists_every_config_key",)),
     Mutant("config-nested-key-dropped", CONF,
-           '        "features": Key(array, None, float),\n', "",
+           '        "features": Key("array", None, float),\n', "",
            (f"{T_HARNESS}::TestSuite::test_argmax_linear_class_from_context_features",)
            + malformed("features-string", "features-ragged")),
     Mutant("config-open-end-closed", CONF,
-           '"epsilon": Key(number, 0.1, "(0, 1]")', '"epsilon": Key(number, 0.1, "[0, 1]")',
+           '"epsilon": Key("number", 0.1, "(0, 1]")', '"epsilon": Key("number", 0.1, "[0, 1]")',
            on_commands("epsilon-zero")),
     Mutant("admissibility-gamma-not-required", CLI,
            'if "gamma" not in config:', "if False:",
@@ -425,8 +425,8 @@ MUTANTS = [
            'if get(config, "horizon_mode") == "transductive":', "if False:",
            (f"{T_CLI}::test_admissibility_refuses_transductive_configs",)),
     Mutant("config-tune-samples-unbounded", CONF,
-           '"tune_samples": Key(count, 200, "[1, inf)")',
-           '"tune_samples": Key(count, 200, "[0, inf)")',
+           '"tune_samples": Key("count", 200, "[1, inf)")',
+           '"tune_samples": Key("count", 200, "[0, inf)")',
            on_commands("tune_samples") + tuple(
                f"{T_CLI}::test_rademacher_flags_are_checked_as_their_keys[{case}]"
                for case in ("samples-zero", "tune_samples-zero"))),
@@ -618,14 +618,14 @@ MUTANTS = [
            "type(t) is int and 0 <= t < 2**63", "type(t) is int",
            on_commands("partition-int64")),
     Mutant("context-dist-arrays-unchecked", CONF,
-           '"probs": Key(array, REQUIRED, float),\n        "features": Key(array, None, float),',
+           '"probs": Key("array", REQUIRED, float),\n        "features": Key("array", None, float),',
            '"probs": Key(None),\n        "features": Key(None, None),',
            malformed("features-string", "probs-string", "probs-bool")),
     Mutant("cost-arrays-unchecked", CONF,
-           '"means": Key(array, REQUIRED, float)', '"means": Key(None)',
+           '"means": Key("array", REQUIRED, float)', '"means": Key(None)',
            malformed("means-string", "means-null")),
     Mutant("constraint-weights-unchecked", CONF,
-           'Key(array, "uniform", float)', 'Key(None, "uniform", float)',
+           'Key("array", "uniform", float)', 'Key(None, "uniform", float)',
            malformed("weights-string", "weights-bool")),
 ]
 

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 
 from .admissibility import check_bistro_admissibility, check_reduction_admissibility
-from .config import CONFIG, Key, get, load_config, number
+from .config import CONFIG, Key, check_value, get, load_config
 from .runner import (
     RELAXATIONS,
     build_constraint,
@@ -66,7 +66,7 @@ def _cmd_admissibility(args) -> int:
         raise ValueError(f"checks only {', '.join(map(repr, checked))}; got algorithm {algo!r}")
     if "gamma" not in config:  # the check plays a given rate: gamma is required and numeric
         raise ValueError("missing required config key 'gamma' (a number)")
-    problem = number(config["gamma"], Key(number), config)
+    problem = check_value(config["gamma"], Key("number"), config)
     if problem:
         raise ValueError(f"config key 'gamma' {problem}")
     pc = build_policy_class(config)

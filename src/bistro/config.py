@@ -13,7 +13,7 @@ import json
 import math
 import os
 from functools import cache
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,12 +24,15 @@ REQUIRED = object()
 
 
 class Key(NamedTuple):
-    # kind(value, row, doc) says what is wrong with a value set in doc, None
-    # if nothing; a kind of None leaves the value to the code that reads it
-    kind: Callable | None
+    # kind: "count" (a non-negative integer), "number", "rate" ("auto" or a
+    # number in (0, 1/d] for the document's d), "choice" (one of range),
+    # "array" (nested lists NumPy holds as range; any name too, if the
+    # default is one), "partition" (lists of round indices), "document" (the
+    # document range, unless the default), or None: checked where it is read
+    kind: str | None
     default: object = REQUIRED
-    # an interval for a count or a number, the values of a choice, the NumPy
-    # type of an array's entries, or the document a nested document keeps
+    # an interval such as "[0, inf)" for a count or a number, the values of a
+    # choice, the NumPy type of an array's entries, or a document's name
     range: object = None
 
 
@@ -39,58 +42,12 @@ def _interval(text: str) -> tuple[float, float, bool, bool]:
     return float(low), float(high), text[0] == "[", text[-1] == "]"
 
 
-def _outside(value, interval: str) -> str | None:
-    # a closed lower end is checked before finiteness, so that NaN fails it
-    low, high, closed_low, closed_high = _interval(interval)
-    above = value >= low if closed_low else value > low
-    finite = -math.inf < value < math.inf
-    if finite and above and (value <= high if closed_high else value < high):
-        return None
-    if finite or closed_low and not above:
-        rule = (f"must lie in {interval}" if high < math.inf else
-                f"must be at least {interval[1:-1].split(',')[0]}" if closed_low else
-                "must be positive")
-        return f"{rule}; got {value!r}"
-    return f"must be finite; got {value!r}"
-
-
-def count(value, row: Key, doc: dict) -> str | None:
-    if type(value) is not int or value < 0:
-        return f"needs a non-negative integer; got {value!r}"
-    return None if row.range is None else _outside(value, row.range)
-
-
-def number(value, row: Key, doc: dict) -> str | None:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        return f"needs a number; got {value!r}"
-    return None if row.range is None else _outside(value, row.range)
-
-
-def rate(value, row: Key, doc: dict) -> str | None:
-    # "auto", or a number in (0, 1/d] for the document's d
-    if value == "auto":
-        return None
-    problem = number(value, row, doc)
-    if problem or 0.0 < value and doc["d"] * value <= 1:  # NaN fails too
-        return problem
-    return f'must be "auto" or in (0, 1/d]; got {value!r}'
-
-
-def choice(value, row: Key, doc: dict) -> str | None:
-    return None if value in row.range else f"must be one of {row.range}; got {value!r}"
-
-
-def array(value, row: Key, doc: dict) -> str | None:
-    # rectangular nested lists of JSON numbers that NumPy holds as row.range;
-    # a row whose default is a name takes any name, which its builder checks
-    if isinstance(value, str) and isinstance(row.default, str):
-        return None
+def _array(value, held) -> str | None:
     level = [value]
     while any(isinstance(entry, list) for entry in level):  # one depth at a time
         if len({len(entry) if isinstance(entry, list) else -1 for entry in level}) > 1:
             return "needs a rectangular array; its lists differ in length or depth"
         level = [entry for lists in level for entry in lists]
-    held = row.range
     kinds, kind = ((int,), "integer") if held is np.int64 else ((int, float), "numeric")
     for entry in level:
         if type(entry) not in kinds:  # a string, a boolean, null or a fraction
@@ -102,22 +59,54 @@ def array(value, row: Key, doc: dict) -> str | None:
     return None
 
 
-def partition(value, row: Key, doc: dict) -> str | None:
-    if isinstance(value, list) and all(
-            isinstance(block, list) and all(type(t) is int and 0 <= t < 2**63 for t in block)
-            for block in value):
+def check_value(value, row: Key, doc: dict) -> str | None:
+    """What is wrong with ``value``, set in ``doc``, by ``row``; None if
+    nothing. A nested document raises its own errors."""
+    kind = row.kind
+    if kind is None or kind == "rate" and value == "auto":
         return None
-    return f"needs lists of integer round indices; got {value!r}"
-
-
-def document(value, row: Key, doc: dict) -> None:
-    # a nested document raises its own errors; its default (null, "uniform") sets none
-    if value != row.default:
-        if row.default == "uniform" and not (isinstance(value, dict) and "probs" in value
-                                             and {"probs", "features"} >= {*value}):
-            raise ValueError('context_dist must be "uniform" or a dict with "probs" and '
-                             f'optional "features"; got {value!r}')
-        check_document(row.range, value)
+    if kind == "document":
+        if value != row.default:  # null or "uniform", where the default, sets none
+            if row.default == "uniform" and not (isinstance(value, dict) and "probs" in value
+                                                 and {"probs", "features"} >= {*value}):
+                raise ValueError('context_dist must be "uniform" or a dict with "probs" and '
+                                 f'optional "features"; got {value!r}')
+            check_document(row.range, value)
+        return None
+    if kind == "choice":
+        return None if value in row.range else f"must be one of {row.range}; got {value!r}"
+    if kind == "array":  # a name, where the default is one, is left to its builder
+        return None if isinstance(value, str) and isinstance(row.default, str) else (
+            _array(value, row.range))
+    if kind == "partition":
+        if isinstance(value, list) and all(
+                isinstance(block, list) and all(type(t) is int and 0 <= t < 2**63 for t in block)
+                for block in value):
+            return None
+        return f"needs lists of integer round indices; got {value!r}"
+    if kind == "count" and (type(value) is not int or value < 0):
+        return f"needs a non-negative integer; got {value!r}"
+    if kind in ("number", "rate") and (
+            not isinstance(value, (int, float)) or isinstance(value, bool)):
+        return f"needs a number; got {value!r}"
+    if kind == "rate":
+        if 0.0 < value and doc["d"] * value <= 1:  # NaN fails too
+            return None
+        return f'must be "auto" or in (0, 1/d]; got {value!r}'
+    if row.range is None:
+        return None
+    # in the interval; a closed lower end is checked before finiteness, so that NaN fails it
+    low, high, closed_low, closed_high = _interval(row.range)
+    above = value >= low if closed_low else value > low
+    finite = -math.inf < value < math.inf
+    if finite and above and (value <= high if closed_high else value < high):
+        return None
+    if finite or closed_low and not above:
+        rule = (f"must lie in {row.range}" if high < math.inf else
+                f"must be at least {row.range[1:-1].split(',')[0]}" if closed_low else
+                "must be positive")
+        return f"{rule}; got {value!r}"
+    return f"must be finite; got {value!r}"
 
 
 # Each document's rows by variant: the value of its tag key, and (value,
@@ -126,49 +115,49 @@ def document(value, row: Key, doc: dict) -> None:
 # reads it (a rate reads d).
 DOCUMENTS = {
     "config": (None, {None: {
-        "d": Key(count),
-        "n": Key(count),
-        "policy_class": Key(document, REQUIRED, "policy_class"),
-        "cost_process": Key(document, REQUIRED, "cost_process"),
-        "context_dist": Key(document, "uniform", "context_dist"),
-        "constraint": Key(document, None, "constraint"),
-        "algorithm": Key(choice, "bistro", ALGORITHMS),
-        "horizon_mode": Key(choice, "iid_pool", MODES),
-        "gamma": Key(rate, "auto"),
-        "playouts": Key(count, 1, "[1, inf)"),
-        "pool_factor": Key(count, 10, "[1, inf)"),
-        "tune_samples": Key(count, 200, "[1, inf)"),
-        "tune_seed": Key(count, 0),
-        "lambda": Key(number, 0.0, "[0, inf)"),
-        "K": Key(number, None, "[0, inf)"),
-        "delta": Key(number, None, "[0, inf)"),
-        "eta": Key(number, None, "(0, inf)"),
-        "epsilon": Key(number, 0.1, "(0, 1]"),
+        "d": Key("count"),
+        "n": Key("count"),
+        "policy_class": Key("document", REQUIRED, "policy_class"),
+        "cost_process": Key("document", REQUIRED, "cost_process"),
+        "context_dist": Key("document", "uniform", "context_dist"),
+        "constraint": Key("document", None, "constraint"),
+        "algorithm": Key("choice", "bistro", ALGORITHMS),
+        "horizon_mode": Key("choice", "iid_pool", MODES),
+        "gamma": Key("rate", "auto"),
+        "playouts": Key("count", 1, "[1, inf)"),
+        "pool_factor": Key("count", 10, "[1, inf)"),
+        "tune_samples": Key("count", 200, "[1, inf)"),
+        "tune_seed": Key("count", 0),
+        "lambda": Key("number", 0.0, "[0, inf)"),
+        "K": Key("number", None, "[0, inf)"),
+        "delta": Key("number", None, "[0, inf)"),
+        "eta": Key("number", None, "(0, inf)"),
+        "epsilon": Key("number", 0.1, "(0, 1]"),
     }}),
     "context_dist": (None, {None: {
-        "probs": Key(array, REQUIRED, float),
-        "features": Key(array, None, float),
+        "probs": Key("array", REQUIRED, float),
+        "features": Key("array", None, float),
     }}),
     "policy_class": ("family", {
         (None, "path"): {"path": Key(None)},
-        None: {"d": Key(count), "policies": Key(array, REQUIRED, np.int64),
-               "universe": Key(count, None)},
-        "all_labelings": {"family": Key(None), "d": Key(count), "universe": Key(count)},
-        "argmax_linear": {"family": Key(None), "weights": Key(array, REQUIRED, float)},
+        None: {"d": Key("count"), "policies": Key("array", REQUIRED, np.int64),
+               "universe": Key("count", None)},
+        "all_labelings": {"family": Key(None), "d": Key("count"), "universe": Key("count")},
+        "argmax_linear": {"family": Key(None), "weights": Key("array", REQUIRED, float)},
     }),
     "cost_process": ("type", {
         ("fixed_table", "path"): {"type": Key(None), "path": Key(None)},
-        "fixed_table": {"type": Key(None), "values": Key(array, REQUIRED, float)},
-        "iid_bernoulli": {"type": Key(None), "means": Key(array, REQUIRED, float)},
+        "fixed_table": {"type": Key(None), "values": Key("array", REQUIRED, float)},
+        "iid_bernoulli": {"type": Key(None), "means": Key("array", REQUIRED, float)},
         "adaptive": {"type": Key(None), "rule": Key(None, "argmax_punish")},
     }),
     "constraint": ("type", {
-        "pairwise": {"type": Key(None), "weights": Key(array, "uniform", float)},
-        "coverage": {"type": Key(None), "partition": Key(partition), "k": Key(count)},
+        "pairwise": {"type": Key(None), "weights": Key("array", "uniform", float)},
+        "coverage": {"type": Key(None), "partition": Key("partition"), "k": Key("count")},
     }),
 }
 CONFIG = DOCUMENTS["config"][1][None]  # the top-level rows
-NUMBERS = frozenset(key for key, row in CONFIG.items() if row.kind in (number, rate))
+NUMBERS = frozenset(key for key, row in CONFIG.items() if row.kind in ("number", "rate"))
 
 
 def _rows(name: str, doc: dict) -> dict | None:
@@ -196,7 +185,7 @@ def check_document(name: str, doc) -> dict:
                          f"known keys: {sorted(rows)}")
     for key, row in rows.items():
         if key in doc:
-            problem = row.kind and row.kind(doc[key], row, doc)
+            problem = check_value(doc[key], row, doc)
             if problem:
                 raise ValueError(f"{name} key {key!r} {problem}")
         elif row.default is REQUIRED:
