@@ -166,10 +166,10 @@ MUTANTS = [
            "if not np.isfinite(costs).all():", "if False:",
            ("tests/test_adversarial.py::TestExpWeightsValue::test_losses_reject_bad_history",)),
     Mutant("transductive-future-not-decremented", STRAT,
-           "self._future[self._known[self._t]] -= 1", "pass",
+           "self._future[self._known[self._t + 1]] -= 1", "pass",
            TRANSDUCTIVE_LAW + FOLDED[1::2]),
     Mutant("transductive-future-loses-the-played-round", STRAT,
-           "self._future[self._known[self._t]] -= 1", "self._future[self._known[self._t - 1]] -= 1",
+           "self._future[self._known[self._t + 1]] -= 1", "self._future[self._known[self._t]] -= 1",
            TRANSDUCTIVE_LAW + FOLDED[1::2]),
     Mutant("transductive-future-starts-a-round-short", STRAT,
            "np.bincount(self._known[1:], minlength=self._universe.size)",
@@ -181,8 +181,11 @@ MUTANTS = [
            TRANSDUCTIVE_LAW[:1]),
     # -- the column form's history, kept only when the oracle does not fold --
     Mutant("column-history-entry-not-written", STRAT,
-           "self._Y[action, self._t - 1] = self.gamma * ips_estimate(observed_cost, action, q)",
-           "pass", COLUMN_HISTORY + (LAW[0], f"{T_GOLDEN}[regularized_pairwise]")),
+           "self._Y[action, self._t] = inc", "pass",
+           COLUMN_HISTORY + (LAW[0], f"{T_GOLDEN}[regularized_pairwise]")),
+    Mutant("column-history-entry-a-round-early", STRAT,
+           "self._Y[action, self._t] = inc", "self._Y[action, self._t - 1] = inc",
+           COLUMN_HISTORY + (LAW[0], f"{T_GOLDEN}[regularized_pairwise]")),
     Mutant("column-history-not-zeroed", STRAT,
            "ctx[t], Y[:, t] = x, 0.0", "ctx[t] = x",
            COLUMN_HISTORY + (LAW[0], LAW[2], f"{T_GOLDEN}[regularized_pairwise]")),
@@ -404,6 +407,11 @@ MUTANTS = [
     Mutant("config-eta-zero", CONF,
            '"eta": Key("number", None, "(0, inf)")', '"eta": Key("number", None, "[0, inf)")',
            on_commands("eta-zero")),
+    Mutant("config-rule-unchecked", CONF,
+           'Key("choice", "argmax_punish", ADAPTIVE_RULES)',
+           'Key(None, "argmax_punish", ADAPTIVE_RULES)',
+           tuple(case for rule in ("list", "number", "null", "bogus")
+                 for case in on_commands(f"rule-{rule}"))),
     Mutant("config-epsilon-above-one", CONF,
            '"epsilon": Key("number", 0.1, "(0, 1]")', '"epsilon": Key("number", 0.1, "(0, 2]")',
            on_commands("epsilon-above")),

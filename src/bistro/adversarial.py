@@ -79,7 +79,8 @@ class ExpWeightsRelaxation:
                            minlength=self.policy_class.d)
 
     def initial_value(self) -> float:
-        """``value`` of the empty history, bit for bit, without building the one-hot."""
+        """``value`` of the empty history, bit for bit: every L_0(f) is 0, so the
+        log-sum-exp is log |F|, with no (|F|,) losses to check, fill and exponentiate."""
         return float(np.log(self.policy_class.size)) / self.eta + self.horizon * self.eta / 2.0
 
 

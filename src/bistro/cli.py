@@ -1,5 +1,5 @@
-"""Command-line harness: run episode suites, estimate class complexity, check
-relaxation admissibility, and self-test the oracles."""
+"""Command-line harness: run episode suites, estimate class complexity and
+check relaxation admissibility."""
 
 from __future__ import annotations
 
@@ -101,12 +101,6 @@ def _cmd_admissibility(args) -> int:
     return 0 if report.ok() else 1
 
 
-def _cmd_selftest(args) -> int:
-    from .verify import selftest
-
-    return 0 if selftest(verbose=True) else 1
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="bistro",
@@ -138,9 +132,6 @@ def main(argv=None) -> int:
                        help="bistro, bistro_relaxed, bistro_regularized or "
                             "adversarial_reduction (default: the config's)")
     p_adm.set_defaults(fn=_cmd_admissibility)
-
-    p_self = sub.add_parser("selftest", help="oracle-equivalence self checks")
-    p_self.set_defaults(fn=_cmd_selftest)
 
     args = parser.parse_args(argv)
     # a config error exits 2 with one line, as argparse does; episode failures keep a traceback

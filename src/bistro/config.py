@@ -20,6 +20,7 @@ import numpy as np
 ALGORITHMS = ("bistro", "bistro_relaxed", "bistro_regularized", "adversarial_reduction",
               "uniform", "egreedy")
 MODES = ("iid_pool", "transductive")
+ADAPTIVE_RULES = ("argmax_punish",)
 REQUIRED = object()
 
 
@@ -67,10 +68,6 @@ def check_value(value, row: Key, doc: dict) -> str | None:
         return None
     if kind == "document":
         if value != row.default:  # null or "uniform", where the default, sets none
-            if row.default == "uniform" and not (isinstance(value, dict) and "probs" in value
-                                                 and {"probs", "features"} >= {*value}):
-                raise ValueError('context_dist must be "uniform" or a dict with "probs" and '
-                                 f'optional "features"; got {value!r}')
             check_document(row.range, value)
         return None
     if kind == "choice":
@@ -149,7 +146,7 @@ DOCUMENTS = {
         ("fixed_table", "path"): {"type": Key(None), "path": Key(None)},
         "fixed_table": {"type": Key(None), "values": Key("array", REQUIRED, float)},
         "iid_bernoulli": {"type": Key(None), "means": Key("array", REQUIRED, float)},
-        "adaptive": {"type": Key(None), "rule": Key(None, "argmax_punish")},
+        "adaptive": {"type": Key(None), "rule": Key("choice", "argmax_punish", ADAPTIVE_RULES)},
     }),
     "constraint": ("type", {
         "pairwise": {"type": Key(None), "weights": Key("array", "uniform", float)},

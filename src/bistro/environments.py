@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import CONFIG
+from .config import ADAPTIVE_RULES, CONFIG
 from .policies import in_unit_interval
 
 
@@ -92,9 +92,6 @@ class IidBernoulliCosts(CostProcess):
     def commit(self, t, contexts, past_distributions, past_actions):
         x = int(contexts[-1])
         return (self._rng.random(self.d) < self.means[x]).astype(float)
-
-
-ADAPTIVE_RULES = ("argmax_punish",)
 
 
 class AdaptiveCosts(CostProcess):

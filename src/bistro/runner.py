@@ -21,7 +21,7 @@ import numpy as np
 
 from .adversarial import ExpWeightsRelaxation, ReductionStrategy
 from .config import check, check_document, get, read
-from .config import MODES, load_config  # noqa: F401  (read from here by perfbench and the tests)
+from .config import load_config  # noqa: F401  (read from here by perfbench and the tests)
 from .environments import AdaptiveCosts, Environment, FixedTableCosts, IidBernoulliCosts
 from .erm import (
     ApproximateErmOracle,

@@ -45,9 +45,9 @@ class RelaxationStrategy(Strategy):
     """Bandit play on a relaxation of gamma-scaled estimates: q = mix(q*, gamma).
 
     ``update`` hands each round's gamma * c~_t, inside [0,1]^d because
-    mixing keeps q_t(y) >= gamma, to ``_extend(x, action, inc)``, and
-    ``_q_star(x)`` prices the next round; both are a subclass's, which keeps
-    the history in the form its rule reads.
+    mixing keeps q_t(y) >= gamma, to ``_extend(x, action, inc)`` while
+    ``_t`` is still round t, and ``_q_star(x)`` prices the next round; both
+    are a subclass's, which keeps the history in the form its rule reads.
     """
 
     def __init__(self, policy_class, horizon: int, gamma: float):
@@ -139,15 +139,12 @@ class BistroStrategy(RelaxationStrategy):
                                  minlength=self._universe.size)
             self._probs = np.repeat(counts / (counts.sum() * cells), cells)
 
-    def update(self, x: int, q: np.ndarray, action: int, observed_cost: float) -> None:
-        super().update(x, q, action, observed_cost)
-        if not self.folded:  # _q_star zeroed the round's column; its played entry is the fold's
-            self._Y[action, self._t - 1] = self.gamma * ips_estimate(observed_cost, action, q)
-        if self.transductive and self._t < self.horizon:  # round t leaves the future
-            self._future[self._known[self._t]] -= 1
-
     def _extend(self, x: int, action: int, inc: float) -> None:
         self._Z[action, x] += inc  # the round's gamma * c~_t, in cell (action, x)
+        if not self.folded:  # _q_star zeroed the round's column; its played entry is the fold's
+            self._Y[action, self._t] = inc
+        if self.transductive and self._t + 1 < self.horizon:  # the next round leaves the future
+            self._future[self._known[self._t + 1]] -= 1
 
     def _q_star(self, x: int) -> np.ndarray:
         d, t = self.policy_class.d, self._t

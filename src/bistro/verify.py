@@ -293,75 +293,3 @@ def expweights_initial_margin(rel, costs, contexts) -> float:
     costs = np.asarray(costs, dtype=float)
     return rel.value(costs, contexts) + float(rel._losses(costs, contexts).min())
 
-
-def selftest(verbose: bool = True) -> bool:
-    """Fast oracle-equivalence pass over the production implementations."""
-    from .erm import (
-        ExactErmOracle,
-        PairwiseDisagreement,
-        RegularizedErmQuery,
-        regularized_erm_value,
-    )
-    from .waterfill import waterfill
-
-    rng = np.random.default_rng(20_240_817)
-    ok = True
-
-    def report(name: str, passed: bool):
-        nonlocal ok
-        ok = ok and passed
-        if verbose:
-            print(f"{'PASS' if passed else 'FAIL'} {name}")
-
-    worst_q, worst_v = 0.0, 0.0
-    for _ in range(200):
-        d = int(rng.integers(2, 9))
-        psi = rng.uniform(-8, 8, size=d)
-        q1, q2 = waterfill(psi), waterfill_oracle(psi)
-        worst_q = max(worst_q, float(np.abs(q1 - q2).max()))
-        worst_v = max(worst_v, abs(minimax_value(q1, psi) - minimax_value(q2, psi)))
-    report(f"waterfill vs bisection oracle (max |dq|={worst_q:.2e})",
-           worst_q <= 1e-8 and worst_v <= 1e-10)
-
-    grid_ok = True
-    for _ in range(50):
-        d = int(rng.integers(2, 5))
-        psi = rng.uniform(-4, 4, size=d)
-        _, v_grid = grid_minimax(psi, resolution=1000)
-        v_wf = minimax_value(waterfill(psi), psi)
-        grid_ok = grid_ok and (v_wf <= v_grid + 1e-9) and (v_grid - v_wf <= 2e-3)
-    report("waterfill optimal on the lattice within 2e-3", grid_ok)
-
-    erm_ok = True
-    for _ in range(100):
-        d = int(rng.integers(2, 5))
-        n = int(rng.integers(1, 9))
-        size = int(rng.integers(1, 11))
-        universe = int(rng.integers(1, 5))
-        pc = PolicyClass(rng.integers(0, d, size=(size, universe)), d)
-        ctxs = rng.integers(0, universe, size=n)
-        # dyadic entries keep float addition associative across sum orders
-        Y = rng.integers(-2 << 20, (2 << 20) + 1, size=(d, n)) / (1 << 20)
-        erm_ok = erm_ok and ExactErmOracle(pc)(ctxs, Y) == bruteforce_erm(pc, ctxs, Y)
-    report("exact ERM vs brute force (exact equality)", erm_ok)
-
-    mlc_ok = True
-    for _ in range(50):
-        d = int(rng.integers(2, 4))
-        n = int(rng.integers(2, 7))
-        pc = PolicyClass.all_labelings(d, n)
-        ctxs = np.arange(n)
-        Y = rng.uniform(-1, 1, size=(d, n))
-        lam = float(rng.uniform(0, 0.5))
-        value = regularized_erm_value(
-            pc, ctxs, RegularizedErmQuery(Y=Y, lambda_scaled=lam,
-                                          constraint=PairwiseDisagreement("uniform"))
-        )
-        W = np.full((n, n), 2.0 * lam)
-        np.fill_diagonal(W, 0.0)
-        metric = 1.0 - np.eye(d)
-        mlc = mlc_bruteforce(Y.T, W, metric)
-        mlc_ok = mlc_ok and abs(value - mlc) < 1e-9
-    report("regularized ERM vs metric-labeling brute force", mlc_ok)
-
-    return ok

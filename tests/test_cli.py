@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -144,11 +145,6 @@ def test_admissibility_reduction(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
-def test_selftest(capsys):
-    assert main(["selftest"]) == 0
-    assert "FAIL" not in capsys.readouterr().out
-
-
 def test_admissibility_requires_numeric_gamma(tmp_path, capsys):
     with open(cfg("admissibility_small.json")) as f:
         base = json.load(f)
@@ -164,13 +160,18 @@ def test_admissibility_requires_numeric_gamma(tmp_path, capsys):
         assert "gamma" in err and "number" in err
 
 
+NULL = object()  # a key's value that write_config writes as JSON null
+
+
 def write_config(tmp_path, **changes):
-    """admissibility_small.json with keys set (a value of None drops the key)."""
+    """admissibility_small.json with keys set (a value of None drops the key,
+    and NULL sets it to null)."""
     with open(cfg("admissibility_small.json")) as f:
         doc = json.load(f)
     doc.update(changes)
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}))
+    path.write_text(json.dumps({k: None if v is NULL else v
+                                for k, v in doc.items() if v is not None}))
     return str(path)
 
 
@@ -286,6 +287,16 @@ def test_missing_required_key_exits_2(command, tmp_path, capsys):
     pytest.param({"cost_process": {"type": "iid_bernoulli",
                                    "means": [[0.5, 0.5], [0.5, 10**400]]}},
                  "cost_process key 'means' needs entries that fit float", id="means-overflow"),
+    # context_dist is "uniform" or a document with the generic document errors
+    pytest.param({"context_dist": NULL}, "context_dist must be a JSON object; got None\n",
+                 id="context_dist-null"),
+    pytest.param({"context_dist": "zipf"}, "context_dist must be a JSON object; got 'zipf'\n",
+                 id="context_dist-name"),
+    pytest.param({"context_dist": {"features": [[1.0], [0.0]]}},
+                 "missing required context_dist keys ['probs']\n", id="context_dist-no-probs"),
+    pytest.param({"context_dist": {"probs": [0.5, 0.5], "feature": [[1.0], [0.0]]}},
+                 "unknown context_dist keys ['feature']; known keys: ['features', 'probs']\n",
+                 id="context_dist-unknown-key"),
 ])
 def test_malformed_documents_exit_2(command, changes, named, tmp_path, capsys):
     count = "--seeds" if command == "run" else "--samples"
@@ -392,6 +403,11 @@ RANGE_ERRORS = {
     "partition-int64": ({"constraint": {"type": "coverage", "partition": [[0, 1, 2**70]],
                                         "k": 1}},
                         "constraint key 'partition' needs lists of integer round indices"),
+    # the adaptive rule is a name the table knows, not a value play would call
+    **{f"rule-{case}": ({"cost_process": {"type": "adaptive", "rule": rule}},
+                        f"cost_process key 'rule' must be one of ('argmax_punish',); got {got}\n")
+       for case, rule, got in (("list", [1], "[1]"), ("number", 5, "5"), ("null", None, "None"),
+                               ("bogus", "bogus", "'bogus'"))},
 }
 COMMANDS = ("run", "admissibility", "rademacher")
 
@@ -521,3 +537,13 @@ def test_module_entry_point_exits_with_mains_status():
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 2
     assert done.stderr.startswith("bistro admissibility: checks only ")
+
+
+def test_readme_cli_block_names_every_subcommand(capsys):
+    # the README's CLI block runs exactly the subcommands main's parser accepts
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    accepted = set(re.search(r"\{([^}]+)\}", capsys.readouterr().out)[1].split(","))
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as f:
+        block = f.read().split("## CLI\n", 1)[1].split("```")[1]
+    assert {line.split()[1] for line in block.splitlines() if line.startswith("bistro ")} == accepted

@@ -447,7 +447,7 @@ class TestSuite:
         values = erm.policy_constraint_values
         monkeypatch.setattr(erm, "policy_constraint_values", spy)
         n, playouts = 32, 2
-        for mode in runner.MODES:
+        for mode in config_table.MODES:
             config = small_config(
                 n=n, horizon_mode=mode, playouts=playouts, algorithm="bistro_regularized",
                 policy_class={"family": "all_labelings", "d": 2, "universe": 4},

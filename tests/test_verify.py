@@ -19,7 +19,6 @@ from bistro.verify import (
     exact_rademacher,
     exact_regularized_bound,
     grid_minimax,
-    selftest,
 )
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -119,9 +118,3 @@ class TestGridMinimax:
         _, fine = grid_minimax(psi, resolution=1000)
         assert fine <= coarse + 1e-12
         assert coarse - fine <= 4 / 10
-
-
-def test_selftest_passes(capsys):
-    assert selftest(verbose=True)
-    out = capsys.readouterr().out
-    assert "FAIL" not in out
