@@ -410,8 +410,8 @@ MUTANTS = [
     Mutant("config-rule-unchecked", CONF,
            'Key("choice", "argmax_punish", ADAPTIVE_RULES)',
            'Key(None, "argmax_punish", ADAPTIVE_RULES)',
-           tuple(case for rule in ("list", "number", "null", "bogus")
-                 for case in on_commands(f"rule-{rule}"))),
+           on_commands("rule-list") + on_commands("rule-number") + on_commands("rule-null")
+           + on_commands("rule-bogus")),
     Mutant("config-epsilon-above-one", CONF,
            '"epsilon": Key("number", 0.1, "(0, 1]")', '"epsilon": Key("number", 0.1, "(0, 2]")',
            on_commands("epsilon-above")),
