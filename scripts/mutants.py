@@ -16,6 +16,7 @@ listed, not run.
 
 from __future__ import annotations
 
+import argparse
 import os
 import queue
 import re
@@ -353,8 +354,7 @@ MUTANTS = [
            (f"{T_ADM}::TestBistroChecker::test_refuses_an_empty_horizon"
             "[check_bistro_admissibility]",
             f"{T_ADM}::TestBistroChecker::test_refuses_an_empty_horizon"
-            "[check_reduction_admissibility]",
-            f"{T_CLI}::test_admissibility_refuses_an_empty_horizon")),
+            "[check_reduction_admissibility]")),
     Mutant("checker-accepts-any-rate", ADM,
            "if not 0.0 < gamma <= 1.0 / policy_class.d:", "if False:",
            tuple(f"{T_ADM}::TestBistroChecker::test_refuses_a_rate_outside_the_floor_range"
@@ -394,9 +394,22 @@ MUTANTS = [
            'Key("choice", "bistro", ALGORITHMS)', 'Key("choice", "bistro", (*ALGORITHMS, "bogus"))',
            (f"{RANGE}[algorithm]", f"{RANGE}[algorithm-rademacher]")),
     Mutant("config-gamma-above-floor", CONF,
-           'doc["d"] * value <= 1', 'doc["d"] * value <= 2', on_commands("gamma-above")),
+           'value <= 1.0 / doc["d"]', 'value <= 2.0 / doc["d"]', on_commands("gamma-above")),
     Mutant("config-gamma-zero", CONF,
-           "0.0 < value and", "0.0 <= value and", on_commands("gamma-zero")),
+           "0.0 < value <=", "0.0 <= value <=", on_commands("gamma-zero")),
+    Mutant("config-rate-top-open", CONF,
+           'value <= 1.0 / doc["d"]', 'value < 1.0 / doc["d"]',
+           (f"{T_CLI}::test_config_and_learners_agree_on_the_rate",)),
+    Mutant("config-d-zero-accepted", CONF,
+           '"d": Key("count", REQUIRED, "[1, inf)"),\n        "n"',
+           '"d": Key("count", REQUIRED, "[0, inf)"),\n        "n"', on_commands("d-zero")),
+    Mutant("config-n-zero-accepted", CONF,
+           '"n": Key("count", REQUIRED, "[1, inf)")', '"n": Key("count", REQUIRED, "[0, inf)")',
+           on_commands("n-zero") + (f"{T_CLI}::test_admissibility_refuses_an_empty_horizon",)),
+    Mutant("config-class-d-zero-accepted", CONF,
+           '"family": Key(None), "d": Key("count", REQUIRED, "[1, inf)")',
+           '"family": Key(None), "d": Key("count", REQUIRED, "[0, inf)")',
+           on_commands("policy_class-d-zero")),
     Mutant("config-infinite-numbers", CONF,
            "finite = -math.inf < value < math.inf", "finite = -math.inf <= value <= math.inf",
            on_commands("lambda-inf") + on_commands("K-inf") + on_commands("delta-inf")
@@ -426,30 +439,23 @@ MUTANTS = [
     Mutant("config-open-end-closed", CONF,
            '"epsilon": Key("number", 0.1, "(0, 1]")', '"epsilon": Key("number", 0.1, "[0, 1]")',
            on_commands("epsilon-zero")),
-    Mutant("admissibility-gamma-not-required", CLI,
-           'if "gamma" not in config:', "if False:",
-           (f"{T_CLI}::test_admissibility_requires_numeric_gamma", f"{RANGE}[gamma-missing]")),
+    Mutant("admissibility-gamma-unresolved", CLI,
+           'resolve_strategy_params(config, pc, env)["gamma"], config["n"]',
+           'get(config, "gamma"), config["n"]',
+           tuple(f"{T_CLI}::test_admissibility_checks_the_rate_run_plays[{gamma}-{algorithm}]"
+                 for gamma in ("auto", "None")
+                 for algorithm in ("bistro", "bistro_relaxed", "adversarial_reduction"))),
     Mutant("admissibility-checks-transductive", CLI,
-           'if get(config, "horizon_mode") == "transductive":', "if False:",
+           'get(config, "horizon_mode") == "transductive"', "False",
            (f"{T_CLI}::test_admissibility_refuses_transductive_configs",)),
     Mutant("config-tune-samples-unbounded", CONF,
            '"tune_samples": Key("count", 200, "[1, inf)")',
            '"tune_samples": Key("count", 200, "[0, inf)")',
-           on_commands("tune_samples") + tuple(
-               f"{T_CLI}::test_rademacher_flags_are_checked_as_their_keys[{case}]"
-               for case in ("samples-zero", "tune_samples-zero"))),
-    Mutant("rademacher-flags-checked-after-build", CLI,
-           "config.update({k: v for k, v in flags.items() if v is not None})\n"
-           "    pc = build_policy_class(config)",
-           "pc = build_policy_class(dict(config))\n"
-           "    config.update({k: v for k, v in flags.items() if v is not None})",
-           (f"{T_CLI}::test_rademacher_flags_are_checked_as_their_keys[samples-zero]",)),
-    Mutant("rademacher-seed-flag-default", CLI,
-           '"tune_seed": args.seed}', '"tune_seed": 0 if args.seed is None else args.seed}',
-           (f"{T_CLI}::test_rademacher_prices_what_run_plays[3]",)),
+           on_commands("tune_samples")),
     Mutant("rademacher-samples-printed", CLI,
-           '"samples": get(config, "tune_samples")', '"samples": args.samples',
-           tuple(f"{T_CLI}::test_rademacher_prices_what_run_plays[{seed}]" for seed in (7, 3))),
+           '"samples": get(config, "tune_samples")', '"samples": 200',
+           tuple(f"{T_CLI}::test_rademacher_prices_what_run_plays[{seed}]" for seed in (7, 3))
+           + (f"{T_CLI}::test_rademacher_subcommand",)),
     # -- the bound and the rate (runner.resolve_strategy_params, runner.relaxation) --
     Mutant("bound-complexity-not-over-gamma", RUNNER,
            "complexity / gamma + n * d * gamma + budget", "complexity + n * d * gamma + budget",
@@ -714,6 +720,8 @@ def run_mutant(mutant: Mutant, checkout: str) -> list[str]:
 
 
 def main() -> int:
+    argparse.ArgumentParser(description=__doc__,
+                            formatter_class=argparse.RawDescriptionHelpFormatter).parse_args()
     problems = snippet_problems()
     for problem in problems:
         print("SNIPPET", problem)

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 
 from .admissibility import check_bistro_admissibility, check_reduction_admissibility
-from .config import CONFIG, Key, check_value, get, load_config
+from .config import get, load_config
 from .runner import (
     RELAXATIONS,
     build_constraint,
@@ -43,9 +43,6 @@ def _cmd_run(args) -> int:
 
 def _cmd_rademacher(args) -> int:
     config = load_config(args.config)
-    # a flag overrides the config's tuning key, and is checked by the key's rule
-    flags = {"tune_samples": args.samples, "tune_seed": args.seed}
-    config.update({k: v for k, v in flags.items() if v is not None})
     pc = build_policy_class(config)
     env = build_environment(config, pc)
     config.update(algorithm="bistro", gamma="auto")  # tuned as run tunes bistro
@@ -64,22 +61,17 @@ def _cmd_admissibility(args) -> int:
     checked = (*RELAXATIONS, "adversarial_reduction")
     if algo not in checked:
         raise ValueError(f"checks only {', '.join(map(repr, checked))}; got algorithm {algo!r}")
-    if "gamma" not in config:  # the check plays a given rate: gamma is required and numeric
-        raise ValueError("missing required config key 'gamma' (a number)")
-    problem = check_value(config["gamma"], Key("number"), config)
-    if problem:
-        raise ValueError(f"config key 'gamma' {problem}")
     pc = build_policy_class(config)
     env = build_environment(config, pc)
-    gamma, n, d = get(config, "gamma"), config["n"], pc.d
+    if algo in RELAXATIONS and get(config, "horizon_mode") == "transductive":
+        raise ValueError("config key 'horizon_mode' must be 'iid_pool' to be checked; "
+                         "the checker enumerates i.i.d. futures, not a known sequence")
+    gamma, n, d = resolve_strategy_params(config, pc, env)["gamma"], config["n"], pc.d
     if algo == "adversarial_reduction":
         report = check_reduction_admissibility(
             pc, env.probs, n, gamma, eta=get(config, "eta"), seed=args.seed,
             initial_checks=args.initial_checks)
     else:
-        if get(config, "horizon_mode") == "transductive":
-            raise ValueError("config key 'horizon_mode' must be 'iid_pool' to be checked; "
-                             "the checker enumerates i.i.d. futures, not a known sequence")
         oracle, budget = relaxation(config, pc, gamma)
         report = check_bistro_admissibility(
             pc, env.probs, n, gamma, oracle=oracle, budget=budget,
@@ -118,10 +110,6 @@ def main(argv=None) -> int:
 
     p_rad = sub.add_parser("rademacher", help="Monte-Carlo class complexity and tuned rate")
     p_rad.add_argument("--config", required=True)
-    p_rad.add_argument("--samples", type=int, help="default: the config's tune_samples, or "
-                                                    f"{CONFIG['tune_samples'].default}")
-    p_rad.add_argument("--seed", type=int, help="default: the config's tune_seed, or "
-                                                 f"{CONFIG['tune_seed'].default}")
     p_rad.set_defaults(fn=_cmd_rademacher)
 
     p_adm = sub.add_parser("admissibility", help="exact per-round inequality check")

@@ -87,7 +87,7 @@ def check_value(value, row: Key, doc: dict) -> str | None:
             not isinstance(value, (int, float)) or isinstance(value, bool)):
         return f"needs a number; got {value!r}"
     if kind == "rate":
-        if 0.0 < value and doc["d"] * value <= 1:  # NaN fails too
+        if 0.0 < value <= 1.0 / doc["d"]:  # NaN fails too
             return None
         return f'must be "auto" or in (0, 1/d]; got {value!r}'
     if row.range is None:
@@ -112,8 +112,8 @@ def check_value(value, row: Key, doc: dict) -> str | None:
 # reads it (a rate reads d).
 DOCUMENTS = {
     "config": (None, {None: {
-        "d": Key("count"),
-        "n": Key("count"),
+        "d": Key("count", REQUIRED, "[1, inf)"),
+        "n": Key("count", REQUIRED, "[1, inf)"),
         "policy_class": Key("document", REQUIRED, "policy_class"),
         "cost_process": Key("document", REQUIRED, "cost_process"),
         "context_dist": Key("document", "uniform", "context_dist"),
@@ -137,9 +137,10 @@ DOCUMENTS = {
     }}),
     "policy_class": ("family", {
         (None, "path"): {"path": Key(None)},
-        None: {"d": Key("count"), "policies": Key("array", REQUIRED, np.int64),
-               "universe": Key("count", None)},
-        "all_labelings": {"family": Key(None), "d": Key("count"), "universe": Key("count")},
+        None: {"d": Key("count", REQUIRED, "[1, inf)"),
+               "policies": Key("array", REQUIRED, np.int64), "universe": Key("count", None)},
+        "all_labelings": {"family": Key(None), "d": Key("count", REQUIRED, "[1, inf)"),
+                          "universe": Key("count")},
         "argmax_linear": {"family": Key(None), "weights": Key("array", REQUIRED, float)},
     }),
     "cost_process": ("type", {

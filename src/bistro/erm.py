@@ -214,10 +214,6 @@ class RegularizedErmQuery:
     lambda_scaled: float
     constraint: object
 
-    def __post_init__(self):
-        if self.lambda_scaled < 0:
-            raise ValueError("lambda_scaled must be nonnegative")
-
 
 def regularized_erm_value(policy_class: PolicyClass, contexts, query: RegularizedErmQuery) -> float:
     """Exact minimum of the penalized objective over the unconstrained class."""

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -8,7 +9,10 @@ import numpy as np
 import pytest
 
 from bistro.cli import main
+from bistro.config import check
+from bistro.policies import PolicyClass
 from bistro.runner import load_config
+from bistro.strategies import RelaxationStrategy
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -76,20 +80,18 @@ def test_admissibility_refuses_initial_checks_that_check_nothing(algorithm, chec
     assert captured.out == ""
 
 
-def test_rademacher_subcommand(capsys):
-    code = main([
-        "rademacher", "--config", cfg("admissibility_small.json"), "--samples", "200",
-    ])
+def test_rademacher_subcommand(tmp_path, capsys):
+    code = main(["rademacher", "--config", write_config(tmp_path, tune_samples=150)])
     assert code == 0
     printed = json.loads(capsys.readouterr().out)
-    assert printed["samples"] == 200
+    assert printed["samples"] == 150
     assert 0 < printed["tuned_gamma"] <= 0.5
 
 
 # At 20 samples seeds 7 and 0 give the same estimate; seed 3 tells them apart.
 @pytest.mark.parametrize("tune_seed", [7, 3])
 def test_rademacher_prices_what_run_plays(tune_seed, tmp_path, capsys):
-    # the flags default to the config's tuning keys, as run's tuning does
+    # it tunes from the config's tuning keys, as run's tuning does
     config = {**load_config(cfg("fixed_adversarial.json")), "tune_samples": 20,
               "tune_seed": tune_seed}
     path = tmp_path / "config.json"
@@ -101,10 +103,15 @@ def test_rademacher_prices_what_run_plays(tune_seed, tmp_path, capsys):
     assert priced["samples"] == 20
     assert priced["tuned_gamma"] == played["gamma_used"]
     assert priced["regret_bound"] == played["bound"]
-    # a given flag still overrides its key
-    assert main(["rademacher", "--config", str(path), "--samples", "30"]) == 0
-    overridden = json.loads(capsys.readouterr().out)
-    assert overridden["samples"] == 30 and overridden["tuned_gamma"] != priced["tuned_gamma"]
+
+
+@pytest.mark.parametrize("flag", [["--samples", "5"], ["--seed", "1"]], ids=["samples", "seed"])
+def test_rademacher_has_no_tuning_flags(flag, capsys):
+    # the config's tune_samples and tune_seed are the only tuning inputs, as for run
+    with pytest.raises(SystemExit) as exc:
+        main(["rademacher", "--config", cfg("admissibility_small.json"), *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def test_admissibility_refuses_transductive_configs(tmp_path, capsys):
@@ -145,19 +152,43 @@ def test_admissibility_reduction(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
-def test_admissibility_requires_numeric_gamma(tmp_path, capsys):
-    with open(cfg("admissibility_small.json")) as f:
-        base = json.load(f)
-    for gamma in ("auto", None):
-        doc = {k: v for k, v in base.items() if k != "gamma"}
-        if gamma is not None:
-            doc["gamma"] = gamma
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(doc))
-        code = main(["admissibility", "--config", str(path), "--initial-checks", "5"])
-        err = capsys.readouterr().err
-        assert code != 0
-        assert "gamma" in err and "number" in err
+@pytest.mark.parametrize("algorithm", ["bistro", "bistro_relaxed", "adversarial_reduction"])
+@pytest.mark.parametrize("gamma", ["auto", None])
+def test_admissibility_checks_the_rate_run_plays(gamma, algorithm, tmp_path, capsys):
+    # "auto" and a missing gamma are tuned as run tunes them
+    config = write_config(tmp_path, gamma=gamma, algorithm=algorithm)
+    assert main(["run", "--config", config, "--seeds", "1"]) == 0
+    played = json.loads(capsys.readouterr().out)["gamma_used"]
+    assert main(["admissibility", "--config", config, "--initial-checks", "5"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"algorithm={algorithm} gamma={played} ")
+    assert out.endswith("PASS\n")
+
+
+def test_config_and_learners_agree_on_the_rate():
+    # the table's rate is the learners' (0, 1/d], to the last ulp around 1/d
+    def accepts(make) -> bool:
+        try:
+            make()
+        except ValueError:
+            return False
+        return True
+
+    disagreements = []
+    for d in range(1, 200):
+        pc = PolicyClass.all_labelings(d, 1)
+        doc = {"d": d, "n": 1, "policy_class": {"family": "all_labelings", "d": d, "universe": 1},
+               "cost_process": {"type": "adaptive"}}
+        below = above = 1.0 / d
+        gammas = [below]
+        for _ in range(4):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, 1.0)
+            gammas += [below, above]
+        for gamma in gammas:
+            if (accepts(lambda: check({**doc, "gamma": gamma}))
+                    != accepts(lambda: RelaxationStrategy(pc, 1, gamma))):
+                disagreements.append((d, gamma))
+    assert disagreements == []
 
 
 NULL = object()  # a key's value that write_config writes as JSON null
@@ -299,8 +330,8 @@ def test_missing_required_key_exits_2(command, tmp_path, capsys):
                  id="context_dist-unknown-key"),
 ])
 def test_malformed_documents_exit_2(command, changes, named, tmp_path, capsys):
-    count = "--seeds" if command == "run" else "--samples"
-    code = main([command, "--config", write_config(tmp_path, **changes), count, "1"])
+    seeds = ["--seeds", "1"] if command == "run" else []
+    code = main([command, "--config", write_config(tmp_path, tune_samples=1, **changes), *seeds])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith(f"bistro {command}: ") and named in captured.err
@@ -354,6 +385,10 @@ RANGE_ERRORS = {
     "lambda-nan": ({"lambda": float("nan")}, "config key 'lambda' must be at least 0"),
     "K": ({"K": -1}, "config key 'K' must be at least 0"),
     "tune_samples": ({"tune_samples": 0}, "config key 'tune_samples' must be at least 1"),
+    "d-zero": ({"d": 0}, "config key 'd' must be at least 1; got 0"),
+    "n-zero": ({"n": 0}, "config key 'n' must be at least 1; got 0"),
+    "policy_class-d-zero": ({"policy_class": {"family": "all_labelings", "d": 0, "universe": 2}},
+                            "policy_class key 'd' must be at least 1; got 0"),
     "playouts": ({"playouts": 0}, "config key 'playouts' must be at least 1"),
     "delta": ({"delta": -1}, "config key 'delta' must be at least 0"),
     "pool_factor": ({"pool_factor": 0}, "config key 'pool_factor' must be at least 1"),
@@ -421,32 +456,14 @@ COMMANDS = ("run", "admissibility", "rademacher")
     # uniform plays no horizon mode, but the key is checked all the same
     ("run", {"algorithm": "uniform", "horizon_mode": "bogus"},
      "config key 'horizon_mode' must be one of"),
-    ("admissibility", {"gamma": None}, "missing required config key 'gamma'"),
 ], ids=[*[case if command == "run" else f"{case}-{command}"
           for case in RANGE_ERRORS for command in COMMANDS],
-        "algorithm", "algorithm-rademacher", "algorithm-ftl", "horizon_mode-uniform",
-        "gamma-missing"])
+        "algorithm", "algorithm-rademacher", "algorithm-ftl", "horizon_mode-uniform"])
 def test_range_errors_name_their_key(command, changes, named, tmp_path, capsys):
     code = main([command, "--config", write_config(tmp_path, **changes)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith(f"bistro {command}: {named}")
-    assert captured.err.count("\n") == 1
-    assert captured.out == ""
-
-
-@pytest.mark.parametrize("flags, changes, named", [
-    (["--samples", "0"], {}, "config key 'tune_samples' must be at least 1"),
-    (["--samples", "-3"], {}, "config key 'tune_samples' needs a non-negative integer"),
-    ([], {"tune_samples": 0}, "config key 'tune_samples' must be at least 1"),
-    (["--seed", "-1"], {}, "config key 'tune_seed' needs a non-negative integer"),
-], ids=["samples-zero", "samples-negative", "tune_samples-zero", "seed-negative"])
-def test_rademacher_flags_are_checked_as_their_keys(flags, changes, named, tmp_path, capsys):
-    # a flag meets the rule of the key it overrides, before anything is built
-    code = main(["rademacher", "--config", write_config(tmp_path, **changes), *flags])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err.startswith(f"bistro rademacher: {named}")
     assert captured.err.count("\n") == 1
     assert captured.out == ""
 
@@ -494,8 +511,7 @@ def test_admissibility_refuses_an_empty_horizon(tmp_path, capsys):
     code = main(["admissibility", "--config", write_config(tmp_path, n=0)])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err == ("bistro admissibility: admissibility checks need at least one round; "
-                            "got n=0\n")
+    assert captured.err == "bistro admissibility: config key 'n' must be at least 1; got 0\n"
     assert captured.out == ""
 
 
@@ -522,10 +538,9 @@ def test_admissibility_refuses_unchecked_algorithms(algorithm, capsys):
     assert captured.out == ""
 
 
-def test_numeric_error_policy_stays_inside_main(capsys):
+def test_numeric_error_policy_stays_inside_main(tmp_path, capsys):
     before = np.geterr()
-    assert main(["rademacher", "--config", cfg("admissibility_small.json"),
-                 "--samples", "5"]) == 0
+    assert main(["rademacher", "--config", write_config(tmp_path, tune_samples=5)]) == 0
     assert np.geterr() == before
 
 

@@ -534,8 +534,9 @@ class TestRegularizedErm:
         assert oracle.calls == 1
 
     def test_negative_lambda_rejected(self):
-        with pytest.raises(ValueError):
-            RegularizedErmQuery(Y=np.zeros((2, 1)), lambda_scaled=-0.1, constraint=None)
+        q = RegularizedErmQuery(Y=np.zeros((2, 1)), lambda_scaled=-0.1, constraint=None)
+        with pytest.raises(ValueError, match="lambda_scaled must be nonnegative"):
+            regularized_erm_value(PolicyClass.all_labelings(2, 1), [0], q)
 
 
 class TestMetricLabeling:

@@ -1,6 +1,8 @@
 import importlib.util
 import os
 import re
+import subprocess
+import sys
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 
@@ -30,3 +32,15 @@ def test_every_named_test_is_defined():
             with open(os.path.join(ROOT, path)) as f:
                 source = f.read()
             assert re.search(rf"def {re.escape(name.split('[')[0])}\(", source), node
+
+
+def test_arguments_are_refused_before_any_checkout_is_copied():
+    # the script takes no options: --help prints its usage, anything else exits 2 at once
+    script = os.path.join(ROOT, "scripts", "mutants.py")
+    done = subprocess.run([sys.executable, script, "--bogus"], capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 2 and "unrecognized arguments: --bogus" in done.stderr
+    assert done.stdout == ""
+    done = subprocess.run([sys.executable, script, "--help"], capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0 and "python3 scripts/mutants.py" in done.stdout
