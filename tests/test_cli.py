@@ -468,6 +468,20 @@ def test_range_errors_name_their_key(command, changes, named, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("changes, named", [
+    ({"tune_samples": 0}, "config key 'tune_samples' must be at least 1"),
+    ({"tune_seed": -1}, "config key 'tune_seed' needs a non-negative integer"),
+], ids=["tune_samples-zero", "tune_seed-negative"])
+def test_rademacher_flags_are_checked_as_their_keys(changes, named, tmp_path, capsys):
+    # rademacher has no tuning flags; its tuning keys are refused before anything is built
+    code = main(["rademacher", "--config", write_config(tmp_path, **changes)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"bistro rademacher: {named}")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("args", [["run", "--algorithm", "uniform"], ["run"], ["rademacher"],
                                   ["admissibility"]])
 def test_nan_context_probability_exits_2(args, tmp_path, capsys):
