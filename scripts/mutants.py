@@ -76,6 +76,9 @@ RUNNING_LOSSES = tuple(f"{T_REDUCTION}::test_running_losses_are_the_summed_histo
                        for d in (2, 3) for costs in ("fixed", "adaptive"))
 REDUCTION_PLAY = REDUCTION_FOLD + RUNNING_LOSSES + (
     f"{T_GOLDEN}[adaptive_adversary_adversarial_reduction]",)
+# epsilon-greedy's q, actions and running losses against its private body
+EGREEDY = tuple(f"{T_STRAT}::TestEpsilonGreedy::test_plays_the_private_body_bit_for_bit[{costs}]"
+                for costs in ("fixed", "adaptive"))
 FOLD_HISTORY = (f"{T_STRAT}::TestFoldedPlayouts::test_fold_is_the_bincount_of_the_history[bistro]",)
 COLUMN_HISTORY = tuple(f"{T_STRAT}::TestFoldedPlayouts::"
                        f"test_column_path_keeps_the_history_columns[{oracle}]"
@@ -166,6 +169,16 @@ MUTANTS = [
     Mutant("losses-accept-non-finite-costs", ADV,
            "if not np.isfinite(costs).all():", "if False:",
            ("tests/test_adversarial.py::TestExpWeightsValue::test_losses_reject_bad_history",)),
+    # -- epsilon-greedy, the learner at gamma = epsilon/d (strategies.EpsilonGreedyStrategy) --
+    Mutant("egreedy-leader-argmax", STRAT,
+           "np.argmin(self._L)", "np.argmax(self._L)", EGREEDY),
+    Mutant("egreedy-losses-scaled", STRAT,
+           "table[:, x] == action] += est", "table[:, x] == action] += self.gamma * est", EGREEDY),
+    Mutant("egreedy-rate-is-epsilon", STRAT,
+           "super().__init__(policy_class, horizon, epsilon / policy_class.d)",
+           "super().__init__(policy_class, horizon, epsilon)", EGREEDY),
+    Mutant("egreedy-losses-on-other-policies", STRAT,
+           "table[:, x] == action] += est", "table[:, x] != action] += est", EGREEDY),
     Mutant("transductive-future-not-decremented", STRAT,
            "self._future[self._known[self._t + 1]] -= 1", "pass",
            TRANSDUCTIVE_LAW + FOLDED[1::2]),
@@ -591,6 +604,17 @@ MUTANTS = [
            + tuple(f"{T_CLI}::test_admissibility_refuses_initial_checks_that_check_nothing"
                    f"[{count}-{algorithm}]" for count in (0, -1)
                    for algorithm in ("bistro", "adversarial_reduction"))),
+    Mutant("admissibility-seed-unchecked", ADM,
+           "if seed < 0:", "if False:",
+           tuple(f"{T_ADM}::TestBistroChecker::test_refuses_a_negative_seed[{check}]"
+                 for check in ("check_bistro_admissibility", "check_reduction_admissibility"))
+           + tuple(f"{T_CLI}::test_admissibility_names_a_negative_seed[{algorithm}]"
+                   for algorithm in ("bistro", "adversarial_reduction"))),
+    Mutant("out-dir-not-made-first", RUNNER,
+           "        try:\n            os.makedirs(out_dir, exist_ok=True)\n",
+           "        try:\n            pass\n",
+           (f"{T_CLI}::test_run_refuses_an_out_that_cannot_be_a_directory",
+            f"{T_CLI}::test_run_subcommand")),
     Mutant("seeds-unreadable-unnamed", CLI,
            "    except ValueError:\n        raise ValueError(f\"--seeds needs",
            "    except KeyError:\n        raise ValueError(f\"--seeds needs",

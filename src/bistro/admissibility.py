@@ -140,6 +140,8 @@ def _walk(policy_class: PolicyClass, probs: np.ndarray, n: int, gamma: float,
     """
     if initial_checks < 1:
         raise ValueError(f"initial_checks must be at least 1; got {initial_checks}")
+    if seed < 0:  # SeedSequence's own refusal would not name it
+        raise ValueError(f"seed must be a non-negative integer; got {seed}")
     d = policy_class.d
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
     path_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))

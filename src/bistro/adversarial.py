@@ -99,7 +99,8 @@ class ReductionStrategy(RelaxationStrategy):
         super().begin_episode(n, seed_seq)
         self._L = np.zeros(self.policy_class.size)
 
-    def _extend(self, x: int, action: int, inc: float) -> None:
+    def _extend(self, x: int, action: int, est: float) -> None:
+        inc = self.gamma * est  # gamma * c~_t
         # the one-hot's column (action, x) is 1.0 on the policies that play the
         # action at x, and inc * 0.0 adds exactly 0.0 to the others: _L stays
         # _losses of the history, bit for bit

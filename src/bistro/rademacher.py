@@ -10,14 +10,11 @@ over the context distribution into the same loop.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .erm import ErmOracle
-
-log = logging.getLogger(__name__)
 
 # Target size of one stack of tuning queries: its (S, n) contexts and its
 # (S, d, n) costs and fold keys. Its (S, |F|) product may grow to the
@@ -94,7 +91,4 @@ def tune_gamma(complexity: float, n: int, d: int) -> float:
     if complexity <= 0.0:
         return 1.0 / (n * d)
     gamma = float(np.sqrt(complexity / (n * d)))
-    if gamma > 1.0 / d:
-        log.warning("tuned gamma %.4f exceeds 1/d; clamping to pure uniform exploration", gamma)
-        return 1.0 / d
-    return gamma
+    return min(gamma, 1.0 / d)

@@ -333,7 +333,7 @@ def make_strategy(config: dict, policy_class: PolicyClass, gamma: float | None) 
     if algo == "uniform":
         return UniformStrategy(policy_class.d)
     if algo == "egreedy":
-        return EpsilonGreedyStrategy(policy_class, get(config, "epsilon"))
+        return EpsilonGreedyStrategy(policy_class, n, get(config, "epsilon"))
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
@@ -370,6 +370,11 @@ def run_suite(config: dict, seeds, out_dir: str | None = None) -> dict:
     seeds = list(seeds)  # each names one episode and its CSV
     if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
         raise ValueError(f"seeds must be one or more distinct nonnegative integers; got {seeds}")
+    if out_dir is not None:  # made before set-up: a path that cannot be one costs no episode
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"cannot make the output directory {out_dir!r}: {exc.strerror}")
     with np.errstate(all="raise", under="ignore"):
         policy_class = build_policy_class(config)
         env = build_environment(config, policy_class)
@@ -421,7 +426,6 @@ def run_suite(config: dict, seeds, out_dir: str | None = None) -> dict:
             if key in params:
                 summary[key] = params[key]
         if out_dir is not None:
-            os.makedirs(out_dir, exist_ok=True)
             for seed, tr in zip(seeds, transcripts):
                 write_episode_csv(os.path.join(out_dir, f"episode_{seed}.csv"), tr)
             with open(os.path.join(out_dir, "summary.json"), "w") as f:

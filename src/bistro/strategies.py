@@ -7,8 +7,8 @@ and water-fills ERM oracle values on a hybrid cost matrix (the history, a
 basis-vector column for the candidate action, and doubled random signs for
 hypothetical futures, drawn as counts); its variants plug in a penalized or
 relaxed oracle. The adversarial reduction prices q* with a full-information
-relaxation from each policy's running loss, which is all it keeps.
-Baselines are last.
+relaxation from each policy's running loss, which is all it keeps, and
+epsilon-greedy plays its leader at gamma = epsilon/d. Baselines are last.
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ class Strategy:
 class RelaxationStrategy(Strategy):
     """Bandit play on a relaxation of gamma-scaled estimates: q = mix(q*, gamma).
 
-    ``update`` hands each round's gamma * c~_t, inside [0,1]^d because
-    mixing keeps q_t(y) >= gamma, to ``_extend(x, action, inc)`` while
-    ``_t`` is still round t, and ``_q_star(x)`` prices the next round; both
-    are a subclass's, which keeps the history in the form its rule reads.
+    ``update`` hands each round's estimate c~_t[action], at most 1/gamma
+    because mixing keeps q_t(y) >= gamma, to ``_extend(x, action, est)``
+    while ``_t`` is still round t, and ``_q_star(x)`` prices the next round;
+    both are a subclass's, which stores the estimate in the form its rule reads.
     """
 
     def __init__(self, policy_class, horizon: int, gamma: float):
@@ -75,8 +75,7 @@ class RelaxationStrategy(Strategy):
             raise RuntimeError("estimate exceeds 1/gamma; mixing invariant violated")
         if self._t >= self.horizon:
             raise ValueError("episode already complete")
-        # gamma * c~_t: the estimate's other entries are 0, and gamma * 0 is 0
-        self._extend(x, action, self.gamma * est)
+        self._extend(x, action, est)  # c~_t's other entries are 0
         self._t += 1
 
 
@@ -139,7 +138,8 @@ class BistroStrategy(RelaxationStrategy):
                                  minlength=self._universe.size)
             self._probs = np.repeat(counts / (counts.sum() * cells), cells)
 
-    def _extend(self, x: int, action: int, inc: float) -> None:
+    def _extend(self, x: int, action: int, est: float) -> None:
+        inc = self.gamma * est  # c~_t's other entries scale to gamma * 0 = 0
         self._Z[action, x] += inc  # the round's gamma * c~_t, in cell (action, x)
         if not self.folded:  # _q_star zeroed the round's column; its played entry is the fold's
             self._Y[action, self._t] = inc
@@ -185,27 +185,25 @@ class UniformStrategy(Strategy):
         return np.full(self.d, 1.0 / self.d)
 
 
-class EpsilonGreedyStrategy(Strategy):
-    """Follows the policy with smallest reweighted cumulative cost, with an
-    epsilon floor of uniform exploration."""
+class EpsilonGreedyStrategy(RelaxationStrategy):
+    """Follows the policy with smallest reweighted cumulative cost ``_L``, with
+    an epsilon floor of uniform exploration: the learner at gamma = epsilon/d,
+    whose q* is the leader's action at x."""
 
-    def __init__(self, policy_class, epsilon: float = CONFIG["epsilon"].default):
+    def __init__(self, policy_class, horizon: int, epsilon: float = CONFIG["epsilon"].default):
         if not 0.0 < epsilon <= 1.0:
             raise ValueError("epsilon must lie in (0, 1]")
-        self.policy_class = policy_class
-        self.epsilon = float(epsilon)
-        self._losses = None
+        super().__init__(policy_class, horizon, epsilon / policy_class.d)
+        self._L = None
 
-    def begin_episode(self, n, seed_seq, pool=None, known_futures=None):
-        self._losses = np.zeros(self.policy_class.size)
+    def begin_episode(self, n: int, seed_seq, pool=None, known_futures=None) -> None:
+        super().begin_episode(n, seed_seq)
+        self._L = np.zeros(self.policy_class.size)
 
-    def choose(self, x: int) -> np.ndarray:
-        d = self.policy_class.d
-        best = int(np.argmin(self._losses))
-        q = np.full(d, self.epsilon / d)
-        q[self.policy_class.table[best, x]] += 1.0 - self.epsilon
+    def _extend(self, x: int, action: int, est: float) -> None:
+        self._L[self.policy_class.table[:, x] == action] += est
+
+    def _q_star(self, x: int) -> np.ndarray:
+        q = np.zeros(self.policy_class.d)
+        q[self.policy_class.table[int(np.argmin(self._L)), x]] = 1.0  # the first leader's action
         return q
-
-    def update(self, x, q, action, observed_cost):
-        hit = self.policy_class.table[:, x] == action
-        self._losses[hit] += ips_estimate(observed_cost, action, q)

@@ -85,6 +85,13 @@ class TestBistroChecker:
         with pytest.raises(ValueError, match=f"initial_checks must be at least 1; got {count}"):
             check(pc, [0.5, 0.5], n=2, gamma=0.25, initial_checks=count)
 
+    @pytest.mark.parametrize("check", [check_bistro_admissibility,
+                                       check_reduction_admissibility])
+    def test_refuses_a_negative_seed(self, check):
+        pc = PolicyClass.all_labelings(2, 2)
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer; got -1$"):
+            check(pc, [0.5, 0.5], n=2, gamma=0.25, seed=-1, initial_checks=5)
+
     def test_exact_mixed_q_matches_sequence_form(self):
         # every playout of the strategy's query [past | e_j | scale*eps], priced
         # one query at a time by the sequence-form reference

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from bistro import runner
 from bistro.cli import main
 from bistro.config import check
 from bistro.policies import PolicyClass
@@ -66,6 +68,34 @@ def test_run_names_seeds_it_cannot_read(capsys):
         assert captured.err.startswith("bistro run: --seeds needs a count or a comma-separated")
         assert captured.err.count("\n") == 1
         assert captured.out == ""
+
+
+@pytest.mark.parametrize("algorithm", ["bistro", "adversarial_reduction"])
+def test_admissibility_names_a_negative_seed(algorithm, capsys):
+    code = main(["admissibility", "--config", cfg("admissibility_small.json"),
+                 "--algorithm", algorithm, "--seed", "-1", "--initial-checks", "5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "bistro admissibility: seed must be a non-negative integer; got -1\n"
+    assert captured.out == ""
+
+
+def test_run_refuses_an_out_that_cannot_be_a_directory(tmp_path, capsys, monkeypatch):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "x")
+
+    def no_episode(*args):
+        raise AssertionError("an episode ran")
+
+    monkeypatch.setattr(runner, "run_episode", no_episode)
+    code = main(["run", "--config", cfg("admissibility_small.json"), "--seeds", "2",
+                 "--out", out])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (f"bistro run: cannot make the output directory {out!r}: "
+                            f"{os.strerror(errno.ENOTDIR)}\n")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("algorithm", ["bistro", "adversarial_reduction"])
@@ -558,14 +588,32 @@ def test_numeric_error_policy_stays_inside_main(tmp_path, capsys):
     assert np.geterr() == before
 
 
-def test_module_entry_point_exits_with_mains_status():
+def run_module(*args):
+    """``python -m bistro.cli`` with ``args``, in a fresh interpreter whose
+    stderr is the process's own, logging's last-resort handler included."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-m", "bistro.cli", "admissibility", "--config",
-                           cfg("admissibility_small.json"), "--algorithm", "ftl"],
+    return subprocess.run([sys.executable, "-m", "bistro.cli", *args],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_module_entry_point_exits_with_mains_status():
+    done = run_module("admissibility", "--config", cfg("admissibility_small.json"),
+                      "--algorithm", "ftl")
     assert done.returncode == 2
     assert done.stderr.startswith("bistro admissibility: checks only ")
+
+
+def test_a_rate_tuned_past_1_over_d_writes_nothing_to_stderr(tmp_path):
+    # both commands tune this config's gamma above 1/d = 0.5; the clamp shows
+    # as the rate they report, and a run that succeeds writes nothing else
+    done = run_module("rademacher", "--config", cfg("admissibility_small.json"))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout)["tuned_gamma"] == 0.5
+    done = run_module("admissibility", "--config", write_config(tmp_path, gamma="auto"),
+                      "--initial-checks", "5")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("algorithm=bistro gamma=0.5 ")
 
 
 def test_readme_cli_block_names_every_subcommand(capsys):

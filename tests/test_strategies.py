@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from bistro.adversarial import ExpWeightsRelaxation, ReductionStrategy
-from bistro.environments import Environment, FixedTableCosts
+from bistro.environments import AdaptiveCosts, Environment, FixedTableCosts
 from bistro.erm import BoxRelaxedOracle, ErmOracle, ExactErmOracle, RegularizedErmOracle
 from bistro.erm import CoveragePenalty, PairwiseDisagreement
 from bistro.policies import PolicyClass, ips_estimate
 from bistro.runner import run_episode
-from bistro.strategies import SIGN_SCALE, BistroStrategy
+from bistro.strategies import SIGN_SCALE, BistroStrategy, EpsilonGreedyStrategy, Strategy
 from bistro.verify import minimax_value, policy_to_matrix, sequence_constraint, sequence_values
 from bistro.waterfill import waterfill
 
@@ -69,8 +69,14 @@ def make_reduction(pc, gamma=0.25, n=4):
     return ReductionStrategy(ExpWeightsRelaxation(pc, 4), gamma, n)
 
 
-# The two relaxation strategies share one learner and so its guards.
+def make_egreedy(pc, gamma=0.25, n=4):
+    return EpsilonGreedyStrategy(pc, n, gamma * pc.d)
+
+
+# The two relaxation strategies share one learner and so its guards; so does
+# epsilon-greedy, whose rate is epsilon/d.
 LEARNERS = {"bistro": make_strategy, "reduction": make_reduction}
+GUARDED = {**LEARNERS, "egreedy": make_egreedy}
 
 
 def recorded_queries(n, rounds, seed=0):
@@ -294,10 +300,10 @@ class TestBistroRound:
             with pytest.raises(ValueError, match=match):
                 LEARNERS[learner](pc, **kwargs)
 
-    @pytest.mark.parametrize("learner", LEARNERS)
+    @pytest.mark.parametrize("learner", GUARDED)
     def test_episode_length_guards(self, learner):
         pc = PolicyClass(np.array([[0]]), 2)
-        strat = LEARNERS[learner](pc, gamma=0.25, n=1)
+        strat = GUARDED[learner](pc, gamma=0.25, n=1)
         with pytest.raises(ValueError, match="configured horizon"):
             strat.begin_episode(2, np.random.SeedSequence(0), pool=np.zeros(2, dtype=int))
         strat.begin_episode(1, np.random.SeedSequence(0), pool=np.zeros(2, dtype=int))
@@ -312,10 +318,10 @@ class TestBistroRound:
         with pytest.raises(ValueError):
             strat.begin_episode(3, np.random.SeedSequence(0), pool=np.zeros(3, dtype=int))
 
-    @pytest.mark.parametrize("learner", LEARNERS)
+    @pytest.mark.parametrize("learner", GUARDED)
     def test_estimate_magnitude_guard(self, learner):
         pc = PolicyClass(np.array([[0]]), 2)
-        strat = LEARNERS[learner](pc, gamma=0.25, n=1)
+        strat = GUARDED[learner](pc, gamma=0.25, n=1)
         strat.begin_episode(1, np.random.SeedSequence(0), pool=np.zeros(2, dtype=int))
         q = strat.choose(0)
         with pytest.raises(RuntimeError, match="1/gamma"):
@@ -537,3 +543,52 @@ class TestRecordingOracleStack:
         assert stacked.inner.calls == 5
         for (c_a, Y_a, v_a), (c_b, Y_b, v_b) in zip(stacked.queries, sequential.queries):
             assert np.array_equal(c_a, c_b) and np.array_equal(Y_a, Y_b) and v_a == v_b
+
+
+class PrivateEpsilonGreedy(Strategy):
+    """The body ``EpsilonGreedyStrategy`` had before it became the learner at
+    gamma = epsilon/d, with its own losses, update and mixing; the reference
+    for its bits."""
+
+    def __init__(self, policy_class, epsilon):
+        self.policy_class = policy_class
+        self.epsilon = float(epsilon)
+        self._losses = None
+
+    def begin_episode(self, n, seed_seq, pool=None, known_futures=None):
+        self._losses = np.zeros(self.policy_class.size)
+
+    def choose(self, x):
+        d = self.policy_class.d
+        best = int(np.argmin(self._losses))
+        q = np.full(d, self.epsilon / d)
+        q[self.policy_class.table[best, x]] += 1.0 - self.epsilon
+        return q
+
+    def update(self, x, q, action, observed_cost):
+        hit = self.policy_class.table[:, x] == action
+        self._losses[hit] += ips_estimate(observed_cost, action, q)
+
+
+class TestEpsilonGreedy:
+    @pytest.mark.parametrize("costs", ["fixed", "adaptive"])
+    def test_plays_the_private_body_bit_for_bit(self, costs):
+        # q = mix(one-hot, epsilon/d) is the private epsilon/d + (1 - epsilon)
+        # on the leader for every d here; the running losses are its losses
+        rng = np.random.default_rng(41)
+        n, universe = 24, 3
+        for d in range(1, 9):
+            pc = PolicyClass(rng.integers(0, d, (12, universe)), d)
+            for epsilon in (0.05, 0.1, 0.2, 0.5, 1.0):
+                for seed in range(3):
+                    process = (FixedTableCosts(rng.uniform(0, 1, (n, d))) if costs == "fixed"
+                               else AdaptiveCosts(d))
+                    env = Environment(np.full(universe, 1 / universe), process)
+                    learner = EpsilonGreedyStrategy(pc, n, epsilon)
+                    private = PrivateEpsilonGreedy(pc, epsilon)
+                    tr = run_episode(learner, env, n, seed)
+                    ref = run_episode(private, env, n, seed)
+                    case = (d, epsilon, seed)
+                    assert tr.distributions.tobytes() == ref.distributions.tobytes(), case
+                    assert tr.actions.tobytes() == ref.actions.tobytes(), case
+                    assert learner._L.tobytes() == private._losses.tobytes(), case
