@@ -139,8 +139,19 @@ MUTANTS = [
            "np.repeat(counts / (counts.sum() * cells), cells)",
            "np.repeat(np.full(counts.size, 1 / (counts.size * cells)), cells)", LAW),
     Mutant("playout-e_j-at-context-zero", STRAT,
-           "self._Z + (counts @ self._eps).T, x", "self._Z + (counts @ self._eps).T, 0",
+           "self._Z + self._signs @ counts.T, x", "self._Z + self._signs @ counts.T, 0",
            LAW[1:2] + FOLDED + (f"{T_GOLDEN}[fixed_adversarial_bistro]",)),
+    Mutant("playout-e_j-left-in-the-query", STRAT,
+           "                column[j] = y\n", "                pass\n",
+           LAW + (f"{T_GOLDEN}[fixed_adversarial_bistro]",)),
+    Mutant("playout-sign-pattern-flipped", STRAT,  # pattern 1 plays pattern 2^d - 2's signs
+           "int(SIGN_SCALE) * (2 * bits - 1)",
+           "int(SIGN_SCALE) * (2 * bits - 1) * np.where(np.arange(2**policy_class.d) == 1, -1, 1)",
+           LAW + TRANSDUCTIVE_LAW),
+    Mutant("one-playout-shortcut-at-every-count", STRAT,
+           "return q if self.playouts == 1 else q / self.playouts", "return q",
+           (f"{T_STRAT}::TestBistroRound::test_playout_average_is_the_running_sum_bit_for_bit[3]",
+            f"{T_STRAT}::TestBistroRound::test_playout_average_is_mean_of_waterfills")),
     Mutant("playout-history-not-folded", STRAT,
            "self._Z[action, x] += inc", "pass",
            LAW[1:2] + FOLDED + FOLD_HISTORY
@@ -223,11 +234,17 @@ MUTANTS = [
             f"{T_ADM}::test_play_queries_price_the_checked_relaxation[bistro_regularized]")),
     # -- the fold query on the class's own universe (PolicyClass.values) --
     Mutant("fold-query-non-finite-unchecked", POL,
-           "if not np.isfinite(z).all():",
-           "if contexts is not self.universe and not np.isfinite(z).all():",
-           (f"{T_FOLD}::test_rejects_non_finite_folds",)),
+           "if not isfinite(sum(z.tolist())) and",
+           "if contexts is not self.universe and not isfinite(sum(z.tolist())) and",
+           (f"{T_FOLD}::test_rejects_non_finite_folds",
+            f"{T_POL}::TestFiniteCheck::test_non_finite_entries_refused_on_every_shape")),
+    Mutant("finite-check-trusts-an-overflowing-sum", POL,
+           " and not np.isfinite(z).all():", ":",
+           tuple(f"{T_POL}::TestFiniteCheck::{test}" for test in (
+               "test_overflowing_sums_price_as_the_entrywise_test",
+               "test_random_queries_price_as_the_entrywise_test"))),
     Mutant("fold-query-shape-unchecked", POL,
-           "if contexts is self.universe and Y.shape == (self.d, self.universe_size):",
+           "if contexts is self.universe and Y.shape == self._fold_shape:",
            "if contexts is self.universe:",
            (f"{T_FOLD}::test_rejects_wrong_shapes",)),
     Mutant("fold-query-keyed-on-length", POL,
@@ -512,7 +529,7 @@ MUTANTS = [
            "self._rng.uniform(-1.0, 1.0, Y.shape[:-2])", "self._rng.uniform(-1.0, 1.0)",
            (f"{T_ERM}::TestStackedQueries::test_approximate_draws_noise_in_order",)),
     Mutant("regularized-stack-one-minimum", ERM,
-           "return vals.min(axis=-1)", "return vals.min()",
+           "np.minimum.reduce(vals, axis=-1)", "np.minimum.reduce(vals, axis=None)",
            (f"{T_ERM}::TestStackedQueries::test_regularized",
             f"{T_HARNESS}::TestSuite::test_unpenalized_regularized_bound_is_bistro_bound")),
     # -- every caller's penalties (erm.policy_constraint_values) --

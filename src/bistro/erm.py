@@ -71,7 +71,7 @@ class ExactErmOracle(ErmOracle):
         self.policy_class = policy_class
 
     def _values(self, contexts, Y: np.ndarray):
-        return self.policy_class.values(contexts, Y).min(axis=-1)
+        return np.minimum.reduce(self.policy_class.values(contexts, Y), axis=-1)
 
 
 class ApproximateErmOracle(ErmOracle):
@@ -240,7 +240,7 @@ class RegularizedErmOracle(ExactErmOracle):
         vals = self.policy_class.values(contexts, Y)
         if self.lambda_scaled > 0:
             vals = vals + self.lambda_scaled * self._penalties(contexts)
-        return vals.min(axis=-1)
+        return np.minimum.reduce(vals, axis=-1)
 
     def _penalties(self, contexts) -> np.ndarray:
         """Every policy's C for a query (|F|,) or a stack (S, |F|); a repeat of

@@ -14,6 +14,7 @@ Actions are 0-based everywhere in code; file formats and display use
 from __future__ import annotations
 
 from functools import cached_property
+from math import isfinite
 
 import numpy as np
 
@@ -54,6 +55,7 @@ class PolicyClass:
         table.flags.writeable = False  # shared freely across threads
         self.table = table
         self.d = int(d)
+        self._fold_shape = (self.d, table.shape[1])  # the Y of a fold query
 
     @property
     def size(self) -> int:
@@ -113,7 +115,7 @@ class PolicyClass:
         priced with the one product, with no id check and no bincount.
         """
         Y = np.asarray(Y, dtype=float)
-        if contexts is self.universe and Y.shape == (self.d, self.universe_size):
+        if contexts is self.universe and Y.shape == self._fold_shape:
             z = Y.ravel()  # Z itself; the bincount would add each cell once to +0.0
         else:
             ids = self._checked_ids(contexts)
@@ -129,12 +131,14 @@ class PolicyClass:
                     f"a query needs contexts (n,) and Y (d, n), a stack contexts (S, n) and "
                     f"Y (S, d, n), with d={self.d}; got {ids.shape} and {Y.shape}")
             z = np.bincount(keys.ravel(), weights=Y.ravel(), minlength=queries * cells)
-            if ids.ndim == 2:
-                z = z.reshape(queries, cells)
-        if not np.isfinite(z).all():
-            # 0 * inf in the product would turn every policy's value into nan
+        # 0 * inf in the product would turn every policy's value into nan. A sum
+        # with an inf or NaN term is not finite, so only a sum that is not finite
+        # (such a term, or an overflow) needs the entrywise test; a sum of Python
+        # floats raises no floating-point error, whatever np.errstate says.
+        if not isfinite(sum(z.tolist())) and not np.isfinite(z).all():
             raise ValueError("cost matrix folds to non-finite context sums")
-        return self.onehot @ z if z.ndim == 1 else z @ self.onehot.T
+        onehot = self.onehot
+        return onehot @ z if Y.ndim == 2 else z.reshape(len(Y), onehot.shape[1]) @ onehot.T
 
     @classmethod
     def all_labelings(cls, d: int, universe_size: int) -> "PolicyClass":

@@ -304,6 +304,8 @@ def resolve_strategy_params(config: dict, policy_class: PolicyClass, env: Enviro
         out["rad_estimate"], out["rad_stderr"] = est.mean / SIGN_SCALE, est.std_error / SIGN_SCALE
         complexity = max(est.mean, 0.0)
     else:
+        if algo == "egreedy":  # the learner at gamma = epsilon/d, with no bound
+            out["gamma"] = get(config, "epsilon") / d
         return out  # the baselines play no relaxation
 
     if gamma == "auto":

@@ -107,8 +107,10 @@ class BistroStrategy(RelaxationStrategy):
         self.folded = oracle.folds
         self.playouts = playouts
         self.transductive = mode == "transductive"
-        bits = np.arange(2**policy_class.d)[:, None] >> np.arange(policy_class.d) & 1
-        self._eps = SIGN_SCALE * (bits * 2.0 - 1.0)  # (2^d, d): row s is pattern s
+        bits = np.arange(2**policy_class.d) >> np.arange(policy_class.d)[:, None] & 1
+        # (d, 2^d) integers, column s pattern s: SIGN_SCALE is a whole number, so
+        # the counts' sign sums are exact integers, and so are their floats
+        self._signs = int(SIGN_SCALE) * (2 * bits - 1)
 
     @property
     def oracle_calls(self) -> int:
@@ -121,7 +123,7 @@ class BistroStrategy(RelaxationStrategy):
         self._order_rng = np.random.default_rng(order_ss)
         if hasattr(self.oracle, "reseed"):
             self.oracle.reseed(noise_ss)
-        cells = len(self._eps)
+        cells = self._signs.shape[1]
         self._Z = np.zeros((self.policy_class.d, self._universe.size))
         if not self.folded:
             self._ctx, self._Y = np.zeros(n, dtype=np.int64), np.zeros((self.policy_class.d, n))
@@ -150,12 +152,11 @@ class BistroStrategy(RelaxationStrategy):
         d, t = self.policy_class.d, self._t
         k = self.horizon - t - 1
         psi = np.empty(d)
-        q_sum = 0.0
-        for _ in range(self.playouts):
+        for p in range(self.playouts):
             counts = self._count_rng.multinomial(self._future if self.transductive else k,
                                                  self._probs).reshape(-1, 2**d)
             if self.folded:  # e_j goes into the fold's cell (j, x)
-                ctx, Y, col = self._universe, self._Z + (counts @ self._eps).T, x
+                ctx, Y, col = self._universe, self._Z + self._signs @ counts.T, x
             else:  # e_j goes into column t, the future onto t + 1..n - 1
                 ctx, Y, col = self._ctx, self._Y, t
                 ctx[t], Y[:, t] = x, 0.0
@@ -165,14 +166,15 @@ class BistroStrategy(RelaxationStrategy):
                 else:
                     self._order_rng.shuffle(cells)
                     slots = slice(t + 1, None)
-                ctx[slots], Y[:, slots] = cells >> d, self._eps[cells % 2**d].T
-            for j in range(d):
-                y = Y[j, col]
-                Y[j, col] = y + 1.0
+                ctx[slots], Y[:, slots] = cells >> d, self._signs[:, cells % 2**d]
+            column = Y[:, col]
+            for j, y in enumerate(column.tolist()):
+                column[j] = y + 1.0
                 psi[j] = self.oracle(ctx, Y)
-                Y[j, col] = y
-            q_sum = q_sum + waterfill(psi)
-        return q_sum / self.playouts
+                column[j] = y
+            w = waterfill(psi)
+            q = w if p == 0 else q + w  # 0.0 + w is w: w's entries are +0.0 or positive
+        return q if self.playouts == 1 else q / self.playouts
 
 
 class UniformStrategy(Strategy):

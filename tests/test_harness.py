@@ -15,6 +15,7 @@ from bistro.runner import (
     expected_regret,
     load_config,
     benchmark_value,
+    build_policy_class,
     draw_action,
     make_strategy,
     run_episode,
@@ -388,6 +389,18 @@ class TestSuite:
             summary = run_suite(small_config(algorithm=algo), seeds=[0, 1])
             assert summary["bound"] is None
             assert np.isfinite(summary["mean_regret"])
+
+    def test_egreedy_reports_the_rate_it_plays(self):
+        # epsilon-greedy plays the learner at gamma = epsilon/d; uniform plays no rate
+        assert run_suite(small_config(algorithm="uniform"), seeds=[0])["gamma_used"] is None
+        for d, epsilon in ((1, 1.0), (2, 0.1), (3, 0.3)):
+            config = small_config(algorithm="egreedy", epsilon=epsilon, d=d, policy_class={
+                "d": d, "universe": 2, "family": "all_labelings"},
+                cost_process={"type": "adaptive", "rule": "argmax_punish"})
+            pc = build_policy_class(config)
+            summary = run_suite(config, seeds=[0])
+            assert summary["gamma_used"] == make_strategy(config, pc, None).gamma == epsilon / d
+            assert summary["bound"] is None
 
     def test_regularized_bound_at_bench_scale(self):
         # |X|=4, n=128: far past the 2^(n*d) sign patterns an enumeration could price

@@ -440,3 +440,96 @@ class TestValuesMany:
             Y[2, 1, 0] = bad
             with pytest.raises(ValueError):
                 pc.values(np.zeros((3, 2), dtype=np.int64), Y)
+
+
+def entrywise_values(pc, contexts, Y):
+    """``PolicyClass.values`` as it was when every fold entry was tested with
+    ``np.isfinite``, before the sum of the fold was tested first; the
+    reference for the fast test's prices and refusals."""
+    Y = np.asarray(Y, dtype=float)
+    if contexts is pc.universe and Y.shape == (pc.d, pc.universe_size):
+        z = Y.ravel()
+    else:
+        ids = pc._checked_ids(contexts)
+        cells = pc.d * pc.universe_size
+        if ids.ndim == 1 and Y.shape == (pc.d, ids.size):
+            queries, keys = 1, pc._key_offsets + ids
+        elif ids.ndim == 2 and Y.shape == (len(ids), pc.d, ids.shape[1]):
+            queries = len(ids)
+            keys = np.arange(queries)[:, None, None] * cells + pc._key_offsets + ids[:, None, :]
+        else:
+            raise ValueError("a query needs contexts (n,) and Y (d, n), a stack contexts (S, n) "
+                             "and Y (S, d, n)")
+        z = np.bincount(keys.ravel(), weights=Y.ravel(), minlength=queries * cells)
+        if ids.ndim == 2:
+            z = z.reshape(queries, cells)
+    if not np.isfinite(z).all():
+        raise ValueError("cost matrix folds to non-finite context sums")
+    return pc.onehot @ z if z.ndim == 1 else z @ pc.onehot.T
+
+
+def priced(values, pc, contexts, Y):
+    """A query's outcome: its values' bytes, or the refusal's type and message."""
+    try:
+        return values(pc, contexts, Y).tobytes()
+    except (ValueError, FloatingPointError) as exc:
+        return type(exc), str(exc)
+
+
+class TestFiniteCheck:
+    """``values`` tests the fold's sum first and its entries only when that sum
+    is not finite: the same prices and refusals as the entrywise test."""
+
+    @staticmethod
+    def shapes(pc, rng, n):
+        """A fold, a column and a stacked query on ``pc``, with dyadic costs."""
+        ctxs = rng.integers(0, pc.universe_size, n)
+        stack = rng.integers(0, pc.universe_size, (3, n))
+        return {"fold": (pc.universe, dyadic(rng, (pc.d, pc.universe_size))),
+                "column": (ctxs, dyadic(rng, (pc.d, n))),
+                "stack": (stack, dyadic(rng, (3, pc.d, n)))}
+
+    def test_overflowing_sums_price_as_the_entrywise_test(self):
+        # two 1e308 cells of one context, one per action: every policy reads one
+        # of them, so each value is finite while the fold's sum overflows
+        pc = PolicyClass.all_labelings(2, 3)
+        for big in (1e308, -1e308):
+            queries = self.shapes(pc, np.random.default_rng(62), 4)
+            ctx, Y = queries["fold"]
+            Y[:, 1] = big
+            ctx, Y = queries["column"]
+            ctx[:2] = 1
+            Y[0, 0] = Y[1, 1] = big
+            ctx, Y = queries["stack"]  # one big cell in each of two queries
+            ctx[0, 0] = ctx[2, 0] = 1
+            Y[0, 0, 0] = Y[2, 1, 0] = big
+            for shape, (ctx, Y) in queries.items():
+                with np.errstate(all="raise", under="ignore"):
+                    values = pc.values(ctx, Y)  # no refusal, no floating-point error
+                    assert values.tobytes() == entrywise_values(pc, ctx, Y).tobytes(), shape
+                assert np.isfinite(values).all() and np.abs(values).max() >= 1e308, shape
+
+    def test_non_finite_entries_refused_on_every_shape(self):
+        pc = PolicyClass.all_labelings(2, 3)
+        for bad in ((np.inf,), (-np.inf,), (np.nan,), (np.inf, -np.inf), (1e308, np.inf)):
+            for shape, (ctx, Y) in self.shapes(pc, np.random.default_rng(63), 4).items():
+                Y.ravel()[:len(bad)] = bad
+                for errors in ("ignore", "raise"):  # as in the library and in run_suite
+                    with np.errstate(all=errors, under="ignore"):
+                        with pytest.raises(ValueError, match="non-finite"):
+                            pc.values(ctx, Y)
+
+    def test_random_queries_price_as_the_entrywise_test(self):
+        rng = np.random.default_rng(64)
+        specials = (np.inf, -np.inf, np.nan, 1e308, -1e308, 9e307)
+        for _ in range(300):
+            d, universe = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+            pc = PolicyClass(rng.integers(0, d, (int(rng.integers(1, 10)), universe)), d)
+            for ctx, Y in self.shapes(pc, rng, int(rng.integers(0, 6))).values():
+                flat = Y.reshape(-1)  # a view: up to 3 entries become special values
+                cells = rng.integers(0, flat.size, int(rng.integers(0, 4))) if flat.size else []
+                for cell in cells:
+                    flat[cell] = specials[int(rng.integers(len(specials)))]
+                with np.errstate(all="ignore"):
+                    assert priced(PolicyClass.values, pc, ctx, Y) == priced(
+                        entrywise_values, pc, ctx, Y)

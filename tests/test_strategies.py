@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bistro import strategies
 from bistro.adversarial import ExpWeightsRelaxation, ReductionStrategy
 from bistro.environments import AdaptiveCosts, Environment, FixedTableCosts
 from bistro.erm import BoxRelaxedOracle, ErmOracle, ExactErmOracle, RegularizedErmOracle
@@ -340,6 +341,35 @@ class TestBistroRound:
         psis = np.array([v for (_, _, v) in strat.oracle.queries]).reshape(m, 2)
         expected = np.mean([waterfill(p) for p in psis], axis=0)
         np.testing.assert_allclose(q, (1 - 0.5) * expected + 0.25, atol=1e-12)
+
+    @pytest.mark.parametrize("playouts", [1, 3])
+    def test_playout_average_is_the_running_sum_bit_for_bit(self, playouts, monkeypatch):
+        # q* has the bytes of (0.0 + w_1 + ... + w_m) / m over the m water-fills
+        spied = []
+        monkeypatch.setattr(strategies, "waterfill",
+                            lambda psi: spied.append(waterfill(psi)) or spied[-1])
+        rng = np.random.default_rng(38)
+        for trial in range(12):
+            d, universe, n = trial % 4 + 1, 3, 16
+            pc = PolicyClass(rng.integers(0, d, (6, universe)), d)
+            oracle = BoxRelaxedOracle() if trial % 3 == 2 else ExactErmOracle(pc)
+            strat = make_strategy(pc, gamma=0.5 / d, n=n, oracle=oracle, playouts=playouts,
+                                  mode="transductive" if trial % 2 else "iid_pool")
+            q_star = strat._q_star
+
+            def checked(x):
+                spied.clear()
+                q = q_star(x)
+                total = 0.0
+                for w in spied:
+                    total = total + w
+                assert len(spied) == playouts
+                assert q.tobytes() == (total / playouts).tobytes(), (trial, x)
+                return q
+
+            strat._q_star = checked
+            costs = AdaptiveCosts(d) if trial % 2 else FixedTableCosts(rng.uniform(0, 1, (n, d)))
+            run_episode(strat, Environment(np.ones(universe) / universe, costs), n, seed=trial)
 
 
 class TestQueryMatrixInvariants:
