@@ -355,9 +355,8 @@ class TestBistroRound:
             oracle = BoxRelaxedOracle() if trial % 3 == 2 else ExactErmOracle(pc)
             strat = make_strategy(pc, gamma=0.5 / d, n=n, oracle=oracle, playouts=playouts,
                                   mode="transductive" if trial % 2 else "iid_pool")
-            q_star = strat._q_star
 
-            def checked(x):
+            def checked(x, q_star=strat._q_star):
                 spied.clear()
                 q = q_star(x)
                 total = 0.0
