@@ -87,6 +87,11 @@ COLUMN_HISTORY = tuple(f"{T_STRAT}::TestFoldedPlayouts::"
 MIXED_Q = (f"{T_ADM}::TestBistroChecker::test_exact_mixed_q_matches_sequence_form", *CAPS)
 MIXED_Q_WALKS = MIXED_Q + tuple(f"{RECORDED}[bistro {name}]"
                                 for name in ("d=2 n=3", "p(x)=0", "d=3 n=3"))
+# the goldens of transductive play: the column path under each penalty, and the fold
+TRANSDUCTIVE_GOLDENS = tuple(f"{T_GOLDEN}[{name}]" for name in (
+    "regularized_pairwise_transductive", "regularized_coverage_transductive",
+    "adaptive_adversary_bistro_transductive"))
+DELTA_PLAYOUTS_GOLDEN = f"{T_GOLDEN}[fixed_adversarial_bistro_delta_playouts]"
 
 
 def on_commands(case: str) -> tuple[str, ...]:
@@ -151,7 +156,8 @@ MUTANTS = [
     Mutant("one-playout-shortcut-at-every-count", STRAT,
            "return q if self.playouts == 1 else q / self.playouts", "return q",
            (f"{T_STRAT}::TestBistroRound::test_playout_average_is_the_running_sum_bit_for_bit[3]",
-            f"{T_STRAT}::TestBistroRound::test_playout_average_is_mean_of_waterfills")),
+            f"{T_STRAT}::TestBistroRound::test_playout_average_is_mean_of_waterfills",
+            DELTA_PLAYOUTS_GOLDEN)),
     Mutant("playout-history-not-folded", STRAT,
            "self._Z[action, x] += inc", "pass",
            LAW[1:2] + FOLDED + FOLD_HISTORY
@@ -192,14 +198,14 @@ MUTANTS = [
            "table[:, x] == action] += est", "table[:, x] != action] += est", EGREEDY),
     Mutant("transductive-future-not-decremented", STRAT,
            "self._future[self._known[self._t + 1]] -= 1", "pass",
-           TRANSDUCTIVE_LAW + FOLDED[1::2]),
+           TRANSDUCTIVE_LAW + FOLDED[1::2] + TRANSDUCTIVE_GOLDENS),
     Mutant("transductive-future-loses-the-played-round", STRAT,
            "self._future[self._known[self._t + 1]] -= 1", "self._future[self._known[self._t]] -= 1",
-           TRANSDUCTIVE_LAW + FOLDED[1::2]),
+           TRANSDUCTIVE_LAW + FOLDED[1::2] + TRANSDUCTIVE_GOLDENS),
     Mutant("transductive-future-starts-a-round-short", STRAT,
            "np.bincount(self._known[1:], minlength=self._universe.size)",
            "np.bincount(self._known[2:], minlength=self._universe.size)",
-           TRANSDUCTIVE_LAW + FOLDED[1::2]),
+           TRANSDUCTIVE_LAW + FOLDED[1::2] + TRANSDUCTIVE_GOLDENS),
     Mutant("transductive-slots-from-the-column-buffer", STRAT,
            "np.argsort(self._known[t + 1 :], kind=\"stable\")",
            "np.argsort(self._ctx[t + 1 :], kind=\"stable\")",
@@ -207,7 +213,8 @@ MUTANTS = [
     # -- the column form's history, kept only when the oracle does not fold --
     Mutant("column-history-entry-not-written", STRAT,
            "self._Y[action, self._t] = inc", "pass",
-           COLUMN_HISTORY + (LAW[0], f"{T_GOLDEN}[regularized_pairwise]")),
+           COLUMN_HISTORY + (LAW[0], f"{T_GOLDEN}[regularized_pairwise]")
+           + TRANSDUCTIVE_GOLDENS[:2]),
     Mutant("column-history-entry-a-round-early", STRAT,
            "self._Y[action, self._t] = inc", "self._Y[action, self._t - 1] = inc",
            COLUMN_HISTORY + (LAW[0], f"{T_GOLDEN}[regularized_pairwise]")),
@@ -223,7 +230,7 @@ MUTANTS = [
     Mutant("transductive-cells-off-their-rounds", STRAT,
            "if self.transductive:  # the signs' order on a context's rounds changes no value",
            "if False:",
-           TRANSDUCTIVE_LAW[:1]
+           TRANSDUCTIVE_LAW[:1] + TRANSDUCTIVE_GOLDENS[1:2]
            + (f"{T_STRAT}::TestQueryMatrixInvariants::test_past_and_future_column_ranges",)),
     Mutant("columns-in-count-order", STRAT,
            "self._order_rng.shuffle(cells)", "pass",
@@ -286,7 +293,8 @@ MUTANTS = [
                  f"test_argmax_punish_running_totals_are_the_resummed_rule[{algorithm}]"
                  for algorithm in ("bistro", "adversarial_reduction"))
            + (f"{T_GOLDEN}[adaptive_adversary_bistro]",
-              f"{T_GOLDEN}[adaptive_adversary_adversarial_reduction]")),
+              f"{T_GOLDEN}[adaptive_adversary_adversarial_reduction]",
+              TRANSDUCTIVE_GOLDENS[2])),
     Mutant("adaptive-ties-to-the-last-maximum", ENV,
            "max(range(self.d), key=totals.__getitem__)",
            "max(reversed(range(self.d)), key=totals.__getitem__)",
@@ -296,7 +304,8 @@ MUTANTS = [
                    f"test_argmax_punish_running_totals_are_the_resummed_rule[{algorithm}]"
                    for algorithm in ("bistro", "adversarial_reduction"))
            + (f"{T_GOLDEN}[adaptive_adversary_bistro]",
-              f"{T_GOLDEN}[adaptive_adversary_adversarial_reduction]")),
+              f"{T_GOLDEN}[adaptive_adversary_adversarial_reduction]",
+              TRANSDUCTIVE_GOLDENS[2])),
     # -- the policy table (policies.PolicyClass) --
     Mutant("caller-table-not-copied", POL,
            "self._adopt(np.array(table, dtype=np.int64), d)",
@@ -525,6 +534,9 @@ MUTANTS = [
            "float(std / np.sqrt(len(seeds)))", "float(std / len(seeds))",
            (f"{T_HARNESS}::TestSuite::test_regret_stderr_is_the_mean_regrets_standard_error",)),
     # -- the ERM oracles' stacks and the regularized oracle's penalty --
+    Mutant("approximate-noise-dropped", ERM,
+           "self.delta * self._rng.uniform(", "0.0 * self._rng.uniform(",
+           (f"{T_ERM}::TestApproximateOracle::test_interval_containment", DELTA_PLAYOUTS_GOLDEN)),
     Mutant("approximate-one-draw-per-stack", ERM,
            "self._rng.uniform(-1.0, 1.0, Y.shape[:-2])", "self._rng.uniform(-1.0, 1.0)",
            (f"{T_ERM}::TestStackedQueries::test_approximate_draws_noise_in_order",)),
@@ -578,7 +590,8 @@ MUTANTS = [
            (f"{T_ERM}::TestFoldedPairwise::test_out_of_universe_ids_rejected",)),
     Mutant("pairwise-one-sided-counts", ERM,
            "W = np.outer(c, c)", "W = np.outer(c, np.ones_like(c))",
-           (f"{T_ADM}::test_first_rhs_is_the_exact_bound[bistro_regularized-bistro d=2 n=3]",)),
+           (f"{T_ADM}::test_first_rhs_is_the_exact_bound[bistro_regularized-bistro d=2 n=3]",
+            TRANSDUCTIVE_GOLDENS[0])),
     Mutant("pairwise-weights-without-counts", ERM,
            "W = self.weights[np.ix_(u, u)] * W", "W = self.weights[np.ix_(u, u)]",
            (f"{T_ERM}::TestFoldedPairwise::test_matches_sequence_form",)),

@@ -1,5 +1,7 @@
-"""Golden transcripts: gamma, actions and q of five committed instances,
-seeds 0-4, recorded from the sequence-form oracles.
+"""Golden transcripts: gamma, actions and q of nine committed instances,
+seeds 0-4. The first five were recorded from the sequence-form oracles;
+the transductive, coverage, approximate-oracle and multi-playout cases
+were recorded from the shipped play they cover, before any change to it.
 
 A change that only re-associates float sums must replay them: identical
 actions, and gamma and every q within 1e-12. Re-record only when a change
@@ -29,23 +31,31 @@ GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 SEEDS = range(5)
 TOL = 1e-12
 
-# golden name -> (config file, algorithm override)
+TRANSDUCTIVE = {"horizon_mode": "transductive"}
+COVERAGE = {"type": "coverage", "partition": [[0, 1, 2], [3, 4, 5]], "k": 1}
+
+# golden name -> (config file, config overrides)
 CASES = {
-    "fixed_adversarial_bistro": ("fixed_adversarial.json", None),
-    "adaptive_adversary_bistro": ("adaptive_adversary.json", None),
-    "regularized_pairwise": ("regularized_pairwise.json", None),
-    "fixed_adversarial_bistro_relaxed": ("fixed_adversarial.json", "bistro_relaxed"),
+    "fixed_adversarial_bistro": ("fixed_adversarial.json", {}),
+    "adaptive_adversary_bistro": ("adaptive_adversary.json", {}),
+    "regularized_pairwise": ("regularized_pairwise.json", {}),
+    "fixed_adversarial_bistro_relaxed": ("fixed_adversarial.json",
+                                         {"algorithm": "bistro_relaxed"}),
     "adaptive_adversary_adversarial_reduction": ("adaptive_adversary.json",
-                                                 "adversarial_reduction"),
+                                                 {"algorithm": "adversarial_reduction"}),
+    "regularized_pairwise_transductive": ("regularized_pairwise.json", TRANSDUCTIVE),
+    "regularized_coverage_transductive": ("regularized_pairwise.json",
+                                          {**TRANSDUCTIVE, "constraint": COVERAGE}),
+    "fixed_adversarial_bistro_delta_playouts": ("fixed_adversarial.json",
+                                                {"delta": 0.05, "playouts": 3}),
+    "adaptive_adversary_bistro_transductive": ("adaptive_adversary.json", TRANSDUCTIVE),
 }
 
 
 def play(name: str) -> dict:
     """Gamma and the per-seed actions and distributions of one case."""
-    path, algorithm = CASES[name]
-    config = load_config(os.path.join(CONFIG_DIR, path))
-    if algorithm is not None:
-        config["algorithm"] = algorithm
+    path, overrides = CASES[name]
+    config = {**load_config(os.path.join(CONFIG_DIR, path)), **overrides}
     pc = build_policy_class(config)
     env = build_environment(config, pc)
     gamma = resolve_strategy_params(config, pc, env)["gamma"]
