@@ -92,6 +92,17 @@ TRANSDUCTIVE_GOLDENS = tuple(f"{T_GOLDEN}[{name}]" for name in (
     "regularized_pairwise_transductive", "regularized_coverage_transductive",
     "adaptive_adversary_bistro_transductive"))
 DELTA_PLAYOUTS_GOLDEN = f"{T_GOLDEN}[fixed_adversarial_bistro_delta_playouts]"
+# argmax_punish's running totals, resummed from the transcript, and the
+# goldens it steers
+RUNNING_TOTALS = tuple(f"{T_HARNESS}::TestRunEpisode::"
+                       f"test_argmax_punish_running_totals_are_the_resummed_rule[{algorithm}]"
+                       for algorithm in ("bistro", "adversarial_reduction"))
+ADAPTIVE_GOLDENS = tuple(f"{T_GOLDEN}[{name}]" for name in (
+    "adaptive_adversary_bistro", "adaptive_adversary_adversarial_reduction",
+    "adaptive_adversary_bistro_transductive"))
+OBSERVED = f"{T_HARNESS}::TestRunEpisode::test_adaptive_rule_sees_only_the_allowed_history"
+GROWTH = (f"{T_HARNESS}::TestGrowthInN::"
+          "test_bound_grows_as_n_to_three_quarters_and_the_learners_regret_under_it")
 
 
 def on_commands(case: str) -> tuple[str, ...]:
@@ -287,25 +298,22 @@ MUTANTS = [
            (f"{T_STRAT}::TestFoldedPlayouts::test_fold_queries_skip_the_id_check[bistro]",)),
     # -- the running totals of argmax_punish (environments.AdaptiveCosts) --
     Mutant("adaptive-totals-not-reset", ENV,
-           "self._totals, self._seen = [0.0] * self.d, 0",
-           "self._totals, self._seen = getattr(self, \"_totals\", [0.0] * self.d), 0",
-           tuple(f"{T_HARNESS}::TestRunEpisode::"
-                 f"test_argmax_punish_running_totals_are_the_resummed_rule[{algorithm}]"
-                 for algorithm in ("bistro", "adversarial_reduction"))
-           + (f"{T_GOLDEN}[adaptive_adversary_bistro]",
-              f"{T_GOLDEN}[adaptive_adversary_adversarial_reduction]",
-              TRANSDUCTIVE_GOLDENS[2])),
+           "self._totals = [0.0] * self.d",
+           "self._totals = getattr(self, \"_totals\", [0.0] * self.d)",
+           RUNNING_TOTALS + ADAPTIVE_GOLDENS),
     Mutant("adaptive-ties-to-the-last-maximum", ENV,
            "max(range(self.d), key=totals.__getitem__)",
            "max(reversed(range(self.d)), key=totals.__getitem__)",
            tuple(f"{T_HARNESS}::TestRunEpisode::test_argmax_punish_matches_the_numpy_running_sum"
                  f"[{d}]" for d in (2, 3, 4))
-           + tuple(f"{T_HARNESS}::TestRunEpisode::"
-                   f"test_argmax_punish_running_totals_are_the_resummed_rule[{algorithm}]"
-                   for algorithm in ("bistro", "adversarial_reduction"))
-           + (f"{T_GOLDEN}[adaptive_adversary_bistro]",
-              f"{T_GOLDEN}[adaptive_adversary_adversarial_reduction]",
-              TRANSDUCTIVE_GOLDENS[2])),
+           + RUNNING_TOTALS + ADAPTIVE_GOLDENS),
+    # -- the round's q and action, shown to the cost process (runner.run_episode) --
+    Mutant("observe-not-called", RUNNER,
+           "        process.observe(distributions[t], a)\n", "",
+           RUNNING_TOTALS + ADAPTIVE_GOLDENS + (OBSERVED,)),
+    Mutant("observe-extends-the-previous-row", RUNNER,
+           "process.observe(distributions[t], a)", "process.observe(distributions[t - 1], a)",
+           RUNNING_TOTALS + ADAPTIVE_GOLDENS + (OBSERVED,)),
     # -- the policy table (policies.PolicyClass) --
     Mutant("caller-table-not-copied", POL,
            "self._adopt(np.array(table, dtype=np.int64), d)",
@@ -511,6 +519,12 @@ MUTANTS = [
            (f"{T_ADM}::test_first_rhs_is_the_exact_bound[bistro_regularized-bistro d=2 n=3]",
             f"{T_GOLDEN}[regularized_pairwise]")),
     # -- the seed list, the numeric policy and the summary (runner.run_suite) --
+    Mutant("rate-tuned-without-the-horizon", "src/bistro/rademacher.py",
+           "np.sqrt(complexity / (n * d))", "np.sqrt(complexity / d)", (GROWTH,)),
+    Mutant("bistro-plays-uniform", RUNNER,
+           "return BistroStrategy(policy_class, oracle, n, gamma,",
+           "return UniformStrategy(policy_class.d) or BistroStrategy(policy_class, oracle, n, gamma,",
+           (GROWTH,)),
     Mutant("run-suite-without-errstate", RUNNER,
            'with np.errstate(all="raise", under="ignore"):', "with np.errstate():",
            (f"{T_HARNESS}::TestSuite::test_numeric_error_policy",)),

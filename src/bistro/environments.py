@@ -1,10 +1,11 @@
 """Simulation environments: i.i.d. contexts crossed with fixed, stochastic,
 or adaptive cost processes.
 
-Cost processes commit the full cost vector for round t before the learner's
-action is drawn; adaptive rules see only (x_1..x_t, q_1..q_{t-1},
-y_1..y_{t-1}), which is the strongest visibility consistent with costs being
-chosen independently of the current action.
+A cost process commits the full cost vector for round t from (t, x_t)
+before the learner's action is drawn, and is then shown that round's q_t and
+action. So an adaptive process knows only x_1..x_t, q_1..q_{t-1} and
+y_1..y_{t-1} when it commits, the strongest visibility consistent with costs
+being chosen independently of the current action.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import ADAPTIVE_RULES, CONFIG
+from .config import CONFIG
 from .policies import in_unit_interval
 
 
@@ -49,8 +50,11 @@ class CostProcess:
     def begin(self, rng: np.random.Generator, n: int) -> None:
         pass
 
-    def commit(self, t, contexts, past_distributions, past_actions) -> np.ndarray:
+    def commit(self, t: int, x: int) -> np.ndarray:
         raise NotImplementedError
+
+    def observe(self, q: np.ndarray, action: int) -> None:
+        """Round t's q_t and drawn action, after the draw; the next commit is t + 1's."""
 
 
 class FixedTableCosts(CostProcess):
@@ -69,7 +73,7 @@ class FixedTableCosts(CostProcess):
         if n > self.values.shape[0]:
             raise ValueError("cost table shorter than the horizon")
 
-    def commit(self, t, contexts, past_distributions, past_actions):
+    def commit(self, t, x):
         return self.values[t]
 
 
@@ -89,40 +93,29 @@ class IidBernoulliCosts(CostProcess):
     def begin(self, rng, n):
         self._rng = rng
 
-    def commit(self, t, contexts, past_distributions, past_actions):
-        x = int(contexts[-1])
+    def commit(self, t, x):
         return (self._rng.random(self.d) < self.means[x]).astype(float)
 
 
 class AdaptiveCosts(CostProcess):
-    """Deterministic rule of the visible history, committed pre-action; the
-    rule sees x_1..x_t, the current context included. The shipped
-    ``argmax_punish`` charges the action of largest total past q, kept as running
-    totals that ``begin`` resets and ``commit`` extends in round order; a custom
-    rule is called as ``rule(contexts, past_distributions, past_actions, d)``."""
+    """``argmax_punish``, committed pre-action: charge the action of largest
+    total past q. The totals are running sums that ``begin`` resets and
+    ``observe`` extends in round order."""
 
-    def __init__(self, d: int, rule=ADAPTIVE_RULES[0]):
+    def __init__(self, d: int):
         self.d = int(d)
-        if isinstance(rule, str) and rule not in ADAPTIVE_RULES:
-            raise ValueError(f"unknown adaptive rule {rule!r}")
-        self._rule = None if isinstance(rule, str) else rule
 
     def begin(self, rng, n):
-        self._totals, self._seen = [0.0] * self.d, 0
+        self._totals = [0.0] * self.d
 
-    def commit(self, t, contexts, past_distributions, past_actions):
-        # run_episode checks every committed vector, this one included
-        if self._rule is not None:
-            return self._rule(contexts, past_distributions, past_actions, self.d)
-        past = np.asarray(past_distributions, dtype=float).reshape(-1, self.d)
-        # Python floats: d entries are too few for NumPy's per-call cost
-        totals = self._totals
-        for q in past[self._seen:].tolist():
-            totals = [s + v for s, v in zip(totals, q)]
-        self._totals, self._seen = totals, len(past)
-        c = np.zeros(self.d)
+    def commit(self, t, x):
+        totals, c = self._totals, np.zeros(self.d)
         c[max(range(self.d), key=totals.__getitem__)] = 1.0  # the first maximum, as np.argmax
         return c
+
+    def observe(self, q, action):
+        # Python floats: d entries are too few for NumPy's per-call cost
+        self._totals = [s + v for s, v in zip(self._totals, q.tolist())]
 
 
 class Environment:

@@ -2,11 +2,11 @@
 aggregation, and serialization.
 
 An episode is strictly sequential: observe x_t, ask the strategy for q_t,
-let the cost process commit c_t (seeing only the history it is entitled
-to), draw the action, reveal one coordinate. Randomness is split into
-independent streams keyed by the episode seed alone, so identical
-(config, seed) pairs produce byte-identical outputs regardless of
-scheduling.
+let the cost process commit c_t from (t, x_t), draw the action, show the
+cost process q_t and the action, reveal one coordinate to the strategy.
+Randomness is split into independent streams keyed by the episode seed
+alone, so identical (config, seed) pairs produce byte-identical outputs
+regardless of scheduling.
 """
 
 from __future__ import annotations
@@ -124,7 +124,8 @@ def run_episode(strategy: Strategy, env: Environment, n: int, seed) -> Transcrip
     ctx_rng = np.random.default_rng(ctx_ss)
     xs = env.sample_contexts(ctx_rng, n)
     pool = env.sample_contexts(np.random.default_rng(pool_ss), env.pool_factor * max(n, 1))
-    env.cost_process.begin(np.random.default_rng(cost_ss), n)
+    process = env.cost_process
+    process.begin(np.random.default_rng(cost_ss), n)
     strategy.begin_episode(
         n=n,
         seed_seq=strat_ss,
@@ -140,8 +141,7 @@ def run_episode(strategy: Strategy, env: Environment, n: int, seed) -> Transcrip
     for t in range(n):
         x = int(xs[t])
         q = strategy.choose(x)
-        c = env.cost_process.commit(t, xs[: t + 1], distributions[:t], actions[:t])
-        c = check_cost_vector(c)
+        c = check_cost_vector(process.commit(t, x))
         if c.size != d:
             raise ValueError("cost process dimension mismatch")
         a = draw_action(act_rng, q, d)
@@ -149,6 +149,7 @@ def run_episode(strategy: Strategy, env: Environment, n: int, seed) -> Transcrip
         actions[t] = a
         observed[t] = cost = float(c[a])
         costs[t] = c
+        process.observe(distributions[t], a)
         strategy.update(x, q, a, cost)
     return Transcript(
         contexts=xs,
@@ -210,7 +211,7 @@ def build_cost_process(config: dict):
     if kind == "iid_bernoulli":
         return IidBernoulliCosts(np.asarray(doc["means"], float))
     if kind == "adaptive":
-        return AdaptiveCosts(d=config["d"], rule=get(doc, "rule", "cost_process"))
+        return AdaptiveCosts(d=config["d"])
     raise ValueError(f"unknown cost process {kind!r}")
 
 

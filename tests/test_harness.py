@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from bistro import config as config_table, erm, runner
-from bistro.environments import AdaptiveCosts, Environment, FixedTableCosts, IidBernoulliCosts
+from bistro.environments import (
+    AdaptiveCosts,
+    CostProcess,
+    Environment,
+    FixedTableCosts,
+    IidBernoulliCosts,
+)
 from bistro.policies import PolicyClass, check_cost_vector
 from bistro.runner import (
     Transcript,
@@ -64,21 +70,30 @@ class TestRunEpisode:
         assert expected_regret(tr, PolicyClass.all_labelings(2, 2)) == 0.0
 
     def test_adaptive_rule_sees_only_the_allowed_history(self):
-        seen = []
+        # round t's commit is told (t, x_t); the one observe before commit
+        # t + 1 is told the transcript's q_t and a_t
+        calls = []
 
-        def spy(contexts, past_q, past_actions, d):
-            seen.append((len(contexts), len(past_q), len(past_actions)))
-            c = np.zeros(d)
-            c[int(np.argmax([q.sum() for q in past_q])) if len(past_q) else 0] = 1.0
-            return c
+        class Spy(CostProcess):
+            d = 2
+
+            def commit(self, t, x):
+                calls.append(("commit", t, x))
+                return np.array([0.0, 1.0]) if t % 2 else np.array([1.0, 0.0])
+
+            def observe(self, q, action):
+                calls.append(("observe", q.tolist(), action))
 
         n = 5
-        env = Environment(np.ones(2) / 2, AdaptiveCosts(d=2, rule=spy))
-        run_episode(UniformStrategy(2), env, n, seed=1)
-        assert seen == [(t + 1, t, t) for t in range(n)]
+        strategy = make_strategy(small_config(n=n), PolicyClass.all_labelings(2, 2), 0.25)
+        tr = run_episode(strategy, Environment(np.ones(2) / 2, Spy()), n, seed=1)
+        assert calls == [call for t in range(n) for call in (
+            ("commit", t, tr.contexts[t]),
+            ("observe", tr.distributions[t].tolist(), tr.actions[t]))]
+        assert len({tuple(q) for q in tr.distributions.tolist()}) > 1
 
     def test_argmax_punish_costs_are_committed_pre_action(self):
-        env = Environment(np.ones(2) / 2, AdaptiveCosts(d=2, rule="argmax_punish"))
+        env = Environment(np.ones(2) / 2, AdaptiveCosts(d=2))
         tr = run_episode(UniformStrategy(2), env, 6, seed=2)
         tr.validate()
         np.testing.assert_array_equal(tr.cost_vectors.sum(axis=1), np.ones(6))
@@ -86,26 +101,30 @@ class TestRunEpisode:
     @pytest.mark.parametrize("algorithm", ["bistro", "adversarial_reduction"])
     def test_argmax_punish_running_totals_are_the_resummed_rule(self, algorithm):
         # each round, over three episodes on one process: the running totals
-        # equal the past q rows summed afresh, bit for bit, and so does the vector
+        # at commit equal the transcript's past q rows summed afresh, bit for
+        # bit, and so does the vector
         config = load_config(os.path.join(CONFIG_DIR, "adaptive_adversary.json"))
         config["algorithm"] = algorithm
         pc = runner.build_policy_class(config)
         env = runner.build_environment(config, pc)
         gamma = runner.resolve_strategy_params(config, pc, env)["gamma"]
-        process, same = env.cost_process, []
+        process, seen, same = env.cost_process, [], []
         running = process.commit
 
-        def commit(t, contexts, past_q, past_actions):
-            c = running(t, contexts, past_q, past_actions)
-            totals = np.asarray(past_q).sum(axis=0)
-            resummed = np.zeros(2)
-            resummed[int(np.argmax(totals))] = 1.0
-            same.append(np.array_equal(process._totals, totals) and np.array_equal(c, resummed))
+        def commit(t, x):
+            c = running(t, x)
+            seen.append((list(process._totals), c))
             return c
 
         process.commit = commit
         for seed in range(3):
-            run_episode(make_strategy(config, pc, gamma), env, config["n"], seed)
+            tr = run_episode(make_strategy(config, pc, gamma), env, config["n"], seed)
+            for t, (totals, c) in enumerate(seen):
+                resummed = tr.distributions[:t].sum(axis=0)
+                expected = np.zeros(2)
+                expected[int(np.argmax(resummed))] = 1.0
+                same.append(np.array_equal(totals, resummed) and np.array_equal(c, expected))
+            seen.clear()
         assert len(same) == 3 * config["n"] and all(same)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -122,14 +141,13 @@ class TestRunEpisode:
             process.begin(rng, n)
             totals = np.zeros(d)
             for t in range(n):
-                c = process.commit(t, np.zeros(t + 1, dtype=np.int64), qs[:t],
-                                   np.zeros(t, dtype=np.int64))
-                if t:
-                    totals += qs[t - 1]
+                c = process.commit(t, 0)
                 expected = np.zeros(d)
                 expected[np.argmax(totals)] = 1.0
                 assert np.array_equal(process._totals, totals) and np.array_equal(c, expected)
                 ties += int((totals == totals.max()).sum() > 1)
+                process.observe(qs[t], 0)
+                totals += qs[t]
             rounds += n
         assert ties > 100
 
@@ -518,6 +536,33 @@ class TestSuite:
                         "invalid": "raise"}
 
 
+class TestGrowthInN:
+    def test_bound_grows_as_n_to_three_quarters_and_the_learners_regret_under_it(self):
+        # The bound complexity/gamma + n*d*gamma, tuned, is 2*sqrt(n*d*complexity),
+        # and the complexity grows as sqrt(n): n^(3/4). Over n = 256, 1024 and
+        # 4096 (equal steps in log n, so the log-log least-squares slope is
+        # the end-to-end one), on seeds fixed before any outcome was seen, the
+        # learners' mean regret stays under the bound at every n and grows
+        # sublinearly, while uniform play's grows linearly.
+        config = load_config(os.path.join(CONFIG_DIR, "adaptive_adversary.json"))
+        ns = (256, 1024, 4096)
+
+        def slope(values):
+            return float(np.log(values[-1] / values[0]) / np.log(ns[-1] / ns[0]))
+
+        for algorithm in ("bistro", "adversarial_reduction", "uniform"):
+            runs = [run_suite({**config, "algorithm": algorithm, "n": n}, range(100, 108))
+                    for n in ns]
+            regrets = [run["mean_regret"] for run in runs]
+            if algorithm == "uniform":
+                assert slope(regrets) >= 0.95, regrets
+                continue
+            bounds = [run["bound"] for run in runs]
+            assert all(r <= b for r, b in zip(regrets, bounds)), (regrets, bounds)
+            assert 0.7 <= slope(bounds) <= 0.8, bounds
+            assert slope(regrets) <= 0.85, regrets
+
+
 class TestCostValidation:
     """NaN fails the [0, 1] check like any other out-of-range cost."""
 
@@ -538,8 +583,14 @@ class TestCostValidation:
             with pytest.raises(ValueError, match="cost entries"):
                 check_cost_vector(values[0])
         np.testing.assert_array_equal(check_cost_vector([0.0, 1.0]), [0.0, 1.0])
-        env = Environment(np.ones(2) / 2,
-                          AdaptiveCosts(2, rule=lambda *args: np.array([np.nan, 0.0])))
+
+        class NanCosts(CostProcess):
+            d = 2
+
+            def commit(self, t, x):
+                return np.array([np.nan, 0.0])
+
+        env = Environment(np.ones(2) / 2, NanCosts())
         with pytest.raises(ValueError, match="cost entries"):
             run_episode(UniformStrategy(2), env, 3, seed=0)
 
