@@ -101,6 +101,8 @@ ADAPTIVE_GOLDENS = tuple(f"{T_GOLDEN}[{name}]" for name in (
     "adaptive_adversary_bistro", "adaptive_adversary_adversarial_reduction",
     "adaptive_adversary_bistro_transductive"))
 OBSERVED = f"{T_HARNESS}::TestRunEpisode::test_adaptive_rule_sees_only_the_allowed_history"
+# one learner over episodes of n and n // 2 rounds against fresh learners, per case
+REUSE = f"{T_HARNESS}::TestLearnerReuse::test_one_learner_plays_every_episode_as_a_fresh_one"
 GROWTH = (f"{T_HARNESS}::TestGrowthInN::"
           "test_bound_grows_as_n_to_three_quarters_and_the_learners_regret_under_it")
 
@@ -186,8 +188,8 @@ MUTANTS = [
            REDUCTION_PLAY),
     Mutant("reduction-losses-not-reset", ADV,
            "self._L = np.zeros(self.policy_class.size)",
-           "self._L = np.zeros(self.policy_class.size) if self._L is None else self._L",
-           RUNNING_LOSSES),
+           'self._L = getattr(self, "_L", np.zeros(self.policy_class.size))',
+           RUNNING_LOSSES + (f"{REUSE}[adaptive_adversary_adversarial_reduction]",)),
     Mutant("reduction-losses-not-extended", ADV,
            "self._L += inc * self.policy_class.onehot", "self._L += 0.0 * self.policy_class.onehot",
            REDUCTION_PLAY),
@@ -203,8 +205,8 @@ MUTANTS = [
     Mutant("egreedy-losses-scaled", STRAT,
            "table[:, x] == action] += est", "table[:, x] == action] += self.gamma * est", EGREEDY),
     Mutant("egreedy-rate-is-epsilon", STRAT,
-           "super().__init__(policy_class, horizon, epsilon / policy_class.d)",
-           "super().__init__(policy_class, horizon, epsilon)", EGREEDY),
+           "super().__init__(policy_class, epsilon / policy_class.d)",
+           "super().__init__(policy_class, epsilon)", EGREEDY),
     Mutant("egreedy-losses-on-other-policies", STRAT,
            "table[:, x] == action] += est", "table[:, x] != action] += est", EGREEDY),
     Mutant("transductive-future-not-decremented", STRAT,
@@ -296,11 +298,34 @@ MUTANTS = [
            "self._universe = policy_class.universe",
            "self._universe = np.arange(policy_class.universe_size)",
            (f"{T_STRAT}::TestFoldedPlayouts::test_fold_queries_skip_the_id_check[bistro]",)),
+    # -- the episode state that begin_episode resets (strategies.RelaxationStrategy) --
+    Mutant("episode-round-not-reset", STRAT,
+           "self.horizon, self._t = int(n), 0", 'self.horizon, self._t = int(n), getattr(self, "_t", 0)',
+           tuple(f"{REUSE}[{name}]" for name in (
+               "fixed_adversarial_bistro", "fixed_adversarial_egreedy", "regularized_pairwise",
+               "adaptive_adversary_adversarial_reduction"))),
+    Mutant("fold-kept-across-episodes", STRAT,
+           "self._Z = np.zeros((self.policy_class.d, self._universe.size))",
+           'self._Z = self._Z if hasattr(self, "_Z") else '
+           "np.zeros((self.policy_class.d, self._universe.size))",
+           tuple(f"{REUSE}[{name}]" for name in (
+               "fixed_adversarial_bistro", "adaptive_adversary_bistro",
+               "adaptive_adversary_bistro_transductive", "fixed_adversarial_bistro_delta_playouts"))),
+    Mutant("transductive-future-not-rebuilt", STRAT,
+           "self._future = np.bincount(self._known[1:], minlength=self._universe.size)",
+           'self._future = self._future if hasattr(self, "_future") else '
+           "np.bincount(self._known[1:], minlength=self._universe.size)",
+           tuple(f"{REUSE}[{name}]" for name in (
+               "adaptive_adversary_bistro_transductive", "regularized_pairwise_transductive",
+               "regularized_coverage_transductive"))),
     # -- the running totals of argmax_punish (environments.AdaptiveCosts) --
     Mutant("adaptive-totals-not-reset", ENV,
            "self._totals = [0.0] * self.d",
            "self._totals = getattr(self, \"_totals\", [0.0] * self.d)",
-           RUNNING_TOTALS + ADAPTIVE_GOLDENS),
+           RUNNING_TOTALS + ADAPTIVE_GOLDENS
+           + tuple(f"{REUSE}[{name}]" for name in (
+               "adaptive_adversary_bistro", "adaptive_adversary_adversarial_reduction",
+               "adaptive_adversary_bistro_transductive"))),
     Mutant("adaptive-ties-to-the-last-maximum", ENV,
            "max(range(self.d), key=totals.__getitem__)",
            "max(reversed(range(self.d)), key=totals.__getitem__)",
@@ -522,8 +547,8 @@ MUTANTS = [
     Mutant("rate-tuned-without-the-horizon", "src/bistro/rademacher.py",
            "np.sqrt(complexity / (n * d))", "np.sqrt(complexity / d)", (GROWTH,)),
     Mutant("bistro-plays-uniform", RUNNER,
-           "return BistroStrategy(policy_class, oracle, n, gamma,",
-           "return UniformStrategy(policy_class.d) or BistroStrategy(policy_class, oracle, n, gamma,",
+           "return BistroStrategy(policy_class, oracle, gamma,",
+           "return UniformStrategy(policy_class.d) or BistroStrategy(policy_class, oracle, gamma,",
            (GROWTH,)),
     Mutant("run-suite-without-errstate", RUNNER,
            'with np.errstate(all="raise", under="ignore"):', "with np.errstate():",
@@ -709,6 +734,35 @@ MUTANTS = [
     Mutant("constraint-weights-unchecked", CONF,
            'Key("array", "uniform", float)', 'Key(None, "uniform", float)',
            malformed("weights-string", "weights-bool")),
+    # -- refusals that only their own test reaches --
+    Mutant("cost-table-vector-accepted", ENV, "if values.ndim != 2:", "if False:",
+           malformed("values-vector")),
+    Mutant("cost-table-short-accepted", ENV, "if n > self.values.shape[0]:", "if False:",
+           (f"{T_HARNESS}::TestCostValidation::test_fixed_table_shorter_than_the_episode",)),
+    Mutant("bernoulli-means-vector-accepted", ENV, "if means.ndim != 2:", "if False:",
+           malformed("means-vector")),
+    Mutant("coverage-negative-k-accepted", ERM, "if k < 0:", "if False:",
+           (f"{T_ERM}::TestConstraints::test_coverage_negative_k_rejected",)),
+    Mutant("cost-vector-of-any-rank", POL, "if c.ndim != 1:", "if False:",
+           (f"{T_HARNESS}::TestCostValidation::test_cost_vector_must_be_one_dimensional",)),
+    Mutant("tuning-without-samples", "src/bistro/rademacher.py", "if samples < 1:", "if False:",
+           (f"{T_RAD}::TestEstimator::test_refuses_no_samples",)),
+    Mutant("cost-vector-width-unchecked", RUNNER, "if c.size != d:", "if False:",
+           (f"{T_HARNESS}::TestCostValidation::test_cost_vector_of_another_dimension",)),
+    Mutant("unknown-algorithm-builds-nothing", RUNNER,
+           '    raise ValueError(f"unknown algorithm {algo!r}")\n', "",
+           (f"{T_HARNESS}::TestSuite::test_make_strategy_refuses_an_unknown_algorithm",)),
+    Mutant("pool-mode-without-a-pool", STRAT, "if pool is None or len(pool) == 0:", "if False:",
+           tuple(f"{T_STRAT}::TestBistroRound::test_iid_pool_requires_a_pool[{pool}]"
+                 for pool in ("none", "empty"))),
+    Mutant("egreedy-epsilon-unchecked", STRAT, "if not 0.0 < epsilon <= 1.0:", "if False:",
+           tuple(f"{T_STRAT}::TestEpsilonGreedy::test_refuses_epsilon_outside_the_unit_interval"
+                 f"[{epsilon}]" for epsilon in (0.0, -0.1, 1.5))),
+    Mutant("variant-tag-of-any-type", CONF,
+           "if not isinstance(variant, (str, type(None))):", "if False:",
+           malformed("family-list", "type-list", "constraint-type-list")),
+    Mutant("config-of-any-type", CONF, "if not isinstance(config, dict):", "if False:",
+           (f"{T_CLI}::test_a_config_that_is_not_an_object_exits_2",)),
 ]
 
 EQUIVALENT = [

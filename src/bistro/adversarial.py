@@ -90,10 +90,9 @@ class ReductionStrategy(RelaxationStrategy):
     it by gamma * c~_t on the policies that play the drawn action at x, in one
     dense O(|F|) pass, so a round's cost grows with neither t nor |X|."""
 
-    def __init__(self, relaxation, gamma: float, horizon: int):
-        super().__init__(relaxation.policy_class, horizon, gamma)
+    def __init__(self, relaxation, gamma: float):
+        super().__init__(relaxation.policy_class, gamma)
         self.relaxation = relaxation
-        self._L = None
 
     def begin_episode(self, n: int, seed_seq, pool=None, known_futures=None) -> None:
         super().begin_episode(n, seed_seq)

@@ -88,7 +88,6 @@ class IidBernoulliCosts(CostProcess):
             raise ValueError("means must lie in [0, 1]")
         self.means = means
         self.d = means.shape[1]
-        self._rng = None
 
     def begin(self, rng, n):
         self._rng = rng

@@ -322,21 +322,21 @@ def resolve_strategy_params(config: dict, policy_class: PolicyClass, env: Enviro
 
 
 def make_strategy(config: dict, policy_class: PolicyClass, gamma: float | None) -> Strategy:
-    """Fresh strategy instance; one per episode so call counters stay per-episode."""
-    algo, n = get(config, "algorithm"), config["n"]
+    """The config's learner at rate gamma; ``begin_episode`` sets its horizon and state."""
+    algo = get(config, "algorithm")
     if algo in RELAXATIONS:
         oracle, _ = relaxation(config, policy_class, gamma)
         if "delta" in config:
             oracle = ApproximateErmOracle(oracle, get(config, "delta"), seed=0)
-        return BistroStrategy(policy_class, oracle, n, gamma, get(config, "playouts"),
+        return BistroStrategy(policy_class, oracle, gamma, get(config, "playouts"),
                               get(config, "horizon_mode"))
     if algo == "adversarial_reduction":
-        rel = ExpWeightsRelaxation(policy_class, n, get(config, "eta"))
-        return ReductionStrategy(rel, gamma, n)
+        rel = ExpWeightsRelaxation(policy_class, config["n"], get(config, "eta"))
+        return ReductionStrategy(rel, gamma)
     if algo == "uniform":
         return UniformStrategy(policy_class.d)
     if algo == "egreedy":
-        return EpsilonGreedyStrategy(policy_class, n, get(config, "epsilon"))
+        return EpsilonGreedyStrategy(policy_class, get(config, "epsilon"))
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
@@ -388,10 +388,9 @@ def run_suite(config: dict, seeds, out_dir: str | None = None) -> dict:
 
         regrets = np.zeros(len(seeds))
         realized = np.zeros(len(seeds))
-        calls = 0
         transcripts = []
+        strategy = make_strategy(config, policy_class, params["gamma"])  # reset by each episode
         for i, seed in enumerate(seeds):
-            strategy = make_strategy(config, policy_class, params["gamma"])
             try:
                 tr = run_episode(strategy, env, n, seed)
                 bench = benchmark_value(tr, policy_class, constraint, K)
@@ -401,7 +400,6 @@ def run_suite(config: dict, seeds, out_dir: str | None = None) -> dict:
                 raise  # the budget, not the episode, is at fault: exit 2 in the CLI
             except Exception as exc:
                 raise RuntimeError(f"episode failed for seed {seed}: {exc}") from exc
-            calls += strategy.oracle_calls
             transcripts.append(tr)
 
         mean = float(regrets.mean())
@@ -420,7 +418,7 @@ def run_suite(config: dict, seeds, out_dir: str | None = None) -> dict:
             "gamma_used": params["gamma"],
             "rad_estimate": params["rad_estimate"],
             "rad_stderr": params["rad_stderr"],
-            "oracle_calls_total": int(calls),
+            "oracle_calls_total": int(strategy.oracle_calls),
             "regret_stderr": float(std / np.sqrt(len(seeds))),
             "violations": int(bound is not None and mean > bound),
             "per_seed_regret": [float(r) for r in regrets],

@@ -1,14 +1,15 @@
 """Per-round bandit strategies.
 
 One learner, ``RelaxationStrategy``, estimates the gamma-scaled history and
-plays a q* mixed toward uniform; its subclasses differ in the rule for q*
-and in the form they keep the history in. BISTRO keeps its per-context fold
-and water-fills ERM oracle values on a hybrid cost matrix (the history, a
-basis-vector column for the candidate action, and doubled random signs for
-hypothetical futures, drawn as counts); its variants plug in a penalized or
-relaxed oracle. The adversarial reduction prices q* with a full-information
-relaxation from each policy's running loss, which is all it keeps, and
-epsilon-greedy plays its leader at gamma = epsilon/d. Baselines are last.
+plays a q* mixed toward uniform; ``begin_episode`` sets its horizon n and
+resets its state, so one learner plays any number of episodes. Subclasses
+differ in the rule for q* and the form they keep the history in. BISTRO
+keeps its per-context fold and water-fills ERM oracle values on a hybrid cost
+matrix (the history, a basis-vector column for the candidate action, and
+doubled random signs for hypothetical futures, drawn as counts); its variants
+plug in a penalized or relaxed oracle. The adversarial reduction prices q*
+with a full-information relaxation from each policy's running loss, all it
+keeps, and epsilon-greedy plays its leader at gamma = epsilon/d.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ class Strategy:
     oracle_calls = 0
 
     def begin_episode(self, n: int, seed_seq, pool=None, known_futures=None) -> None:
-        pass
+        """Start an episode of n rounds: the one place a learner learns its horizon."""
 
     def choose(self, x: int) -> np.ndarray:
         raise NotImplementedError
@@ -50,21 +51,17 @@ class RelaxationStrategy(Strategy):
     both are a subclass's, which stores the estimate in the form its rule reads.
     """
 
-    def __init__(self, policy_class, horizon: int, gamma: float):
-        if horizon < 0:
-            raise ValueError("horizon must be nonnegative")
+    def __init__(self, policy_class, gamma: float):
         if not 0.0 < gamma <= 1.0 / policy_class.d:
             raise ValueError(f"gamma must lie in (0, 1/d]; got {gamma}")
         self.policy_class = policy_class
-        self.horizon = int(horizon)
         self.gamma = float(gamma)
         self._universe = policy_class.universe
-        self._t = 0
 
     def begin_episode(self, n: int, seed_seq, pool=None, known_futures=None) -> None:
-        if n != self.horizon:
-            raise ValueError("episode length does not match the configured horizon")
-        self._t = 0
+        if n < 0:
+            raise ValueError("horizon must be nonnegative")
+        self.horizon, self._t = int(n), 0
 
     def choose(self, x: int) -> np.ndarray:
         return mix_with_uniform(self._q_star(x), self.gamma)
@@ -95,10 +92,10 @@ class BistroStrategy(RelaxationStrategy):
     counts on the rounds after t, shuffled (iid_pool) or on the known ones.
     """
 
-    def __init__(self, policy_class, oracle: ErmOracle, horizon: int, gamma: float,
+    def __init__(self, policy_class, oracle: ErmOracle, gamma: float,
                  playouts: int = CONFIG["playouts"].default,
                  mode: str = CONFIG["horizon_mode"].default):
-        super().__init__(policy_class, horizon, gamma)
+        super().__init__(policy_class, gamma)
         if playouts < 1:
             raise ValueError("at least one playout per round")
         if mode not in MODES:
@@ -192,11 +189,10 @@ class EpsilonGreedyStrategy(RelaxationStrategy):
     an epsilon floor of uniform exploration: the learner at gamma = epsilon/d,
     whose q* is the leader's action at x."""
 
-    def __init__(self, policy_class, horizon: int, epsilon: float = CONFIG["epsilon"].default):
+    def __init__(self, policy_class, epsilon: float = CONFIG["epsilon"].default):
         if not 0.0 < epsilon <= 1.0:
             raise ValueError("epsilon must lie in (0, 1]")
-        super().__init__(policy_class, horizon, epsilon / policy_class.d)
-        self._L = None
+        super().__init__(policy_class, epsilon / policy_class.d)
 
     def begin_episode(self, n: int, seed_seq, pool=None, known_futures=None) -> None:
         super().begin_episode(n, seed_seq)

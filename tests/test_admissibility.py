@@ -277,7 +277,7 @@ def test_mean_play_is_the_exact_mixed_q(penalty):
               else RegularizedErmOracle(pc, constraint, 1.0 * gamma))
     pool = np.array([0, 1, 1, 2, 2, 2, 0, 1, 2, 2])
     probs = np.bincount(pool) / pool.size
-    strategy = BistroStrategy(pc, oracle, n, gamma)
+    strategy = BistroStrategy(pc, oracle, gamma)
     assert strategy.folded == (constraint is None)
     strategy.begin_episode(n, np.random.SeedSequence(8), pool=pool)
     contexts, history = [], np.zeros((n, d))  # the rows gamma * c~_t the updates feed
@@ -304,7 +304,7 @@ def test_transductive_mean_play_averages_the_known_futures_signs(penalty):
     oracle = (ExactErmOracle(pc) if constraint is None
               else RegularizedErmOracle(pc, constraint, 1.0 * gamma))
     known = np.array([1, 2, 0])
-    strategy = BistroStrategy(pc, oracle, n, gamma, mode="transductive")
+    strategy = BistroStrategy(pc, oracle, gamma, mode="transductive")
     strategy.begin_episode(n, np.random.SeedSequence(8), known_futures=known)
     history = np.zeros((n, d))  # the rows gamma * c~_t the updates feed
     for t in range(n):

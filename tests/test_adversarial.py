@@ -126,7 +126,7 @@ class TestReduction:
         pc = PolicyClass.all_labelings(2, 2)
         n = 4
         rel = ExpWeightsRelaxation(pc, n)
-        strat = ReductionStrategy(rel, gamma=0.2, horizon=n)
+        strat = ReductionStrategy(rel, gamma=0.2)
         strat.begin_episode(n, np.random.SeedSequence(0))
         np.testing.assert_allclose(strat.choose(0), [0.5, 0.5], atol=1e-12)
 
@@ -136,7 +136,7 @@ class TestReduction:
         n = 32
         gamma = 0.15
         env = Environment(np.ones(4) / 4, FixedTableCosts(rng.uniform(0, 1, (n, 2))))
-        strat = ReductionStrategy(ExpWeightsRelaxation(pc, n), gamma, n)
+        strat = ReductionStrategy(ExpWeightsRelaxation(pc, n), gamma)
         tr = run_episode(strat, env, n, seed=3)
         Y = scaled_history(tr, gamma)
         assert Y.min() >= 0.0
@@ -165,7 +165,7 @@ class TestReduction:
         pc = PolicyClass(rng.integers(0, d, (64, universe)), d)
         process = (FixedTableCosts(rng.uniform(0, 1, (n, d))) if costs == "fixed"
                    else AdaptiveCosts(d))
-        strat = ReductionStrategy(ExpWeightsRelaxation(pc, n), 0.1, n)
+        strat = ReductionStrategy(ExpWeightsRelaxation(pc, n), 0.1)
         fold_q_star, played = strat._q_star, []
 
         def q_star(x):
@@ -192,7 +192,7 @@ class TestReduction:
         pc = PolicyClass(rng.integers(0, d, (40, universe)), d)
         process = (FixedTableCosts(rng.uniform(0, 1, (n, d))) if costs == "fixed"
                    else AdaptiveCosts(d))
-        strat = ReductionStrategy(ExpWeightsRelaxation(pc, n), gamma, n)
+        strat = ReductionStrategy(ExpWeightsRelaxation(pc, n), gamma)
         rel, update, states = strat.relaxation, strat.update, []
 
         def spy(x, q, action, observed_cost):
@@ -217,7 +217,7 @@ class TestReduction:
         n = 16
         env = Environment(np.ones(3) / 3, FixedTableCosts(rng.uniform(0, 1, (n, 2))))
         runs = [
-            run_episode(ReductionStrategy(ExpWeightsRelaxation(pc, n), 0.2, n), env, n, seed=8)
+            run_episode(ReductionStrategy(ExpWeightsRelaxation(pc, n), 0.2), env, n, seed=8)
             for _ in range(2)
         ]
         assert np.array_equal(runs[0].distributions, runs[1].distributions)

@@ -216,7 +216,7 @@ def test_config_and_learners_agree_on_the_rate():
             gammas += [below, above]
         for gamma in gammas:
             if (accepts(lambda: check({**doc, "gamma": gamma}))
-                    != accepts(lambda: RelaxationStrategy(pc, 1, gamma))):
+                    != accepts(lambda: RelaxationStrategy(pc, gamma))):
                 disagreements.append((d, gamma))
     assert disagreements == []
 
@@ -358,6 +358,23 @@ def test_missing_required_key_exits_2(command, tmp_path, capsys):
     pytest.param({"context_dist": {"probs": [0.5, 0.5], "feature": [[1.0], [0.0]]}},
                  "unknown context_dist keys ['feature']; known keys: ['features', 'probs']\n",
                  id="context_dist-unknown-key"),
+    # shapes and variant tags the table leaves to the builders; a tag that is
+    # not a string reaches its builder's refusal
+    pytest.param({"cost_process": {"type": "fixed_table", "values": [0.1, 0.9]}},
+                 "cost table must be (n, d)\n", id="values-vector"),
+    pytest.param({"cost_process": {"type": "iid_bernoulli", "means": [0.5, 0.5]}},
+                 "means must be (|X|, d)\n", id="means-vector"),
+    pytest.param({"policy_class": {"family": 3, "d": 2, "universe": 2}},
+                 "unknown policy family 3\n", id="family-number"),
+    pytest.param({"policy_class": {"family": ["all_labelings"], "d": 2, "universe": 2}},
+                 "unknown policy family ['all_labelings']\n", id="family-list"),
+    pytest.param({"cost_process": {"type": 3}}, "unknown cost process 3\n", id="type-number"),
+    pytest.param({"cost_process": {"type": ["adaptive"]}},
+                 "unknown cost process ['adaptive']\n", id="type-list"),
+    pytest.param({"constraint": {"type": 3}}, "unknown constraint type 3\n",
+                 id="constraint-type-number"),
+    pytest.param({"constraint": {"type": ["pairwise"]}},
+                 "unknown constraint type ['pairwise']\n", id="constraint-type-list"),
 ])
 def test_malformed_documents_exit_2(command, changes, named, tmp_path, capsys):
     seeds = ["--seeds", "1"] if command == "run" else []
@@ -366,6 +383,16 @@ def test_malformed_documents_exit_2(command, changes, named, tmp_path, capsys):
     assert code == 2
     assert captured.err.startswith(f"bistro {command}: ") and named in captured.err
     assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_a_config_that_is_not_an_object_exits_2(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text("[1, 2]")
+    code = main(["run", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "bistro run: config must be a JSON object; got [1, 2]\n"
     assert captured.out == ""
 
 

@@ -328,6 +328,10 @@ class TestConstraints:
             with pytest.raises(ValueError, match="partition"):
                 CoveragePenalty(partition, 1).per_policy(PolicyClass.all_labelings(2, 2), [0, 1])
 
+    def test_coverage_negative_k_rejected(self):
+        with pytest.raises(ValueError, match="k must be nonnegative"):
+            CoveragePenalty([[0, 1]], -1)
+
     def test_nonnegative_on_random_labelings(self):
         rng = np.random.default_rng(23)
         for _ in range(30):

@@ -4,14 +4,15 @@ the transductive, coverage, approximate-oracle and multi-playout cases
 were recorded from the shipped play they cover, before any change to it.
 
 A change that only re-associates float sums must replay them: identical
-actions, and gamma and every q within 1e-12. Re-record only when a change
-is meant to alter play:
+actions, and gamma and every q within 1e-12. Re-record only the cases a
+change is meant to alter (with no case named, the script lists them):
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py CASE [CASE ...]
 """
 
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -105,10 +106,40 @@ def test_goldens_blind_to_the_playout_draws_replay_unmodified():
     assert_replays("adaptive_adversary_adversarial_reduction")
 
 
-if __name__ == "__main__":
-    os.makedirs(GOLDEN_DIR, exist_ok=True)
-    for case in sorted(CASES):
-        with open(golden_path(case), "w") as f:
-            json.dump(play(case), f, separators=(",", ":"))
+def record(names, directory: str = GOLDEN_DIR) -> None:
+    """Record the golden of each named case, and no other, into ``directory``."""
+    os.makedirs(directory, exist_ok=True)
+    for name in names:
+        path = os.path.join(directory, f"{name}.json")
+        with open(path, "w") as f:
+            json.dump(play(name), f, separators=(",", ":"))
             f.write("\n")
-        print(f"recorded {golden_path(case)}")
+        print(f"recorded {path}")
+
+
+def main(names, directory: str = GOLDEN_DIR) -> int:
+    known, unknown = " ".join(sorted(CASES)), sorted(set(names) - CASES.keys())
+    if unknown:
+        print(f"unknown cases {unknown}; known cases: {known}", file=sys.stderr)
+        return 2
+    if names:
+        record(names, directory)
+    else:
+        print(f"cases: {known}")
+    return 0
+
+
+def test_recorder_writes_only_the_cases_it_is_named(tmp_path, capsys):
+    assert main([], str(tmp_path)) == 0
+    assert capsys.readouterr().out.split()[1:] == sorted(CASES)
+    assert main(["fixed_adversarial_bistro", "nope"], str(tmp_path)) == 2
+    assert "'nope'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    main(["fixed_adversarial_bistro"], str(tmp_path / "golden"))
+    assert os.listdir(tmp_path / "golden") == ["fixed_adversarial_bistro.json"]
+    with open(tmp_path / "golden" / "fixed_adversarial_bistro.json") as f:
+        assert json.load(f) == load_golden("fixed_adversarial_bistro")
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

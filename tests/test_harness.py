@@ -28,8 +28,14 @@ from bistro.runner import (
     run_suite,
 )
 from bistro.strategies import Strategy, UniformStrategy
+from test_golden import CASES as GOLDEN_CASES
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+
+# every golden case, and the two learners no golden plays
+REUSE_CASES = {**GOLDEN_CASES,
+               "fixed_adversarial_egreedy": ("fixed_adversarial.json", {"algorithm": "egreedy"}),
+               "fixed_adversarial_uniform": ("fixed_adversarial.json", {"algorithm": "uniform"})}
 
 
 def small_config(**overrides):
@@ -346,6 +352,11 @@ class TestSuite:
         with pytest.raises(ValueError):
             run_suite(config, seeds=[0])
 
+    def test_make_strategy_refuses_an_unknown_algorithm(self):
+        # make_strategy reads a config the table has not checked
+        with pytest.raises(ValueError, match="unknown algorithm 'nope'"):
+            make_strategy(small_config(algorithm="nope"), PolicyClass.all_labelings(2, 2), 0.25)
+
     def test_removed_sign_scale_key_rejected(self):
         for algo in ("bistro", "uniform"):
             with pytest.raises(ValueError, match="sign_scale"):
@@ -536,6 +547,33 @@ class TestSuite:
                         "invalid": "raise"}
 
 
+class TestLearnerReuse:
+    @pytest.mark.parametrize("name", sorted(REUSE_CASES))
+    def test_one_learner_plays_every_episode_as_a_fresh_one(self, name):
+        # run_suite builds one learner and one environment for all its seeds:
+        # whatever episode came before, begin_episode leaves nothing of it, so
+        # each episode, of n rounds or of n // 2, is a fresh learner's in a
+        # fresh environment, bit for bit, and the calls add up
+        path, overrides = REUSE_CASES[name]
+        config = {**load_config(os.path.join(CONFIG_DIR, path)), **overrides}
+        pc = build_policy_class(config)
+        env = runner.build_environment(config, pc)
+        gamma = runner.resolve_strategy_params(config, pc, env)["gamma"]
+        n = config["n"]
+        episodes = [(n, 3), (n, 1), (n // 2, 5), (n, 4), (n, 1)]
+        if isinstance(runner.build_constraint(config), erm.CoveragePenalty):
+            episodes.remove((n // 2, 5))  # a coverage partition fixes n
+        learner, fresh_calls = make_strategy(config, pc, gamma), 0
+        for length, seed in episodes:
+            fresh = make_strategy(config, pc, gamma)
+            want = run_episode(fresh, runner.build_environment(config, pc), length, seed)
+            got = run_episode(learner, env, length, seed)
+            assert got.distributions.tobytes() == want.distributions.tobytes(), (length, seed)
+            assert got.actions.tobytes() == want.actions.tobytes(), (length, seed)
+            fresh_calls += fresh.oracle_calls
+        assert learner.oracle_calls == fresh_calls
+
+
 class TestGrowthInN:
     def test_bound_grows_as_n_to_three_quarters_and_the_learners_regret_under_it(self):
         # The bound complexity/gamma + n*d*gamma, tuned, is 2*sqrt(n*d*complexity),
@@ -592,6 +630,27 @@ class TestCostValidation:
 
         env = Environment(np.ones(2) / 2, NanCosts())
         with pytest.raises(ValueError, match="cost entries"):
+            run_episode(UniformStrategy(2), env, 3, seed=0)
+
+    def test_cost_vector_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="cost vector must be one-dimensional"):
+            check_cost_vector([[0.5, 0.5]])
+
+    def test_cost_vector_of_another_dimension(self):
+        class WideCosts(CostProcess):
+            d = 2
+
+            def commit(self, t, x):
+                return np.array([0.5, 0.5, 0.5])
+
+        env = Environment(np.ones(2) / 2, WideCosts())
+        with pytest.raises(ValueError, match="cost process dimension mismatch"):
+            run_episode(UniformStrategy(2), env, 3, seed=0)
+
+    def test_fixed_table_shorter_than_the_episode(self):
+        # run_suite refuses such a config first; a library caller meets this check
+        env = Environment(np.ones(2) / 2, FixedTableCosts(np.full((2, 2), 0.5)))
+        with pytest.raises(ValueError, match="cost table shorter than the horizon"):
             run_episode(UniformStrategy(2), env, 3, seed=0)
 
 

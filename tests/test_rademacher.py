@@ -144,6 +144,11 @@ class TestEstimator:
         values = rademacher_samples(spy, categorical_sampler(np.ones(3) / 3), 0, 7, seed=0)
         assert np.array_equal(values, np.zeros(7)) and sum(spy.stacks) == 7
 
+    def test_refuses_no_samples(self):
+        oracle = ExactErmOracle(PolicyClass.all_labelings(2, 3))
+        with pytest.raises(ValueError, match="at least one sample required"):
+            rademacher_samples(oracle, categorical_sampler(np.ones(3) / 3), 4, 0, seed=0)
+
     def test_estimate_validation(self):
         with pytest.raises(ValueError):
             RademacherEstimate(mean=0.0, std_error=-1.0, samples=10)

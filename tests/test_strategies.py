@@ -62,16 +62,16 @@ def scaled_history(tr, gamma) -> np.ndarray:
     return Y
 
 
-def make_strategy(pc, gamma=0.25, n=4, oracle=None, **kwargs):
-    return BistroStrategy(pc, oracle or ExactErmOracle(pc), n, gamma, **kwargs)
+def make_strategy(pc, gamma=0.25, oracle=None, **kwargs):
+    return BistroStrategy(pc, oracle or ExactErmOracle(pc), gamma, **kwargs)
 
 
-def make_reduction(pc, gamma=0.25, n=4):
-    return ReductionStrategy(ExpWeightsRelaxation(pc, 4), gamma, n)
+def make_reduction(pc, gamma=0.25):
+    return ReductionStrategy(ExpWeightsRelaxation(pc, 4), gamma)
 
 
-def make_egreedy(pc, gamma=0.25, n=4):
-    return EpsilonGreedyStrategy(pc, n, gamma * pc.d)
+def make_egreedy(pc, gamma=0.25):
+    return EpsilonGreedyStrategy(pc, gamma * pc.d)
 
 
 # The two relaxation strategies share one learner and so its guards; so does
@@ -86,7 +86,7 @@ def recorded_queries(n, rounds, seed=0):
     [0.25, 0.75]; cost 1 at probability 0.25 gives estimate 4, scaled to 1."""
     pc = PolicyClass.all_labelings(2, 2)
     recorder = RecordingOracle(ExactErmOracle(pc))
-    strat = make_strategy(pc, gamma=0.25, n=n, oracle=recorder)
+    strat = make_strategy(pc, gamma=0.25, oracle=recorder)
     strat.begin_episode(n, np.random.SeedSequence(seed), pool=np.array([0, 1]))
     for x, action, cost in rounds:
         strat.choose(x)
@@ -140,7 +140,7 @@ class TestFoldedPlayouts:
         d, n, playouts = 3, 601, 2
         pc = PolicyClass(rng.integers(0, d, (4, 5)), d)
         pool = rng.integers(0, 5, size=37)
-        strat = make_strategy(pc, gamma=0.25, n=n, playouts=playouts)
+        strat = make_strategy(pc, gamma=0.25, playouts=playouts)
         strat.oracle = spy = LengthSpy(strat.oracle)
         strat.begin_episode(n, np.random.SeedSequence(44), pool=pool)
         for t in range(n):
@@ -154,7 +154,7 @@ class TestFoldedPlayouts:
         rng = np.random.default_rng(46)
         d, universe, n = 3, 5, 600
         pc = PolicyClass(rng.integers(0, d, (4, universe)), d)
-        strat = make_reduction(pc, gamma=0.25, n=n)
+        strat = make_reduction(pc, gamma=0.25)
         rel, widths = strat.relaxation, []
 
         def spy(losses, x):
@@ -178,7 +178,7 @@ class TestFoldedPlayouts:
         rng = np.random.default_rng(53)
         d, universe, n = 3, 5, 600
         pc = PolicyClass(rng.integers(0, d, (8, universe)), d)
-        strat = LEARNERS[learner](pc, gamma=0.2, n=n)
+        strat = LEARNERS[learner](pc, gamma=0.2)
         env = Environment(np.ones(universe) / universe, FixedTableCosts(rng.uniform(0, 1, (n, d))))
         run_episode(strat, env, n, seed=54)
         assert strat.oracle_calls == (d * n if learner == "bistro" else 0)
@@ -193,7 +193,7 @@ class TestFoldedPlayouts:
         rng = np.random.default_rng(48)
         d, universe, n = 3, 5, 200
         pc = PolicyClass(rng.integers(0, d, (6, universe)), d)
-        strat = LEARNERS[learner](pc, gamma=0.2, n=n)
+        strat = LEARNERS[learner](pc, gamma=0.2)
         env = Environment(np.ones(universe) / universe, FixedTableCosts(rng.uniform(0, 1, (n, d))))
         tr = run_episode(strat, env, n, seed=9)
         keys = np.arange(d)[:, None] * universe + tr.contexts
@@ -208,8 +208,8 @@ class TestFoldedPlayouts:
         d, universe, n = 2, 5, 100_000
         pc = PolicyClass.all_labelings(d, universe)
         mode = "transductive" if learner == "bistro-transductive" else "iid_pool"
-        strat = (make_reduction(pc, 0.2, n) if learner == "reduction"
-                 else make_strategy(pc, 0.2, n, mode=mode))
+        strat = (make_reduction(pc, 0.2) if learner == "reduction"
+                 else make_strategy(pc, 0.2, mode=mode))
         contexts = np.arange(n) % universe
         strat.begin_episode(n, np.random.SeedSequence(5), pool=contexts, known_futures=contexts)
         big = {name for name, value in vars(strat).items()
@@ -225,7 +225,7 @@ class TestFoldedPlayouts:
         pc = PolicyClass(rng.integers(0, d, (5, universe)), d)
         inner = (BoxRelaxedOracle() if oracle == "box" else RegularizedErmOracle(
             pc, CoveragePenalty([list(range(0, n, 2)), list(range(1, n, 2))], 1), 0.5))
-        strat = make_strategy(pc, gamma, n, oracle=inner)
+        strat = make_strategy(pc, gamma, oracle=inner)
         assert not strat.folded
         env = Environment(np.ones(universe) / universe, FixedTableCosts(rng.uniform(0, 1, (n, d))))
         tr = run_episode(strat, env, n, seed=12)
@@ -238,13 +238,13 @@ class TestBistroRound:
     def test_two_policy_single_round_uniform(self):
         pc = PolicyClass(np.array([[0], [1]]), 2)
         for gamma in (0.1, 0.25, 0.5):
-            strat = make_strategy(pc, gamma=gamma, n=1)
+            strat = make_strategy(pc, gamma=gamma)
             strat.begin_episode(1, np.random.SeedSequence(0), pool=np.zeros(4, dtype=int))
             np.testing.assert_allclose(strat.choose(0), [0.5, 0.5], atol=1e-12)
 
     def test_singleton_class_concentrates(self):
         pc = PolicyClass(np.array([[0]]), 2)
-        strat = make_strategy(pc, gamma=0.1, n=1)
+        strat = make_strategy(pc, gamma=0.1)
         strat.begin_episode(1, np.random.SeedSequence(0), pool=np.zeros(4, dtype=int))
         np.testing.assert_allclose(strat.choose(0), [0.9, 0.1], atol=1e-12)
 
@@ -253,7 +253,7 @@ class TestBistroRound:
         pc = PolicyClass(rng.integers(0, 3, (5, 4)), 3)
         n = 6
         for playouts in (1, 3):
-            strat = make_strategy(pc, gamma=0.2, n=n, playouts=playouts)
+            strat = make_strategy(pc, gamma=0.2, playouts=playouts)
             env = Environment(np.ones(4) / 4, FixedTableCosts(rng.uniform(0, 1, (n, 3))))
             run_episode(strat, env, n, seed=0)
             assert strat.oracle_calls == 3 * playouts * n
@@ -262,7 +262,7 @@ class TestBistroRound:
         rng = np.random.default_rng(32)
         pc = PolicyClass(rng.integers(0, 2, (6, 4)), 2)
         n, gamma = 12, 0.3
-        strat = make_strategy(pc, gamma=gamma, n=n)
+        strat = make_strategy(pc, gamma=gamma)
         env = Environment(np.ones(4) / 4, FixedTableCosts(rng.uniform(0, 1, (n, 2))))
         tr = run_episode(strat, env, n, seed=3)
         assert tr.distributions.min() >= gamma - 1e-12
@@ -275,7 +275,7 @@ class TestBistroRound:
         env = Environment(np.ones(3) / 3, FixedTableCosts(rng.uniform(0, 1, (n, 2))))
         runs = []
         for _ in range(2):
-            strat = make_strategy(pc, gamma=0.25, n=n, playouts=2)
+            strat = make_strategy(pc, gamma=0.25, playouts=2)
             runs.append(run_episode(strat, env, n, seed=11))
         assert np.array_equal(runs[0].distributions, runs[1].distributions)
         assert np.array_equal(runs[0].actions, runs[1].actions)
@@ -286,43 +286,51 @@ class TestBistroRound:
         pc = PolicyClass(rng.integers(0, 2, (3, 1)), 2)
         n = 6
         env = Environment(np.ones(1), FixedTableCosts(rng.uniform(0, 1, (n, 2))))
-        tr_pool = run_episode(make_strategy(pc, n=n, mode="iid_pool"), env, n, seed=5)
-        tr_trans = run_episode(make_strategy(pc, n=n, mode="transductive"), env, n, seed=5)
+        tr_pool = run_episode(make_strategy(pc, mode="iid_pool"), env, n, seed=5)
+        tr_trans = run_episode(make_strategy(pc, mode="transductive"), env, n, seed=5)
         assert np.array_equal(tr_pool.distributions, tr_trans.distributions)
         assert np.array_equal(tr_pool.actions, tr_trans.actions)
 
     @pytest.mark.parametrize("learner", LEARNERS)
     def test_constructor_rejects_bad_arguments(self, learner):
         pc = PolicyClass(np.array([[0]]), 2)
-        cases = [({"n": -1}, "horizon"), ({"gamma": 0.0}, "gamma"), ({"gamma": 0.6}, "gamma")]
+        cases = [({"gamma": 0.0}, "gamma"), ({"gamma": 0.6}, "gamma")]
         if learner == "bistro":
             cases += [({"playouts": 0}, "playout"), ({"mode": "oracle"}, "mode")]
         for kwargs, match in cases:
             with pytest.raises(ValueError, match=match):
                 LEARNERS[learner](pc, **kwargs)
+        # the horizon is the episode's, told by begin_episode
+        with pytest.raises(ValueError, match="horizon"):
+            LEARNERS[learner](pc).begin_episode(-1, np.random.SeedSequence(0),
+                                                pool=np.zeros(2, dtype=int))
 
     @pytest.mark.parametrize("learner", GUARDED)
     def test_episode_length_guards(self, learner):
         pc = PolicyClass(np.array([[0]]), 2)
-        strat = GUARDED[learner](pc, gamma=0.25, n=1)
-        with pytest.raises(ValueError, match="configured horizon"):
-            strat.begin_episode(2, np.random.SeedSequence(0), pool=np.zeros(2, dtype=int))
+        strat = GUARDED[learner](pc, gamma=0.25)
         strat.begin_episode(1, np.random.SeedSequence(0), pool=np.zeros(2, dtype=int))
         q = strat.choose(0)
         strat.update(0, q, 0, 1.0)
         with pytest.raises(ValueError, match="already complete"):
             strat.update(0, q, 0, 1.0)
 
+    @pytest.mark.parametrize("pool", [None, np.zeros(0, dtype=int)], ids=["none", "empty"])
+    def test_iid_pool_requires_a_pool(self, pool):
+        strat = make_strategy(PolicyClass(np.array([[0]]), 2))
+        with pytest.raises(ValueError, match="iid_pool mode requires a nonempty unlabeled pool"):
+            strat.begin_episode(3, np.random.SeedSequence(0), pool=pool)
+
     def test_transductive_requires_futures(self):
         pc = PolicyClass(np.array([[0]]), 2)
-        strat = make_strategy(pc, n=3, mode="transductive")
+        strat = make_strategy(pc, mode="transductive")
         with pytest.raises(ValueError):
             strat.begin_episode(3, np.random.SeedSequence(0), pool=np.zeros(3, dtype=int))
 
     @pytest.mark.parametrize("learner", GUARDED)
     def test_estimate_magnitude_guard(self, learner):
         pc = PolicyClass(np.array([[0]]), 2)
-        strat = GUARDED[learner](pc, gamma=0.25, n=1)
+        strat = GUARDED[learner](pc, gamma=0.25)
         strat.begin_episode(1, np.random.SeedSequence(0), pool=np.zeros(2, dtype=int))
         q = strat.choose(0)
         with pytest.raises(RuntimeError, match="1/gamma"):
@@ -334,7 +342,7 @@ class TestBistroRound:
         rng = np.random.default_rng(35)
         pc = PolicyClass(rng.integers(0, 2, (4, 3)), 2)
         n, m = 3, 4
-        strat = make_strategy(pc, gamma=0.25, n=n, playouts=m,
+        strat = make_strategy(pc, gamma=0.25, playouts=m,
                               oracle=RecordingOracle(ExactErmOracle(pc)))
         strat.begin_episode(n, np.random.SeedSequence(9), pool=np.arange(3))
         q = strat.choose(1)
@@ -353,7 +361,7 @@ class TestBistroRound:
             d, universe, n = trial % 4 + 1, 3, 16
             pc = PolicyClass(rng.integers(0, d, (6, universe)), d)
             oracle = BoxRelaxedOracle() if trial % 3 == 2 else ExactErmOracle(pc)
-            strat = make_strategy(pc, gamma=0.5 / d, n=n, oracle=oracle, playouts=playouts,
+            strat = make_strategy(pc, gamma=0.5 / d, oracle=oracle, playouts=playouts,
                                   mode="transductive" if trial % 2 else "iid_pool")
 
             def checked(x, q_star=strat._q_star):
@@ -383,7 +391,7 @@ class TestQueryMatrixInvariants:
         d, n, gamma, sign_scale = 2, 10, 0.2, 2.0
         pc = PolicyClass(rng.integers(0, d, (5, 4)), d)
         recorder = RecordingOracle(ExactErmOracle(pc))
-        strat = make_strategy(pc, gamma=gamma, n=n, oracle=recorder,
+        strat = make_strategy(pc, gamma=gamma, oracle=recorder,
                               playouts=playouts, mode=mode)
         env = Environment(np.ones(4) / 4, FixedTableCosts(rng.uniform(0, 1, (n, d))))
         tr = run_episode(strat, env, n, seed=7)
@@ -424,7 +432,7 @@ class TestQueryMatrixInvariants:
         rng = np.random.default_rng(36)
         d, universe, n, gamma = 2, 4, 12, 0.2
         pc = PolicyClass(rng.integers(0, d, (5, universe)), d)
-        strat = make_strategy(pc, gamma=gamma, n=n, playouts=playouts, mode=mode)
+        strat = make_strategy(pc, gamma=gamma, playouts=playouts, mode=mode)
         assert strat.folded
         strat.oracle = recorder = RecordingOracle(strat.oracle)
         env = Environment(np.ones(universe) / universe,
@@ -458,7 +466,7 @@ class TestQueryMatrixInvariants:
         pc = PolicyClass(rng.integers(0, 2, (5, 4)), 2)
         n = 8
         recorder = RecordingOracle(BoxRelaxedOracle())
-        strat = make_strategy(pc, gamma=0.2, n=n, oracle=recorder)
+        strat = make_strategy(pc, gamma=0.2, oracle=recorder)
         env = Environment(np.ones(4) / 4, FixedTableCosts(rng.uniform(0, 1, (n, 2))))
         tr = run_episode(strat, env, n, seed=13)
         for ctx, Y, value in recorder.queries:
@@ -508,8 +516,8 @@ class TestRegularizedVariant:
         n = 6
         env = Environment(np.ones(3) / 3, FixedTableCosts(rng.uniform(0, 1, (n, 2))))
         constraint = PairwiseDisagreement("uniform")
-        plain = make_strategy(pc, gamma=0.25, n=n)
-        reg = make_strategy(pc, gamma=0.25, n=n,
+        plain = make_strategy(pc, gamma=0.25)
+        reg = make_strategy(pc, gamma=0.25,
                             oracle=RegularizedErmOracle(pc, constraint, 0.0))
         tr_a = run_episode(plain, env, n, seed=21)
         tr_b = run_episode(reg, env, n, seed=21)
@@ -525,9 +533,9 @@ class TestRegularizedVariant:
         constants = PolicyClass(np.array([[0, 0], [1, 1]]), 2)
         n = 4
         env = Environment(np.ones(2) / 2, FixedTableCosts(rng.uniform(0, 1, (n, 2))))
-        reg = make_strategy(pc, gamma=0.25, n=n,
+        reg = make_strategy(pc, gamma=0.25,
                             oracle=RegularizedErmOracle(pc, PairwiseDisagreement("uniform"), 1e6))
-        plain_small = make_strategy(constants, gamma=0.25, n=n)
+        plain_small = make_strategy(constants, gamma=0.25)
         tr_a = run_episode(reg, env, n, seed=2)
         tr_b = run_episode(plain_small, env, n, seed=2)
         np.testing.assert_allclose(tr_a.distributions, tr_b.distributions, atol=1e-12)
@@ -546,7 +554,7 @@ class TestRegularizedVariant:
         for weights in ("uniform", W + W.T):
             constraint = PairwiseDisagreement(weights)
             recorder = RecordingOracle(RegularizedErmOracle(pc, constraint, lam / gamma))
-            run_episode(make_strategy(pc, gamma=gamma, n=n, oracle=recorder), env, n, seed=4)
+            run_episode(make_strategy(pc, gamma=gamma, oracle=recorder), env, n, seed=4)
             assert len(recorder.queries) == 2 * n
             penalised_wins = 0
             for ctx, Y, value in recorder.queries:
@@ -600,6 +608,11 @@ class PrivateEpsilonGreedy(Strategy):
 
 
 class TestEpsilonGreedy:
+    @pytest.mark.parametrize("epsilon", [0.0, -0.1, 1.5])
+    def test_refuses_epsilon_outside_the_unit_interval(self, epsilon):
+        with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\]"):
+            EpsilonGreedyStrategy(PolicyClass.all_labelings(2, 2), epsilon)
+
     @pytest.mark.parametrize("costs", ["fixed", "adaptive"])
     def test_plays_the_private_body_bit_for_bit(self, costs):
         # q = mix(one-hot, epsilon/d) is the private epsilon/d + (1 - epsilon)
@@ -613,7 +626,7 @@ class TestEpsilonGreedy:
                     process = (FixedTableCosts(rng.uniform(0, 1, (n, d))) if costs == "fixed"
                                else AdaptiveCosts(d))
                     env = Environment(np.full(universe, 1 / universe), process)
-                    learner = EpsilonGreedyStrategy(pc, n, epsilon)
+                    learner = EpsilonGreedyStrategy(pc, epsilon)
                     private = PrivateEpsilonGreedy(pc, epsilon)
                     tr = run_episode(learner, env, n, seed)
                     ref = run_episode(private, env, n, seed)
