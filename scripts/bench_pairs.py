@@ -8,7 +8,11 @@ directories. Each of the 10 pairs p runs ``perfbench/run.py --workload all
 pairs and the change first in even ones, and keeps the last line of standard output. The
 summary gives each end-to-end metric's median and quartiles per side, the
 pairs in which the change reads better by the metric's direction (from
-``BENCHMARK.json``), the tied pairs and the ratio of the medians.
+``BENCHMARK.json``), the tied pairs and the ratio of the medians, and the
+claim rule: the parent's quartile spread (q3 - q1), the difference of the
+medians signed so that a gain is positive, and whether a gain is shown (the
+change wins at least nine tenths of the pairs, ties counting for neither,
+and the medians differ by more than the parent's spread).
 """
 
 from __future__ import annotations
@@ -56,7 +60,8 @@ def run_once(tree: Path, seed: int) -> str:
 
 
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: each side's median and quartiles, and the pairwise wins."""
+    """Per metric: each side's median and quartiles, the pairwise wins, and
+    whether they show a gain."""
     values: dict[str, dict[str, dict[int, float]]] = {}
     for run in runs:
         for key, metric in json.loads(run["last_line"])["metrics"].items():
@@ -74,6 +79,12 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
         entry["change_better_pairs"] = sum(diff > 0 for diff in diffs)
         entry["tied_pairs"] = sum(diff == 0 for diff in diffs)
         entry["ratio_of_medians"] = entry["change"]["median"] / entry["parent"]["median"]
+        entry["parent_quartile_spread"] = entry["parent"]["q3"] - entry["parent"]["q1"]
+        entry["median_difference"] = sign * (entry["change"]["median"]
+                                             - entry["parent"]["median"])
+        entry["gain_shown"] = bool(10 * entry["change_better_pairs"] >= 9 * len(diffs)
+                                   and entry["median_difference"]
+                                   > entry["parent_quartile_spread"])
         summary[key] = entry
     return summary
 

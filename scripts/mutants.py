@@ -167,10 +167,14 @@ MUTANTS = [
            "int(SIGN_SCALE) * (2 * bits - 1) * np.where(np.arange(2**policy_class.d) == 1, -1, 1)",
            LAW + TRANSDUCTIVE_LAW),
     Mutant("one-playout-shortcut-at-every-count", STRAT,
-           "return q if self.playouts == 1 else q / self.playouts", "return q",
+           "return q if self.playouts == 1 else [v / self.playouts for v in q]", "return q",
            (f"{T_STRAT}::TestBistroRound::test_playout_average_is_the_running_sum_bit_for_bit[3]",
             f"{T_STRAT}::TestBistroRound::test_playout_average_is_mean_of_waterfills",
             DELTA_PLAYOUTS_GOLDEN)),
+    Mutant("playout-sum-in-place", STRAT,  # the first water-fill's list, which a spy still holds
+           "q = w if p == 0 else [a + b for a, b in zip(q, w)]",
+           "q = w if p == 0 else q.__setitem__(slice(None), [a + b for a, b in zip(q, w)]) or q",
+           (f"{T_STRAT}::TestBistroRound::test_playout_average_is_the_running_sum_bit_for_bit[3]",)),
     Mutant("playout-history-not-folded", STRAT,
            "self._Z[action, x] += inc", "pass",
            LAW[1:2] + FOLDED + FOLD_HISTORY
@@ -190,6 +194,10 @@ MUTANTS = [
            "self._L = np.zeros(self.policy_class.size)",
            'self._L = getattr(self, "_L", np.zeros(self.policy_class.size))',
            RUNNING_LOSSES + (f"{REUSE}[adaptive_adversary_adversarial_reduction]",)),
+    Mutant("reduction-relaxation-keeps-the-config-horizon", ADV,
+           "        self.relaxation.begin(n)", "        pass",
+           (f"{T_HARNESS}::TestLearnerReuse::"
+            "test_a_reduction_learner_plays_the_rate_of_its_episode[None]",)),
     Mutant("reduction-losses-not-extended", ADV,
            "self._L += inc * self.policy_class.onehot", "self._L += 0.0 * self.policy_class.onehot",
            REDUCTION_PLAY),
@@ -334,11 +342,36 @@ MUTANTS = [
            + RUNNING_TOTALS + ADAPTIVE_GOLDENS),
     # -- the round's q and action, shown to the cost process (runner.run_episode) --
     Mutant("observe-not-called", RUNNER,
-           "        process.observe(distributions[t], a)\n", "",
+           "        process.observe(q, a)\n", "",
            RUNNING_TOTALS + ADAPTIVE_GOLDENS + (OBSERVED,)),
     Mutant("observe-extends-the-previous-row", RUNNER,
-           "process.observe(distributions[t], a)", "process.observe(distributions[t - 1], a)",
+           "process.observe(q, a)", "process.observe(distributions[t - 1], a)",
            RUNNING_TOTALS + ADAPTIVE_GOLDENS + (OBSERVED,)),
+    Mutant("observe-handed-the-previous-q", RUNNER,  # round 0 is handed its own
+           "process.observe(q, a)",
+           'process.observe(getattr(process, "_last", q), a); process._last = q',
+           RUNNING_TOTALS + ADAPTIVE_GOLDENS + (OBSERVED,)),
+    # -- the round's q, read as a list (runner.draw_action, policies.float_entries) --
+    Mutant("draw-list-without-negative-check", RUNNER,
+           "if not all(map((0.0).__le__, p)):",
+           "if type(q) is not list and not all(map((0.0).__le__, p)):",
+           tuple(f"{T_HARNESS}::TestRunEpisode::test_action_draw_refuses_bad_distributions[q{i}]"
+                 for i in (0, 1))),
+    Mutant("list-refusals-not-read-as-arrays", POL,
+           "except (TypeError, ValueError, OverflowError):", "except OverflowError:",
+           (f"{T_HARNESS}::TestRunEpisode::test_action_draw_refuses_bad_distributions[q6]",
+            f"{T_POL}::TestMixWithUniform::test_rejects_points_off_the_simplex",
+            "tests/test_waterfill.py::TestWaterfillExamples::test_refuses_a_list_as_its_array")),
+    # -- the episode CSV (runner.episode_csv_lines) --
+    Mutant("csv-memo-keyed-by-value", RUNNER,
+           "np.unique(floats.view(np.int64).ravel(), return_inverse=True)",
+           "np.unique(floats.ravel(), return_inverse=True)",
+           (f"{T_HARNESS}::TestEpisodeCsv::test_signed_zeros_keep_their_signs",)),
+    Mutant("csv-cells-of-the-next-row", RUNNER,
+           "range(0, n * w, w))", "range(w, (n + 1) * w, w))",
+           tuple(f"{T_HARNESS}::TestEpisodeCsv::{name}" for name in (
+               "test_golden_cases_write_the_per_row_lines[fixed_adversarial_bistro]",
+               "test_magnitudes_and_the_empty_episode"))),
     # -- the policy table (policies.PolicyClass) --
     Mutant("caller-table-not-copied", POL,
            "self._adopt(np.array(table, dtype=np.int64), d)",
@@ -350,7 +383,7 @@ MUTANTS = [
            (f"{T_POL}::TestPolicyClass::test_all_labelings_builds_its_table_once",)),
     # -- the IPS estimate --
     Mutant("ips-wrong-propensity", POL,
-           "float(c_observed) / float(q[chosen])", "float(c_observed) / float(q[0])",
+           "p = float(q[chosen])", "p = float(q[0])",
            ("tests/test_policies.py::TestIpsEstimate::test_second_action",
             "tests/test_policies.py::TestIpsEstimate::test_unbiasedness",
             f"{T_STRAT}::TestBistroRound::test_estimate_magnitude_guard[bistro]",
@@ -383,7 +416,8 @@ MUTANTS = [
     Mutant("mixed-q-current-context-zero", ADM,
            "np.append(realized_ctx, x)", "np.append(realized_ctx, 0)", MIXED_Q),
     Mutant("mixed-q-uniform-weights", ADM,
-           "q_star += w * waterfill(row)", "q_star += waterfill(row) / len(weights)",
+           "q_star += w * np.asarray(waterfill(row))",
+           "q_star += np.asarray(waterfill(row)) / len(weights)",
            (*MIXED_Q, f"{RECORDED}[bistro d=3 n=3]")),
     Mutant("walk-lhs-priced-a-round-long", ADM,
            "price = relaxation(n - t)", "price = relaxation(n - t + 1)",

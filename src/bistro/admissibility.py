@@ -120,7 +120,7 @@ def _exact_mixed_q(oracle: ErmOracle, probs: np.ndarray, gamma: float, n: int,
     psi = playout_values(oracle, ctx, cols, fut_ctx, fut_signs)
     q_star = np.zeros(d)
     for w, row in zip(weights, psi):
-        q_star += w * waterfill(row)
+        q_star += w * np.asarray(waterfill(row))
     return mix_with_uniform(q_star, gamma)
 
 

@@ -36,16 +36,19 @@ class ExpWeightsRelaxation:
     def __init__(self, policy_class: PolicyClass, horizon: int, eta: float | None = None):
         if policy_class.size == 0:
             raise ValueError("exp-weights needs a nonempty policy class")
+        self.policy_class, self._eta = policy_class, eta
+        self.begin(horizon)
+
+    def begin(self, horizon: int) -> None:
+        """Set the horizon n, and with it the rate of an unset eta."""
         if horizon < 0:
             raise ValueError("horizon must be nonnegative")
-        if eta is None:
-            # |F| floored at 2 so singleton classes still get a positive rate.
-            eta = float(np.sqrt(2.0 * np.log(max(policy_class.size, 2)) / max(horizon, 1)))
+        eta = self._eta
+        if eta is None:  # |F| floored at 2 so singleton classes still get a positive rate
+            eta = float(np.sqrt(2.0 * np.log(max(self.policy_class.size, 2)) / max(horizon, 1)))
         if eta <= 0:
             raise ValueError("eta must be positive")
-        self.policy_class = policy_class
-        self.horizon = int(horizon)
-        self.eta = float(eta)
+        self.horizon, self.eta = int(horizon), float(eta)
 
     def _losses(self, costs, contexts) -> np.ndarray:
         """L_t(f) = sum_s costs[s, f(x_s)] for every policy, costs (t, d) on
@@ -96,6 +99,7 @@ class ReductionStrategy(RelaxationStrategy):
 
     def begin_episode(self, n: int, seed_seq, pool=None, known_futures=None) -> None:
         super().begin_episode(n, seed_seq)
+        self.relaxation.begin(n)  # the episode's horizon, and the rate of an unset eta
         self._L = np.zeros(self.policy_class.size)
 
     def _extend(self, x: int, action: int, est: float) -> None:

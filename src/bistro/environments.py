@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import CONFIG
-from .policies import in_unit_interval
+from .policies import float_entries, in_unit_interval
 
 
 def context_probs(probs) -> np.ndarray:
@@ -53,8 +53,9 @@ class CostProcess:
     def commit(self, t: int, x: int) -> np.ndarray:
         raise NotImplementedError
 
-    def observe(self, q: np.ndarray, action: int) -> None:
-        """Round t's q_t and drawn action, after the draw; the next commit is t + 1's."""
+    def observe(self, q, action: int) -> None:
+        """Round t's q_t, as the learner gave it (any vector of d floats), and
+        drawn action, after the draw; the next commit is t + 1's."""
 
 
 class FixedTableCosts(CostProcess):
@@ -114,7 +115,7 @@ class AdaptiveCosts(CostProcess):
 
     def observe(self, q, action):
         # Python floats: d entries are too few for NumPy's per-call cost
-        self._totals = [s + v for s, v in zip(self._totals, q.tolist())]
+        self._totals = [s + v for s, v in zip(self._totals, float_entries(q))]
 
 
 class Environment:

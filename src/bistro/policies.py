@@ -199,12 +199,22 @@ class PolicyClass:
         raise ValueError(f"unknown policy family {family!r}")
 
 
+def float_entries(q) -> list[float] | None:
+    """q's entries as Python floats (a list's by ``float``), or None if q is not a vector."""
+    if type(q) is list:
+        try:
+            return [float(v) for v in q]
+        except (TypeError, ValueError, OverflowError):
+            pass  # not a list of numbers: read as its array, refusals included
+    q = np.asarray(q, dtype=float)
+    return q.tolist() if q.ndim == 1 else None
+
+
 def check_distribution(q) -> list[float]:
     """The entries of ``q`` as floats, if q is a vector on the simplex."""
-    q = np.asarray(q, dtype=float)
-    if q.ndim != 1:
+    values = float_entries(q)
+    if values is None:
         raise ValueError("distribution must be a vector")
-    values = q.tolist()
     if not all(map((0.0).__le__, values)):
         raise ValueError("distribution has negative or NaN entries")
     if abs(sum(values) - 1.0) > SIMPLEX_TOL:
@@ -227,27 +237,27 @@ def check_cost_vector(c: np.ndarray) -> np.ndarray:
     return c
 
 
-def mix_with_uniform(q_star: np.ndarray, gamma: float) -> np.ndarray:
+def mix_with_uniform(q_star, gamma: float) -> list[float]:
     """Shift a simplex point away from the boundary: (1 - gamma*d)*q + gamma.
 
-    Every coordinate of the result is at least ``gamma``; requires
-    ``0 < gamma <= 1/d``. Computed per entry on Python floats, in the float
-    operations of the NumPy expression.
+    ``q_star`` is any vector of d floats; each entry of the list returned
+    is at least ``gamma``; requires ``0 < gamma <= 1/d``. Computed per entry,
+    in the float operations of the NumPy expression.
     """
     values = check_distribution(q_star)
     d = len(values)
     if not 0.0 < gamma <= 1.0 / d:
         raise ValueError(f"gamma must lie in (0, 1/d]; got {gamma} with d={d}")
     scale = 1.0 - gamma * d
-    return np.array([scale * v + gamma for v in values])
+    return [scale * v + gamma for v in values]
 
 
-def ips_estimate(c_observed: float, chosen: int, q: np.ndarray) -> float:
+def ips_estimate(c_observed: float, chosen: int, q) -> float:
     """Inverse-propensity estimate c_observed / q[chosen] of the chosen action's
-    cost; the estimate of every other action is exactly 0."""
-    q = np.asarray(q, dtype=float)
-    if not 0 <= chosen < q.size:
+    cost, q any vector of d floats; every other action's estimate is 0."""
+    if not 0 <= chosen < len(q):
         raise ValueError("chosen action out of range")
-    if q[chosen] <= 0.0:
+    p = float(q[chosen])
+    if p <= 0.0:
         raise ValueError("chosen action has zero probability; cannot reweight")
-    return float(c_observed) / float(q[chosen])
+    return float(c_observed) / p

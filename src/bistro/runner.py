@@ -34,7 +34,7 @@ from .erm import (
     benchmark,
     load_constraint,
 )
-from .policies import PolicyClass, check_cost_vector
+from .policies import PolicyClass, check_cost_vector, float_entries
 from .rademacher import RademacherEstimate, rademacher_estimate, tune_gamma
 from .strategies import (
     SIGN_SCALE,
@@ -92,15 +92,15 @@ class Transcript:
 
 
 def draw_action(rng: np.random.Generator, q, d: int) -> int:
-    """``int(rng.choice(d, p=q))``: the same action from the same one uniform,
-    with choice's refusals (q of another length than d, negative or NaN
-    entries, a sum off 1 by more than sqrt(eps)), at a fraction of its cost
-    per call. The uniform is looked up in the normalised CDF, as in
-    ``categorical_sampler``."""
-    q = np.asarray(q, dtype=float)
-    p = q.tolist() if q.ndim == 1 else []
-    if d < 1 or len(p) != d:
-        raise ValueError(f"a distribution over {d} actions needs {d} entries; got shape {q.shape}")
+    """``int(rng.choice(d, p=q))`` for any vector q of d floats: the same action
+    from the same one uniform, with choice's refusals (q of another length
+    than d, negative or NaN entries, a sum off 1 by more than sqrt(eps)), at
+    a fraction of its cost per call. The uniform is looked up in the
+    normalised CDF, as in ``categorical_sampler``."""
+    p = float_entries(q)
+    if d < 1 or p is None or len(p) != d:
+        raise ValueError(f"a distribution over {d} actions needs {d} entries; "
+                         f"got shape {np.shape(q)}")
     if not all(map((0.0).__le__, p)):
         raise ValueError("probabilities are negative or NaN")
     cdf = list(accumulate(p))
@@ -149,7 +149,7 @@ def run_episode(strategy: Strategy, env: Environment, n: int, seed) -> Transcrip
         actions[t] = a
         observed[t] = cost = float(c[a])
         costs[t] = c
-        process.observe(distributions[t], a)
+        process.observe(q, a)
         strategy.update(x, q, a, cost)
     return Transcript(
         contexts=xs,
@@ -341,22 +341,22 @@ def make_strategy(config: dict, policy_class: PolicyClass, gamma: float | None) 
 
 
 def episode_csv_lines(transcript: Transcript) -> list[str]:
-    """CSV rows: actions are 1-based in files, context ids stay 0-based."""
-    d = transcript.d
+    """CSV rows: actions are 1-based in files, context ids stay 0-based; each
+    distinct float, by bit pattern (0.0 and -0.0 differ), is formatted once."""
+    d, n = transcript.d, transcript.n
     header = (
         "round,context,action,"
         + ",".join(f"q_{j}" for j in range(1, d + 1))
         + ",observed_cost,expected_cost,cum_expected_cost"
     )
-    lines = [header]
-    # each column read once, as Python scalars
-    rows = zip(transcript.contexts.tolist(), transcript.actions.tolist(),
-               transcript.distributions.tolist(), transcript.observed_costs.tolist(),
-               transcript.expected_costs.tolist(), transcript.cumulative_expected.tolist())
-    for t, (x, a, q, observed, expected, cum) in enumerate(rows, 1):
-        qs = ",".join(map(repr, q))
-        lines.append(f"{t},{x},{a + 1},{qs},{observed!r},{expected!r},{cum!r}")
-    return lines
+    floats = np.column_stack([transcript.distributions, transcript.observed_costs,
+                              transcript.expected_costs, transcript.cumulative_expected])
+    bits, inverse = np.unique(floats.view(np.int64).ravel(), return_inverse=True)
+    cells = list(map([repr(v) for v in bits.view(float).tolist()].__getitem__, inverse.tolist()))
+    w = d + 3
+    rows = zip(range(1, n + 1), transcript.contexts.tolist(), transcript.actions.tolist(),
+               range(0, n * w, w))
+    return [header] + [f"{t},{x},{a + 1}," + ",".join(cells[i:i + w]) for t, x, a, i in rows]
 
 
 def write_episode_csv(path: str, transcript: Transcript) -> None:

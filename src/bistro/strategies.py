@@ -35,10 +35,11 @@ class Strategy:
     def begin_episode(self, n: int, seed_seq, pool=None, known_futures=None) -> None:
         """Start an episode of n rounds: the one place a learner learns its horizon."""
 
-    def choose(self, x: int) -> np.ndarray:
+    def choose(self, x: int) -> list[float]:
+        """q at context x: a list of d Python floats, or any vector ``draw_action`` reads."""
         raise NotImplementedError
 
-    def update(self, x: int, q: np.ndarray, action: int, observed_cost: float) -> None:
+    def update(self, x: int, q, action: int, observed_cost: float) -> None:
         pass
 
 
@@ -63,10 +64,10 @@ class RelaxationStrategy(Strategy):
             raise ValueError("horizon must be nonnegative")
         self.horizon, self._t = int(n), 0
 
-    def choose(self, x: int) -> np.ndarray:
+    def choose(self, x: int) -> list[float]:
         return mix_with_uniform(self._q_star(x), self.gamma)
 
-    def update(self, x: int, q: np.ndarray, action: int, observed_cost: float) -> None:
+    def update(self, x: int, q, action: int, observed_cost: float) -> None:
         est = ips_estimate(observed_cost, action, q)
         if est > 1.0 / self.gamma + 1e-9:
             raise RuntimeError("estimate exceeds 1/gamma; mixing invariant violated")
@@ -145,10 +146,10 @@ class BistroStrategy(RelaxationStrategy):
         if self.transductive and self._t + 1 < self.horizon:  # the next round leaves the future
             self._future[self._known[self._t + 1]] -= 1
 
-    def _q_star(self, x: int) -> np.ndarray:
+    def _q_star(self, x: int) -> list[float]:
         d, t = self.policy_class.d, self._t
         k = self.horizon - t - 1
-        psi = np.empty(d)
+        psi = [0.0] * d
         for p in range(self.playouts):
             counts = self._count_rng.multinomial(self._future if self.transductive else k,
                                                  self._probs).reshape(-1, 2**d)
@@ -170,8 +171,8 @@ class BistroStrategy(RelaxationStrategy):
                 psi[j] = self.oracle(ctx, Y)
                 column[j] = y
             w = waterfill(psi)
-            q = w if p == 0 else q + w  # 0.0 + w is w: w's entries are +0.0 or positive
-        return q if self.playouts == 1 else q / self.playouts
+            q = w if p == 0 else [a + b for a, b in zip(q, w)]  # 0.0 + w is w: w >= +0.0
+        return q if self.playouts == 1 else [v / self.playouts for v in q]
 
 
 class UniformStrategy(Strategy):
@@ -180,8 +181,8 @@ class UniformStrategy(Strategy):
     def __init__(self, d: int):
         self.d = d
 
-    def choose(self, x: int) -> np.ndarray:
-        return np.full(self.d, 1.0 / self.d)
+    def choose(self, x: int) -> list[float]:
+        return [1.0 / self.d] * self.d
 
 
 class EpsilonGreedyStrategy(RelaxationStrategy):
@@ -201,7 +202,7 @@ class EpsilonGreedyStrategy(RelaxationStrategy):
     def _extend(self, x: int, action: int, est: float) -> None:
         self._L[self.policy_class.table[:, x] == action] += est
 
-    def _q_star(self, x: int) -> np.ndarray:
-        q = np.zeros(self.policy_class.d)
+    def _q_star(self, x: int) -> list[float]:
+        q = [0.0] * self.policy_class.d
         q[self.policy_class.table[int(np.argmin(self._L)), x]] = 1.0  # the first leader's action
         return q

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from math import isfinite
 
-import numpy as np
+from .policies import float_entries
 
 
-def waterfill(psi) -> np.ndarray:
-    """Return a distribution q minimizing max_j (q_j - psi_j).
+def waterfill(psi) -> list[float]:
+    """The list of floats q minimizing max_j (q_j - psi_j), psi any vector of d floats.
 
     Equal psi entries receive equal mass; the output is invariant to adding
     a constant to psi and equivariant under permutations.
@@ -26,8 +26,7 @@ def waterfill(psi) -> np.ndarray:
     ``maximum``; ``tests/test_waterfill.py`` keeps that NumPy body as the
     reference for the bits.
     """
-    psi = np.asarray(psi, dtype=float)
-    values = psi.tolist() if psi.ndim == 1 else []
+    values = float_entries(psi)
     if not values or not all(map(isfinite, values)):
         raise ValueError("psi must be a nonempty finite vector")
     # Shifting by the max keeps the prefix sums and the level near 1 at any
@@ -42,4 +41,4 @@ def waterfill(psi) -> np.ndarray:
         v = (1.0 - acc) / k
         if u + v > 0:
             level = v
-    return np.array([max(p + level, 0.0) for p in values])
+    return [max(p + level, 0.0) for p in values]

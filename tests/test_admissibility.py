@@ -110,7 +110,8 @@ class TestBistroChecker:
                     psi = np.array([
                         sequence_values(pc, ctx, np.hstack([past.T, np.eye(d)[:, [j]], future]))
                         .min() for j in range(d)])
-                    expected += np.prod(probs[list(combo)]) / 2 ** (d * m) * waterfill(psi)
+                    expected += (np.prod(probs[list(combo)]) / 2 ** (d * m)
+                                 * np.asarray(waterfill(psi)))
             got = _exact_mixed_q(ExactErmOracle(pc), probs, gamma, n, realized, past, x)
             np.testing.assert_allclose(got, mix_with_uniform(expected, gamma), rtol=0, atol=1e-12)
 
@@ -254,7 +255,7 @@ def mean_play(strategy, x: int, totals, cells: int) -> np.ndarray:
         for order in orders:
             draws = ScriptedDraws(atom, order)
             strategy._count_rng = strategy._order_rng = draws
-            q = strategy.choose(x)
+            q = np.asarray(strategy.choose(x))
             (n, pvals), = draws.args
             assert np.array_equal(n, totals if np.ndim(n) else k)
             mean += math.prod(multinomial_pmf(row, pvals) for row in atom) / len(orders) * q

@@ -33,3 +33,31 @@ def test_summary_counts_wins_by_each_metrics_direction():
     assert rate["ratio_of_medians"] == pytest.approx(12 / 11)
     assert (ms["change_better_pairs"], ms["tied_pairs"]) == (1, 1)
 
+
+
+def test_gain_shown_needs_nine_tenths_of_the_pairs_and_a_difference_beyond_the_spread():
+    # ten pairs: a metric that wins nine by more than the parent's spread shows
+    # a gain; eight wins, a tie counting for neither, or a lower-is-better
+    # metric whose medians differ by less than the spread, show none
+    better = {"rounds_per_s": "higher", "round_ms.p50": "lower"}
+    rates = [100.0, 102.0, 104.0, 106.0, 108.0, 110.0, 112.0, 114.0, 116.0, 118.0]
+
+    def runs(gains, ms_gains):
+        return [r for p, (rate, gain, ms_gain) in enumerate(zip(rates, gains, ms_gains), 1)
+                for r in (run(p, "parent", rate, 2.0 + p / 10),
+                          run(p, "change", rate + gain, 2.0 + p / 10 - ms_gain))]
+
+    summary = load_script().summarize(runs([12.0] * 9 + [-1.0], [0.1] * 10), better)
+    rate, ms = summary["w/rounds_per_s"], summary["w/round_ms.p50"]
+    assert rate["parent_quartile_spread"] == pytest.approx(9.0)  # 113.5 - 104.5
+    assert rate["change"]["median"] == 119.0
+    assert rate["median_difference"] == pytest.approx(10.0)  # 119 - 109
+    assert rate["gain_shown"] is True
+    # the lower-is-better difference is signed so that a gain is positive
+    assert ms["median_difference"] == pytest.approx(0.1)
+    assert ms["parent_quartile_spread"] == pytest.approx(0.45)
+    assert (ms["change_better_pairs"], ms["gain_shown"]) == (10, False)
+    for gains in ([12.0] * 8 + [-1.0, -1.0], [12.0] * 8 + [0.0, -1.0]):
+        rate = load_script().summarize(runs(gains, [0.1] * 10), better)["w/rounds_per_s"]
+        assert rate["change_better_pairs"] == 8
+        assert rate["gain_shown"] is False

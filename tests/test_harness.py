@@ -29,6 +29,7 @@ from bistro.runner import (
 )
 from bistro.strategies import Strategy, UniformStrategy
 from test_golden import CASES as GOLDEN_CASES
+from test_policies import refusal
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -88,7 +89,7 @@ class TestRunEpisode:
                 return np.array([0.0, 1.0]) if t % 2 else np.array([1.0, 0.0])
 
             def observe(self, q, action):
-                calls.append(("observe", q.tolist(), action))
+                calls.append(("observe", list(q), action))
 
         n = 5
         strategy = make_strategy(small_config(n=n), PolicyClass.all_labelings(2, 2), 0.25)
@@ -200,13 +201,18 @@ class TestRunEpisode:
     @pytest.mark.parametrize("q", [[-0.1, 1.1], [np.nan, 1.0], [0.5, 0.6], [0.5, 0.5 + 1e-6],
                                    [1.0], [0.2, 0.3, 0.5], [[0.5, 0.5]]])
     def test_action_draw_refuses_bad_distributions(self, q):
-        class FixedQ(UniformStrategy):
-            def choose(self, x):
-                return np.array(q)
+        # a learner's list is refused as its array is, with the same type and message
+        def play(form):
+            class FixedQ(UniformStrategy):
+                def choose(self, x):
+                    return form(q)
 
-        env = Environment(np.ones(2) / 2, FixedTableCosts(np.full((2, 2), 0.5)))
-        with pytest.raises(ValueError):
+            env = Environment(np.ones(2) / 2, FixedTableCosts(np.full((2, 2), 0.5)))
             run_episode(FixedQ(2), env, 2, seed=0)
+
+        with pytest.raises(ValueError):
+            play(np.array)
+        assert refusal(play, list) == refusal(play, np.array)
 
 
 class TestRegret:
@@ -547,6 +553,76 @@ class TestSuite:
                         "invalid": "raise"}
 
 
+def per_row_episode_csv_lines(transcript: Transcript) -> list[str]:
+    """The per-row body ``episode_csv_lines`` had before it formatted each
+    distinct float once; the reference for its lines."""
+    d = transcript.d
+    header = (
+        "round,context,action,"
+        + ",".join(f"q_{j}" for j in range(1, d + 1))
+        + ",observed_cost,expected_cost,cum_expected_cost"
+    )
+    lines = [header]
+    rows = zip(transcript.contexts.tolist(), transcript.actions.tolist(),
+               transcript.distributions.tolist(), transcript.observed_costs.tolist(),
+               transcript.expected_costs.tolist(), transcript.cumulative_expected.tolist())
+    for t, (x, a, q, observed, expected, cum) in enumerate(rows, 1):
+        qs = ",".join(map(repr, q))
+        lines.append(f"{t},{x},{a + 1},{qs},{observed!r},{expected!r},{cum!r}")
+    return lines
+
+
+class TestEpisodeCsv:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_golden_cases_write_the_per_row_lines(self, name):
+        path, overrides = GOLDEN_CASES[name]
+        config = {**load_config(os.path.join(CONFIG_DIR, path)), **overrides}
+        pc = build_policy_class(config)
+        env = runner.build_environment(config, pc)
+        gamma = runner.resolve_strategy_params(config, pc, env)["gamma"]
+        tr = run_episode(make_strategy(config, pc, gamma), env, config["n"], seed=2)
+        assert episode_csv_lines(tr) == per_row_episode_csv_lines(tr)
+
+    def test_signed_zeros_keep_their_signs(self):
+        # in_unit_interval accepts -0.0 and repr prints it as -0.0: cells
+        # formatted once per value, not per bit pattern, would merge the zeros
+        values = np.array([[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [0.0, 0.0]] * 4)
+        env = Environment(np.ones(2) / 2, FixedTableCosts(values))
+        tr = run_episode(UniformStrategy(2), env, len(values), seed=6)
+        lines = episode_csv_lines(tr)
+        assert lines == per_row_episode_csv_lines(tr)
+        assert {line.split(",")[-3] for line in lines[1:]} == {"0.0", "-0.0"}
+
+    def test_repeated_q_rows(self):
+        # uniform play repeats one row; epsilon-greedy repeats a few
+        env = Environment(np.ones(2) / 2, FixedTableCosts(np.tile([0.25, 0.75], (64, 1))))
+        uniform = run_episode(UniformStrategy(2), env, 64, seed=7)
+        greedy = run_episode(make_strategy(small_config(algorithm="egreedy"),
+                                           PolicyClass.all_labelings(2, 2), None), env, 64, seed=7)
+        for tr, rows in ((uniform, 1), (greedy, 2)):
+            assert len(set(map(tuple, tr.distributions.tolist()))) == rows
+            assert episode_csv_lines(tr) == per_row_episode_csv_lines(tr)
+
+    def test_magnitudes_and_the_empty_episode(self):
+        # repr's exponent forms (1e-05, 1e+16) and subnormals, shared across
+        # columns; an empty episode writes its header alone
+        rng = np.random.default_rng(8)
+        special = np.array([1e-5, 1e16, 5e-324, 2.2250738585072014e-309, 0.1, 1.0 - 2**-53])
+        n, d = 40, 3
+        costs = rng.choice(special, (n, d))
+        actions = rng.integers(0, d, n)
+        tr = Transcript(contexts=rng.integers(0, 4, n), distributions=rng.choice(special, (n, d)),
+                        actions=actions, observed_costs=costs[np.arange(n), actions],
+                        cost_vectors=costs)
+        lines = episode_csv_lines(tr)
+        assert lines == per_row_episode_csv_lines(tr)
+        assert all(any(repr(v) in line.split(",") for line in lines) for v in special.tolist())
+        empty = run_episode(UniformStrategy(2), Environment(np.ones(2) / 2, FixedTableCosts(
+            np.empty((0, 2)))), 0, seed=0)
+        assert episode_csv_lines(empty) == per_row_episode_csv_lines(empty)
+        assert len(episode_csv_lines(empty)) == 1
+
+
 class TestLearnerReuse:
     @pytest.mark.parametrize("name", sorted(REUSE_CASES))
     def test_one_learner_plays_every_episode_as_a_fresh_one(self, name):
@@ -572,6 +648,28 @@ class TestLearnerReuse:
             assert got.actions.tobytes() == want.actions.tobytes(), (length, seed)
             fresh_calls += fresh.oracle_calls
         assert learner.oracle_calls == fresh_calls
+
+
+    @pytest.mark.parametrize("eta", [None, 0.3])
+    def test_a_reduction_learner_plays_the_rate_of_its_episode(self, eta):
+        # begin_episode hands the relaxation the episode's horizon: an unset
+        # eta becomes the default rate of n // 2, a configured one stays, and
+        # the reused learner's n // 2 episode is that of a fresh learner
+        # configured with n // 2
+        config = {**load_config(os.path.join(CONFIG_DIR, "adaptive_adversary.json")),
+                  "algorithm": "adversarial_reduction", **({} if eta is None else {"eta": eta})}
+        pc = build_policy_class(config)
+        env = runner.build_environment(config, pc)
+        gamma = runner.resolve_strategy_params(config, pc, env)["gamma"]
+        n = config["n"]
+        learner = make_strategy(config, pc, gamma)
+        run_episode(learner, env, n, seed=3)
+        got = run_episode(learner, env, n // 2, seed=5)
+        fresh = make_strategy({**config, "n": n // 2}, pc, gamma)
+        want = run_episode(fresh, runner.build_environment(config, pc), n // 2, seed=5)
+        assert learner.relaxation.eta == fresh.relaxation.eta == (eta or fresh.relaxation.eta)
+        assert got.distributions.tobytes() == want.distributions.tobytes()
+        assert got.actions.tobytes() == want.actions.tobytes()
 
 
 class TestGrowthInN:

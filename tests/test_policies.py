@@ -14,6 +14,13 @@ from bistro.policies import (
 from bistro.verify import bruteforce_erm, policy_to_matrix, sequence_values
 
 
+def refusal(fn, *args):
+    """The type and message of the exception ``fn(*args)`` raises."""
+    with pytest.raises(Exception) as err:
+        fn(*args)
+    return type(err.value), str(err.value)
+
+
 def dyadic(rng, shape):
     """Entries k / 2^20 in [-2, 2]: float sums of them are exact in any order."""
     return rng.integers(-2 << 20, (2 << 20) + 1, size=shape) / (1 << 20)
@@ -104,15 +111,22 @@ class TestMixWithUniform:
         np.testing.assert_allclose(q, [0.45, 0.45, 0.1], atol=1e-15)
 
     def test_gamma_out_of_range(self):
+        # a list is refused as its array is, with the same type and message
         for gamma in (0.0, -0.1, 0.51):
             with pytest.raises(ValueError):
                 mix_with_uniform(np.array([1.0, 0.0]), gamma)
+            assert (refusal(mix_with_uniform, [1.0, 0.0], gamma)
+                    == refusal(mix_with_uniform, np.array([1.0, 0.0]), gamma))
 
     def test_rejects_points_off_the_simplex(self):
+        # check_distribution's refusals, of an array and of its list alike
         for q_star, match in (([[0.5, 0.5]], "vector"), ([1.5, -0.5], "negative"),
-                              ([0.5, 0.5 + 1e-9], "sums to")):
+                              ([0.5, 0.5 + 1e-9], "sums to"), ([np.nan, 1.0], "NaN"),
+                              ([[0.5], [0.5]], "vector")):
             with pytest.raises(ValueError, match=match):
                 mix_with_uniform(np.array(q_star), 0.1)
+            assert (refusal(mix_with_uniform, q_star, 0.1)
+                    == refusal(mix_with_uniform, np.array(q_star), 0.1))
 
     def test_floor_and_normalization(self):
         rng = np.random.default_rng(2)
@@ -120,7 +134,7 @@ class TestMixWithUniform:
             d = int(rng.integers(2, 9))
             q_star = rng.dirichlet(np.ones(d))
             gamma = rng.uniform(1e-6, 1.0 / d)
-            q = mix_with_uniform(q_star, gamma)
+            q = np.asarray(mix_with_uniform(q_star, gamma))
             assert q.min() >= gamma - 1e-15
             assert abs(q.sum() - 1.0) <= 1e-12
 
@@ -140,11 +154,15 @@ class TestIpsEstimate:
     def test_zero_probability_guard(self):
         with pytest.raises(ValueError, match="zero probability"):
             ips_estimate(0.5, 0, np.array([0.0, 1.0]))
+        assert refusal(ips_estimate, 0.5, 0, [0.0, 1.0]) == refusal(
+            ips_estimate, 0.5, 0, np.array([0.0, 1.0]))
 
     @pytest.mark.parametrize("chosen", [-1, 2])
     def test_out_of_range_guard(self, chosen):
         with pytest.raises(ValueError, match="out of range"):
             ips_estimate(0.5, chosen, np.array([0.5, 0.5]))
+        assert refusal(ips_estimate, 0.5, chosen, [0.5, 0.5]) == refusal(
+            ips_estimate, 0.5, chosen, np.array([0.5, 0.5]))
 
     def test_unbiasedness(self):
         rng = np.random.default_rng(3)

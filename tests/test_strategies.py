@@ -369,9 +369,9 @@ class TestBistroRound:
                 q = q_star(x)
                 total = 0.0
                 for w in spied:
-                    total = total + w
+                    total = total + np.asarray(w)
                 assert len(spied) == playouts
-                assert q.tobytes() == (total / playouts).tobytes(), (trial, x)
+                assert np.asarray(q).tobytes() == (total / playouts).tobytes(), (trial, x)
                 return q
 
             strat._q_star = checked

@@ -3,6 +3,7 @@ import pytest
 
 from bistro.verify import grid_minimax, minimax_value, waterfill_oracle
 from bistro.waterfill import waterfill
+from test_policies import refusal
 
 
 class TestWaterfillExamples:
@@ -24,6 +25,14 @@ class TestWaterfillExamples:
             waterfill(np.array([1.0, np.inf]))
         with pytest.raises(ValueError):
             waterfill(np.array([np.nan]))
+
+    def test_refuses_a_list_as_its_array(self):
+        # the empty, non-vector and non-finite refusals, with the same type
+        # and message for a list as for its array
+        for psi in ([], [[1.0, 2.0]], [[1.0], [2.0]], [1.0, np.inf], [np.nan], [-np.inf, 0.0]):
+            with pytest.raises(ValueError, match="nonempty finite vector"):
+                waterfill(np.array(psi))
+            assert refusal(waterfill, psi) == refusal(waterfill, np.array(psi))
 
 
 class TestOracleAgreement:
@@ -53,7 +62,7 @@ class TestWaterfillProperties:
         rng = np.random.default_rng(13)
         for _ in range(300):
             d = int(rng.integers(1, 17))
-            q = waterfill(rng.uniform(-32, 32, size=d))
+            q = np.asarray(waterfill(rng.uniform(-32, 32, size=d)))
             assert (q >= 0).all()
             assert abs(q.sum() - 1.0) <= 1e-12
 
@@ -72,7 +81,7 @@ class TestWaterfillProperties:
             d = int(rng.integers(2, 10))
             psi = rng.uniform(-5, 5, size=d)
             perm = rng.permutation(d)
-            np.testing.assert_array_equal(waterfill(psi[perm]), waterfill(psi)[perm])
+            np.testing.assert_array_equal(waterfill(psi[perm]), np.asarray(waterfill(psi))[perm])
 
     def test_on_simplex_at_any_scale(self):
         # psi of the size the pairwise penalty reaches (|psi| ~ 600 in
@@ -84,7 +93,7 @@ class TestWaterfillProperties:
                 for _ in range(10):
                     u = rng.uniform(-1, 1, size=d)
                     psi = offset + u
-                    q = waterfill(psi)
+                    q = np.asarray(waterfill(psi))
                     assert abs(q.sum() - 1.0) <= 1e-12, (offset, d)
                     np.testing.assert_allclose(q, waterfill_oracle(psi - offset), rtol=0,
                                                atol=1e-9)
@@ -142,4 +151,4 @@ class TestWaterfillBits:
                         psi = scale * rng.uniform(-1, 1, size=d)
                     if trial % 3 == 0:
                         psi[rng.integers(0, d)] = psi[0]
-                    assert waterfill(psi).tobytes() == numpy_waterfill(psi).tobytes(), psi
+                    assert np.asarray(waterfill(psi)).tobytes() == numpy_waterfill(psi).tobytes(), psi
