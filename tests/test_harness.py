@@ -667,7 +667,8 @@ class TestLearnerReuse:
         got = run_episode(learner, env, n // 2, seed=5)
         fresh = make_strategy({**config, "n": n // 2}, pc, gamma)
         want = run_episode(fresh, runner.build_environment(config, pc), n // 2, seed=5)
-        assert learner.relaxation.eta == fresh.relaxation.eta == (eta or fresh.relaxation.eta)
+        assert learner.relaxation.eta == fresh.relaxation.eta
+        assert eta is None or learner.relaxation.eta == eta
         assert got.distributions.tobytes() == want.distributions.tobytes()
         assert got.actions.tobytes() == want.actions.tobytes()
 
