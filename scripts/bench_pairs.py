@@ -12,7 +12,12 @@ pairs in which the change reads better by the metric's direction (from
 claim rule: the parent's quartile spread (q3 - q1), the difference of the
 medians signed so that a gain is positive, and whether a gain is shown (the
 change wins at least nine tenths of the pairs, ties counting for neither,
-and the medians differ by more than the parent's spread).
+and the medians differ by more than the parent's spread). It also gives the
+no-regression rule: the metric's ``bound`` from ``BENCHMARK.json``,
+``worse_by`` (the relative change of the medians, signed so that worse is
+positive), ``within_bound`` (``worse_by`` <= ``bound``), and ``unresolved``
+(the parent's spread over its median exceeds the bound, and not every
+change run beats every parent run, so the runs spread too widely to tell).
 """
 
 from __future__ import annotations
@@ -59,9 +64,11 @@ def run_once(tree: Path, seed: int) -> str:
     return lines[-1]
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+def summarize(runs: list[dict], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict:
     """Per metric: each side's median and quartiles, the pairwise wins, and
-    whether they show a gain."""
+    whether they show a gain; and, for a metric with a bound in ``bounds``,
+    whether it stays within it."""
     values: dict[str, dict[str, dict[int, float]]] = {}
     for run in runs:
         for key, metric in json.loads(run["last_line"])["metrics"].items():
@@ -70,7 +77,8 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     summary = {}
     for key in sorted(values):
         parent, change = values[key]["parent"], values[key]["change"]
-        sign = 1.0 if better[key.split("/", 1)[1]] == "higher" else -1.0
+        name = key.split("/", 1)[1]
+        sign = 1.0 if better[name] == "higher" else -1.0
         diffs = [sign * (change[p] - parent[p]) for p in sorted(parent)]
         entry = {}
         for side, vals in (("parent", parent), ("change", change)):
@@ -85,6 +93,15 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
         entry["gain_shown"] = bool(10 * entry["change_better_pairs"] >= 9 * len(diffs)
                                    and entry["median_difference"]
                                    > entry["parent_quartile_spread"])
+        if bounds and name in bounds:
+            base, bound = abs(entry["parent"]["median"]), bounds[name]
+            entry["bound"] = bound
+            entry["worse_by"] = -entry["median_difference"] / base
+            entry["within_bound"] = bool(entry["worse_by"] <= bound)
+            beats_every_parent_run = (min(sign * v for v in change.values())
+                                      > max(sign * v for v in parent.values()))
+            entry["unresolved"] = bool(entry["parent_quartile_spread"] > bound * base
+                                       and not beats_every_parent_run)
         summary[key] = entry
     return summary
 
@@ -98,8 +115,9 @@ def main(argv=None) -> int:
                         help="pair p runs with seed <seed-base> + p")
     args = parser.parse_args(argv)
     shas = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
-    better = {m["name"]: m["better"]
-              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    better = {m["name"]: m["better"] for m in end_to_end}
+    bounds = {m["name"]: m["bound"] for m in end_to_end}
 
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -128,7 +146,7 @@ def main(argv=None) -> int:
         "numpy": np.__version__,
         "nproc": len(os.sched_getaffinity(0)),
         "runs": runs,
-        "summary": summarize(runs, better),
+        "summary": summarize(runs, better, bounds),
         **totals,
         "runs_note": "last_line is the verbatim last line of standard output of each run; "
                      "change_better_pairs counts the pairs in which the change reads better "

@@ -201,12 +201,15 @@ MUTANTS = [
     Mutant("reduction-losses-not-extended", ADV,
            "self._L += inc * self.policy_class.onehot", "self._L += 0.0 * self.policy_class.onehot",
            REDUCTION_PLAY),
-    Mutant("losses-summed-in-reverse", ADV,
-           "zip(costs, ids.tolist())", "zip(costs[::-1], ids.tolist()[::-1])",
-           REDUCTION_FOLD + RUNNING_LOSSES),
-    Mutant("losses-accept-non-finite-costs", ADV,
-           "if not np.isfinite(costs).all():", "if False:",
-           ("tests/test_adversarial.py::TestExpWeightsValue::test_losses_reject_bad_history",)),
+    # -- exp-weights prices a history through the class's fold (ExpWeightsRelaxation.value) --
+    Mutant("value-prices-the-costs-untransposed", ADV,
+           "np.asarray(costs, dtype=float).T)", "np.asarray(costs, dtype=float))",
+           (f"{RECORDED}[reduction d=3 n=3]", f"{RECORDED}[reduction p(x)=0]",
+            "tests/test_adversarial.py::TestExpWeightsValue::"
+            "test_folded_losses_match_sequence_losses")),
+    Mutant("reduction-walk-q-untransposed", ADM,
+           "policy_class.values(ctx, cols.T)", "policy_class.values(ctx, cols)",
+           (f"{RECORDED}[reduction d=3 n=3]", f"{RECORDED}[reduction p(x)=0]")),
     # -- epsilon-greedy, the learner at gamma = epsilon/d (strategies.EpsilonGreedyStrategy) --
     Mutant("egreedy-leader-argmax", STRAT,
            "np.argmin(self._L)", "np.argmax(self._L)", EGREEDY),
@@ -690,10 +693,10 @@ MUTANTS = [
            "weights is not None and False",
            on_commands("weights-shape")),
     Mutant("config-table-width-unchecked", RUNNER,
-           "(costs.d != d or len(costs.values) < n)", "(len(costs.values) < n)",
+           "if costs.d != d or len(costs.values) < n:", "if len(costs.values) < n:",
            on_commands("table-wide")),
     Mutant("config-table-length-unchecked", RUNNER,
-           "(costs.d != d or len(costs.values) < n)", "(costs.d != d)",
+           "if costs.d != d or len(costs.values) < n:", "if costs.d != d:",
            on_commands("table-short") + (f"{T_HARNESS}::TestSuite::test_failure_identifies_seed",)),
     Mutant("config-means-shape-unchecked", RUNNER,
            "costs.means.shape != (probs.size, d)", "False",

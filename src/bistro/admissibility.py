@@ -279,7 +279,8 @@ def check_reduction_admissibility(
     rel = ExpWeightsRelaxation(policy_class, n, eta=eta)
     return _walk(
         policy_class, probs, n, gamma, seed, initial_checks,
-        lambda ctx, cols, x: mix_with_uniform(rel.strategy(rel._losses(cols, ctx), x), gamma),
+        lambda ctx, cols, x: mix_with_uniform(
+            rel.strategy(policy_class.values(ctx, cols.T), x), gamma),
         lambda m: lambda ctx, cols: rel.value(cols, ctx) / gamma + m * d * gamma,
         lambda cols, ctx: np.array([rel.value(gamma * c, x) for c, x in zip(cols, ctx)]) / gamma,
     )

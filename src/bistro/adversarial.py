@@ -28,9 +28,10 @@ class ExpWeightsRelaxation:
     """Exponential-weights potential for a finite policy class.
 
     value(c_1..c_t) = (1/eta) log sum_f exp(-eta L_t(f)) + (n - t) eta / 2,
-    with L_t(f) the policy's cumulative cost on the realized contexts. The
-    eta/2 slack per remaining round makes the potential admissible for costs
-    in [0, 1]; eta defaults to sqrt(2 log |F| / n).
+    with L_t(f) the policy's cumulative cost on the realized contexts, from
+    ``PolicyClass.values``, whose checks refuse a bad history. The eta/2 slack
+    per remaining round makes the potential admissible for costs in [0, 1];
+    eta defaults to sqrt(2 log |F| / n).
     """
 
     def __init__(self, policy_class: PolicyClass, horizon: int, eta: float | None = None):
@@ -50,32 +51,16 @@ class ExpWeightsRelaxation:
             raise ValueError("eta must be positive")
         self.horizon, self.eta = int(horizon), float(eta)
 
-    def _losses(self, costs, contexts) -> np.ndarray:
-        """L_t(f) = sum_s costs[s, f(x_s)] for every policy, costs (t, d) on
-        contexts (t,), summed in round order with one addition per round: the
-        additions ``ReductionStrategy`` makes to its running losses."""
-        costs = np.asarray(costs, dtype=float)
-        ids = self.policy_class._checked_ids(contexts)
-        if costs.shape != (ids.size, self.policy_class.d):
-            raise ValueError(f"history lengths disagree: costs {costs.shape} on {ids.shape} "
-                             f"contexts with d={self.policy_class.d}")
-        if not np.isfinite(costs).all():
-            raise ValueError("history costs must be finite")
-        losses = np.zeros(self.policy_class.size)
-        for c, x in zip(costs, ids.tolist()):
-            losses += c[self.policy_class.table[:, x]]
-        return losses
-
     def value(self, costs, contexts) -> float:
         t = len(costs)
         if t > self.horizon:
             raise ValueError("history longer than the horizon")
-        L = self._losses(costs, contexts)
+        L = self.policy_class.values(contexts, np.asarray(costs, dtype=float).T)
         return _logsumexp(-self.eta * L) / self.eta + (self.horizon - t) * self.eta / 2.0
 
     def strategy(self, losses: np.ndarray, x: int) -> np.ndarray:
         """q(j) proportional to the posterior mass of policies playing j at x,
-        given each policy's cumulative loss (``_losses`` of the history)."""
+        given each policy's cumulative loss L_t(f) on the history."""
         w = np.exp(-self.eta * (losses - losses.min()))
         w /= w.sum()
         return np.bincount(self.policy_class.table[:, x], weights=w,
@@ -106,7 +91,7 @@ class ReductionStrategy(RelaxationStrategy):
         inc = self.gamma * est  # gamma * c~_t
         # the one-hot's column (action, x) is 1.0 on the policies that play the
         # action at x, and inc * 0.0 adds exactly 0.0 to the others: _L stays
-        # _losses of the history, bit for bit
+        # the history's losses summed in round order, bit for bit
         self._L += inc * self.policy_class.onehot[:, action * self._universe.size + x]
 
     def _q_star(self, x: int) -> np.ndarray:

@@ -5,7 +5,7 @@ of ``d`` actions, and a policy class is stored as an (|F|, |X|) action
 table: a policy is a row of it. Every policy's linear cost on a realized
 context sequence comes from ``PolicyClass.values``, which folds the cost
 matrix by context and prices all policies with one matrix product; only
-exp-weights sums its losses round by round (``adversarial``).
+the learners' running losses are summed round by round, as they play.
 
 Actions are 0-based everywhere in code; file formats and display use
 1-based action indices, converted only at I/O boundaries.

@@ -200,21 +200,6 @@ def build_policy_class(config: dict) -> PolicyClass:
     return pc
 
 
-def build_cost_process(config: dict):
-    doc = config["cost_process"]
-    kind = doc.get("type")
-    if kind == "fixed_table":  # a table in a file or inline, never both
-        if "path" in doc:
-            return FixedTableCosts(read("cost_process key 'path'", doc["path"],
-                                        lambda f: np.loadtxt(f, delimiter=",")))
-        return FixedTableCosts(np.asarray(doc["values"], float))
-    if kind == "iid_bernoulli":
-        return IidBernoulliCosts(np.asarray(doc["means"], float))
-    if kind == "adaptive":
-        return AdaptiveCosts(d=config["d"])
-    raise ValueError(f"unknown cost process {kind!r}")
-
-
 def build_environment(config: dict, policy_class: PolicyClass) -> Environment:
     dist = get(config, "context_dist")
     if dist == "uniform":
@@ -223,13 +208,24 @@ def build_environment(config: dict, policy_class: PolicyClass) -> Environment:
         probs = np.asarray(dist["probs"], dtype=float)
     if probs.size != policy_class.universe_size:
         raise ValueError("context distribution size disagrees with the policy universe")
-    costs, n, d = build_cost_process(config), config["n"], policy_class.d
-    if isinstance(costs, FixedTableCosts) and (costs.d != d or len(costs.values) < n):
-        raise ValueError(f"cost_process table must have d = {d} columns and at least "
-                         f"n = {n} rows; got {costs.values.shape}")
-    if isinstance(costs, IidBernoulliCosts) and costs.means.shape != (probs.size, d):
-        raise ValueError(f"cost_process means must be (|X|, d) = {(probs.size, d)}; "
-                         f"got {costs.means.shape}")
+    doc, n, d = config["cost_process"], config["n"], policy_class.d
+    kind = doc.get("type")
+    if kind == "fixed_table":  # a table in a file or inline, never both
+        costs = FixedTableCosts(read("cost_process key 'path'", doc["path"],
+                                     lambda f: np.loadtxt(f, delimiter=","))
+                                if "path" in doc else np.asarray(doc["values"], float))
+        if costs.d != d or len(costs.values) < n:
+            raise ValueError(f"cost_process table must have d = {d} columns and at least "
+                             f"n = {n} rows; got {costs.values.shape}")
+    elif kind == "iid_bernoulli":
+        costs = IidBernoulliCosts(np.asarray(doc["means"], float))
+        if costs.means.shape != (probs.size, d):
+            raise ValueError(f"cost_process means must be (|X|, d) = {(probs.size, d)}; "
+                             f"got {costs.means.shape}")
+    elif kind == "adaptive":
+        costs = AdaptiveCosts(d=config["d"])
+    else:
+        raise ValueError(f"unknown cost process {kind!r}")
     return Environment(probs, costs, get(config, "pool_factor"))
 
 

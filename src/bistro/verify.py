@@ -277,7 +277,7 @@ def expweights_recursive_gap(rel, costs, contexts, universe: int) -> float:
     """
     costs = np.asarray(costs, dtype=float).reshape(len(costs), rel.policy_class.d)
     before = rel.value(costs, contexts)
-    losses = rel._losses(costs, contexts)
+    losses = sequence_values(rel.policy_class, contexts, costs.T)
     worst = -np.inf
     for x in range(universe):
         q = rel.strategy(losses, x)
@@ -290,6 +290,6 @@ def expweights_recursive_gap(rel, costs, contexts, universe: int) -> float:
 
 def expweights_initial_margin(rel, costs, contexts) -> float:
     """value(c_1..c_n) + min_f L_n(f); admissibility requires >= 0."""
-    costs = np.asarray(costs, dtype=float)
-    return rel.value(costs, contexts) + float(rel._losses(costs, contexts).min())
+    L = sequence_values(rel.policy_class, contexts, np.asarray(costs, dtype=float).T)
+    return rel.value(costs, contexts) + float(L.min())
 

@@ -14,6 +14,17 @@ def constants_class():
     return PolicyClass(np.array([[0, 0], [1, 1]]), 2)
 
 
+def round_order_losses(pc, costs, contexts):
+    """L_t(f) = sum_s costs[s, f(x_s)] for every policy, costs (t, d) on
+    contexts (t,), summed in round order with one addition per round: the
+    additions ``ReductionStrategy`` makes to its running losses, and the
+    reference for their bits."""
+    losses = np.zeros(pc.size)
+    for c, x in zip(np.asarray(costs, dtype=float), contexts):
+        losses += c[pc.table[:, x]]
+    return losses
+
+
 class TestExpWeightsValue:
     def test_terminal_zero_costs(self):
         rel = ExpWeightsRelaxation(constants_class(), horizon=2, eta=1.0)
@@ -28,7 +39,7 @@ class TestExpWeightsValue:
             rel = ExpWeightsRelaxation(pc, n)
             costs = rng.random((n, 2))
             ctxs = rng.integers(0, X, n)
-            L = rel._losses(costs, ctxs)
+            L = sequence_values(pc, ctxs, costs.T)
             assert rel.value(costs, ctxs) >= -float(L.min()) - 1e-12
 
     def test_folded_losses_match_sequence_losses(self):
@@ -41,8 +52,10 @@ class TestExpWeightsValue:
             costs = rng.random((t, d))
             ctxs = rng.integers(0, X, t)
             rel = ExpWeightsRelaxation(pc, 30)
-            np.testing.assert_allclose(rel._losses(costs, ctxs),
-                                       sequence_values(pc, ctxs, costs.T), rtol=0, atol=1e-12)
+            L = sequence_values(pc, ctxs, costs.T)  # 0 on every policy at t = 0
+            lse = np.log(np.exp(-rel.eta * L).sum()) / rel.eta
+            assert rel.value(costs, ctxs) == pytest.approx(lse + (30 - t) * rel.eta / 2,
+                                                           rel=0, abs=1e-12)
 
     def test_losses_reject_bad_history(self):
         rel = ExpWeightsRelaxation(constants_class(), horizon=4)
@@ -52,7 +65,7 @@ class TestExpWeightsValue:
             rel.value(np.zeros((2, 3)), [0, 1])  # cost vectors of the wrong length
         with pytest.raises(ValueError):
             rel.value(np.array([[np.inf, 0.0]]), [0])
-        with pytest.raises(ValueError, match="lengths disagree"):
+        with pytest.raises(ValueError, match="a query needs contexts"):
             rel.value(np.zeros((2, 2)), [0])
         with pytest.raises(ValueError, match="longer than the horizon"):
             rel.value(np.zeros((5, 2)), [0] * 5)
@@ -79,20 +92,20 @@ class TestExpWeightsValue:
 class TestExpWeightsStrategy:
     def test_uniform_at_start(self):
         rel = ExpWeightsRelaxation(PolicyClass.all_labelings(2, 2), horizon=4)
-        q = rel.strategy(rel._losses(np.zeros((0, 2)), []), 0)
+        q = rel.strategy(round_order_losses(rel.policy_class, np.zeros((0, 2)), []), 0)
         np.testing.assert_allclose(q, [0.5, 0.5], atol=1e-15)
 
     def test_two_policy_softmax(self):
         eta = 0.7
         rel = ExpWeightsRelaxation(constants_class(), horizon=3, eta=eta)
         costs = np.array([[0.0, 1.0]])  # first policy ahead by margin 1
-        q = rel.strategy(rel._losses(costs, [0]), 1)
+        q = rel.strategy(round_order_losses(rel.policy_class, costs, [0]), 1)
         assert q[0] == pytest.approx(np.exp(eta) / (np.exp(eta) + 1.0))
 
     def test_vanishing_rate_counts_votes(self):
         pc = PolicyClass(np.array([[0], [0], [1]]), 2)
         rel = ExpWeightsRelaxation(pc, horizon=3, eta=1e-9)
-        q = rel.strategy(rel._losses(np.array([[0.3, 0.9]]), [0]), 0)
+        q = rel.strategy(round_order_losses(pc, np.array([[0.3, 0.9]]), [0]), 0)
         np.testing.assert_allclose(q, [2 / 3, 1 / 3], atol=1e-6)
 
 
@@ -159,7 +172,7 @@ class TestReduction:
     @pytest.mark.parametrize("costs", ["fixed", "adaptive"])
     def test_fold_prices_the_sequence_form_bit_for_bit(self, costs):
         # each round's q* from the running losses against the relaxation's
-        # strategy on the losses of the t past columns
+        # strategy on the round-order losses of the t past columns
         rng = np.random.default_rng(49)
         d, universe, n = 3, 6, 300
         pc = PolicyClass(rng.integers(0, d, (64, universe)), d)
@@ -175,8 +188,8 @@ class TestReduction:
         strat._q_star = q_star
         tr = run_episode(strat, Environment(np.ones(universe) / universe, process), n, seed=10)
         Y = scaled_history(tr, 0.1)
-        rel = strat.relaxation
-        same = [np.array_equal(q, rel.strategy(rel._losses(Y[:, :t].T, tr.contexts[:t]), x))
+        strategy = strat.relaxation.strategy
+        same = [np.array_equal(q, strategy(round_order_losses(pc, Y[:, :t].T, tr.contexts[:t]), x))
                 for t, (q, x) in enumerate(zip(played, tr.contexts))]
         assert len(same) == n and all(same)
 
@@ -184,7 +197,7 @@ class TestReduction:
     @pytest.mark.parametrize("d", [2, 3])
     def test_running_losses_are_the_summed_history(self, d, costs):
         # after every round of two episodes on one strategy, _L is the
-        # relaxation's _losses of the scaled history bit for bit, and the
+        # round-order losses of the scaled history bit for bit, and the
         # class's values on the history's one-bincount fold to 1e-12; the
         # reduction keeps no fold of its own
         rng = np.random.default_rng(55 + d)
@@ -193,7 +206,7 @@ class TestReduction:
         process = (FixedTableCosts(rng.uniform(0, 1, (n, d))) if costs == "fixed"
                    else AdaptiveCosts(d))
         strat = ReductionStrategy(ExpWeightsRelaxation(pc, n), gamma)
-        rel, update, states = strat.relaxation, strat.update, []
+        update, states = strat.update, []
 
         def spy(x, q, action, observed_cost):
             update(x, q, action, observed_cost)
@@ -207,7 +220,7 @@ class TestReduction:
             Y = scaled_history(tr, gamma)
             assert len(states) == n
             for t, L in enumerate(states, 1):
-                assert np.array_equal(L, rel._losses(Y[:, :t].T, tr.contexts[:t]))
+                assert np.array_equal(L, round_order_losses(pc, Y[:, :t].T, tr.contexts[:t]))
                 np.testing.assert_allclose(L, pc.values(tr.contexts[:t], Y[:, :t]),
                                            rtol=1e-12, atol=1e-12)
 

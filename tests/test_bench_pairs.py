@@ -61,3 +61,42 @@ def test_gain_shown_needs_nine_tenths_of_the_pairs_and_a_difference_beyond_the_s
         rate = load_script().summarize(runs(gains, [0.1] * 10), better)["w/rounds_per_s"]
         assert rate["change_better_pairs"] == 8
         assert rate["gain_shown"] is False
+
+
+def test_bound_rule_signs_the_change_so_that_worse_is_positive_and_flags_wide_spreads():
+    # four pairs; a metric is within its bound when its median is worse by at
+    # most the bound, and unresolved when the parent's spread over its median
+    # exceeds the bound unless every change run beats every parent run
+    better = {"rounds_per_s": "higher", "round_ms.p50": "lower"}
+    script = load_script()
+
+    def runs(parent_rates, change_rates, parent_ms, change_ms):
+        return [r for p, (pr, cr, pm, cm) in enumerate(
+                    zip(parent_rates, change_rates, parent_ms, change_ms), 1)
+                for r in (run(p, "parent", pr, pm), run(p, "change", cr, cm))]
+
+    tight = [99.0, 100.0, 100.0, 101.0]
+    summary = script.summarize(
+        runs(tight, [89.0, 90.0, 90.0, 91.0], [2.0] * 4, [2.6] * 4),
+        better, {"rounds_per_s": 0.25, "round_ms.p50": 0.25})
+    rate, ms = summary["w/rounds_per_s"], summary["w/round_ms.p50"]
+    assert rate["bound"] == 0.25
+    assert rate["worse_by"] == pytest.approx(0.1)  # 90 against 100, higher is better
+    assert (rate["within_bound"], rate["unresolved"]) == (True, False)
+    assert ms["worse_by"] == pytest.approx(0.3)  # 2.6 against 2.0, lower is better
+    assert (ms["within_bound"], ms["unresolved"]) == (False, False)
+
+    # a parent spread of half its median: unresolved, unless the change
+    # beats every parent run
+    wide, flat, bounds = [60.0, 80.0, 120.0, 140.0], [2.0] * 4, {"rounds_per_s": 0.25}
+    rate = script.summarize(runs(wide, [90.0, 95.0, 105.0, 110.0], flat, flat),
+                            better, bounds)["w/rounds_per_s"]
+    assert rate["parent_quartile_spread"] == pytest.approx(50.0)  # 125 - 75
+    assert (rate["worse_by"], rate["within_bound"], rate["unresolved"]) == (0.0, True, True)
+    rate = script.summarize(runs(wide, [150.0, 150.0, 160.0, 170.0], flat, flat),
+                            better, bounds)["w/rounds_per_s"]
+    assert rate["worse_by"] == pytest.approx(-0.55)
+    assert (rate["within_bound"], rate["unresolved"]) == (True, False)
+    # a metric without a bound gets no rule
+    assert "bound" not in script.summarize(runs(wide, wide, flat, flat), better,
+                                           bounds)["w/round_ms.p50"]
