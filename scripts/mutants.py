@@ -49,6 +49,7 @@ T_ADM, T_CLI, T_ERM = "tests/test_admissibility.py", "tests/test_cli.py", "tests
 T_HARNESS, T_RAD = "tests/test_harness.py", "tests/test_rademacher.py"
 T_STRAT, T_GOLDEN = "tests/test_strategies.py", "tests/test_golden.py::test_golden_transcript"
 T_POL = "tests/test_policies.py"
+T_REGRET = "tests/test_regret_reference.py::test_mean_regret_within_the_reference"
 T_FOLD = f"{T_POL}::TestFoldQuery"
 LABELINGS = tuple(f"{T_POL}::TestPolicyClass::"
                   f"test_all_labelings_equal_the_digit_and_scatter_references[{d}]"
@@ -586,7 +587,7 @@ MUTANTS = [
     Mutant("bistro-plays-uniform", RUNNER,
            "return BistroStrategy(policy_class, oracle, gamma,",
            "return UniformStrategy(policy_class.d) or BistroStrategy(policy_class, oracle, gamma,",
-           (GROWTH,)),
+           (GROWTH, f"{T_REGRET}[fixed_adversarial_bistro]")),
     Mutant("run-suite-without-errstate", RUNNER,
            'with np.errstate(all="raise", under="ignore"):', "with np.errstate():",
            (f"{T_HARNESS}::TestSuite::test_numeric_error_policy",)),
