@@ -801,6 +801,22 @@ MUTANTS = [
            malformed("family-list", "type-list", "constraint-type-list")),
     Mutant("config-of-any-type", CONF, "if not isinstance(config, dict):", "if False:",
            (f"{T_CLI}::test_a_config_that_is_not_an_object_exits_2",)),
+    # -- the document readers (runner.build_policy_class, runner.build_constraint) --
+    Mutant("policy-document-actions-kept-one-based", RUNNER,
+           'np.asarray(doc["policies"], np.int64) - 1', 'np.asarray(doc["policies"], np.int64)',
+           (f"{T_POL}::TestPolicyClass::test_from_json_tables_one_based",
+            f"{T_POL}::TestPolicyClass::test_json_round_trip",
+            f"{T_GOLDEN}[adaptive_adversary_bistro]")),
+    Mutant("declared-universe-unchecked", RUNNER,
+           'if "universe" in doc and doc["universe"] != pc.universe_size:', "if False:",
+           (f"{T_POL}::TestPolicyClass::test_from_json_universe_mismatch",)),
+    Mutant("unknown-constraint-type-builds-none", RUNNER,
+           'raise ValueError(f"unknown constraint type {kind!r}")', "return None",
+           (f"{T_ERM}::TestConstraints::test_load_constraint",)
+           + malformed("constraint-type-number", "constraint-type-list")),
+    Mutant("argmax-linear-given-no-features", RUNNER,
+           'None if dist == "uniform" else dist.get("features"))', "None)",
+           (f"{T_HARNESS}::TestSuite::test_argmax_linear_class_from_context_features",)),
 ]
 
 EQUIVALENT = [

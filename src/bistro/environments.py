@@ -142,10 +142,8 @@ class Environment:
         return self.cost_process.d
 
     @cached_property
-    def _sample(self):
+    def sample_contexts(self):
+        """``sample_contexts(rng, size)``: the same draws as
+        ``rng.choice(self.universe_size, size=size, p=self.probs)``."""
         # built on first use: set-up that never samples pays nothing for it
         return categorical_sampler(self.probs)
-
-    def sample_contexts(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Same draws as ``rng.choice(self.universe_size, size=size, p=self.probs)``."""
-        return self._sample(rng, size)

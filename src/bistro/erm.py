@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import get
 from .policies import PolicyClass, context_ids
 
 
@@ -261,12 +260,3 @@ class BoxRelaxedOracle(ErmOracle):
     def _values(self, contexts, Y: np.ndarray) -> np.ndarray:
         return np.minimum(Y.min(axis=-2), 0.0).sum(axis=-1)
 
-
-def load_constraint(doc: dict):
-    """Constraint from its JSON document form, as ``config.check_document`` passes it."""
-    kind = doc.get("type")
-    if kind == "pairwise":
-        return PairwiseDisagreement(get(doc, "weights", "constraint"))
-    if kind == "coverage":
-        return CoveragePenalty(doc["partition"], doc["k"])
-    raise ValueError(f"unknown constraint type {kind!r}")

@@ -7,8 +7,8 @@ context sequence comes from ``PolicyClass.values``, which folds the cost
 matrix by context and prices all policies with one matrix product; only
 the learners' running losses are summed round by round, as they play.
 
-Actions are 0-based everywhere in code; file formats and display use
-1-based action indices, converted only at I/O boundaries.
+Actions are 0-based everywhere in code; policy documents and the episode
+CSV use 1-based action indices, converted in ``runner.py``.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ class PolicyClass:
         return pc
 
     @classmethod
-    def _argmax_linear(cls, weights, features) -> "PolicyClass":
+    def argmax_linear(cls, weights, features) -> "PolicyClass":
         """Policy f at context x plays argmax_j <w_fj, features[x]>; ties go to
         the lowest action."""
         if features is None:
@@ -177,26 +177,6 @@ class PolicyClass:
         if features.ndim != 2 or any(w.shape[1] != features.shape[1] for w in ws):
             raise ValueError("feature vector length mismatch")
         return cls([[int(np.argmax(w @ x)) for x in features] for w in ws], d)
-
-    @classmethod
-    def from_json(cls, doc: dict, features=None) -> "PolicyClass":
-        """Build a class from its JSON document form, as ``config.check_document``
-        passes it.
-
-        Action entries in documents are 1-based; conversion to the internal
-        0-based indexing happens here.
-        """
-        family = doc.get("family")
-        if family is None:
-            pc = cls(np.asarray(doc["policies"], np.int64) - 1, doc["d"])
-            if "universe" in doc and doc["universe"] != pc.universe_size:
-                raise ValueError("declared universe size does not match policy tables")
-            return pc
-        if family == "all_labelings":
-            return cls.all_labelings(doc["d"], doc["universe"])
-        if family == "argmax_linear":
-            return cls._argmax_linear(doc["weights"], features)
-        raise ValueError(f"unknown policy family {family!r}")
 
 
 def float_entries(q) -> list[float] | None:

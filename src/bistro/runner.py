@@ -32,7 +32,6 @@ from .erm import (
     PairwiseDisagreement,
     RegularizedErmOracle,
     benchmark,
-    load_constraint,
 )
 from .policies import PolicyClass, check_cost_vector, float_entries
 from .rademacher import RademacherEstimate, rademacher_estimate, tune_gamma
@@ -185,8 +184,19 @@ def build_policy_class(config: dict) -> PolicyClass:
     doc = config["policy_class"]
     if "path" in doc:
         doc = check_document("policy_class", read("policy_class key 'path'", doc["path"]))
-    dist = get(config, "context_dist")
-    pc = PolicyClass.from_json(doc, features=None if dist == "uniform" else dist.get("features"))
+    family = doc.get("family")
+    if family is None:  # a document's actions are 1-based
+        pc = PolicyClass(np.asarray(doc["policies"], np.int64) - 1, doc["d"])
+        if "universe" in doc and doc["universe"] != pc.universe_size:
+            raise ValueError("declared universe size does not match policy tables")
+    elif family == "all_labelings":
+        pc = PolicyClass.all_labelings(doc["d"], doc["universe"])
+    elif family == "argmax_linear":
+        dist = get(config, "context_dist")
+        pc = PolicyClass.argmax_linear(doc["weights"],
+                                       None if dist == "uniform" else dist.get("features"))
+    else:
+        raise ValueError(f"unknown policy family {family!r}")
     if pc.d != config["d"]:
         raise ValueError("policy class action count disagrees with config d")
     constraint, n, universe = build_constraint(config), config["n"], pc.universe_size
@@ -231,7 +241,14 @@ def build_environment(config: dict, policy_class: PolicyClass) -> Environment:
 
 def build_constraint(config: dict):
     doc = get(config, "constraint")
-    return None if doc is None else load_constraint(doc)
+    if doc is None:
+        return None
+    kind = doc.get("type")
+    if kind == "pairwise":
+        return PairwiseDisagreement(get(doc, "weights", "constraint"))
+    if kind == "coverage":
+        return CoveragePenalty(doc["partition"], doc["k"])
+    raise ValueError(f"unknown constraint type {kind!r}")
 
 
 def _regularized(config: dict, policy_class: PolicyClass, gamma: float):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bistro import erm
+from bistro import erm, runner
 from bistro.erm import (
     ApproximateErmOracle,
     BoxRelaxedOracle,
@@ -12,7 +12,6 @@ from bistro.erm import (
     RegularizedErmOracle,
     RegularizedErmQuery,
     benchmark,
-    load_constraint,
     policy_constraint_values,
     regularized_erm_value,
 )
@@ -341,12 +340,13 @@ class TestConstraints:
             assert sequence_constraint(CoveragePenalty([[0, 1, 2], [3, 4]], 2), M) >= 0.0
 
     def test_load_constraint(self):
-        c1 = load_constraint({"type": "pairwise", "weights": "uniform"})
+        c1 = runner.build_constraint({"constraint": {"type": "pairwise", "weights": "uniform"}})
         assert isinstance(c1, PairwiseDisagreement)
-        c2 = load_constraint({"type": "coverage", "partition": [[0, 1]], "k": 1})
+        c2 = runner.build_constraint(
+            {"constraint": {"type": "coverage", "partition": [[0, 1]], "k": 1}})
         assert isinstance(c2, CoveragePenalty)
         with pytest.raises(ValueError):
-            load_constraint({"type": "nope"})
+            runner.build_constraint({"constraint": {"type": "nope"}})
 
 
 def sequence_penalties(constraint, pc, ctxs):

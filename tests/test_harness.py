@@ -466,6 +466,15 @@ class TestSuite:
             assert reg["gamma"] == plain["gamma"]
             assert reg["bound"] == plain["bound"]
 
+    def test_a_delta_run_reports_the_exact_oracles_bound(self):
+        # the rate and the bound read no delta: bound excludes the O(n*delta) term
+        config = load_config(os.path.join(CONFIG_DIR, "fixed_adversarial.json"))
+        exact = run_suite(config, seeds=[0])
+        noisy = run_suite({**config, "delta": 0.05}, seeds=[0])
+        for key in ("gamma_used", "rad_estimate", "bound"):
+            assert noisy[key] == exact[key]
+        assert noisy["per_seed_regret"] != exact["per_seed_regret"]  # the noise is played
+
     def test_constraint_without_budget_keeps_whole_class(self, monkeypatch):
         constraint = {"type": "pairwise", "weights": "uniform"}
         calls = []

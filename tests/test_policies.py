@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bistro import runner
 from bistro.erm import ExactErmOracle, RegularizedErmOracle
 from bistro.policies import (
     CapacityError,
@@ -21,6 +22,11 @@ def refusal(fn, *args):
     return type(err.value), str(err.value)
 
 
+def class_config(doc):
+    """A minimal config that holds the policy-class document ``doc``."""
+    return {"d": doc["d"], "n": 1, "policy_class": doc, "cost_process": {"type": "adaptive"}}
+
+
 def dyadic(rng, shape):
     """Entries k / 2^20 in [-2, 2]: float sums of them are exact in any order."""
     return rng.integers(-2 << 20, (2 << 20) + 1, size=shape) / (1 << 20)
@@ -36,8 +42,7 @@ class TestPolicyToMatrix:
         np.testing.assert_array_equal(M, [[1, 0, 1], [0, 1, 0]])
 
     def test_argmax_linear(self):
-        doc = {"family": "argmax_linear", "weights": [[[1.0, 0.0], [0.0, 1.0]]]}
-        pc = PolicyClass.from_json(doc, features=[[0.3, 0.9]])
+        pc = PolicyClass.argmax_linear([[[1.0, 0.0], [0.0, 1.0]]], [[0.3, 0.9]])
         M = policy_to_matrix(pc, 0, [0])
         np.testing.assert_array_equal(M, [[0], [1]])
 
@@ -236,24 +241,20 @@ class TestPolicyClass:
 
     def test_from_json_tables_one_based(self):
         doc = {"d": 2, "universe": 3, "policies": [[1, 1, 2], [2, 1, 1]]}
-        pc = PolicyClass.from_json(doc)
+        pc = runner.build_policy_class(class_config(doc))
         np.testing.assert_array_equal(pc.table, [[0, 0, 1], [1, 0, 0]])
 
     def test_from_json_universe_mismatch(self):
         with pytest.raises(ValueError):
-            PolicyClass.from_json({"d": 2, "universe": 4, "policies": [[1, 2]]})
+            runner.build_policy_class(class_config({"d": 2, "universe": 4, "policies": [[1, 2]]}))
 
     def test_from_json_argmax_linear(self):
-        doc = {
-            "family": "argmax_linear",
-            "weights": [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]],
-        }
+        weights = [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]]
         features = np.array([[0.3, 0.9], [0.8, 0.1]])
-        pc = PolicyClass.from_json(doc, features=features)
+        pc = PolicyClass.argmax_linear(weights, features)
         np.testing.assert_array_equal(pc.table, [[1, 0], [0, 1]])
         # ties go to the lowest action
-        doc = {"family": "argmax_linear", "weights": [[[1.0], [1.0], [0.0]]]}
-        pc = PolicyClass.from_json(doc, features=[[1.0], [-1.0]])
+        pc = PolicyClass.argmax_linear([[[1.0], [1.0], [0.0]]], [[1.0], [-1.0]])
         np.testing.assert_array_equal(pc.table, [[0, 2]])
 
     def test_argmax_linear_rejects_bad_weights(self):
@@ -263,17 +264,15 @@ class TestPolicyClass:
                [[[1.0], [2.0]]])                              # p differs from the features
         for weights in bad:
             with pytest.raises(ValueError):
-                PolicyClass.from_json({"family": "argmax_linear", "weights": weights},
-                                      features=[[0.3, 0.9]])
+                PolicyClass.argmax_linear(weights, [[0.3, 0.9]])
 
     def test_argmax_linear_requires_features(self):
-        doc = {"family": "argmax_linear", "weights": [[[1.0], [2.0]]]}
         with pytest.raises(ValueError):
-            PolicyClass.from_json(doc)
+            PolicyClass.argmax_linear([[[1.0], [2.0]]], None)
 
     def test_json_round_trip(self):
         doc = json.loads(json.dumps({"d": 3, "universe": 2, "policies": [[3, 1]]}))
-        pc = PolicyClass.from_json(doc)
+        pc = runner.build_policy_class(class_config(doc))
         assert pc.table[0, 0] == 2
         assert pc.actions_on([1]).tolist() == [[0]]
 
