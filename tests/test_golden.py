@@ -1,7 +1,10 @@
-"""Golden transcripts: gamma, actions and q of nine committed instances,
+"""Golden transcripts: gamma, actions and q of ten committed instances,
 seeds 0-4. The first five were recorded from the sequence-form oracles;
-the transductive, coverage, approximate-oracle and multi-playout cases
-were recorded from the shipped play they cover, before any change to it.
+the transductive, coverage, approximate-oracle, multi-playout and
+adaptive regularized cases were recorded from the shipped play they
+cover, before any change to it. The adaptive regularized case is the
+bench's ``regularized`` shape: under ``argmax_punish`` costs an ulp in a
+value can flip an action, which the fixed-cost n = 6 cases never show.
 
 A change that only re-associates float sums must replay them: identical
 actions, and gamma and every q within 1e-12. Re-record only the cases a
@@ -34,6 +37,12 @@ TOL = 1e-12
 
 TRANSDUCTIVE = {"horizon_mode": "transductive"}
 COVERAGE = {"type": "coverage", "partition": [[0, 1, 2], [3, 4, 5]], "k": 1}
+# pairwise-penalized play on all 16 labelings of 4 contexts, n = 128: the
+# class holds the constant policies, which alone meet the budget K at this n
+ADAPTIVE_REGULARIZED = {"algorithm": "bistro_regularized", "n": 128, "gamma": 0.25,
+                        "policy_class": {"family": "all_labelings", "d": 2, "universe": 4},
+                        "constraint": {"type": "pairwise", "weights": "uniform"},
+                        "lambda": 0.1, "K": 4}
 
 # golden name -> (config file, config overrides)
 CASES = {
@@ -50,6 +59,7 @@ CASES = {
     "fixed_adversarial_bistro_delta_playouts": ("fixed_adversarial.json",
                                                 {"delta": 0.05, "playouts": 3}),
     "adaptive_adversary_bistro_transductive": ("adaptive_adversary.json", TRANSDUCTIVE),
+    "adaptive_adversary_bistro_regularized": ("adaptive_adversary.json", ADAPTIVE_REGULARIZED),
 }
 
 

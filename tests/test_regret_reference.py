@@ -15,8 +15,8 @@ Its power, 3*sqrt(2)*stderr/mean at the reference: it resolves a +5%
 change on the fixed-cost cases (``fixed_adversarial_bistro`` reads
 93.06 +- 1.08, so its gate sits at 97.66; uniform play reads 107.56), but
 only +45-65% on the adaptive ones (the reduction 45%, transductive BISTRO
-46%, BISTRO 64%), and +65-148% on the regularized ones, whose regret is
-below 1.
+46%, regularized BISTRO 63%, BISTRO 64%), and +65-148% on the fixed-cost
+regularized ones, whose regret is below 1.
 
 A re-record of a golden must keep this test passing. The reference itself
 is re-recorded only in a commit of its own that gives the reason, and only
