@@ -93,6 +93,11 @@ TRANSDUCTIVE_GOLDENS = tuple(f"{T_GOLDEN}[{name}]" for name in (
     "regularized_pairwise_transductive", "regularized_coverage_transductive",
     "adaptive_adversary_bistro_transductive"))
 DELTA_PLAYOUTS_GOLDEN = f"{T_GOLDEN}[fixed_adversarial_bistro_delta_playouts]"
+ADAPTIVE_REGULARIZED_GOLDEN = f"{T_GOLDEN}[adaptive_adversary_bistro_regularized]"
+# the pairwise penalty against its reference body, and the tensor it keeps
+PAIRWISE_BITS = f"{T_ERM}::TestPairwiseBits::test_random_sequences_match_the_reference_body"
+KEPT_TENSOR = (f"{T_ERM}::TestPairwiseBits::"
+               "test_kept_tensor_follows_the_class_and_the_present_contexts")
 # argmax_punish's running totals, resummed from the transcript, and the
 # goldens it steers
 RUNNING_TOTALS = tuple(f"{T_HARNESS}::TestRunEpisode::"
@@ -106,6 +111,15 @@ OBSERVED = f"{T_HARNESS}::TestRunEpisode::test_adaptive_rule_sees_only_the_allow
 REUSE = f"{T_HARNESS}::TestLearnerReuse::test_one_learner_plays_every_episode_as_a_fresh_one"
 GROWTH = (f"{T_HARNESS}::TestGrowthInN::"
           "test_bound_grows_as_n_to_three_quarters_and_the_learners_regret_under_it")
+
+
+def id_checks(outcome: str, dtypes) -> tuple[str, ...]:
+    """The id-check tests of ``dtypes`` on all three entry points, for ids
+    ``accepted`` (in range) or ``refused`` (outside the universe)."""
+    test = {"accepted": "test_in_range_ids_price_as_int64_ids",
+            "refused": "test_ids_outside_the_universe_are_refused"}[outcome]
+    return tuple(f"{T_POL}::TestIdRangeCheck::{test}[{dtype}-{entry}]"
+                 for dtype in dtypes for entry in ("actions_on", "per_policy", "values"))
 
 
 def on_commands(case: str) -> tuple[str, ...]:
@@ -147,7 +161,7 @@ MUTANTS = [
             f"{T_HARNESS}::TestRegret::test_empty_benchmark_class_errors")),
     # -- the folded playouts (strategies.BistroStrategy) --
     Mutant("playout-pattern-bit-wrong-row", STRAT,
-           ">> np.arange(policy_class.d)", ">> np.arange(policy_class.d) // 2",
+           ">> np.arange(d)", ">> np.arange(d) // 2",
            LAW + (f"{T_GOLDEN}[fixed_adversarial_bistro]",)),
     Mutant("playout-cells-not-divided-by-patterns", STRAT,
            "np.repeat(counts / (counts.sum() * cells), cells)",
@@ -260,6 +274,15 @@ MUTANTS = [
     Mutant("columns-in-count-order", STRAT,
            "self._order_rng.shuffle(cells)", "pass",
            LAW[:1]),
+    Mutant("column-cell-signs-off-by-a-pattern", STRAT,
+           "self._signs[:, self._cells % 2**d]", "self._signs[:, (self._cells + 1) % 2**d]",
+           (ADAPTIVE_REGULARIZED_GOLDEN, f"{T_GOLDEN}[regularized_pairwise]",
+            f"{T_STRAT}::TestAssembleQueryMatrix::test_first_round_with_future",
+            f"{T_ADM}::test_play_queries_price_the_checked_relaxation[bistro_regularized]")),
+    Mutant("column-cell-contexts-halved", STRAT,
+           "self._cells >> d,", "self._cells >> d + 1,",
+           (LAW[0], LAW[2], ADAPTIVE_REGULARIZED_GOLDEN,
+            f"{T_STRAT}::TestQueryMatrixInvariants::test_past_and_future_column_ranges")),
     Mutant("penalized-oracle-folds", ERM,
            "self.folds = self.lambda_scaled == 0", "self.folds = True",
            (LAW[0], LAW[2], f"{T_GOLDEN}[regularized_pairwise]",
@@ -660,18 +683,55 @@ MUTANTS = [
             f"{T_ERM}::TestStackedQueries::test_repeated_bytes_need_a_repeated_shape",
             f"{T_GOLDEN}[regularized_pairwise]")),
     Mutant("pairwise-contexts-unsorted", ERM,
-           "u = np.flatnonzero(counts)", "u = np.flatnonzero(counts)[::-1]",
-           (f"{T_ERM}::TestFoldedPairwise::test_matches_sequence_form",)),
+           "u = counts.nonzero()[0]", "u = counts.nonzero()[0][::-1]",
+           (f"{T_ERM}::TestFoldedPairwise::test_matches_sequence_form", PAIRWISE_BITS)),
     Mutant("pairwise-ids-counted-unchecked", ERM,
            "ids = policy_class._checked_ids(contexts)", "ids = context_ids(contexts)",
            (f"{T_ERM}::TestFoldedPairwise::test_out_of_universe_ids_rejected",)),
     Mutant("pairwise-one-sided-counts", ERM,
-           "W = np.outer(c, c)", "W = np.outer(c, np.ones_like(c))",
+           "W = c[:, None] * c", "W = c[:, None] * np.ones_like(c)",
            (f"{T_ADM}::test_first_rhs_is_the_exact_bound[bistro_regularized-bistro d=2 n=3]",
-            TRANSDUCTIVE_GOLDENS[0])),
+            TRANSDUCTIVE_GOLDENS[0], ADAPTIVE_REGULARIZED_GOLDEN, PAIRWISE_BITS)),
     Mutant("pairwise-weights-without-counts", ERM,
            "W = self.weights[np.ix_(u, u)] * W", "W = self.weights[np.ix_(u, u)]",
            (f"{T_ERM}::TestFoldedPairwise::test_matches_sequence_form",)),
+    # -- the disagreement tensor kept by the pairwise penalty (PairwiseDisagreement.per_policy) --
+    Mutant("pairwise-tensor-key-without-class", ERM,
+           "key = (policy_class, u.tobytes())", "key = (None, u.tobytes())",
+           (KEPT_TENSOR, f"{T_ERM}::TestFoldedPairwise::test_matches_sequence_form",
+            "tests/test_acceptance.py::test_criterion_2_erm_oracle_equivalence")),
+    Mutant("pairwise-tensor-key-without-contexts", ERM,
+           "key = (policy_class, u.tobytes())", "key = (policy_class, None)",
+           (KEPT_TENSOR, f"{T_ERM}::TestStackedQueries::test_regularized",
+            f"{T_ERM}::TestBenchmark::test_matches_sequence_form_reference",
+            f"{REUSE}[regularized_pairwise]")),
+    Mutant("pairwise-tensor-never-kept", ERM,
+           "if self._differ[0] != key:", "if True:", (KEPT_TENSOR,)),
+    # -- lambda_scaled, applied once in the regularized oracle's memo --
+    Mutant("penalty-lambda-applied-twice", ERM,
+           "vals = vals + self._penalties(contexts)",
+           "vals = vals + self.lambda_scaled * self._penalties(contexts)",
+           (f"{T_GOLDEN}[regularized_pairwise]", ADAPTIVE_REGULARIZED_GOLDEN,
+            f"{T_ERM}::TestFoldedPairwise::test_regularized_value_matches_metric_labeling",
+            f"{T_STRAT}::TestRegularizedVariant::test_queries_reprice_in_round_pair_form")),
+    Mutant("penalty-lambda-not-applied", ERM,
+           "self._memo = (key, self.lambda_scaled * policy_constraint_values(",
+           "self._memo = (key, policy_constraint_values(",
+           (f"{T_GOLDEN}[regularized_pairwise]",
+            f"{T_ERM}::TestFoldedPairwise::test_regularized_value_matches_metric_labeling",
+            f"{T_STRAT}::TestRegularizedVariant::test_queries_reprice_in_round_pair_form",
+            "tests/test_verify.py::TestExactRegularizedBound::"
+            "test_estimate_within_three_standard_errors")),
+    # -- the context-id check, one reduction over an unsigned view (PolicyClass._checked_ids) --
+    Mutant("id-check-on-the-signed-max-only", POL,
+           "ids.view(np.uint64).max() >= self.universe_size", "ids.max() >= self.universe_size",
+           id_checks("refused", ("int8", "int32", "int64", "uint64"))
+           + (f"{T_ERM}::TestFoldedPairwise::test_out_of_universe_ids_rejected",
+              f"{T_POL}::TestValuesMany::test_rejects_out_of_universe_ids_in_any_query")),
+    Mutant("context-ids-keep-narrow-types", POL,
+           "contexts.dtype == np.int64", 'contexts.dtype.kind in "iu"',
+           id_checks("accepted", ("int8", "int32", "uint8"))
+           + id_checks("refused", ("int8", "int32", "uint8"))),
     # -- coverage partitions, checked once (erm.CoveragePenalty) --
     Mutant("coverage-cover-unchecked", ERM,
            "if not np.array_equal(seen, np.arange(seen.size)):", "if False:",
@@ -822,8 +882,7 @@ MUTANTS = [
 EQUIVALENT = [
     Mutant("penalty-key-without-dtype", ERM,
            "key = (ids.dtype.str, ids.shape, ids.tobytes())", "key = (ids.shape, ids.tobytes())",
-           ("with the shape in the key, equal bytes mean equal item sizes, and ids the class "
-            "accepts read the same signed or unsigned",)),
+           ("context_ids gives the memo int64 ids, so every key holds the same dtype",)),
     Mutant("pairwise-float-counts", ERM, "c = counts[u]", "c = counts[u].astype(float)",
            ("counts below 2^53 give the same products as floats",)),
     Mutant("sampler-left-side", ENV,

@@ -117,6 +117,7 @@ class PairwiseDisagreement:
             if not np.array_equal(W, W.T):
                 raise ValueError("pair weights must be symmetric")
             self.weights = W
+        self._differ = (None, None)
 
     def per_policy(self, policy_class: PolicyClass, contexts) -> np.ndarray:
         """Constraint value of every policy at once, shape (|F|,).
@@ -124,17 +125,20 @@ class PairwiseDisagreement:
         Rounds that share a context share every policy's action, so the sum
         over round pairs folds into one over the distinct contexts u with
         counts c, weighted by W_u * outer(c, c): O(|F|*|u|^2), not O(|F|*n^2).
+        The disagreement tensor, a function of the class and u only, is kept.
         """
         ids = policy_class._checked_ids(contexts)  # before bincount sizes by the largest id
         counts = np.bincount(ids, minlength=policy_class.universe_size)
-        u = np.flatnonzero(counts)  # sorted
+        u = counts.nonzero()[0]  # sorted
         c = counts[u]
-        actions = policy_class.actions_on(u)
-        W = np.outer(c, c)
+        W = c[:, None] * c
         if self.weights is not None:
             W = self.weights[np.ix_(u, u)] * W
-        differ = actions[:, :, None] != actions[:, None, :]
-        return (differ * W).sum(axis=(1, 2))
+        key = (policy_class, u.tobytes())  # a class's table is frozen: its identity keys it
+        if self._differ[0] != key:
+            actions = policy_class.actions_on(u)
+            self._differ = (key, actions[:, :, None] != actions[:, None, :])
+        return (self._differ[1] * W).sum(axis=(1, 2))
 
 
 class CoveragePenalty:
@@ -238,16 +242,17 @@ class RegularizedErmOracle(ExactErmOracle):
     def _values(self, contexts, Y: np.ndarray):
         vals = self.policy_class.values(contexts, Y)
         if self.lambda_scaled > 0:
-            vals = vals + self.lambda_scaled * self._penalties(contexts)
+            vals = vals + self._penalties(contexts)
         return np.minimum.reduce(vals, axis=-1)
 
     def _penalties(self, contexts) -> np.ndarray:
-        """Every policy's C for a query (|F|,) or a stack (S, |F|); a repeat of
-        the last contexts (play's d queries share one row) reuses its values."""
+        """Every policy's lambda_scaled * C for a query (|F|,) or a stack (S, |F|);
+        a repeat of the last contexts (play's d queries share one row) reuses them."""
         ids = context_ids(contexts)
         key = (ids.dtype.str, ids.shape, ids.tobytes())  # content: play rewrites its row
         if self._memo[0] != key:
-            self._memo = (key, policy_constraint_values(self.constraint, self.policy_class, ids))
+            self._memo = (key, self.lambda_scaled * policy_constraint_values(
+                self.constraint, self.policy_class, ids))
         return self._memo[1]
 
 

@@ -28,10 +28,10 @@ class CapacityError(ValueError):
 
 
 def context_ids(contexts) -> np.ndarray:
-    """Normalize a sequence of integer context ids to an int array."""
-    if isinstance(contexts, np.ndarray) and contexts.dtype.kind in "iu":
+    """Normalize a sequence of integer context ids to a native int64 array."""
+    if isinstance(contexts, np.ndarray) and contexts.dtype == np.int64:
         return contexts
-    return np.asarray(contexts, dtype=np.int64)
+    return np.asarray(contexts, dtype=np.int64)  # uint64 ids from 2^63 wrap to negatives
 
 
 class PolicyClass:
@@ -66,8 +66,8 @@ class PolicyClass:
         return self.table.shape[1]
 
     def _checked_ids(self, contexts) -> np.ndarray:
-        ids = context_ids(contexts)
-        if ids.size and (ids.min() < 0 or ids.max() >= self.universe_size):
+        ids = context_ids(contexts)  # viewed unsigned, a negative id reads at least 2^63
+        if ids.size and ids.view(np.uint64).max() >= self.universe_size:
             raise ValueError("context id outside the class's universe")
         return ids
 

@@ -105,10 +105,14 @@ class BistroStrategy(RelaxationStrategy):
         self.folded = oracle.folds
         self.playouts = playouts
         self.transductive = mode == "transductive"
-        bits = np.arange(2**policy_class.d) >> np.arange(policy_class.d)[:, None] & 1
+        d = policy_class.d
+        bits = np.arange(2**d) >> np.arange(d)[:, None] & 1
         # (d, 2^d) integers, column s pattern s: SIGN_SCALE is a whole number, so
         # the counts' sign sums are exact integers, and so are their floats
         self._signs = int(SIGN_SCALE) * (2 * bits - 1)
+        # the column path's tables: cell x * 2^d + s's id, context x and sign column s
+        self._cells = np.arange(policy_class.universe_size << policy_class.d)
+        self._cell_contexts, self._cell_signs = self._cells >> d, self._signs[:, self._cells % 2**d]
 
     @property
     def oracle_calls(self) -> int:
@@ -158,13 +162,13 @@ class BistroStrategy(RelaxationStrategy):
             else:  # e_j goes into column t, the future onto t + 1..n - 1
                 ctx, Y, col = self._ctx, self._Y, t
                 ctx[t], Y[:, t] = x, 0.0
-                cells = np.repeat(np.arange(counts.size), counts.ravel())  # x * 2^d + s, sorted
+                cells = np.repeat(self._cells, counts.ravel())  # x * 2^d + s, sorted
                 if self.transductive:  # the signs' order on a context's rounds changes no value
                     slots = t + 1 + np.argsort(self._known[t + 1 :], kind="stable")
                 else:
                     self._order_rng.shuffle(cells)
                     slots = slice(t + 1, None)
-                ctx[slots], Y[:, slots] = cells >> d, self._signs[:, cells % 2**d]
+                ctx[slots], Y[:, slots] = self._cell_contexts[cells], self._cell_signs[:, cells]
             column = Y[:, col]
             for j, y in enumerate(column.tolist()):
                 column[j] = y + 1.0

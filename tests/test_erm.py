@@ -427,6 +427,66 @@ class TestFoldedPairwise:
             assert mlc_bruteforce(node, edges, 1.0 - np.eye(d)) == pytest.approx(reg, abs=1e-10)
 
 
+def reference_per_policy(constraint, policy_class, contexts):
+    """``PairwiseDisagreement.per_policy`` as it was before it kept its
+    disagreement tensor: the reference its values must equal bit for bit."""
+    ids = policy_class._checked_ids(contexts)  # before bincount sizes by the largest id
+    counts = np.bincount(ids, minlength=policy_class.universe_size)
+    u = np.flatnonzero(counts)  # sorted
+    c = counts[u]
+    actions = policy_class.actions_on(u)
+    W = np.outer(c, c)
+    if constraint.weights is not None:
+        W = constraint.weights[np.ix_(u, u)] * W
+    differ = actions[:, :, None] != actions[:, None, :]
+    return (differ * W).sum(axis=(1, 2))
+
+
+def rounds_on(rng, present, n):
+    """n >= len(present) rounds that visit every context of ``present`` and no other."""
+    return rng.permutation(np.concatenate([present, rng.choice(present, n - len(present))]))
+
+
+class TestPairwiseBits:
+    def test_random_sequences_match_the_reference_body(self):
+        rng = np.random.default_rng(71)
+        for trial in range(200):
+            d, universe = int(rng.integers(2, 4)), int(rng.integers(1, 8))
+            pc = PolicyClass(rng.integers(0, d, (int(rng.integers(1, 12)), universe)), d)
+            present = rng.choice(universe, int(rng.integers(1, universe + 1)), replace=False)
+            ctxs = rounds_on(rng, present, len(present) + int(rng.integers(0, 40)))
+            scale = 10.0 ** int(rng.integers(-3, 4))
+            for constraint in (PairwiseDisagreement("uniform"),
+                               PairwiseDisagreement(scale * symmetric_weights(rng, universe))):
+                expected = reference_per_policy(constraint, pc, ctxs).tobytes()
+                for _ in range(2):  # a miss, then a hit
+                    assert constraint.per_policy(pc, ctxs).tobytes() == expected
+            empty = np.zeros(0, dtype=np.int64)  # no round: every penalty is 0
+            assert (PairwiseDisagreement("uniform").per_policy(pc, empty).tobytes()
+                    == reference_per_policy(PairwiseDisagreement("uniform"), pc, empty).tobytes())
+
+    def test_kept_tensor_follows_the_class_and_the_present_contexts(self, monkeypatch):
+        # one constraint priced alternately on two classes of one universe, and
+        # on present-context sets that change, keep or only permute their size
+        rng = np.random.default_rng(72)
+        classes = [PolicyClass(rng.integers(0, 2, (9, 5)), 2) for _ in range(2)]
+        constraint = PairwiseDisagreement(symmetric_weights(rng, 5))
+        sets = {"all": [0, 1, 2, 3, 4], "three": [0, 1, 3], "other three": [0, 2, 4],
+                "two": [1, 2]}
+        calls = [(0, "all"), (1, "all"), (0, "all"), (0, "all"), (0, "three"),
+                 (0, "other three"), (1, "other three"), (1, "two"), (1, "two"), (0, "all")]
+        queries = [(classes[k], rounds_on(rng, np.array(sets[name]), 12)) for k, name in calls]
+        expected = [reference_per_policy(constraint, pc, ctxs).tobytes() for pc, ctxs in queries]
+        gathers = []
+        actions_on = PolicyClass.actions_on
+        monkeypatch.setattr(PolicyClass, "actions_on",
+                            lambda pc, ids: gathers.append(ids.tolist()) or actions_on(pc, ids))
+        assert [constraint.per_policy(pc, ctxs).tobytes() for pc, ctxs in queries] == expected
+        # a miss gathers the present contexts; a repeat of the last class and set gathers none
+        misses = [i for i in range(len(calls)) if i == 0 or calls[i] != calls[i - 1]]
+        assert gathers == [sets[calls[i][1]] for i in misses]
+
+
 class TestBenchmark:
     def test_infinite_budget_keeps_everything(self):
         # -M_f makes policy f the unique minimum, so each value shows f was kept

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bistro import runner
-from bistro.erm import ExactErmOracle, RegularizedErmOracle
+from bistro.erm import ExactErmOracle, PairwiseDisagreement, RegularizedErmOracle
 from bistro.policies import (
     CapacityError,
     PolicyClass,
@@ -325,6 +325,68 @@ class TestValues:
             Y[1, 0] = bad
             with pytest.raises(ValueError):
                 pc.values([0, 1], Y)
+
+
+def pairwise_per_policy(pc, ids):
+    """The uniform pairwise penalty of ``ids``, one per_policy call per row of a stack."""
+    constraint = PairwiseDisagreement("uniform")
+    if np.ndim(ids) == 2:
+        return np.array([constraint.per_policy(pc, row) for row in ids])
+    return constraint.per_policy(pc, ids)
+
+
+def distinct_costs(pc, ids):
+    """Y for ``ids`` with a distinct cost in every cell: (d, n), or (S, d, n) for a stack."""
+    shape = np.shape(ids)
+    return np.arange(pc.d * np.size(ids), dtype=float).reshape(shape[:-1] + (pc.d, shape[-1]))
+
+
+# the three entry points that check context ids, each on one query or a stack
+ID_ENTRY_POINTS = {
+    "actions_on": lambda pc, ids: pc.actions_on(ids),
+    "values": lambda pc, ids: pc.values(ids, distinct_costs(pc, ids)),
+    "per_policy": pairwise_per_policy,
+}
+ID_DTYPES = (np.int8, np.int32, np.int64, np.uint8, np.uint64)
+ID_UNIVERSE = 5
+
+
+def id_layouts(dtype, rows):
+    """The (2, 4) ids ``rows`` as a check meets them: a Python list, a
+    contiguous array, a 2-D stack, and non-contiguous views of both, whose
+    skipped entries hold the type's largest value, far outside the universe."""
+    stack = np.array(rows, dtype)
+    spread = np.full((2, 8), np.iinfo(dtype).max, dtype)
+    spread[:, 1::2] = stack
+    return {"list": stack[1].tolist(), "array": stack[1].copy(), "stack": stack,
+            "strided": spread[1, 1::2], "strided stack": spread[:, 1::2],
+            "transposed stack": np.ascontiguousarray(stack.T).T}
+
+
+@pytest.mark.parametrize("entry", sorted(ID_ENTRY_POINTS))
+@pytest.mark.parametrize("dtype", ID_DTYPES, ids=lambda t: np.dtype(t).name)
+class TestIdRangeCheck:
+    """Every entry point refuses an id below 0 or from |X| on, in any integer
+    type and layout, with one message, and prices in-range ids as int64 ones."""
+
+    def test_in_range_ids_price_as_int64_ids(self, entry, dtype):
+        pc, price = PolicyClass.all_labelings(2, ID_UNIVERSE), ID_ENTRY_POINTS[entry]
+        for name, ids in id_layouts(dtype, [[0, 1, 2, 3], [4, 3, 1, 1]]).items():
+            assert np.array_equal(price(pc, ids), price(pc, np.array(ids, np.int64))), name
+        for empty in (np.zeros(0, dtype), np.zeros((2, 0), dtype), []):
+            assert np.array_equal(price(pc, empty),
+                                  price(pc, np.zeros(np.shape(empty), np.int64)))
+
+    def test_ids_outside_the_universe_are_refused(self, entry, dtype):
+        pc, price = PolicyClass.all_labelings(2, ID_UNIVERSE), ID_ENTRY_POINTS[entry]
+        info = np.iinfo(dtype)
+        bad_ids = {-1, int(info.min), ID_UNIVERSE, int(info.max)} - {0}
+        for bad in sorted(b for b in bad_ids if info.min <= b <= info.max):
+            for name, ids in id_layouts(dtype, [[0, 1, 2, 3], [4, 3, bad, 1]]).items():
+                if name == "list" and bad > np.iinfo(np.int64).max:
+                    continue  # a list is read as int64, which holds no such id
+                with pytest.raises(ValueError, match="context id outside the class's universe"):
+                    price(pc, ids)
 
 
 class TestFoldQuery:
