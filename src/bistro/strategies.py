@@ -111,7 +111,7 @@ class BistroStrategy(RelaxationStrategy):
         # the counts' sign sums are exact integers, and so are their floats
         self._signs = int(SIGN_SCALE) * (2 * bits - 1)
         # the column path's tables: cell x * 2^d + s's id, context x and sign column s
-        self._cells = np.arange(policy_class.universe_size << policy_class.d)
+        self._cells = np.arange(policy_class.universe_size << d)
         self._cell_contexts, self._cell_signs = self._cells >> d, self._signs[:, self._cells % 2**d]
 
     @property
