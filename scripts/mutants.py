@@ -122,6 +122,13 @@ def id_checks(outcome: str, dtypes) -> tuple[str, ...]:
                  for dtype in dtypes for entry in ("actions_on", "per_policy", "values"))
 
 
+def non_integer_ids(*kinds: str) -> tuple[str, ...]:
+    """The refusal tests of ids of the non-integer ``kinds`` on all three entry points."""
+    return tuple(f"{T_POL}::TestIdRangeCheck::test_ids_that_are_not_integers_are_refused"
+                 f"[{kind}-{entry}]"
+                 for kind in kinds for entry in ("actions_on", "per_policy", "values"))
+
+
 def on_commands(case: str) -> tuple[str, ...]:
     """A range-error case's ids on run, admissibility and rademacher."""
     return tuple(f"{RANGE}[{case}{suffix}]"
@@ -604,6 +611,10 @@ MUTANTS = [
            "lam * gamma), lam * K", "lam / max(gamma, 1e-12)), lam * K",
            (f"{T_ADM}::test_first_rhs_is_the_exact_bound[bistro_regularized-bistro d=2 n=3]",
             f"{T_GOLDEN}[regularized_pairwise]")),
+    Mutant("class-complexity-at-sign-scale", RUNNER,
+           "samples, seed)\n", "samples, seed, SIGN_SCALE)\n",
+           tuple(f"{T_RAD}::TestBound::test_box_run_reports_the_class_complexity[{name}]"
+                 for name in ("fixed_adversarial", "adaptive_adversary", "bernoulli_demo"))),
     # -- the seed list, the numeric policy and the summary (runner.run_suite) --
     Mutant("rate-tuned-without-the-horizon", "src/bistro/rademacher.py",
            "np.sqrt(complexity / (n * d))", "np.sqrt(complexity / d)", (GROWTH,)),
@@ -664,11 +675,10 @@ MUTANTS = [
             f"{T_ERM}::TestStackedQueries::test_refuses_negative_constraint_values")),
     # -- the regularized oracle's memo (RegularizedErmOracle._penalties) --
     Mutant("penalty-key-without-shape", ERM,
-           "key = (ids.dtype.str, ids.shape, ids.tobytes())",
-           "key = (ids.dtype.str, ids.tobytes())",
+           "key = (ids.shape, ids.tobytes())", "key = ids.tobytes()",
            (f"{T_ERM}::TestStackedQueries::test_repeated_bytes_need_a_repeated_shape",)),
     Mutant("penalty-key-by-identity", ERM,
-           "key = (ids.dtype.str, ids.shape, ids.tobytes())", "key = id(contexts)",
+           "key = (ids.shape, ids.tobytes())", "key = id(contexts)",
            (f"{T_ERM}::TestStackedQueries::test_single_queries_on_one_row_price_it_once",
             f"{T_ERM}::TestStackedQueries::test_row_rewritten_in_place_prices_again",
             f"{T_GOLDEN}[regularized_pairwise]",
@@ -732,6 +742,13 @@ MUTANTS = [
            "contexts.dtype == np.int64", 'contexts.dtype.kind in "iu"',
            id_checks("accepted", ("int8", "int32", "uint8"))
            + id_checks("refused", ("int8", "int32", "uint8"))),
+    # -- ids that are not integers, refused by dtype kind (policies.context_ids) --
+    Mutant("context-ids-accept-bools", POL,
+           'ids.dtype.kind not in "iu"', 'ids.dtype.kind not in "iub"', non_integer_ids("bool")),
+    Mutant("context-ids-of-any-kind", POL,
+           'if ids.size and ids.dtype.kind not in "iu":', "if False:",
+           non_integer_ids("bool", "float32", "float64", "float_in_a_list")
+           + (f"{T_STRAT}::TestBistroRound::test_pool_of_floats_is_refused",)),
     # -- coverage partitions, checked once (erm.CoveragePenalty) --
     Mutant("coverage-cover-unchecked", ERM,
            "if not np.array_equal(seen, np.arange(seen.size)):", "if False:",
@@ -880,9 +897,6 @@ MUTANTS = [
 ]
 
 EQUIVALENT = [
-    Mutant("penalty-key-without-dtype", ERM,
-           "key = (ids.dtype.str, ids.shape, ids.tobytes())", "key = (ids.shape, ids.tobytes())",
-           ("context_ids gives the memo int64 ids, so every key holds the same dtype",)),
     Mutant("pairwise-float-counts", ERM, "c = counts[u]", "c = counts[u].astype(float)",
            ("counts below 2^53 give the same products as floats",)),
     Mutant("sampler-left-side", ENV,

@@ -133,17 +133,9 @@ class Environment:
         self.cost_process = cost_process
         self.pool_factor = int(pool_factor)
 
-    @property
-    def universe_size(self) -> int:
-        return self.probs.size
-
-    @property
-    def d(self) -> int:
-        return self.cost_process.d
-
     @cached_property
     def sample_contexts(self):
         """``sample_contexts(rng, size)``: the same draws as
-        ``rng.choice(self.universe_size, size=size, p=self.probs)``."""
+        ``rng.choice(self.probs.size, size=size, p=self.probs)``."""
         # built on first use: set-up that never samples pays nothing for it
         return categorical_sampler(self.probs)

@@ -249,7 +249,7 @@ class RegularizedErmOracle(ExactErmOracle):
         """Every policy's lambda_scaled * C for a query (|F|,) or a stack (S, |F|);
         a repeat of the last contexts (play's d queries share one row) reuses them."""
         ids = context_ids(contexts)
-        key = (ids.dtype.str, ids.shape, ids.tobytes())  # content: play rewrites its row
+        key = (ids.shape, ids.tobytes())  # content: play rewrites its row
         if self._memo[0] != key:
             self._memo = (key, self.lambda_scaled * policy_constraint_values(
                 self.constraint, self.policy_class, ids))

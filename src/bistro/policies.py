@@ -28,10 +28,13 @@ class CapacityError(ValueError):
 
 
 def context_ids(contexts) -> np.ndarray:
-    """Normalize a sequence of integer context ids to a native int64 array."""
+    """Normalize integer context ids to a native int64 array; floats and bools are refused."""
     if isinstance(contexts, np.ndarray) and contexts.dtype == np.int64:
         return contexts
-    return np.asarray(contexts, dtype=np.int64)  # uint64 ids from 2^63 wrap to negatives
+    ids = np.asarray(contexts)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise ValueError(f"context ids must be integers; got dtype {ids.dtype}")
+    return ids.astype(np.int64, copy=False)  # uint64 ids from 2^63 wrap to negatives
 
 
 class PolicyClass:

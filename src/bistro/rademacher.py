@@ -27,13 +27,6 @@ STACK_BYTES = 256 * 1024
 class RademacherEstimate:
     mean: float
     std_error: float
-    samples: int
-
-    def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("at least one sample required")
-        if self.std_error < 0:
-            raise ValueError("std_error must be nonnegative")
 
 
 def rademacher_samples(
@@ -75,7 +68,7 @@ def rademacher_estimate(
     values = rademacher_samples(oracle, context_sampler, n, samples, seed, scale)
     mean = float(values.mean())
     se = float(values.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
-    return RademacherEstimate(mean=mean, std_error=se, samples=samples)
+    return RademacherEstimate(mean=mean, std_error=se)
 
 
 def tune_gamma(complexity: float, n: int, d: int) -> float:

@@ -70,16 +70,8 @@ class Transcript:
         return (self.distributions * self.cost_vectors).sum(axis=1)
 
     @property
-    def cumulative_expected(self) -> np.ndarray:
-        return np.cumsum(self.expected_costs)
-
-    @property
     def expected_total(self) -> float:
         return float(self.expected_costs.sum())
-
-    @property
-    def realized_total(self) -> float:
-        return float(self.observed_costs.sum())
 
     def validate(self) -> None:
         n = self.n
@@ -111,15 +103,14 @@ def draw_action(rng: np.random.Generator, q, d: int) -> int:
 
 def run_episode(strategy: Strategy, env: Environment, n: int, seed) -> Transcript:
     """Play one episode of length n; deterministic given (strategy config, env, seed)."""
-    d = env.d
+    d = env.cost_process.d
     pc = getattr(strategy, "policy_class", None)
     if pc is not None:
         if pc.d != d:
             raise ValueError("strategy and environment disagree on the number of actions")
-        if pc.universe_size != env.universe_size:
+        if pc.universe_size != env.probs.size:
             raise ValueError("strategy and environment disagree on the context universe")
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    ctx_ss, pool_ss, cost_ss, act_ss, strat_ss = ss.spawn(5)
+    ctx_ss, pool_ss, cost_ss, act_ss, strat_ss = np.random.SeedSequence(seed).spawn(5)
     ctx_rng = np.random.default_rng(ctx_ss)
     xs = env.sample_contexts(ctx_rng, n)
     pool = env.sample_contexts(np.random.default_rng(pool_ss), env.pool_factor * max(n, 1))
@@ -308,7 +299,7 @@ def resolve_strategy_params(config: dict, policy_class: PolicyClass, env: Enviro
                 out["class_rad_estimate"], out["class_rad_stderr"] = est.mean, est.std_error
                 # Per column the box's best response to a sign vector is
                 # max(0, max_j eps_j), which is 1 unless all d signs are -1.
-                return RademacherEstimate(SIGN_SCALE * n * (1.0 - 2.0**-d), 0.0, samples)
+                return RademacherEstimate(SIGN_SCALE * n * (1.0 - 2.0**-d), 0.0)
             return rademacher_estimate(oracle, env.sample_contexts, n, samples, seed,
                                        SIGN_SCALE)
 
@@ -363,7 +354,7 @@ def episode_csv_lines(transcript: Transcript) -> list[str]:
         + ",observed_cost,expected_cost,cum_expected_cost"
     )
     floats = np.column_stack([transcript.distributions, transcript.observed_costs,
-                              transcript.expected_costs, transcript.cumulative_expected])
+                              transcript.expected_costs, np.cumsum(transcript.expected_costs)])
     bits, inverse = np.unique(floats.view(np.int64).ravel(), return_inverse=True)
     cells = list(map([repr(v) for v in bits.view(float).tolist()].__getitem__, inverse.tolist()))
     w = d + 3
@@ -408,7 +399,7 @@ def run_suite(config: dict, seeds, out_dir: str | None = None) -> dict:
                 tr = run_episode(strategy, env, n, seed)
                 bench = benchmark_value(tr, policy_class, constraint, K)
                 regrets[i] = tr.expected_total - bench
-                realized[i] = tr.realized_total - bench
+                realized[i] = tr.observed_costs.sum() - bench
             except EmptyBenchmarkError:
                 raise  # the budget, not the episode, is at fault: exit 2 in the CLI
             except Exception as exc:

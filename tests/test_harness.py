@@ -65,7 +65,7 @@ class TestRunEpisode:
             tr = run_episode(UniformStrategy(2), env, n, seed)
             assert tr.expected_total == pytest.approx(values.mean(axis=1).sum())
         # realized cost agrees in the mean over seeds
-        realized = [run_episode(UniformStrategy(2), env, n, s).realized_total
+        realized = [float(run_episode(UniformStrategy(2), env, n, s).observed_costs.sum())
                     for s in range(10_000)]
         mean, se = np.mean(realized), np.std(realized, ddof=1) / 100
         assert abs(mean - values.mean(axis=1).sum()) <= 3 * se
@@ -244,7 +244,7 @@ class TestRegret:
         for seed in range(3000):
             tr = run_episode(UniformStrategy(2), env, n, seed)
             exp.append(expected_regret(tr, pc))
-            real.append(tr.realized_total - benchmark_value(tr, pc))
+            real.append(float(tr.observed_costs.sum()) - benchmark_value(tr, pc))
         se = np.std(np.array(real) - np.array(exp), ddof=1) / np.sqrt(len(real))
         assert abs(np.mean(real) - np.mean(exp)) <= 3 * se + 1e-12
 
@@ -273,7 +273,7 @@ class TestRegret:
             with pytest.raises(ValueError, match=match):
                 broken.validate()
         np.testing.assert_allclose(
-            tr.cumulative_expected,
+            np.cumsum(tr.expected_costs),
             np.cumsum((tr.distributions * tr.cost_vectors).sum(axis=1)),
             atol=0,
         )
@@ -574,7 +574,7 @@ def per_row_episode_csv_lines(transcript: Transcript) -> list[str]:
     lines = [header]
     rows = zip(transcript.contexts.tolist(), transcript.actions.tolist(),
                transcript.distributions.tolist(), transcript.observed_costs.tolist(),
-               transcript.expected_costs.tolist(), transcript.cumulative_expected.tolist())
+               transcript.expected_costs.tolist(), np.cumsum(transcript.expected_costs).tolist())
     for t, (x, a, q, observed, expected, cum) in enumerate(rows, 1):
         qs = ",".join(map(repr, q))
         lines.append(f"{t},{x},{a + 1},{qs},{observed!r},{expected!r},{cum!r}")

@@ -363,12 +363,26 @@ def id_layouts(dtype, rows):
             "transposed stack": np.ascontiguousarray(stack.T).T}
 
 
-@pytest.mark.parametrize("entry", sorted(ID_ENTRY_POINTS))
-@pytest.mark.parametrize("dtype", ID_DTYPES, ids=lambda t: np.dtype(t).name)
+ON_EVERY_ENTRY_POINT = pytest.mark.parametrize("entry", sorted(ID_ENTRY_POINTS))
+ON_EVERY_ID_TYPE = pytest.mark.parametrize("dtype", ID_DTYPES, ids=lambda t: np.dtype(t).name)
+
+
+# ids that are not integers: each reads as a float or bool array
+NON_INTEGER_IDS = {
+    "float64": np.array([0.0, 2.0, 1.0]),
+    "float32": np.array([0.9, 2.2, 1.0], np.float32),
+    "bool": np.array([True, False, True]),
+    "float_in_a_list": [0, 2.0, 1],
+}
+
+
 class TestIdRangeCheck:
     """Every entry point refuses an id below 0 or from |X| on, in any integer
-    type and layout, with one message, and prices in-range ids as int64 ones."""
+    type and layout, with one message, and prices in-range ids as int64 ones;
+    ids that are not integers are refused, naming their dtype."""
 
+    @ON_EVERY_ENTRY_POINT
+    @ON_EVERY_ID_TYPE
     def test_in_range_ids_price_as_int64_ids(self, entry, dtype):
         pc, price = PolicyClass.all_labelings(2, ID_UNIVERSE), ID_ENTRY_POINTS[entry]
         for name, ids in id_layouts(dtype, [[0, 1, 2, 3], [4, 3, 1, 1]]).items():
@@ -377,6 +391,8 @@ class TestIdRangeCheck:
             assert np.array_equal(price(pc, empty),
                                   price(pc, np.zeros(np.shape(empty), np.int64)))
 
+    @ON_EVERY_ENTRY_POINT
+    @ON_EVERY_ID_TYPE
     def test_ids_outside_the_universe_are_refused(self, entry, dtype):
         pc, price = PolicyClass.all_labelings(2, ID_UNIVERSE), ID_ENTRY_POINTS[entry]
         info = np.iinfo(dtype)
@@ -384,9 +400,17 @@ class TestIdRangeCheck:
         for bad in sorted(b for b in bad_ids if info.min <= b <= info.max):
             for name, ids in id_layouts(dtype, [[0, 1, 2, 3], [4, 3, bad, 1]]).items():
                 if name == "list" and bad > np.iinfo(np.int64).max:
-                    continue  # a list is read as int64, which holds no such id
+                    continue  # NumPy reads such a list as floats, refused as non-integer ids
                 with pytest.raises(ValueError, match="context id outside the class's universe"):
                     price(pc, ids)
+
+    @ON_EVERY_ENTRY_POINT
+    @pytest.mark.parametrize("kind", sorted(NON_INTEGER_IDS))
+    def test_ids_that_are_not_integers_are_refused(self, entry, kind):
+        pc, ids = PolicyClass.all_labelings(2, 3), NON_INTEGER_IDS[kind]
+        dtype = np.asarray(ids).dtype
+        with pytest.raises(ValueError, match=f"context ids must be integers; got dtype {dtype}$"):
+            ID_ENTRY_POINTS[entry](pc, ids)
 
 
 class TestFoldQuery:

@@ -321,6 +321,12 @@ class TestBistroRound:
         with pytest.raises(ValueError, match="iid_pool mode requires a nonempty unlabeled pool"):
             strat.begin_episode(3, np.random.SeedSequence(0), pool=pool)
 
+    def test_pool_of_floats_is_refused(self):
+        # a float pool would otherwise be truncated to ids, 1.5 counted as context 1
+        strat = make_strategy(PolicyClass(np.array([[0, 1]]), 2))
+        with pytest.raises(ValueError, match="context ids must be integers; got dtype float64"):
+            strat.begin_episode(3, np.random.SeedSequence(0), pool=np.array([0.0, 1.5, 1.0]))
+
     def test_transductive_requires_futures(self):
         pc = PolicyClass(np.array([[0]]), 2)
         strat = make_strategy(pc, mode="transductive")
