@@ -612,9 +612,20 @@ MUTANTS = [
            (f"{T_ADM}::test_first_rhs_is_the_exact_bound[bistro_regularized-bistro d=2 n=3]",
             f"{T_GOLDEN}[regularized_pairwise]")),
     Mutant("class-complexity-at-sign-scale", RUNNER,
-           "samples, seed)\n", "samples, seed, SIGN_SCALE)\n",
+           'out["class_rad_stderr"] = rad\n',
+           'out["class_rad_stderr"] = est.mean, est.std_error\n',
            tuple(f"{T_RAD}::TestBound::test_box_run_reports_the_class_complexity[{name}]"
                  for name in ("fixed_adversarial", "adaptive_adversary", "bernoulli_demo"))),
+    Mutant("box-keeps-the-class-complexity", RUNNER,
+           "rad = n * (1.0 - 2.0**-d), 0.0", "pass",
+           (f"{T_RAD}::TestBound::test_clamped",)),
+    Mutant("penalized-complexity-not-re-estimated", RUNNER,
+           'if algo == "bistro_regularized":  # the penalized', "if False:  # the penalized",
+           (f"{T_HARNESS}::TestSuite::test_regularized_bound_at_bench_scale",
+            f"{T_HARNESS}::TestSuite::"
+            "test_set_up_prices_the_unpenalized_class_once[regularized_pairwise.json-6-None]",
+            "tests/test_verify.py::TestExactRegularizedBound::"
+            "test_estimate_within_three_standard_errors")),
     # -- the seed list, the numeric policy and the summary (runner.run_suite) --
     Mutant("rate-tuned-without-the-horizon", "src/bistro/rademacher.py",
            "np.sqrt(complexity / (n * d))", "np.sqrt(complexity / d)", (GROWTH,)),
@@ -626,21 +637,21 @@ MUTANTS = [
            'with np.errstate(all="raise", under="ignore"):', "with np.errstate():",
            (f"{T_HARNESS}::TestSuite::test_numeric_error_policy",)),
     Mutant("seeds-repeated", RUNNER,
-           "if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):",
-           "if not seeds or min(seeds) < 0:",
+           "or min(seeds) < 0 or len(set(seeds)) < len(seeds):", "or min(seeds) < 0:",
            (f"{T_HARNESS}::TestSuite::test_seed_lists_that_check_nothing_are_refused",
             f"{T_CLI}::test_run_refuses_seed_lists_that_check_nothing[2,2]")),
     Mutant("seeds-negative", RUNNER,
-           "if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):",
-           "if not seeds or len(set(seeds)) < len(seeds):",
+           "or min(seeds) < 0 or len(set(seeds)) < len(seeds):",
+           "or len(set(seeds)) < len(seeds):",
            (f"{T_HARNESS}::TestSuite::test_seed_lists_that_check_nothing_are_refused",
             f"{T_CLI}::test_run_refuses_seed_lists_that_check_nothing[1,-1]")),
     Mutant("seeds-empty", RUNNER,
-           "if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):",
-           "if seeds and (min(seeds) < 0 or len(set(seeds)) < len(seeds)):",
+           "if not seeds or not ints or", "if seeds and not ints or",
            (f"{T_HARNESS}::TestSuite::test_seed_lists_that_check_nothing_are_refused",
             f"{T_CLI}::test_run_refuses_seed_lists_that_check_nothing[0]",
             f"{T_CLI}::test_run_refuses_seed_lists_that_check_nothing[-2]")),
+    Mutant("seeds-of-any-type", RUNNER, "if not seeds or not ints or", "if not seeds or",
+           (f"{T_HARNESS}::TestSuite::test_seed_lists_that_check_nothing_are_refused",)),
     Mutant("regret-stderr-without-root", RUNNER,
            "float(std / np.sqrt(len(seeds)))", "float(std / len(seeds))",
            (f"{T_HARNESS}::TestSuite::test_regret_stderr_is_the_mean_regrets_standard_error",)),
@@ -744,11 +755,22 @@ MUTANTS = [
            + id_checks("refused", ("int8", "int32", "uint8"))),
     # -- ids that are not integers, refused by dtype kind (policies.context_ids) --
     Mutant("context-ids-accept-bools", POL,
-           'ids.dtype.kind not in "iu"', 'ids.dtype.kind not in "iub"', non_integer_ids("bool")),
+           'ids.dtype.kind not in "iu"', 'ids.dtype.kind not in "iub"',
+           non_integer_ids("bool", "bool_list")),
     Mutant("context-ids-of-any-kind", POL,
            'if ids.size and ids.dtype.kind not in "iu":', "if False:",
-           non_integer_ids("bool", "float32", "float64", "float_in_a_list")
+           non_integer_ids("bool", "bool_list", "float32", "float64", "float_in_a_list")
            + (f"{T_STRAT}::TestBistroRound::test_pool_of_floats_is_refused",)),
+    # -- a list of Python ints beyond int64, refused as out of range (policies.context_ids) --
+    Mutant("int-lists-beyond-int64-named-by-dtype", POL,
+           "if isinstance(contexts, list) and all(type(x) is int for x in contexts):",
+           "if False:",
+           id_checks("refused", ("uint64",))
+           + tuple(f"{T_POL}::TestIdRangeCheck::test_int_lists_beyond_int64_are_refused[{entry}]"
+                   for entry in ("actions_on", "per_policy", "values"))),
+    Mutant("int-lists-take-bools", POL,
+           "all(type(x) is int for x in contexts)", "all(isinstance(x, int) for x in contexts)",
+           non_integer_ids("bool_list")),
     # -- coverage partitions, checked once (erm.CoveragePenalty) --
     Mutant("coverage-cover-unchecked", ERM,
            "if not np.array_equal(seen, np.arange(seen.size)):", "if False:",

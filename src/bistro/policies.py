@@ -33,6 +33,8 @@ def context_ids(contexts) -> np.ndarray:
         return contexts
     ids = np.asarray(contexts)
     if ids.size and ids.dtype.kind not in "iu":
+        if isinstance(contexts, list) and all(type(x) is int for x in contexts):
+            raise ValueError("context id outside the class's universe")  # an int beyond int64
         raise ValueError(f"context ids must be integers; got dtype {ids.dtype}")
     return ids.astype(np.int64, copy=False)  # uint64 ids from 2^63 wrap to negatives
 

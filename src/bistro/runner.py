@@ -34,7 +34,7 @@ from .erm import (
     benchmark,
 )
 from .policies import PolicyClass, check_cost_vector, float_entries
-from .rademacher import RademacherEstimate, rademacher_estimate, tune_gamma
+from .rademacher import rademacher_estimate, tune_gamma
 from .strategies import (
     SIGN_SCALE,
     BistroStrategy,
@@ -289,25 +289,19 @@ def resolve_strategy_params(config: dict, policy_class: PolicyClass, env: Enviro
         complexity = ExpWeightsRelaxation(policy_class, n, get(config, "eta")).initial_value()
         out["rad_estimate"], out["rad_stderr"] = complexity, 0.0
     elif algo in RELAXATIONS:
+        # A penalty scales with gamma, so the unpenalized class's complexity bounds
+        # every gamma's and tunes the rate; the box reports it beside its own.
         samples, seed = get(config, "tune_samples"), get(config, "tune_seed")
-
-        def estimate(oracle) -> RademacherEstimate:
-            if isinstance(oracle, BoxRelaxedOracle):
-                # superset vs original class widths, reported side by side (no ratio asserted)
-                est = rademacher_estimate(ExactErmOracle(policy_class), env.sample_contexts, n,
-                                          samples, seed)
-                out["class_rad_estimate"], out["class_rad_stderr"] = est.mean, est.std_error
-                # Per column the box's best response to a sign vector is
-                # max(0, max_j eps_j), which is 1 unless all d signs are -1.
-                return RademacherEstimate(SIGN_SCALE * n * (1.0 - 2.0**-d), 0.0)
-            return rademacher_estimate(oracle, env.sample_contexts, n, samples, seed,
-                                       SIGN_SCALE)
-
-        # A penalty scales with gamma, so the relaxation at gamma = 0 is the
-        # unpenalized one; its complexity bounds every gamma's and tunes the rate.
-        est = estimate(relaxation(config, policy_class, 0.0)[0])
-        out["rad_estimate"], out["rad_stderr"] = est.mean / SIGN_SCALE, est.std_error / SIGN_SCALE
-        complexity = max(est.mean, 0.0)
+        est = rademacher_estimate(ExactErmOracle(policy_class), env.sample_contexts, n,
+                                  samples, seed, SIGN_SCALE)
+        rad = est.mean / SIGN_SCALE, est.std_error / SIGN_SCALE
+        if algo == "bistro_relaxed":  # superset vs class widths side by side (no ratio asserted)
+            out["class_rad_estimate"], out["class_rad_stderr"] = rad
+            # Per column the box's best response to a sign vector is
+            # max(0, max_j eps_j), which is 1 unless all d signs are -1.
+            rad = n * (1.0 - 2.0**-d), 0.0
+        out["rad_estimate"], out["rad_stderr"] = rad
+        complexity = max(SIGN_SCALE * rad[0], 0.0)
     else:
         if algo == "egreedy":  # the learner at gamma = epsilon/d, with no bound
             out["gamma"] = get(config, "epsilon") / d
@@ -316,8 +310,8 @@ def resolve_strategy_params(config: dict, policy_class: PolicyClass, env: Enviro
     if gamma == "auto":
         gamma = tune_gamma(complexity, n, d)
     oracle, budget = relaxation(config, policy_class, gamma) if algo in RELAXATIONS else (None, 0)
-    if hasattr(oracle, "lambda_scaled"):  # the penalized complexity, at the gamma played
-        est = estimate(oracle)
+    if algo == "bistro_regularized":  # the penalized complexity, at the gamma played
+        est = rademacher_estimate(oracle, env.sample_contexts, n, samples, seed, SIGN_SCALE)
         complexity = max(est.mean, 0.0)
         out["bound_stderr"] = est.std_error / gamma
     out["gamma"] = gamma
@@ -375,7 +369,8 @@ def run_suite(config: dict, seeds, out_dir: str | None = None) -> dict:
     other than underflow raise, whatever the caller's ``np.errstate``.
     """
     seeds = list(seeds)  # each names one episode and its CSV
-    if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
+    ints = all(isinstance(s, (int, np.integer)) and not isinstance(s, bool) for s in seeds)
+    if not seeds or not ints or min(seeds) < 0 or len(set(seeds)) < len(seeds):
         raise ValueError(f"seeds must be one or more distinct nonnegative integers; got {seeds}")
     if out_dir is not None:  # made before set-up: a path that cannot be one costs no episode
         try:

@@ -27,7 +27,7 @@ from bistro.runner import (
     run_episode,
     run_suite,
 )
-from bistro.strategies import Strategy, UniformStrategy
+from bistro.strategies import SIGN_SCALE, Strategy, UniformStrategy
 from test_golden import CASES as GOLDEN_CASES
 from test_policies import refusal
 
@@ -347,8 +347,9 @@ class TestSuite:
             run_suite(small_config(), seeds=[3])
 
     def test_seed_lists_that_check_nothing_are_refused(self, tmp_path):
-        # no episode, a seed that cannot seed one, or one episode's CSV written twice
-        for seeds in ([], range(0), [1, -1], [2, 2]):
+        # no episode, a seed that cannot seed one, or one episode's CSV written
+        # twice; a bool or a float would name its CSV apart from its seed
+        for seeds in ([], range(0), [1, -1], [2, 2], [True], [0.5], [np.float64(1)]):
             with pytest.raises(ValueError, match="seeds must be"):
                 run_suite(small_config(), seeds=seeds, out_dir=str(tmp_path / "out"))
         assert not (tmp_path / "out").exists()
@@ -401,6 +402,30 @@ class TestSuite:
         run_suite({**load_config(os.path.join(CONFIG_DIR, name)), "n": n, "tune_samples": 8},
                   seeds=[0, 1])
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("name, n, algorithm", [
+        ("regularized_pairwise.json", 6, None), ("fixed_adversarial.json", 16, "bistro"),
+        ("fixed_adversarial.json", 16, "bistro_relaxed")])
+    def test_set_up_prices_the_unpenalized_class_once(self, name, n, algorithm, monkeypatch):
+        # every playout relaxation first prices the unpenalized class at
+        # SIGN_SCALE; only the regularized one prices its penalized oracle too
+        estimates, builds = [], []
+        estimate, build = runner.rademacher_estimate, runner.build_constraint
+        monkeypatch.setattr(runner, "rademacher_estimate",
+                            lambda oracle, sampler, n, samples, seed, scale=1.0:
+                            estimates.append((type(oracle), scale))
+                            or estimate(oracle, sampler, n, samples, seed, scale))
+        monkeypatch.setattr(runner, "build_constraint",
+                            lambda config: builds.append(1) or build(config))
+        config = {**load_config(os.path.join(CONFIG_DIR, name)), "n": n, "tune_samples": 8}
+        config["algorithm"] = algorithm or config["algorithm"]
+        run_suite(config, seeds=[0])
+        regularized = config["algorithm"] == "bistro_regularized"
+        assert [scale for _, scale in estimates] == [SIGN_SCALE] * (1 + regularized)
+        assert estimates[0][0] is erm.ExactErmOracle
+        if regularized:
+            assert estimates[1][0] is erm.RegularizedErmOracle
+            assert len(builds) <= 4
 
     def test_regularized_requires_budget(self):
         # without K the bound would price lam*K at 0 and the benchmark skip filtering

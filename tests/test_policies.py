@@ -372,6 +372,7 @@ NON_INTEGER_IDS = {
     "float64": np.array([0.0, 2.0, 1.0]),
     "float32": np.array([0.9, 2.2, 1.0], np.float32),
     "bool": np.array([True, False, True]),
+    "bool_list": [True, False, True],
     "float_in_a_list": [0, 2.0, 1],
 }
 
@@ -399,10 +400,16 @@ class TestIdRangeCheck:
         bad_ids = {-1, int(info.min), ID_UNIVERSE, int(info.max)} - {0}
         for bad in sorted(b for b in bad_ids if info.min <= b <= info.max):
             for name, ids in id_layouts(dtype, [[0, 1, 2, 3], [4, 3, bad, 1]]).items():
-                if name == "list" and bad > np.iinfo(np.int64).max:
-                    continue  # NumPy reads such a list as floats, refused as non-integer ids
                 with pytest.raises(ValueError, match="context id outside the class's universe"):
                     price(pc, ids)
+
+    @ON_EVERY_ENTRY_POINT
+    def test_int_lists_beyond_int64_are_refused(self, entry):
+        # NumPy reads these lists as float64 or object, yet every entry is an integer id
+        pc = PolicyClass.all_labelings(2, ID_UNIVERSE)
+        for ids in ([0, 2**63], [0, 2**64], [0, -2**63 - 1]):
+            with pytest.raises(ValueError, match="context id outside the class's universe"):
+                ID_ENTRY_POINTS[entry](pc, ids)
 
     @ON_EVERY_ENTRY_POINT
     @pytest.mark.parametrize("kind", sorted(NON_INTEGER_IDS))
