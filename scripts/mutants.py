@@ -77,6 +77,15 @@ RUNNING_LOSSES = tuple(f"{T_REDUCTION}::test_running_losses_are_the_summed_histo
                        for d in (2, 3) for costs in ("fixed", "adaptive"))
 REDUCTION_PLAY = REDUCTION_FOLD + RUNNING_LOSSES + (
     f"{T_GOLDEN}[adaptive_adversary_adversarial_reduction]",)
+# the learners' rows of the context-major layouts against the strided columns
+# they replaced, and the layouts themselves against the one-hot's comparison
+STRIDED = tuple(f"tests/test_adversarial.py::TestContextMajorRows::"
+                f"test_running_losses_and_q_star_match_the_strided_reference[{learner}-{costs}]"
+                for learner in ("reduction", "egreedy") for costs in ("fixed", "adaptive"))
+STRIDED_STRATEGY = ("tests/test_adversarial.py::TestContextMajorRows::"
+                    "test_strategy_on_arbitrary_losses_matches_the_strided_reference",)
+LAYOUTS = tuple(f"{T_POL}::TestPolicyClass::test_layouts_are_aligned_read_only_copies[{case}]"
+                for case in ("labelings-2-12", "labelings-3-7", "table", "empty"))
 # epsilon-greedy's q, actions and running losses against its private body
 EGREEDY = tuple(f"{T_STRAT}::TestEpsilonGreedy::test_plays_the_private_body_bit_for_bit[{costs}]"
                 for costs in ("fixed", "adaptive"))
@@ -209,9 +218,9 @@ MUTANTS = [
            "self.relaxation.strategy(self._L, x)", "self.relaxation.strategy(0.0 * self._L, x)",
            REDUCTION_FOLD + (f"{T_GOLDEN}[adaptive_adversary_adversarial_reduction]",)),
     Mutant("reduction-losses-on-the-wrong-action", ADV,
-           "onehot[:, action * self._universe.size + x]",
-           "onehot[:, (action + 1) % self.policy_class.d * self._universe.size + x]",
-           REDUCTION_PLAY),
+           "by_cell[action * self._universe.size + x]",
+           "by_cell[(action + 1) % self.policy_class.d * self._universe.size + x]",
+           REDUCTION_PLAY + STRIDED[:2]),
     Mutant("reduction-losses-not-reset", ADV,
            "self._L = np.zeros(self.policy_class.size)",
            'self._L = getattr(self, "_L", np.zeros(self.policy_class.size))',
@@ -221,8 +230,19 @@ MUTANTS = [
            (f"{T_HARNESS}::TestLearnerReuse::"
             "test_a_reduction_learner_plays_the_rate_of_its_episode[None]",)),
     Mutant("reduction-losses-not-extended", ADV,
-           "self._L += inc * self.policy_class.onehot", "self._L += 0.0 * self.policy_class.onehot",
-           REDUCTION_PLAY),
+           "self._L += inc * self.policy_class.by_cell",
+           "self._L += 0.0 * self.policy_class.by_cell",
+           REDUCTION_PLAY + STRIDED[:2]),
+    # -- the context-major rows the learners stream (PolicyClass.by_context, .by_cell) --
+    Mutant("cell-rows-of-the-other-action", POL,
+           "np.arange(self.d)[:, None, None]", "np.arange(self.d)[::-1, None, None]",
+           LAYOUTS[:3] + STRIDED[:2] + REDUCTION_PLAY),
+    Mutant("strategy-reads-a-neighbouring-context", ADV,
+           "by_context[x], weights=w", "by_context[x - 1], weights=w",
+           STRIDED[:2] + STRIDED_STRATEGY
+           + (f"{T_GOLDEN}[adaptive_adversary_adversarial_reduction]",)),
+    Mutant("aligned-start-off-by-one-element", POL,
+           "raw[start:][:nbytes]", "raw[start + 8:][:nbytes]", LAYOUTS),
     # -- exp-weights prices a history through the class's fold (ExpWeightsRelaxation.value) --
     Mutant("value-prices-the-costs-untransposed", ADV,
            "np.asarray(costs, dtype=float).T)", "np.asarray(costs, dtype=float))",
@@ -236,12 +256,14 @@ MUTANTS = [
     Mutant("egreedy-leader-argmax", STRAT,
            "np.argmin(self._L)", "np.argmax(self._L)", EGREEDY),
     Mutant("egreedy-losses-scaled", STRAT,
-           "table[:, x] == action] += est", "table[:, x] == action] += self.gamma * est", EGREEDY),
+           "by_context[x] == action] += est", "by_context[x] == action] += self.gamma * est",
+           EGREEDY + STRIDED[2:]),
     Mutant("egreedy-rate-is-epsilon", STRAT,
            "super().__init__(policy_class, epsilon / policy_class.d)",
            "super().__init__(policy_class, epsilon)", EGREEDY),
     Mutant("egreedy-losses-on-other-policies", STRAT,
-           "table[:, x] == action] += est", "table[:, x] != action] += est", EGREEDY),
+           "by_context[x] == action] += est", "by_context[x] != action] += est",
+           EGREEDY + STRIDED[2:]),
     Mutant("transductive-future-not-decremented", STRAT,
            "self._future[self._known[self._t + 1]] -= 1", "pass",
            TRANSDUCTIVE_LAW + FOLDED[1::2] + TRANSDUCTIVE_GOLDENS),
@@ -324,8 +346,8 @@ MUTANTS = [
            "        onehot = np.asfortranarray(onehot)\n        onehot.flags.writeable = False\n",
            (f"{T_POL}::TestPolicyClass::test_table_and_onehot_are_c_ordered_and_read_only",)),
     Mutant("onehot-compared-on-the-wrong-axis", POL,
-           "self.table[:, None, :] == np.arange(self.d)[:, None]",
-           "self.table[:, :, None] == np.arange(self.d)",
+           "np.equal(self.table[:, None, :], np.arange(self.d)[:, None], out=onehot)",
+           "np.equal(self.table[:, :, None], np.arange(self.d), out=onehot.reshape(size, -1, self.d))",
            LABELINGS[1:] + tuple(f"{T_POL}::TestValues::{test}" for test in (
                "test_onehot_cached_and_read_only",
                "test_matches_sequence_form_and_bruteforce_exactly"))),
@@ -763,14 +785,19 @@ MUTANTS = [
            + (f"{T_STRAT}::TestBistroRound::test_pool_of_floats_is_refused",)),
     # -- a list of Python ints beyond int64, refused as out of range (policies.context_ids) --
     Mutant("int-lists-beyond-int64-named-by-dtype", POL,
-           "if isinstance(contexts, list) and all(type(x) is int for x in contexts):",
-           "if False:",
+           "if entries and all(type(x) is int for x in entries):", "if False:",
            id_checks("refused", ("uint64",))
-           + tuple(f"{T_POL}::TestIdRangeCheck::test_int_lists_beyond_int64_are_refused[{entry}]"
+           + tuple(f"{T_POL}::TestIdRangeCheck::{test}[{entry}]"
+                   for test in ("test_int_lists_beyond_int64_are_refused",
+                                "test_nested_int_lists_beyond_int64_are_refused")
                    for entry in ("actions_on", "per_policy", "values"))),
     Mutant("int-lists-take-bools", POL,
-           "all(type(x) is int for x in contexts)", "all(isinstance(x, int) for x in contexts)",
+           "all(type(x) is int for x in entries)", "all(isinstance(x, int) for x in entries)",
            non_integer_ids("bool_list")),
+    Mutant("int-lists-read-bools-among-ints-as-ints", POL,
+           "if any(isinstance(x, (bool, np.bool_)) for x in entries):", "if False:",
+           tuple(f"{T_POL}::TestIdRangeCheck::test_bools_among_int_ids_are_refused[{entry}]"
+                 for entry in ("actions_on", "per_policy", "values"))),
     # -- coverage partitions, checked once (erm.CoveragePenalty) --
     Mutant("coverage-cover-unchecked", ERM,
            "if not np.array_equal(seen, np.arange(seen.size)):", "if False:",

@@ -63,7 +63,7 @@ class ExpWeightsRelaxation:
         given each policy's cumulative loss L_t(f) on the history."""
         w = np.exp(-self.eta * (losses - losses.min()))
         w /= w.sum()
-        return np.bincount(self.policy_class.table[:, x], weights=w,
+        return np.bincount(self.policy_class.by_context[x], weights=w,
                            minlength=self.policy_class.d)
 
     def initial_value(self) -> float:
@@ -89,10 +89,10 @@ class ReductionStrategy(RelaxationStrategy):
 
     def _extend(self, x: int, action: int, est: float) -> None:
         inc = self.gamma * est  # gamma * c~_t
-        # the one-hot's column (action, x) is 1.0 on the policies that play the
+        # the one-hot's cell row (action, x) is 1.0 on the policies that play the
         # action at x, and inc * 0.0 adds exactly 0.0 to the others: _L stays
         # the history's losses summed in round order, bit for bit
-        self._L += inc * self.policy_class.onehot[:, action * self._universe.size + x]
+        self._L += inc * self.policy_class.by_cell[action * self._universe.size + x]
 
     def _q_star(self, x: int) -> np.ndarray:
         return self.relaxation.strategy(self._L, x)

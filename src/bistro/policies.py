@@ -32,10 +32,17 @@ def context_ids(contexts) -> np.ndarray:
     if isinstance(contexts, np.ndarray) and contexts.dtype == np.int64:
         return contexts
     ids = np.asarray(contexts)
+    # a (nested) list is read by its entries: NumPy reads a bool among ints as
+    # an int, and an int beyond int64 as a float or an object
+    entries = []
+    if isinstance(contexts, list):
+        entries = np.asarray(contexts, dtype=object).ravel().tolist()
     if ids.size and ids.dtype.kind not in "iu":
-        if isinstance(contexts, list) and all(type(x) is int for x in contexts):
+        if entries and all(type(x) is int for x in entries):
             raise ValueError("context id outside the class's universe")  # an int beyond int64
         raise ValueError(f"context ids must be integers; got dtype {ids.dtype}")
+    if any(isinstance(x, (bool, np.bool_)) for x in entries):
+        raise ValueError("context ids must be integers; got a bool among them")
     return ids.astype(np.int64, copy=False)  # uint64 ids from 2^63 wrap to negatives
 
 
@@ -90,15 +97,42 @@ class PolicyClass:
 
     @cached_property
     def onehot(self) -> np.ndarray:
-        """Read-only (|F|, d*|X|) 0/1 matrix; row f marks the cells j*|X| + x
-        with j = f(x). Built on first use and cached (d*|F|*|X| floats)."""
+        """Read-only (|F|, d*|X|) 0/1 matrix, 64-byte aligned; row f marks the
+        cells j*|X| + x with j = f(x). Built on first use and cached (d*|F|*|X|
+        floats)."""
         size, universe = self.table.shape
+        # written into a buffer that starts on a 64-byte boundary, because the
+        # product's time depends on where the one-hot starts; sliced in two
+        # steps, since an empty raw[start:start] would keep raw's own address
+        nbytes = 8 * size * self.d * universe
+        raw = np.empty(nbytes + 64, dtype=np.uint8)
+        start = -raw.ctypes.data % 64
+        onehot = raw[start:][:nbytes].view(float).reshape(size, self.d, universe)
         # one comparison, laid out (|F|, d, |X|) and C-ordered: the products
         # that price a query sum in the order this layout gives them
-        onehot = (self.table[:, None, :] == np.arange(self.d)[:, None]).astype(float)
+        np.equal(self.table[:, None, :], np.arange(self.d)[:, None], out=onehot)
         onehot = onehot.reshape(size, self.d * universe)
         onehot.flags.writeable = False
         return onehot
+
+    @cached_property
+    def by_context(self) -> np.ndarray:
+        """Read-only (|X|, |F|) copy of the table: row x holds every policy's
+        action at x, contiguous for the learners that read it each round.
+        Built on first use and cached (|F|*|X| ints)."""
+        rows = np.ascontiguousarray(self.table.T)
+        rows.flags.writeable = False
+        return rows
+
+    @cached_property
+    def by_cell(self) -> np.ndarray:
+        """Read-only (d*|X|, |F|) copy of the one-hot: row j*|X| + x is 1.0 on
+        the policies that play j at x and 0.0 elsewhere. Built on first use and
+        cached (d*|F|*|X| floats)."""
+        cells = (self.by_context == np.arange(self.d)[:, None, None]).astype(float)
+        cells = cells.reshape(self.d * self.universe_size, self.size)
+        cells.flags.writeable = False
+        return cells
 
     @cached_property
     def _key_offsets(self) -> np.ndarray:

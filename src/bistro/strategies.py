@@ -204,7 +204,7 @@ class EpsilonGreedyStrategy(RelaxationStrategy):
         self._L = np.zeros(self.policy_class.size)
 
     def _extend(self, x: int, action: int, est: float) -> None:
-        self._L[self.policy_class.table[:, x] == action] += est
+        self._L[self.policy_class.by_context[x] == action] += est
 
     def _q_star(self, x: int) -> list[float]:
         q = [0.0] * self.policy_class.d

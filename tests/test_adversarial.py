@@ -6,6 +6,7 @@ from bistro.environments import AdaptiveCosts, Environment, FixedTableCosts
 from bistro.policies import PolicyClass
 from bistro.rademacher import tune_gamma
 from bistro.runner import resolve_strategy_params, run_episode
+from bistro.strategies import EpsilonGreedyStrategy
 from bistro.verify import expweights_initial_margin, expweights_recursive_gap, sequence_values
 from test_strategies import scaled_history
 
@@ -23,6 +24,26 @@ def round_order_losses(pc, costs, contexts):
     for c, x in zip(np.asarray(costs, dtype=float), contexts):
         losses += c[pc.table[:, x]]
     return losses
+
+
+def strided_strategy(relaxation, losses, x):
+    """Exp-weights' q* at x, bincounting column x of the (|F|, |X|) table:
+    the read ``by_context`` replaced, and the reference for its bits."""
+    pc = relaxation.policy_class
+    w = np.exp(-relaxation.eta * (losses - losses.min()))
+    w /= w.sum()
+    return np.bincount(pc.table[:, x], weights=w, minlength=pc.d)
+
+
+def strided_extend(learner, L, x, action, est):
+    """One round's update of a learner's running losses through column x of
+    the table, or column (action, x) of the one-hot for the reduction: the
+    reads ``by_context`` and ``by_cell`` replaced, and the reference for their bits."""
+    pc = learner.policy_class
+    if isinstance(learner, ReductionStrategy):
+        L += learner.gamma * est * pc.onehot[:, action * pc.universe_size + x]
+    else:
+        L[pc.table[:, x] == action] += est
 
 
 class TestExpWeightsValue:
@@ -235,3 +256,64 @@ class TestReduction:
         ]
         assert np.array_equal(runs[0].distributions, runs[1].distributions)
         assert np.array_equal(runs[0].actions, runs[1].actions)
+
+
+class TestContextMajorRows:
+    """The reduction and epsilon-greedy read rows of ``by_context`` and
+    ``by_cell``; every loss and q* is the strided-column reference's, byte for byte."""
+
+    @staticmethod
+    def checked_episode(learner, env, n, seed) -> list[bool]:
+        """Play an episode, comparing the running losses after every update
+        with the strided reference's and, for the reduction, every q* with
+        the strided strategy's on the reference losses."""
+        begin, extend, q_star = learner.begin_episode, learner._extend, learner._q_star
+        reference, same = [], []
+
+        def begin_spy(*args, **kwargs):
+            begin(*args, **kwargs)
+            reference[:] = [np.zeros(learner.policy_class.size)]
+
+        def extend_spy(x, action, est):
+            extend(x, action, est)
+            strided_extend(learner, reference[0], x, action, est)
+            same.append(learner._L.tobytes() == reference[0].tobytes())
+
+        def q_star_spy(x):
+            q = q_star(x)
+            if isinstance(learner, ReductionStrategy):
+                expected = strided_strategy(learner.relaxation, reference[0], x)
+                same.append(q.tobytes() == expected.tobytes())
+            return q
+
+        learner.begin_episode, learner._extend, learner._q_star = begin_spy, extend_spy, q_star_spy
+        run_episode(learner, env, n, seed)
+        return same
+
+    @pytest.mark.parametrize("costs", ["fixed", "adaptive"])
+    @pytest.mark.parametrize("learner", ["reduction", "egreedy"])
+    def test_running_losses_and_q_star_match_the_strided_reference(self, learner, costs):
+        rng = np.random.default_rng(63)
+        n = 512
+        if costs == "adaptive":  # the reduction workload's class
+            pc, process = PolicyClass.all_labelings(2, 10), AdaptiveCosts(2)
+        else:
+            pc = PolicyClass(rng.integers(0, 3, (300, 7)), 3)
+            process = FixedTableCosts(rng.uniform(0, 1, (n, 3)))
+        env = Environment(np.full(pc.universe_size, 1 / pc.universe_size), process)
+        strat = (ReductionStrategy(ExpWeightsRelaxation(pc, n), 0.1) if learner == "reduction"
+                 else EpsilonGreedyStrategy(pc, 0.1))
+        same = self.checked_episode(strat, env, n, seed=21)
+        assert len(same) == (2 * n if learner == "reduction" else n) and all(same)
+
+    def test_strategy_on_arbitrary_losses_matches_the_strided_reference(self):
+        # as admissibility calls it: any finite losses, ties and spreads included
+        rng = np.random.default_rng(64)
+        for pc in (PolicyClass.all_labelings(2, 10), PolicyClass.all_labelings(3, 4),
+                   PolicyClass(rng.integers(0, 4, (50, 6)), 4), constants_class()):
+            rel = ExpWeightsRelaxation(pc, 64)
+            for losses in (rng.uniform(-5, 50, pc.size), rng.integers(0, 3, pc.size) * 1.0,
+                           rng.uniform(0, 1e4, pc.size), np.zeros(pc.size)):
+                for x in range(pc.universe_size):
+                    q = rel.strategy(losses, x)
+                    assert q.tobytes() == strided_strategy(rel, losses, x).tobytes()

@@ -209,6 +209,26 @@ class TestPolicyClass:
             for array in (pc.table, pc.onehot):
                 assert array.flags.c_contiguous and not array.flags.writeable
 
+    @pytest.mark.parametrize("case", ["labelings-2-12", "labelings-3-7", "table", "empty"])
+    def test_layouts_are_aligned_read_only_copies(self, case):
+        # the one-hot starts on a 64-byte boundary, and it and the context-major
+        # table and one-hot hold the bytes of the comparison-built one-hot, the
+        # table's transpose and the one-hot's transpose
+        pc = {"labelings-2-12": lambda: PolicyClass.all_labelings(2, 12),
+              "labelings-3-7": lambda: PolicyClass.all_labelings(3, 7),
+              "table": lambda: PolicyClass(np.random.default_rng(8).integers(0, 4, (37, 9)), 4),
+              "empty": lambda: PolicyClass(np.empty((0, 3), dtype=int), 2)}[case]()
+        onehot = (pc.table[:, None, :] == np.arange(pc.d)[:, None]).astype(float)
+        onehot = onehot.reshape(pc.size, pc.d * pc.universe_size)
+        for name, reference in (("onehot", onehot), ("by_context", pc.table.T),
+                                ("by_cell", onehot.T)):
+            array = getattr(pc, name)
+            assert getattr(pc, name) is array, name
+            assert name != "onehot" or array.ctypes.data % 64 == 0
+            assert array.flags.c_contiguous and not array.flags.writeable, name
+            assert array.dtype == reference.dtype and array.shape == reference.shape, name
+            assert array.tobytes() == np.ascontiguousarray(reference).tobytes(), name
+
     def test_all_labelings_builds_its_table_once(self):
         # the class takes the table all_labelings builds: no copy of it is
         # ever alive beside it (4096 x 12 int64 entries, 393,216 bytes)
@@ -409,6 +429,23 @@ class TestIdRangeCheck:
         pc = PolicyClass.all_labelings(2, ID_UNIVERSE)
         for ids in ([0, 2**63], [0, 2**64], [0, -2**63 - 1]):
             with pytest.raises(ValueError, match="context id outside the class's universe"):
+                ID_ENTRY_POINTS[entry](pc, ids)
+
+    @ON_EVERY_ENTRY_POINT
+    def test_nested_int_lists_beyond_int64_are_refused(self, entry):
+        # a stack read as float64 or object holds an integer id outside the universe
+        pc = PolicyClass.all_labelings(2, ID_UNIVERSE)
+        for ids in ([[0, 1], [2**63, 1]], [[0, 2**64], [1, 1]], [[1, 1], [0, -2**63 - 1]]):
+            with pytest.raises(ValueError, match="context id outside the class's universe"):
+                ID_ENTRY_POINTS[entry](pc, ids)
+
+    @ON_EVERY_ENTRY_POINT
+    def test_bools_among_int_ids_are_refused(self, entry):
+        # NumPy reads these lists as int64, taking True and False for 1 and 0
+        pc = PolicyClass.all_labelings(2, ID_UNIVERSE)
+        for ids in ([True, 1], [0, False, 2], [np.True_, 1], [[0, 1], [True, 2]]):
+            with pytest.raises(ValueError,
+                               match="context ids must be integers; got a bool among them$"):
                 ID_ENTRY_POINTS[entry](pc, ids)
 
     @ON_EVERY_ENTRY_POINT
